@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt
+.PHONY: all build test race vet fmt bench-smoke
 
 all: build vet test
 
@@ -26,3 +26,8 @@ vet:
 
 fmt:
 	gofmt -l -w .
+
+# bench/ is a module of its own, invisible to ./... above: vet it and run
+# its tests, which include a short run of every activebench workload.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -38,11 +38,17 @@ func (f Fact) ValidAt(t time.Duration) bool {
 	return t >= f.From && t < f.To
 }
 
-// KB is an in-memory fact base with subject and predicate indexes.
-// The zero value is not usable; construct with NewKB.
+// poKey addresses the predicate-object index.
+type poKey struct{ p, o string }
+
+// KB is an in-memory fact base indexed by subject and by
+// (predicate, object). The zero value is not usable; construct with NewKB.
 type KB struct {
 	bySubject map[string][]*Fact
-	count     int
+	// byPO answers "who P O?" — the subjects of (·, P, O) — without a
+	// scan over every subject; each list is in insertion order.
+	byPO  map[poKey][]*Fact
+	count int
 	// subjects caches the sorted subject list for wildcard-subject
 	// queries; nil means stale (rebuilt lazily on the next such query).
 	subjects []string
@@ -50,17 +56,36 @@ type KB struct {
 
 // NewKB returns an empty knowledge base.
 func NewKB() *KB {
-	return &KB{bySubject: make(map[string][]*Fact)}
+	return &KB{bySubject: make(map[string][]*Fact), byPO: make(map[poKey][]*Fact)}
 }
 
 // Add inserts a fact (duplicates are kept; they are harmless for Ask).
 func (kb *KB) Add(f Fact) {
-	c := f
+	c := &f
 	if _, known := kb.bySubject[f.S]; !known {
 		kb.subjects = nil
 	}
-	kb.bySubject[f.S] = append(kb.bySubject[f.S], &c)
+	kb.bySubject[f.S] = append(kb.bySubject[f.S], c)
+	po := poKey{f.P, f.O}
+	kb.byPO[po] = append(kb.byPO[po], c)
 	kb.count++
+}
+
+// unindex drops one stored fact from the predicate-object index.
+func (kb *KB) unindex(f *Fact) {
+	po := poKey{f.P, f.O}
+	list := kb.byPO[po]
+	for i, g := range list {
+		if g == f {
+			list = append(list[:i], list[i+1:]...)
+			break
+		}
+	}
+	if len(list) == 0 {
+		delete(kb.byPO, po)
+	} else {
+		kb.byPO[po] = list
+	}
 }
 
 // AddSPO inserts an always-valid fact.
@@ -69,48 +94,92 @@ func (kb *KB) AddSPO(s, p, o string) { kb.Add(Fact{S: s, P: p, O: o}) }
 // Len returns the number of stored facts.
 func (kb *KB) Len() int { return kb.count }
 
+// each calls fn, without allocating, for every fact matching the pattern
+// at time t until fn returns false: one subject's facts in insertion
+// order, or for a wildcard subject every subject's in sorted subject
+// order (the cached slice is invalidated whenever the subject set
+// changes). Empty strings are wildcards, t < 0 ignores validity.
+func (kb *KB) each(s, p, o string, t time.Duration, fn func(*Fact) bool) {
+	if s != "" {
+		eachIn(kb.bySubject[s], p, o, t, fn)
+		return
+	}
+	for _, subj := range kb.sortedSubjects() {
+		if !eachIn(kb.bySubject[subj], p, o, t, fn) {
+			return
+		}
+	}
+}
+
+func eachIn(pool []*Fact, p, o string, t time.Duration, fn func(*Fact) bool) bool {
+	for _, f := range pool {
+		if (p == "" || f.P == p) && (o == "" || f.O == o) && f.ValidAt(t) && !fn(f) {
+			return false
+		}
+	}
+	return true
+}
+
 // Query returns facts matching the pattern at time t; empty strings are
 // wildcards, t < 0 ignores validity.
 func (kb *KB) Query(s, p, o string, t time.Duration) []Fact {
-	var pool []*Fact
-	if s != "" {
-		pool = kb.bySubject[s]
-	} else {
-		// Wildcard subject: scan in deterministic subject order via the
-		// cached sorted slice (invalidated whenever the subject set
-		// changes) instead of rebuilding and re-sorting it every call.
-		for _, subj := range kb.sortedSubjects() {
-			pool = append(pool, kb.bySubject[subj]...)
-		}
-	}
 	var out []Fact
-	for _, f := range pool {
-		if p != "" && f.P != p {
-			continue
-		}
-		if o != "" && f.O != o {
-			continue
-		}
-		if !f.ValidAt(t) {
-			continue
-		}
+	kb.each(s, p, o, t, func(f *Fact) bool {
 		out = append(out, *f)
-	}
+		return true
+	})
 	return out
 }
 
 // Ask reports whether any fact matches the pattern at time t.
 func (kb *KB) Ask(s, p, o string, t time.Duration) bool {
-	return len(kb.Query(s, p, o, t)) > 0
+	found := false
+	hit := func(*Fact) bool {
+		found = true
+		return false
+	}
+	if s == "" && p != "" && o != "" {
+		eachIn(kb.byPO[poKey{p, o}], p, o, t, hit)
+	} else {
+		kb.each(s, p, o, t, hit)
+	}
+	return found
 }
 
 // One returns the object of the first fact matching (s, p, *) at t.
-func (kb *KB) One(s, p string, t time.Duration) (string, bool) {
-	fs := kb.Query(s, p, "", t)
-	if len(fs) == 0 {
-		return "", false
+func (kb *KB) One(s, p string, t time.Duration) (o string, ok bool) {
+	kb.each(s, p, "", t, func(f *Fact) bool {
+		o, ok = f.O, true
+		return false
+	})
+	return o, ok
+}
+
+// AppendObjects appends to dst the object of every fact matching
+// (s, p, ·) at t, in Query's order, and returns the extended slice; with
+// a reused dst it does not allocate.
+func (kb *KB) AppendObjects(dst []string, s, p string, t time.Duration) []string {
+	kb.each(s, p, "", t, func(f *Fact) bool {
+		dst = append(dst, f.O)
+		return true
+	})
+	return dst
+}
+
+// AppendSubjects appends to dst the subject of every fact matching
+// (·, p, o) at t, in no particular order (a full pattern is answered from
+// the predicate-object index), and returns the extended slice.
+func (kb *KB) AppendSubjects(dst []string, p, o string, t time.Duration) []string {
+	add := func(f *Fact) bool {
+		dst = append(dst, f.S)
+		return true
 	}
-	return fs[0].O, true
+	if p != "" && o != "" {
+		eachIn(kb.byPO[poKey{p, o}], p, o, t, add)
+	} else {
+		kb.each("", p, o, t, add)
+	}
+	return dst
 }
 
 // Remove deletes all facts matching the exact triple (any validity).
@@ -120,6 +189,7 @@ func (kb *KB) Remove(s, p, o string) int {
 	removed := 0
 	for _, f := range pool {
 		if f.P == p && f.O == o {
+			kb.unindex(f)
 			removed++
 			continue
 		}
@@ -164,6 +234,9 @@ func (kb *KB) SubjectFacts(s string) []Fact {
 // MergeSubject replaces all facts about a subject with the given set
 // (used when syncing from the distributed store).
 func (kb *KB) MergeSubject(s string, facts []Fact) {
+	for _, f := range kb.bySubject[s] {
+		kb.unindex(f)
+	}
 	kb.count -= len(kb.bySubject[s])
 	delete(kb.bySubject, s)
 	kb.subjects = nil

@@ -1,6 +1,9 @@
 package knowledge
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -195,5 +198,127 @@ func TestGISXMLRoundTrip(t *testing.T) {
 	}
 	if !p.SellsItem("ice cream") || p.Hours.Open != hours(9) || p.Region != "st-andrews" {
 		t.Fatalf("place fields lost: %+v", p)
+	}
+}
+
+// The subject and predicate-object indexes must agree with a plain list
+// of facts through any sequence of Add, Remove and MergeSubject.
+func TestKBIndexesMatchBruteForce(t *testing.T) {
+	names := []string{"a", "b", "c", "d"}
+	preds := []string{"knows", "likes"}
+	pick := func(rng *rand.Rand, from []string) string { return from[rng.Intn(len(from))] }
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		kb := NewKB()
+		var model []Fact
+		fact := func(s string) Fact {
+			f := Fact{S: s, P: pick(rng, preds), O: pick(rng, names)}
+			if rng.Intn(3) == 0 {
+				f.From, f.To = hours(rng.Intn(5)), hours(5+rng.Intn(5))
+			}
+			return f
+		}
+		for step := 0; step < 300; step++ {
+			switch rng.Intn(6) {
+			case 0:
+				s, p, o := pick(rng, names), pick(rng, preds), pick(rng, names)
+				kept := model[:0]
+				for _, f := range model {
+					if f.S != s || f.P != p || f.O != o {
+						kept = append(kept, f)
+					}
+				}
+				if got := kb.Remove(s, p, o); got != len(model)-len(kept) {
+					t.Fatalf("seed %d step %d: Remove = %d, want %d", seed, step, got, len(model)-len(kept))
+				}
+				model = kept
+			case 1:
+				s := pick(rng, names)
+				var set []Fact
+				for i, n := 0, rng.Intn(4); i < n; i++ {
+					set = append(set, fact(s))
+				}
+				kept := model[:0]
+				for _, f := range model {
+					if f.S != s {
+						kept = append(kept, f)
+					}
+				}
+				model = append(kept, set...)
+				kb.MergeSubject(s, set)
+			default:
+				f := fact(pick(rng, names))
+				model = append(model, f)
+				kb.Add(f) // duplicates included
+			}
+			if kb.Len() != len(model) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, kb.Len(), len(model))
+			}
+			at := hours(rng.Intn(10))
+			if rng.Intn(4) == 0 {
+				at = -1
+			}
+			s, p, o := pick(rng, names), pick(rng, preds), pick(rng, names)
+			var objects, subjects []string
+			first, any := "", false
+			for _, f := range model {
+				if f.S == s && f.P == p && f.ValidAt(at) {
+					if len(objects) == 0 {
+						first = f.O
+					}
+					objects = append(objects, f.O)
+				}
+				if f.P == p && f.O == o && f.ValidAt(at) {
+					subjects = append(subjects, f.S)
+					any = any || f.S == s
+				}
+			}
+			sort.Strings(objects)
+			sort.Strings(subjects)
+			gotObjects := kb.AppendObjects(nil, s, p, at)
+			gotSubjects := kb.AppendSubjects(nil, p, o, at)
+			sort.Strings(gotObjects)
+			sort.Strings(gotSubjects)
+			if !reflect.DeepEqual(gotObjects, objects) {
+				t.Fatalf("seed %d step %d: objects of (%s, %s, ·) at %v = %v, want %v", seed, step, s, p, at, gotObjects, objects)
+			}
+			if !reflect.DeepEqual(gotSubjects, subjects) {
+				t.Fatalf("seed %d step %d: subjects of (·, %s, %s) at %v = %v, want %v", seed, step, p, o, at, gotSubjects, subjects)
+			}
+			if got, ok := kb.One(s, p, at); ok != (len(objects) > 0) || got != first {
+				t.Fatalf("seed %d step %d: One(%s, %s) = %q/%v, want %q", seed, step, s, p, got, ok, first)
+			}
+			if kb.Ask(s, p, o, at) != any || kb.Ask("", p, o, at) != (len(subjects) > 0) || kb.Ask(s, p, "", at) != (len(objects) > 0) {
+				t.Fatalf("seed %d step %d: Ask disagrees with the fact list for (%s, %s, %s) at %v", seed, step, s, p, o, at)
+			}
+		}
+	}
+}
+
+// Ask and One answer from the indexes without building a result set.
+func TestKBAskAndOneDoNotAllocate(t *testing.T) {
+	kb := NewKB()
+	for _, s := range []string{"bob", "anna", "carl"} {
+		kb.AddSPO(s, "likes", "ice cream")
+		kb.AddSPO(s, "knows", "dora")
+		kb.Add(Fact{S: s, P: "on-holiday", O: "true", From: hours(1), To: hours(9)})
+	}
+	var objects []string
+	allocs := testing.AllocsPerRun(200, func() {
+		if !kb.Ask("bob", "knows", "dora", hours(2)) || kb.Ask("bob", "knows", "emil", hours(2)) ||
+			!kb.Ask("", "knows", "dora", -1) || !kb.Ask("", "on-holiday", "", hours(2)) || kb.Ask("", "on-holiday", "", hours(9)) {
+			t.Fatal("Ask is wrong")
+		}
+		if o, ok := kb.One("anna", "likes", hours(2)); !ok || o != "ice cream" {
+			t.Fatal("One is wrong")
+		}
+		objects = kb.AppendObjects(objects[:0], "carl", "", hours(2))
+		objects = kb.AppendSubjects(objects, "knows", "dora", hours(2))
+		if len(objects) != 6 {
+			t.Fatalf("objects and subjects: %v", objects)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("the read path allocates %v times per round of questions", allocs)
 	}
 }

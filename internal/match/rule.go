@@ -14,13 +14,8 @@ package match
 import (
 	"encoding/xml"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
-	"github.com/gloss/active/internal/event"
-	"github.com/gloss/active/internal/knowledge"
-	"github.com/gloss/active/internal/netapi"
 	"github.com/gloss/active/internal/pubsub"
 )
 
@@ -138,314 +133,4 @@ func UnmarshalRule(data []byte) (*Rule, error) {
 		return nil, fmt.Errorf("match: parse rule: %w", err)
 	}
 	return &r, nil
-}
-
-// env is a (partial) match: variable bindings plus the events per alias.
-// Rules bind only a handful of names, so linear scans over small slices
-// beat maps on both allocation and lookup cost in the join hot path.
-type env struct {
-	varNames []string
-	varVals  []event.Value
-	aliases  []string
-	aliasEvs []*event.Event
-}
-
-func newEnv() *env { return &env{} }
-
-// truncate rolls the env back to nv variables and na aliases — the undo
-// operation for backtracking joins.
-func (e *env) truncate(nv, na int) {
-	e.varNames = e.varNames[:nv]
-	e.varVals = e.varVals[:nv]
-	e.aliases = e.aliases[:na]
-	e.aliasEvs = e.aliasEvs[:na]
-}
-
-func (e *env) varValue(name string) (event.Value, bool) {
-	for i, n := range e.varNames {
-		if n == name {
-			return e.varVals[i], true
-		}
-	}
-	return event.Value{}, false
-}
-
-func (e *env) setVar(name string, v event.Value) {
-	e.varNames = append(e.varNames, name)
-	e.varVals = append(e.varVals, v)
-}
-
-func (e *env) eventFor(alias string) (*event.Event, bool) {
-	for i, a := range e.aliases {
-		if a == alias {
-			return e.aliasEvs[i], true
-		}
-	}
-	return nil, false
-}
-
-func (e *env) setEvent(alias string, ev *event.Event) {
-	e.aliases = append(e.aliases, alias)
-	e.aliasEvs = append(e.aliasEvs, ev)
-}
-
-// evalCtx carries everything term/condition evaluation needs.
-type evalCtx struct {
-	kb  *knowledge.KB
-	gis *knowledge.GIS
-	now time.Duration
-}
-
-// resolveTerm evaluates a term string against the environment:
-//
-//	$VAR            — variable value
-//	$alias.attr     — attribute of the event bound to alias
-//	place:$VAR.f    — field f (x, y, name, region) of the place named by VAR
-//	kb:S:P[:def]    — object of fact (S, P, ·), with optional default;
-//	                  S may itself be a $var/$alias.attr term
-//	anything else   — numeric literal if parseable, else string literal
-func resolveTerm(term string, e *env, ctx *evalCtx) (event.Value, error) {
-	switch {
-	case strings.HasPrefix(term, "place:"):
-		rest := term[len("place:"):]
-		dot := strings.LastIndex(rest, ".")
-		if dot < 0 {
-			return event.Value{}, fmt.Errorf("match: place term %q needs a field", term)
-		}
-		nameVal, err := resolveTerm(rest[:dot], e, ctx)
-		if err != nil {
-			return event.Value{}, err
-		}
-		p, ok := ctx.gis.Place(nameVal.String())
-		if !ok {
-			return event.Value{}, fmt.Errorf("match: unknown place %q", nameVal.String())
-		}
-		switch rest[dot+1:] {
-		case "x":
-			return event.F(p.X), nil
-		case "y":
-			return event.F(p.Y), nil
-		case "name":
-			return event.S(p.Name), nil
-		case "region":
-			return event.S(p.Region), nil
-		default:
-			return event.Value{}, fmt.Errorf("match: unknown place field in %q", term)
-		}
-	case strings.HasPrefix(term, "kb:"):
-		parts := strings.SplitN(term[len("kb:"):], ":", 3)
-		if len(parts) < 2 {
-			return event.Value{}, fmt.Errorf("match: kb term %q needs subject and predicate", term)
-		}
-		subjVal, err := resolveTerm(parts[0], e, ctx)
-		if err != nil {
-			return event.Value{}, err
-		}
-		if o, ok := ctx.kb.One(subjVal.String(), parts[1], ctx.now); ok {
-			return literal(o), nil
-		}
-		if len(parts) == 3 {
-			return literal(parts[2]), nil
-		}
-		return event.Value{}, fmt.Errorf("match: no fact (%s, %s, ·)", subjVal.String(), parts[1])
-	case strings.HasPrefix(term, "$"):
-		body := term[1:]
-		if dot := strings.Index(body, "."); dot >= 0 {
-			alias, attr := body[:dot], body[dot+1:]
-			ev, ok := e.eventFor(alias)
-			if !ok {
-				return event.Value{}, fmt.Errorf("match: alias %q not bound", alias)
-			}
-			v, ok := ev.Get(attr)
-			if !ok {
-				return event.Value{}, fmt.Errorf("match: event %q has no attribute %q", alias, attr)
-			}
-			return v, nil
-		}
-		v, ok := e.varValue(body)
-		if !ok {
-			return event.Value{}, fmt.Errorf("match: variable %q not bound", body)
-		}
-		return v, nil
-	default:
-		return literal(term), nil
-	}
-}
-
-// literal interprets a bare string as a number when possible.
-func literal(s string) event.Value {
-	if f, err := strconv.ParseFloat(s, 64); err == nil && s != "" {
-		return event.F(f)
-	}
-	return event.S(s)
-}
-
-// coordOf resolves a spatial endpoint: "$alias" (event with x/y attrs) or
-// "place:$VAR" (GIS coordinates).
-func coordOf(term string, e *env, ctx *evalCtx) (netapi.Coord, error) {
-	if strings.HasPrefix(term, "place:") {
-		nameVal, err := resolveTerm(term[len("place:"):], e, ctx)
-		if err != nil {
-			return netapi.Coord{}, err
-		}
-		p, ok := ctx.gis.Place(nameVal.String())
-		if !ok {
-			return netapi.Coord{}, fmt.Errorf("match: unknown place %q", nameVal.String())
-		}
-		return p.At(), nil
-	}
-	if strings.HasPrefix(term, "$") {
-		ev, ok := e.eventFor(term[1:])
-		if !ok {
-			return netapi.Coord{}, fmt.Errorf("match: alias %q not bound", term[1:])
-		}
-		return netapi.Coord{X: ev.GetNum("x"), Y: ev.GetNum("y")}, nil
-	}
-	return netapi.Coord{}, fmt.Errorf("match: bad spatial term %q", term)
-}
-
-// evalCondition evaluates (and possibly extends, for binder conditions)
-// the environment. It reports whether the condition holds.
-func evalCondition(c *Condition, e *env, ctx *evalCtx) (bool, error) {
-	switch c.Type {
-	case "kb", "nokb":
-		s, err := resolveString(c.S, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		p, err := resolveString(c.P, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		o, err := resolveString(c.O, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		holds := ctx.kb.Ask(s, p, o, ctx.now)
-		if c.Type == "nokb" {
-			return !holds, nil
-		}
-		return holds, nil
-	case "kbBind":
-		s, err := resolveString(c.S, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		p, err := resolveString(c.P, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		o, ok := ctx.kb.One(s, p, ctx.now)
-		if !ok {
-			return false, nil
-		}
-		e.setVar(c.Var, literal(o))
-		return true, nil
-	case "cmp":
-		l, err := resolveTerm(c.Left, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		r, err := resolveTerm(c.Right, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		switch c.Op {
-		case "eq":
-			return l.Equal(r), nil
-		case "ne":
-			return !l.Equal(r), nil
-		case "lt", "le", "gt", "ge":
-			cmp, ok := l.Compare(r)
-			if !ok {
-				return false, nil
-			}
-			switch c.Op {
-			case "lt":
-				return cmp < 0, nil
-			case "le":
-				return cmp <= 0, nil
-			case "gt":
-				return cmp > 0, nil
-			default:
-				return cmp >= 0, nil
-			}
-		default:
-			return false, fmt.Errorf("match: unknown cmp op %q", c.Op)
-		}
-	case "withinKm":
-		a, err := coordOf(c.A, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		b, err := coordOf(c.B, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		return a.DistanceKm(b) <= c.Km, nil
-	case "bindNearestSelling":
-		near, err := coordOf(c.Near, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		km := c.Km
-		if km == 0 {
-			km = 1.0
-		}
-		p := ctx.gis.NearestSelling(near, c.Item, km)
-		if p == nil {
-			return false, nil
-		}
-		e.setVar(c.Var, event.S(p.Name))
-		return true, nil
-	case "openFor":
-		p, err := placeOf(c.Var, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		need := time.Duration(c.MinMinutes * float64(time.Minute))
-		return p.OpenAt(ctx.now) && p.OpenFor(ctx.now) >= need, nil
-	case "reachable":
-		p, err := placeOf(c.Var, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		from, err := coordOf(c.A, e, ctx)
-		if err != nil {
-			return false, err
-		}
-		speed := c.SpeedKmH
-		if speed == 0 {
-			speed = 5
-		}
-		walk := time.Duration(from.DistanceKm(p.At()) / speed * float64(time.Hour))
-		return p.OpenAt(ctx.now) && p.OpenFor(ctx.now) > walk, nil
-	default:
-		return false, fmt.Errorf("match: unknown condition type %q", c.Type)
-	}
-}
-
-// placeOf resolves a place from a $var holding its name.
-func placeOf(term string, e *env, ctx *evalCtx) (*knowledge.Place, error) {
-	nameVal, err := resolveTerm(term, e, ctx)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := ctx.gis.Place(nameVal.String())
-	if !ok {
-		return nil, fmt.Errorf("match: unknown place %q", nameVal.String())
-	}
-	return p, nil
-}
-
-// resolveString resolves a term and renders it as a string ("" stays "").
-func resolveString(term string, e *env, ctx *evalCtx) (string, error) {
-	if term == "" {
-		return "", nil
-	}
-	v, err := resolveTerm(term, e, ctx)
-	if err != nil {
-		return "", err
-	}
-	return v.String(), nil
 }
