@@ -146,9 +146,9 @@ type Broker struct {
 	neighbors map[ids.ID]bool
 	nborOrder []ids.ID // sorted, for deterministic iteration
 	entries   map[string]*entry
-	entryKeys []string // sorted
-	index     matcher  // counting-algorithm view of entries
-	forwarded map[ids.ID]map[string]Filter
+	entryKeys []string          // sorted
+	index     matcher           // counting-algorithm view of entries
+	covers    map[ids.ID]*cover // per neighbour: what it holds on our behalf
 	adverts   map[string]*advEntry
 	proxies   map[ids.ID]*proxy
 	shedTo    map[ids.ID]struct{} // destinations with an open shed episode
@@ -167,7 +167,7 @@ func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
 		neighbors: make(map[ids.ID]bool),
 		entries:   make(map[string]*entry),
 		index:     newMatcher(opts.MatchShards),
-		forwarded: make(map[ids.ID]map[string]Filter),
+		covers:    make(map[ids.ID]*cover),
 		adverts:   make(map[string]*advEntry),
 		proxies:   make(map[ids.ID]*proxy),
 		shedTo:    make(map[ids.ID]struct{}),
@@ -211,15 +211,12 @@ func (b *Broker) AddNeighbor(id ids.ID) {
 	b.neighbors[id] = true
 	b.nborOrder = append(b.nborOrder, id)
 	sort.Slice(b.nborOrder, func(i, j int) bool { return ids.Less(b.nborOrder[i], b.nborOrder[j]) })
-	if b.forwarded[id] == nil {
-		b.forwarded[id] = make(map[string]Filter)
-	}
+	b.covers[id] = &cover{covering: !b.opts.DisableCovering, hidden: make(map[string]coverEntry)}
 }
 
 // RemoveNeighbor severs a peer link (e.g. after the peer broker died):
-// subscriptions that arrived from that direction are dropped, forwarding
-// state toward it is discarded, and the remaining neighbours are
-// reconciled. Safe to call for unknown ids.
+// subscriptions that arrived from that direction are retracted, and the
+// cover kept toward it is discarded. Safe to call for unknown ids.
 //
 //vetactive:actoronly
 func (b *Broker) RemoveNeighbor(id ids.ID) {
@@ -233,20 +230,11 @@ func (b *Broker) RemoveNeighbor(id ids.ID) {
 			break
 		}
 	}
-	delete(b.forwarded, id)
-	for _, key := range append([]string(nil), b.entryKeys...) {
-		ent := b.entries[key]
-		if ent.dirs[id] {
-			delete(ent.dirs, id)
-			if len(ent.dirs) == 0 {
-				b.dropEntry(key)
-			}
-		}
-	}
+	delete(b.covers, id)
+	b.retractAll(id)
 	for _, a := range b.adverts {
 		delete(a.dirs, id)
 	}
-	b.reconcileAll()
 }
 
 // Neighbors lists the current peer brokers in deterministic order.
@@ -258,10 +246,30 @@ func (b *Broker) Neighbors() []ids.ID {
 
 // Resync pushes the full desired subscription set to every neighbour —
 // called after AddNeighbor when the topology has been repaired, so the
-// new link learns what must flow over it.
+// new link learns what must flow over it; covers already in step send nothing.
 //
 //vetactive:actoronly
-func (b *Broker) Resync() { b.reconcileAll() }
+func (b *Broker) Resync() {
+	for _, n := range b.nborOrder {
+		b.refresh(n)
+	}
+	b.flush()
+}
+
+// refresh brings neighbour n's cover in step with the tables: every entry
+// n wants is added, every other removed — no-ops where nothing changed.
+//
+//vetactive:actoronly
+func (b *Broker) refresh(n ids.ID) {
+	c := b.covers[n]
+	for _, key := range b.entryKeys {
+		if ent := b.entries[key]; b.wants(n, ent) {
+			c.add(key, ent.filter)
+		} else {
+			c.remove(key)
+		}
+	}
+}
 
 // ConnectBrokers wires two brokers as neighbours (both directions).
 //
@@ -282,8 +290,8 @@ func (b *Broker) Stats() Stats {
 	s.TableEntries = len(b.entries)
 	s.IndexAttrs = b.index.AttrCount()
 	s.IndexPostings = b.index.Postings()
-	for _, m := range b.forwarded {
-		s.ForwardedSubs += len(m)
+	for _, c := range b.covers {
+		s.ForwardedSubs += len(c.sent)
 	}
 	return s
 }
@@ -328,15 +336,6 @@ func (b *Broker) dropEntryKey(key string) {
 	}
 }
 
-func sortedFilterKeys(m map[string]Filter) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // --- subscription handling ---------------------------------------------------
 
 //vetactive:actorloop
@@ -346,8 +345,8 @@ func (b *Broker) handleSub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	b.subscribe(from, sub.Filter)
 }
 
-// subscribe records a subscription arriving from dir and propagates it to
-// every other direction (pruned by covering and advertisements).
+// subscribe records a subscription arriving from dir and adds it to the
+// desired set of every other direction that wants it.
 //
 //vetactive:actoronly
 func (b *Broker) subscribe(from ids.ID, f Filter) {
@@ -358,49 +357,38 @@ func (b *Broker) subscribe(from ids.ID, f Filter) {
 	}
 	ent.dirs[from] = true
 	for _, n := range b.nborOrder {
-		if n == from {
-			continue
+		if n != from && b.wants(n, ent) {
+			b.covers[n].add(key, f)
 		}
-		b.forwardSub(n, key, f)
 	}
+	b.flush()
 }
 
-// forwardSub sends f to neighbour n unless pruning applies, and retires
-// forwarded filters that f covers.
+// wants reports whether ent belongs to neighbour n's desired set: some
+// direction other than n subscribes to it and, under UseAdvertisements,
+// an advertisement that arrived via n intersects it.
+func (b *Broker) wants(n ids.ID, ent *entry) bool {
+	return !ent.onlyFrom(n) && (!b.opts.UseAdvertisements || b.advertIntersectsVia(n, ent.filter))
+}
+
+// onlyFrom reports whether n is the entry's sole subscriber.
+func (ent *entry) onlyFrom(n ids.ID) bool { return len(ent.dirs) == 1 && ent.dirs[n] }
+
+// flush ends every cover change: it sends each neighbour what its cover has
+// logged, Subs first and Unsubs last, so what stays desired stays covered.
 //
 //vetactive:actoronly
-func (b *Broker) forwardSub(n ids.ID, key string, f Filter) {
-	if _, sent := b.forwarded[n][key]; sent {
-		return
-	}
-	if !b.opts.DisableCovering && b.coveredAt(n, f) {
-		return
-	}
-	if b.opts.UseAdvertisements && !b.advertIntersectsVia(n, f) {
-		return
-	}
-	// Covering simplification: withdraw narrower filters sent earlier.
-	if !b.opts.DisableCovering {
-		for _, k2 := range sortedFilterKeys(b.forwarded[n]) {
-			f2 := b.forwarded[n][k2]
-			if k2 != key && Covers(f, f2) {
-				delete(b.forwarded[n], k2)
-				b.ep.Send(n, &UnsubMsg{Filter: f2})
-			}
+func (b *Broker) flush() {
+	for _, n := range b.nborOrder {
+		c := b.covers[n]
+		for _, e := range c.subs {
+			b.ep.Send(n, &SubMsg{Filter: e.f})
 		}
-	}
-	b.forwarded[n][key] = f
-	b.ep.Send(n, &SubMsg{Filter: f})
-}
-
-// coveredAt reports whether a filter already forwarded to n covers f.
-func (b *Broker) coveredAt(n ids.ID, f Filter) bool {
-	for _, f2 := range b.forwarded[n] {
-		if Covers(f2, f) {
-			return true
+		for _, e := range c.unsubs {
+			b.ep.Send(n, &UnsubMsg{Filter: e.f})
 		}
+		c.subs, c.unsubs = c.subs[:0], c.unsubs[:0]
 	}
-	return false
 }
 
 // advertIntersectsVia reports whether any advertisement that arrived from
@@ -424,79 +412,39 @@ func (b *Broker) handleUnsub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 //vetactive:actoronly
 func (b *Broker) unsubscribe(from ids.ID, f Filter) {
 	key := f.Key()
-	ent, ok := b.entries[key]
-	if !ok {
-		return
+	if ent, ok := b.entries[key]; ok && ent.dirs[from] {
+		b.retract(from, key, ent)
+		b.flush()
 	}
+}
+
+// retract drops direction from from the entry under key, and the filter from
+// the desired set of every neighbour it no longer concerns. The caller flushes.
+//
+//vetactive:actoronly
+func (b *Broker) retract(from ids.ID, key string, ent *entry) {
 	delete(ent.dirs, from)
 	if len(ent.dirs) == 0 {
 		b.dropEntry(key)
 	}
-	b.reconcileAll()
+	for _, n := range b.nborOrder {
+		if len(ent.dirs) == 0 || ent.onlyFrom(n) {
+			b.covers[n].remove(key)
+		}
+	}
 }
 
-// reconcileAll recomputes, for every neighbour, the minimal set of filters
-// that must be forwarded, and sends the sub/unsub diff. Used on
-// unsubscription, where covering relationships may need rebuilding.
+// retractAll retracts every subscription held by direction from (a client
+// that moved on, a neighbour that died) and flushes once.
 //
 //vetactive:actoronly
-func (b *Broker) reconcileAll() {
-	for _, n := range b.nborOrder {
-		desired := make(map[string]Filter)
-		for _, key := range b.entryKeys {
-			ent := b.entries[key]
-			if len(ent.dirs) == 1 && ent.dirs[n] {
-				continue // only subscriber is n itself
-			}
-			if b.opts.UseAdvertisements && !b.advertIntersectsVia(n, ent.filter) {
-				continue
-			}
-			desired[key] = ent.filter
-		}
-		if !b.opts.DisableCovering {
-			desired = minimalCover(desired)
-		}
-		cur := b.forwarded[n]
-		for _, key := range sortedFilterKeys(cur) {
-			if _, keep := desired[key]; !keep {
-				f := cur[key]
-				delete(cur, key)
-				b.ep.Send(n, &UnsubMsg{Filter: f})
-			}
-		}
-		for _, key := range sortedFilterKeys(desired) {
-			if _, have := cur[key]; !have {
-				cur[key] = desired[key]
-				b.ep.Send(n, &SubMsg{Filter: desired[key]})
-			}
+func (b *Broker) retractAll(from ids.ID) {
+	for _, key := range append([]string(nil), b.entryKeys...) {
+		if ent := b.entries[key]; ent.dirs[from] {
+			b.retract(from, key, ent)
 		}
 	}
-}
-
-// minimalCover drops filters covered by another filter in the set.
-// Deterministic: among mutually covering filters the lexically smallest
-// key survives.
-func minimalCover(in map[string]Filter) map[string]Filter {
-	out := make(map[string]Filter, len(in))
-	for key, f := range in {
-		covered := false
-		for key2, f2 := range in {
-			if key == key2 {
-				continue
-			}
-			if Covers(f2, f) {
-				if Covers(f, f2) && key < key2 {
-					continue // mutual covering: keep the smaller key
-				}
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			out[key] = f
-		}
-	}
-	return out
+	b.flush()
 }
 
 // --- advertisement handling ----------------------------------------------------
@@ -523,15 +471,8 @@ func (b *Broker) handleAdv(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	// Subscriptions pruned for lack of an intersecting advertisement may
 	// now need forwarding toward the advertiser.
 	if b.opts.UseAdvertisements && b.neighbors[from] {
-		for _, key := range b.entryKeys {
-			ent := b.entries[key]
-			if len(ent.dirs) == 1 && ent.dirs[from] {
-				continue
-			}
-			if Intersects(adv.Filter, ent.filter) {
-				b.forwardSub(from, key, ent.filter)
-			}
-		}
+		b.refresh(from)
+		b.flush()
 	}
 }
 
@@ -551,6 +492,12 @@ func (b *Broker) handleUnadv(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		if n != from {
 			b.ep.Send(n, &UnadvMsg{Filter: unadv.Filter})
 		}
+	}
+	// Subscriptions forwarded toward the advertiser on the strength of
+	// this advertisement alone have no publisher left to reach.
+	if b.opts.UseAdvertisements && b.neighbors[from] {
+		b.refresh(from)
+		b.flush()
 	}
 }
 
@@ -764,19 +711,6 @@ func (b *Broker) handleReclaim(ctx netapi.Ctx, from ids.ID, _ wire.Message) {
 	}
 	delete(b.proxies, from)
 	// The client has moved on: drop all its subscriptions here.
-	changed := false
-	for _, key := range append([]string(nil), b.entryKeys...) {
-		ent := b.entries[key]
-		if ent.dirs[from] {
-			delete(ent.dirs, from)
-			changed = true
-			if len(ent.dirs) == 0 {
-				b.dropEntry(key)
-			}
-		}
-	}
-	if changed {
-		b.reconcileAll()
-	}
+	b.retractAll(from)
 	ctx.Reply(reply)
 }

@@ -185,10 +185,10 @@ func (f Filter) Key() string {
 // Implies reports whether constraint a implies constraint b: every value
 // satisfying a also satisfies b. Both must constrain the same attribute;
 // the check is conservative (false negatives allowed, no false positives).
-func Implies(a, b Constraint) bool {
-	if a.Attr != b.Attr {
-		return false
-	}
+func Implies(a, b Constraint) bool { return a.Attr == b.Attr && implies(&a, &b) }
+
+// implies is Implies, by pointer, for constraints known to share an attribute.
+func implies(a, b *Constraint) bool {
 	switch b.Op {
 	case OpExists:
 		return true
@@ -307,10 +307,11 @@ func sameComparisonDomain(a, b event.Value) bool {
 // also matches f. Per Siena, f covers g iff every constraint of f is
 // implied by some constraint of g. Conservative.
 func Covers(f, g Filter) bool {
-	for _, cf := range f.Constraints {
+	for i := range f.Constraints {
+		cf := &f.Constraints[i]
 		implied := false
-		for _, cg := range g.Constraints {
-			if Implies(cg, cf) {
+		for j := range g.Constraints {
+			if cg := &g.Constraints[j]; cg.Attr == cf.Attr && implies(cg, cf) {
 				implied = true
 				break
 			}

@@ -163,7 +163,7 @@ func removePosting(ps *[]posting, kind int, p posting) bool {
 		start = sort.Search(len(*ps), func(j int) bool { return (*ps)[j].con.Val.S >= s })
 	}
 	for i := start; i < len(*ps); i++ {
-		q := (*ps)[i]
+		q := &(*ps)[i]
 		switch kind {
 		case bucketNum:
 			n, _ := p.con.Val.Num()
@@ -429,8 +429,9 @@ func probeAttr(ap *attrPostings, v event.Value, ct *countTable, visit func(strin
 	} else if v.K == event.KindString {
 		s := v.S
 		ps := ap.eqStr
+		// Both sides are strings: Constraint.Matches is struct equality.
 		for i := sort.Search(len(ps), func(j int) bool { return ps[j].con.Val.S >= s }); i < len(ps) && ps[i].con.Val.S == s; i++ {
-			if ps[i].con.Matches(v) {
+			if ps[i].con.Val == v {
 				ct.bump(ps[i].fx, visit)
 			}
 		}

@@ -442,11 +442,9 @@ func runBrokerDifferentialPair(t *testing.T, optsA, optsB Options) {
 			t.Fatalf("broker %d: index holds %d filters but table has %d entries",
 				bi, ba.index.Len(), len(ba.entries))
 		}
-		for n, fa := range ba.forwarded {
-			fb := bb.forwarded[n]
-			if fmt.Sprint(sortedFilterKeys(fa)) != fmt.Sprint(sortedFilterKeys(fb)) {
-				t.Fatalf("broker %d forwarding toward %v diverges:\nindex:  %v\nlinear: %v",
-					bi, n, sortedFilterKeys(fa), sortedFilterKeys(fb))
+		for n, ca := range ba.covers {
+			if fa, fb := sentKeys(ca), sentKeys(bb.covers[n]); fmt.Sprint(fa) != fmt.Sprint(fb) {
+				t.Fatalf("broker %d forwarding toward %v diverges:\nindex:  %v\nlinear: %v", bi, n, fa, fb)
 			}
 		}
 	}

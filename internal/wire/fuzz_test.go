@@ -11,6 +11,7 @@ package wire_test
 //	go test -run '^$' -fuzz FuzzXMLDecode -fuzztime 60s ./internal/wire
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -67,11 +68,20 @@ func FuzzXMLDecode(f *testing.F) {
 	f.Add([]byte("<env from=\"zz\"/>"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := reg.Decode(data)
+		// The one-pass decoder accepts, rejects and produces exactly what
+		// the two-pass reference does.
+		want, wantErr := wire.DecodeTwoPass(reg, data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("Decode error %v, reference error %v", err, wantErr)
+		}
 		if err != nil {
 			return
 		}
 		if env == nil {
 			t.Fatal("nil envelope with nil error")
+		}
+		if !reflect.DeepEqual(env, want) {
+			t.Fatalf("Decode gave %+v (msg %+v), reference %+v (msg %+v)", env, env.Msg, want, want.Msg)
 		}
 	})
 }

@@ -12,8 +12,11 @@ import (
 	"bytes"
 	"encoding/xml"
 	"fmt"
+	"io"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"github.com/gloss/active/internal/ids"
@@ -204,32 +207,91 @@ func (r *Registry) EncodeShared(env *Envelope, s *SharedBody) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode parses XML bytes produced by Encode.
+// Decode parses XML bytes produced by Encode. One decoder reads the
+// frame once: the <env> start tag gives the header, the first child
+// element is decoded straight into the message for the header's kind, and
+// whatever follows is skipped up to </env> so the whole envelope is still
+// checked for well-formedness. It accepts and rejects exactly what
+// unmarshalling an xmlEnvelope and then its inner XML did.
 func (r *Registry) Decode(data []byte) (*Envelope, error) {
-	var xe xmlEnvelope
-	if err := xml.Unmarshal(data, &xe); err != nil {
-		return nil, fmt.Errorf("wire: decode envelope: %w", err)
+	d := xml.NewDecoder(bytes.NewReader(data))
+	var start xml.StartElement
+	for found := false; !found; {
+		tok, err := d.Token()
+		if err != nil {
+			return nil, fmt.Errorf("wire: decode envelope: %w", err)
+		}
+		start, found = tok.(xml.StartElement)
 	}
-	from, err := ids.Parse(xe.From)
-	if err != nil {
+	if start.Name.Local != "env" {
+		return nil, fmt.Errorf("wire: decode envelope: expected element type <env> but have <%s>", start.Name.Local)
+	}
+	env := &Envelope{}
+	var from, to, kind string
+	for _, a := range start.Attr {
+		// Like encoding/xml: attributes match on the local name alone, a
+		// repeated one overwrites, numbers and booleans are trimmed, and
+		// an empty value is the zero value.
+		var err error
+		switch a.Name.Local {
+		case "from":
+			from = a.Value
+		case "to":
+			to = a.Value
+		case "kind":
+			kind = a.Value
+		case "err":
+			env.Err = a.Value
+		case "corr":
+			env.CorrID = 0
+			if a.Value != "" {
+				env.CorrID, err = strconv.ParseUint(strings.TrimSpace(a.Value), 10, 64)
+			}
+		case "reply":
+			env.IsReply = false
+			if a.Value != "" {
+				env.IsReply, err = strconv.ParseBool(strings.TrimSpace(a.Value))
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("wire: decode envelope: %w", err)
+		}
+	}
+	var err error
+	if env.From, err = ids.Parse(from); err != nil {
 		return nil, fmt.Errorf("wire: decode from: %w", err)
 	}
-	to, err := ids.Parse(xe.To)
-	if err != nil {
+	if env.To, err = ids.Parse(to); err != nil {
 		return nil, fmt.Errorf("wire: decode to: %w", err)
 	}
-	env := &Envelope{From: from, To: to, CorrID: xe.CorrID, IsReply: xe.IsReply, Err: xe.Err}
-	if xe.Kind != "" {
-		msg, err := r.New(xe.Kind)
-		if err != nil {
+	var msg Message
+	if kind != "" {
+		if msg, err = r.New(kind); err != nil {
 			return nil, err
 		}
-		if err := xml.Unmarshal(xe.Body, msg); err != nil {
-			return nil, fmt.Errorf("wire: decode body of %q: %w", xe.Kind, err)
-		}
-		env.Msg = msg
 	}
-	return env, nil
+	for {
+		tok, err := d.Token()
+		if err != nil {
+			return nil, fmt.Errorf("wire: decode envelope: %w", err)
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			if msg == nil || env.Msg != nil {
+				err = d.Skip()
+			} else if err = d.DecodeElement(msg, &t); err == nil {
+				env.Msg = msg
+			}
+			if err != nil {
+				return nil, fmt.Errorf("wire: decode body of %q: %w", kind, err)
+			}
+		case xml.EndElement:
+			if msg != nil && env.Msg == nil {
+				return nil, fmt.Errorf("wire: decode body of %q: %w", kind, io.EOF)
+			}
+			return env, nil
+		}
+	}
 }
 
 // Size returns the encoded size of env in bytes (for bandwidth accounting).
