@@ -181,7 +181,7 @@ func BenchmarkE_T16_StoragePlane(b *testing.B) {
 		report(b, tab, 1, 4, "digest-payload-kb")
 		report(b, tab, 4, 4, "legacy-payload-kb")
 		report(b, tab, last-1, 5, "erasure-wire-kb")
-		report(b, tab, last, 5, "recopy-wire-kb") // acceptance: ≥3x the erasure row
+		report(b, tab, last, 5, "recopy-wire-kb") // acceptance: ≥3x the erasure row at full size (exp_test.go)
 	}
 }
 

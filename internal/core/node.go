@@ -57,7 +57,8 @@ type NodeConfig struct {
 	AdvertInterval time.Duration
 	// Codec is the node's preferred wire codec: wire.CodecXML (default,
 	// the paper's open format) or wire.CodecBinary (compact fast path).
-	// In simulation it defaults WorldConfig.Codec, selecting the
+	// It selects the form the overlay encodes routed payloads in, and in
+	// simulation it defaults WorldConfig.Codec, selecting the
 	// byte-accounting codec. Over TCP the endpoint is built before the
 	// node, so callers must ALSO set transport.Options.Codec (which
 	// validates the value and drives hello negotiation) — cmd/activenode
@@ -117,7 +118,11 @@ func NewActiveNode(ep netapi.Endpoint, reg *wire.Registry, cfg NodeConfig) *Acti
 		GIS:    knowledge.NewGIS(),
 		Gauges: gauges.NewRegistry(),
 	}
-	n.Overlay = plaxton.New(ep, reg, cfg.Overlay)
+	codec := cfg.Codec
+	if codec == "" {
+		codec = cfg.Common.Codec
+	}
+	n.Overlay = plaxton.New(ep, reg, codec, cfg.Overlay)
 	n.Store = store.New(ep, n.Overlay, cfg.Store)
 	if cfg.Knowledge.Writer == "" {
 		cfg.Knowledge.Writer = cfg.KBWriter

@@ -48,7 +48,8 @@ type WorldConfig struct {
 	// accounting: "" leaves Net.Codec as configured (default: no byte
 	// accounting, matching historical tables), wire.CodecXML installs the
 	// XML reference codec over the world's registry, wire.CodecBinary the
-	// compact fast path. Defaults to Node.Codec when that is set.
+	// compact fast path. Defaults to Node.Codec when that is set, and is
+	// Node.Codec's default when that is not.
 	Codec string
 }
 
@@ -76,6 +77,11 @@ func (c *WorldConfig) applyDefaults() {
 	}
 	if c.Codec == "" {
 		c.Codec = c.Node.Codec
+	}
+	if c.Node.Codec == "" {
+		// The accounting codec models what the fleet speaks, so the nodes
+		// encode their routed payloads in it too.
+		c.Node.Codec = c.Codec
 	}
 }
 

@@ -78,7 +78,7 @@ func buildWorld(t testing.TB, seed int64, n int, withStores bool) *world {
 		adv.Programs = func() []string { return w.servers[i].Domains() }
 		w.advs = append(w.advs, adv)
 		if withStores {
-			ov := plaxton.New(node, wreg, plaxton.Options{HeartbeatInterval: -1, LeafHalf: 4})
+			ov := plaxton.New(node, wreg, wire.CodecXML, plaxton.Options{HeartbeatInterval: -1, LeafHalf: 4})
 			overlays = append(overlays, ov)
 			w.stores = append(w.stores, store.New(node, ov, store.Options{RepairInterval: -1, Replicas: 1}))
 		}

@@ -45,9 +45,11 @@ func buildCluster(cfg clusterCfg) *overlayCluster {
 	store.RegisterMessages(reg)
 	knowledge.RegisterMessages(reg)
 	reg.Register(&probeMsg{}) //vetactive:xmlfallback experiment probe, not a production kind
+	nodeCodec := wire.CodecXML
 	switch cfg.codec {
 	case "bin":
 		w.SetCodec(wire.NewBinaryCodec(reg))
+		nodeCodec = wire.CodecBinary
 	case "xml":
 		w.SetCodec(reg)
 	}
@@ -63,7 +65,7 @@ func buildCluster(cfg clusterCfg) *overlayCluster {
 		id := ids.Random(c.rng)
 		node := w.NewNode(id, fmt.Sprintf("r%d", i%3),
 			netapi.Coord{X: c.rng.Float64() * 8000, Y: c.rng.Float64() * 4000})
-		ov := plaxton.New(node, reg, cfg.overlay)
+		ov := plaxton.New(node, reg, nodeCodec, cfg.overlay)
 		c.overlays = append(c.overlays, ov)
 		if cfg.withStores {
 			c.stores = append(c.stores, store.New(node, ov, cfg.storeOpts))

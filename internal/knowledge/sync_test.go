@@ -26,7 +26,7 @@ func buildStores(t *testing.T, n int) (*simnet.World, []*store.Store) {
 	var stores []*store.Store
 	for i := 0; i < n; i++ {
 		node := w.NewNode(ids.Random(rng), "r", netapi.Coord{X: rng.Float64() * 1000})
-		ov := plaxton.New(node, reg, plaxton.Options{HeartbeatInterval: -1, LeafHalf: 4})
+		ov := plaxton.New(node, reg, wire.CodecXML, plaxton.Options{HeartbeatInterval: -1, LeafHalf: 4})
 		stores = append(stores, store.New(node, ov, store.Options{RepairInterval: -1}))
 		overlays = append(overlays, ov)
 	}

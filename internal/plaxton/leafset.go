@@ -1,6 +1,8 @@
 package plaxton
 
 import (
+	"slices"
+
 	"github.com/gloss/active/internal/ids"
 )
 
@@ -11,6 +13,9 @@ type leafSet struct {
 	half int
 	cw   []ids.ID // successors, sorted by clockwise distance from self
 	ccw  []ids.ID // predecessors, sorted by counter-clockwise distance
+	// all is the union members() hands out, rebuilt when a side changes:
+	// routing asks once per step, the store several times per held object.
+	all []ids.ID
 }
 
 func newLeafSet(self ids.ID, half int) *leafSet {
@@ -33,6 +38,9 @@ func (l *leafSet) insert(id ids.ID) bool {
 		return ids.Less(ids.Sub(l.self, a), ids.Sub(l.self, b))
 	}) {
 		changed = true
+	}
+	if changed {
+		l.rebuild()
 	}
 	return changed
 }
@@ -76,27 +84,25 @@ func (l *leafSet) remove(id ids.ID) bool {
 			}
 		}
 	}
+	if changed {
+		l.rebuild()
+	}
 	return changed
 }
 
 // members returns the union of both sides, deduplicated, in deterministic
-// order (cw then ccw).
-func (l *leafSet) members() []ids.ID {
-	out := make([]ids.ID, 0, len(l.cw)+len(l.ccw))
-	seen := make(map[ids.ID]bool, len(l.cw)+len(l.ccw))
-	for _, id := range l.cw {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
+// order (cw then ccw). The slice is shared: callers must not modify it.
+func (l *leafSet) members() []ids.ID { return l.all }
+
+// rebuild recomputes the union after a side changed. A fresh slice each
+// time, so one handed out earlier keeps describing the set as it was.
+func (l *leafSet) rebuild() {
+	l.all = append(make([]ids.ID, 0, len(l.cw)+len(l.ccw)), l.cw...)
 	for _, id := range l.ccw {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+		if !slices.Contains(l.cw, id) {
+			l.all = append(l.all, id)
 		}
 	}
-	return out
 }
 
 // contains reports leaf membership.

@@ -8,7 +8,8 @@ import (
 )
 
 // RouteMsg wraps an application message being routed toward a key. The
-// payload travels as encoded XML so the overlay is transport-agnostic.
+// payload travels encoded, in the origin's codec (Overlay.encodeInner), so
+// intermediate hops need not understand — or even parse — it.
 type RouteMsg struct {
 	Key       string     `xml:"key,attr"`
 	Origin    string     `xml:"origin,attr"`

@@ -10,6 +10,7 @@ package plaxton
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"time"
 
 	"github.com/gloss/active/internal/ids"
@@ -24,8 +25,10 @@ type Options struct {
 	// of the local node. Default 8.
 	LeafHalf int
 	// HeartbeatInterval is the period of leaf-set liveness probing and
-	// routing-table maintenance. Default 2s. Zero disables maintenance
-	// (useful for static benchmark worlds).
+	// routing-table maintenance. There is no default: zero (or negative)
+	// leaves maintenance off, so a dead node is never noticed and the
+	// store never re-replicates around it. Worlds with churn set it (1-5s
+	// in the experiments); static benchmark worlds leave it off.
 	HeartbeatInterval time.Duration
 	// ProbeTimeout bounds liveness probes. Default 500ms.
 	ProbeTimeout time.Duration
@@ -65,10 +68,10 @@ type RouteInfo struct {
 // DeliverFunc receives a message routed to this node.
 type DeliverFunc func(info RouteInfo, msg wire.Message)
 
-// ForwardHook observes (and may consume) a message passing through this
-// node on its way to key. Returning true stops the routing — the hook has
-// handled the message (this is how promiscuous caching answers reads
-// mid-path, §4.5).
+// ForwardHook observes (and may consume) a message of the kind it was
+// registered for passing through this node on its way to key. Returning
+// true stops the routing — the hook has handled the message (this is how
+// promiscuous caching answers reads mid-path, §4.5).
 type ForwardHook func(info RouteInfo, msg wire.Message) bool
 
 // Stats counts routing activity.
@@ -83,6 +86,7 @@ type Stats struct {
 type Overlay struct {
 	ep     netapi.Endpoint
 	reg    *wire.Registry
+	binary bool // routed payloads of wire.BinaryMessage types travel in binary form
 	opts   Options
 	log    *slog.Logger
 	self   ids.ID
@@ -90,7 +94,7 @@ type Overlay struct {
 	leaves *leafSet
 
 	handlers    map[string]DeliverFunc
-	hook        ForwardHook
+	hooks       map[string]ForwardHook
 	leavesDirty []func()
 
 	joined    bool
@@ -107,18 +111,22 @@ type Overlay struct {
 	stats Stats
 }
 
-// New constructs an overlay node bound to ep. Call CreateNetwork on the
-// first node and Join on the rest.
-func New(ep netapi.Endpoint, reg *wire.Registry, opts Options) *Overlay {
+// New constructs an overlay node bound to ep. codec is the node's wire
+// codec (wire.CodecXML or wire.CodecBinary; "" is XML): it selects the
+// form routed payloads are encoded in, while both forms are accepted from
+// other nodes. Call CreateNetwork on the first node and Join on the rest.
+func New(ep netapi.Endpoint, reg *wire.Registry, codec string, opts Options) *Overlay {
 	opts.applyDefaults()
 	o := &Overlay{
 		ep:       ep,
 		reg:      reg,
+		binary:   codec == wire.CodecBinary,
 		opts:     opts,
 		log:      opts.Logger.With("node", ep.ID().Short()),
 		self:     ep.ID(),
 		leaves:   newLeafSet(ep.ID(), opts.LeafHalf),
 		handlers: make(map[string]DeliverFunc),
+		hooks:    make(map[string]ForwardHook),
 		probing:  make(map[ids.ID]bool),
 		dead:     make(map[ids.ID]time.Duration),
 	}
@@ -150,15 +158,17 @@ func (o *Overlay) Joined() bool { return o.joined }
 //vetactive:ignore atomicstats actor-confined to the endpoint delivery goroutine
 func (o *Overlay) Stats() Stats { return o.stats }
 
-// Leaves returns the current leaf-set members.
-func (o *Overlay) Leaves() []ids.ID { return o.leaves.members() }
+// Leaves returns a copy of the current leaf-set members.
+func (o *Overlay) Leaves() []ids.ID { return slices.Clone(o.leaves.members()) }
 
 // OnDeliver registers the upcall for routed messages of the given payload
 // kind.
 func (o *Overlay) OnDeliver(kind string, fn DeliverFunc) { o.handlers[kind] = fn }
 
-// SetForwardHook installs the mid-path interception hook.
-func (o *Overlay) SetForwardHook(h ForwardHook) { o.hook = h }
+// SetForwardHook installs the mid-path interception hook for routed
+// messages of the given payload kind. Other kinds pass through this node
+// without being decoded.
+func (o *Overlay) SetForwardHook(kind string, h ForwardHook) { o.hooks[kind] = h }
 
 // OnLeavesChanged registers a callback invoked whenever leaf-set
 // membership changes (the storage layer re-replicates on this signal).
@@ -222,20 +232,13 @@ func (o *Overlay) RouteTraced(key ids.ID, msg wire.Message) error {
 }
 
 func (o *Overlay) route(key ids.ID, msg wire.Message, trace bool) error {
-	inner, err := o.reg.Encode(&wire.Envelope{From: o.self, To: o.self, Msg: msg})
-	if err != nil {
-		return fmt.Errorf("plaxton: encode payload: %w", err)
-	}
 	rm := &RouteMsg{
 		Key:       key.String(),
 		Origin:    o.self.String(),
-		Hops:      0,
 		Trace:     trace,
 		InnerKind: msg.Kind(),
-		Inner:     inner,
 	}
-	o.routeStep(key, o.self, rm)
-	return nil
+	return o.routeStep(key, o.self, rm, msg)
 }
 
 func (o *Overlay) handleRoute(_ netapi.Ctx, from ids.ID, msg wire.Message) {
@@ -255,25 +258,39 @@ func (o *Overlay) handleRoute(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	if rm.Trace {
 		rm.Path = append(rm.Path, o.self.String())
 	}
-	o.routeStep(key, origin, rm)
+	_ = o.routeStep(key, origin, rm, nil) // only a payload of our own can fail to encode
 }
 
-// routeStep decides the next hop for rm, or delivers it locally.
-func (o *Overlay) routeStep(key ids.ID, origin ids.ID, rm *RouteMsg) {
-	if o.hook != nil {
-		decoded, err := o.decodeInner(rm)
-		if err == nil && o.hook(o.routeInfo(key, origin, rm), decoded) {
+// routeStep decides the next hop for rm, or delivers it locally. msg is
+// rm's payload where the caller holds it decoded — at the origin, whose
+// rm has no Inner until the message has to leave the node — and nil
+// otherwise; a hop decodes the payload at most once, and only for a kind
+// that has a hook or is delivered here.
+func (o *Overlay) routeStep(key ids.ID, origin ids.ID, rm *RouteMsg, msg wire.Message) error {
+	if hook := o.hooks[rm.InnerKind]; hook != nil {
+		if msg == nil {
+			msg, _ = o.decodeInner(rm) // undecodable: nothing to offer the hook
+		}
+		if msg != nil && hook(o.routeInfo(key, origin, rm), msg) {
 			o.stats.HookHandled++
-			return
+			return nil
 		}
 	}
 	next := o.nextHop(key)
 	if next == o.self {
-		o.deliverLocal(key, origin, rm)
-		return
+		o.deliverLocal(key, origin, rm, msg)
+		return nil
+	}
+	if rm.Inner == nil && msg != nil {
+		inner, err := o.encodeInner(msg)
+		if err != nil {
+			return fmt.Errorf("plaxton: encode payload: %w", err)
+		}
+		rm.Inner = inner
 	}
 	o.stats.Forwarded++
 	o.ep.Send(next, rm)
+	return nil
 }
 
 // routeInfo assembles the delivery metadata for rm.
@@ -333,30 +350,60 @@ func (o *Overlay) nextHopEx(key ids.ID, exclude ids.ID) ids.ID {
 	return best
 }
 
+// encodeInner gives a routed payload its wire form: on a binary-codec
+// node, wire.BinaryMagic followed by the message's own binary body (the
+// kind travels beside it as RouteMsg.InnerKind, so no interned kind table
+// has to match along the path); otherwise the open XML envelope.
+func (o *Overlay) encodeInner(msg wire.Message) ([]byte, error) {
+	if bm, ok := msg.(wire.BinaryMessage); ok && o.binary {
+		return bm.AppendWire(append(make([]byte, 0, 64), wire.BinaryMagic)), nil
+	}
+	return o.reg.Encode(&wire.Envelope{From: o.self, To: o.self, Msg: msg})
+}
+
+// decodeInner sniffs the payload's first byte as transport does with a
+// frame, so XML- and binary-codec nodes route through each other. Inner is
+// never modified once built, so the decoded message may alias it.
 func (o *Overlay) decodeInner(rm *RouteMsg) (wire.Message, error) {
-	env, err := o.reg.Decode(rm.Inner)
+	if !wire.IsBinaryFrame(rm.Inner) {
+		env, err := o.reg.Decode(rm.Inner)
+		if err != nil {
+			return nil, err
+		}
+		if env.Msg == nil || env.Msg.Kind() != rm.InnerKind {
+			return nil, fmt.Errorf("plaxton: routed payload is not a %q", rm.InnerKind)
+		}
+		return env.Msg, nil
+	}
+	msg, err := o.reg.New(rm.InnerKind)
 	if err != nil {
 		return nil, err
 	}
-	if env.Msg == nil {
-		return nil, fmt.Errorf("plaxton: empty routed payload")
+	bm, ok := msg.(wire.BinaryMessage)
+	if !ok {
+		return nil, fmt.Errorf("plaxton: kind %q has no binary form", rm.InnerKind)
 	}
-	return env.Msg, nil
+	if err := bm.ParseWire(wire.NewBinReaderBorrowed(rm.Inner[1:])); err != nil {
+		return nil, err
+	}
+	return msg, nil
 }
 
-func (o *Overlay) deliverLocal(key ids.ID, origin ids.ID, rm *RouteMsg) {
+func (o *Overlay) deliverLocal(key ids.ID, origin ids.ID, rm *RouteMsg, msg wire.Message) {
 	h, ok := o.handlers[rm.InnerKind]
 	if !ok {
 		o.log.Warn("no deliver handler", "kind", rm.InnerKind)
 		return
 	}
-	decoded, err := o.decodeInner(rm)
-	if err != nil {
-		o.log.Warn("undecodable routed payload", "kind", rm.InnerKind, "err", err)
-		return
+	if msg == nil {
+		var err error
+		if msg, err = o.decodeInner(rm); err != nil {
+			o.log.Warn("undecodable routed payload", "kind", rm.InnerKind, "err", err)
+			return
+		}
 	}
 	o.stats.Delivered++
-	h(o.routeInfo(key, origin, rm), decoded)
+	h(o.routeInfo(key, origin, rm), msg)
 }
 
 // --- state learning -----------------------------------------------------------

@@ -22,6 +22,7 @@ func testRegistry() *wire.Registry {
 	reg := wire.NewRegistry()
 	RegisterMessages(reg)
 	reg.Register(&probeMsg{})
+	reg.Register(&blobMsg{})
 	return reg
 }
 
@@ -43,7 +44,9 @@ func buildRing(t testing.TB, seed int64, n int, opts Options) *ring {
 	for i := 0; i < n; i++ {
 		id := ids.Random(rng)
 		node := w.NewNode(id, "r", netapi.Coord{X: rng.Float64() * 5000, Y: rng.Float64() * 5000})
-		o := New(node, reg, opts)
+		// Alternate codecs: every ring routes XML and binary payloads
+		// through nodes of the other kind.
+		o := New(node, reg, [2]string{wire.CodecXML, wire.CodecBinary}[i%2], opts)
 		r.overlays = append(r.overlays, o)
 		r.byID[id] = o
 	}
@@ -204,7 +207,7 @@ func TestForwardHookIntercepts(t *testing.T) {
 	hooked := 0
 	for _, o := range r.overlays {
 		o.OnDeliver("test.probe", func(_ RouteInfo, _ wire.Message) { delivered++ })
-		o.SetForwardHook(func(info RouteInfo, msg wire.Message) bool {
+		o.SetForwardHook("test.probe", func(info RouteInfo, msg wire.Message) bool {
 			if info.Hops > 0 { // only intercept in-flight, not at origin
 				hooked++
 				return true
@@ -233,7 +236,7 @@ func TestJoinTimeoutOnDeadBootstrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	deadID := ids.Random(rng)
 	n := w.NewNode(ids.Random(rng), "r", netapi.Coord{})
-	o := New(n, reg, Options{JoinTimeout: time.Second, HeartbeatInterval: -1})
+	o := New(n, reg, wire.CodecXML, Options{JoinTimeout: time.Second, HeartbeatInterval: -1})
 	var gotErr error
 	o.Join(deadID, func(err error) { gotErr = err })
 	w.RunFor(5 * time.Second)
@@ -327,8 +330,8 @@ func TestFailureDetectionAndRepair(t *testing.T) {
 func TestLeavesChangedCallback(t *testing.T) {
 	w := simnet.NewWorld(simnet.Config{Seed: 12})
 	reg := testRegistry()
-	a := New(w.NewNode(ids.FromString("n-a"), "r", netapi.Coord{}), reg, Options{HeartbeatInterval: -1})
-	b := New(w.NewNode(ids.FromString("n-b"), "r", netapi.Coord{}), reg, Options{HeartbeatInterval: -1})
+	a := New(w.NewNode(ids.FromString("n-a"), "r", netapi.Coord{}), reg, wire.CodecXML, Options{HeartbeatInterval: -1})
+	b := New(w.NewNode(ids.FromString("n-b"), "r", netapi.Coord{}), reg, wire.CodecXML, Options{HeartbeatInterval: -1})
 	calls := 0
 	a.OnLeavesChanged(func() { calls++ })
 	a.CreateNetwork()

@@ -56,13 +56,7 @@ func (m *RouteMsg) ParseWire(r *wire.BinReader) error {
 	m.Trace = r.Bool()
 	m.Path = readStrings(r)
 	m.InnerKind = r.String()
-	if raw := r.Bytes(); raw != nil {
-		// Copy: BinReader slices alias the frame, and routed payloads
-		// outlive it (they are re-encoded and forwarded hop by hop).
-		m.Inner = append(wire.Bytes(nil), raw...)
-	} else {
-		m.Inner = nil
-	}
+	m.Inner = r.OwnedBytes() // outlives the frame: forwarded hop by hop
 	return r.Err()
 }
 

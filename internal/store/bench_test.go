@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -43,6 +44,30 @@ func BenchmarkStoreReplicate(b *testing.B) {
 				if !done {
 					b.Fatal("put did not complete")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkStoreDigestRound measures one handleDigestReq at a holder of
+// 1 000 objects whose sums are known (as after any earlier round, or a
+// chunked receipt). The two series hold 64x different byte counts: ns/op
+// must follow the object count, not the bytes held.
+func BenchmarkStoreDigestRound(b *testing.B) {
+	for _, size := range []int{1 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("1000x%dKiB", size>>10), func(b *testing.B) {
+			c := buildCluster(b, 43, 1, Options{RepairInterval: -1})
+			s, body := c.stores[0], make([]byte, size)
+			for i := 0; i < 1000; i++ {
+				s.setObject(ids.FromString(fmt.Sprint("held-", i)), &blob{data: body})
+			}
+			req := &DigestReqMsg{Round: 1}
+			s.handleDigestReq(nil, s.ep.ID(), req) // first need: every sum computed once
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.handleDigestReq(nil, s.ep.ID(), req)
+				c.world.RunFor(time.Millisecond) // deliver (and discard) the reply
 			}
 		})
 	}

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/netapi"
@@ -22,16 +24,49 @@ const (
 	xferPut                  // root pulled a large put from its origin
 )
 
-// hash64 is FNV-1a over the object body: cheap, allocation-free, and the
-// shared integrity/staleness check for chunk transfers and digests.
+// hash64 is XXH64 (seed 0) over the object body: the shared 64-bit
+// integrity/staleness check of chunk transfers (ManifestMsg.Hash) and
+// digests (DigestEntry.Hash). Word-at-a-time — four independent lanes
+// over 32-byte stripes — because it runs over every transferred byte.
 func hash64(b []byte) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
+	const (
+		p1 uint64 = 11400714785074694791
+		p2 uint64 = 14029467366897019727
+		p3 uint64 = 1609587929392839161
+		p4 uint64 = 9650029242287828579
+		p5 uint64 = 2870177450012600261
+	)
+	round := func(acc, in uint64) uint64 { return bits.RotateLeft64(acc+in*p2, 31) * p1 }
+	h, n := p5, uint64(len(b))
+	if n >= 32 {
+		v1, v2, v3, v4 := p1, p2, uint64(0), uint64(0)
+		v1 += p2
+		v4 -= p1
+		for ; len(b) >= 32; b = b[32:] {
+			v1 = round(v1, binary.LittleEndian.Uint64(b))
+			v2 = round(v2, binary.LittleEndian.Uint64(b[8:]))
+			v3 = round(v3, binary.LittleEndian.Uint64(b[16:]))
+			v4 = round(v4, binary.LittleEndian.Uint64(b[24:]))
+		}
+		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) + bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+		for _, v := range [4]uint64{v1, v2, v3, v4} {
+			h = (h^round(0, v))*p1 + p4
+		}
 	}
-	return h
+	h += n
+	for ; len(b) >= 8; b = b[8:] {
+		h = bits.RotateLeft64(h^round(0, binary.LittleEndian.Uint64(b)), 27)*p1 + p4
+	}
+	if len(b) >= 4 {
+		h = bits.RotateLeft64(h^uint64(binary.LittleEndian.Uint32(b))*p1, 23)*p2 + p3
+		b = b[4:]
+	}
+	for _, c := range b {
+		h = bits.RotateLeft64(h^uint64(c)*p5, 11) * p1
+	}
+	h = (h ^ h>>33) * p2
+	h = (h ^ h>>29) * p3
+	return h ^ h>>32
 }
 
 // reassembly is the pure chunk-reassembly state machine: fixed-size
@@ -130,9 +165,9 @@ func (s *Store) chunkBytes() int {
 	return s.opts.ChunkBytes
 }
 
-// sendChunked streams data to a peer as manifest + chunk frames.
-func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, data []byte, reqID uint64, hops int, fromCache, pin bool) {
-	chunk := s.chunkBytes()
+// sendChunked streams a body to a peer as manifest + chunk frames.
+func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, b *blob, reqID uint64, hops int, fromCache, pin bool) {
+	chunk, data := s.chunkBytes(), b.data
 	s.nextXfer++
 	s.ep.Send(to, &ManifestMsg{
 		Xfer:      s.nextXfer,
@@ -140,7 +175,7 @@ func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, data []byte, re
 		Purpose:   purpose,
 		TotalLen:  len(data),
 		Chunk:     chunk,
-		Hash:      hash64(data),
+		Hash:      b.hash(),
 		ReqID:     reqID,
 		Hops:      hops,
 		FromCache: fromCache,
@@ -158,32 +193,37 @@ func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, data []byte, re
 
 // sendObject delivers a replica or cache fill, chunked when the body
 // exceeds the threshold.
-func (s *Store) sendObject(to ids.ID, purpose int, guid ids.ID, data []byte) {
-	s.sendObjectPinned(to, purpose, guid, data, false)
+func (s *Store) sendObject(to ids.ID, purpose int, guid ids.ID, b *blob) {
+	s.sendObjectPinned(to, purpose, guid, b, false)
 }
 
-func (s *Store) sendObjectPinned(to ids.ID, purpose int, guid ids.ID, data []byte, pin bool) {
-	if cb := s.chunkBytes(); cb > 0 && len(data) > cb {
-		s.sendChunked(to, purpose, guid, data, 0, 0, false, pin)
+func (s *Store) sendObjectPinned(to ids.ID, purpose int, guid ids.ID, b *blob, pin bool) {
+	if cb := s.chunkBytes(); cb > 0 && len(b.data) > cb {
+		s.sendChunked(to, purpose, guid, b, 0, 0, false, pin)
 		return
 	}
 	switch purpose {
 	case xferReplicate:
-		s.ep.Send(to, &ReplicateMsg{GUID: guid.String(), Pin: pin, Data: data})
+		s.ep.Send(to, &ReplicateMsg{GUID: guid.String(), Pin: pin, Data: b.data})
 	case xferCacheFill:
-		s.ep.Send(to, &CacheFillMsg{GUID: guid.String(), Data: data})
+		s.ep.Send(to, &CacheFillMsg{GUID: guid.String(), Data: b.data})
 	}
 }
 
-// sendGetReply answers a remote get, chunking large found bodies.
-func (s *Store) sendGetReply(to ids.ID, reply *GetReplyMsg) {
-	if cb := s.chunkBytes(); reply.Found && cb > 0 && len(reply.Data) > cb {
-		guid, err := ids.Parse(reply.GUID)
-		if err != nil {
+// sendGetReply answers a remote get with b (nil: not found), chunking
+// large bodies.
+func (s *Store) sendGetReply(to ids.ID, reply *GetReplyMsg, b *blob) {
+	if b != nil {
+		reply.Found = true
+		if cb := s.chunkBytes(); cb > 0 && len(b.data) > cb {
+			guid, err := ids.Parse(reply.GUID)
+			if err != nil {
+				return
+			}
+			s.sendChunked(to, xferGetReply, guid, b, reply.ReqID, reply.Hops, reply.FromCache, false)
 			return
 		}
-		s.sendChunked(to, xferGetReply, guid, reply.Data, reply.ReqID, reply.Hops, reply.FromCache, false)
-		return
+		reply.Data = b.data
 	}
 	s.ep.Send(to, reply)
 }
@@ -295,20 +335,23 @@ func (s *Store) applyChunk(key xferKey, from ids.ID, cm *ChunkMsg) {
 
 // completeXfer dispatches a fully reassembled body to its purpose.
 func (s *Store) completeXfer(from ids.ID, x *xfer) {
+	// The reassembly has just checked the body against the manifest hash:
+	// the copy carries that sum, nobody derives it again.
+	b := &blob{data: x.ra.buf, sum: x.ra.hash, summed: true}
 	switch x.purpose {
 	case xferReplicate:
-		s.setObject(x.guid, x.ra.buf)
+		s.setObject(x.guid, b)
 		if x.pin {
 			s.pinned[x.guid] = true
 		}
 	case xferCacheFill:
 		if !s.opts.DisableCache {
-			s.cache.put(x.guid, x.ra.buf)
+			s.cache.put(x.guid, b)
 		}
 	case xferGetReply:
-		s.completeGet(x.reqID, true, x.guid.String(), x.ra.buf)
+		s.completeGet(x.reqID, x.guid.String(), b)
 	case xferPut:
-		s.storeAndReplicate(x.guid, x.ra.buf)
+		s.storeAndReplicate(x.guid, b)
 		s.ep.Send(from, &AckMsg{ReqID: x.reqID, OK: true})
 	}
 }

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/gloss/active/internal/erasure"
 	"github.com/gloss/active/internal/ids"
@@ -27,13 +27,14 @@ import (
 // trigger): GC replicas this node is no longer responsible for, then
 // restore replication degree for rooted objects.
 func (s *Store) repair() {
-	guids := s.sortedGUIDs()
+	// One snapshot of the held keys and of the leaf set serves the whole pass.
+	guids, leaves := s.sortedGUIDs(), s.overlay.Leaves()
 	// Replica GC: churn shifts the k-closest window, and before this pass
 	// nothing ever removed a replica a node stopped being responsible
 	// for, so storage grew without bound. Runs in both modes so legacy
 	// and digest repair converge on identical placement.
 	for _, guid := range guids {
-		if s.pinned[guid] || s.isRoot(guid) || s.inReplicaRange(guid) {
+		if s.pinned[guid] || s.rootAmong(leaves, guid) || s.inReplicaRange(leaves, guid) {
 			continue
 		}
 		s.dropObject(guid)
@@ -41,35 +42,28 @@ func (s *Store) repair() {
 	}
 	if s.opts.LegacyReplication {
 		for _, guid := range guids {
-			if data, ok := s.objects[guid]; ok && s.isRoot(guid) {
-				s.replicate(guid, data)
+			if b, ok := s.objects[guid]; ok && s.rootAmong(leaves, guid) {
+				s.replicate(leaves, guid, b)
 			}
 		}
 		return
 	}
-	s.digestRepair()
+	s.digestRepair(guids, leaves)
 	if !s.opts.DisableFragRepair {
-		s.fragCheck()
+		s.fragCheck(guids, leaves)
 	}
 }
 
 // sortedGUIDs snapshots the stored object keys in deterministic order.
-func (s *Store) sortedGUIDs() []ids.ID {
-	guids := make([]ids.ID, 0, len(s.objects))
-	for guid := range s.objects {
-		guids = append(guids, guid)
-	}
-	sort.Slice(guids, func(i, j int) bool { return ids.Less(guids[i], guids[j]) })
-	return guids
-}
+func (s *Store) sortedGUIDs() []ids.ID { return slices.Clone(s.keys) }
 
 // inReplicaRange reports whether this node is one of the k nodes
 // numerically closest to guid among itself and its leaf set — i.e. still
 // a legitimate replica holder.
-func (s *Store) inReplicaRange(guid ids.ID) bool {
+func (s *Store) inReplicaRange(leaves []ids.ID, guid ids.ID) bool {
 	self := s.ep.ID()
 	closer := 0
-	for _, l := range s.overlay.Leaves() {
+	for _, l := range leaves {
 		if ids.Closer(guid, l, self) {
 			closer++
 			if closer >= s.opts.Replicas {
@@ -82,13 +76,13 @@ func (s *Store) inReplicaRange(guid ids.ID) bool {
 
 // digestRepair opens a digest round: ask every current replica target
 // for its holdings summary; pushes happen in handleDigest.
-func (s *Store) digestRepair() {
+func (s *Store) digestRepair(guids, leaves []ids.ID) {
 	want := make(map[ids.ID][]ids.ID)
-	for _, guid := range s.sortedGUIDs() {
-		if _, ok := s.objects[guid]; !ok || !s.isRoot(guid) {
+	for _, guid := range guids {
+		if _, ok := s.objects[guid]; !ok || !s.rootAmong(leaves, guid) {
 			continue
 		}
-		for _, t := range s.replicaTargets(guid) {
+		for _, t := range s.replicaTargets(leaves, guid) {
 			want[t] = append(want[t], guid)
 		}
 	}
@@ -101,22 +95,26 @@ func (s *Store) digestRepair() {
 	for t := range want {
 		targets = append(targets, t)
 	}
-	sort.Slice(targets, func(i, j int) bool { return ids.Less(targets[i], targets[j]) })
+	slices.SortFunc(targets, ids.Cmp)
 	for _, t := range targets {
 		s.ep.Send(t, &DigestReqMsg{Round: s.digestRound})
 	}
 }
 
 // handleDigestReq runs at a replica holder: summarise everything held.
+// Each copy carries its sum, so a round costs O(objects), not O(bytes).
 func (s *Store) handleDigestReq(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	rq := msg.(*DigestReqMsg)
-	reply := &DigestMsg{Round: rq.Round}
-	for _, guid := range s.sortedGUIDs() {
-		data := s.objects[guid]
+	reply := &DigestMsg{Round: rq.Round, Entries: make([]DigestEntry, 0, len(s.keys))}
+	for _, guid := range s.keys {
+		b := s.objects[guid]
+		if b.key == "" {
+			b.key = guid.String()
+		}
 		reply.Entries = append(reply.Entries, DigestEntry{
-			GUID: guid.String(),
-			Len:  len(data),
-			Hash: hash64(data),
+			GUID: b.key,
+			Len:  len(b.data),
+			Hash: b.hash(),
 		})
 	}
 	s.ep.Send(from, reply)
@@ -138,28 +136,29 @@ func (s *Store) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	for _, e := range dm.Entries {
 		held[e.GUID] = e
 	}
+	leaves := s.overlay.Leaves()
 	for _, guid := range want {
-		data, ok := s.objects[guid]
-		if !ok || !s.isRoot(guid) {
+		b, ok := s.objects[guid]
+		if !ok || !s.rootAmong(leaves, guid) {
 			continue // dropped or re-rooted since the round opened
 		}
-		if e, ok := held[guid.String()]; ok && e.Len == len(data) && e.Hash == hash64(data) {
+		if e, ok := held[guid.String()]; ok && e.Len == len(b.data) && e.Hash == b.hash() {
 			s.stats.RepairSkipped++
 			continue
 		}
-		s.pushReplica(from, guid, data)
+		s.pushReplica(from, guid, b)
 	}
 }
 
 // pushReplica sends one replica copy (chunked when large) and accounts it.
-func (s *Store) pushReplica(to ids.ID, guid ids.ID, data []byte) {
-	s.pushReplicaPinned(to, guid, data, false)
+func (s *Store) pushReplica(to ids.ID, guid ids.ID, b *blob) {
+	s.pushReplicaPinned(to, guid, b, false)
 }
 
-func (s *Store) pushReplicaPinned(to ids.ID, guid ids.ID, data []byte, pin bool) {
+func (s *Store) pushReplicaPinned(to ids.ID, guid ids.ID, b *blob, pin bool) {
 	s.stats.RepairPushes++
-	s.stats.RepairBytes += uint64(len(data))
-	s.sendObjectPinned(to, xferReplicate, guid, data, pin)
+	s.stats.RepairBytes += uint64(len(b.data))
+	s.sendObjectPinned(to, xferReplicate, guid, b, pin)
 }
 
 // --- erasure-coded reconstruction ------------------------------------------
@@ -178,13 +177,13 @@ type statProbe struct {
 // designated checker and a single loss triggers a single repair. A run
 // of adjacent losses heals over successive rounds as each repaired
 // fragment starts checking its own successor.
-func (s *Store) fragCheck() {
-	for _, guid := range s.sortedGUIDs() {
-		data, ok := s.objects[guid]
-		if !ok || !s.isRoot(guid) {
+func (s *Store) fragCheck(guids, leaves []ids.ID) {
+	for _, guid := range guids {
+		b, ok := s.objects[guid]
+		if !ok || !s.rootAmong(leaves, guid) {
 			continue
 		}
-		f, meta, err := unpackFragment(data)
+		f, meta, err := unpackFragment(b.data)
 		if err != nil {
 			continue // not a coded fragment
 		}
@@ -233,8 +232,11 @@ func (s *Store) deliverStat(info plaxton.RouteInfo, msg wire.Message) {
 	if err != nil {
 		return
 	}
-	data, ok := s.objects[guid]
-	reply := &StatReplyMsg{ReqID: sm.ReqID, Found: ok, Len: len(data)}
+	b, ok := s.objects[guid]
+	reply := &StatReplyMsg{ReqID: sm.ReqID, Found: ok}
+	if ok {
+		reply.Len = len(b.data)
+	}
 	if info.Origin == s.ep.ID() {
 		s.handleStatReply(nil, s.ep.ID(), reply)
 		return
@@ -353,7 +355,7 @@ func (s *Store) rebuildFragment(p *statProbe, frags []erasure.Fragment) {
 		// fragment straight to it (one hop, O(fragment) traffic) instead
 		// of routing a put through the overlay. Loss is safe — the next
 		// repair round re-probes and re-pushes.
-		s.pushReplica(p.root, p.missing, packed)
+		s.pushReplica(p.root, p.missing, &blob{data: packed})
 		delete(s.fragBusy, p.missing)
 		return
 	}

@@ -17,8 +17,8 @@ type lruCache struct {
 }
 
 type lruItem struct {
-	key  ids.ID
-	data []byte
+	key ids.ID
+	b   *blob
 }
 
 func newLRU(capBytes int64) *lruCache {
@@ -30,30 +30,30 @@ func newLRU(capBytes int64) *lruCache {
 }
 
 // get returns the cached copy and refreshes its recency.
-func (c *lruCache) get(key ids.ID) ([]byte, bool) {
+func (c *lruCache) get(key ids.ID) (*blob, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem).data, true
+	return el.Value.(*lruItem).b, true
 }
 
 // put inserts or refreshes a copy, evicting LRU entries to fit. Objects
 // larger than the whole budget are not cached.
-func (c *lruCache) put(key ids.ID, data []byte) {
-	if int64(len(data)) > c.capBytes {
+func (c *lruCache) put(key ids.ID, b *blob) {
+	if int64(len(b.data)) > c.capBytes {
 		return
 	}
 	if el, ok := c.items[key]; ok {
 		it := el.Value.(*lruItem)
-		c.usedBytes += int64(len(data)) - int64(len(it.data))
-		it.data = data
+		c.usedBytes += int64(len(b.data)) - int64(len(it.b.data))
+		it.b = b
 		c.ll.MoveToFront(el)
 	} else {
-		el := c.ll.PushFront(&lruItem{key: key, data: data})
+		el := c.ll.PushFront(&lruItem{key: key, b: b})
 		c.items[key] = el
-		c.usedBytes += int64(len(data))
+		c.usedBytes += int64(len(b.data))
 	}
 	for c.usedBytes > c.capBytes {
 		c.evictOldest()
@@ -68,7 +68,7 @@ func (c *lruCache) evictOldest() {
 	it := el.Value.(*lruItem)
 	c.ll.Remove(el)
 	delete(c.items, it.key)
-	c.usedBytes -= int64(len(it.data))
+	c.usedBytes -= int64(len(it.b.data))
 }
 
 // remove drops a key if present.
@@ -77,7 +77,7 @@ func (c *lruCache) remove(key ids.ID) {
 		it := el.Value.(*lruItem)
 		c.ll.Remove(el)
 		delete(c.items, key)
-		c.usedBytes -= int64(len(it.data))
+		c.usedBytes -= int64(len(it.b.data))
 	}
 }
 

@@ -13,13 +13,13 @@ func key(i int) ids.ID { return ids.FromString(fmt.Sprintf("k%d", i)) }
 
 func TestLRUBasics(t *testing.T) {
 	c := newLRU(100)
-	c.put(key(1), make([]byte, 40))
-	c.put(key(2), make([]byte, 40))
+	c.put(key(1), &blob{data: make([]byte, 40)})
+	c.put(key(2), &blob{data: make([]byte, 40)})
 	if _, ok := c.get(key(1)); !ok {
 		t.Fatalf("k1 missing")
 	}
 	// Inserting k3 (40 bytes) must evict k2 (LRU; k1 was refreshed).
-	c.put(key(3), make([]byte, 40))
+	c.put(key(3), &blob{data: make([]byte, 40)})
 	if _, ok := c.get(key(2)); ok {
 		t.Fatalf("k2 should have been evicted")
 	}
@@ -33,7 +33,7 @@ func TestLRUBasics(t *testing.T) {
 
 func TestLRUOversizedObjectSkipped(t *testing.T) {
 	c := newLRU(10)
-	c.put(key(1), make([]byte, 11))
+	c.put(key(1), &blob{data: make([]byte, 11)})
 	if c.len() != 0 {
 		t.Fatalf("oversized object should not be cached")
 	}
@@ -41,8 +41,8 @@ func TestLRUOversizedObjectSkipped(t *testing.T) {
 
 func TestLRUUpdateExisting(t *testing.T) {
 	c := newLRU(100)
-	c.put(key(1), make([]byte, 10))
-	c.put(key(1), make([]byte, 30))
+	c.put(key(1), &blob{data: make([]byte, 10)})
+	c.put(key(1), &blob{data: make([]byte, 30)})
 	if c.used() != 30 {
 		t.Fatalf("used = %d, want 30", c.used())
 	}
@@ -53,7 +53,7 @@ func TestLRUUpdateExisting(t *testing.T) {
 
 func TestLRURemove(t *testing.T) {
 	c := newLRU(100)
-	c.put(key(1), make([]byte, 10))
+	c.put(key(1), &blob{data: make([]byte, 10)})
 	c.remove(key(1))
 	if c.len() != 0 || c.used() != 0 {
 		t.Fatalf("remove left residue: len=%d used=%d", c.len(), c.used())
@@ -75,9 +75,9 @@ func TestQuickLRUBudget(t *testing.T) {
 			} else {
 				data := make([]byte, size)
 				rng.Read(data)
-				c.put(k, data)
+				c.put(k, &blob{data: data})
 				if got, ok := c.get(k); ok {
-					if len(got) != size {
+					if len(got.data) != size {
 						return false
 					}
 				} else if size <= 256 {

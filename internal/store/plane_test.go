@@ -16,7 +16,7 @@ import (
 func storedState(s *Store) string {
 	var sb strings.Builder
 	for _, g := range s.sortedGUIDs() {
-		fmt.Fprintf(&sb, "%s:%016x;", g.String(), hash64(s.objects[g]))
+		fmt.Fprintf(&sb, "%s:%016x;", g.String(), hash64(s.objects[g].data))
 	}
 	return sb.String()
 }
@@ -224,8 +224,8 @@ func TestCodedGetReportsCorruptFragments(t *testing.T) {
 	for i := 0; i < 4 && corrupted < 2; i++ {
 		key := fragGUID(guid, i)
 		for _, s := range c.stores {
-			if data, ok := s.objects[key]; ok {
-				data[0] ^= 0xFF // break the fragment magic
+			if b, ok := s.objects[key]; ok {
+				b.data[0] ^= 0xFF // break the fragment magic
 				corrupted++
 				break
 			}
@@ -269,8 +269,8 @@ func TestStatsStoredBytesTracksObjects(t *testing.T) {
 	}
 	for i, s := range c.stores {
 		var recount int64
-		for _, data := range s.objects {
-			recount += int64(len(data))
+		for _, b := range s.objects {
+			recount += int64(len(b.data))
 		}
 		st := s.Stats()
 		if st.StoredBytes != recount {
@@ -314,7 +314,7 @@ func TestRepairEvictsOutOfRangeReplicas(t *testing.T) {
 	}
 	for i, s := range c.stores {
 		for guid := range s.objects {
-			if !s.pinned[guid] && !s.isRoot(guid) && !s.inReplicaRange(guid) {
+			if !s.pinned[guid] && !s.isRoot(guid) && !s.inReplicaRange(s.overlay.Leaves(), guid) {
 				t.Errorf("node %d still holds out-of-range replica %s", i, guid.Short())
 			}
 		}
@@ -339,7 +339,7 @@ func TestChunkedReplicationDelivers(t *testing.T) {
 		t.Fatalf("chunked object has %d copies, want 3", n)
 	}
 	for i, s := range c.stores {
-		if data, ok := s.objects[guid]; ok && string(data) != string(body) {
+		if b, ok := s.objects[guid]; ok && string(b.data) != string(body) {
 			t.Errorf("node %d holds a corrupted reassembly", i)
 		}
 	}

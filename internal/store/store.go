@@ -14,7 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/gloss/active/internal/erasure"
@@ -140,7 +140,7 @@ type pendingPut struct {
 	timer interface{ Stop() bool }
 	// content pins a large put's body at the origin until the root pulls
 	// it (or the put times out).
-	content []byte
+	content *blob
 }
 
 type pendingGet struct {
@@ -150,6 +150,24 @@ type pendingGet struct {
 	retries int
 }
 
+// blob is one held body and, once known, its hash64: taken from the
+// manifest hash a reassembly has just verified, else computed on first
+// need. Bodies are immutable and an overwrite or eviction replaces the
+// whole blob, so a sum never outlives the bytes it describes.
+type blob struct {
+	data   []byte
+	sum    uint64
+	summed bool
+	key    string // the GUID it is held under as a digest entry spells it, rendered on first need
+}
+
+func (b *blob) hash() uint64 {
+	if !b.summed {
+		b.sum, b.summed = hash64(b.data), true
+	}
+	return b.sum
+}
+
 // Store is one storage node ("storelet" host).
 type Store struct {
 	ep      netapi.Endpoint
@@ -157,8 +175,9 @@ type Store struct {
 	opts    Options
 	code    *erasure.Code
 
-	objects     map[ids.ID][]byte
-	storedBytes int64 // incremental sum of len(objects[*]), kept by setObject/dropObject
+	objects     map[ids.ID]*blob
+	keys        []ids.ID // the keys of objects in ids.Cmp order, kept by setObject/dropObject
+	storedBytes int64    // incremental sum of len(objects[*].data), kept by setObject/dropObject
 	// pinned marks policy-placed copies (deliverPush) that replica GC
 	// must leave alone even though this node is outside the k-closest
 	// range for them.
@@ -199,7 +218,7 @@ func New(ep netapi.Endpoint, overlay *plaxton.Overlay, opts Options) *Store {
 		overlay:      overlay,
 		opts:         opts,
 		code:         code,
-		objects:      make(map[ids.ID][]byte),
+		objects:      make(map[ids.ID]*blob),
 		pinned:       make(map[ids.ID]bool),
 		cache:        newLRU(opts.CacheBytes),
 		pendingPuts:  make(map[uint64]*pendingPut),
@@ -214,7 +233,7 @@ func New(ep netapi.Endpoint, overlay *plaxton.Overlay, opts Options) *Store {
 	overlay.OnDeliver("store.get", s.deliverGet)
 	overlay.OnDeliver("store.push", s.deliverPush)
 	overlay.OnDeliver("store.stat", s.deliverStat)
-	overlay.SetForwardHook(s.forwardHook)
+	overlay.SetForwardHook("store.get", s.forwardHook)
 	ep.Handle("store.ack", s.handleAck)
 	ep.Handle("store.getReply", s.handleGetReply)
 	ep.Handle("store.replicate", s.handleReplicate)
@@ -263,18 +282,23 @@ func (s *Store) Stats() Stats {
 
 // setObject stores or overwrites a primary/replica copy, keeping the
 // incremental occupancy counters exact.
-func (s *Store) setObject(guid ids.ID, data []byte) {
+func (s *Store) setObject(guid ids.ID, b *blob) {
 	if old, ok := s.objects[guid]; ok {
-		s.storedBytes -= int64(len(old))
+		s.storedBytes -= int64(len(old.data))
+	} else {
+		i, _ := slices.BinarySearchFunc(s.keys, guid, ids.Cmp)
+		s.keys = slices.Insert(s.keys, i, guid)
 	}
-	s.objects[guid] = data
-	s.storedBytes += int64(len(data))
+	s.objects[guid] = b
+	s.storedBytes += int64(len(b.data))
 }
 
 // dropObject removes a stored copy, keeping the occupancy counters exact.
 func (s *Store) dropObject(guid ids.ID) {
 	if old, ok := s.objects[guid]; ok {
-		s.storedBytes -= int64(len(old))
+		s.storedBytes -= int64(len(old.data))
+		i, _ := slices.BinarySearchFunc(s.keys, guid, ids.Cmp)
+		s.keys = slices.Delete(s.keys, i, i+1)
 		delete(s.objects, guid)
 		delete(s.pinned, guid)
 	}
@@ -295,7 +319,8 @@ func (s *Store) Cached(guid ids.ID) bool {
 // --- client API ------------------------------------------------------------
 
 // Put stores content under its content-hash GUID; cb receives the GUID
-// once the root acknowledges, or an error.
+// once the root acknowledges, or an error. The store takes ownership of
+// content (see PutAs).
 func (s *Store) Put(content []byte, cb func(ids.ID, error)) {
 	guid := GUIDFor(content)
 	s.PutAs(guid, content, func(err error) { cb(guid, err) })
@@ -306,6 +331,11 @@ func (s *Store) Put(content []byte, cb func(ids.ID, error)) {
 // threshold are announced by size only: the routed frame stays small and
 // the root pulls the bytes directly from this node (piri-style — routing
 // decides placement, data travels point-to-point).
+//
+// The store takes ownership of content: a large body stays pinned here
+// until the root has pulled it, and when this node is the object's root
+// the slice itself becomes the stored copy, whose checksum is computed
+// once and kept. The caller must not modify it after the call.
 func (s *Store) PutAs(guid ids.ID, content []byte, cb func(error)) {
 	s.stats.Puts++
 	s.nextReq++
@@ -314,7 +344,7 @@ func (s *Store) PutAs(guid ids.ID, content []byte, cb func(error)) {
 	big := false
 	if cbytes := s.chunkBytes(); cbytes > 0 && len(content) > cbytes {
 		big = true
-		p.content = content
+		p.content = &blob{data: content}
 	}
 	p.timer = s.ep.Clock().After(s.opts.RequestTimeout, func() {
 		if _, ok := s.pendingPuts[req]; ok {
@@ -341,15 +371,15 @@ func (s *Store) PutAs(guid ids.ID, content []byte, cb func(error)) {
 func (s *Store) Get(guid ids.ID, cb func([]byte, error)) {
 	s.stats.Gets++
 	// Local copies answer immediately (the cheapest promiscuous hit).
-	if data, ok := s.objects[guid]; ok {
+	if b, ok := s.objects[guid]; ok {
 		s.stats.LocalHits++
-		cb(data, nil)
+		cb(b.data, nil)
 		return
 	}
 	if !s.opts.DisableCache {
-		if data, ok := s.cache.get(guid); ok {
+		if b, ok := s.cache.get(guid); ok {
 			s.stats.LocalHits++
-			cb(data, nil)
+			cb(b.data, nil)
 			return
 		}
 	}
@@ -429,7 +459,7 @@ func unpackFragment(b []byte) (erasure.Fragment, fragMeta, error) {
 	}
 	copy(meta.object[:], b[2:2+ids.Size])
 	rest := b[2+ids.Size:]
-	fields := make([]uint64, 4)
+	var fields [4]uint64
 	for i := range fields {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -557,7 +587,7 @@ func (s *Store) deliverPut(_ plaxton.RouteInfo, msg wire.Message) {
 		s.ep.Send(origin, &PullMsg{GUID: pm.GUID, ReqID: pm.ReqID})
 		return
 	}
-	s.storeAndReplicate(guid, pm.Data)
+	s.storeAndReplicate(guid, &blob{data: pm.Data})
 	if origin == s.ep.ID() {
 		s.handleAck(nil, s.ep.ID(), &AckMsg{ReqID: pm.ReqID, OK: true})
 		return
@@ -566,28 +596,37 @@ func (s *Store) deliverPut(_ plaxton.RouteInfo, msg wire.Message) {
 }
 
 // storeAndReplicate is the root's store step for a completed put.
-func (s *Store) storeAndReplicate(guid ids.ID, data []byte) {
-	s.setObject(guid, data)
-	s.replicate(guid, data)
+func (s *Store) storeAndReplicate(guid ids.ID, b *blob) {
+	s.setObject(guid, b)
+	s.replicate(s.overlay.Leaves(), guid, b)
 }
 
 // replicate pushes copies to the k-1 leaf-set nodes closest to guid.
-func (s *Store) replicate(guid ids.ID, data []byte) {
-	for _, n := range s.replicaTargets(guid) {
-		s.pushReplica(n, guid, data)
+func (s *Store) replicate(leaves []ids.ID, guid ids.ID, b *blob) {
+	for _, n := range s.replicaTargets(leaves, guid) {
+		s.pushReplica(n, guid, b)
 	}
 }
 
-// replicaTargets returns the k-1 leaf-set members numerically closest to
-// guid, deterministically ordered.
-func (s *Store) replicaTargets(guid ids.ID) []ids.ID {
-	leaves := s.overlay.Leaves()
-	sort.Slice(leaves, func(i, j int) bool { return ids.Closer(guid, leaves[i], leaves[j]) })
-	n := s.opts.Replicas - 1
-	if n > len(leaves) {
-		n = len(leaves)
+// replicaTargets returns the k-1 members of leaves (distinct IDs)
+// numerically closest to guid, closest first. It selects rather than
+// sorts: k-1 is a couple, and a repair pass asks once per rooted object.
+func (s *Store) replicaTargets(leaves []ids.ID, guid ids.ID) []ids.ID {
+	n := min(s.opts.Replicas-1, len(leaves))
+	out := make([]ids.ID, 0, max(n, 0))
+	for len(out) < n {
+		best := -1
+		for i, l := range leaves {
+			if len(out) > 0 && !ids.Closer(guid, out[len(out)-1], l) {
+				continue // chosen already: ids.Closer is a strict total order
+			}
+			if best < 0 || ids.Closer(guid, l, leaves[best]) {
+				best = i
+			}
+		}
+		out = append(out, leaves[best])
 	}
-	return leaves[:n]
+	return out
 }
 
 // RequestPush asks the object's root to place a replica on target
@@ -610,13 +649,13 @@ func (s *Store) deliverPush(_ plaxton.RouteInfo, msg wire.Message) {
 	if err != nil {
 		return
 	}
-	data, ok := s.objects[guid]
+	b, ok := s.objects[guid]
 	if !ok {
 		return
 	}
 	// Pinned: the policy chose this target deliberately; replica GC must
 	// not reclaim the copy for being outside the k-closest range.
-	s.pushReplicaPinned(target, guid, data, true)
+	s.pushReplicaPinned(target, guid, b, true)
 }
 
 // deliverGet runs at the object's root (if no path copy answered first).
@@ -626,30 +665,27 @@ func (s *Store) deliverGet(info plaxton.RouteInfo, msg wire.Message) {
 	if err != nil {
 		return
 	}
-	reply := &GetReplyMsg{ReqID: gm.ReqID, GUID: gm.GUID, Hops: info.Hops}
-	data, ok := s.objects[guid]
+	b, ok := s.objects[guid]
 	if !ok && !s.opts.DisableCache {
-		data, ok = s.cache.get(guid)
+		b, ok = s.cache.get(guid)
 	}
 	if ok {
-		reply.Found = true
-		reply.Data = data
 		s.stats.RootAnswers++
 		// Promiscuous caching along the lookup path: seed the node just
 		// before the root (PAST's scheme).
-		s.cacheFillPath(info.Path, guid, data)
+		s.cacheFillPath(info.Path, guid, b)
 	} else {
 		s.stats.NotFound++
 	}
 	if info.Origin == s.ep.ID() {
-		s.handleGetReply(nil, s.ep.ID(), reply)
+		s.completeGet(gm.ReqID, gm.GUID, b)
 		return
 	}
-	s.sendGetReply(info.Origin, reply)
+	s.sendGetReply(info.Origin, &GetReplyMsg{ReqID: gm.ReqID, GUID: gm.GUID, Hops: info.Hops}, b)
 }
 
 // cacheFillPath seeds the last traversed node's cache.
-func (s *Store) cacheFillPath(path []ids.ID, guid ids.ID, data []byte) {
+func (s *Store) cacheFillPath(path []ids.ID, guid ids.ID, b *blob) {
 	if s.opts.DisableCache || len(path) == 0 {
 		return
 	}
@@ -661,15 +697,12 @@ func (s *Store) cacheFillPath(path []ids.ID, guid ids.ID, data []byte) {
 		last = path[len(path)-2]
 	}
 	s.stats.CacheFills++
-	s.sendObject(last, xferCacheFill, guid, data)
+	s.sendObject(last, xferCacheFill, guid, b)
 }
 
 // forwardHook answers gets mid-path from replicas or the promiscuous cache.
 func (s *Store) forwardHook(info plaxton.RouteInfo, msg wire.Message) bool {
-	gm, ok := msg.(*GetMsg)
-	if !ok {
-		return false
-	}
+	gm := msg.(*GetMsg)
 	if info.Origin == s.ep.ID() && info.Hops == 0 {
 		return false // our own fresh request; Get() already checked locally
 	}
@@ -681,20 +714,16 @@ func (s *Store) forwardHook(info plaxton.RouteInfo, msg wire.Message) bool {
 		return false // let normal delivery answer (counted as RootAnswers)
 	}
 	reply := &GetReplyMsg{ReqID: gm.ReqID, GUID: gm.GUID, Hops: info.Hops}
-	if data, have := s.objects[guid]; have {
+	if b, have := s.objects[guid]; have {
 		s.stats.ReplicaHits++
-		reply.Found = true
-		reply.Data = data
-		s.sendGetReply(info.Origin, reply)
+		s.sendGetReply(info.Origin, reply, b)
 		return true
 	}
 	if !s.opts.DisableCache {
-		if data, have := s.cache.get(guid); have {
+		if b, have := s.cache.get(guid); have {
 			s.stats.CacheHits++
-			reply.Found = true
 			reply.FromCache = true
-			reply.Data = data
-			s.sendGetReply(info.Origin, reply)
+			s.sendGetReply(info.Origin, reply, b)
 			return true
 		}
 	}
@@ -718,27 +747,31 @@ func (s *Store) handleAck(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 
 func (s *Store) handleGetReply(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 	rm := msg.(*GetReplyMsg)
-	s.completeGet(rm.ReqID, rm.Found, rm.GUID, rm.Data)
+	var b *blob
+	if rm.Found {
+		b = &blob{data: rm.Data}
+	}
+	s.completeGet(rm.ReqID, rm.GUID, b)
 }
 
-// completeGet resolves a pending get — from a whole-frame reply or a
-// reassembled chunked transfer.
-func (s *Store) completeGet(reqID uint64, found bool, guidStr string, data []byte) {
+// completeGet resolves a pending get — from a whole-frame reply, a
+// reassembled chunked transfer or this node's own copy; nil is "not found".
+func (s *Store) completeGet(reqID uint64, guidStr string, b *blob) {
 	g, ok := s.pendingGets[reqID]
 	if !ok {
 		return
 	}
 	delete(s.pendingGets, reqID)
 	g.timer.Stop()
-	if !found {
+	if b == nil {
 		g.cb(nil, fmt.Errorf("%w: %s", ErrNotFound, guidStr))
 		return
 	}
 	// Promiscuous caching at the reader.
 	if !s.opts.DisableCache {
-		s.cache.put(g.guid, data)
+		s.cache.put(g.guid, b)
 	}
-	g.cb(data, nil)
+	g.cb(b.data, nil)
 }
 
 func (s *Store) handleReplicate(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
@@ -747,7 +780,7 @@ func (s *Store) handleReplicate(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 	if err != nil {
 		return
 	}
-	s.setObject(guid, rm.Data)
+	s.setObject(guid, &blob{data: rm.Data})
 	if rm.Pin {
 		s.pinned[guid] = true
 	}
@@ -760,7 +793,7 @@ func (s *Store) handleCacheFill(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 		return
 	}
 	if !s.opts.DisableCache {
-		s.cache.put(guid, cm.Data)
+		s.cache.put(guid, &blob{data: cm.Data})
 	}
 }
 
@@ -780,9 +813,12 @@ func (s *Store) startRepair() {
 
 // isRoot reports whether this node is numerically closest to guid among
 // itself and its leaf set.
-func (s *Store) isRoot(guid ids.ID) bool {
+func (s *Store) isRoot(guid ids.ID) bool { return s.rootAmong(s.overlay.Leaves(), guid) }
+
+// rootAmong is isRoot against a leaf-set snapshot the caller took once.
+func (s *Store) rootAmong(leaves []ids.ID, guid ids.ID) bool {
 	self := s.ep.ID()
-	for _, l := range s.overlay.Leaves() {
+	for _, l := range leaves {
 		if ids.Closer(guid, l, self) {
 			return false
 		}

@@ -24,6 +24,8 @@ type cluster struct {
 	rng      *rand.Rand
 }
 
+var testCodecs = [2]string{wire.CodecXML, wire.CodecBinary}
+
 func buildCluster(t testing.TB, seed int64, n int, opts Options) *cluster {
 	t.Helper()
 	w := simnet.NewWorld(simnet.Config{Seed: seed})
@@ -35,7 +37,9 @@ func buildCluster(t testing.TB, seed int64, n int, opts Options) *cluster {
 	for i := 0; i < n; i++ {
 		id := ids.Random(rng)
 		node := w.NewNode(id, "r", netapi.Coord{X: rng.Float64() * 3000, Y: rng.Float64() * 3000})
-		ov := plaxton.New(node, reg, plaxton.Options{
+		// Alternate codecs: every cluster routes XML and binary payloads
+		// through each other.
+		ov := plaxton.New(node, reg, testCodecs[i%2], plaxton.Options{
 			HeartbeatInterval: time.Second,
 			ProbeTimeout:      300 * time.Millisecond,
 			LeafHalf:          4,
@@ -68,7 +72,7 @@ func (c *cluster) addNode(t testing.TB, opts Options) *Store {
 	t.Helper()
 	id := ids.Random(c.rng)
 	node := c.world.NewNode(id, "r", netapi.Coord{X: c.rng.Float64() * 3000, Y: c.rng.Float64() * 3000})
-	ov := plaxton.New(node, c.reg, plaxton.Options{
+	ov := plaxton.New(node, c.reg, testCodecs[len(c.overlays)%2], plaxton.Options{
 		HeartbeatInterval: time.Second,
 		ProbeTimeout:      300 * time.Millisecond,
 		LeafHalf:          4,
@@ -428,5 +432,63 @@ func TestManyObjectsSpread(t *testing.T) {
 	c.world.RunFor(30 * time.Second)
 	if okReads != objs {
 		t.Fatalf("read back %d of %d", okReads, objs)
+	}
+}
+
+// TestKeyListTracksObjects: the sorted key list a digest reply and a
+// repair pass walk is exactly the object map's key set after any mix of
+// stores, overwrites and drops (including drops of keys never held).
+func TestKeyListTracksObjects(t *testing.T) {
+	s := buildCluster(t, 5, 1, Options{RepairInterval: -1}).stores[0]
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 2000; step++ {
+		guid := ids.FromString(fmt.Sprint("k", rng.Intn(64)))
+		if rng.Intn(3) == 0 {
+			s.dropObject(guid)
+		} else {
+			s.setObject(guid, &blob{data: fmtBytes(step)})
+		}
+		if len(s.keys) != len(s.objects) {
+			t.Fatalf("step %d: %d keys for %d objects", step, len(s.keys), len(s.objects))
+		}
+		for i, k := range s.keys {
+			if _, ok := s.objects[k]; !ok || (i > 0 && ids.Cmp(s.keys[i-1], k) >= 0) {
+				t.Fatalf("step %d: key %d (%s) stale or out of order", step, i, k)
+			}
+		}
+	}
+}
+
+// TestMixedCodecClusterPutGet: buildCluster alternates XML- and
+// binary-codec nodes, so routed puts and gets from either kind of origin
+// pass through (and are answered by) nodes of the other. Whole-frame and
+// pulled (chunked) bodies alike must come back intact from every node.
+func TestMixedCodecClusterPutGet(t *testing.T) {
+	c := buildCluster(t, 61, 12, Options{Replicas: 3, RepairInterval: -1, ChunkBytes: 2 << 10})
+	for origin := 0; origin < 2; origin++ { // one XML-codec origin, one binary
+		for _, size := range []int{300, 9 << 10} {
+			content := make([]byte, size)
+			c.rng.Read(content)
+			var guid ids.ID
+			putErr := errors.New("put never completed")
+			c.stores[origin].Put(content, func(g ids.ID, err error) { guid, putErr = g, err })
+			c.world.RunFor(5 * time.Second)
+			if putErr != nil {
+				t.Fatalf("%d-byte put at node %d: %v", size, origin, putErr)
+			}
+			for reader, s := range c.stores {
+				var got []byte
+				s.Get(guid, func(data []byte, err error) {
+					if err != nil {
+						t.Errorf("get at node %d: %v", reader, err)
+					}
+					got = data
+				})
+				c.world.RunFor(5 * time.Second)
+				if string(got) != string(content) {
+					t.Fatalf("%d-byte object put at node %d reads back wrong at node %d", size, origin, reader)
+				}
+			}
+		}
 	}
 }

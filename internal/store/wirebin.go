@@ -8,6 +8,8 @@ import (
 // body-carrying messages in the system — puts, replicas, cache fills and
 // chunk frames all move whole object payloads — so escaping the XML
 // fallback's base64 inflation matters more here than anywhere else.
+// Bodies are read with OwnedBytes: they outlive the decode call (stored,
+// cached, or held until their manifest arrives).
 
 var (
 	_ wire.BinaryMessage = (*PutMsg)(nil)
@@ -26,17 +28,6 @@ var (
 	_ wire.BinaryMessage = (*StatReplyMsg)(nil)
 )
 
-// readBytesCopy reads a length-prefixed byte field and detaches it from
-// the frame: stored objects, replicas and cache fills all outlive the
-// buffer the BinReader aliases.
-func readBytesCopy(r *wire.BinReader) wire.Bytes {
-	raw := r.Bytes()
-	if raw == nil {
-		return nil
-	}
-	return append(wire.Bytes(nil), raw...)
-}
-
 // AppendWire implements wire.BinaryMessage.
 func (m *PutMsg) AppendWire(b []byte) []byte {
 	b = wire.AppendString(b, m.GUID)
@@ -52,7 +43,7 @@ func (m *PutMsg) ParseWire(r *wire.BinReader) error {
 	m.ReqID = r.Uvarint()
 	m.Origin = r.String()
 	m.Size = int(r.Varint())
-	m.Data = readBytesCopy(r)
+	m.Data = r.OwnedBytes()
 	return r.Err()
 }
 
@@ -101,7 +92,7 @@ func (m *GetReplyMsg) ParseWire(r *wire.BinReader) error {
 	m.Found = r.Bool()
 	m.FromCache = r.Bool()
 	m.Hops = int(r.Varint())
-	m.Data = readBytesCopy(r)
+	m.Data = r.OwnedBytes()
 	return r.Err()
 }
 
@@ -116,7 +107,7 @@ func (m *ReplicateMsg) AppendWire(b []byte) []byte {
 func (m *ReplicateMsg) ParseWire(r *wire.BinReader) error {
 	m.GUID = r.String()
 	m.Pin = r.Bool()
-	m.Data = readBytesCopy(r)
+	m.Data = r.OwnedBytes()
 	return r.Err()
 }
 
@@ -129,7 +120,7 @@ func (m *CacheFillMsg) AppendWire(b []byte) []byte {
 // ParseWire implements wire.BinaryMessage.
 func (m *CacheFillMsg) ParseWire(r *wire.BinReader) error {
 	m.GUID = r.String()
-	m.Data = readBytesCopy(r)
+	m.Data = r.OwnedBytes()
 	return r.Err()
 }
 
@@ -199,10 +190,7 @@ func (m *ChunkMsg) AppendWire(b []byte) []byte {
 func (m *ChunkMsg) ParseWire(r *wire.BinReader) error {
 	m.Xfer = r.Uvarint()
 	m.Off = int(r.Varint())
-	// Copied, not aliased: the handler may drop the chunk (unknown
-	// transfer, duplicate) after the frame buffer is reused, and the XML
-	// path always yields detached bytes — the two decode paths must agree.
-	m.Data = readBytesCopy(r)
+	m.Data = r.OwnedBytes()
 	return r.Err()
 }
 

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -170,13 +172,23 @@ func TestClockAfterAndStop(t *testing.T) {
 }
 
 // TestOverlayAndStoreOverTCP boots a small Plaxton+store cluster over real
-// sockets: the same protocol code that runs under simnet.
+// sockets: the same protocol code that runs under simnet. The nodes
+// alternate between the XML and the binary codec — on their links and for
+// the payloads they route — so puts and gets cross both kinds of node, as
+// whole frames (small) and as chunk streams whose bodies borrow the
+// received frames (large).
 func TestOverlayAndStoreOverTCP(t *testing.T) {
 	reg := testReg()
 	const n = 4
+	codecs := [2]string{wire.CodecXML, wire.CodecBinary}
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = newNode(t, "tcp-cluster-"+string(rune('a'+i)), reg)
+		node, err := Listen(ids.FromString("tcp-cluster-"+string(rune('a'+i))), reg, Options{Region: "test", Seed: 1, Codec: codecs[i%2]})
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		t.Cleanup(func() { _ = node.Close() })
+		nodes[i] = node
 	}
 	// Full address book (in production the hello gossip fills this in).
 	for i := 0; i < n; i++ {
@@ -189,7 +201,7 @@ func TestOverlayAndStoreOverTCP(t *testing.T) {
 	overlays := make([]*plaxton.Overlay, n)
 	stores := make([]*store.Store, n)
 	for i := 0; i < n; i++ {
-		overlays[i] = plaxton.New(nodes[i], reg, plaxton.Options{
+		overlays[i] = plaxton.New(nodes[i], reg, codecs[i%2], plaxton.Options{
 			HeartbeatInterval: -1,
 			LeafHalf:          4,
 			JoinTimeout:       5 * time.Second,
@@ -216,41 +228,48 @@ func TestOverlayAndStoreOverTCP(t *testing.T) {
 			t.Fatalf("join %d stuck", i)
 		}
 	}
-	// Put from node 1, get from node 3.
-	content := []byte("stored over real tcp sockets")
-	putDone := make(chan error, 1)
-	guidCh := make(chan ids.ID, 1)
-	nodes[1].Do(func() {
-		stores[1].Put(content, func(g ids.ID, err error) {
-			guidCh <- g
-			putDone <- err
-		})
-	})
-	select {
-	case err := <-putDone:
-		if err != nil {
-			t.Fatalf("put: %v", err)
+	large := make([]byte, 200<<10) // above the 64 KiB chunk threshold
+	rand.New(rand.NewSource(5)).Read(large)
+	// Each object is put at one node and read back at every node, so at
+	// least one put and one get leave a node of each codec.
+	for from, content := range [][]byte{[]byte("stored over real tcp sockets"), large, []byte("and once more, from a node of the other codec")} {
+		type putResult struct {
+			guid ids.ID
+			err  error
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("put stuck")
-	}
-	guid := <-guidCh
-	getDone := make(chan []byte, 1)
-	nodes[3].Do(func() {
-		stores[3].Get(guid, func(data []byte, err error) {
-			if err != nil {
-				t.Errorf("get: %v", err)
+		putDone := make(chan putResult, 1)
+		nodes[from].Do(func() {
+			stores[from].Put(bytes.Clone(content), func(g ids.ID, err error) { putDone <- putResult{g, err} })
+		})
+		var guid ids.ID
+		select {
+		case r := <-putDone:
+			if r.err != nil {
+				t.Fatalf("put at node %d: %v", from, r.err)
 			}
-			getDone <- data
-		})
-	})
-	select {
-	case data := <-getDone:
-		if string(data) != string(content) {
-			t.Fatalf("content mismatch: %q", data)
+			guid = r.guid
+		case <-time.After(10 * time.Second):
+			t.Fatalf("put at node %d stuck", from)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("get stuck")
+		for at := 0; at < n; at++ {
+			getDone := make(chan []byte, 1)
+			nodes[at].Do(func() {
+				stores[at].Get(guid, func(data []byte, err error) {
+					if err != nil {
+						t.Errorf("get at node %d: %v", at, err)
+					}
+					getDone <- data
+				})
+			})
+			select {
+			case data := <-getDone:
+				if !bytes.Equal(data, content) {
+					t.Fatalf("object put at node %d reads back wrong at node %d (%d bytes)", from, at, len(data))
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("get at node %d stuck", at)
+			}
+		}
 	}
 }
 

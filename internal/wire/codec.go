@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -203,6 +204,19 @@ func (r *BinReader) Bytes() []byte {
 	out := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
 	return out
+}
+
+// OwnedBytes reads a length-prefixed slice the caller may keep for as
+// long as it likes (a stored object, a payload forwarded later). A
+// borrowed reader's frame is immutable and never recycled, so the slice
+// simply keeps the frame as its storage; any other reader's buffer may be
+// reused, so the bytes are copied out of it.
+func (r *BinReader) OwnedBytes() []byte {
+	b := r.Bytes()
+	if r.borrow {
+		return b
+	}
+	return bytes.Clone(b)
 }
 
 // String reads a length-prefixed string. A plain reader copies; a

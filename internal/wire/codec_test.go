@@ -332,3 +332,22 @@ func TestEncodeSharedCachesBody(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnedBytesBorrowsOnlyFromBorrowedReaders: a plain reader's buffer
+// may be reused, so OwnedBytes detaches from it; a borrowed reader's
+// frame is the caller's to keep, so it is returned as it is.
+func TestOwnedBytesBorrowsOnlyFromBorrowedReaders(t *testing.T) {
+	frame := AppendBytes(nil, []byte("payload"))
+	plain := NewBinReader(frame).OwnedBytes()
+	kept := NewBinReaderBorrowed(frame).OwnedBytes()
+	frame[1] = 'P'
+	if string(plain) != "payload" {
+		t.Errorf("plain reader: OwnedBytes aliases the buffer (%q)", plain)
+	}
+	if string(kept) != "Payload" {
+		t.Errorf("borrowed reader: OwnedBytes copied the frame (%q)", kept)
+	}
+	if got := NewBinReader(AppendBytes(nil, nil)).OwnedBytes(); got != nil {
+		t.Errorf("empty field = %v, want nil", got)
+	}
+}
