@@ -12,12 +12,21 @@ func (f *Full) AppendWire(b []byte) []byte { return append(b, f.body...) }
 
 func (f *Full) ParseWire(b []byte) error { f.body = b; return nil } // want `defines binary decoders \(ParseWire\) but its tests have no Fuzz\* target`
 
+// AppendXML and ParseXML make Full's hand-written XML pair; its scanner
+// is as unfuzzed as its binary decoder.
+func (f *Full) AppendXML(b []byte) []byte { return append(b, f.body...) }
+
+func (f *Full) ParseXML(b []byte) error { f.body = b; return nil } // want `defines XML scanners \(ParseXML\) but its tests have no Fuzz\* target`
+
 // Half encodes frames no peer can decode.
 type Half struct{}
 
 func (h *Half) Kind() string { return "half" }
 
 func (h *Half) AppendWire(b []byte) []byte { return b }
+
+// AppendXML without ParseXML: frames only the reflection decoder reads.
+func (h *Half) AppendXML(b []byte) []byte { return b } // want `Half implements AppendXML but not ParseXML`
 
 // Plain has no binary codec and no declared XML fallback.
 type Plain struct{}

@@ -13,6 +13,12 @@ func (g *Good) ParseWire(b []byte) error { g.body = b; return nil }
 
 func (g *Good) Control() bool { return true }
 
+// The hand-written XML pair, whole: the encoder on the value, the
+// scanner on the pointer, as event.Event and pubsub.Filter have them.
+func (g Good) AppendXML(b []byte) []byte { return append(b, g.body...) }
+
+func (g *Good) ParseXML(b []byte) error { g.body = b; return nil }
+
 // Legacy predates the binary codec; its registration declares the
 // fallback inline.
 type Legacy struct{}

@@ -9,5 +9,8 @@ func FuzzGoodParse(f *testing.F) {
 		if err := g.ParseWire(b); err != nil {
 			t.Skip()
 		}
+		if err := g.ParseXML(g.AppendXML(nil)); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

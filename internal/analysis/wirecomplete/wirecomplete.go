@@ -7,17 +7,23 @@
 //     line, or on the enclosing registration function's doc) declaring
 //     it intentionally XML-only; exactly one of the pair is always an
 //     error;
+//   - the XML codec's optional hand-written pair is all or nothing too:
+//     a type that declares exactly one of AppendXML and ParseXML either
+//     writes frames only the reflection decoder reads or scans a form
+//     nothing writes, and the differential tests that hold the pair to
+//     encoding/xml need both halves;
 //   - a ControlMessage marker (a Control() bool method) must return
 //     the constant true: the outbox budget exemption is consulted at
 //     encode time by both codecs, so a value-dependent Control would
 //     let the same message be exempt under one codec and dropped under
 //     the other;
-//   - a package that defines binary decoders (ParseWire methods) must
-//     also carry a Fuzz* target in its tests — the coverage style the
-//     storage and knowledge planes established — or annotate the first
-//     decoder with //vetactive:ignore wirecomplete <where the coverage
-//     lives>. This check runs only on test-augmented units, so the
-//     plain and test compilations of a package don't double-report.
+//   - a package that defines decoders (ParseWire methods for the binary
+//     codec, ParseXML methods for the XML one) must also carry a Fuzz*
+//     target in its tests — the coverage style the storage and
+//     knowledge planes established — or annotate the first decoder of
+//     each family with //vetactive:ignore wirecomplete <where the
+//     coverage lives>. This check runs only on test-augmented units, so
+//     the plain and test compilations of a package don't double-report.
 //
 // Matching is name-based (a named type Registry with a Register
 // method), keeping the analyzer free of cross-package facts and
@@ -34,12 +40,19 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "wirecomplete",
-	Doc:  "registered wire kinds need a binary AppendWire/ParseWire pair (or a declared XML fallback), constant Control markers, and fuzzed decoders",
+	Doc:  "registered wire kinds need a binary AppendWire/ParseWire pair (or a declared XML fallback), a whole AppendXML/ParseXML pair or none, constant Control markers, and fuzzed decoders",
 	Run:  run,
 }
 
+// decoderFamilies are the decoder method names that oblige a package to
+// carry a fuzz target, with how the diagnostic describes them.
+var decoderFamilies = []struct{ method, what string }{
+	{"ParseWire", "binary decoders"},
+	{"ParseXML", "XML scanners"},
+}
+
 func run(pass *analysis.Pass) error {
-	var firstParseWire *ast.FuncDecl
+	firstDecoder := make(map[string]*ast.FuncDecl)
 	haveFuzz := false
 	checkedControl := make(map[types.Object]bool)
 
@@ -56,8 +69,14 @@ func run(pass *analysis.Pass) error {
 			if inTest {
 				continue
 			}
-			if fd.Name.Name == "ParseWire" && fd.Recv != nil && firstParseWire == nil {
-				firstParseWire = fd
+			if fd.Recv != nil {
+				switch name := fd.Name.Name; name {
+				case "ParseWire", "ParseXML":
+					if firstDecoder[name] == nil {
+						firstDecoder[name] = fd
+					}
+				}
+				checkXMLPair(pass, fd)
 			}
 			fallback := analysis.FuncAnnotated(fd, "xmlfallback")
 			if fd.Body != nil {
@@ -66,12 +85,38 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	if firstParseWire != nil && pass.IncludesTests && !haveFuzz {
-		pass.Reportf(firstParseWire.Pos(),
-			"package %s defines binary decoders (ParseWire) but its tests have no Fuzz* target; add one or annotate this decoder //vetactive:ignore wirecomplete <where the fuzz coverage lives>",
-			pass.Pkg.Name())
+	for _, fam := range decoderFamilies {
+		if fd := firstDecoder[fam.method]; fd != nil && pass.IncludesTests && !haveFuzz {
+			pass.Reportf(fd.Pos(),
+				"package %s defines %s (%s) but its tests have no Fuzz* target; add one or annotate this decoder //vetactive:ignore wirecomplete <where the fuzz coverage lives>",
+				pass.Pkg.Name(), fam.what, fam.method)
+		}
 	}
 	return nil
+}
+
+// checkXMLPair reports a method that is one half of the hand-written
+// XML pair on a type that lacks the other half.
+func checkXMLPair(pass *analysis.Pass, fd *ast.FuncDecl) {
+	half, missing := fd.Name.Name, ""
+	switch half {
+	case "AppendXML":
+		missing = "ParseXML"
+	case "ParseXML":
+		missing = "AppendXML"
+	default:
+		return
+	}
+	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return
+	}
+	named := analysis.NamedOf(fn.Type().(*types.Signature).Recv().Type())
+	if named == nil || types.NewMethodSet(types.NewPointer(named)).Lookup(nil, missing) != nil {
+		return
+	}
+	pass.Reportf(fd.Pos(), "%s implements %s but not %s: the XML codec takes the hand-written pair whole or not at all",
+		named.Obj().Name(), half, missing)
 }
 
 // fuzzShaped reports whether fd looks like a fuzz target:

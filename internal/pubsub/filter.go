@@ -447,14 +447,15 @@ func parseTypedValue(kind, text string) (event.Value, error) {
 	case "string":
 		return event.S(text), nil
 	case "int":
-		var i int64
-		if _, err := fmt.Sscanf(text, "%d", &i); err != nil {
+		// strconv, as event.parseValue: the whole text must be the number.
+		i, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
 			return event.Value{}, fmt.Errorf("pubsub: bad int %q: %w", text, err)
 		}
 		return event.I(i), nil
 	case "float":
-		var fl float64
-		if _, err := fmt.Sscanf(text, "%g", &fl); err != nil {
+		fl, err := strconv.ParseFloat(text, 64)
+		if err != nil {
 			return event.Value{}, fmt.Errorf("pubsub: bad float %q: %w", text, err)
 		}
 		return event.F(fl), nil

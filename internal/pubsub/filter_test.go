@@ -2,11 +2,13 @@ package pubsub
 
 import (
 	"encoding/xml"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/gloss/active/internal/event"
+	"github.com/gloss/active/internal/wire"
 )
 
 func ev(attrs map[string]event.Value) *event.Event {
@@ -249,5 +251,59 @@ func TestFilterXMLRoundTrip(t *testing.T) {
 	}
 	if got.Key() != f.Key() {
 		t.Fatalf("round trip changed filter:\n%s\nvs\n%s", got.Key(), f.Key())
+	}
+}
+
+// TestFilterXMLNumbersAreStrict: a numeric constraint's text is the whole
+// number or an error, as in event attributes — fmt.Sscanf used to take a
+// numeric prefix and drop the rest, so an XML subscription on "12abc"
+// silently became one on 12. The hand-written scanner must not accept
+// what UnmarshalXML rejects either.
+func TestFilterXMLNumbersAreStrict(t *testing.T) {
+	for _, c := range []struct {
+		kind, text string
+		want       event.Value // zero: rejected
+	}{
+		{"int", "12", event.I(12)},
+		{"int", "-7", event.I(-7)},
+		{"int", "12abc", event.Value{}},
+		{"int", "0x10", event.Value{}},
+		{"int", "1e3", event.Value{}},
+		{"int", " 12", event.Value{}},
+		{"int", "1_0", event.Value{}},
+		{"int", "", event.Value{}},
+		{"float", "1.5", event.F(1.5)},
+		{"float", "1e3", event.F(1000)},
+		{"float", "1.5x", event.Value{}},
+		{"float", " 1.5", event.Value{}},
+		{"float", "", event.Value{}},
+	} {
+		frame := []byte(`<filter><c attr="a" op="eq" kind="` + c.kind + `">` + c.text + `</c></filter>`)
+		var got Filter
+		err := xml.Unmarshal(frame, &got)
+		if ok := err == nil; ok != (c.want != event.Value{}) {
+			t.Errorf("%s %q: UnmarshalXML gave %+v, %v", c.kind, c.text, got, err)
+		} else if ok && got.Constraints[0].Val != c.want {
+			t.Errorf("%s %q: UnmarshalXML gave %+v, want %+v", c.kind, c.text, got.Constraints[0].Val, c.want)
+		}
+		var fast Filter
+		if fastErr := fast.ParseXML(wire.NewXMLScanner(frame)); fastErr == nil && (err != nil || !sameFilter(fast, got)) {
+			t.Errorf("%s %q: the scanner accepted %+v; UnmarshalXML gave %+v, %v", c.kind, c.text, fast, got, err)
+		}
+	}
+	// The floats text round-trips hardest, through both XML paths.
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, math.MaxFloat64} {
+		want := NewFilter(Le("a", event.F(f)))
+		data, err := xml.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, fast Filter
+		if err := xml.Unmarshal(data, &got); err != nil || !sameFilter(got, want) {
+			t.Errorf("%v: UnmarshalXML(%s) = %+v, %v", f, data, got, err)
+		}
+		if err := fast.ParseXML(wire.NewXMLScanner(want.AppendXML(nil))); err != nil || !sameFilter(fast, want) {
+			t.Errorf("%v: ParseXML(%s) = %+v, %v", f, want.AppendXML(nil), fast, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,45 @@ import (
 
 	"github.com/gloss/active/internal/ids"
 )
+
+// xmlEnvelope is the on-the-wire form of an Envelope as encoding/xml sees
+// it: the struct Registry marshalled before it appended frames itself.
+type xmlEnvelope struct {
+	XMLName xml.Name `xml:"env"`
+	From    string   `xml:"from,attr"`
+	To      string   `xml:"to,attr"`
+	Kind    string   `xml:"kind,attr"`
+	CorrID  uint64   `xml:"corr,attr,omitempty"`
+	IsReply bool     `xml:"reply,attr,omitempty"`
+	Err     string   `xml:"err,attr,omitempty"`
+	Body    []byte   `xml:",innerxml"`
+}
+
+// encodeReflect is Registry.Encode as it was on encoding/xml alone:
+// marshal the message, then marshal an xmlEnvelope around it. It is the
+// reference for every byte appendEnvelope and the AppendXML methods write.
+func encodeReflect(env *Envelope) ([]byte, error) {
+	xe := xmlEnvelope{
+		From:    env.From.String(),
+		To:      env.To.String(),
+		CorrID:  env.CorrID,
+		IsReply: env.IsReply,
+		Err:     env.Err,
+	}
+	if env.Msg != nil {
+		xe.Kind = env.Msg.Kind()
+		body, err := xml.Marshal(env.Msg)
+		if err != nil {
+			return nil, fmt.Errorf("wire: encode %q: %w", xe.Kind, err)
+		}
+		xe.Body = body
+	}
+	var buf bytes.Buffer
+	if err := xml.NewEncoder(&buf).Encode(xe); err != nil {
+		return nil, fmt.Errorf("wire: encode envelope: %w", err)
+	}
+	return buf.Bytes(), nil
+}
 
 // decodeTwoPass is Registry.Decode as it was before it read each frame
 // once: unmarshal the envelope with the body kept as inner XML, then

@@ -9,6 +9,7 @@ package wire_test
 //
 //	go test -run '^$' -fuzz FuzzBinaryDecode -fuzztime 60s ./internal/wire
 //	go test -run '^$' -fuzz FuzzXMLDecode -fuzztime 60s ./internal/wire
+//	go test -run '^$' -fuzz FuzzXMLFastDecode -fuzztime 60s ./internal/wire
 
 import (
 	"reflect"
@@ -83,6 +84,38 @@ func FuzzXMLDecode(f *testing.F) {
 		if !reflect.DeepEqual(env, want) {
 			t.Fatalf("Decode gave %+v (msg %+v), reference %+v (msg %+v)", env, env.Msg, want, want.Msg)
 		}
+	})
+}
+
+// FuzzXMLFastDecode holds the hand-written XML scanner to the reflection
+// decoder on arbitrary bytes (see checkFastAgainstReflection): it never
+// panics, never accepts what the oracle rejects, never differs where
+// both accept, and where it declines Decode is the oracle's result and
+// error text. Seeded with one frame of each hand-written kind.
+func FuzzXMLFastDecode(f *testing.F) {
+	reg, envs := seedEnvelopes(f)
+	ev := envs[0].Msg.(*pubsub.PubMsg).Event.Clone().
+		Set("note", event.S("a <b> & \"c\"\t\r\n'd' \x01 \xff é")).
+		SetBody("<x a=\"1\">t</x>")
+	flt := pubsub.NewFilter(pubsub.TypeIs("gps.location"), pubsub.Gt("x", event.F(1)),
+		pubsub.Exists("user"), pubsub.Eq("ok", event.B(true)), pubsub.Le("n", event.I(-9)), pubsub.Prefix("user", "b<"))
+	for _, msg := range []wire.Message{
+		&pubsub.PubMsg{Event: ev}, &pubsub.PubMsg{}, &pubsub.DeliverMsg{Event: ev},
+		&pubsub.SubMsg{Filter: flt}, &pubsub.UnsubMsg{Filter: flt},
+		&pubsub.AdvMsg{Filter: flt}, &pubsub.UnadvMsg{}, nil,
+	} {
+		envs = append(envs, &wire.Envelope{From: ids.FromString("a"), To: ids.FromString("b"),
+			CorrID: 5, IsReply: true, Err: "e<r>r", Msg: msg})
+	}
+	for _, env := range envs {
+		frame, err := reg.Encode(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFastAgainstReflection(t, reg, data)
 	})
 }
 

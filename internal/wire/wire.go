@@ -65,12 +65,21 @@ type Envelope struct {
 // new kinds hash (see transport.Node.RefreshRegistry).
 type Registry struct {
 	mu    sync.RWMutex
-	types map[string]reflect.Type
+	types map[string]kindType
 }
+
+// kindType is one registered kind: its concrete type, and whether a
+// pointer to it implements XMLMessage.
+type kindType struct {
+	reflect.Type
+	xml bool
+}
+
+var xmlMessageType = reflect.TypeOf((*XMLMessage)(nil)).Elem()
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{types: make(map[string]reflect.Type)}
+	return &Registry{types: make(map[string]kindType)}
 }
 
 // Register records the concrete type of prototype under its Kind.
@@ -85,12 +94,12 @@ func (r *Registry) Register(prototype Message) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if prev, ok := r.types[kind]; ok {
-		if prev != t {
-			panic(fmt.Sprintf("wire: kind %q registered twice with different types (%v, %v)", kind, prev, t))
+		if prev.Type != t {
+			panic(fmt.Sprintf("wire: kind %q registered twice with different types (%v, %v)", kind, prev.Type, t))
 		}
 		return
 	}
-	r.types[kind] = t
+	r.types[kind] = kindType{Type: t, xml: reflect.PointerTo(t).Implements(xmlMessageType)}
 }
 
 // Kinds returns all registered kinds, sorted.
@@ -113,26 +122,14 @@ func (r *Registry) New(kind string) (Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown message kind %q", kind)
 	}
-	v := reflect.New(t).Interface()
+	v := reflect.New(t.Type).Interface()
 	m, ok := v.(Message)
 	if !ok {
 		// Value receiver Kind: the pointer still satisfies Message in
 		// all our message types; this is defensive.
-		return nil, fmt.Errorf("wire: kind %q type %v does not implement Message", kind, t)
+		return nil, fmt.Errorf("wire: kind %q type %v does not implement Message", kind, t.Type)
 	}
 	return m, nil
-}
-
-// xmlEnvelope is the on-the-wire form of an Envelope.
-type xmlEnvelope struct {
-	XMLName xml.Name `xml:"env"`
-	From    string   `xml:"from,attr"`
-	To      string   `xml:"to,attr"`
-	Kind    string   `xml:"kind,attr"`
-	CorrID  uint64   `xml:"corr,attr,omitempty"`
-	IsReply bool     `xml:"reply,attr,omitempty"`
-	Err     string   `xml:"err,attr,omitempty"`
-	Body    []byte   `xml:",innerxml"`
 }
 
 // SharedBody caches one message's encoded body so an envelope fanning
@@ -174,46 +171,134 @@ func (r *Registry) Encode(env *Envelope) ([]byte, error) {
 // taken from (or stored into) s, so only the envelope wrapper is built
 // per destination.
 func (r *Registry) EncodeShared(env *Envelope, s *SharedBody) ([]byte, error) {
-	var body []byte
+	frame, _, err := r.encode(env, s, true)
+	return frame, err
+}
+
+// xmlScratch holds the buffers frames are built in, so an encode
+// allocates the exact-size frame it returns and nothing else, and Size
+// nothing at all.
+var xmlScratch = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// encode builds env's frame in a pooled buffer and returns its length
+// and, if keep is set, a copy of it.
+func (r *Registry) encode(env *Envelope, s *SharedBody, keep bool) (frame []byte, n int, err error) {
+	bp := xmlScratch.Get().(*[]byte)
+	b, err := r.appendEnvelope((*bp)[:0], env, s)
+	if err == nil {
+		n = len(b)
+		if keep {
+			frame = bytes.Clone(b)
+		}
+	}
+	*bp = b[:0]
+	xmlScratch.Put(bp)
+	return frame, n, err
+}
+
+// appendEnvelope appends the frame encoding/xml writes for an xmlEnvelope
+// whose inner XML is the marshalled message: from, to and kind always,
+// corr, reply and err when set. The body is the message's own AppendXML
+// where it has one and xml.Marshal otherwise.
+func (r *Registry) appendEnvelope(b []byte, env *Envelope, s *SharedBody) ([]byte, error) {
 	var kind string
 	if env.Msg != nil {
 		kind = env.Msg.Kind()
-		if s != nil && s.haveXML {
-			body = s.xmlBody
+	}
+	b = append(b, "<env"...)
+	b = AppendXMLID(b, "from", env.From)
+	b = AppendXMLID(b, "to", env.To)
+	b = AppendXMLAttr(b, "kind", kind)
+	if env.CorrID != 0 {
+		b = append(b, ` corr="`...)
+		b = strconv.AppendUint(b, env.CorrID, 10)
+		b = append(b, '"')
+	}
+	if env.IsReply {
+		b = append(b, ` reply="true"`...)
+	}
+	if env.Err != "" {
+		b = AppendXMLAttr(b, "err", env.Err)
+	}
+	b = append(b, '>')
+	switch {
+	case env.Msg == nil:
+	case s != nil && s.haveXML:
+		b = append(b, s.xmlBody...)
+	default:
+		mark := len(b)
+		if xm, ok := env.Msg.(XMLMessage); ok {
+			b = xm.AppendXML(b)
 		} else {
-			b, err := xml.Marshal(env.Msg)
+			body, err := xml.Marshal(env.Msg)
 			if err != nil {
-				return nil, fmt.Errorf("wire: encode %q: %w", kind, err)
+				return b, fmt.Errorf("wire: encode %q: %w", kind, err)
 			}
-			body = b
-			if s != nil {
-				s.xmlBody, s.haveXML = b, true
-			}
+			b = append(b, body...)
+		}
+		if s != nil {
+			s.xmlBody, s.haveXML = bytes.Clone(b[mark:]), true
 		}
 	}
-	xe := xmlEnvelope{
-		From:    env.From.String(),
-		To:      env.To.String(),
-		Kind:    kind,
-		CorrID:  env.CorrID,
-		IsReply: env.IsReply,
-		Err:     env.Err,
-		Body:    body,
-	}
-	var buf bytes.Buffer
-	if err := xml.NewEncoder(&buf).Encode(xe); err != nil {
-		return nil, fmt.Errorf("wire: encode envelope: %w", err)
-	}
-	return buf.Bytes(), nil
+	return append(b, "</env>"...), nil
 }
 
-// Decode parses XML bytes produced by Encode. One decoder reads the
-// frame once: the <env> start tag gives the header, the first child
-// element is decoded straight into the message for the header's kind, and
-// whatever follows is skipped up to </env> so the whole envelope is still
-// checked for well-formedness. It accepts and rejects exactly what
-// unmarshalling an xmlEnvelope and then its inner XML did.
+// Decode parses XML bytes produced by Encode. A frame in the canonical
+// form of a kind with a hand-written scanner (XMLMessage) is read by
+// that; every other frame, and every frame the scanner declines, is read
+// by decodeReflect, whose verdict is the codec's.
 func (r *Registry) Decode(data []byte) (*Envelope, error) {
+	if env := r.decodeFast(data); env != nil {
+		return env, nil
+	}
+	return r.decodeReflect(data)
+}
+
+// decodeFast scans a frame exactly as appendEnvelope writes it, and
+// returns nil for anything else.
+func (r *Registry) decodeFast(data []byte) *Envelope {
+	s := XMLScanner{buf: data}
+	s.Expect("<env")
+	from, to := s.AttrID("from"), s.AttrID("to")
+	kind := s.Attr("kind")
+	var corr uint64
+	if v, ok := s.OptAttr("corr"); ok {
+		corr = s.Uint(v)
+	}
+	reply := s.Match(` reply="true"`)
+	errText, _ := s.OptAttr("err")
+	s.Expect(">")
+	if s.declined {
+		return nil
+	}
+	var msg Message
+	if len(kind) != 0 {
+		r.mu.RLock()
+		t, ok := r.types[string(kind)]
+		r.mu.RUnlock()
+		if !ok || !t.xml {
+			return nil
+		}
+		xm := reflect.New(t.Type).Interface().(XMLMessage)
+		if xm.ParseXML(&s) != nil {
+			return nil
+		}
+		msg = xm
+	}
+	s.Expect("</env>")
+	if s.declined || !s.AtEnd() {
+		return nil
+	}
+	return &Envelope{From: from, To: to, CorrID: corr, IsReply: reply, Err: string(errText), Msg: msg}
+}
+
+// decodeReflect is the reference decoder, on encoding/xml. One decoder
+// reads the frame once: the <env> start tag gives the header, the first
+// child element is decoded straight into the message for the header's
+// kind, and whatever follows is skipped up to </env> so the whole envelope
+// is still checked for well-formedness. It accepts and rejects exactly
+// what unmarshalling an xmlEnvelope and then its inner XML did.
+func (r *Registry) decodeReflect(data []byte) (*Envelope, error) {
 	d := xml.NewDecoder(bytes.NewReader(data))
 	var start xml.StartElement
 	for found := false; !found; {
@@ -294,11 +379,9 @@ func (r *Registry) Decode(data []byte) (*Envelope, error) {
 	}
 }
 
-// Size returns the encoded size of env in bytes (for bandwidth accounting).
+// Size returns the encoded size of env in bytes (for bandwidth
+// accounting); the frame is not kept.
 func (r *Registry) Size(env *Envelope) (int, error) {
-	b, err := r.Encode(env)
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
+	_, n, err := r.encode(env, nil, false)
+	return n, err
 }
