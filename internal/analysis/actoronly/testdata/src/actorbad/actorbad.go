@@ -45,3 +45,28 @@ func (b *broker) notified() {
 		b.addEntry("k") // want `call to actor-only broker\.addEntry`
 	})
 }
+
+// deliverLocal hands a message to the node's own handlers through the
+// endpoint's loop-confined run queue.
+//
+//vetactive:actoronly
+func (b *broker) deliverLocal(msg string) { b.entries[msg]++ }
+
+type fanoutPool struct{ b *broker }
+
+// run is a fan-out worker's loop: the run queue is not its to touch.
+func (p *fanoutPool) run(jobs chan string) {
+	for msg := range jobs {
+		p.b.deliverLocal(msg) // want `call to actor-only broker\.deliverLocal from run`
+	}
+}
+
+// handlePub is on the actor loop, the goroutine it starts is not.
+//
+//vetactive:actorloop
+func (b *broker) handlePub(msg string) {
+	b.deliverLocal(msg)
+	go func() {
+		b.deliverLocal(msg) // want `call to actor-only broker\.deliverLocal .* \(goroutine\)`
+	}()
+}

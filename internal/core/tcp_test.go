@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/ed25519"
+	"reflect"
 	"testing"
 	"time"
 
@@ -172,4 +173,90 @@ func testPriv(t *testing.T) ed25519.PrivateKey {
 	t.Helper()
 	_, priv := testKeyPair()
 	return priv
+}
+
+// TestOwnBrokerPublishWithFullInbox is hazard 1 of bench/README.md on
+// the wiring every ActiveNode has — its client attached to its own
+// broker. A callback holds the actor loop while the node's 1 024-slot
+// inbox fills up from outside; it then publishes, and the broker hands
+// the node's own client an event from elsewhere. Both used to be sends
+// to self, i.e. blocking posts to that full inbox from the only
+// goroutine that empties it: the loop waited on itself for ever. They
+// now go through the endpoint's local run queue and complete right
+// after the callback, ahead of everything queued in the inbox.
+//
+// Not covered: a Request to oneself or a Handle registration made on
+// the loop still post to the inbox and would still block here (ROADMAP
+// item 1 keeps that).
+func TestOwnBrokerPublishWithFullInbox(t *testing.T) {
+	reg := wire.NewRegistry()
+	RegisterMessages(reg)
+	transport.RegisterMessages(reg)
+	ep, err := transport.Listen(ids.FromString("own-broker"), reg, transport.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := NewActiveNode(ep, reg, NodeConfig{Secret: []byte("s"), AdvertInterval: -1})
+	// Closing the endpoint is also what frees a loop blocked on its inbox.
+	t.Cleanup(func() { _ = ep.Close(); node.Broker.Close() })
+
+	const inboxSlots = 1024
+	var order []string // actor loop only
+	subscribed := make(chan struct{})
+	ep.Do(func() {
+		node.Client.Subscribe(pubsub.NewFilter(pubsub.TypeIs("own.evt")), func(ev *event.Event) {
+			order = append(order, "delivered "+ev.Source)
+		})
+		close(subscribed)
+	})
+	<-subscribed
+	// The subscription must be in the broker's table before the remote
+	// publish below is matched against it.
+	deadline := time.Now().Add(5 * time.Second)
+	for entries := 0; entries == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the client's subscription never reached its own broker")
+		}
+		got := make(chan int)
+		ep.Do(func() { got <- node.Broker.Stats().TableEntries })
+		entries = <-got
+	}
+
+	parked, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	ep.Do(func() {
+		close(parked)
+		<-release
+		node.Client.Publish(event.New("own.evt", "local", 0).Stamp(1))
+		node.Broker.Publish(ids.FromString("elsewhere"), &pubsub.PubMsg{Event: event.New("own.evt", "remote", 0).Stamp(2)})
+		order = append(order, "callback done")
+	})
+	<-parked
+	for i := 0; i < inboxSlots; i++ {
+		last := i == inboxSlots-1
+		ep.Do(func() {
+			if len(order) < 4 {
+				order = append(order, "inbox")
+			}
+			if last {
+				close(done)
+			}
+		})
+	}
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the actor loop is blocked on its own full inbox (hazard 1)")
+	}
+	got := make(chan []string, 1)
+	ep.Do(func() { got <- order })
+	want := []string{"delivered local", "callback done", "delivered remote", "inbox"}
+	if order := <-got; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order %q, want %q", order, want)
+	}
+	stats := make(chan pubsub.Stats, 1)
+	ep.Do(func() { stats <- node.Broker.Stats() })
+	if st := <-stats; st.PubsReceived != 2 || st.ClientDelivers != 1 {
+		t.Fatalf("broker saw %d publishes and made %d client deliveries; want 2 and 1", st.PubsReceived, st.ClientDelivers)
+	}
 }

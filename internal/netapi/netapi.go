@@ -135,6 +135,9 @@ type Caps struct {
 	// Backpressured gauges, if present) are safe to call from any
 	// goroutine, not just the callback goroutine.
 	ConcurrentSend bool
+	// Local is the callback-goroutine hand-off to this node's own
+	// handlers, or nil.
+	Local LocalDeliverer
 }
 
 // Capabilities discovers ep's optional interfaces. It formalises what
@@ -154,7 +157,25 @@ func Capabilities(ep Endpoint) Caps {
 	if s, ok := ep.(ConcurrentSender); ok && s.ConcurrentSends() {
 		c.ConcurrentSend = true
 	}
+	if l, ok := ep.(LocalDeliverer); ok {
+		c.Local = l
+	}
 	return c
+}
+
+// LocalDeliverer is optionally implemented by endpoints on which a
+// send-to-self costs a trip through a bounded receive queue (the TCP
+// transport's inbox). Protocol code on the callback goroutine queues a
+// message for this node's own handler instead; the endpoint drains the
+// queue, in order, after the current callback returns and before it
+// takes the next message or timer. Run-to-completion holds, nothing is
+// encoded, and queueing never blocks — a node whose client is attached
+// to its own broker cannot wait on its own full inbox. The simulator
+// does not implement it: a self-send there is a scheduled event.
+type LocalDeliverer interface {
+	// DeliverLocal queues msg for this node's handler of msg.Kind(), as
+	// if it had arrived from the node itself. Callback goroutine only.
+	DeliverLocal(msg wire.Message)
 }
 
 // ConcurrentSender is optionally implemented by endpoints whose send path

@@ -77,3 +77,27 @@ func TestCapabilitiesConcurrentSend(t *testing.T) {
 		t.Fatal("ConcurrentSends()==true must set the capability")
 	}
 }
+
+type localStub struct {
+	stubEndpoint
+	queued []wire.Message
+}
+
+func (l *localStub) DeliverLocal(msg wire.Message) { l.queued = append(l.queued, msg) }
+
+// hidingStub wraps an endpoint the way the benchmark's spy does: it
+// forwards the Endpoint interface and nothing else.
+type hidingStub struct{ Endpoint }
+
+func TestCapabilitiesLocal(t *testing.T) {
+	if Capabilities(stubEndpoint{}).Local != nil {
+		t.Fatal("plain endpoint must not report a local run queue")
+	}
+	l := &localStub{}
+	if Capabilities(l).Local == nil {
+		t.Fatal("a LocalDeliverer must set Caps.Local")
+	}
+	if Capabilities(hidingStub{l}).Local != nil {
+		t.Fatal("a wrapper that forwards only Endpoint must hide the run queue")
+	}
+}

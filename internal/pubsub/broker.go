@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/gloss/active/internal/event"
@@ -141,7 +142,8 @@ type Stats struct {
 // Broker is one node of the content-based event service.
 type Broker struct {
 	ep        netapi.Endpoint
-	bp        netapi.Backpressured // non-nil when shedding is active
+	bp        netapi.Backpressured  // non-nil when shedding is active
+	local     netapi.LocalDeliverer // non-nil when ep has a local run queue
 	opts      Options
 	neighbors map[ids.ID]bool
 	nborOrder []ids.ID // sorted, for deterministic iteration
@@ -173,6 +175,7 @@ func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
 		shedTo:    make(map[ids.ID]struct{}),
 	}
 	caps := netapi.Capabilities(ep)
+	b.local = caps.Local
 	if !opts.DisableShedding {
 		if caps.Backpressure != nil {
 			b.bp = caps.Backpressure
@@ -540,12 +543,15 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	for d := range targets {
 		order = append(order, d)
 	}
-	sort.Slice(order, func(i, j int) bool { return ids.Less(order[i], order[j]) })
+	if len(order) > 1 {
+		slices.SortFunc(order, ids.Cmp)
+	}
 	// Partition the fan-out by message kind so each group rides one
 	// multicast: the message — and under a serialising transport its
 	// encoded body — is built once for all destinations in the group
 	// (encode once, send many).
 	var fwds, delivers []ids.ID
+	self, toSelf := b.ep.ID(), false
 	for _, d := range order {
 		if b.neighbors[d] {
 			b.stats.NeighborFwds++
@@ -572,7 +578,20 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 			continue
 		}
 		b.stats.ClientDelivers++
+		// This node's own client leaves the target set where there is a
+		// cheaper way to it than the send path, or a pool whose workers
+		// must not take that path (deliverLocal).
+		if d == self && (b.local != nil || b.pool != nil) {
+			toSelf = true
+			continue
+		}
 		delivers = append(delivers, d)
+	}
+	if toSelf {
+		b.deliverLocal(&DeliverMsg{Event: b.fanoutEvent(ev)})
+	}
+	if len(fwds)+len(delivers) == 0 {
+		return
 	}
 	if b.opts.CloneFanout {
 		// Reference path: a detached copy per delivery, one Send each.
@@ -588,11 +607,20 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	if b.pool != nil {
 		// Pipelined path: everything mutable was decided above on the
 		// actor loop (targets, shed set, stats); the pool gets immutable
-		// snapshots — the frozen event and the two target slices — and
-		// runs group assembly, encode and sends on destination-sticky
-		// workers. The slices are freshly built per publish, never
-		// reused, so handing them off is safe.
-		b.pool.submit(ev, fwds, delivers)
+		// snapshots — the frozen event and the two freshly built target
+		// slices — and runs group assembly, encode and sends on
+		// destination-sticky workers. A fan-out of one has nothing to
+		// parallelise: the actor loop sends it itself and saves the
+		// hand-off, unless the destination's worker still holds earlier
+		// sends, which this one must not overtake.
+		switch {
+		case len(fwds) == 1 && len(delivers) == 0 && b.pool.idle(fwds[0]):
+			b.ep.Send(fwds[0], &PubMsg{Event: ev})
+		case len(fwds) == 0 && len(delivers) == 1 && b.pool.idle(delivers[0]):
+			b.ep.Send(delivers[0], &DeliverMsg{Event: ev})
+		default:
+			b.pool.submit(ev, fwds, delivers)
+		}
 		return
 	}
 	if len(fwds) > 0 {
@@ -603,11 +631,26 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	}
 }
 
-// DrainFanout blocks until every publish handed to the fan-out pool has
+// deliverLocal hands msg to this node's own client: through the
+// endpoint's local run queue where it has one, else by a send-to-self —
+// from the actor loop, never from a fan-out worker, which would block on
+// the node's inbox while the loop may be blocked on that worker's queue.
+//
+//vetactive:actoronly
+func (b *Broker) deliverLocal(msg wire.Message) {
+	if b.local != nil {
+		b.local.DeliverLocal(msg)
+		return
+	}
+	b.ep.Send(b.ep.ID(), msg)
+}
+
+// DrainFanout blocks until every publish handled before the call has
 // been sent to the endpoint; a no-op on the serial path. Call from
-// outside the actor loop (tests, benchmarks, shutdown) once the last
-// publish has been handled — it makes "all publishes processed" imply
-// "all sends issued", which the serial path gave for free.
+// outside the actor loop (tests, benchmarks, shutdown), not concurrently
+// with Close; publishes may continue meanwhile. After the last publish
+// it makes "all publishes processed" imply "all sends issued", which
+// the serial path gave for free.
 func (b *Broker) DrainFanout() {
 	if b.pool != nil {
 		b.pool.quiesce()

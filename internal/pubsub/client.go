@@ -26,6 +26,7 @@ type Subscription struct {
 // broker and replays the buffered events exactly once.
 type Client struct {
 	ep       netapi.Endpoint
+	local    netapi.LocalDeliverer // ep's local run queue, or nil
 	broker   ids.ID
 	subs     map[string]*Subscription
 	subOrder []string
@@ -43,6 +44,7 @@ type Client struct {
 func NewClient(ep netapi.Endpoint, broker ids.ID) *Client {
 	c := &Client{
 		ep:     ep,
+		local:  netapi.Capabilities(ep).Local,
 		broker: broker,
 		subs:   make(map[string]*Subscription),
 		seen:   make(map[ids.ID]bool),
@@ -53,6 +55,17 @@ func NewClient(ep netapi.Endpoint, broker ids.ID) *Client {
 
 // Broker returns the current attachment point.
 func (c *Client) Broker() ids.ID { return c.broker }
+
+// send passes a one-way message to the current broker — through the
+// endpoint's local run queue where there is one and the broker is on this
+// very node (every ActiveNode's is): no inbox slot for the loop to wait on.
+func (c *Client) send(msg wire.Message) {
+	if c.local != nil && c.broker == c.ep.ID() {
+		c.local.DeliverLocal(msg)
+		return
+	}
+	c.ep.Send(c.broker, msg)
+}
 
 // Subscribe registers a filter with a handler and propagates it. A second
 // subscription with an identical filter adds the handler rather than
@@ -66,7 +79,7 @@ func (c *Client) Subscribe(f Filter, h func(*event.Event)) {
 		c.subOrder = append(c.subOrder, key)
 	}
 	sub.Handlers = append(sub.Handlers, h)
-	c.ep.Send(c.broker, &SubMsg{Filter: f})
+	c.send(&SubMsg{Filter: f})
 }
 
 // Unsubscribe withdraws a filter.
@@ -82,7 +95,7 @@ func (c *Client) Unsubscribe(f Filter) {
 			break
 		}
 	}
-	c.ep.Send(c.broker, &UnsubMsg{Filter: f})
+	c.send(&UnsubMsg{Filter: f})
 }
 
 // Publish sends an event into the network via the current broker, and
@@ -96,19 +109,19 @@ func (c *Client) Unsubscribe(f Filter) {
 // per publish, or CloneDetached before republishing with changes.
 func (c *Client) Publish(ev *event.Event) {
 	ev.Freeze()
-	c.ep.Send(c.broker, &PubMsg{Event: ev})
+	c.send(&PubMsg{Event: ev})
 	c.dispatch(ev)
 }
 
 // Advertise announces that this client publishes events matching f.
 func (c *Client) Advertise(f Filter) {
-	c.ep.Send(c.broker, &AdvMsg{Filter: f})
+	c.send(&AdvMsg{Filter: f})
 }
 
 // Detach disconnects the client, leaving a buffering proxy behind.
 func (c *Client) Detach() {
 	c.detached = true
-	c.ep.Send(c.broker, &DetachMsg{})
+	c.send(&DetachMsg{})
 }
 
 // AttachTo moves the client to a new broker: it re-subscribes there, then
@@ -149,7 +162,7 @@ func (c *Client) AttachTo(newBroker ids.ID, timeout time.Duration, onComplete fu
 
 func (c *Client) resubscribe() {
 	for _, key := range c.subOrder {
-		c.ep.Send(c.broker, &SubMsg{Filter: c.subs[key].Filter})
+		c.send(&SubMsg{Filter: c.subs[key].Filter})
 	}
 }
 

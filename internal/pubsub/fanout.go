@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/gloss/active/internal/event"
 	"github.com/gloss/active/internal/ids"
@@ -33,6 +34,9 @@ type fanoutJob struct {
 	ev       *event.Event
 	fwds     []ids.ID
 	delivers []ids.ID
+	// barrier marks a job that carries no sends: quiesce's marker, done
+	// once everything queued ahead of it on this worker has been sent.
+	barrier *sync.WaitGroup
 }
 
 // fanoutPool pipelines the publish path after the match: message
@@ -46,6 +50,9 @@ type fanoutJob struct {
 // hash(d) % N (stickiness); each worker consumes its FIFO channel
 // serially. So the per-destination send order equals the actor's
 // submission order, which equals the serial reference path's order.
+// A fan-out of one the actor loop sends itself (Broker.handlePub) joins
+// that order only while the destination's worker has nothing in flight
+// (idle): whatever was submitted earlier has then reached the endpoint.
 // What is NOT ordered: data-plane sends from workers may interleave with
 // control-plane sends (sub/unsub forwards, advertisements) the actor
 // loop issues directly toward the same destination — consumers of the
@@ -59,39 +66,53 @@ type fanoutJob struct {
 type fanoutPool struct {
 	ep      netapi.Endpoint
 	workers []chan fanoutJob
-	wg      sync.WaitGroup // running worker goroutines
-	jobs    sync.WaitGroup // submitted-but-unfinished jobs, for Quiesce
+	// inflight counts, per worker, the jobs submitted and not yet sent.
+	// Only the actor loop increments, so a zero it reads stays zero
+	// until its own next submit.
+	inflight []atomic.Int64
+	wg       sync.WaitGroup // running worker goroutines
 }
 
 // fanoutQueueDepth bounds each worker's job channel. A full channel
 // blocks the actor loop's submit — pipeline backpressure: the broker
 // cannot race unboundedly ahead of its own send path. Workers never
-// send to the broker itself (a broker is not in its own target set), so
-// the block cannot deadlock.
+// send to the broker's own node (handlePub takes it out of the target
+// set), so the block cannot deadlock.
 const fanoutQueueDepth = 256
 
 func newFanoutPool(ep netapi.Endpoint, n int) *fanoutPool {
-	p := &fanoutPool{ep: ep, workers: make([]chan fanoutJob, n)}
+	p := &fanoutPool{ep: ep, workers: make([]chan fanoutJob, n), inflight: make([]atomic.Int64, n)}
 	for i := range p.workers {
 		ch := make(chan fanoutJob, fanoutQueueDepth)
 		p.workers[i] = ch
 		p.wg.Add(1)
-		go p.run(ch)
+		go p.run(ch, &p.inflight[i])
 	}
 	return p
 }
 
-func (p *fanoutPool) run(ch chan fanoutJob) {
+func (p *fanoutPool) run(ch chan fanoutJob, inflight *atomic.Int64) {
 	defer p.wg.Done()
 	for job := range ch {
+		if job.barrier != nil {
+			job.barrier.Done()
+			continue
+		}
 		if len(job.fwds) > 0 {
 			netapi.SendMany(p.ep, job.fwds, &PubMsg{Event: job.ev})
 		}
 		if len(job.delivers) > 0 {
 			netapi.SendMany(p.ep, job.delivers, &DeliverMsg{Event: job.ev})
 		}
-		p.jobs.Done()
+		inflight.Add(-1)
 	}
+}
+
+// idle reports whether d's sticky worker has sent everything submitted
+// to it. Actor loop only: it is the one producer, so no job can appear
+// between a true answer and the caller's own send toward d.
+func (p *fanoutPool) idle(d ids.ID) bool {
+	return p.inflight[p.workerFor(d)].Load() == 0
 }
 
 // workerFor maps a destination to its sticky worker. IDs are SHA-derived
@@ -120,15 +141,22 @@ func (p *fanoutPool) submit(ev *event.Event, fwds, delivers []ids.ID) {
 			continue
 		}
 		parts[w].ev = ev
-		p.jobs.Add(1)
+		p.inflight[w].Add(1)
 		p.workers[w] <- parts[w]
 	}
 }
 
-// quiesce blocks until every submitted job has been sent to the
-// endpoint. Call from outside the actor loop (tests, benchmarks,
-// shutdown) after the last publish has been handled.
-func (p *fanoutPool) quiesce() { p.jobs.Wait() }
+// quiesce blocks until every job submitted before the call has been
+// sent to the endpoint: it queues a barrier behind them on every worker.
+// Safe from any goroutine and while publishes continue.
+func (p *fanoutPool) quiesce() {
+	var reached sync.WaitGroup
+	reached.Add(len(p.workers))
+	for _, ch := range p.workers {
+		ch <- fanoutJob{barrier: &reached}
+	}
+	reached.Wait()
+}
 
 // close drains and stops the workers. No submits may follow.
 func (p *fanoutPool) close() {

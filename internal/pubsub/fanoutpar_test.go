@@ -130,6 +130,13 @@ func TestFanoutPoolCapabilityGate(t *testing.T) {
 	}
 }
 
+// localConcEndpoint is a concEndpoint with the local run queue
+// (netapi.LocalDeliverer): what is queued there is logged like a send to
+// the node itself, so both kinds of endpoint keep comparable logs.
+type localConcEndpoint struct{ *concEndpoint }
+
+func (e localConcEndpoint) DeliverLocal(msg wire.Message) { e.Send(e.id, msg) }
+
 // fanoutParWorld is one side of the parallel-vs-serial differential: a
 // standalone broker over a concEndpoint with a fixed cast of subscribers,
 // neighbours and publishers.
@@ -141,9 +148,15 @@ type fanoutParWorld struct {
 	pubsrc []ids.ID
 }
 
-func newFanoutParWorld(name string, workers int) *fanoutParWorld {
+// newFanoutParWorld builds one side; local gives its endpoint the local
+// run queue.
+func newFanoutParWorld(name string, workers int, local bool) *fanoutParWorld {
 	w := &fanoutParWorld{ep: newConcEndpoint(name)}
-	w.b = NewBroker(w.ep, Options{FanoutWorkers: workers})
+	var ep netapi.Endpoint = w.ep
+	if local {
+		ep = localConcEndpoint{w.ep}
+	}
+	w.b = NewBroker(ep, Options{FanoutWorkers: workers})
 	for i := 0; i < 12; i++ {
 		w.subs = append(w.subs, ids.FromString(fmt.Sprintf("fp-sub-%d", i)))
 	}
@@ -161,88 +174,134 @@ func newFanoutParWorld(name string, workers int) *fanoutParWorld {
 // episodes and drains, a broker fanning out through N workers must be
 // observably identical to the serial reference — same per-destination
 // message sequences (FIFO included), same Stats, same forwarding state.
+// That covers what the pooled side does without its pool: the broker's
+// own node is a subscriber and leaves the target set for the local run
+// queue (local) or a send-to-self from the actor (the capability hidden,
+// as behind the benchmark's spy), and a fan-out of one — sub 0 alone
+// takes "fp.solo", which alternates with wide publishes that reach sub 0
+// too — is sent inline when sub 0's worker is idle and pooled when not.
+// The serial side has neither the pool nor the run queue.
 func TestBrokerDifferentialFanoutWorkersVsSerial(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			par := newFanoutParWorld(fmt.Sprintf("fp-par-%d", workers), workers)
-			ser := newFanoutParWorld(fmt.Sprintf("fp-ser-%d", workers), 1)
-			if par.b.pool == nil {
-				t.Fatal("parallel side has no pool; differential is vacuous")
+			for _, local := range []bool{true, false} {
+				t.Run(fmt.Sprintf("local=%v", local), func(t *testing.T) {
+					testFanoutWorkersVsSerial(t, workers, local)
+				})
 			}
-			if ser.b.pool != nil {
-				t.Fatal("serial side has a pool")
-			}
-			worlds := []*fanoutParWorld{par, ser}
-
-			rng := rand.New(rand.NewSource(int64(1000 + workers)))
-			// Subscriptions: every subscriber and every neighbour takes a
-			// few random filters; identical on both sides.
-			for _, w := range worlds {
-				sub := rand.New(rand.NewSource(7))
-				for _, d := range append(append([]ids.ID(nil), w.subs...), w.nbors...) {
-					for k := 0; k < 3; k++ {
-						w.b.subscribe(d, ixRandFilter(sub))
-					}
-				}
-			}
-
-			delivered := 0
-			for i := 0; i < 400; i++ {
-				// Occasionally toggle saturation on a random subscriber, or
-				// drain it — scripted identically against both endpoints so
-				// shed decisions (taken on the actor loop at publish time)
-				// must agree.
-				switch rng.Intn(10) {
-				case 0:
-					d := par.subs[rng.Intn(len(par.subs))]
-					for _, w := range worlds {
-						w.ep.setSaturated(d, true)
-					}
-				case 1:
-					d := par.subs[rng.Intn(len(par.subs))]
-					for _, w := range worlds {
-						w.ep.setSaturated(d, false)
-						w.ep.fireDrain(d)
-					}
-				}
-				ev := ixRandEvent(rng, uint64(i))
-				src := rng.Intn(len(par.pubsrc))
-				for _, w := range worlds {
-					w.b.handlePub(nil, w.pubsrc[src], &PubMsg{Event: ev.Clone()})
-				}
-				delivered++
-			}
-			for _, w := range worlds {
-				w.b.DrainFanout()
-			}
-			if delivered == 0 {
-				t.Fatal("no publishes ran")
-			}
-
-			// Per-destination send sequences must match exactly — this is
-			// both the delivery-set check and the per-destination FIFO
-			// check (order matters, no sorting).
-			for _, d := range append(append([]ids.ID(nil), par.subs...), par.nbors...) {
-				gp, gs := par.ep.destLine(d), ser.ep.destLine(d)
-				if len(gp) != len(gs) {
-					t.Fatalf("dest %s: parallel sent %d, serial %d", d.Short(), len(gp), len(gs))
-				}
-				for i := range gp {
-					if gp[i] != gs[i] {
-						t.Fatalf("dest %s: send %d diverges: parallel %s, serial %s",
-							d.Short(), i, gp[i], gs[i])
-					}
-				}
-			}
-			if sp, ss := par.b.Stats(), ser.b.Stats(); sp != ss {
-				t.Fatalf("stats diverge:\nparallel: %+v\nserial:   %+v", sp, ss)
-			}
-			if sp := par.b.Stats(); sp.ShedDeliveries == 0 {
-				t.Fatal("workload never shed; saturation seam untested (vacuous)")
-			}
-			par.b.Close()
 		})
 	}
+}
+
+func testFanoutWorkersVsSerial(t *testing.T, workers int, local bool) {
+	par := newFanoutParWorld(fmt.Sprintf("fp-par-%d", workers), workers, local)
+	ser := newFanoutParWorld(fmt.Sprintf("fp-ser-%d", workers), 1, false)
+	if par.b.pool == nil || (par.b.local != nil) != local {
+		t.Fatal("parallel side has no pool, or not the run queue asked for; differential is vacuous")
+	}
+	if ser.b.pool != nil || ser.b.local != nil {
+		t.Fatal("serial side has a pool or a local run queue")
+	}
+	worlds := []*fanoutParWorld{par, ser}
+
+	rng := rand.New(rand.NewSource(int64(1000 + workers)))
+	// Subscriptions: every subscriber, every neighbour and the broker's
+	// own node take a few random filters, which only "wide" events can
+	// match; sub 0, neighbour 0 and the node itself each take every wide
+	// event and one type nobody shares. Identical on both sides.
+	solo := func(w *fanoutParWorld) map[string]ids.ID {
+		return map[string]ids.ID{"fp.solo": w.subs[0], "fp.nbor": w.nbors[0], "fp.self": w.ep.id}
+	}
+	dests := func(w *fanoutParWorld) []ids.ID {
+		return append(append(append([]ids.ID(nil), w.subs...), w.nbors...), w.ep.id)
+	}
+	for _, w := range worlds {
+		sub := rand.New(rand.NewSource(7))
+		for _, d := range dests(w) {
+			for k := 0; k < 3; k++ {
+				f := ixRandFilter(sub)
+				w.b.subscribe(d, NewFilter(append(f.Constraints, Exists("wide"))...))
+			}
+		}
+		for _, typ := range []string{"fp.solo", "fp.nbor", "fp.self"} {
+			w.b.subscribe(solo(w)[typ], NewFilter(TypeIs(typ)))
+			w.b.subscribe(solo(w)[typ], NewFilter(Exists("wide")))
+		}
+	}
+
+	inlineable := 0
+	for i := 0; i < 600; i++ {
+		// Occasionally toggle saturation on a random subscriber, or
+		// drain it — scripted identically against both endpoints so
+		// shed decisions (taken on the actor loop at publish time)
+		// must agree.
+		switch rng.Intn(10) {
+		case 0:
+			d := par.subs[rng.Intn(len(par.subs))]
+			for _, w := range worlds {
+				w.ep.setSaturated(d, true)
+			}
+		case 1:
+			d := par.subs[rng.Intn(len(par.subs))]
+			for _, w := range worlds {
+				w.ep.setSaturated(d, false)
+				w.ep.fireDrain(d)
+			}
+		}
+		var ev *event.Event
+		switch i % 6 {
+		case 1:
+			ev = event.New("fp.solo", "solo", 0).Stamp(uint64(i))
+		case 3:
+			ev = event.New("fp.self", "solo", 0).Stamp(uint64(i))
+		case 5:
+			ev = event.New("fp.nbor", "solo", 0).Stamp(uint64(i))
+		default:
+			ev = ixRandEvent(rng, uint64(i)).Set("wide", event.B(true))
+		}
+		src := rng.Intn(len(par.pubsrc))
+		before := ser.b.Stats()
+		for _, w := range worlds {
+			w.b.handlePub(nil, w.pubsrc[src], &PubMsg{Event: ev.Clone()})
+		}
+		after := ser.b.Stats()
+		if i%6 == 1 || i%6 == 5 {
+			inlineable += int(after.ClientDelivers - before.ClientDelivers + after.NeighborFwds - before.NeighborFwds)
+		}
+	}
+	for _, w := range worlds {
+		w.b.DrainFanout()
+	}
+	if inlineable < 100 {
+		t.Fatalf("only %d publishes had a fan-out of one; the inline path is untested (vacuous)", inlineable)
+	}
+
+	// Per-destination send sequences must match exactly — this is
+	// both the delivery-set check and the per-destination FIFO
+	// check (order matters, no sorting).
+	pd, sd := dests(par), dests(ser)
+	for k := range pd {
+		gp, gs := par.ep.destLine(pd[k]), ser.ep.destLine(sd[k])
+		if len(gp) != len(gs) {
+			t.Fatalf("dest %s: parallel sent %d, serial %d", pd[k].Short(), len(gp), len(gs))
+		}
+		if mixed := pd[k] == par.subs[0] || pd[k] == par.nbors[0] || pd[k] == par.ep.id; mixed && len(gp) < 150 {
+			t.Fatalf("dest %s, which takes both widths, was sent only %d messages (vacuous)", pd[k].Short(), len(gp))
+		}
+		for i := range gp {
+			if gp[i] != gs[i] {
+				t.Fatalf("dest %s: send %d diverges: parallel %s, serial %s",
+					pd[k].Short(), i, gp[i], gs[i])
+			}
+		}
+	}
+	if sp, ss := par.b.Stats(), ser.b.Stats(); sp != ss {
+		t.Fatalf("stats diverge:\nparallel: %+v\nserial:   %+v", sp, ss)
+	}
+	if sp := par.b.Stats(); sp.ShedDeliveries == 0 {
+		t.Fatal("workload never shed; saturation seam untested (vacuous)")
+	}
+	par.b.Close()
 }
 
 // TestFanoutPerSourceFIFOTwoPublishers pins the ordering guarantee the

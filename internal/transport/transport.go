@@ -53,6 +53,11 @@ const legacyOutboxFrames = 256
 // queue of large frames cannot grow an unbounded writev batch.
 const flushWatermark = 256 << 10
 
+// readBufSize is the receive buffer (frameReader) every accepted
+// connection holds for its lifetime: 64 KiB per inbound connection.
+// Chosen by measurement — EXPERIMENTS.md, E-T15, has the 16 KiB row.
+const readBufSize = 64 << 10
+
 // HelloMsg identifies the dialing node and gossips its address book.
 // Codecs lists the wire codecs the sender is willing to speak beyond the
 // default XML, and KindsHash fingerprints its registry: a receiver sends
@@ -312,6 +317,10 @@ type Node struct {
 	pending  map[uint64]*pendingReq
 	nextCorr uint64
 	drainFns []func(ids.ID)
+	// local is the run queue behind DeliverLocal; localCtx the Ctx all
+	// its deliveries share (one-way from ourselves: Reply writes nothing).
+	local    []wire.Message
+	localCtx tcpCtx
 }
 
 // counters is Stats in atomic form; Stats() materialises a snapshot.
@@ -327,6 +336,7 @@ var (
 	_ netapi.Multicaster      = (*Node)(nil)
 	_ netapi.Backpressured    = (*Node)(nil)
 	_ netapi.ConcurrentSender = (*Node)(nil)
+	_ netapi.LocalDeliverer   = (*Node)(nil)
 )
 
 // Listen starts a TCP node. Register every message type with reg before
@@ -360,6 +370,7 @@ func Listen(id ids.ID, reg *wire.Registry, opts Options) (*Node, error) {
 		pending:   make(map[uint64]*pendingReq),
 	}
 	n.codec.Store(&binCodecState{bin: wire.NewBinaryCodec(reg), kindsHash: reg.KindsHash()})
+	n.localCtx = tcpCtx{node: n, env: &wire.Envelope{From: id, To: id}}
 	n.wg.Add(2)
 	go n.actorLoop()
 	go n.acceptLoop()
@@ -411,6 +422,7 @@ func (n *Node) do(fn func()) {
 // loop owns their state. No-op after Close.
 func (n *Node) Do(fn func()) { n.do(fn) }
 
+//vetactive:actorloop
 func (n *Node) actorLoop() {
 	defer n.wg.Done()
 	for {
@@ -419,8 +431,30 @@ func (n *Node) actorLoop() {
 			return
 		case fn := <-n.inbox:
 			fn()
+			n.drainLocal()
 		}
 	}
+}
+
+// DeliverLocal implements netapi.LocalDeliverer. Unlike Send(ID(), msg)
+// it never posts to the inbox, so the loop cannot block on itself.
+//
+//vetactive:actoronly
+func (n *Node) DeliverLocal(msg wire.Message) { n.local = append(n.local, msg) }
+
+// drainLocal dispatches the local run queue in order, including what
+// the handlers it runs queue in turn.
+//
+//vetactive:actoronly
+func (n *Node) drainLocal() {
+	for i := 0; i < len(n.local); i++ {
+		msg := n.local[i]
+		n.local[i] = nil
+		if h, ok := n.handlers[msg.Kind()]; ok {
+			h(&n.localCtx, n.info.ID, msg)
+		}
+	}
+	n.local = n.local[:0]
 }
 
 // Close shuts the node down and waits for its goroutines.
@@ -1011,8 +1045,25 @@ func (n *Node) readLoop(conn net.Conn) {
 		case <-stop:
 		}
 	}()
+	fr := frameReader{r: conn, buf: make([]byte, readBufSize)}
+	// burst collects the envelopes of every frame already whole in the
+	// buffer; the actor loop gets them in one inbox post, in order — on
+	// the way out too, when a bad frame follows good ones.
+	var burst []*wire.Envelope
+	post := func() {
+		if envs := burst; len(envs) > 0 {
+			burst = nil
+			n.Do(func() {
+				for _, env := range envs {
+					n.accept(env)
+					n.drainLocal()
+				}
+			})
+		}
+	}
+	defer post()
 	for {
-		frame, err := readFrame(conn)
+		frame, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -1022,14 +1073,20 @@ func (n *Node) readLoop(conn net.Conn) {
 			return
 		}
 		n.c.received.Add(1)
-		n.do(func() {
-			if hello, ok := env.Msg.(*HelloMsg); ok {
-				n.mergeHello(hello)
-				return
-			}
-			n.dispatch(env)
-		})
+		burst = append(burst, env)
+		if !fr.buffered() {
+			post()
+		}
 	}
+}
+
+// accept runs one received envelope on the actor loop.
+func (n *Node) accept(env *wire.Envelope) {
+	if hello, ok := env.Msg.(*HelloMsg); ok {
+		n.mergeHello(hello)
+		return
+	}
+	n.dispatch(env)
 }
 
 // decodeFrame parses one frame, sniffing the codec from the leading
@@ -1038,7 +1095,7 @@ func (n *Node) readLoop(conn net.Conn) {
 // codec mismatch can never wedge a link mid-negotiation.
 //
 // Binary frames decode in borrow mode: each frame is a fresh buffer
-// (readFrame) handed off wholesale to the decoded envelope, so strings
+// (frameReader.next) handed off wholesale to the decoded envelope, so strings
 // can alias it instead of copying — the PubMsg/DeliverMsg hot path
 // decodes an event without one allocation per attribute.
 func (n *Node) decodeFrame(frame []byte) (*wire.Envelope, error) {
@@ -1147,18 +1204,45 @@ func writeFrame(conn net.Conn, frame []byte) error {
 	return err
 }
 
-func readFrame(conn net.Conn) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
+// frameReader cuts length-prefixed frames out of a connection through
+// one fixed buffer: a burst of small frames costs one read, not two per
+// frame. Every frame is returned in a fresh buffer of exactly its size —
+// a decoded envelope aliases it (DecodeBorrow), a stored body keeps it —
+// so nothing handed out points into buf. A frame that is not whole in
+// buf takes what is there and reads its remainder straight into its own
+// buffer: bulk frames bypass buf, and only a split header moves in it.
+type frameReader struct {
+	r          io.Reader
+	buf        []byte
+	head, tail int // the unread bytes are buf[head:tail]
+}
+
+// next returns the next frame, blocking only when it is not whole in the
+// buffer. The size is checked before anything is allocated.
+func (fr *frameReader) next() ([]byte, error) {
+	if have := fr.tail - fr.head; have < 4 {
+		copy(fr.buf, fr.buf[fr.head:fr.tail])
+		n, err := io.ReadAtLeast(fr.r, fr.buf[have:], 4-have)
+		fr.head, fr.tail = 0, have+n
+		if err != nil {
+			return nil, err
+		}
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := binary.BigEndian.Uint32(fr.buf[fr.head:])
 	if size > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
 	}
 	frame := make([]byte, size)
-	if _, err := io.ReadFull(conn, frame); err != nil {
+	n := copy(frame, fr.buf[fr.head+4:fr.tail])
+	fr.head += 4 + n
+	if _, err := io.ReadFull(fr.r, frame[n:]); err != nil {
 		return nil, err
 	}
 	return frame, nil
+}
+
+// buffered reports whether next would return a frame without reading.
+func (fr *frameReader) buffered() bool {
+	have := fr.tail - fr.head
+	return have >= 4 && uint64(binary.BigEndian.Uint32(fr.buf[fr.head:]))+4 <= uint64(have)
 }

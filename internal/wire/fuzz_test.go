@@ -20,6 +20,7 @@ import (
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/plaxton"
 	"github.com/gloss/active/internal/pubsub"
+	"github.com/gloss/active/internal/transport"
 	"github.com/gloss/active/internal/wire"
 )
 
@@ -52,8 +53,22 @@ func seedEnvelopes(t interface{ Fatal(...any) }) (*wire.Registry, []*wire.Envelo
 		{From: ids.FromString("g"), To: ids.FromString("h"), Msg: &pubsub.ReclaimReply{
 			Events: []*event.Event{ev}, Dropped: 1,
 		}},
+		// What the transport's receive-path corpus adds (recv_test.go): the
+		// hello that arrives in mid-burst and a message with nothing in it.
+		{From: ids.FromString("i"), To: ids.FromString("i"), Msg: &transport.HelloMsg{
+			ID: ids.FromString("i").String(), Addr: "127.0.0.1:9", Codecs: []string{wire.CodecXML, wire.CodecBinary},
+			KindsHash: reg.KindsHash(), Known: []transport.HelloPeer{{ID: ids.FromString("j").String(), Addr: "127.0.0.1:10"}},
+		}},
+		{From: ids.FromString("k"), To: ids.FromString("l"), Msg: &pubsub.DetachMsg{}},
 	}
 	return reg, envs
+}
+
+// addFrameEndings seeds the frames that end a connection in that corpus:
+// the zero-size frame and the one that is in neither codec.
+func addFrameEndings(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("neither codec"))
 }
 
 func FuzzXMLDecode(f *testing.F) {
@@ -67,6 +82,7 @@ func FuzzXMLDecode(f *testing.F) {
 	}
 	f.Add([]byte("<env"))
 	f.Add([]byte("<env from=\"zz\"/>"))
+	addFrameEndings(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := reg.Decode(data)
 		// The one-pass decoder accepts, rejects and produces exactly what
@@ -114,6 +130,7 @@ func FuzzXMLFastDecode(f *testing.F) {
 		}
 		f.Add(frame)
 	}
+	addFrameEndings(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFastAgainstReflection(t, reg, data)
 	})
@@ -131,6 +148,7 @@ func FuzzBinaryDecode(f *testing.F) {
 	}
 	f.Add([]byte{0xA7})
 	f.Add([]byte{0xA7, 1, 0xFF})
+	addFrameEndings(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := bin.Decode(data)
 		if err != nil {
