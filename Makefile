@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt bench-smoke
+.PHONY: all build test race vet noswitch loc fmt bench-smoke
 
 all: build vet test
 
@@ -19,10 +19,20 @@ race:
 # vet runs the stock analyzers, then builds the repo's own analysis
 # suite (cmd/vetactive) and runs it over every package through the
 # go vet vettool protocol. Both must be clean.
-vet:
+vet: noswitch
 	$(GO) vet ./...
 	$(GO) build -o bin/vetactive ./cmd/vetactive
 	$(GO) vet -vettool=$(CURDIR)/bin/vetactive ./...
+
+# noswitch fails when a retired reference-path switch, the second index's
+# option or the shared config block returns to shipped code: the old paths
+# are _test.go oracles, not options.
+noswitch:
+	! grep -rnE '\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg)\b' --include='*.go' --exclude='*_test.go' cmd internal examples active.go
+
+# loc prints the non-test Go line count ROADMAP item 2 tracks.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
 
 fmt:
 	gofmt -l -w .

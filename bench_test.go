@@ -28,7 +28,20 @@ import (
 // report parses a numeric table cell and reports it as a benchmark metric.
 func report(b *testing.B, tab *exp.Table, row, col int, unit string) {
 	b.Helper()
-	cell := strings.TrimSuffix(tab.Rows[row][col], "%")
+	reportCell(b, tab.Rows[row][col], unit)
+}
+
+// reportBy is report for tables whose row set changes with the code under
+// test: the row is named by its labels (exp.Table.Cell), so a dropped or
+// reordered row fails the benchmark instead of re-pointing the metric.
+func reportBy(b *testing.B, tab *exp.Table, col, unit string, where ...string) {
+	b.Helper()
+	reportCell(b, tab.Cell(col, where...), unit)
+}
+
+func reportCell(b *testing.B, cell, unit string) {
+	b.Helper()
+	cell = strings.TrimSuffix(cell, "%")
 	v, err := strconv.ParseFloat(cell, 64)
 	if err != nil {
 		b.Fatalf("cell %q not numeric: %v", cell, err)
@@ -135,64 +148,37 @@ func BenchmarkE_T11_WireFormat(b *testing.B) {
 	}
 }
 
-func BenchmarkE_T12_FanoutHotPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := exp.T12FanoutHotPath(true)
-		report(b, tab, 0, 2, "borrow-clones-per-dlv") // must stay 0.00
-		report(b, tab, 0, 3, "borrow-allocs-per-dlv")
-	}
-}
-
 func BenchmarkE_T13_Backpressure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := exp.T13Backpressure(true)
-		report(b, tab, 0, 3, "sim-smallest-budget-drop-pct") // must stay > 0: budget engaged
-		report(b, tab, 7, 3, "tcp-largest-budget-drop-pct")  // should stay ~0: budget absorbs the burst
-	}
-}
-
-func BenchmarkE_T14_ShardedMatch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := exp.T14ShardedMatch(true)
-		// In quick mode the first half of the rows is the path=broker
-		// series (full publishes) and the second half the path=index
-		// continuity series; report the most-sharded row of each.
-		mid := len(tab.Rows) / 2
-		report(b, tab, mid-1, 4, "broker-kpubs-per-s")
-		report(b, tab, mid-1, 5, "broker-speedup") // ~1.0 on a single core; >1 with real parallelism
-		report(b, tab, len(tab.Rows)-1, 4, "index-kpubs-per-s")
-		report(b, tab, len(tab.Rows)-1, 5, "index-speedup")
+		reportBy(b, tab, "drop %", "sim-smallest-budget-drop-pct", "path", "sim/burst", "budget", "31KiB") // must stay > 0: budget engaged
+		reportBy(b, tab, "drop %", "tcp-largest-budget-drop-pct", "path", "tcp/burst", "budget", "4MiB")   // should stay ~0: budget absorbs the burst
 	}
 }
 
 func BenchmarkE_T15_ParallelFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := exp.T15ParallelFanout(true)
-		last := len(tab.Rows) - 1
-		report(b, tab, last, 4, "pooled-kdlv-per-s")
-		report(b, tab, last, 6, "pooled-speedup") // ≤1 on a single core; the multi-core acceptance bar is ≥2x at 8 workers
+		reportBy(b, tab, "k dlv/s", "pooled-kdlv-per-s", "workers", "4")
+		reportBy(b, tab, "speedup", "pooled-speedup", "workers", "4") // ≤1 on a single core; the multi-core acceptance bar is ≥2x at 8 workers
 	}
 }
 
 func BenchmarkE_T16_StoragePlane(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := exp.T16StoragePlane(true)
-		last := len(tab.Rows) - 1
-		report(b, tab, 1, 4, "digest-payload-kb")
-		report(b, tab, 4, 4, "legacy-payload-kb")
-		report(b, tab, last-1, 5, "erasure-wire-kb")
-		report(b, tab, last, 5, "recopy-wire-kb") // acceptance: ≥3x the erasure row at full size (exp_test.go)
+		reportBy(b, tab, "payload KB", "digest-payload-kb", "object KiB", "64", "chunk KiB", "16", "codec", "bin")
+		reportBy(b, tab, "wire KB", "erasure-wire-kb", "repair", "erasure")
+		reportBy(b, tab, "wire KB", "recopy-wire-kb", "repair", "recopy") // acceptance: ≥3x the erasure row at full size (exp_test.go)
 	}
 }
 
 func BenchmarkE_T17_Knowledge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := exp.T17Knowledge(true)
-		// Quick rows: 0 = legacy (never converges), 1 = causal 2-writer.
-		report(b, tab, 0, 6, "legacy-lost-facts") // acceptance: > 0 (the flaw)
-		report(b, tab, 1, 5, "causal-converge-ms")
-		report(b, tab, 1, 6, "causal-lost-facts") // acceptance: 0
-		report(b, tab, 1, 7, "causal-wire-kb")
+		reportBy(b, tab, "converge ms", "causal-converge-ms", "writers", "2")
+		reportBy(b, tab, "lost facts", "causal-lost-facts", "writers", "2") // acceptance: 0
+		reportBy(b, tab, "wire KB", "causal-wire-kb", "writers", "2")
 	}
 }
 
@@ -202,7 +188,7 @@ func BenchmarkE_T17_Knowledge(b *testing.B) {
 // the simulated network — client → broker chain → matched subscribers —
 // with the counting predicate index doing the matching at every hop.
 // (internal/pubsub's BenchmarkBrokerPublish isolates matching cost alone,
-// index vs preserved linear scan.)
+// index vs the linear-scan oracle.)
 func BenchmarkBrokerPublishWorld(b *testing.B) {
 	w := simnet.NewWorld(simnet.Config{Seed: 7})
 	var brokers []*pubsub.Broker

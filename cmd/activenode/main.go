@@ -10,6 +10,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"log/slog"
 	"os"
@@ -18,75 +19,49 @@ import (
 	"syscall"
 	"time"
 
-	"flag"
-
 	"github.com/gloss/active/internal/core"
 	"github.com/gloss/active/internal/gateway"
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/knowledge"
 	"github.com/gloss/active/internal/netapi"
-	"github.com/gloss/active/internal/nodecfg"
+	"github.com/gloss/active/internal/pubsub"
 	"github.com/gloss/active/internal/store"
 	"github.com/gloss/active/internal/transport"
 	"github.com/gloss/active/internal/wire"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "activenode:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("activenode", flag.ExitOnError)
 	var (
-		listen    = flag.String("listen", "127.0.0.1:0", "TCP listen address")
-		name      = flag.String("name", "", "node name (derives the node ID; default random)")
-		region    = flag.String("region", "eu", "region label")
-		x         = flag.Float64("x", 0, "x coordinate (km)")
-		y         = flag.Float64("y", 0, "y coordinate (km)")
-		bootstrap = flag.String("bootstrap", "", "bootstrap peer as <id-hex>@<host:port>; empty creates a new overlay")
-		secret    = flag.String("secret", "gloss-active-secret", "capability secret shared by the deployment")
-		codec     = flag.String("codec", wire.CodecXML, "preferred wire codec: xml (open interop format) or binary (compact fast path, used only between nodes that both opt in)")
-		outboxHi  = flag.Int("outbox-high", 0, "per-peer send-queue byte budget; sends above it are dropped (0 = 1 MiB default)")
-		outboxLo  = flag.Int("outbox-low", 0, "backpressure-relief watermark in bytes (0 = half of -outbox-high)")
-		shards    = flag.Int("shards", 0, "broker match-index shards (0 = one per core capped at 8, 1 = serial reference)")
-		fanout    = flag.Int("fanout-workers", 0, "broker publish fan-out workers (0 = -shards then one per core capped at 8, 1 = serial reference)")
-		legacyOB  = flag.Bool("legacy-outbox", false, "restore the fixed 256-frame outbox instead of the byte-budgeted queue (reference path)")
-		chunkB    = flag.Int("chunk-bytes", 0, "storage transfer chunk size; bodies above it stream as offset-addressed chunk frames (0 = 64 KiB default, negative disables chunking)")
-		legacyRep = flag.Bool("legacy-replication", false, "restore whole-object replica pushes instead of the chunked, digest-driven repair plane (reference path)")
-		writerID  = flag.String("writer-id", "", "knowledge-plane writer identity for version vectors (empty = this node's ID; must be unique per writer)")
-		kbGossip  = flag.Duration("kb-gossip", 0, "knowledge anti-entropy gossip period (0 disables; objects still converge via fetch read-repair)")
-		legacyKB  = flag.Bool("legacy-kb-sync", false, "restore last-writer-wins knowledge sync: bare XML bodies, blind overwrite/replace (reference path)")
-		verbose   = flag.Bool("v", false, "verbose logging")
+		listen    = fs.String("listen", "127.0.0.1:0", "TCP listen address")
+		name      = fs.String("name", "", "node name (derives the node ID; default random)")
+		region    = fs.String("region", "eu", "region label")
+		x         = fs.Float64("x", 0, "x coordinate (km)")
+		y         = fs.Float64("y", 0, "y coordinate (km)")
+		bootstrap = fs.String("bootstrap", "", "bootstrap peer as <id-hex>@<host:port>; empty creates a new overlay")
+		secret    = fs.String("secret", "gloss-active-secret", "capability secret shared by the deployment")
+		codec     = fs.String("codec", wire.CodecXML, "preferred wire codec: xml (open interop format) or binary (compact fast path, used only between nodes that both opt in)")
+		outboxHi  = fs.Int("outbox-high", 0, "per-peer send-queue byte budget; sends above it are dropped (0 = 1 MiB default)")
+		outboxLo  = fs.Int("outbox-low", 0, "backpressure-relief watermark in bytes (0 = half of -outbox-high)")
+		fanout    = fs.Int("fanout-workers", 0, "broker publish fan-out workers (0 = one per core capped at 8, 1 = serial reference)")
+		chunkB    = fs.Int("chunk-bytes", 0, "storage transfer chunk size; bodies above it stream as offset-addressed chunk frames (0 = 64 KiB default, negative disables chunking)")
+		writerID  = fs.String("writer-id", "", "knowledge-plane writer identity for version vectors (empty = this node's ID; must be unique per writer)")
+		kbGossip  = fs.Duration("kb-gossip", 0, "knowledge anti-entropy gossip period (0 disables; objects still converge via fetch read-repair)")
+		verbose   = fs.Bool("v", false, "verbose logging")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
 
-	// One nodecfg.Common carries the flags shared across the stack; the
-	// transport and the node config both embed it.
-	common := nodecfg.Common{
-		Codec:            *codec,
-		OutboxHighWater:  *outboxHi,
-		OutboxLowWater:   *outboxLo,
-		Shards:           *shards,
-		FanoutWorkers:    *fanout,
-		LegacyOutbox:     *legacyOB,
-		KBWriter:         *writerID,
-		KBGossipInterval: *kbGossip,
-	}
-	if *legacyOB && *fanout == 0 {
-		// Unset fan-out would resolve to a parallel default, which
-		// Validate rejects over the legacy outbox; pin the legacy path
-		// to the serial reference instead of erroring.
-		common.FanoutWorkers = 1
-	}
-	// Validate covers the cross-field conflicts too (legacy outbox vs
-	// parallel fan-out, inverted watermarks).
-	if err := common.Validate(); err != nil {
-		return err
-	}
-	if *legacyKB && (*writerID != "" || *kbGossip > 0) {
-		return fmt.Errorf("-legacy-kb-sync is last-writer-wins: it has no version vectors or gossip; drop -writer-id/-kb-gossip")
+	// transport.Listen judges the codec and the watermarks; the broker has
+	// no error path for its one flag, so that is checked here.
+	if *fanout < 0 {
+		return fmt.Errorf("negative -fanout-workers %d", *fanout)
 	}
 
 	logger := slog.New(slog.DiscardHandler)
@@ -107,12 +82,14 @@ func run() error {
 	gateway.RegisterMessages(reg)
 
 	ep, err := transport.Listen(id, reg, transport.Options{
-		Common: common,
-		Listen: *listen,
-		Region: *region,
-		Coord:  netapi.Coord{X: *x, Y: *y},
-		Seed:   time.Now().UnixNano(),
-		Logger: logger,
+		Listen:          *listen,
+		Region:          *region,
+		Coord:           netapi.Coord{X: *x, Y: *y},
+		Seed:            time.Now().UnixNano(),
+		Codec:           *codec,
+		OutboxHighWater: *outboxHi,
+		OutboxLowWater:  *outboxLo,
+		Logger:          logger,
 	})
 	if err != nil {
 		return err
@@ -120,14 +97,12 @@ func run() error {
 	defer func() { _ = ep.Close() }()
 
 	node := core.NewActiveNode(ep, reg, core.NodeConfig{
-		Common:         common,
+		Codec:          *codec,
 		Secret:         []byte(*secret),
 		AdvertInterval: -1, // advertising needs a broker mesh; single-node CLI keeps quiet
-		Store: store.Options{
-			ChunkBytes:        *chunkB,
-			LegacyReplication: *legacyRep,
-		},
-		Knowledge: knowledge.Options{LegacySync: *legacyKB},
+		Store:          store.Options{ChunkBytes: *chunkB},
+		Broker:         pubsub.Options{FanoutWorkers: *fanout},
+		Knowledge:      knowledge.Options{Writer: *writerID, GossipInterval: *kbGossip},
 	})
 	gateway.Serve(node)
 

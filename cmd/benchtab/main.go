@@ -48,9 +48,7 @@ func main() {
 		{"E-T9", exp.T9MobilityHandoff},
 		{"E-T10", exp.T10Discovery},
 		{"E-T11", exp.T11WireFormat},
-		{"E-T12", exp.T12FanoutHotPath},
 		{"E-T13", exp.T13Backpressure},
-		{"E-T14", exp.T14ShardedMatch},
 		{"E-T15", exp.T15ParallelFanout},
 		{"E-T16", exp.T16StoragePlane},
 		{"E-T17", exp.T17Knowledge},

@@ -20,7 +20,6 @@ import (
 	"github.com/gloss/active/internal/knowledge"
 	"github.com/gloss/active/internal/match"
 	"github.com/gloss/active/internal/netapi"
-	"github.com/gloss/active/internal/nodecfg"
 	"github.com/gloss/active/internal/pipeline"
 	"github.com/gloss/active/internal/plaxton"
 	"github.com/gloss/active/internal/pubsub"
@@ -30,14 +29,6 @@ import (
 
 // NodeConfig parameterises one active node.
 type NodeConfig struct {
-	// Common is the shared node-configuration block (internal/nodecfg).
-	// The stack consumes Common.Shards as the broker's match-shard count
-	// (threaded to pubsub.Options.MatchShards when that is unset),
-	// Common.FanoutWorkers as the broker's publish fan-out pool size
-	// (pubsub.Options.FanoutWorkers, falling back to Shards when unset)
-	// and Common.Codec as the codec default behind the
-	// deprecated-but-kept Codec field below.
-	nodecfg.Common
 	// Secret is the capability-minting secret shared by the deployment's
 	// thin servers.
 	Secret []byte
@@ -48,9 +39,7 @@ type NodeConfig struct {
 	Overlay plaxton.Options
 	Store   store.Options
 	Broker  pubsub.Options
-	// Knowledge tunes the causal knowledge syncer. Common.KBWriter,
-	// Common.KBGossipInterval and Common.KBSiblingCap fill the
-	// corresponding options when they are unset here.
+	// Knowledge tunes the knowledge syncer.
 	Knowledge knowledge.Options
 	// AdvertInterval is the resource-advertisement period. Default 2s;
 	// negative disables advertising.
@@ -60,7 +49,7 @@ type NodeConfig struct {
 	// It selects the form the overlay encodes routed payloads in, and in
 	// simulation it defaults WorldConfig.Codec, selecting the
 	// byte-accounting codec. Over TCP the endpoint is built before the
-	// node, so callers must ALSO set transport.Options.Codec (which
+	// node, so callers must also set transport.Options.Codec (which
 	// validates the value and drives hello negotiation) — cmd/activenode
 	// wires its -codec flag into both.
 	Codec string
@@ -102,37 +91,14 @@ func RegisterMessages(reg *wire.Registry) {
 
 // NewActiveNode wires the full stack onto one endpoint.
 func NewActiveNode(ep netapi.Endpoint, reg *wire.Registry, cfg NodeConfig) *ActiveNode {
-	if cfg.Broker.MatchShards == 0 {
-		cfg.Broker.MatchShards = cfg.Shards
-	}
-	if cfg.Broker.FanoutWorkers == 0 {
-		if cfg.FanoutWorkers != 0 {
-			cfg.Broker.FanoutWorkers = cfg.FanoutWorkers
-		} else {
-			cfg.Broker.FanoutWorkers = cfg.Shards
-		}
-	}
 	n := &ActiveNode{
 		ep:     ep,
 		KB:     knowledge.NewKB(),
 		GIS:    knowledge.NewGIS(),
 		Gauges: gauges.NewRegistry(),
 	}
-	codec := cfg.Codec
-	if codec == "" {
-		codec = cfg.Common.Codec
-	}
-	n.Overlay = plaxton.New(ep, reg, codec, cfg.Overlay)
+	n.Overlay = plaxton.New(ep, reg, cfg.Codec, cfg.Overlay)
 	n.Store = store.New(ep, n.Overlay, cfg.Store)
-	if cfg.Knowledge.Writer == "" {
-		cfg.Knowledge.Writer = cfg.KBWriter
-	}
-	if cfg.Knowledge.GossipInterval == 0 {
-		cfg.Knowledge.GossipInterval = cfg.KBGossipInterval
-	}
-	if cfg.Knowledge.SiblingCap == 0 {
-		cfg.Knowledge.SiblingCap = cfg.KBSiblingCap
-	}
 	n.Sync = knowledge.NewSyncerOpts(n.Store, n.KB, cfg.Knowledge)
 	n.Broker = pubsub.NewBroker(ep, cfg.Broker)
 	n.Client = pubsub.NewClient(ep, ep.ID())

@@ -64,16 +64,8 @@ func (c *WorldConfig) applyDefaults() {
 		c.JoinSettle = 2 * time.Second
 	}
 	c.Net.Seed = c.Seed
-	// One nodecfg.Common block configures the whole world: anything set
-	// on the node config flows into the network config where the latter
-	// left it zero, so e.g. Node.Shards both shards every broker's match
-	// path and partitions the simulator's execution.
-	c.Net.Common = c.Net.Common.Merge(c.Node.Common)
 	if c.Node.Secret == nil {
 		c.Node.Secret = []byte("gloss-active-secret")
-	}
-	if c.Node.Codec == "" {
-		c.Node.Codec = c.Node.Common.Codec
 	}
 	if c.Codec == "" {
 		c.Codec = c.Node.Codec

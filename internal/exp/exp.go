@@ -25,10 +25,41 @@ type Table struct {
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Metric returns a named scalar from the table for benchmark reporting:
-// the value at (row, col). Panics on out-of-range — experiment runners
-// and benches are maintained together.
-func (t *Table) Cell(row, col int) string { return t.Rows[row][col] }
+// Cell returns the value in column col of the one row whose label cells
+// match where, given as header/value pairs (e.g. "path", "tcp/burst",
+// "budget", "4MiB"). It panics when a header is unknown or the rows
+// matching number other than one, so a table that gains, loses or
+// reorders rows breaks its readers loudly instead of re-pointing them.
+func (t *Table) Cell(col string, where ...string) string {
+	if len(where)%2 != 0 {
+		panic(fmt.Sprintf("%s: label list %q is not header/value pairs", t.ID, where))
+	}
+	index := func(header string) int {
+		for i, h := range t.Header {
+			if h == header {
+				return i
+			}
+		}
+		panic(fmt.Sprintf("%s: no column %q in %q", t.ID, header, t.Header))
+	}
+	var found []string
+	for _, row := range t.Rows {
+		match := true
+		for i := 0; i < len(where); i += 2 {
+			match = match && row[index(where[i])] == where[i+1]
+		}
+		if match {
+			if found != nil {
+				panic(fmt.Sprintf("%s: more than one row with %q", t.ID, where))
+			}
+			found = row
+		}
+	}
+	if found == nil {
+		panic(fmt.Sprintf("%s: no row with %q", t.ID, where))
+	}
+	return found[index(col)]
+}
 
 // Format renders the table with aligned columns.
 func (t *Table) Format() string {
@@ -131,9 +162,7 @@ func All(quick bool) []*Table {
 		T9MobilityHandoff(quick),
 		T10Discovery(quick),
 		T11WireFormat(quick),
-		T12FanoutHotPath(quick),
 		T13Backpressure(quick),
-		T14ShardedMatch(quick),
 		T15ParallelFanout(quick),
 		T16StoragePlane(quick),
 		T17Knowledge(quick),

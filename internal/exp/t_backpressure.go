@@ -16,8 +16,7 @@ import (
 
 // T13Backpressure measures the overload story of the send path: drop
 // rate and delivery latency as a function of the per-peer outbox byte
-// budget under burst load, after the fixed 256-frame bound became a
-// byte-budgeted queue with high/low watermarks.
+// budget under burst load.
 //
 // Simulated rows drive bursts over a 20ms link with the in-flight byte
 // budget mirror (simnet.Config.OutboxHighWater): the budget caps the
@@ -27,10 +26,7 @@ import (
 // a deliberately slow receiver over loopback: small budgets drop most
 // of each burst but keep the queue — and therefore the delivery tail —
 // short; large budgets approach losslessness at the price of queueing
-// delay (bufferbloat, visible in p99). The legacy row is the
-// pre-watermark 256-frame reference bound (Options.LegacyOutbox),
-// which lands wherever the frame size dictates — the untunability the
-// byte budget replaces.
+// delay (bufferbloat, visible in p99).
 func T13Backpressure(quick bool) *Table {
 	t := &Table{
 		ID:     "E-T13",
@@ -59,7 +55,6 @@ func T13Backpressure(quick bool) *Table {
 		name string
 		opts transport.Options
 	}{
-		{"frames-256 (legacy)", transport.Options{LegacyOutbox: true}},
 		{"64KiB", transport.Options{OutboxHighWater: 64 << 10}},
 		{"512KiB", transport.Options{OutboxHighWater: 512 << 10}},
 		{"4MiB", transport.Options{OutboxHighWater: 4 << 20}},
@@ -70,7 +65,7 @@ func T13Backpressure(quick bool) *Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("sim: bursts of %d msgs/ms for %dms over a 20ms link; budget caps in-flight bytes per destination (1 msg = %d B XML)", simPerStep, simSteps, msgSize),
 		fmt.Sprintf("tcp: %d rounds of %d-msg bursts (~2 KiB frames) at a slow loopback receiver; queue drains fully between bursts", tcpRounds, tcpBurst),
-		"drops are all DroppedOverflow: the watermark refusing sends above the byte budget (legacy row: above the frame cap)",
+		"drops are all DroppedOverflow: the watermark refusing sends above the byte budget",
 		"sim latency is flat by construction (no queueing model); tcp p99 grows with the budget — the drop/latency trade the budget tunes")
 	return t
 }

@@ -13,60 +13,55 @@ import (
 // W brokers update the same subject at the same virtual instant (each
 // adds its own observation plus a contested timed "location" slot), then
 // every node fetches the subject once and the system runs until every
-// node's KB holds the merged fact set — or a deadline passes. The legacy
-// last-writer-wins path loses the non-winning writers' facts on every
-// node; causal sync with gossip anti-entropy converges to zero lost
-// writes, at a measured wire cost (codec-accounted kb.* + store.* bytes
-// from first publish to convergence).
+// node's KB holds the merged fact set — or a deadline passes. Causal sync
+// with gossip anti-entropy converges to zero lost writes, at a measured
+// wire cost (codec-accounted kb.* + store.* bytes from first publish to
+// convergence).
 func T17Knowledge(quick bool) *Table {
 	t := &Table{
 		ID:     "E-T17",
-		Title:  "Knowledge plane convergence: concurrent writers × sync mode",
-		Header: []string{"nodes", "writers", "mode", "gossip", "converged", "converge ms", "lost facts", "wire KB"},
+		Title:  "Knowledge plane convergence: concurrent writers × gossip period",
+		Header: []string{"nodes", "writers", "gossip", "converged", "converge ms", "lost facts", "wire KB"},
 	}
+	// Seeds are per row (17000 was the retired last-writer-wins row), so
+	// every row keeps the numbers EXPERIMENTS.md records for it.
 	type cfg struct {
+		seed           int64
 		nodes, writers int
-		legacy         bool
 		gossip         time.Duration
 	}
 	rows := []cfg{
-		{16, 2, true, 0},
-		{16, 2, false, time.Second},
-		{16, 2, false, 2 * time.Second},
-		{16, 4, false, time.Second},
-		{32, 4, false, time.Second},
+		{17001, 16, 2, time.Second},
+		{17002, 16, 2, 2 * time.Second},
+		{17003, 16, 4, time.Second},
+		{17004, 32, 4, time.Second},
 	}
 	if quick {
 		rows = []cfg{
-			{10, 2, true, 0},
-			{10, 2, false, time.Second},
-			{10, 3, false, time.Second},
+			{17001, 10, 2, time.Second},
+			{17002, 10, 3, time.Second},
 		}
 	}
-	for i, r := range rows {
-		mode := "causal"
+	for _, r := range rows {
 		gossip := fmt.Sprintf("%.0fs", r.gossip.Seconds())
-		if r.legacy {
-			mode, gossip = "legacy", "-"
-		}
-		res, ok := t17Run(17000+int64(i), r.nodes, r.writers, r.legacy, r.gossip)
+		res, ok := t17Run(r.seed, r.nodes, r.writers, r.gossip)
 		if !ok {
-			t.AddRow(fmt.Sprint(r.nodes), fmt.Sprint(r.writers), mode, gossip, "setup failed", "-", "-", "-")
+			t.AddRow(fmt.Sprint(r.nodes), fmt.Sprint(r.writers), gossip, "setup failed", "-", "-", "-")
 			continue
 		}
 		conv := "never"
 		if res.converged == r.nodes {
 			conv = ms(res.convergeIn)
 		}
-		t.AddRow(fmt.Sprint(r.nodes), fmt.Sprint(r.writers), mode, gossip,
+		t.AddRow(fmt.Sprint(r.nodes), fmt.Sprint(r.writers), gossip,
 			fmt.Sprintf("%d/%d", res.converged, r.nodes), conv,
 			fmt.Sprint(res.lost), f1(res.wireKB))
 	}
 	t.Notes = append(t.Notes,
 		"W writers publish concurrent updates to one subject at the same virtual instant; every node then fetches it once",
 		"converged = nodes whose KB holds the full merged set (every writer's observation + the newest-validity location) at the 60 s deadline",
-		"lost facts = merged-set facts missing from the worst node at the deadline: legacy last-writer-wins drops every non-winning writer's update on ALL nodes",
-		"wire KB = codec-accounted kb.* + store.* bytes from first publish until convergence (or deadline); causal pays for gossip digests + version pushes, legacy pays only the store fetches that lose the data")
+		"lost facts = merged-set facts missing from the worst node at the deadline",
+		"wire KB = codec-accounted kb.* + store.* bytes from first publish until convergence (or deadline): store publishes and fetches plus gossip digests and version pushes")
 	return t
 }
 
@@ -78,7 +73,7 @@ type t17Result struct {
 }
 
 // t17Run executes one concurrent-writer scenario and reports convergence.
-func t17Run(seed int64, nodes, writers int, legacy bool, gossip time.Duration) (t17Result, bool) {
+func t17Run(seed int64, nodes, writers int, gossip time.Duration) (t17Result, bool) {
 	c := buildCluster(clusterCfg{
 		seed: seed, nodes: nodes, withStores: true,
 		// Background repair off: the wire window should charge the
@@ -91,7 +86,6 @@ func t17Run(seed int64, nodes, writers int, legacy bool, gossip time.Duration) (
 	for i := 0; i < nodes; i++ {
 		kbs[i] = knowledge.NewKB()
 		sys[i] = knowledge.NewSyncerOpts(c.stores[i], kbs[i], knowledge.Options{
-			LegacySync:     legacy,
 			GossipInterval: gossip,
 		})
 	}

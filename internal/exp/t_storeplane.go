@@ -14,14 +14,13 @@ import (
 // T16StoragePlane measures what the streaming storage plane costs to
 // heal: for replicated objects, the repair payload and incremental wire
 // traffic after losing one replica holder, across object size, chunk
-// size, wire codec and repair mode (digest vs legacy blind push); for an
-// erasure-coded (m=4, r=2) object, the traffic to recover a single lost
-// fragment via in-network reconstruction vs the whole-object re-copy
-// ablation. Wire bytes count codec-encoded store.* frames only (overlay
-// heartbeats and leaf maintenance excluded), baseline-corrected: the
-// steady-state store rate (digest rounds, stat probes, blind pushes)
-// measured over a pre-failure window is subtracted from the recovery
-// window.
+// size and wire codec; for an erasure-coded (m=4, r=2) object, the
+// traffic to recover a single lost fragment via in-network reconstruction
+// vs the whole-object re-copy ablation. Wire bytes count codec-encoded
+// store.* frames only (overlay heartbeats and leaf maintenance excluded),
+// baseline-corrected: the steady-state store rate (digest rounds, stat
+// probes) measured over a pre-failure window is subtracted from the
+// recovery window.
 func T16StoragePlane(quick bool) *Table {
 	t := &Table{
 		ID:     "E-T16",
@@ -37,7 +36,6 @@ func T16StoragePlane(quick bool) *Table {
 		{256, 64, "bin", "digest"},
 		{256, 16, "bin", "digest"},
 		{256, 64, "xml", "digest"},
-		{256, 64, "bin", "legacy"},
 	}
 	nodes := 20
 	if quick {
@@ -46,13 +44,12 @@ func T16StoragePlane(quick bool) *Table {
 			{64, 16, "bin", "digest"},
 			{64, 4, "bin", "digest"},
 			{64, 16, "xml", "digest"},
-			{64, 16, "bin", "legacy"},
 		}
 		nodes = 14
 	}
 	for i, r := range rows {
 		payloadKB, wireKB, recov, ok := t16Replication(16000+int64(i), nodes,
-			r.objKiB<<10, r.chunkKiB<<10, r.codec, r.repair == "legacy")
+			r.objKiB<<10, r.chunkKiB<<10, r.codec)
 		if !ok {
 			t.AddRow(fmt.Sprint(r.objKiB), fmt.Sprint(r.chunkKiB), r.codec, r.repair,
 				"setup failed", "-", "-")
@@ -81,7 +78,7 @@ func T16StoragePlane(quick bool) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"replication rows: kill one replica holder of 4 objects (k=3), heal to full degree",
-		"payload KB = object bytes the repair layer pushed during healing; legacy re-pushes blindly every round",
+		"payload KB = object bytes the repair layer pushed during healing",
 		"wire KB = codec-accounted store.* bytes during healing minus the pre-failure baseline rate × healing time",
 		"coded rows: kill the root of one fragment of an (m=4, r=2) object; erasure rebuilds from m survivors in-network and hands the fragment direct to its root, recopy is the GetCoded+PutCoded whole-object ablation")
 	return t
@@ -89,14 +86,14 @@ func T16StoragePlane(quick bool) *Table {
 
 // t16Replication builds a k=3 cluster, kills one replica holder and
 // reports what healing back to full replication degree cost.
-func t16Replication(seed int64, nodes, objBytes, chunkBytes int, codec string, legacy bool) (payloadKB, wireKB float64, recov time.Duration, ok bool) {
+func t16Replication(seed int64, nodes, objBytes, chunkBytes int, codec string) (payloadKB, wireKB float64, recov time.Duration, ok bool) {
 	const k = 3
 	c := buildCluster(clusterCfg{
 		seed: seed, nodes: nodes, withStores: true,
 		overlay: plaxton.Options{HeartbeatInterval: time.Second, ProbeTimeout: 300 * time.Millisecond},
 		storeOpts: store.Options{
 			Replicas: k, RepairInterval: 2 * time.Second, RequestTimeout: 5 * time.Second,
-			ChunkBytes: chunkBytes, LegacyReplication: legacy,
+			ChunkBytes: chunkBytes,
 		},
 		codec: codec,
 	})

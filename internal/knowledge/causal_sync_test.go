@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/gloss/active/internal/leakcheck"
+	"github.com/gloss/active/internal/store"
 )
 
 // bobWriter0/bobWriter1 are the two concurrent broker updates used by
@@ -38,16 +39,39 @@ func wantUnion(t *testing.T, kb *KB, label string) {
 	}
 }
 
-// TestLegacySyncByteIdentical pins the reference path: with
-// Options.LegacySync the stored body is exactly the XML document the
-// seed implementation wrote — byte for byte.
+// lwwPublish and lwwFetch are the seed's last-writer-wins knowledge sync,
+// kept as the reference the Syncer is compared against: the subject's
+// facts as a bare XML document, blindly overwritten on publish and blindly
+// merged into the local KB on fetch.
+func lwwPublish(st *store.Store, kb *KB, subject string, cb func(error)) {
+	data, err := MarshalFacts(kb.SubjectFacts(subject))
+	if err != nil {
+		cb(err)
+		return
+	}
+	st.PutAs(SubjectKey(subject), data, cb)
+}
+
+func lwwFetch(st *store.Store, kb *KB, subject string) {
+	st.Get(SubjectKey(subject), func(data []byte, err error) {
+		if err != nil {
+			return
+		}
+		if facts, err := UnmarshalFacts(data); err == nil {
+			kb.MergeSubject(subject, facts)
+		}
+	})
+}
+
+// TestLegacySyncByteIdentical pins the legacy data format: what the
+// last-writer-wins writer stores is exactly the XML fact document, byte
+// for byte, and the store hands it back untouched.
 func TestLegacySyncByteIdentical(t *testing.T) {
 	w, stores := buildStores(t, 6)
 	kb := NewKB()
 	bobWriter0(kb)
-	sy := NewSyncerOpts(stores[0], kb, Options{LegacySync: true})
 	var pubErr error
-	sy.PublishSubject("bob", func(err error) { pubErr = err })
+	lwwPublish(stores[0], kb, "bob", func(err error) { pubErr = err })
 	w.RunFor(5 * time.Second)
 	if pubErr != nil {
 		t.Fatalf("publish: %v", pubErr)
@@ -70,23 +94,20 @@ func TestLegacySyncByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLegacySyncLosesConcurrentWrites demonstrates the flaw the causal
-// path fixes: two brokers updating the same subject overwrite each
-// other, and a reader sees exactly one writer's facts.
+// TestLegacySyncLosesConcurrentWrites demonstrates the flaw the Syncer
+// fixes: two last-writer-wins brokers updating the same subject overwrite
+// each other, and a reader sees exactly one writer's facts.
 func TestLegacySyncLosesConcurrentWrites(t *testing.T) {
 	w, stores := buildStores(t, 8)
 	kb0, kb1 := NewKB(), NewKB()
 	bobWriter0(kb0)
 	bobWriter1(kb1)
-	sy0 := NewSyncerOpts(stores[0], kb0, Options{LegacySync: true})
-	sy1 := NewSyncerOpts(stores[1], kb1, Options{LegacySync: true})
-	sy0.PublishSubject("bob", func(error) {})
-	sy1.PublishSubject("bob", func(error) {})
+	lwwPublish(stores[0], kb0, "bob", func(error) {})
+	lwwPublish(stores[1], kb1, "bob", func(error) {})
 	w.RunFor(10 * time.Second)
 
 	kbR := NewKB()
-	syR := NewSyncerOpts(stores[5], kbR, Options{LegacySync: true})
-	syR.FetchSubject("bob", func(error) {})
+	lwwFetch(stores[5], kbR, "bob")
 	w.RunFor(10 * time.Second)
 
 	has0 := kbR.Ask("bob", "likes", "ice cream", -1)
@@ -166,19 +187,24 @@ func TestCausalFetchReadRepair(t *testing.T) {
 }
 
 // TestSyncerDifferentialSingleWriter: with one writer there are no
-// concurrent histories, so legacy and causal sync must deliver the same
-// fact set to a reader (same seed, same topology).
+// concurrent histories, so last-writer-wins and the Syncer must deliver
+// the same fact set to a reader (same seed, same topology).
 func TestSyncerDifferentialSingleWriter(t *testing.T) {
 	run := func(legacy bool) []Fact {
 		w, stores := buildStores(t, 8)
 		kb := NewKB()
 		bobWriter0(kb)
 		kb.AddSPO("bob", "works-at", "university")
-		sy := NewSyncerOpts(stores[2], kb, Options{LegacySync: legacy})
-		sy.PublishSubject("bob", func(error) {})
-		w.RunFor(5 * time.Second)
 		kbR := NewKB()
-		NewSyncerOpts(stores[6], kbR, Options{LegacySync: legacy}).FetchSubject("bob", func(error) {})
+		if legacy {
+			lwwPublish(stores[2], kb, "bob", func(error) {})
+			w.RunFor(5 * time.Second)
+			lwwFetch(stores[6], kbR, "bob")
+		} else {
+			NewSyncer(stores[2], kb).PublishSubject("bob", func(error) {})
+			w.RunFor(5 * time.Second)
+			NewSyncer(stores[6], kbR).FetchSubject("bob", func(error) {})
+		}
 		w.RunFor(5 * time.Second)
 		got := kbR.SubjectFacts("bob")
 		sortFacts(got)
@@ -260,13 +286,13 @@ func TestSiblingCapCompaction(t *testing.T) {
 	}
 }
 
-// TestLegacyDataUpgrade: a causal fetch of a legacy XML body lifts it
-// into the empty-vector history, which any causal write then dominates.
+// TestLegacyDataUpgrade: a fetch of a legacy bare-XML body lifts it into
+// the empty-vector history, which any versioned write then dominates.
 func TestLegacyDataUpgrade(t *testing.T) {
 	w, stores := buildStores(t, 6)
 	kbL := NewKB()
 	bobWriter0(kbL)
-	NewSyncerOpts(stores[0], kbL, Options{LegacySync: true}).PublishSubject("bob", func(error) {})
+	lwwPublish(stores[0], kbL, "bob", func(error) {})
 	w.RunFor(5 * time.Second)
 
 	kbC := NewKB()

@@ -29,10 +29,6 @@ type Options struct {
 	// Writer is this node's identity in version vectors. Defaults to the
 	// store endpoint's ID; it must be unique per writer node.
 	Writer string
-	// LegacySync selects the pre-causal reference path: bare XML bodies,
-	// blind overwrite on publish, blind replace on fetch. Kept for the
-	// same-seed differential tests and as the paper-faithful baseline.
-	LegacySync bool
 	// Merge resolves concurrent sibling fact sets. Defaults to
 	// MergeFactSets (union + per-(S,P) newest-validity).
 	Merge MergeFunc
@@ -67,11 +63,12 @@ type SyncStats struct {
 // matching computation occurs" — the store's promiscuous caching pulls
 // hot subjects close to their matchers.
 //
-// In causal mode (the default) every stored fact set and GIS document is
-// a version-vectored sibling set: concurrent writers are detected rather
-// than silently overwritten, fetches read-repair stale replicas, and
-// optional gossip rounds push digests + missing versions between brokers
-// until every node converges on the merged state.
+// Every stored fact set and GIS document is a version-vectored sibling
+// set: concurrent writers are detected rather than silently overwritten,
+// fetches read-repair stale replicas, and optional gossip rounds push
+// digests + missing versions between brokers until every node converges
+// on the merged state. A bare XML body written before versioning decodes
+// as a sibling every versioned write dominates.
 type Syncer struct {
 	store *store.Store
 	kb    *KB
@@ -94,7 +91,7 @@ type Syncer struct {
 }
 
 // NewSyncer binds a syncer to a store and a local KB with default
-// (causal, gossip-off) options.
+// (gossip-off) options.
 func NewSyncer(st *store.Store, kb *KB) *Syncer {
 	return NewSyncerOpts(st, kb, Options{})
 }
@@ -124,13 +121,11 @@ func NewSyncerOpts(st *store.Store, kb *KB, opts Options) *Syncer {
 		subjects: make(map[string]*causal.Versioned[[]Fact]),
 		gisDocs:  make(map[string]*causal.Versioned[[]Place]),
 	}
-	if !opts.LegacySync {
-		ep := st.Endpoint()
-		ep.Handle("kb.digest", sy.handleDigest)
-		ep.Handle("kb.push", sy.handlePush)
-		if opts.GossipInterval > 0 {
-			ep.Clock().After(opts.GossipInterval, sy.gossipTick)
-		}
+	ep := st.Endpoint()
+	ep.Handle("kb.digest", sy.handleDigest)
+	ep.Handle("kb.push", sy.handlePush)
+	if opts.GossipInterval > 0 {
+		ep.Clock().After(opts.GossipInterval, sy.gossipTick)
 	}
 	return sy
 }
@@ -170,21 +165,9 @@ func (sy *Syncer) gisObj(region string) *causal.Versioned[[]Place] {
 	return v
 }
 
-// PublishSubject uploads the local facts about subject to the store.
-// Causal mode wraps them in a new version descending from everything
-// this node has seen; legacy mode overwrites blindly.
+// PublishSubject uploads the local facts about subject to the store,
+// wrapped in a new version descending from everything this node has seen.
 func (sy *Syncer) PublishSubject(subject string, cb func(error)) {
-	if sy.opts.LegacySync {
-		facts := sy.kb.SubjectFacts(subject)
-		data, err := MarshalFacts(facts)
-		if err != nil {
-			cb(err)
-			return
-		}
-		sy.publishes.Add(1)
-		sy.store.PutAs(SubjectKey(subject), data, cb)
-		return
-	}
 	sy.mu.Lock()
 	v := sy.subjectObj(subject)
 	v.Put(sy.opts.Writer, sy.kb.SubjectFacts(subject))
@@ -195,25 +178,14 @@ func (sy *Syncer) PublishSubject(subject string, cb func(error)) {
 }
 
 // FetchSubject downloads facts about subject and merges them into the
-// local KB. Legacy mode replaces the local set; causal mode absorbs the
-// stored sibling set, resolves concurrent versions through Options.Merge
-// and — when the local replica knows more than the store copy —
-// read-repairs the store.
+// local KB: it absorbs the stored sibling set, resolves concurrent
+// versions through Options.Merge and — when the local replica knows more
+// than the store copy — read-repairs the store.
 func (sy *Syncer) FetchSubject(subject string, cb func(error)) {
 	sy.fetches.Add(1)
 	sy.store.Get(SubjectKey(subject), func(data []byte, err error) {
 		if err != nil {
 			cb(fmt.Errorf("knowledge: fetch %q: %w", subject, err))
-			return
-		}
-		if sy.opts.LegacySync {
-			facts, err := UnmarshalFacts(data)
-			if err != nil {
-				cb(err)
-				return
-			}
-			sy.kb.MergeSubject(subject, facts)
-			cb(nil)
 			return
 		}
 		remote, err := DecodeVersionedFacts(data)
@@ -259,16 +231,6 @@ func (sy *Syncer) absorbSubject(subject string, remote *causal.Versioned[[]Fact]
 
 // PublishGIS uploads a GIS layer under the given region key.
 func (sy *Syncer) PublishGIS(region string, g *GIS, cb func(error)) {
-	if sy.opts.LegacySync {
-		data, err := g.MarshalGIS()
-		if err != nil {
-			cb(err)
-			return
-		}
-		sy.publishes.Add(1)
-		sy.store.PutAs(GISKey(region), data, cb)
-		return
-	}
 	sy.mu.Lock()
 	v := sy.gisObj(region)
 	v.Put(sy.opts.Writer, g.Places())
@@ -284,11 +246,6 @@ func (sy *Syncer) FetchGIS(region string, cb func(*GIS, error)) {
 	sy.store.Get(GISKey(region), func(data []byte, err error) {
 		if err != nil {
 			cb(nil, fmt.Errorf("knowledge: fetch gis %q: %w", region, err))
-			return
-		}
-		if sy.opts.LegacySync {
-			g, err := UnmarshalGIS(data)
-			cb(g, err)
 			return
 		}
 		remote, err := DecodeVersionedGIS(data)
@@ -356,9 +313,6 @@ func (sy *Syncer) Stop() { sy.stopped.Store(true) }
 // to up to GossipFanout random peers; each answers with its own digest
 // and both sides push only versions the other provably lacks.
 func (sy *Syncer) GossipNow() {
-	if sy.opts.LegacySync {
-		return
-	}
 	ep := sy.store.Endpoint()
 	peers := sy.opts.Peers()
 	if len(peers) == 0 {

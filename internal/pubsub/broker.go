@@ -22,28 +22,6 @@ type Options struct {
 	// ProxyBufferLimit bounds the number of events buffered for a
 	// detached mobile client. Default 1024.
 	ProxyBufferLimit int
-	// DisableIndex routes event matching through the preserved
-	// linear scan of the subscription table instead of the counting
-	// predicate index. The scan is the reference implementation for the
-	// differential tests and the BenchmarkBrokerPublish baseline; the
-	// index is maintained either way, so flipping this never changes
-	// observable behaviour, only the per-publish cost.
-	DisableIndex bool
-	// CloneFanout restores the reference delivery path: every local
-	// delivery, neighbour forward and proxy buffer gets its own detached
-	// deep copy of the event. The default (borrow fan-out) freezes the
-	// event once and shares it everywhere — zero event copies per
-	// delivery; the clone path exists for the clone-vs-borrow
-	// differential tests and the E-T12 ablation.
-	CloneFanout bool
-	// MatchShards selects the predicate-index implementation. 0 (the
-	// default) uses the attribute-sharded index with DefaultMatchShards
-	// shards; >= 2 uses that many shards; 1 selects the serial single-shard
-	// Index, preserved as the reference implementation for the
-	// sharded-vs-serial differential tests. Both implementations run the
-	// same probeAttr match engine, so delivery sets, Stats and forwarding
-	// are identical across settings. nodecfg.Common.Shards threads here.
-	MatchShards int
 	// FanoutWorkers selects the post-match publish pipeline. 0 (the
 	// default) uses a pool of DefaultFanoutWorkers destination-sticky
 	// workers for SendMany group assembly, shared-body encode and
@@ -55,18 +33,7 @@ type Options struct {
 	// any setting behaves as 1. Matching, target classification, shed
 	// decisions and all state mutation stay on the actor loop either
 	// way; see fanout.go for the per-destination FIFO argument.
-	// nodecfg.Common.FanoutWorkers threads here.
 	FanoutWorkers int
-	// DisableShedding turns off backpressure-aware fan-out shedding.
-	// By default, when the endpoint reports send-queue saturation
-	// (netapi.Backpressured), the broker drops per-subscriber
-	// deliveries toward saturated destinations — the lowest-value work
-	// first: a shed DeliverMsg loses one event for one subscriber,
-	// while neighbour forwards serve whole subtrees and control
-	// messages steer all future routing, so neither is shed here (and
-	// control frames are additionally exempt from budget drops at the
-	// transport). Stats.ShedDeliveries counts sheds.
-	DisableShedding bool
 }
 
 func (o *Options) applyDefaults() {
@@ -75,10 +42,9 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// matcher is the seam between the broker and the counting predicate
-// index: the serial Index (MatchShards = 1) and the attribute-sharded
-// ShardedIndex both satisfy it, and the broker drives whichever the
-// options selected through this interface only.
+// matcher is the seam between the broker and its predicate index. Index
+// is the one shipped implementation; the seam exists so the differential
+// tests can put a linear-scan oracle behind the same broker.
 type matcher interface {
 	Add(key string, f Filter)
 	Remove(key string)
@@ -86,14 +52,6 @@ type matcher interface {
 	Len() int
 	AttrCount() int
 	Postings() int
-}
-
-// newMatcher maps Options.MatchShards onto an index implementation.
-func newMatcher(shards int) matcher {
-	if shards == 1 {
-		return NewIndex()
-	}
-	return NewShardedIndex(shards)
 }
 
 // entry records one distinct filter and the directions subscribed to it.
@@ -125,9 +83,10 @@ type Stats struct {
 	Matches        uint64 // events matched at this broker
 	ClientDelivers uint64
 	NeighborFwds   uint64
-	// EventClones counts deep copies made during fan-out: always zero on
-	// the borrow path, one per delivery with Options.CloneFanout. The
-	// fan-out benchmarks report this per delivery to prove zero-copy.
+	// EventClones is never written: fan-out shares one frozen event and
+	// makes no copies. Declared only because the frozen benchmark reads it
+	// (bench/internal/workloads/replay.go:169,198); the next PR allowed to
+	// edit bench/ removes both.
 	EventClones uint64
 	// ShedDeliveries counts per-subscriber deliveries dropped because
 	// the endpoint reported the destination's send queue saturated
@@ -142,7 +101,7 @@ type Stats struct {
 // Broker is one node of the content-based event service.
 type Broker struct {
 	ep        netapi.Endpoint
-	bp        netapi.Backpressured  // non-nil when shedding is active
+	bp        netapi.Backpressured  // non-nil when the endpoint reports saturation
 	local     netapi.LocalDeliverer // non-nil when ep has a local run queue
 	opts      Options
 	neighbors map[ids.ID]bool
@@ -168,7 +127,7 @@ func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
 		opts:      opts,
 		neighbors: make(map[ids.ID]bool),
 		entries:   make(map[string]*entry),
-		index:     newMatcher(opts.MatchShards),
+		index:     NewIndex(),
 		covers:    make(map[ids.ID]*cover),
 		adverts:   make(map[string]*advEntry),
 		proxies:   make(map[ids.ID]*proxy),
@@ -176,11 +135,9 @@ func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
 	}
 	caps := netapi.Capabilities(ep)
 	b.local = caps.Local
-	if !opts.DisableShedding {
-		if caps.Backpressure != nil {
-			b.bp = caps.Backpressure
-			b.bp.OnDrain(b.onDrain)
-		}
+	if caps.Backpressure != nil {
+		b.bp = caps.Backpressure
+		b.bp.OnDrain(b.onDrain)
 	}
 	workers := opts.FanoutWorkers
 	if workers == 0 {
@@ -511,28 +468,21 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	pub := msg.(*PubMsg)
 	b.stats.PubsReceived++
 	ev := pub.Event
-	if !b.opts.CloneFanout {
-		// Borrow fan-out: one frozen event backs every local delivery,
-		// proxy buffer slot and outgoing message. Freezing here (rather
-		// than at decode) keeps wire round-trips byte-identical while
-		// guaranteeing no subscriber can rewrite what its neighbours see.
-		ev.Freeze()
-	}
+	// One frozen event backs every local delivery, proxy buffer slot and
+	// outgoing message. Freezing here (rather than at decode) keeps wire
+	// round-trips byte-identical while guaranteeing no subscriber can
+	// rewrite what its neighbours see.
+	ev.Freeze()
 	targets := make(map[ids.ID]bool)
 	matched := false
-	collect := func(ent *entry) {
+	b.index.Match(ev, func(key string) {
 		matched = true
-		for d := range ent.dirs {
+		for d := range b.entries[key].dirs {
 			if d != from {
 				targets[d] = true
 			}
 		}
-	}
-	if b.opts.DisableIndex {
-		b.matchLinear(ev, collect)
-	} else {
-		b.index.Match(ev, func(key string) { collect(b.entries[key]) })
-	}
+	})
 	if matched {
 		b.stats.Matches++
 	}
@@ -563,7 +513,7 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 				p.dropped++
 				continue
 			}
-			p.buf = append(p.buf, b.fanoutEvent(ev))
+			p.buf = append(p.buf, ev)
 			continue
 		}
 		// Shed the lowest-value fan-out work first: a delivery toward a
@@ -588,20 +538,9 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		delivers = append(delivers, d)
 	}
 	if toSelf {
-		b.deliverLocal(&DeliverMsg{Event: b.fanoutEvent(ev)})
+		b.deliverLocal(&DeliverMsg{Event: ev})
 	}
 	if len(fwds)+len(delivers) == 0 {
-		return
-	}
-	if b.opts.CloneFanout {
-		// Reference path: a detached copy per delivery, one Send each.
-		// Always serial — the clones are built on the actor loop.
-		for _, d := range fwds {
-			b.ep.Send(d, &PubMsg{Event: b.fanoutEvent(ev)})
-		}
-		for _, d := range delivers {
-			b.ep.Send(d, &DeliverMsg{Event: b.fanoutEvent(ev)})
-		}
 		return
 	}
 	if b.pool != nil {
@@ -679,17 +618,6 @@ func (b *Broker) onDrain(to ids.ID) {
 	}
 }
 
-// fanoutEvent yields the event to hand one delivery target: the shared
-// frozen event on the borrow path, a counted detached clone on the
-// reference path.
-func (b *Broker) fanoutEvent(ev *event.Event) *event.Event {
-	if !b.opts.CloneFanout {
-		return ev
-	}
-	b.stats.EventClones++
-	return ev.CloneDetached()
-}
-
 // Subscribe installs a subscription as if a SubMsg had arrived from the
 // direction from — the local-injection seam the experiment harness and
 // benchmarks use to build large subscription tables without a network.
@@ -708,17 +636,6 @@ func (b *Broker) Subscribe(from ids.ID, f Filter) {
 //vetactive:actoronly
 func (b *Broker) Publish(from ids.ID, msg *PubMsg) {
 	b.handlePub(nil, from, msg)
-}
-
-// matchLinear is the original O(table) matching scan, preserved as the
-// reference implementation the counting index is differentially tested
-// and benchmarked against (Options.DisableIndex selects it).
-func (b *Broker) matchLinear(ev *event.Event, visit func(*entry)) {
-	for _, key := range b.entryKeys {
-		if ent := b.entries[key]; ent.filter.Matches(ev) {
-			visit(ent)
-		}
-	}
 }
 
 // --- topology repair ------------------------------------------------------------------

@@ -795,7 +795,7 @@ func TestUnadvertiseRetiresForwardedSubscriptions(t *testing.T) {
 // only counts what is sent.
 func churnBroker(n int) (*Broker, *countingEndpoint, ids.ID) {
 	ep := &countingEndpoint{nullEndpoint: nullEndpoint{id: ids.FromString("churn-broker"), rng: rand.New(rand.NewSource(3))}}
-	b := NewBroker(ep, Options{MatchShards: 1})
+	b := NewBroker(ep, Options{})
 	up, down := ids.FromString("churn-up"), ids.FromString("churn-down")
 	b.AddNeighbor(up)
 	b.AddNeighbor(down)

@@ -41,9 +41,8 @@ type fanoutJob struct {
 
 // fanoutPool pipelines the publish path after the match: message
 // assembly, shared-body encode and endpoint sends run on destination-
-// sticky workers instead of the broker's actor loop, so a hot broker
-// uses every core end-to-end (the matching half was parallelised by
-// ShardedIndex; this parallelises dissemination).
+// sticky workers instead of the broker's actor loop, which keeps the
+// match: dissemination is the half of a publish that parallelises.
 //
 // Ordering: per-destination FIFO is retained by construction. The actor
 // loop is the only producer; destination d is always assigned to worker

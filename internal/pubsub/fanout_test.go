@@ -51,48 +51,66 @@ func randomFanoutEvent(rng *rand.Rand, seq uint64) *event.Event {
 }
 
 // runFanoutWorkload drives a randomized publish workload over a small
-// broker tree and returns every delivery as "client|content", sorted.
-func runFanoutWorkload(seed int64, cloneFanout bool) []string {
+// broker tree. got is every delivery as "client|content", sorted; want is
+// the reference: for each publish, a detached copy taken before the event
+// entered the network, rendered once per client whose filter it matches —
+// what a copy-per-delivery fan-out would have handed over. clones sums
+// Stats.EventClones over the brokers.
+func runFanoutWorkload(seed int64) (got, want []string, clones uint64) {
 	rng := rand.New(rand.NewSource(seed))
-	tn := newChain(seed, 3, Options{CloneFanout: cloneFanout})
-	var deliveries []string
+	tn := newChain(seed, 3, Options{})
 	const nClients = 10
+	filters := make([]Filter, nClients)
 	for i := 0; i < nClients; i++ {
 		c := tn.addClient(rng.Intn(len(tn.brokers)))
 		idx := i
-		c.Subscribe(randomFanoutFilter(rng), func(e *event.Event) {
-			deliveries = append(deliveries, fmt.Sprintf("c%d|%s", idx, renderEvent(e)))
+		filters[i] = randomFanoutFilter(rng)
+		c.Subscribe(filters[i], func(e *event.Event) {
+			got = append(got, fmt.Sprintf("c%d|%s", idx, renderEvent(e)))
 		})
 	}
 	tn.settle()
 	for i := 0; i < 80; i++ {
 		pub := tn.clients[rng.Intn(len(tn.clients))]
-		pub.Publish(randomFanoutEvent(rng, uint64(i)))
+		ev := randomFanoutEvent(rng, uint64(i))
+		ref := ev.CloneDetached()
+		for ci, f := range filters {
+			if f.Matches(ref) {
+				want = append(want, fmt.Sprintf("c%d|%s", ci, renderEvent(ref)))
+			}
+		}
+		pub.Publish(ev)
 	}
 	tn.settle()
-	sort.Strings(deliveries)
-	return deliveries
+	for _, br := range tn.brokers {
+		clones += br.Stats().EventClones
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	return got, want, clones
 }
 
 // TestFanoutBorrowVsCloneDifferential is the aliasing-safety property
 // test: under randomized workloads, borrow fan-out (one frozen event
-// shared by every delivery) must produce exactly the delivery set of the
-// clone-always reference path — same clients, same contents, byte for
-// byte.
+// shared by every delivery) must hand every subscriber exactly what a
+// private copy made at publish time would have held — same clients, same
+// contents, byte for byte — without making a single copy.
 func TestFanoutBorrowVsCloneDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		borrow := runFanoutWorkload(seed, false)
-		clone := runFanoutWorkload(seed, true)
+		borrow, clone, clones := runFanoutWorkload(seed)
 		if len(borrow) == 0 {
 			t.Fatalf("seed %d: workload produced no deliveries (vacuous)", seed)
 		}
 		if len(borrow) != len(clone) {
-			t.Fatalf("seed %d: borrow delivered %d, clone delivered %d", seed, len(borrow), len(clone))
+			t.Fatalf("seed %d: borrow delivered %d, clone reference %d", seed, len(borrow), len(clone))
 		}
 		for i := range borrow {
 			if borrow[i] != clone[i] {
 				t.Fatalf("seed %d: delivery %d diverges\nborrow: %s\nclone:  %s", seed, i, borrow[i], clone[i])
 			}
+		}
+		if clones != 0 {
+			t.Fatalf("seed %d: brokers made %d event copies, want 0", seed, clones)
 		}
 	}
 }
@@ -141,46 +159,31 @@ func TestFrozenEventImmuneToMisbehavingSubscriber(t *testing.T) {
 	}
 }
 
-// TestFanoutSharesOneEvent pins the zero-copy mechanics: on the borrow
-// path every local subscriber receives the same *Event value and the
-// broker makes zero clones; on the reference path each delivery gets its
-// own detached copy, one clone per delivery.
+// TestFanoutSharesOneEvent pins the zero-copy mechanics: every local
+// subscriber receives the same *Event value and the broker makes zero
+// clones.
 func TestFanoutSharesOneEvent(t *testing.T) {
-	for _, clone := range []bool{false, true} {
-		tn := newChain(4, 1, Options{CloneFanout: clone})
-		const subs = 6
-		var seen []*event.Event
-		for i := 0; i < subs; i++ {
-			c := tn.addClient(0)
-			c.Subscribe(NewFilter(TypeIs("hot")), func(e *event.Event) { seen = append(seen, e) })
+	tn := newChain(4, 1, Options{})
+	const subs = 6
+	var seen []*event.Event
+	for i := 0; i < subs; i++ {
+		c := tn.addClient(0)
+		c.Subscribe(NewFilter(TypeIs("hot")), func(e *event.Event) { seen = append(seen, e) })
+	}
+	pub := tn.addClient(0)
+	tn.settle()
+	pub.Publish(event.New("hot", "src", 0).Set("x", event.F(1)).Stamp(1))
+	tn.settle()
+	if len(seen) != subs {
+		t.Fatalf("delivered %d, want %d", len(seen), subs)
+	}
+	for _, e := range seen[1:] {
+		if e != seen[0] {
+			t.Fatal("fan-out copied the event: subscribers saw distinct values")
 		}
-		pub := tn.addClient(0)
-		tn.settle()
-		pub.Publish(event.New("hot", "src", 0).Set("x", event.F(1)).Stamp(1))
-		tn.settle()
-		if len(seen) != subs {
-			t.Fatalf("cloneFanout=%v: delivered %d, want %d", clone, len(seen), subs)
-		}
-		distinct := make(map[*event.Event]bool)
-		for _, e := range seen {
-			distinct[e] = true
-		}
-		st := tn.brokers[0].Stats()
-		if clone {
-			if len(distinct) != subs {
-				t.Fatalf("clone path shared events: %d distinct of %d", len(distinct), subs)
-			}
-			if st.EventClones != uint64(subs) {
-				t.Fatalf("clone path made %d clones, want %d", st.EventClones, subs)
-			}
-		} else {
-			if len(distinct) != 1 {
-				t.Fatalf("borrow path copied events: %d distinct values", len(distinct))
-			}
-			if st.EventClones != 0 {
-				t.Fatalf("borrow path made %d clones, want 0", st.EventClones)
-			}
-		}
+	}
+	if st := tn.brokers[0].Stats(); st.EventClones != 0 {
+		t.Fatalf("fan-out made %d clones, want 0", st.EventClones)
 	}
 }
 
@@ -224,39 +227,33 @@ func TestProxyBufferSafeUnderBorrow(t *testing.T) {
 }
 
 // BenchmarkFanout measures the per-publish delivery path at growing
-// fan-out, borrow vs clone. The headline metric is clones/delivery:
-// exactly 0 on the borrow path (zero-copy local delivery for read-only
-// subscribers), exactly 1 on the reference path.
+// fan-out. clones/delivery must read exactly 0: local delivery to
+// read-only subscribers is zero-copy, allocations independent of width.
 func BenchmarkFanout(b *testing.B) {
 	from := ids.FromString("bench-fanout-src")
 	for _, fanout := range []int{8, 64, 512} {
-		for _, mode := range []struct {
-			name  string
-			clone bool
-		}{{"borrow", false}, {"clone", true}} {
-			b.Run(fmt.Sprintf("fanout=%d/%s", fanout, mode.name), func(b *testing.B) {
-				ep := &nullEndpoint{id: ids.FromString("bench-fanout"), rng: rand.New(rand.NewSource(3))}
-				br := NewBroker(ep, Options{CloneFanout: mode.clone})
-				for i := 0; i < fanout; i++ {
-					br.subscribe(ids.FromString(fmt.Sprintf("sub-%d", i)), NewFilter(TypeIs("hot")))
-				}
-				ev := event.New("hot", "bench", 0).
-					Set("user", event.S("user-1")).
-					Set("x", event.F(4.5)).
-					Stamp(1)
-				msg := &PubMsg{Event: ev}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					br.handlePub(nil, from, msg)
-				}
-				b.StopTimer()
-				st := br.Stats()
-				if st.ClientDelivers > 0 {
-					b.ReportMetric(float64(st.EventClones)/float64(st.ClientDelivers), "clones/delivery")
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
+			ep := &nullEndpoint{id: ids.FromString("bench-fanout"), rng: rand.New(rand.NewSource(3))}
+			br := NewBroker(ep, Options{})
+			for i := 0; i < fanout; i++ {
+				br.subscribe(ids.FromString(fmt.Sprintf("sub-%d", i)), NewFilter(TypeIs("hot")))
+			}
+			ev := event.New("hot", "bench", 0).
+				Set("user", event.S("user-1")).
+				Set("x", event.F(4.5)).
+				Stamp(1)
+			msg := &PubMsg{Event: ev}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				br.handlePub(nil, from, msg)
+			}
+			b.StopTimer()
+			st := br.Stats()
+			if st.ClientDelivers > 0 {
+				b.ReportMetric(float64(st.EventClones)/float64(st.ClientDelivers), "clones/delivery")
+			}
+		})
 	}
 }
 

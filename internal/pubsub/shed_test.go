@@ -170,19 +170,20 @@ func TestBrokerShedsDeliveriesFirst(t *testing.T) {
 	}
 }
 
-// TestBrokerShedDisabled: the ablation switch restores blind fan-out.
+// TestBrokerShedDisabled: an endpoint that reports no backpressure
+// (no Caps.Backpressure) gets blind fan-out — the broker sheds only on a
+// saturation signal, never on its own account.
 func TestBrokerShedDisabled(t *testing.T) {
-	ep := newBPEndpoint("noshed-broker")
-	b := NewBroker(ep, Options{DisableShedding: true})
+	ep := &countingEndpoint{nullEndpoint: nullEndpoint{id: ids.FromString("noshed-broker"), rng: rand.New(rand.NewSource(3))}}
+	b := NewBroker(ep, Options{})
 	sub := ids.FromString("noshed-sub")
 	b.subscribe(sub, NewFilter(TypeIs("shed.evt")))
-	ep.saturated[sub] = true
 	b.handlePub(nil, ids.FromString("noshed-pub"), &PubMsg{
 		Event: event.New("shed.evt", "shed", 0).Stamp(1)})
-	if got := len(ep.sentTo(sub)); got != 1 {
-		t.Fatalf("DisableShedding broker sent %d messages, want 1", got)
+	if ep.sends != 1 {
+		t.Fatalf("broker without a backpressure signal sent %d messages, want 1", ep.sends)
 	}
 	if st := b.Stats(); st.ShedDeliveries != 0 {
-		t.Fatalf("ShedDeliveries = %d with shedding disabled, want 0", st.ShedDeliveries)
+		t.Fatalf("ShedDeliveries = %d without a backpressure signal, want 0", st.ShedDeliveries)
 	}
 }

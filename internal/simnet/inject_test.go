@@ -7,7 +7,6 @@ import (
 
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/netapi"
-	"github.com/gloss/active/internal/nodecfg"
 	"github.com/gloss/active/internal/wire"
 )
 
@@ -33,7 +32,7 @@ func TestInjectEntersAtRunStart(t *testing.T) {
 // counts exact), per-producer FIFO holds at each destination, and the
 // metrics account for every injected message.
 func TestInjectManyConcurrentProducers(t *testing.T) {
-	w := NewWorld(Config{Common: nodecfg.Common{Shards: 3}, Seed: 7, DisableJitter: true})
+	w := NewWorld(Config{Shards: 3, Seed: 7, DisableJitter: true})
 	src := w.NewNode(ids.FromString("inj-src"), "eu", netapi.Coord{})
 	var sinks []*Node
 	for _, name := range []string{"inj-a", "inj-b", "inj-c", "inj-d"} {

@@ -8,7 +8,6 @@ import (
 
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/netapi"
-	"github.com/gloss/active/internal/nodecfg"
 	"github.com/gloss/active/internal/wire"
 )
 
@@ -55,7 +54,7 @@ func runPartWorkload(w *World, nodes []*Node) Metrics {
 func TestPartitionedDeterminism(t *testing.T) {
 	run := func() Metrics {
 		w, nodes := buildPartWorld(Config{
-			Common:   nodecfg.Common{Shards: 3},
+			Shards:   3,
 			Seed:     7,
 			Jitter:   300 * time.Microsecond,
 			LossRate: 0.05,
@@ -83,7 +82,7 @@ func TestPartitionedDeterminism(t *testing.T) {
 func TestPartitionedMatchesSerial(t *testing.T) {
 	run := func(parts int) Metrics {
 		w, nodes := buildPartWorld(Config{
-			Common:        nodecfg.Common{Shards: parts},
+			Shards:        parts,
 			Seed:          7,
 			DisableJitter: true,
 		}, 12)
@@ -104,7 +103,7 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 // partition boundary: the pending-request table and its timeout timer
 // live on the requester's partition, the handler on the responder's.
 func TestPartitionedRequestReply(t *testing.T) {
-	w := NewWorld(Config{Common: nodecfg.Common{Shards: 2}, Seed: 3})
+	w := NewWorld(Config{Shards: 2, Seed: 3})
 	a := w.NewNode(ids.FromString("pa"), "eu", netapi.Coord{})
 	b := w.NewNode(ids.FromString("pb"), "us", netapi.Coord{X: 500})
 	if a.part == b.part {
@@ -133,7 +132,7 @@ func TestPartitionedRequestReply(t *testing.T) {
 // though every delivery lands in a foreign partition.
 func TestPartitionedBudgetRelease(t *testing.T) {
 	w := NewWorld(Config{
-		Common:        nodecfg.Common{Shards: 2, OutboxHighWater: 4, OutboxLowWater: 2},
+		Shards: 2, OutboxHighWater: 4, OutboxLowWater: 2,
 		Seed:          5,
 		DisableJitter: true,
 	})

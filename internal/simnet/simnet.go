@@ -22,22 +22,17 @@ import (
 
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/netapi"
-	"github.com/gloss/active/internal/nodecfg"
 	"github.com/gloss/active/internal/vclock"
 	"github.com/gloss/active/internal/wire"
 )
 
 // Config parameterises a World.
 type Config struct {
-	// Common is the node-configuration block shared with the TCP
-	// transport (see internal/nodecfg). The simulator consumes
-	// Common.Shards as its execution-partition count and
-	// Common.OutboxHighWater/OutboxLowWater as budget defaults; a
-	// substrate-specific field below, when set, wins over the Common
-	// value it shadows.
-	nodecfg.Common
 	// Seed drives all randomness (jitter, loss, node RNGs).
 	Seed int64
+	// Shards is the number of execution partitions the world runs on
+	// (see the package comment). Below 1 means 1: one goroutine.
+	Shards int
 	// BaseLatency is the fixed per-message cost. Default 1ms.
 	BaseLatency time.Duration
 	// LatencyPerKm adds distance-proportional delay. Default 10µs/km
@@ -90,15 +85,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Jitter == 0 {
 		c.Jitter = 200 * time.Microsecond
-	}
-	// The deprecated substrate-local watermark fields shadow the embedded
-	// nodecfg.Common ones; adopt the Common values where the old fields
-	// are unset so either spelling configures the budget.
-	if c.OutboxHighWater == 0 {
-		c.OutboxHighWater = c.Common.OutboxHighWater
-	}
-	if c.OutboxLowWater == 0 {
-		c.OutboxLowWater = c.Common.OutboxLowWater
 	}
 	if c.OutboxHighWater > 0 && c.OutboxLowWater == 0 {
 		c.OutboxLowWater = c.OutboxHighWater / 2

@@ -12,16 +12,16 @@ import (
 // BenchmarkStoreReplicate measures one put of a multi-chunk object
 // through the replication plane of a joined 8-node cluster: manifest +
 // chunk framing, receiver reassembly and the k-1 replica pushes — with
-// the legacy whole-frame push as the reference series.
+// whole-object frames (ChunkBytes -1) as the reference series.
 func BenchmarkStoreReplicate(b *testing.B) {
 	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"chunked", false}, {"legacy", true}} {
+		name       string
+		chunkBytes int
+	}{{"chunked", 4 << 10}, {"legacy", -1}} {
 		b.Run(mode.name, func(b *testing.B) {
 			c := buildCluster(b, 42, 8, Options{
 				Replicas: 3, RepairInterval: -1, RequestTimeout: 5 * time.Second,
-				ChunkBytes: 4 << 10, LegacyReplication: mode.legacy,
+				ChunkBytes: mode.chunkBytes,
 			})
 			body := make([]byte, 64<<10)
 			rand.New(rand.NewSource(42)).Read(body)

@@ -157,12 +157,9 @@ type xfer struct {
 }
 
 // chunkBytes returns the effective chunk threshold: 0 means chunking is
-// off (legacy replication, or ChunkBytes < 0).
+// off (ChunkBytes < 0).
 func (s *Store) chunkBytes() int {
-	if s.opts.LegacyReplication || s.opts.ChunkBytes < 0 {
-		return 0
-	}
-	return s.opts.ChunkBytes
+	return max(s.opts.ChunkBytes, 0)
 }
 
 // sendChunked streams a body to a peer as manifest + chunk frames.

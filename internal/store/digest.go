@@ -12,16 +12,14 @@ import (
 
 // Digest-driven replica maintenance and erasure-coded reconstruction.
 //
-// The seed repair loop blindly re-pushed k-1 full copies of every rooted
-// object each interval. The digest protocol inverts that: each interval
-// the root asks its replica targets for a GUID+length+hash summary of
-// what they hold and pushes only missing or stale replicas
-// (Stats.RepairSkipped / RepairBytes make the saving measurable). For
-// erasure-coded objects, a fragment root that finds its successor
-// fragment missing reconstructs it from any m surviving siblings via
-// erasure.Code instead of someone re-copying the whole object — loss
-// recovery traffic drops from O(object x hops) to O(fragment).
-// Options.LegacyReplication restores the blind-push reference path.
+// Each interval the root asks its replica targets for a
+// GUID+length+hash summary of what they hold and pushes only missing or
+// stale replicas (Stats.RepairSkipped / RepairBytes count the saving over
+// re-pushing k-1 full copies of every rooted object). For erasure-coded
+// objects, a fragment root that finds its successor fragment missing
+// reconstructs it from any m surviving siblings via erasure.Code instead
+// of someone re-copying the whole object — loss recovery traffic drops
+// from O(object x hops) to O(fragment).
 
 // repair is the periodic maintenance pass (and the leaf-set-change
 // trigger): GC replicas this node is no longer responsible for, then
@@ -29,24 +27,15 @@ import (
 func (s *Store) repair() {
 	// One snapshot of the held keys and of the leaf set serves the whole pass.
 	guids, leaves := s.sortedGUIDs(), s.overlay.Leaves()
-	// Replica GC: churn shifts the k-closest window, and before this pass
-	// nothing ever removed a replica a node stopped being responsible
-	// for, so storage grew without bound. Runs in both modes so legacy
-	// and digest repair converge on identical placement.
+	// Replica GC: churn shifts the k-closest window, and nothing else
+	// removes a replica a node stopped being responsible for, so without
+	// this pass storage grows without bound.
 	for _, guid := range guids {
 		if s.pinned[guid] || s.rootAmong(leaves, guid) || s.inReplicaRange(leaves, guid) {
 			continue
 		}
 		s.dropObject(guid)
 		s.stats.ReplicaEvictions++
-	}
-	if s.opts.LegacyReplication {
-		for _, guid := range guids {
-			if b, ok := s.objects[guid]; ok && s.rootAmong(leaves, guid) {
-				s.replicate(leaves, guid, b)
-			}
-		}
-		return
 	}
 	s.digestRepair(guids, leaves)
 	if !s.opts.DisableFragRepair {

@@ -38,36 +38,76 @@ func planeBodies(seed int64) [][]byte {
 	return bodies
 }
 
-// TestDifferentialLegacyVsChunkedStoredState proves the chunked binary
-// plane is a pure transport change: the same workload through
-// LegacyReplication (whole-object frames) and through chunked transfer
-// leaves byte-identical stored state and identical shared Stats on every
-// node — only the new chunk counters may differ.
-func TestDifferentialLegacyVsChunkedStoredState(t *testing.T) {
-	run := func(legacy bool) *cluster {
-		c := buildCluster(t, 77, 16, Options{
-			Replicas:          3,
-			RepairInterval:    -1,
-			ChunkBytes:        1 << 10,
-			LegacyReplication: legacy,
-		})
-		bodies := planeBodies(770)
-		acked := 0
-		for i, body := range bodies {
-			c.stores[i%16].Put(body, func(_ ids.ID, err error) {
-				if err == nil {
-					acked++
-				}
-			})
-			c.world.RunFor(time.Second)
+// blindRepair is the seed repair pass, kept as the oracle the digest
+// protocol is compared against: the same replica GC, then k-1 full copies
+// of every rooted object pushed whether or not the targets hold them.
+func blindRepair(s *Store) {
+	guids, leaves := s.sortedGUIDs(), s.overlay.Leaves()
+	for _, guid := range guids {
+		if s.pinned[guid] || s.rootAmong(leaves, guid) || s.inReplicaRange(leaves, guid) {
+			continue
 		}
-		c.world.RunFor(20 * time.Second)
-		if acked != len(bodies) {
-			t.Fatalf("legacy=%v: acked %d of %d puts", legacy, acked, len(bodies))
+		s.dropObject(guid)
+		s.stats.ReplicaEvictions++
+	}
+	for _, guid := range guids {
+		if b, ok := s.objects[guid]; ok && s.rootAmong(leaves, guid) {
+			s.replicate(leaves, guid, b)
 		}
+	}
+}
+
+// buildBlindCluster is buildCluster on the seed storage plane: whole-object
+// frames (ChunkBytes -1), the store's own maintenance off, and — with a
+// positive interval — blindRepair on the triggers the store would have
+// used, every interval and on every leaf-set change.
+func buildBlindCluster(t testing.TB, seed int64, n int, interval time.Duration) *cluster {
+	c := buildCluster(t, seed, n, Options{Replicas: 3, RepairInterval: -1, ChunkBytes: -1})
+	if interval <= 0 {
 		return c
 	}
-	legacy, chunked := run(true), run(false)
+	for i, s := range c.stores {
+		c.overlays[i].OnLeavesChanged(func() { blindRepair(s) })
+		var tick func()
+		tick = func() {
+			blindRepair(s)
+			s.ep.Clock().After(interval, tick)
+		}
+		s.ep.Clock().After(interval, tick)
+	}
+	return c
+}
+
+// putBodies stores bodies round-robin, one per virtual second, runs the
+// world for settle and fails unless every put was acknowledged.
+func putBodies(t *testing.T, c *cluster, bodies [][]byte, settle time.Duration) {
+	t.Helper()
+	acked := 0
+	for i, body := range bodies {
+		c.stores[i%len(c.stores)].Put(body, func(_ ids.ID, err error) {
+			if err == nil {
+				acked++
+			}
+		})
+		c.world.RunFor(time.Second)
+	}
+	c.world.RunFor(settle)
+	if acked != len(bodies) {
+		t.Fatalf("acked %d of %d puts", acked, len(bodies))
+	}
+}
+
+// TestDifferentialLegacyVsChunkedStoredState proves the chunked binary
+// plane is a pure transport change: the same workload through whole-object
+// frames and through chunked transfer leaves byte-identical stored state
+// and identical shared Stats on every node — only the chunk counters may
+// differ.
+func TestDifferentialLegacyVsChunkedStoredState(t *testing.T) {
+	legacy := buildBlindCluster(t, 77, 16, -1)
+	chunked := buildCluster(t, 77, 16, Options{Replicas: 3, RepairInterval: -1, ChunkBytes: 1 << 10})
+	for _, c := range []*cluster{legacy, chunked} {
+		putBodies(t, c, planeBodies(770), 20*time.Second)
+	}
 	for i := range legacy.stores {
 		if legacy.stores[i].ep.ID() != chunked.stores[i].ep.ID() {
 			t.Fatalf("topologies diverged at node %d", i)
@@ -82,6 +122,9 @@ func TestDifferentialLegacyVsChunkedStoredState(t *testing.T) {
 			sa.RepairPushes != sb.RepairPushes || sa.RepairBytes != sb.RepairBytes {
 			t.Errorf("node %d stats diverged: legacy=%+v chunked=%+v", i, sa, sb)
 		}
+		if n := sa.ChunkFramesSent + sa.ChunkFramesRecv; n != 0 {
+			t.Errorf("node %d of the whole-frame reference moved %d chunk frames", i, n)
+		}
 	}
 	var framesSent, framesRecv uint64
 	for _, s := range chunked.stores {
@@ -93,38 +136,19 @@ func TestDifferentialLegacyVsChunkedStoredState(t *testing.T) {
 	}
 }
 
-// TestDifferentialRepairConvergence kills the same nodes in a legacy and
-// a digest cluster and checks both converge to identical placement —
+// TestDifferentialRepairConvergence kills the same nodes in a blind-repair
+// and a digest cluster and checks both converge to identical placement —
 // with the digest path pushing strictly fewer replicas.
 func TestDifferentialRepairConvergence(t *testing.T) {
-	run := func(legacy bool) *cluster {
-		c := buildCluster(t, 78, 20, Options{
-			Replicas:          3,
-			RepairInterval:    2 * time.Second,
-			ChunkBytes:        1 << 10,
-			LegacyReplication: legacy,
-		})
-		bodies := planeBodies(780)
-		acked := 0
-		for i, body := range bodies {
-			c.stores[i%20].Put(body, func(_ ids.ID, err error) {
-				if err == nil {
-					acked++
-				}
-			})
-			c.world.RunFor(time.Second)
-		}
-		c.world.RunFor(10 * time.Second)
-		if acked != len(bodies) {
-			t.Fatalf("legacy=%v: acked %d of %d puts", legacy, acked, len(bodies))
-		}
+	legacy := buildBlindCluster(t, 78, 20, 2*time.Second)
+	digest := buildCluster(t, 78, 20, Options{Replicas: 3, RepairInterval: 2 * time.Second, ChunkBytes: 1 << 10})
+	for _, c := range []*cluster{legacy, digest} {
+		putBodies(t, c, planeBodies(780), 10*time.Second)
 		for _, i := range []int{3, 8, 14} {
 			c.world.Node(c.stores[i].ep.ID()).Kill()
 		}
 		c.world.RunFor(40 * time.Second)
-		return c
 	}
-	legacy, digest := run(true), run(false)
 	var legacyPushes, digestPushes, skipped uint64
 	for i := range legacy.stores {
 		if !legacy.world.Node(legacy.stores[i].ep.ID()).Alive() {
@@ -139,7 +163,7 @@ func TestDifferentialRepairConvergence(t *testing.T) {
 		skipped += digest.stores[i].Stats().RepairSkipped
 	}
 	if digestPushes >= legacyPushes {
-		t.Errorf("digest repair pushed %d replicas, legacy %d — digests saved nothing", digestPushes, legacyPushes)
+		t.Errorf("digest repair pushed %d replicas, blind repair %d — digests saved nothing", digestPushes, legacyPushes)
 	}
 	if skipped == 0 {
 		t.Errorf("digest repair never skipped a present replica")
@@ -147,8 +171,8 @@ func TestDifferentialRepairConvergence(t *testing.T) {
 }
 
 // TestDigestRepairQuiescesWhenStable: once a stable cluster is fully
-// replicated, digest rounds must move zero payload bytes while legacy
-// blind repair keeps re-pushing every interval.
+// replicated, digest rounds must move zero payload bytes while blind
+// repair keeps re-pushing every interval.
 func TestDigestRepairQuiescesWhenStable(t *testing.T) {
 	repairBytes := func(c *cluster) uint64 {
 		var n uint64
@@ -157,12 +181,9 @@ func TestDigestRepairQuiescesWhenStable(t *testing.T) {
 		}
 		return n
 	}
-	run := func(legacy bool) *cluster {
-		c := buildCluster(t, 79, 16, Options{
-			Replicas:          3,
-			RepairInterval:    time.Second,
-			LegacyReplication: legacy,
-		})
+	legacy := buildBlindCluster(t, 79, 16, time.Second)
+	digest := buildCluster(t, 79, 16, Options{Replicas: 3, RepairInterval: time.Second})
+	for _, c := range []*cluster{legacy, digest} {
 		acked := 0
 		for i := 0; i < 10; i++ {
 			c.stores[i%16].Put([]byte(fmt.Sprintf("stable-object-%d", i)), func(_ ids.ID, err error) {
@@ -173,11 +194,9 @@ func TestDigestRepairQuiescesWhenStable(t *testing.T) {
 		}
 		c.world.RunFor(15 * time.Second)
 		if acked != 10 {
-			t.Fatalf("legacy=%v: acked %d of 10 puts", legacy, acked)
+			t.Fatalf("acked %d of 10 puts", acked)
 		}
-		return c
 	}
-	legacy, digest := run(true), run(false)
 	legacyBase, digestBase := repairBytes(legacy), repairBytes(digest)
 	legacy.world.RunFor(10 * time.Second)
 	digest.world.RunFor(10 * time.Second)
@@ -185,7 +204,7 @@ func TestDigestRepairQuiescesWhenStable(t *testing.T) {
 		t.Errorf("digest repair moved %d payload bytes across a stable cluster", d)
 	}
 	if d := repairBytes(legacy) - legacyBase; d == 0 {
-		t.Errorf("legacy blind repair moved no bytes — comparison is vacuous")
+		t.Errorf("blind repair moved no bytes — comparison is vacuous")
 	}
 	var skipped uint64
 	for _, s := range digest.stores {

@@ -58,11 +58,6 @@ type Options struct {
 	// MaxObjectBytes rejects transfer manifests announcing bodies larger
 	// than this (hostile-manifest allocation bound). Default 64 MiB.
 	MaxObjectBytes int
-	// LegacyReplication restores the seed storage plane as the reference
-	// path: whole-object replica/cache-fill/reply frames (no chunking)
-	// and blind interval repair that re-pushes every rooted object
-	// (no digests, no erasure reconstruction).
-	LegacyReplication bool
 	// DisableFragRepair turns off erasure-coded fragment reconstruction
 	// (the E-T16 whole-object re-copy ablation).
 	DisableFragRepair bool

@@ -42,7 +42,7 @@ func (panicMsg) MarshalXML(*xml.Encoder, xml.StartElement) error {
 // TestOutboxWatermarks drives the queue structure directly through an
 // accept→saturate→drain cycle.
 func TestOutboxWatermarks(t *testing.T) {
-	ox := newOutbox(100, 50, 0)
+	ox := newOutbox(100, 50)
 	frame := make([]byte, 60)
 
 	if !ox.push(frame, false) {
@@ -95,42 +95,10 @@ func TestOutboxWatermarks(t *testing.T) {
 	}
 }
 
-// TestOutboxLegacyFrameCap: the reference path bounds frames, not
-// bytes, and its control exemption is frame-based too — large data
-// frames can exceed the byte hard cap without ever blocking a small
-// control frame (control must never drop before data).
-func TestOutboxLegacyFrameCap(t *testing.T) {
-	ox := newOutbox(100, 50, 4) // byte hard cap would be 200
-	for i := 0; i < 4; i++ {
-		if !ox.push(make([]byte, 60), false) {
-			t.Fatalf("push %d below the frame cap must be accepted", i)
-		}
-	}
-	if ox.push(make([]byte, 60), false) {
-		t.Fatal("push at the frame cap must be dropped")
-	}
-	// 240 queued bytes exceed the byte hard cap; the control frame must
-	// still be admitted under the frame-based exemption (< 2x cap).
-	if !ox.push(make([]byte, 10), true) {
-		t.Fatal("control frames must be exempt from the frame cap regardless of queued bytes")
-	}
-	if ox.saturated() {
-		t.Fatal("the legacy reference path must not report watermark saturation")
-	}
-	for i := 0; i < 3; i++ {
-		if !ox.push(make([]byte, 10), true) {
-			t.Fatalf("control push %d below 2x frame cap must be accepted", i)
-		}
-	}
-	if ox.push(make([]byte, 10), true) {
-		t.Fatal("control push at the 2x frame hard cap must be refused")
-	}
-}
-
 // TestOutboxOversizedFrame: a frame larger than the whole budget still
 // sends on an empty queue, and take always drains at least one frame.
 func TestOutboxOversizedFrame(t *testing.T) {
-	ox := newOutbox(100, 50, 0)
+	ox := newOutbox(100, 50)
 	if !ox.push(make([]byte, 500), false) {
 		t.Fatal("oversized frame on an empty queue must be accepted")
 	}
@@ -483,15 +451,14 @@ func TestNoFrameLossBelowHighWatermark(t *testing.T) {
 }
 
 // BenchmarkBackpressure pushes burst traffic at a deliberately slow
-// receiver and reports the drop rate per outbox configuration: the
-// legacy 256-frame bound against byte budgets. CI's hot-path smoke step
-// runs it by name so the overload path cannot bit-rot.
+// receiver and reports the drop rate per outbox byte budget. CI's
+// hot-path smoke step runs it by name so the overload path cannot
+// bit-rot.
 func BenchmarkBackpressure(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		opts Options
 	}{
-		{"legacy-256frame", Options{LegacyOutbox: true}},
 		{"budget-64k", Options{OutboxHighWater: 64 << 10}},
 		{"budget-1m", Options{OutboxHighWater: 1 << 20}},
 	} {

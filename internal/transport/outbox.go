@@ -3,10 +3,10 @@ package transport
 import "sync"
 
 // outbox is one peer's pending-frame queue: a byte-budgeted deque with
-// high/low watermarks replacing the old fixed 256-frame channel. Frames
-// vary from ~40 B binary events to multi-KiB XML fallbacks, so a frame
-// count bounded the real queued memory only to within ~100x; bytes are
-// what a link class can absorb, so bytes are what the budget counts.
+// high/low watermarks. Frames vary from ~40 B binary events to multi-KiB
+// XML fallbacks, so a frame count would bound the real queued memory only
+// to within ~100x; bytes are what a link class can absorb, so bytes are
+// what the budget counts.
 //
 // Semantics:
 //
@@ -20,12 +20,6 @@ import "sync"
 //   - Crossing the high watermark latches the outbox "over"; draining
 //     back to the low watermark clears it and reports a drain event.
 //     The hysteresis window is what Saturated exposes to protocol code.
-//   - With frameCap > 0 (Options.LegacyOutbox) non-control pushes use
-//     the original frame-count bound instead — the reference path the
-//     byte budget is compared against in E-T13. The watermark signal
-//     stays inactive on this path (the original code had none): the
-//     byte low watermark would sit far above 256 small frames and make
-//     Saturated/drain oscillate per flush.
 //
 // The mutex is shared by the actor loop (push, drop) and the peer's
 // writer goroutine (take, release); all sections are O(batch) or O(1).
@@ -35,24 +29,22 @@ type outbox struct {
 	// bytes counts queued plus in-flight payload: take moves frames out
 	// of the queue but their bytes stay counted until release, so the
 	// gauge covers frames being written, not just frames waiting.
-	bytes    int
-	high     int
-	low      int
-	hard     int // absolute bound, control frames included
-	frameCap int // >0: legacy frame-count bound for non-control pushes
-	over     bool
+	bytes int
+	high  int
+	low   int
+	hard  int // absolute bound, control frames included
+	over  bool
 	// notify wakes the writer goroutine; capacity 1, a token means
 	// "frames may be queued".
 	notify chan struct{}
 }
 
-func newOutbox(high, low, frameCap int) *outbox {
+func newOutbox(high, low int) *outbox {
 	return &outbox{
-		high:     high,
-		low:      low,
-		hard:     2 * high,
-		frameCap: frameCap,
-		notify:   make(chan struct{}, 1),
+		high:   high,
+		low:    low,
+		hard:   2 * high,
+		notify: make(chan struct{}, 1),
 	}
 }
 
@@ -61,30 +53,19 @@ func newOutbox(high, low, frameCap int) *outbox {
 func (ox *outbox) push(frame []byte, control bool) bool {
 	ox.mu.Lock()
 	var accept bool
-	switch {
-	case control && ox.frameCap > 0:
-		// Legacy mode measures in frames, so the control hard cap must
-		// too — a byte cap could refuse a small hello while large data
-		// frames still fit under the frame cap, dropping control before
-		// data.
-		accept = len(ox.frames) < 2*ox.frameCap
-	case control:
+	if control {
 		accept = ox.bytes < ox.hard
-	case ox.frameCap > 0:
-		accept = len(ox.frames) < ox.frameCap
-	default:
+	} else {
 		accept = ox.bytes < ox.high
 	}
 	if !accept {
-		if ox.frameCap == 0 {
-			ox.over = true
-		}
+		ox.over = true
 		ox.mu.Unlock()
 		return false
 	}
 	ox.frames = append(ox.frames, frame)
 	ox.bytes += len(frame)
-	if ox.frameCap == 0 && ox.bytes >= ox.high {
+	if ox.bytes >= ox.high {
 		ox.over = true
 	}
 	ox.mu.Unlock()

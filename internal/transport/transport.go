@@ -36,18 +36,12 @@ import (
 
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/netapi"
-	"github.com/gloss/active/internal/nodecfg"
 	"github.com/gloss/active/internal/vclock"
 	"github.com/gloss/active/internal/wire"
 )
 
 // maxFrame bounds a single message frame (16 MiB).
 const maxFrame = 16 << 20
-
-// legacyOutboxFrames is the original fixed per-peer queue bound in
-// frames, kept as the Options.LegacyOutbox reference path; the default
-// outbox is byte-budgeted instead (Options.OutboxHighWater).
-const legacyOutboxFrames = 256
 
 // flushWatermark bounds the payload bytes coalesced into one flush, so a
 // queue of large frames cannot grow an unbounded writev batch.
@@ -101,14 +95,6 @@ func RegisterMessages(r *wire.Registry) { r.Register(&HelloMsg{}) }
 
 // Options configure a TCP node.
 type Options struct {
-	// Common is the node-configuration block shared with the simulated
-	// substrate (see internal/nodecfg): codec preference, outbox
-	// watermarks and the per-peer budget override can be set once there
-	// and handed to either transport.Options or simnet.Config. The
-	// substrate-specific fields below shadow their Common counterparts;
-	// when both are set the (older, deprecated-but-working) outer field
-	// wins.
-	nodecfg.Common
 	// Listen is the TCP listen address (e.g. "127.0.0.1:0").
 	Listen string
 	// Region and Coord describe the node for placement policies.
@@ -124,11 +110,6 @@ type Options struct {
 	// matching registry hash; all other traffic stays XML, so mixed
 	// deployments interoperate frame by frame.
 	Codec string
-	// DisableBatching writes one frame per connection write (the
-	// original reference path) instead of coalescing a peer's queued
-	// frames into a single writev batch. Kept for the batching ablation
-	// in E-T12 and the differential transport tests.
-	DisableBatching bool
 	// OutboxHighWater is the per-peer send-queue byte budget: sends are
 	// accepted while queued bytes are below it and dropped above it
 	// (Stats.DroppedOverflow). Default 1 MiB. Control frames (hellos,
@@ -145,12 +126,6 @@ type Options struct {
 	// high <= 0 to keep the node-wide defaults; low <= 0 defaults to
 	// high/2.
 	PeerBudget func(peer ids.ID) (high, low int)
-	// LegacyOutbox restores the original fixed 256-frame-count queue
-	// bound (the pre-watermark reference path, measured against the
-	// byte budget in E-T13). Control frames remain exempt; the
-	// backpressure signal (Saturated/OnDrain) stays inactive, as it
-	// did not exist on this path.
-	LegacyOutbox bool
 	// RedialBackoff is the initial delay before redialing a peer whose
 	// connection failed while frames are still queued; it doubles per
 	// consecutive failure, capped at 32x. Default 100ms.
@@ -170,23 +145,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.DialTimeout == 0 {
 		o.DialTimeout = 3 * time.Second
-	}
-	// Adopt values from the embedded nodecfg.Common wherever the
-	// shadowing substrate-local field was left unset.
-	if o.Codec == "" {
-		o.Codec = o.Common.Codec
-	}
-	if o.OutboxHighWater == 0 {
-		o.OutboxHighWater = o.Common.OutboxHighWater
-	}
-	if o.OutboxLowWater == 0 {
-		o.OutboxLowWater = o.Common.OutboxLowWater
-	}
-	if o.PeerBudget == nil && o.Common.PeerBudget != nil {
-		o.PeerBudget = o.Common.PeerBudget
-	}
-	if !o.LegacyOutbox {
-		o.LegacyOutbox = o.Common.LegacyOutbox
 	}
 	if o.OutboxHighWater == 0 {
 		o.OutboxHighWater = 1 << 20
@@ -214,7 +172,7 @@ type Stats struct {
 	// behaviour is attributable, not a blur.
 	Dropped uint64
 	// DroppedOverflow counts sends refused by a peer outbox at/above its
-	// byte budget (or frame cap under Options.LegacyOutbox).
+	// byte budget.
 	DroppedOverflow uint64
 	// DroppedNoAddr counts sends to destinations with no known address —
 	// checked before the encode is paid.
@@ -228,11 +186,11 @@ type Stats struct {
 	DialFails       uint64
 	// FlushWrites counts connection flushes: each is one vectored write
 	// (writev) covering every frame drained from the peer's queue at that
-	// moment, however many coalesced. With DisableBatching it counts one
-	// per frame, so FlushWrites/Sent measures the batching win directly.
+	// moment, however many coalesced, so Sent/FlushWrites is the frames
+	// per flush.
 	FlushWrites uint64
 	// BatchedFrames counts frames that rode in a flush after the first —
-	// each one saved a write the one-frame-per-write path would have paid.
+	// each one saved a write of its own.
 	BatchedFrames uint64
 }
 
@@ -343,11 +301,18 @@ var (
 // calling — the binary fast-path codec interns the registry's kind table
 // at this point. Call Close to release the node's goroutines.
 func Listen(id ids.ID, reg *wire.Registry, opts Options) (*Node, error) {
+	// The checks judge the values the node will run with, so they come
+	// after the defaults: a low watermark alone is measured against the
+	// default high one, not against zero.
 	opts.applyDefaults()
-	if opts.Codec != "" && opts.Codec != wire.CodecXML && opts.Codec != wire.CodecBinary {
+	switch {
+	case opts.Codec != "" && opts.Codec != wire.CodecXML && opts.Codec != wire.CodecBinary:
 		return nil, fmt.Errorf("transport: unknown codec %q (want %q or %q)", opts.Codec, wire.CodecXML, wire.CodecBinary)
-	}
-	if opts.OutboxLowWater > opts.OutboxHighWater {
+	case opts.OutboxHighWater < 0:
+		return nil, fmt.Errorf("transport: negative OutboxHighWater %d", opts.OutboxHighWater)
+	case opts.OutboxLowWater < 0:
+		return nil, fmt.Errorf("transport: negative OutboxLowWater %d", opts.OutboxLowWater)
+	case opts.OutboxLowWater > opts.OutboxHighWater:
 		return nil, fmt.Errorf("transport: OutboxLowWater %d exceeds OutboxHighWater %d", opts.OutboxLowWater, opts.OutboxHighWater)
 	}
 	ln, err := net.Listen("tcp", opts.Listen)
@@ -600,11 +565,7 @@ func (n *Node) newOutbox(id ids.ID) *outbox {
 			}
 		}
 	}
-	frameCap := 0
-	if n.opts.LegacyOutbox {
-		frameCap = legacyOutboxFrames
-	}
-	return newOutbox(high, low, frameCap)
+	return newOutbox(high, low)
 }
 
 // transmit encodes env and queues it toward its destination. Safe from
@@ -946,12 +907,6 @@ func (n *Node) writeLoop(p *peer, conn net.Conn) {
 			n.scheduleRedial(p)
 		})
 	}
-	// The reference path writes one frame per call; take still drains the
-	// queue one frame at a time because any second frame overflows max=1.
-	maxBytes := flushWatermark
-	if n.opts.DisableBatching {
-		maxBytes = 1
-	}
 	var (
 		frames [][]byte
 		hdrs   []byte
@@ -971,7 +926,7 @@ func (n *Node) writeLoop(p *peer, conn net.Conn) {
 			default:
 			}
 			var total int
-			frames, total = p.ox.take(frames[:0], maxBytes)
+			frames, total = p.ox.take(frames[:0], flushWatermark)
 			if len(frames) == 0 {
 				break
 			}

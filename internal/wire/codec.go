@@ -225,7 +225,7 @@ func (r *BinReader) OwnedBytes() []byte {
 // the buffer for as long as any returned string lives. The hot decode
 // path (events with many attributes) is why the mode exists: copying
 // every type, source, attribute name and string value made decode
-// allocation the ceiling once matching went shard-parallel.
+// allocation the ceiling of the receive path.
 func (r *BinReader) String() string {
 	b := r.Bytes()
 	if len(b) == 0 {
