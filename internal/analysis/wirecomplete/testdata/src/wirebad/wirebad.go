@@ -28,6 +28,16 @@ func (h *Half) AppendWire(b []byte) []byte { return b }
 // AppendXML without ParseXML: frames only the reflection decoder reads.
 func (h *Half) AppendXML(b []byte) []byte { return b } // want `Half implements AppendXML but not ParseXML`
 
+// Headless lends a tail without saying where the head ends, and Tailless
+// writes a head no tail follows: neither is a tail message.
+type Headless struct{ body []byte }
+
+func (h *Headless) WireTail() []byte { return h.body } // want `Headless implements WireTail but not AppendWireHead`
+
+type Tailless struct{}
+
+func (t *Tailless) AppendWireHead(b []byte) []byte { return b } // want `Tailless implements AppendWireHead but not WireTail`
+
 // Plain has no binary codec and no declared XML fallback.
 type Plain struct{}
 

@@ -19,6 +19,11 @@ func (g Good) AppendXML(b []byte) []byte { return append(b, g.body...) }
 
 func (g *Good) ParseXML(b []byte) error { g.body = b; return nil }
 
+// The tail pair, whole: Good lends its body to the frame.
+func (g *Good) AppendWireHead(b []byte) []byte { return b }
+
+func (g *Good) WireTail() []byte { return g.body }
+
 // Legacy predates the binary codec; its registration declares the
 // fallback inline.
 type Legacy struct{}

@@ -12,6 +12,9 @@
 //     writes frames only the reflection decoder reads or scans a form
 //     nothing writes, and the differential tests that hold the pair to
 //     encoding/xml need both halves;
+//   - so is the binary tail pair (wire.TailMessage): a type with only
+//     one of AppendWireHead and WireTail is not a tail message, so its
+//     frames silently copy the bytes the other half was written to lend;
 //   - a ControlMessage marker (a Control() bool method) must return
 //     the constant true: the outbox budget exemption is consulted at
 //     encode time by both codecs, so a value-dependent Control would
@@ -40,7 +43,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "wirecomplete",
-	Doc:  "registered wire kinds need a binary AppendWire/ParseWire pair (or a declared XML fallback), a whole AppendXML/ParseXML pair or none, constant Control markers, and fuzzed decoders",
+	Doc:  "registered wire kinds need a binary AppendWire/ParseWire pair (or a declared XML fallback), a whole AppendXML/ParseXML and AppendWireHead/WireTail pair or none, constant Control markers, and fuzzed decoders",
 	Run:  run,
 }
 
@@ -76,7 +79,7 @@ func run(pass *analysis.Pass) error {
 						firstDecoder[name] = fd
 					}
 				}
-				checkXMLPair(pass, fd)
+				checkPair(pass, fd)
 			}
 			fallback := analysis.FuncAnnotated(fd, "xmlfallback")
 			if fd.Body != nil {
@@ -95,16 +98,16 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkXMLPair reports a method that is one half of the hand-written
-// XML pair on a type that lacks the other half.
-func checkXMLPair(pass *analysis.Pass, fd *ast.FuncDecl) {
-	half, missing := fd.Name.Name, ""
-	switch half {
-	case "AppendXML":
-		missing = "ParseXML"
-	case "ParseXML":
-		missing = "AppendXML"
-	default:
+// pairs maps each method of an all-or-nothing pair to its other half: the
+// XML codec's hand-written pair and the binary codec's tail pair.
+var pairs = map[string]string{"AppendXML": "ParseXML", "ParseXML": "AppendXML", "AppendWireHead": "WireTail", "WireTail": "AppendWireHead"}
+
+// checkPair reports a method that is one half of a pair on a type that
+// lacks the other half.
+func checkPair(pass *analysis.Pass, fd *ast.FuncDecl) {
+	half := fd.Name.Name
+	missing, ok := pairs[half]
+	if !ok {
 		return
 	}
 	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
@@ -115,7 +118,7 @@ func checkXMLPair(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if named == nil || types.NewMethodSet(types.NewPointer(named)).Lookup(nil, missing) != nil {
 		return
 	}
-	pass.Reportf(fd.Pos(), "%s implements %s but not %s: the XML codec takes the hand-written pair whole or not at all",
+	pass.Reportf(fd.Pos(), "%s implements %s but not %s: the codec takes the pair whole or not at all",
 		named.Obj().Name(), half, missing)
 }
 

@@ -50,19 +50,8 @@ func RegisterMessages(r *wire.Registry) {
 
 var (
 	_ wire.BinaryMessage = (*GossipMsg)(nil)
-	_ wire.BinaryMessage = (*GossipPushMsg)(nil)
+	_ wire.TailMessage   = (*GossipPushMsg)(nil)
 )
-
-// readBytesCopy detaches a length-prefixed byte field from the frame
-// buffer the BinReader aliases — digests and pushed envelopes are kept
-// past the handler callback.
-func readBytesCopy(r *wire.BinReader) wire.Bytes {
-	raw := r.Bytes()
-	if raw == nil {
-		return nil
-	}
-	return append(wire.Bytes(nil), raw...)
-}
 
 // AppendWire implements wire.BinaryMessage.
 func (m *GossipMsg) AppendWire(b []byte) []byte {
@@ -85,7 +74,7 @@ func (m *GossipMsg) ParseWire(r *wire.BinReader) error {
 		var e DigestEntry
 		e.Name = r.String()
 		e.GIS = r.Bool()
-		e.Vec = readBytesCopy(r)
+		e.Vec = r.OwnedBytes() // kept past the handler callback
 		if r.Err() == nil {
 			m.Entries = append(m.Entries, e)
 		}
@@ -94,16 +83,21 @@ func (m *GossipMsg) ParseWire(r *wire.BinReader) error {
 }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *GossipPushMsg) AppendWire(b []byte) []byte {
+func (m *GossipPushMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
+
+// AppendWireHead implements wire.TailMessage.
+func (m *GossipPushMsg) AppendWireHead(b []byte) []byte {
 	b = wire.AppendString(b, m.Name)
-	b = wire.AppendBool(b, m.GIS)
-	return wire.AppendBytes(b, m.Data)
+	return wire.AppendBool(b, m.GIS)
 }
+
+// WireTail implements wire.TailMessage.
+func (m *GossipPushMsg) WireTail() []byte { return m.Data }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *GossipPushMsg) ParseWire(r *wire.BinReader) error {
 	m.Name = r.String()
 	m.GIS = r.Bool()
-	m.Data = readBytesCopy(r)
+	m.Data = r.OwnedBytes()
 	return r.Err()
 }

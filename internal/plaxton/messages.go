@@ -9,7 +9,9 @@ import (
 
 // RouteMsg wraps an application message being routed toward a key. The
 // payload travels encoded, in the origin's codec (Overlay.encodeInner), so
-// intermediate hops need not understand — or even parse — it.
+// intermediate hops need not understand — or even parse — it. Inner is
+// never modified once built: it is the message's wire.TailMessage tail,
+// which every hop's frame borrows under that interface's contract.
 type RouteMsg struct {
 	Key       string     `xml:"key,attr"`
 	Origin    string     `xml:"origin,attr"`

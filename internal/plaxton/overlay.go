@@ -356,7 +356,7 @@ func (o *Overlay) nextHopEx(key ids.ID, exclude ids.ID) ids.ID {
 // has to match along the path); otherwise the open XML envelope.
 func (o *Overlay) encodeInner(msg wire.Message) ([]byte, error) {
 	if bm, ok := msg.(wire.BinaryMessage); ok && o.binary {
-		return bm.AppendWire(append(make([]byte, 0, 64), wire.BinaryMagic)), nil
+		return wire.MarshalBinary([]byte{wire.BinaryMagic}, bm), nil
 	}
 	return o.reg.Encode(&wire.Envelope{From: o.self, To: o.self, Msg: msg})
 }

@@ -10,7 +10,7 @@ import (
 // carried as raw length-prefixed bytes instead of base64 text.
 
 var (
-	_ wire.BinaryMessage = (*RouteMsg)(nil)
+	_ wire.TailMessage   = (*RouteMsg)(nil)
 	_ wire.BinaryMessage = (*JoinMsg)(nil)
 	_ wire.BinaryMessage = (*StateMsg)(nil)
 	_ wire.BinaryMessage = (*AnnounceMsg)(nil)
@@ -38,15 +38,20 @@ func readStrings(r *wire.BinReader) []string {
 }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *RouteMsg) AppendWire(b []byte) []byte {
+func (m *RouteMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
+
+// AppendWireHead implements wire.TailMessage.
+func (m *RouteMsg) AppendWireHead(b []byte) []byte {
 	b = wire.AppendString(b, m.Key)
 	b = wire.AppendString(b, m.Origin)
 	b = wire.AppendVarint(b, int64(m.Hops))
 	b = wire.AppendBool(b, m.Trace)
 	b = appendStrings(b, m.Path)
-	b = wire.AppendString(b, m.InnerKind)
-	return wire.AppendBytes(b, m.Inner)
+	return wire.AppendString(b, m.InnerKind)
 }
+
+// WireTail implements wire.TailMessage: a hop's frame borrows Inner.
+func (m *RouteMsg) WireTail() []byte { return m.Inner }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *RouteMsg) ParseWire(r *wire.BinReader) error {

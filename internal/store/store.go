@@ -362,7 +362,9 @@ func (s *Store) PutAs(guid ids.ID, content []byte, cb func(error)) {
 	}
 }
 
-// Get fetches the object stored under guid.
+// Get fetches the object stored under guid. cb's bytes are read-only: a
+// local hit passes the stored copy itself, which a frame on a writer
+// goroutine may be borrowing (wire.TailMessage).
 func (s *Store) Get(guid ids.ID, cb func([]byte, error)) {
 	s.stats.Gets++
 	// Local copies answer immediately (the cheapest promiscuous hit).
@@ -510,6 +512,7 @@ func (s *Store) PutCoded(content []byte, cb func(ids.ID, error)) {
 }
 
 // GetCoded fetches any m fragments of a coded object and reconstructs it.
+// cb's bytes are read-only, as Get's are.
 func (s *Store) GetCoded(guid ids.ID, cb func([]byte, error)) {
 	total := s.code.Total()
 	need := s.code.Data()

@@ -9,19 +9,22 @@ import (
 // chunk frames all move whole object payloads — so escaping the XML
 // fallback's base64 inflation matters more here than anywhere else.
 // Bodies are read with OwnedBytes: they outlive the decode call (stored,
-// cached, or held until their manifest arrives).
+// cached, or held until their manifest arrives). They are written as
+// wire.TailMessage tails, so a frame borrows a stored blob rather than
+// copying it — which is safe because a stored blob is replaced, never
+// modified.
 
 var (
-	_ wire.BinaryMessage = (*PutMsg)(nil)
+	_ wire.TailMessage   = (*PutMsg)(nil)
 	_ wire.BinaryMessage = (*AckMsg)(nil)
 	_ wire.BinaryMessage = (*GetMsg)(nil)
-	_ wire.BinaryMessage = (*GetReplyMsg)(nil)
-	_ wire.BinaryMessage = (*ReplicateMsg)(nil)
-	_ wire.BinaryMessage = (*CacheFillMsg)(nil)
+	_ wire.TailMessage   = (*GetReplyMsg)(nil)
+	_ wire.TailMessage   = (*ReplicateMsg)(nil)
+	_ wire.TailMessage   = (*CacheFillMsg)(nil)
 	_ wire.BinaryMessage = (*PushMsg)(nil)
 	_ wire.BinaryMessage = (*PullMsg)(nil)
 	_ wire.BinaryMessage = (*ManifestMsg)(nil)
-	_ wire.BinaryMessage = (*ChunkMsg)(nil)
+	_ wire.TailMessage   = (*ChunkMsg)(nil)
 	_ wire.BinaryMessage = (*DigestReqMsg)(nil)
 	_ wire.BinaryMessage = (*DigestMsg)(nil)
 	_ wire.BinaryMessage = (*StatMsg)(nil)
@@ -29,13 +32,18 @@ var (
 )
 
 // AppendWire implements wire.BinaryMessage.
-func (m *PutMsg) AppendWire(b []byte) []byte {
+func (m *PutMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
+
+// AppendWireHead implements wire.TailMessage.
+func (m *PutMsg) AppendWireHead(b []byte) []byte {
 	b = wire.AppendString(b, m.GUID)
 	b = wire.AppendUvarint(b, m.ReqID)
 	b = wire.AppendString(b, m.Origin)
-	b = wire.AppendVarint(b, int64(m.Size))
-	return wire.AppendBytes(b, m.Data)
+	return wire.AppendVarint(b, int64(m.Size))
 }
+
+// WireTail implements wire.TailMessage.
+func (m *PutMsg) WireTail() []byte { return m.Data }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *PutMsg) ParseWire(r *wire.BinReader) error {
@@ -76,14 +84,19 @@ func (m *GetMsg) ParseWire(r *wire.BinReader) error {
 }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *GetReplyMsg) AppendWire(b []byte) []byte {
+func (m *GetReplyMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
+
+// AppendWireHead implements wire.TailMessage.
+func (m *GetReplyMsg) AppendWireHead(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.ReqID)
 	b = wire.AppendString(b, m.GUID)
 	b = wire.AppendBool(b, m.Found)
 	b = wire.AppendBool(b, m.FromCache)
-	b = wire.AppendVarint(b, int64(m.Hops))
-	return wire.AppendBytes(b, m.Data)
+	return wire.AppendVarint(b, int64(m.Hops))
 }
+
+// WireTail implements wire.TailMessage.
+func (m *GetReplyMsg) WireTail() []byte { return m.Data }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *GetReplyMsg) ParseWire(r *wire.BinReader) error {
@@ -97,11 +110,16 @@ func (m *GetReplyMsg) ParseWire(r *wire.BinReader) error {
 }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *ReplicateMsg) AppendWire(b []byte) []byte {
+func (m *ReplicateMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
+
+// AppendWireHead implements wire.TailMessage.
+func (m *ReplicateMsg) AppendWireHead(b []byte) []byte {
 	b = wire.AppendString(b, m.GUID)
-	b = wire.AppendBool(b, m.Pin)
-	return wire.AppendBytes(b, m.Data)
+	return wire.AppendBool(b, m.Pin)
 }
+
+// WireTail implements wire.TailMessage.
+func (m *ReplicateMsg) WireTail() []byte { return m.Data }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *ReplicateMsg) ParseWire(r *wire.BinReader) error {
@@ -112,10 +130,13 @@ func (m *ReplicateMsg) ParseWire(r *wire.BinReader) error {
 }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *CacheFillMsg) AppendWire(b []byte) []byte {
-	b = wire.AppendString(b, m.GUID)
-	return wire.AppendBytes(b, m.Data)
-}
+func (m *CacheFillMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
+
+// AppendWireHead implements wire.TailMessage.
+func (m *CacheFillMsg) AppendWireHead(b []byte) []byte { return wire.AppendString(b, m.GUID) }
+
+// WireTail implements wire.TailMessage.
+func (m *CacheFillMsg) WireTail() []byte { return m.Data }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *CacheFillMsg) ParseWire(r *wire.BinReader) error {
@@ -180,11 +201,16 @@ func (m *ManifestMsg) ParseWire(r *wire.BinReader) error {
 }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *ChunkMsg) AppendWire(b []byte) []byte {
+func (m *ChunkMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
+
+// AppendWireHead implements wire.TailMessage.
+func (m *ChunkMsg) AppendWireHead(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.Xfer)
-	b = wire.AppendVarint(b, int64(m.Off))
-	return wire.AppendBytes(b, m.Data)
+	return wire.AppendVarint(b, int64(m.Off))
 }
+
+// WireTail implements wire.TailMessage.
+func (m *ChunkMsg) WireTail() []byte { return m.Data }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *ChunkMsg) ParseWire(r *wire.BinReader) error {

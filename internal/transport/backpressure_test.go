@@ -39,11 +39,14 @@ func (panicMsg) MarshalXML(*xml.Encoder, xml.StartElement) error {
 	panic("encode must not be reached")
 }
 
+// sized is a contiguous frame the byte budget counts as n bytes.
+func sized(n int) frame { return frame{head: make([]byte, lenPrefix+n)} }
+
 // TestOutboxWatermarks drives the queue structure directly through an
 // accept→saturate→drain cycle.
 func TestOutboxWatermarks(t *testing.T) {
 	ox := newOutbox(100, 50)
-	frame := make([]byte, 60)
+	frame := sized(60)
 
 	if !ox.push(frame, false) {
 		t.Fatal("first push below high watermark must be accepted")
@@ -99,10 +102,10 @@ func TestOutboxWatermarks(t *testing.T) {
 // sends on an empty queue, and take always drains at least one frame.
 func TestOutboxOversizedFrame(t *testing.T) {
 	ox := newOutbox(100, 50)
-	if !ox.push(make([]byte, 500), false) {
+	if !ox.push(sized(500), false) {
 		t.Fatal("oversized frame on an empty queue must be accepted")
 	}
-	if ox.push(make([]byte, 1), false) {
+	if ox.push(sized(1), false) {
 		t.Fatal("queue over budget must drop")
 	}
 	buf, total := ox.take(nil, 64)
@@ -357,7 +360,7 @@ func TestRehelloRetriesOnlyMissedPeers(t *testing.T) {
 		}
 		// Saturate one queue past the control hard cap.
 		pf := a.peers[full]
-		for pf.ox.push(make([]byte, 1024), true) {
+		for pf.ox.push(sized(1024), true) {
 		}
 		close(step)
 	})

@@ -13,7 +13,9 @@ import (
 
 // sendBurst queues n echo messages a→to in one actor turn (so they are
 // all pending before the write loop drains) and returns when the
-// receiver has counted them all.
+// receiver has counted them all and the sender every flush that carried
+// them: the writer counts a flush after its bytes are on their way, so
+// the receiver can get there first.
 func sendBurst(t *testing.T, a *Node, to ids.ID, n int, received *atomic.Uint64, want uint64) {
 	t.Helper()
 	a.Do(func() {
@@ -25,6 +27,12 @@ func sendBurst(t *testing.T, a *Node, to ids.ID, n int, received *atomic.Uint64,
 	for received.Load() < want {
 		if time.Now().After(deadline) {
 			t.Fatalf("received %d of %d", received.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for st := a.Stats(); st.FlushWrites+st.BatchedFrames < st.Sent; st = a.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("flushes never accounted for every frame sent: %+v", st)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -2,6 +2,19 @@ package transport
 
 import "sync"
 
+// lenPrefix is the 4-byte big-endian length every frame starts with on
+// the connection.
+const lenPrefix = 4
+
+// frame is one queued wire frame: head is its length prefix and the
+// encoded envelope up to any body it borrows, body those borrowed bytes —
+// a message tail or a shared fan-out body (wire.TailMessage's contract
+// keeps them unmodified until written), nil for a frame encoded whole.
+type frame struct{ head, body []byte }
+
+// size is what the byte budget counts: the frame after its length prefix.
+func (f frame) size() int { return len(f.head) - lenPrefix + len(f.body) }
+
 // outbox is one peer's pending-frame queue: a byte-budgeted deque with
 // high/low watermarks. Frames vary from ~40 B binary events to multi-KiB
 // XML fallbacks, so a frame count would bound the real queued memory only
@@ -25,7 +38,7 @@ import "sync"
 // writer goroutine (take, release); all sections are O(batch) or O(1).
 type outbox struct {
 	mu     sync.Mutex
-	frames [][]byte
+	frames []frame
 	// bytes counts queued plus in-flight payload: take moves frames out
 	// of the queue but their bytes stay counted until release, so the
 	// gauge covers frames being written, not just frames waiting.
@@ -50,7 +63,7 @@ func newOutbox(high, low int) *outbox {
 
 // push queues one encoded frame, reporting whether it was accepted.
 // Rejections are budget drops: the caller counts them by reason.
-func (ox *outbox) push(frame []byte, control bool) bool {
+func (ox *outbox) push(f frame, control bool) bool {
 	ox.mu.Lock()
 	var accept bool
 	if control {
@@ -63,8 +76,8 @@ func (ox *outbox) push(frame []byte, control bool) bool {
 		ox.mu.Unlock()
 		return false
 	}
-	ox.frames = append(ox.frames, frame)
-	ox.bytes += len(frame)
+	ox.frames = append(ox.frames, f)
+	ox.bytes += f.size()
 	if ox.bytes >= ox.high {
 		ox.over = true
 	}
@@ -79,7 +92,7 @@ func (ox *outbox) push(frame []byte, control bool) bool {
 // take removes queued frames into buf (reused across flushes) up to max
 // payload bytes — always at least one frame, so an oversized frame still
 // drains. The removed bytes stay counted until the matching release.
-func (ox *outbox) take(buf [][]byte, max int) ([][]byte, int) {
+func (ox *outbox) take(buf []frame, max int) ([]frame, int) {
 	ox.mu.Lock()
 	defer ox.mu.Unlock()
 	if len(ox.frames) == 0 {
@@ -87,16 +100,14 @@ func (ox *outbox) take(buf [][]byte, max int) ([][]byte, int) {
 	}
 	total, i := 0, 0
 	for ; i < len(ox.frames); i++ {
-		if i > 0 && total+len(ox.frames[i]) > max {
+		if i > 0 && total+ox.frames[i].size() > max {
 			break
 		}
-		total += len(ox.frames[i])
+		total += ox.frames[i].size()
 	}
 	buf = append(buf, ox.frames[:i]...)
 	rest := copy(ox.frames, ox.frames[i:])
-	for j := rest; j < len(ox.frames); j++ {
-		ox.frames[j] = nil
-	}
+	clear(ox.frames[rest:])
 	ox.frames = ox.frames[:rest]
 	return buf, total
 }
@@ -121,10 +132,10 @@ func (ox *outbox) release(nbytes int) (drained bool) {
 func (ox *outbox) dropAll() (dropped int, drained bool) {
 	ox.mu.Lock()
 	dropped = len(ox.frames)
-	for i := range ox.frames {
-		ox.bytes -= len(ox.frames[i])
-		ox.frames[i] = nil
+	for _, f := range ox.frames {
+		ox.bytes -= f.size()
 	}
+	clear(ox.frames)
 	ox.frames = ox.frames[:0]
 	if ox.over && ox.bytes <= ox.low {
 		ox.over = false

@@ -366,7 +366,7 @@ func TestReadLoopMatchesReadFrame(t *testing.T) {
 			n.Handle("test.echo", record)
 			n.Handle("plaxton.route", record)
 			n.wg.Add(1)
-			n.readLoop(&chunkConn{data: s.data, chunk: chunk})
+			n.readLoop(&chunkConn{data: s.data, chunk: chunk}, readBufSize)
 			n.Stats() // one trip through the actor loop: every posted burst has run
 			mu.Lock()
 			if len(got) != len(want) {

@@ -9,9 +9,9 @@
 // request completions) execute on a single actor goroutine per node,
 // preserving the lock-free discipline protocol code is written against.
 // Blocking I/O lives in per-connection reader/writer goroutines.
-// Connections are unidirectional: a node dials a write-only connection to
-// each peer it sends to, and accepts read-only connections; this removes
-// all simultaneous-connect conflicts.
+// Connections are unidirectional: a node dials a connection to each peer
+// it sends to and reads the connections it accepts, which removes all
+// simultaneous-connect conflicts. Only the acceptor's hello travels back.
 //
 // The send path, by contrast, is thread-safe (netapi.ConcurrentSender):
 // Send/SendMany encode on the caller's goroutine and push into the
@@ -30,6 +30,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,7 +59,8 @@ const readBufSize = 64 << 10
 // binary frames back only when the sender advertised "binary" with a
 // matching hash, since the binary codec interns kind strings as indexes
 // into the sorted registry table. The hello itself always travels as XML
-// so negotiation needs no prior agreement.
+// so negotiation needs no prior agreement. A dialer sends its hello first
+// on its connection; the acceptor answers with its own on the same one.
 type HelloMsg struct {
 	ID        string      `xml:"id,attr"`
 	Addr      string      `xml:"addr,attr"`
@@ -84,6 +86,57 @@ func (HelloMsg) Kind() string { return "transport.hello" }
 // one would strand a peer on a stale kinds hash until reconnect. The
 // outbox therefore never drops hellos for watermark overflow.
 func (HelloMsg) Control() bool { return true }
+
+// AppendXML implements wire.XMLMessage: the bytes encoding/xml writes for
+// the struct tags. Every connection carries two hellos, so they stay off
+// the reflection path.
+func (h *HelloMsg) AppendXML(b []byte) []byte {
+	b = append(b, "<HelloMsg"...)
+	b = wire.AppendXMLAttr(b, "id", h.ID)
+	b = wire.AppendXMLAttr(b, "addr", h.Addr)
+	b = wire.AppendXMLAttr(b, "region", h.Region)
+	b = wire.AppendXMLAttr(b, "x", strconv.FormatFloat(h.X, 'g', -1, 64))
+	b = wire.AppendXMLAttr(b, "y", strconv.FormatFloat(h.Y, 'g', -1, 64))
+	if h.KindsHash != "" {
+		b = wire.AppendXMLAttr(b, "kinds", h.KindsHash)
+	}
+	b = append(b, '>')
+	for _, c := range h.Codecs {
+		if c != "" { // omitempty drops an empty element of a list
+			b = append(wire.AppendXMLText(append(b, "<codec>"...), c), "</codec>"...)
+		}
+	}
+	for _, p := range h.Known {
+		b = wire.AppendXMLAttr(append(b, "<peer"...), "id", p.ID)
+		b = append(wire.AppendXMLAttr(b, "addr", p.Addr), "></peer>"...)
+	}
+	return append(b, "</HelloMsg>"...)
+}
+
+// ParseXML implements wire.XMLMessage: it reads the form AppendXML writes.
+func (h *HelloMsg) ParseXML(s *wire.XMLScanner) error {
+	s.Expect("<HelloMsg")
+	h.ID, h.Addr, h.Region = string(s.Attr("id")), string(s.Attr("addr")), string(s.Attr("region"))
+	x, errX := strconv.ParseFloat(string(s.Attr("x")), 64) // as encoding/xml reads it
+	y, errY := strconv.ParseFloat(string(s.Attr("y")), 64)
+	if h.X, h.Y = x, y; errX != nil || errY != nil {
+		s.Decline()
+	}
+	if v, ok := s.OptAttr("kinds"); ok {
+		h.KindsHash = string(v)
+	}
+	s.Expect(">")
+	for s.Match("<codec>") {
+		h.Codecs = append(h.Codecs, string(s.Text()))
+		s.Expect("</codec>")
+	}
+	for s.Match("<peer") {
+		h.Known = append(h.Known, HelloPeer{ID: string(s.Attr("id")), Addr: string(s.Attr("addr"))})
+		s.Expect("></peer>")
+	}
+	s.Expect("</HelloMsg>")
+	return s.Err()
+}
 
 // RegisterMessages records transport message types in a wire registry.
 // The hello handshake happens once per connection and must stay
@@ -597,24 +650,18 @@ func (n *Node) transmit(env *wire.Envelope, shared *wire.SharedBody) {
 	}
 	// Negotiated per peer: binary frames only toward peers whose hello
 	// advertised the binary codec with a matching kind table.
-	codec := wire.Codec(n.reg)
+	codec := splitEncoder(n.reg)
 	if n.preferBin && binOK {
 		codec = st.bin
 	}
-	var frame []byte
-	var err error
-	if se, ok := codec.(wire.SharedEncoder); ok && shared != nil {
-		frame, err = se.EncodeShared(env, shared)
-	} else {
-		frame, err = codec.Encode(env)
-	}
+	head, body, err := codec.EncodeSplit(env, shared, lenPrefix)
 	if err != nil {
 		n.c.dropped.Add(1)
 		n.c.droppedEncode.Add(1)
 		n.log.Warn("encode failed", "err", err)
 		return
 	}
-	if p.ox.push(frame, wire.Control(env.Msg)) {
+	if p.ox.push(newFrame(head, body), wire.Control(env.Msg)) {
 		n.c.sent.Add(1)
 		if codec == st.bin {
 			n.c.sentBinary.Add(1)
@@ -624,6 +671,18 @@ func (n *Node) transmit(env *wire.Envelope, shared *wire.SharedBody) {
 		n.c.droppedOverflow.Add(1)
 	}
 	n.maybeDial(p)
+}
+
+// splitEncoder is what the send path asks of both codecs: a frame as a
+// head, with room for the length prefix, and a body it may borrow.
+type splitEncoder interface {
+	EncodeSplit(env *wire.Envelope, s *wire.SharedBody, reserve int) (head, body []byte, err error)
+}
+
+// newFrame fills in the length prefix EncodeSplit reserved in head.
+func newFrame(head, body []byte) frame {
+	binary.BigEndian.PutUint32(head, uint32(len(head)-lenPrefix+len(body)))
+	return frame{head, body}
 }
 
 // maybeDial starts a connection attempt toward p unless one is already
@@ -742,9 +801,10 @@ func (n *Node) notifyDrain(id ids.ID) {
 	n.do(func() { n.fireDrain(id) })
 }
 
-// dialPeer establishes the write-only connection to a peer. Failures
-// hand the peer to scheduleRedial so frames queued during the attempt
-// are not stranded until an unrelated later transmit.
+// dialPeer establishes the connection to a peer and reads the hello the
+// peer answers on it, until the connection ends. Failures hand the peer
+// to scheduleRedial so frames queued during the attempt are not stranded
+// until an unrelated later transmit.
 func (n *Node) dialPeer(id ids.ID, addr string) {
 	defer n.wg.Done()
 	fail := func(countDial bool) {
@@ -766,12 +826,13 @@ func (n *Node) dialPeer(id ids.ID, addr string) {
 		fail(true)
 		return
 	}
-	hello, err := n.helloFrame()
-	if err != nil || writeFrame(conn, hello) != nil {
+	if _, err := conn.Write(n.helloFrame().head); err != nil { // XML: all head
 		_ = conn.Close()
 		fail(false)
 		return
 	}
+	n.wg.Add(1)
+	go n.readLoop(conn, 1<<10) // it carries only the peer's hello
 	n.do(func() {
 		n.peersMu.RLock()
 		p, ok := n.peers[id]
@@ -788,54 +849,41 @@ func (n *Node) dialPeer(id ids.ID, addr string) {
 	})
 }
 
-// bookSnapshot lists known peer addresses. Safe from any goroutine.
-func (n *Node) bookSnapshot() []HelloPeer {
-	n.peersMu.RLock()
-	defer n.peersMu.RUnlock()
-	var book []HelloPeer
-	for id, p := range n.peers {
-		if p.addr != "" {
-			book = append(book, HelloPeer{ID: id.String(), Addr: p.addr})
-		}
-	}
-	return book
-}
-
-// buildHello assembles this node's hello around a book snapshot. Safe off
-// the actor loop: everything else it reads is immutable or atomic.
-func (n *Node) buildHello(book []HelloPeer) *HelloMsg {
+// helloFrame builds this node's hello frame around a snapshot of its
+// address book. Safe from any goroutine: everything else it reads is
+// immutable or atomic. Hellos always travel as XML so negotiation needs no
+// prior agreement.
+func (n *Node) helloFrame() frame {
 	hello := &HelloMsg{
 		ID:     n.info.ID.String(),
 		Addr:   n.Addr(),
 		Region: n.info.Region,
 		X:      n.info.Coord.X,
 		Y:      n.info.Coord.Y,
-		Known:  book,
 	}
 	if n.preferBin {
 		hello.Codecs = []string{wire.CodecXML, wire.CodecBinary}
 		hello.KindsHash = n.codec.Load().kindsHash
 	}
-	return hello
-}
-
-// helloEnvelope wraps a hello for the wire; hellos always travel as XML
-// so negotiation needs no prior agreement.
-func (n *Node) helloEnvelope(book []HelloPeer) ([]byte, error) {
-	return n.reg.Encode(&wire.Envelope{From: n.info.ID, To: n.info.ID, Msg: n.buildHello(book)})
-}
-
-// helloFrame builds the dialer's hello (called from dial goroutine; the
-// address book snapshot is fetched via the actor loop).
-func (n *Node) helloFrame() ([]byte, error) {
-	ch := make(chan []HelloPeer, 1)
-	n.do(func() { ch <- n.bookSnapshot() })
-	select {
-	case book := <-ch:
-		return n.helloEnvelope(book)
-	case <-n.closed:
-		return nil, errors.New("transport: closed")
+	n.peersMu.RLock()
+	for id, p := range n.peers {
+		if p.addr != "" {
+			hello.Known = append(hello.Known, HelloPeer{ID: id.String(), Addr: p.addr})
+		}
 	}
+	n.peersMu.RUnlock()
+	env := &wire.Envelope{From: n.info.ID, To: n.info.ID, Msg: hello}
+	head, body, _ := n.reg.EncodeSplit(env, nil, lenPrefix) // AppendXML cannot fail
+	return newFrame(head, body)
+}
+
+// helloBack answers an accepted connection with this node's hello, so a
+// dialer this node never dials back still learns its codecs. A dialer
+// that does not read its connection leaves the hello in its socket
+// buffer; readLoop closing the connection ends a write that blocks.
+func (n *Node) helloBack(conn net.Conn) {
+	defer n.wg.Done()
+	_, _ = conn.Write(n.helloFrame().head) // a failed write is readLoop's to see
 }
 
 // RefreshRegistry rebuilds the binary fast-path codec after message
@@ -865,11 +913,7 @@ func (n *Node) rehello() { n.rehelloTo(nil) }
 // rehelloTo sends the hello to every connected peer, or with a non-nil
 // only set just to those peers. Actor loop only.
 func (n *Node) rehelloTo(only map[ids.ID]bool) {
-	frame, err := n.helloEnvelope(n.bookSnapshot())
-	if err != nil {
-		n.log.Warn("rehello encode failed", "err", err)
-		return
-	}
+	hello := n.helloFrame()
 	var missed map[ids.ID]bool
 	n.peersMu.RLock()
 	conns := make([]*peer, 0, len(n.peers))
@@ -883,7 +927,7 @@ func (n *Node) rehelloTo(only map[ids.ID]bool) {
 		if only != nil && !only[p.id] {
 			continue
 		}
-		if !p.ox.push(frame, true) {
+		if !p.ox.push(hello, true) {
 			if missed == nil {
 				missed = make(map[ids.ID]bool)
 			}
@@ -908,9 +952,8 @@ func (n *Node) writeLoop(p *peer, conn net.Conn) {
 		})
 	}
 	var (
-		frames [][]byte
-		hdrs   []byte
-		iovecs [][]byte
+		frames []frame
+		iovecs net.Buffers
 	)
 	for {
 		// Drain before waiting: a fresh writeLoop may start with frames
@@ -930,21 +973,18 @@ func (n *Node) writeLoop(p *peer, conn net.Conn) {
 			if len(frames) == 0 {
 				break
 			}
-			// Write the whole batch with one writev. Each frame keeps its
-			// own 4-byte length header, so the receiver's framing is
-			// unchanged — only the syscall count drops.
-			hdrs = hdrs[:0]
-			for _, f := range frames {
-				var hdr [4]byte
-				binary.BigEndian.PutUint32(hdr[:], uint32(len(f)))
-				hdrs = append(hdrs, hdr[:]...)
-			}
+			// Write the whole batch with one writev: each frame is its head,
+			// length prefix included, then the body it borrows, if any.
 			iovecs = iovecs[:0]
-			for i, f := range frames {
-				iovecs = append(iovecs, hdrs[4*i:4*i+4], f)
+			for _, f := range frames {
+				iovecs = append(iovecs, f.head)
+				if len(f.body) > 0 {
+					iovecs = append(iovecs, f.body)
+				}
 			}
-			bufs := net.Buffers(iovecs)
+			bufs := iovecs
 			_, err := bufs.WriteTo(conn)
+			clear(frames) // written bodies are not the writer's to pin
 			// Release the batch's bytes even on error: the frames left the
 			// queue either way, and the gauge must not wedge saturated.
 			if p.ox.release(total) {
@@ -982,12 +1022,14 @@ func (n *Node) acceptLoop() {
 				continue
 			}
 		}
-		n.wg.Add(1)
-		go n.readLoop(conn)
+		n.wg.Add(2)
+		go n.readLoop(conn, readBufSize)
+		go n.helloBack(conn)
 	}
 }
 
-func (n *Node) readLoop(conn net.Conn) {
+// readLoop delivers what conn carries, read through a bufSize buffer.
+func (n *Node) readLoop(conn net.Conn, bufSize int) {
 	defer n.wg.Done()
 	defer conn.Close()
 	// Close the connection promptly on shutdown.
@@ -1000,7 +1042,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		case <-stop:
 		}
 	}()
-	fr := frameReader{r: conn, buf: make([]byte, readBufSize)}
+	fr := frameReader{r: conn, buf: make([]byte, bufSize)}
 	// burst collects the envelopes of every frame already whole in the
 	// buffer; the actor loop gets them in one inbox post, in order — on
 	// the way out too, when a bad frame follows good ones.
@@ -1148,16 +1190,6 @@ func (c *tcpCtx) ReplyErr(err error) {
 }
 
 // --- framing -------------------------------------------------------------------
-
-func writeFrame(conn net.Conn, frame []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(frame)
-	return err
-}
 
 // frameReader cuts length-prefixed frames out of a connection through
 // one fixed buffer: a burst of small frames costs one read, not two per

@@ -8,6 +8,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"sync"
 	"unsafe"
@@ -55,6 +56,61 @@ type BinaryMessage interface {
 	Message
 	AppendWire(b []byte) []byte
 	ParseWire(r *BinReader) error
+}
+
+// TailMessage is implemented by binary kinds whose last field is bulk
+// bytes — a stored object, a chunk, a routed payload. AppendWireHead
+// appends every field before it, WireTail returns it, and AppendWire must
+// be AppendTailed: the head, then the tail as a length-prefixed byte
+// field. The binary codec then sends the tail by reference instead of
+// copying it into the frame (BinaryCodec.EncodeSplit).
+//
+// A referenced tail is written to the socket after Send returns, by the
+// peer's writer goroutine, so it must stay unmodified until the frame is
+// written: whoever sends a tail gives up the right to change those bytes.
+type TailMessage interface {
+	BinaryMessage
+	AppendWireHead(b []byte) []byte
+	WireTail() []byte
+}
+
+// AppendTailed is AppendWire for a TailMessage: head ‖ tail.
+func AppendTailed(b []byte, m TailMessage) []byte {
+	return AppendBytes(m.AppendWireHead(b), m.WireTail())
+}
+
+// binScratch holds the buffers message bodies are encoded in before they
+// are laid out in a frame, so a frame costs the one exact-size buffer it
+// is returned in.
+var binScratch = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// splitBody encodes m's binary body as inline bytes, in a pooled buffer
+// the caller returns with releaseBody, and the tail the body ends with
+// (nil unless m is a TailMessage): inline ‖ tail is m.AppendWire(nil).
+func splitBody(m BinaryMessage) (inline, tail []byte, bp *[]byte) {
+	bp = binScratch.Get().(*[]byte)
+	if tm, ok := m.(TailMessage); ok {
+		tail = tm.WireTail()
+		return AppendUvarint(tm.AppendWireHead((*bp)[:0]), uint64(len(tail))), tail, bp
+	}
+	return m.AppendWire((*bp)[:0]), nil, bp
+}
+
+func releaseBody(bp *[]byte, inline []byte) {
+	if bp != nil {
+		*bp = inline[:0]
+		binScratch.Put(bp)
+	}
+}
+
+// MarshalBinary returns prefix ‖ m.AppendWire(nil) in one allocation of
+// exactly that size.
+func MarshalBinary(prefix []byte, m BinaryMessage) []byte {
+	inline, tail, bp := splitBody(m)
+	out := make([]byte, 0, len(prefix)+len(inline)+len(tail))
+	out = append(append(append(out, prefix...), inline...), tail...)
+	releaseBody(bp, inline)
+	return out
 }
 
 // --- binary primitives --------------------------------------------------------
@@ -313,7 +369,6 @@ type BinaryCodec struct {
 	kinds     []string
 	kindID    map[string]uint64
 	kindsHash string
-	scratch   sync.Pool // *[]byte buffers for Size
 }
 
 var _ Codec = (*BinaryCodec)(nil)
@@ -330,7 +385,6 @@ func NewBinaryCodec(reg *Registry) *BinaryCodec {
 	for i, k := range kinds {
 		c.kindID[k] = uint64(i)
 	}
-	c.scratch.New = func() any { b := make([]byte, 0, 512); return &b }
 	return c
 }
 
@@ -341,86 +395,123 @@ func (c *BinaryCodec) Name() string { return CodecBinary }
 func (c *BinaryCodec) KindsHash() string { return c.kindsHash }
 
 // Encode implements Codec.
-func (c *BinaryCodec) Encode(env *Envelope) ([]byte, error) {
-	return c.appendEnvelope(make([]byte, 0, 160), env, nil)
-}
+func (c *BinaryCodec) Encode(env *Envelope) ([]byte, error) { return c.EncodeShared(env, nil) }
 
-// EncodeShared implements SharedEncoder: the message body bytes are taken
-// from (or stored into) s, so a fan-out marshals the payload once and
-// stamps per-destination headers around it.
+// EncodeShared is Encode with the message body bytes taken from (or
+// stored into) s, so a fan-out marshals the payload once and stamps
+// per-destination headers around it. The frame is one buffer of exactly
+// its size.
 func (c *BinaryCodec) EncodeShared(env *Envelope, s *SharedBody) ([]byte, error) {
-	return c.appendEnvelope(make([]byte, 0, 160), env, s)
+	f, err := c.split(env, s)
+	if err != nil {
+		return nil, err
+	}
+	b := f.appendHead(make([]byte, 0, f.headLen(env)+len(f.ref)), env)
+	b = append(b, f.ref...)
+	releaseBody(f.bp, f.inline)
+	return b, nil
 }
 
-func (c *BinaryCodec) appendEnvelope(b []byte, env *Envelope, s *SharedBody) ([]byte, error) {
-	var flags byte
+// EncodeSplit is EncodeShared without the copy of a body the frame can
+// borrow: head ‖ body is the frame, head starts with reserve bytes left
+// for the caller (transport's length prefix), and body is the message's
+// tail (TailMessage), the SharedBody's one encoding, a just-marshalled XML
+// fallback body, or nil. The caller must not modify body, and must write
+// the frame before anyone may modify the bytes it was encoded from.
+func (c *BinaryCodec) EncodeSplit(env *Envelope, s *SharedBody, reserve int) (head, body []byte, err error) {
+	f, err := c.split(env, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	head = f.appendHead(make([]byte, reserve, reserve+f.headLen(env)), env)
+	releaseBody(f.bp, f.inline)
+	return head, f.ref, nil
+}
+
+// binFrame is one binary frame before it is laid out: the header's flags
+// and kind, and the message body in two parts — inline bytes, written
+// into the frame after the header, and ref bytes the frame references.
+type binFrame struct {
+	flags  byte
+	kindID uint64
+	inline []byte
+	ref    []byte
+	bp     *[]byte // the pooled buffer inline lives in, if any
+}
+
+// split encodes what env's frame needs beyond its header fields.
+func (c *BinaryCodec) split(env *Envelope, s *SharedBody) (f binFrame, err error) {
 	if env.IsReply {
-		flags |= flagReply
+		f.flags |= flagReply
 	}
 	if env.Err != "" {
-		flags |= flagHasErr
+		f.flags |= flagHasErr
 	}
-	var kindID uint64
-	var body []byte
-	var bodyScratch *[]byte
-	if env.Msg != nil {
-		flags |= flagHasMsg
-		kind := env.Msg.Kind()
-		id, ok := c.kindID[kind]
-		if !ok {
-			return nil, fmt.Errorf("wire: binary encode: kind %q not in interned table", kind)
-		}
-		kindID = id
-		if s != nil && s.haveBin {
-			body = s.binBody
-			if s.binXML {
-				flags |= flagXMLBody
-			}
-		} else {
-			if bm, ok := env.Msg.(BinaryMessage); ok {
-				if s == nil {
-					// The body needs encoding before the header (its
-					// length is prefixed); a pooled scratch keeps the
-					// whole envelope — including Size-only calls —
-					// allocation-free.
-					bodyScratch = c.scratch.Get().(*[]byte)
-					body = bm.AppendWire((*bodyScratch)[:0])
-				} else {
-					// Cached bodies outlive this call, so they cannot
-					// borrow the scratch pool; the one allocation is
-					// amortised over the whole fan-out.
-					body = bm.AppendWire(nil)
-				}
-			} else {
-				xb, err := xml.Marshal(env.Msg)
-				if err != nil {
-					return nil, fmt.Errorf("wire: binary encode %q fallback: %w", kind, err)
-				}
-				flags |= flagXMLBody
-				body = xb
-			}
-			if s != nil {
-				s.binBody, s.binXML, s.haveBin = body, flags&flagXMLBody != 0, true
-			}
-		}
+	if env.Msg == nil {
+		return f, nil
 	}
-	b = append(b, BinaryMagic, binaryVersion, flags)
+	f.flags |= flagHasMsg
+	kind := env.Msg.Kind()
+	var ok bool
+	if f.kindID, ok = c.kindID[kind]; !ok {
+		return f, fmt.Errorf("wire: binary encode: kind %q not in interned table", kind)
+	}
+	if s != nil && s.haveBin {
+		if s.binXML {
+			f.flags |= flagXMLBody
+		}
+		f.ref = s.binBody
+		return f, nil
+	}
+	bm, ok := env.Msg.(BinaryMessage)
+	switch {
+	case !ok:
+		if f.ref, err = xml.Marshal(env.Msg); err != nil {
+			return f, fmt.Errorf("wire: binary encode %q fallback: %w", kind, err)
+		}
+		f.flags |= flagXMLBody
+	case s != nil:
+		f.ref = MarshalBinary(nil, bm) // the rest of the fan-out reuses it
+	default:
+		f.inline, f.ref, f.bp = splitBody(bm)
+	}
+	if s != nil {
+		s.binBody, s.binXML, s.haveBin = f.ref, f.flags&flagXMLBody != 0, true
+	}
+	return f, nil
+}
+
+// headLen is the length of the frame up to its referenced bytes.
+func (f *binFrame) headLen(env *Envelope) int {
+	n := 3 + 2*ids.Size + uvarintLen(env.CorrID)
+	if f.flags&flagHasErr != 0 {
+		n += uvarintLen(uint64(len(env.Err))) + len(env.Err)
+	}
+	if f.flags&flagHasMsg != 0 {
+		n += uvarintLen(f.kindID) + uvarintLen(uint64(len(f.inline)+len(f.ref))) + len(f.inline)
+	}
+	return n
+}
+
+// appendHead appends the frame up to its referenced bytes: headLen of them.
+func (f *binFrame) appendHead(b []byte, env *Envelope) []byte {
+	b = append(b, BinaryMagic, binaryVersion, f.flags)
 	b = AppendID(b, env.From)
 	b = AppendID(b, env.To)
 	b = AppendUvarint(b, env.CorrID)
-	if flags&flagHasErr != 0 {
+	if f.flags&flagHasErr != 0 {
 		b = AppendString(b, env.Err)
 	}
-	if flags&flagHasMsg != 0 {
-		b = AppendUvarint(b, kindID)
-		b = AppendBytes(b, body)
+	if f.flags&flagHasMsg != 0 {
+		b = AppendUvarint(b, f.kindID)
+		b = AppendUvarint(b, uint64(len(f.inline)+len(f.ref)))
+		b = append(b, f.inline...)
 	}
-	if bodyScratch != nil {
-		*bodyScratch = body[:0]
-		c.scratch.Put(bodyScratch)
-	}
-	return b, nil
+	return b
 }
+
+// uvarintLen is the length of v in AppendUvarint's form.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Decode implements Codec. Every decoded string is an independent copy;
 // the frame may be reused or mutated afterwards.
@@ -498,18 +589,16 @@ func (c *BinaryCodec) decode(data []byte, borrow bool) (*Envelope, error) {
 	return env, nil
 }
 
-// Size implements Codec in O(encoded bytes) with no reflection and no
-// retained document: the envelope is appended to a pooled scratch buffer
-// and only its length escapes.
+// Size implements Codec with no reflection and no retained document: the
+// message body is encoded in a pooled buffer, except for a tail, which is
+// only counted.
 func (c *BinaryCodec) Size(env *Envelope) (int, error) {
-	bp := c.scratch.Get().(*[]byte)
-	b, err := c.appendEnvelope((*bp)[:0], env, nil)
-	n := len(b)
-	*bp = b[:0]
-	c.scratch.Put(bp)
+	f, err := c.split(env, nil)
 	if err != nil {
 		return 0, err
 	}
+	n := f.headLen(env) + len(f.ref)
+	releaseBody(f.bp, f.inline)
 	return n, nil
 }
 

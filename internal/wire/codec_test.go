@@ -273,6 +273,12 @@ type conflictFree struct{}
 
 func (conflictFree) Kind() string { return "test.extra" }
 
+// sharedEncoder is what both codecs offer a fan-out.
+type sharedEncoder interface {
+	Codec
+	EncodeShared(env *Envelope, s *SharedBody) ([]byte, error)
+}
+
 // TestEncodeSharedMatchesEncode: for both codecs, fan-out frames built
 // through a SharedBody are byte-identical to independently encoded ones —
 // only the body encoding is amortised, never the per-peer header.
@@ -282,7 +288,7 @@ func TestEncodeSharedMatchesEncode(t *testing.T) {
 	msg := &binMsg{Name: "shared-body", Score: 4.5, N: 42}
 	from := ids.FromString("fan-src")
 	tos := []ids.ID{ids.FromString("peer-1"), ids.FromString("peer-2"), ids.FromString("peer-3")}
-	for _, codec := range []SharedEncoder{reg, bin} {
+	for _, codec := range []sharedEncoder{reg, bin} {
 		shared := &SharedBody{}
 		for i, to := range tos {
 			env := &Envelope{From: from, To: to, CorrID: uint64(i), Msg: msg}
@@ -314,7 +320,7 @@ func TestEncodeSharedMatchesEncode(t *testing.T) {
 func TestEncodeSharedCachesBody(t *testing.T) {
 	reg := binRegistry()
 	bin := NewBinaryCodec(reg)
-	for _, codec := range []SharedEncoder{reg, bin} {
+	for _, codec := range []sharedEncoder{reg, bin} {
 		msg := &binMsg{Name: "original", N: 1}
 		shared := &SharedBody{}
 		env := &Envelope{From: ids.FromString("x"), To: ids.FromString("y"), Msg: msg}

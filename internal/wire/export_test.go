@@ -14,3 +14,7 @@ func EncodeReflect(env *Envelope) ([]byte, error) { return encodeReflect(env) }
 // against the reflection decoder on the full registry.
 func DecodeReflect(r *Registry, data []byte) (*Envelope, error) { return r.decodeReflect(data) }
 func DecodeFast(r *Registry, data []byte) *Envelope             { return r.decodeFast(data) }
+
+// EncodeContiguous exposes the binary encoder from before frames borrowed
+// their bodies (see contiguous_test.go).
+func EncodeContiguous(c *BinaryCodec, env *Envelope) ([]byte, error) { return c.encodeContiguous(env) }

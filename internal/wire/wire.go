@@ -138,7 +138,9 @@ func (r *Registry) New(kind string) (Message, error) {
 // CorrID) are still written fresh per frame, only the payload bytes are
 // reused. A SharedBody is valid for exactly one Message value — reusing
 // it across different messages is a caller bug. The zero value is ready.
-// Not safe for concurrent use.
+// Not safe for concurrent use. Its binary body is referenced, not copied,
+// by every frame BinaryCodec.EncodeSplit builds from it, so it is never
+// modified once built; TailMessage states how long that must hold.
 type SharedBody struct {
 	xmlBody []byte
 	haveXML bool
@@ -147,32 +149,24 @@ type SharedBody struct {
 	haveBin bool
 }
 
-// SharedEncoder is implemented by codecs that can amortise body encoding
-// across a fan-out through a SharedBody cache. Both built-in codecs do;
-// transport falls back to plain Encode for codecs that don't.
-type SharedEncoder interface {
-	Codec
-	// EncodeShared is Encode with the message body cached in s.
-	// A nil s behaves exactly like Encode.
-	EncodeShared(env *Envelope, s *SharedBody) ([]byte, error)
-}
-
-var (
-	_ SharedEncoder = (*Registry)(nil)
-	_ SharedEncoder = (*BinaryCodec)(nil)
-)
-
 // Encode serialises an envelope to XML bytes.
 func (r *Registry) Encode(env *Envelope) ([]byte, error) {
 	return r.EncodeShared(env, nil)
 }
 
-// EncodeShared implements SharedEncoder: the marshalled message body is
-// taken from (or stored into) s, so only the envelope wrapper is built
-// per destination.
+// EncodeShared is Encode with the marshalled message body taken from (or
+// stored into) s, so only the envelope wrapper is built per destination.
+// A nil s behaves exactly like Encode.
 func (r *Registry) EncodeShared(env *Envelope, s *SharedBody) ([]byte, error) {
-	frame, _, err := r.encode(env, s, true)
+	frame, _, err := r.encode(env, s, 0)
 	return frame, err
+}
+
+// EncodeSplit is BinaryCodec.EncodeSplit for the XML codec: the frame is
+// all head, after reserve bytes left for the caller, and borrows nothing.
+func (r *Registry) EncodeSplit(env *Envelope, s *SharedBody, reserve int) (head, body []byte, err error) {
+	head, _, err = r.encode(env, s, reserve)
+	return head, nil, err
 }
 
 // xmlScratch holds the buffers frames are built in, so an encode
@@ -181,14 +175,14 @@ func (r *Registry) EncodeShared(env *Envelope, s *SharedBody) ([]byte, error) {
 var xmlScratch = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 // encode builds env's frame in a pooled buffer and returns its length
-// and, if keep is set, a copy of it.
-func (r *Registry) encode(env *Envelope, s *SharedBody, keep bool) (frame []byte, n int, err error) {
+// and, unless reserve is negative, a copy of it after reserve zero bytes.
+func (r *Registry) encode(env *Envelope, s *SharedBody, reserve int) (frame []byte, n int, err error) {
 	bp := xmlScratch.Get().(*[]byte)
 	b, err := r.appendEnvelope((*bp)[:0], env, s)
 	if err == nil {
 		n = len(b)
-		if keep {
-			frame = bytes.Clone(b)
+		if reserve >= 0 {
+			frame = append(make([]byte, reserve, reserve+n), b...)
 		}
 	}
 	*bp = b[:0]
@@ -382,6 +376,6 @@ func (r *Registry) decodeReflect(data []byte) (*Envelope, error) {
 // Size returns the encoded size of env in bytes (for bandwidth
 // accounting); the frame is not kept.
 func (r *Registry) Size(env *Envelope) (int, error) {
-	_, n, err := r.encode(env, nil, false)
+	_, n, err := r.encode(env, nil, -1)
 	return n, err
 }

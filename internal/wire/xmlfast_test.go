@@ -17,6 +17,7 @@ import (
 	"github.com/gloss/active/internal/event"
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/pubsub"
+	"github.com/gloss/active/internal/transport"
 	"github.com/gloss/active/internal/wire"
 )
 
@@ -97,6 +98,28 @@ func nastyFilter(rng *rand.Rand, nan bool) pubsub.Filter {
 	return pubsub.NewFilter(cs...)
 }
 
+// nastyHello draws a transport hello: coordinates as nastyValue draws
+// floats, a codec list that may hold an empty name, an address book.
+func nastyHello(rng *rand.Rand, nan bool) *transport.HelloMsg {
+	float := func() float64 {
+		if v := nastyValue(rng, nan); v.K == event.KindFloat {
+			return v.F
+		}
+		return rng.NormFloat64()
+	}
+	h := &transport.HelloMsg{ID: nastyString(rng, 4), Addr: nastyString(rng, 4), Region: nastyString(rng, 3), X: float(), Y: float()}
+	for n := rng.Intn(4); n > 0; n-- {
+		h.Codecs = append(h.Codecs, []string{wire.CodecXML, wire.CodecBinary, "", nastyString(rng, 3)}[rng.Intn(4)])
+	}
+	if rng.Intn(2) == 0 {
+		h.KindsHash = nastyString(rng, 4)
+	}
+	for n := rng.Intn(4); n > 0; n-- {
+		h.Known = append(h.Known, transport.HelloPeer{ID: nastyString(rng, 3), Addr: nastyString(rng, 3)})
+	}
+	return h
+}
+
 // nastyEnvelope draws one envelope of a hand-written kind (or, rarely, of
 // no kind at all), with every header field set and unset.
 func nastyEnvelope(rng *rand.Rand, nan bool) *wire.Envelope {
@@ -112,7 +135,7 @@ func nastyEnvelope(rng *rand.Rand, nan bool) *wire.Envelope {
 	if rng.Intn(10) != 0 {
 		ev = nastyEvent(rng, nan)
 	}
-	switch rng.Intn(13) {
+	switch rng.Intn(14) {
 	case 0, 1, 2, 3:
 		env.Msg = &pubsub.PubMsg{Event: ev}
 	case 4, 5, 6:
@@ -125,6 +148,8 @@ func nastyEnvelope(rng *rand.Rand, nan bool) *wire.Envelope {
 		env.Msg = &pubsub.AdvMsg{Filter: nastyFilter(rng, nan)}
 	case 11:
 		env.Msg = &pubsub.UnadvMsg{Filter: nastyFilter(rng, nan)}
+	case 12:
+		env.Msg = nastyHello(rng, nan)
 	}
 	return env
 }
