@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -24,62 +25,110 @@ const (
 	xferPut                  // root pulled a large put from its origin
 )
 
+// XXH64 primes.
+const (
+	p1 uint64 = 11400714785074694791
+	p2 uint64 = 14029467366897019727
+	p3 uint64 = 1609587929392839161
+	p4 uint64 = 9650029242287828579
+	p5 uint64 = 2870177450012600261
+)
+
+func round(acc, in uint64) uint64 { return bits.RotateLeft64(acc+in*p2, 31) * p1 }
+
 // hash64 is XXH64 (seed 0) over the object body: the shared 64-bit
 // integrity/staleness check of chunk transfers (ManifestMsg.Hash) and
-// digests (DigestEntry.Hash). Word-at-a-time — four independent lanes
-// over 32-byte stripes — because it runs over every transferred byte.
+// digests (DigestEntry.Hash).
 func hash64(b []byte) uint64 {
-	const (
-		p1 uint64 = 11400714785074694791
-		p2 uint64 = 14029467366897019727
-		p3 uint64 = 1609587929392839161
-		p4 uint64 = 9650029242287828579
-		p5 uint64 = 2870177450012600261
-	)
-	round := func(acc, in uint64) uint64 { return bits.RotateLeft64(acc+in*p2, 31) * p1 }
-	h, n := p5, uint64(len(b))
-	if n >= 32 {
-		v1, v2, v3, v4 := p1, p2, uint64(0), uint64(0)
-		v1 += p2
-		v4 -= p1
-		for ; len(b) >= 32; b = b[32:] {
-			v1 = round(v1, binary.LittleEndian.Uint64(b))
-			v2 = round(v2, binary.LittleEndian.Uint64(b[8:]))
-			v3 = round(v3, binary.LittleEndian.Uint64(b[16:]))
-			v4 = round(v4, binary.LittleEndian.Uint64(b[24:]))
+	h := newHasher()
+	return h.finish(len(b), h.stripes(b))
+}
+
+// hasher is hash64 fed in pieces of any length. Word-at-a-time — four
+// independent lanes over 32-byte stripes — because it runs over every
+// transferred byte; carry holds a stripe a write left incomplete.
+type hasher struct {
+	v1, v2, v3, v4 uint64
+	n              int
+	carry          [32]byte // carry[:n%32] is the incomplete stripe
+}
+
+func newHasher() hasher {
+	p := p1 // a variable, so that the sums wrap instead of overflowing at compile time
+	return hasher{v1: p + p2, v2: p2, v4: -p}
+}
+
+func (h *hasher) write(b []byte) {
+	c := h.n % 32
+	h.n += len(b)
+	if c > 0 {
+		k := copy(h.carry[c:], b)
+		if c+k < 32 {
+			return
 		}
-		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) + bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
-		for _, v := range [4]uint64{v1, v2, v3, v4} {
-			h = (h^round(0, v))*p1 + p4
+		h.stripes(h.carry[:])
+		b = b[k:]
+	}
+	copy(h.carry[:], h.stripes(b))
+}
+
+// stripes absorbs every whole 32-byte stripe of b and returns the rest.
+func (h *hasher) stripes(b []byte) []byte {
+	v1, v2, v3, v4 := h.v1, h.v2, h.v3, h.v4
+	for ; len(b) >= 32; b = b[32:] {
+		v1 = round(v1, binary.LittleEndian.Uint64(b))
+		v2 = round(v2, binary.LittleEndian.Uint64(b[8:]))
+		v3 = round(v3, binary.LittleEndian.Uint64(b[16:]))
+		v4 = round(v4, binary.LittleEndian.Uint64(b[24:]))
+	}
+	h.v1, h.v2, h.v3, h.v4 = v1, v2, v3, v4
+	return b
+}
+
+func (h *hasher) sum() uint64 { return h.finish(h.n, h.carry[:h.n%32]) }
+
+// finish folds the lanes (used once the total length n reaches a
+// stripe) and the < 32-byte tail b into the sum.
+func (h *hasher) finish(n int, b []byte) uint64 {
+	x := p5
+	if n >= 32 {
+		x = bits.RotateLeft64(h.v1, 1) + bits.RotateLeft64(h.v2, 7) + bits.RotateLeft64(h.v3, 12) + bits.RotateLeft64(h.v4, 18)
+		for _, v := range [4]uint64{h.v1, h.v2, h.v3, h.v4} {
+			x = (x^round(0, v))*p1 + p4
 		}
 	}
-	h += n
+	x += uint64(n)
 	for ; len(b) >= 8; b = b[8:] {
-		h = bits.RotateLeft64(h^round(0, binary.LittleEndian.Uint64(b)), 27)*p1 + p4
+		x = bits.RotateLeft64(x^round(0, binary.LittleEndian.Uint64(b)), 27)*p1 + p4
 	}
 	if len(b) >= 4 {
-		h = bits.RotateLeft64(h^uint64(binary.LittleEndian.Uint32(b))*p1, 23)*p2 + p3
+		x = bits.RotateLeft64(x^uint64(binary.LittleEndian.Uint32(b))*p1, 23)*p2 + p3
 		b = b[4:]
 	}
 	for _, c := range b {
-		h = bits.RotateLeft64(h^uint64(c)*p5, 11) * p1
+		x = bits.RotateLeft64(x^uint64(c)*p5, 11) * p1
 	}
-	h = (h ^ h>>33) * p2
-	h = (h ^ h>>29) * p3
-	return h ^ h>>32
+	x = (x ^ x>>33) * p2
+	x = (x ^ x>>29) * p3
+	return x ^ x>>32
 }
 
+// maxChunks bounds the pieces one transfer may be cut into, so that a
+// manifest cannot make the receiver allocate a piece table out of
+// proportion to its bytes. Senders widen their chunks to stay under it.
+const maxChunks = 1 << 14
+
 // reassembly is the pure chunk-reassembly state machine: fixed-size
-// chunks copied into a preallocated buffer, tracked by a per-chunk
-// bitmap. Pure so the fuzzer can drive it directly against hostile
-// geometry (truncated totals, misaligned offsets, wrong lengths).
+// chunks kept as the slices they arrived in, hashed as the prefix from
+// offset 0 completes. Pure so the fuzzer can drive it directly against
+// hostile geometry (truncated totals, misaligned offsets, wrong lengths).
 type reassembly struct {
-	total     int
-	chunk     int
-	hash      uint64
-	buf       []byte
-	got       []bool
-	remaining int
+	total  int
+	chunk  int
+	hash   uint64
+	pieces [][]byte // by chunk index; nil until received
+	hashed int      // pieces[:hashed] are absorbed into h: all of them once complete
+	h      hasher
 }
 
 func newReassembly(totalLen, chunk, maxObject int, hash uint64) (*reassembly, error) {
@@ -90,17 +139,20 @@ func newReassembly(totalLen, chunk, maxObject int, hash uint64) (*reassembly, er
 		return nil, fmt.Errorf("store: chunk size %d out of range", chunk)
 	}
 	n := (totalLen + chunk - 1) / chunk
+	if n > maxChunks {
+		return nil, fmt.Errorf("store: transfer of %d bytes in %d-byte chunks needs %d pieces (max %d)", totalLen, chunk, n, maxChunks)
+	}
 	return &reassembly{
-		total:     totalLen,
-		chunk:     chunk,
-		hash:      hash,
-		buf:       make([]byte, totalLen),
-		got:       make([]bool, n),
-		remaining: n,
+		total:  totalLen,
+		chunk:  chunk,
+		hash:   hash,
+		pieces: make([][]byte, n),
+		h:      newHasher(),
 	}, nil
 }
 
-// add copies one chunk in. done reports the body is complete and
+// add takes one chunk in; the reassembly keeps data itself, which must
+// not change afterwards. done reports the body is complete and
 // hash-verified; a non-nil error poisons the whole transfer (corrupt or
 // hostile geometry — the caller must drop the state).
 func (ra *reassembly) add(off int, data []byte) (done bool, err error) {
@@ -115,16 +167,17 @@ func (ra *reassembly) add(off int, data []byte) (done bool, err error) {
 		return false, fmt.Errorf("store: chunk at %d has %d bytes, want %d", off, len(data), want)
 	}
 	idx := off / ra.chunk
-	if ra.got[idx] {
+	if ra.pieces[idx] != nil {
 		return false, nil // duplicate delivery: benign, ignore
 	}
-	copy(ra.buf[off:], data)
-	ra.got[idx] = true
-	ra.remaining--
-	if ra.remaining > 0 {
+	ra.pieces[idx] = data
+	for ; ra.hashed < len(ra.pieces) && ra.pieces[ra.hashed] != nil; ra.hashed++ {
+		ra.h.write(ra.pieces[ra.hashed])
+	}
+	if ra.hashed < len(ra.pieces) {
 		return false, nil
 	}
-	if hash64(ra.buf) != ra.hash {
+	if ra.h.sum() != ra.hash {
 		return false, fmt.Errorf("store: reassembled transfer fails hash check")
 	}
 	return true, nil
@@ -162,15 +215,21 @@ func (s *Store) chunkBytes() int {
 	return max(s.opts.ChunkBytes, 0)
 }
 
-// sendChunked streams a body to a peer as manifest + chunk frames.
+// sendChunked streams a body to a peer as manifest + chunk frames: the
+// pieces it arrived in if they are this node's chunks, else cuts of one slice.
 func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, b *blob, reqID uint64, hops int, fromCache, pin bool) {
-	chunk, data := s.chunkBytes(), b.data
+	size := b.size()
+	chunk := max(s.chunkBytes(), (size+maxChunks-1)/maxChunks)
+	var data []byte
+	if len(b.pieces) < 2 || len(b.pieces[0]) != chunk {
+		data = b.bytes()
+	}
 	s.nextXfer++
 	s.ep.Send(to, &ManifestMsg{
 		Xfer:      s.nextXfer,
 		GUID:      guid.String(),
 		Purpose:   purpose,
-		TotalLen:  len(data),
+		TotalLen:  size,
 		Chunk:     chunk,
 		Hash:      b.hash(),
 		ReqID:     reqID,
@@ -178,13 +237,16 @@ func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, b *blob, reqID 
 		FromCache: fromCache,
 		Pin:       pin,
 	})
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
+	for off := 0; off < size; off += chunk {
+		var piece []byte
+		if data != nil {
+			end := min(off+chunk, size)
+			piece = data[off:end:end] // capped, so a receiver sharing the bytes keeps it (handleChunk)
+		} else {
+			piece = b.pieces[off/chunk]
 		}
 		s.stats.ChunkFramesSent++
-		s.ep.Send(to, &ChunkMsg{Xfer: s.nextXfer, Off: off, Data: data[off:end]})
+		s.ep.Send(to, &ChunkMsg{Xfer: s.nextXfer, Off: off, Data: piece})
 	}
 }
 
@@ -195,15 +257,15 @@ func (s *Store) sendObject(to ids.ID, purpose int, guid ids.ID, b *blob) {
 }
 
 func (s *Store) sendObjectPinned(to ids.ID, purpose int, guid ids.ID, b *blob, pin bool) {
-	if cb := s.chunkBytes(); cb > 0 && len(b.data) > cb {
+	if cb := s.chunkBytes(); cb > 0 && b.size() > cb {
 		s.sendChunked(to, purpose, guid, b, 0, 0, false, pin)
 		return
 	}
 	switch purpose {
 	case xferReplicate:
-		s.ep.Send(to, &ReplicateMsg{GUID: guid.String(), Pin: pin, Data: b.data})
+		s.ep.Send(to, &ReplicateMsg{GUID: guid.String(), Pin: pin, Data: b.bytes()})
 	case xferCacheFill:
-		s.ep.Send(to, &CacheFillMsg{GUID: guid.String(), Data: b.data})
+		s.ep.Send(to, &CacheFillMsg{GUID: guid.String(), Data: b.bytes()})
 	}
 }
 
@@ -212,7 +274,7 @@ func (s *Store) sendObjectPinned(to ids.ID, purpose int, guid ids.ID, b *blob, p
 func (s *Store) sendGetReply(to ids.ID, reply *GetReplyMsg, b *blob) {
 	if b != nil {
 		reply.Found = true
-		if cb := s.chunkBytes(); cb > 0 && len(b.data) > cb {
+		if cb := s.chunkBytes(); cb > 0 && b.size() > cb {
 			guid, err := ids.Parse(reply.GUID)
 			if err != nil {
 				return
@@ -220,7 +282,7 @@ func (s *Store) sendGetReply(to ids.ID, reply *GetReplyMsg, b *blob) {
 			s.sendChunked(to, xferGetReply, guid, b, reply.ReqID, reply.Hops, reply.FromCache, false)
 			return
 		}
-		reply.Data = b.data
+		reply.Data = b.bytes()
 	}
 	s.ep.Send(to, reply)
 }
@@ -253,12 +315,19 @@ func (s *Store) handleManifest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		pin:       mm.Pin,
 	}
 	s.sweepXfer(key)
-	if buf, ok := s.early[key]; ok {
-		delete(s.early, key)
-		for _, cm := range buf {
-			s.applyChunk(key, from, cm)
-		}
+	for _, cm := range s.takeEarly(key) {
+		s.applyChunk(key, from, cm)
 	}
+}
+
+// takeEarly removes and returns the chunks held for key.
+func (s *Store) takeEarly(key xferKey) []*ChunkMsg {
+	buf := s.early[key]
+	delete(s.early, key)
+	for _, cm := range buf {
+		s.earlyBytes -= len(cm.Data)
+	}
+	return buf
 }
 
 // sweepXfer schedules the transfer's timeout GC: every ChunkTimeout the
@@ -282,8 +351,7 @@ func (s *Store) sweepXfer(key xferKey) {
 // sweepEarly drops an early-chunk buffer whose manifest never showed up.
 func (s *Store) sweepEarly(key xferKey) {
 	s.ep.Clock().After(s.opts.ChunkTimeout, func() {
-		if _, ok := s.early[key]; ok {
-			delete(s.early, key)
+		if s.takeEarly(key) != nil {
 			s.stats.ChunkTimeouts++
 		}
 	})
@@ -291,19 +359,27 @@ func (s *Store) sweepEarly(key xferKey) {
 
 func (s *Store) handleChunk(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	cm := msg.(*ChunkMsg)
+	if cap(cm.Data)-len(cm.Data) > len(cm.Data)/8 {
+		// The piece is kept as the slice it came in, so that slice's storage
+		// must not run far past it: a frame padded behind its chunk would
+		// stay alive under a byte count that leaves the padding out.
+		cm = &ChunkMsg{Xfer: cm.Xfer, Off: cm.Off, Data: bytes.Clone(cm.Data)}
+	}
 	key := xferKey{from: from, id: cm.Xfer}
 	if _, ok := s.xfers[key]; !ok {
 		// Reordering can deliver chunks ahead of their manifest: hold a
-		// bounded few until it arrives (sweepEarly drops orphans, so a
-		// completed or timed-out transfer's stragglers die here too).
+		// bounded few per transfer, and no more than one object's worth
+		// across all of them, until it arrives (sweepEarly drops orphans,
+		// so a completed or timed-out transfer's stragglers die here too).
 		buf := s.early[key]
-		if len(buf) >= maxEarlyChunks {
+		if len(buf) >= maxEarlyChunks || s.earlyBytes+len(cm.Data) > s.opts.MaxObjectBytes {
 			return
 		}
 		if len(buf) == 0 {
 			s.sweepEarly(key)
 		}
 		s.early[key] = append(buf, cm)
+		s.earlyBytes += len(cm.Data)
 		return
 	}
 	s.applyChunk(key, from, cm)
@@ -333,8 +409,8 @@ func (s *Store) applyChunk(key xferKey, from ids.ID, cm *ChunkMsg) {
 // completeXfer dispatches a fully reassembled body to its purpose.
 func (s *Store) completeXfer(from ids.ID, x *xfer) {
 	// The reassembly has just checked the body against the manifest hash:
-	// the copy carries that sum, nobody derives it again.
-	b := &blob{data: x.ra.buf, sum: x.ra.hash, summed: true}
+	// the blob carries that sum, nobody derives it again.
+	b := &blob{pieces: x.ra.pieces, sum: x.ra.hash, summed: true}
 	switch x.purpose {
 	case xferReplicate:
 		s.setObject(x.guid, b)

@@ -102,7 +102,7 @@ func (s *Store) handleDigestReq(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		}
 		reply.Entries = append(reply.Entries, DigestEntry{
 			GUID: b.key,
-			Len:  len(b.data),
+			Len:  b.size(),
 			Hash: b.hash(),
 		})
 	}
@@ -131,7 +131,7 @@ func (s *Store) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		if !ok || !s.rootAmong(leaves, guid) {
 			continue // dropped or re-rooted since the round opened
 		}
-		if e, ok := held[guid.String()]; ok && e.Len == len(b.data) && e.Hash == b.hash() {
+		if e, ok := held[guid.String()]; ok && e.Len == b.size() && e.Hash == b.hash() {
 			s.stats.RepairSkipped++
 			continue
 		}
@@ -146,7 +146,7 @@ func (s *Store) pushReplica(to ids.ID, guid ids.ID, b *blob) {
 
 func (s *Store) pushReplicaPinned(to ids.ID, guid ids.ID, b *blob, pin bool) {
 	s.stats.RepairPushes++
-	s.stats.RepairBytes += uint64(len(b.data))
+	s.stats.RepairBytes += uint64(b.size())
 	s.sendObjectPinned(to, xferReplicate, guid, b, pin)
 }
 
@@ -172,9 +172,13 @@ func (s *Store) fragCheck(guids, leaves []ids.ID) {
 		if !ok || !s.rootAmong(leaves, guid) {
 			continue
 		}
-		f, meta, err := unpackFragment(b.data)
-		if err != nil {
+		// Sniff before parsing, which would flatten a pieced body every round.
+		if h := b.head(2); len(h) < 2 || h[0] != fragMagic0 || h[1] != fragMagic1 {
 			continue // not a coded fragment
+		}
+		f, meta, err := unpackFragment(b.bytes())
+		if err != nil {
+			continue
 		}
 		total := meta.data + meta.parity
 		if total < 2 || f.Index >= total {
@@ -224,7 +228,7 @@ func (s *Store) deliverStat(info plaxton.RouteInfo, msg wire.Message) {
 	b, ok := s.objects[guid]
 	reply := &StatReplyMsg{ReqID: sm.ReqID, Found: ok}
 	if ok {
-		reply.Len = len(b.data)
+		reply.Len = b.size()
 	}
 	if info.Origin == s.ep.ID() {
 		s.handleStatReply(nil, s.ep.ID(), reply)

@@ -40,20 +40,23 @@ func (c *lruCache) get(key ids.ID) (*blob, bool) {
 }
 
 // put inserts or refreshes a copy, evicting LRU entries to fit. Objects
-// larger than the whole budget are not cached.
+// larger than the whole budget are not cached, and drop any older copy
+// held under their key: a mutable key's next read must not find it.
 func (c *lruCache) put(key ids.ID, b *blob) {
-	if int64(len(b.data)) > c.capBytes {
+	size := int64(b.size())
+	if size > c.capBytes {
+		c.remove(key)
 		return
 	}
 	if el, ok := c.items[key]; ok {
 		it := el.Value.(*lruItem)
-		c.usedBytes += int64(len(b.data)) - int64(len(it.b.data))
+		c.usedBytes += size - int64(it.b.size())
 		it.b = b
 		c.ll.MoveToFront(el)
 	} else {
 		el := c.ll.PushFront(&lruItem{key: key, b: b})
 		c.items[key] = el
-		c.usedBytes += int64(len(b.data))
+		c.usedBytes += size
 	}
 	for c.usedBytes > c.capBytes {
 		c.evictOldest()
@@ -68,7 +71,7 @@ func (c *lruCache) evictOldest() {
 	it := el.Value.(*lruItem)
 	c.ll.Remove(el)
 	delete(c.items, it.key)
-	c.usedBytes -= int64(len(it.b.data))
+	c.usedBytes -= int64(it.b.size())
 }
 
 // remove drops a key if present.
@@ -77,7 +80,7 @@ func (c *lruCache) remove(key ids.ID) {
 		it := el.Value.(*lruItem)
 		c.ll.Remove(el)
 		delete(c.items, key)
-		c.usedBytes -= int64(len(it.b.data))
+		c.usedBytes -= int64(it.b.size())
 	}
 }
 

@@ -39,6 +39,20 @@ func TestLRUOversizedObjectSkipped(t *testing.T) {
 	}
 }
 
+// TestLRUOversizedPutDropsStaleCopy: a mutable key's new version too
+// large to cache must not leave the old version to answer the next read.
+func TestLRUOversizedPutDropsStaleCopy(t *testing.T) {
+	c := newLRU(10)
+	c.put(key(1), &blob{data: []byte("v1")})
+	c.put(key(1), &blob{data: []byte("v2, over the budget")})
+	if got, ok := c.get(key(1)); ok {
+		t.Fatalf("cache still serves %q after refusing a newer copy", got.bytes())
+	}
+	if c.len() != 0 || c.used() != 0 {
+		t.Fatalf("refused put left len=%d used=%d", c.len(), c.used())
+	}
+}
+
 func TestLRUUpdateExisting(t *testing.T) {
 	c := newLRU(100)
 	c.put(key(1), &blob{data: make([]byte, 10)})
@@ -77,7 +91,7 @@ func TestQuickLRUBudget(t *testing.T) {
 				rng.Read(data)
 				c.put(k, &blob{data: data})
 				if got, ok := c.get(k); ok {
-					if len(got.data) != size {
+					if got.size() != size {
 						return false
 					}
 				} else if size <= 256 {

@@ -16,7 +16,7 @@ import (
 func storedState(s *Store) string {
 	var sb strings.Builder
 	for _, g := range s.sortedGUIDs() {
-		fmt.Fprintf(&sb, "%s:%016x;", g.String(), hash64(s.objects[g].data))
+		fmt.Fprintf(&sb, "%s:%016x;", g.String(), hash64(s.objects[g].bytes()))
 	}
 	return sb.String()
 }
@@ -244,7 +244,7 @@ func TestCodedGetReportsCorruptFragments(t *testing.T) {
 		key := fragGUID(guid, i)
 		for _, s := range c.stores {
 			if b, ok := s.objects[key]; ok {
-				b.data[0] ^= 0xFF // break the fragment magic
+				b.bytes()[0] ^= 0xFF // break the fragment magic
 				corrupted++
 				break
 			}
@@ -289,7 +289,7 @@ func TestStatsStoredBytesTracksObjects(t *testing.T) {
 	for i, s := range c.stores {
 		var recount int64
 		for _, b := range s.objects {
-			recount += int64(len(b.data))
+			recount += int64(len(b.bytes()))
 		}
 		st := s.Stats()
 		if st.StoredBytes != recount {
@@ -358,7 +358,7 @@ func TestChunkedReplicationDelivers(t *testing.T) {
 		t.Fatalf("chunked object has %d copies, want 3", n)
 	}
 	for i, s := range c.stores {
-		if b, ok := s.objects[guid]; ok && string(b.data) != string(body) {
+		if b, ok := s.objects[guid]; ok && string(b.bytes()) != string(body) {
 			t.Errorf("node %d holds a corrupted reassembly", i)
 		}
 	}

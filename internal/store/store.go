@@ -147,18 +147,50 @@ type pendingGet struct {
 
 // blob is one held body and, once known, its hash64: taken from the
 // manifest hash a reassembly has just verified, else computed on first
-// need. Bodies are immutable and an overwrite or eviction replaces the
-// whole blob, so a sum never outlives the bytes it describes.
+// need. The body is one slice or the chunk frames it arrived in, which
+// writer goroutines may be borrowing. Bodies are immutable and an
+// overwrite or eviction replaces the whole blob, so a sum never outlives
+// the bytes it describes.
 type blob struct {
 	data   []byte
+	pieces [][]byte // when non-nil, the body in order, and data is nil
 	sum    uint64
 	summed bool
 	key    string // the GUID it is held under as a digest entry spells it, rendered on first need
 }
 
+func (b *blob) size() int {
+	n := len(b.data)
+	for _, p := range b.pieces {
+		n += len(p)
+	}
+	return n
+}
+
+// bytes returns the body as one slice, read-only. A pieced body is copied
+// out once and held flat from then on; no piece is ever written.
+func (b *blob) bytes() []byte {
+	if b.pieces != nil {
+		b.data, b.pieces = slices.Concat(b.pieces...), nil
+	}
+	return b.data
+}
+
+// head returns the body's first n bytes (fewer if it is shorter),
+// without flattening a body whose first piece holds them.
+func (b *blob) head(n int) []byte {
+	if b.pieces != nil && len(b.pieces[0]) >= n {
+		return b.pieces[0][:n]
+	}
+	d := b.bytes()
+	return d[:min(n, len(d))]
+}
+
+// hash returns the body's sum. A pieced body always arrives with its
+// verified sum, so this never flattens one.
 func (b *blob) hash() uint64 {
 	if !b.summed {
-		b.sum, b.summed = hash64(b.data), true
+		b.sum, b.summed = hash64(b.bytes()), true
 	}
 	return b.sum
 }
@@ -172,7 +204,7 @@ type Store struct {
 
 	objects     map[ids.ID]*blob
 	keys        []ids.ID // the keys of objects in ids.Cmp order, kept by setObject/dropObject
-	storedBytes int64    // incremental sum of len(objects[*].data), kept by setObject/dropObject
+	storedBytes int64    // incremental sum of objects[*].size(), kept by setObject/dropObject
 	// pinned marks policy-placed copies (deliverPush) that replica GC
 	// must leave alone even though this node is outside the k-closest
 	// range for them.
@@ -184,10 +216,11 @@ type Store struct {
 	pendingGets map[uint64]*pendingGet
 
 	// Chunked-transfer reassembly, keyed per sender. early holds chunks
-	// the network delivered ahead of their manifest.
-	nextXfer uint64
-	xfers    map[xferKey]*xfer
-	early    map[xferKey][]*ChunkMsg
+	// delivered ahead of their manifest, earlyBytes their payload bytes.
+	nextXfer   uint64
+	xfers      map[xferKey]*xfer
+	early      map[xferKey][]*ChunkMsg
+	earlyBytes int
 
 	// Digest repair round state: what the current round asked each
 	// replica target to confirm.
@@ -279,19 +312,19 @@ func (s *Store) Stats() Stats {
 // incremental occupancy counters exact.
 func (s *Store) setObject(guid ids.ID, b *blob) {
 	if old, ok := s.objects[guid]; ok {
-		s.storedBytes -= int64(len(old.data))
+		s.storedBytes -= int64(old.size())
 	} else {
 		i, _ := slices.BinarySearchFunc(s.keys, guid, ids.Cmp)
 		s.keys = slices.Insert(s.keys, i, guid)
 	}
 	s.objects[guid] = b
-	s.storedBytes += int64(len(b.data))
+	s.storedBytes += int64(b.size())
 }
 
 // dropObject removes a stored copy, keeping the occupancy counters exact.
 func (s *Store) dropObject(guid ids.ID) {
 	if old, ok := s.objects[guid]; ok {
-		s.storedBytes -= int64(len(old.data))
+		s.storedBytes -= int64(old.size())
 		i, _ := slices.BinarySearchFunc(s.keys, guid, ids.Cmp)
 		s.keys = slices.Delete(s.keys, i, i+1)
 		delete(s.objects, guid)
@@ -363,20 +396,20 @@ func (s *Store) PutAs(guid ids.ID, content []byte, cb func(error)) {
 }
 
 // Get fetches the object stored under guid. cb's bytes are read-only: a
-// local hit passes the stored copy itself, which a frame on a writer
-// goroutine may be borrowing (wire.TailMessage).
+// local hit passes the stored copy itself (made contiguous once if held in
+// pieces), which a frame on a writer goroutine may be borrowing.
 func (s *Store) Get(guid ids.ID, cb func([]byte, error)) {
 	s.stats.Gets++
 	// Local copies answer immediately (the cheapest promiscuous hit).
 	if b, ok := s.objects[guid]; ok {
 		s.stats.LocalHits++
-		cb(b.data, nil)
+		cb(b.bytes(), nil)
 		return
 	}
 	if !s.opts.DisableCache {
 		if b, ok := s.cache.get(guid); ok {
 			s.stats.LocalHits++
-			cb(b.data, nil)
+			cb(b.bytes(), nil)
 			return
 		}
 	}
@@ -765,11 +798,12 @@ func (s *Store) completeGet(reqID uint64, guidStr string, b *blob) {
 		g.cb(nil, fmt.Errorf("%w: %s", ErrNotFound, guidStr))
 		return
 	}
-	// Promiscuous caching at the reader.
+	// Promiscuous caching at the reader, flat, as the callback gets it.
+	data := b.bytes()
 	if !s.opts.DisableCache {
 		s.cache.put(g.guid, b)
 	}
-	g.cb(b.data, nil)
+	g.cb(data, nil)
 }
 
 func (s *Store) handleReplicate(_ netapi.Ctx, _ ids.ID, msg wire.Message) {

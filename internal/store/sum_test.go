@@ -106,20 +106,47 @@ func checkHash64Tails(t *testing.T, data []byte) {
 	}
 }
 
+// checkHash64Split feeds data to a hasher in pieces whose lengths cycle
+// through cuts (a zero is an empty write; after len(data)+len(cuts)
+// writes the rest goes in one) and compares the sum with hash64 and the
+// reference over the whole.
+func checkHash64Split(t *testing.T, data, cuts []byte) {
+	t.Helper()
+	h := newHasher()
+	rest := data
+	for i := 0; len(rest) > 0; i++ {
+		n := len(rest)
+		if len(cuts) > 0 && i < len(data)+len(cuts) {
+			n = min(int(cuts[i%len(cuts)]), n)
+		}
+		h.write(rest[:n])
+		rest = rest[n:]
+	}
+	if got, want, ref := h.sum(), hash64(data), hash64Ref(data); got != want || got != ref {
+		t.Fatalf("streamed sum of %d bytes cut by %v = %#016x, hash64 %#016x, reference %#016x", len(data), cuts, got, want, ref)
+	}
+}
+
 func TestHash64MatchesReferenceOnAllTails(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, size := range []int{0, 1, 31, 32, 33, 64, 95, 96, 200, 4096, 64<<10 + 7} {
 		data := make([]byte, size)
 		rng.Read(data)
 		checkHash64Tails(t, data)
+		for _, cuts := range [][]byte{nil, {1}, {7}, {31}, {32}, {33}, {0, 5, 64, 200}, {255, 3}} {
+			checkHash64Split(t, data, cuts)
+		}
 	}
 }
 
 func FuzzHash64(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("Call me Ishmael. Some years ago--never mind how long precisely-"))
-	f.Add(bytes.Repeat([]byte{0xff}, 97))
-	f.Fuzz(func(t *testing.T, data []byte) { checkHash64Tails(t, data) })
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte("Call me Ishmael. Some years ago--never mind how long precisely-"), []byte{5, 31, 1})
+	f.Add(bytes.Repeat([]byte{0xff}, 97), []byte{32, 0, 33})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		checkHash64Tails(t, data)
+		checkHash64Split(t, data, cuts)
+	})
 }
 
 // TestSumFollowsOverwrite: a root whose object was overwritten by
@@ -162,7 +189,7 @@ func TestSumFollowsOverwrite(t *testing.T) {
 		t.Fatalf("digest round after the overwrite pushed %d replicas, want 2", got)
 	}
 	for i, s := range c.stores {
-		if b, ok := s.objects[key]; ok && (!bytes.Equal(b.data, v2) || b.hash() != hash64(v2)) {
+		if b, ok := s.objects[key]; ok && (!bytes.Equal(b.bytes(), v2) || b.hash() != hash64(v2)) {
 			t.Errorf("node %d still holds (or sums) the old version", i)
 		}
 	}
@@ -212,7 +239,7 @@ func TestPutTakesOwnershipOnBothPaths(t *testing.T) {
 		if putErr != nil {
 			t.Fatalf("%d-byte put: %v", size, putErr)
 		}
-		if held := s.objects[guid].data; &held[0] != &content[0] || len(held) != size {
+		if held := s.objects[guid].bytes(); &held[0] != &content[0] || len(held) != size {
 			t.Errorf("%d-byte put: the root stored a copy, not the caller's slice", size)
 		}
 	}

@@ -176,7 +176,8 @@ func TestClockAfterAndStop(t *testing.T) {
 // alternate between the XML and the binary codec — on their links and for
 // the payloads they route — so puts and gets cross both kinds of node, as
 // whole frames (small) and as chunk streams whose bodies borrow the
-// received frames (large).
+// received frames (large), on both kinds of link. A replica holder keeps
+// the chunk frames it received as the body, and reads it back from them.
 func TestOverlayAndStoreOverTCP(t *testing.T) {
 	reg := testReg()
 	const n = 4
@@ -268,6 +269,20 @@ func TestOverlayAndStoreOverTCP(t *testing.T) {
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatalf("get at node %d stuck", at)
+			}
+		}
+		if len(content) > 64<<10 {
+			// Node 1 (binary) roots the large object, so its chunk streams
+			// reach the XML nodes on XML links and node 3 on a binary one;
+			// the replica among them was read back above from its pieces.
+			var recv [2]uint64
+			for i := range nodes {
+				st := make(chan store.Stats, 1)
+				nodes[i].Do(func() { st <- stores[i].Stats() })
+				recv[i%2] += (<-st).ChunkFramesRecv
+			}
+			if recv[0] == 0 || recv[1] == 0 {
+				t.Fatalf("chunk frames received by XML nodes %d, by binary nodes %d: one link kind went unread", recv[0], recv[1])
 			}
 		}
 	}

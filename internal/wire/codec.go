@@ -576,7 +576,10 @@ func (c *BinaryCodec) decode(data []byte, borrow bool) (*Envelope, error) {
 				return nil, fmt.Errorf("wire: binary decode: kind %q has no binary form", kind)
 			}
 			br := NewBinReader(body)
-			br.borrow = borrow
+			// A message that borrows keeps its whole frame alive, and an error
+			// text ahead of the body can make that frame any size: a frame
+			// carrying both lends nothing.
+			br.borrow = borrow && flags&flagHasErr == 0
 			if err := bm.ParseWire(br); err != nil {
 				return nil, fmt.Errorf("wire: binary decode body of %q: %w", kind, err)
 			}

@@ -357,3 +357,25 @@ func TestOwnedBytesBorrowsOnlyFromBorrowedReaders(t *testing.T) {
 		t.Errorf("empty field = %v, want nil", got)
 	}
 }
+
+// TestDecodeBorrowLendsNothingBesideAnError: a borrowed decode lets the
+// message alias its frame, except in a frame that also carries an error
+// text, whose length the message's own sizes do not bound.
+func TestDecodeBorrowLendsNothingBesideAnError(t *testing.T) {
+	codec := NewBinaryCodec(binRegistry())
+	for _, errText := range []string{"", string(make([]byte, 1<<16))} {
+		frame, err := codec.Encode(&Envelope{Err: errText, Msg: &binMsg{Name: "borrowed"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := codec.DecodeBorrow(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(frame[bytes.Index(frame, []byte("borrowed")):], "scribble")
+		name, wantAlias := env.Msg.(*binMsg).Name, errText == ""
+		if aliased := name == "scribble"; aliased != wantAlias {
+			t.Errorf("with a %d-byte error text the message reads %q, aliasing the frame = %v, want %v", len(errText), name, aliased, wantAlias)
+		}
+	}
+}
