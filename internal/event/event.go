@@ -11,7 +11,7 @@ package event
 import (
 	"encoding/xml"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -193,13 +193,17 @@ func (a Attributes) Clone() Attributes {
 }
 
 // Names returns attribute names in sorted order.
-func (a Attributes) Names() []string {
-	out := make([]string, 0, len(a))
+func (a Attributes) Names() []string { return a.AppendNames(make([]string, 0, len(a))) }
+
+// AppendNames appends the attribute names to dst in sorted order. The
+// encoders pass a stack buffer, so a small event's names cost nothing.
+func (a Attributes) AppendNames(dst []string) []string {
+	n := len(dst)
 	for k := range a {
-		out = append(out, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Event is one item of contextual information in flight.
@@ -385,7 +389,8 @@ func (e *Event) MarshalXML(enc *xml.Encoder, start xml.StartElement) error {
 		Time:   int64(e.Time),
 		Body:   e.Body,
 	}
-	for _, name := range e.Attrs.Names() {
+	var buf [16]string
+	for _, name := range e.Attrs.AppendNames(buf[:0]) {
 		v := e.Attrs[name]
 		xe.Attrs = append(xe.Attrs, xmlAttr{Name: name, Kind: v.K.String(), Text: v.String()})
 	}

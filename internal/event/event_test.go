@@ -1,6 +1,7 @@
 package event
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -274,5 +275,25 @@ func TestWireRoundTripNotFrozen(t *testing.T) {
 	}
 	if got.Frozen() {
 		t.Fatal("decoded event must start unfrozen")
+	}
+}
+
+// TestEncodeSortsNamesWithoutAllocating: both encoders sort up to 16
+// attribute names in a stack buffer, so an event appended into a buffer
+// large enough costs no allocation.
+func TestEncodeSortsNamesWithoutAllocating(t *testing.T) {
+	e := New("ctx.reading", "probe", time.Second).Stamp(1)
+	for i := 0; i < 16; i++ {
+		e.Set(string(rune('p'-i))+"-attr", I(int64(i)))
+	}
+	buf := make([]byte, 0, 4<<10)
+	if n := testing.AllocsPerRun(100, func() { buf = e.AppendWire(buf[:0]) }); n != 0 {
+		t.Errorf("AppendWire of 16 attributes: %.0f allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = e.AppendXML(buf[:0]) }); n != 0 {
+		t.Errorf("AppendXML of 16 attributes: %.0f allocs, want 0", n)
+	}
+	if names := e.Attrs.Names(); !slices.IsSorted(names) || len(names) != 16 {
+		t.Fatalf("Names = %v, want 16 sorted names", names)
 	}
 }

@@ -22,7 +22,8 @@ func (e *Event) AppendWire(b []byte) []byte {
 	b = wire.AppendString(b, e.Source)
 	b = wire.AppendVarint(b, int64(e.Time))
 	b = wire.AppendString(b, e.Body)
-	names := e.Attrs.Names()
+	var buf [16]string
+	names := e.Attrs.AppendNames(buf[:0])
 	b = wire.AppendUvarint(b, uint64(len(names)))
 	for _, name := range names {
 		b = wire.AppendString(b, name)

@@ -24,7 +24,8 @@ func (e *Event) AppendXML(dst []byte) []byte {
 	dst = append(dst, ` time="`...)
 	dst = strconv.AppendInt(dst, int64(e.Time), 10)
 	dst = append(dst, `">`...)
-	for _, name := range e.Attrs.Names() {
+	var buf [16]string
+	for _, name := range e.Attrs.AppendNames(buf[:0]) {
 		v := e.Attrs[name]
 		dst = append(dst, "<attr"...)
 		dst = wire.AppendXMLAttr(dst, "name", name)

@@ -183,8 +183,9 @@ type worldPart struct {
 	// batches coalesces in-flight messages bound for the same destination
 	// at the same instant into one scheduler event (the simulation mirror
 	// of the TCP transport's frame batching). Entries are removed when
-	// the batch fires.
+	// the batch fires; spare holds delivered batches for reuse.
 	batches map[batchKey]*delivBatch
+	spare   []*delivBatch
 	// mail holds messages sent from this partition to nodes of another,
 	// in send order, awaiting the epoch barrier.
 	mail []mailMsg
@@ -207,9 +208,12 @@ type batchKey struct {
 }
 
 // delivBatch accumulates the envelopes of one coalesced delivery, in
-// send order. sizes carries each envelope's accounted bytes, populated
-// only when the outbox budget is enabled (release needs them back).
+// send order, and is the scheduler task that delivers them. sizes
+// carries each envelope's accounted bytes, populated only when the
+// outbox budget is enabled (release needs them back).
 type delivBatch struct {
+	dest  *Node
+	at    time.Duration
 	envs  []*wire.Envelope
 	sizes []int
 }
@@ -388,7 +392,6 @@ type Node struct {
 	handlers map[string]netapi.Handler
 	pending  map[uint64]*pendingReq
 	nextCorr uint64
-	clock    *nodeClock
 	// Outbox-budget mirror state (Config.OutboxHighWater): bytes in
 	// flight per destination, the saturation latch, and the registered
 	// drain callbacks — the simulation counterpart of the transport's
@@ -403,9 +406,21 @@ var (
 	_ netapi.Backpressured = (*Node)(nil)
 )
 
+// pendingReq is an outstanding Request and the timer that times it out.
 type pendingReq struct {
-	cb    netapi.ReplyFunc
-	timer vclock.Timer
+	vclock.Handle
+	node *Node
+	corr uint64
+	cb   netapi.ReplyFunc
+}
+
+// Run times the request out, unless the node is dead, like a node timer.
+// A reply stops the handle as it takes the request out of pending.
+func (r *pendingReq) Run() {
+	if r.node.alive {
+		delete(r.node.pending, r.corr)
+		r.cb(nil, netapi.ErrTimeout)
+	}
 }
 
 // NewNode creates a live node at coord in region. The id must be unique.
@@ -425,7 +440,6 @@ func (w *World) NewNode(id ids.ID, region string, coord netapi.Coord) *Node {
 		outBytes: make(map[ids.ID]int),
 		outOver:  make(map[ids.ID]bool),
 	}
-	n.clock = &nodeClock{node: n}
 	w.nodes[id] = n
 	w.order = append(w.order, n)
 	return n
@@ -449,7 +463,7 @@ func (n *Node) Info() netapi.NodeInfo { return n.info }
 
 // Clock implements netapi.Endpoint. Callbacks scheduled through this clock
 // are suppressed if the node is dead when they fire.
-func (n *Node) Clock() vclock.Clock { return n.clock }
+func (n *Node) Clock() vclock.Clock { return (*nodeClock)(n) }
 
 // Rand implements netapi.Endpoint.
 func (n *Node) Rand() *rand.Rand { return n.rng }
@@ -557,13 +571,8 @@ func (n *Node) Request(to ids.ID, msg wire.Message, timeout time.Duration, cb ne
 	n.nextCorr++
 	corr := n.nextCorr
 	env := &wire.Envelope{From: n.info.ID, To: to, CorrID: corr, Msg: msg}
-	p := &pendingReq{cb: cb}
-	p.timer = n.clock.After(timeout, func() {
-		if _, ok := n.pending[corr]; ok {
-			delete(n.pending, corr)
-			cb(nil, netapi.ErrTimeout)
-		}
-	})
+	p := &pendingReq{node: n, corr: corr, cb: cb}
+	n.sched().Schedule(timeout, p, &p.Handle)
 	n.pending[corr] = p
 	n.world.transmit(n, env)
 }
@@ -656,7 +665,8 @@ func (w *World) transmit(from *Node, env *wire.Envelope) {
 	// sender state, so it is scheduled here on the sender's own wheel at
 	// the delivery instant rather than ridden on the remote delivery.
 	if budget {
-		p.sched.After(lat, func() { w.releaseOut(env, size) })
+		sz := size // a copy, so that size itself stays off the heap
+		p.sched.Schedule(lat, vclock.Func(func() { w.releaseOut(env, sz) }), nil)
 	}
 	p.mail = append(p.mail, mailMsg{dest: dest, env: env, at: at})
 }
@@ -715,27 +725,43 @@ func (w *World) enqueueAt(p *worldPart, dest *Node, env *wire.Envelope, size int
 		}
 		return
 	}
-	b := &delivBatch{envs: []*wire.Envelope{env}}
+	var b *delivBatch
+	if n := len(p.spare); n > 0 {
+		b, p.spare = p.spare[n-1], p.spare[:n-1]
+	} else {
+		b = &delivBatch{}
+	}
+	b.dest, b.at = dest, at
+	b.envs = append(b.envs, env)
 	if budget {
-		b.sizes = []int{size}
+		b.sizes = append(b.sizes, size)
 	}
 	p.batches[key] = b
-	p.sched.After(at-p.sched.Now(), func() {
-		delete(p.batches, key)
-		if !w.cfg.DisableMetrics {
-			p.metrics.FlushEvents++
+	p.sched.Schedule(at-p.sched.Now(), b, nil)
+}
+
+// Run delivers the batch and returns it to its partition's spares.
+func (b *delivBatch) Run() {
+	w := b.dest.world
+	p := w.parts[b.dest.part]
+	budget := w.cfg.OutboxHighWater > 0
+	delete(p.batches, batchKey{to: b.dest.info.ID, at: b.at})
+	if !w.cfg.DisableMetrics {
+		p.metrics.FlushEvents++
+	}
+	for i, e := range b.envs {
+		// The budget releases on landing whether or not the destination
+		// is still alive — the sender-side queue emptied either way.
+		// Cross-partition messages (size < 0) released on their sender's
+		// wheel instead.
+		if budget && b.sizes[i] >= 0 {
+			w.releaseOut(e, b.sizes[i])
 		}
-		for i, e := range b.envs {
-			// The budget releases on landing whether or not the
-			// destination is still alive — the sender-side queue emptied
-			// either way. Cross-partition messages (size < 0) released on
-			// their sender's wheel instead.
-			if budget && b.sizes[i] >= 0 {
-				w.releaseOut(e, b.sizes[i])
-			}
-			w.deliver(p, dest, e)
-		}
-	})
+		w.deliver(p, b.dest, e)
+	}
+	clear(b.envs)
+	b.envs, b.sizes, b.dest = b.envs[:0], b.sizes[:0], nil
+	p.spare = append(p.spare, b)
 }
 
 // latency computes the delay between two coordinates, drawing jitter
@@ -780,7 +806,7 @@ func (w *World) deliver(p *worldPart, dest *Node, env *wire.Envelope) {
 			return // late reply after timeout: drop
 		}
 		delete(dest.pending, env.CorrID)
-		p.timer.Stop()
+		p.Stop()
 		if env.Err != "" {
 			p.cb(env.Msg, remoteError(env.Err))
 			return
@@ -798,8 +824,17 @@ func (w *World) deliver(p *worldPart, dest *Node, env *wire.Envelope) {
 		}
 		return
 	}
-	h(&msgCtx{node: dest, env: env}, env.From, env.Msg)
+	ctx := oneWay
+	if env.CorrID != 0 {
+		// A request's ctx is its own: a handler may reply after it returns.
+		ctx = &msgCtx{node: dest, env: env}
+	}
+	h(ctx, env.From, env.Msg)
 }
+
+// oneWay is the ctx every one-way message shares: with CorrID 0 its
+// replies send nothing. Nothing writes it.
+var oneWay = &msgCtx{env: &wire.Envelope{}}
 
 type remoteError string
 
@@ -842,25 +877,34 @@ func (c *msgCtx) ReplyErr(err error) {
 	c.node.world.transmit(c.node, reply)
 }
 
-// nodeClock wraps the node's partition scheduler, suppressing callbacks
-// that fire after the node has been killed. Timers stay partition-local:
-// a node's own future work always runs on its own partition.
-type nodeClock struct {
-	node *Node
-}
+// nodeClock is a node's view of its partition's scheduler, suppressing
+// callbacks that fire after the node has been killed. Timers stay
+// partition-local: a node's own future work always runs on its own
+// partition.
+type nodeClock Node
 
 var _ vclock.Clock = (*nodeClock)(nil)
 
-func (c *nodeClock) Now() time.Duration {
-	n := c.node
-	return n.world.parts[n.part].sched.Now()
-}
+func (c *nodeClock) Now() time.Duration { return (*Node)(c).sched().Now() }
 
 func (c *nodeClock) After(d time.Duration, fn func()) vclock.Timer {
-	n := c.node
-	return n.world.parts[n.part].sched.After(d, func() {
-		if n.alive {
-			fn()
-		}
-	})
+	t := &nodeTimer{node: (*Node)(c), fn: fn}
+	t.node.sched().Schedule(d, t, &t.Handle)
+	return &t.Handle
 }
+
+// nodeTimer is one node timer: its callback, and its handle.
+type nodeTimer struct {
+	vclock.Handle
+	node *Node
+	fn   func()
+}
+
+func (t *nodeTimer) Run() {
+	if t.node.alive {
+		t.fn()
+	}
+}
+
+// sched is the scheduler of the node's partition.
+func (n *Node) sched() *vclock.Scheduler { return n.world.parts[n.part].sched }

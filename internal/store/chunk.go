@@ -194,6 +194,11 @@ type xferKey struct {
 // manifest (network reordering) are buffered per transfer.
 const maxEarlyChunks = 256
 
+// earlyChunkOverhead is what holding an early chunk costs beyond its
+// bytes (the message, its slot, for a fresh transfer the map entry and
+// sweep timer), so that empty chunks cannot be held without bound.
+const earlyChunkOverhead = 256
+
 // xfer is one inbound transfer's reassembly state plus completion context.
 type xfer struct {
 	ra        *reassembly
@@ -325,7 +330,7 @@ func (s *Store) takeEarly(key xferKey) []*ChunkMsg {
 	buf := s.early[key]
 	delete(s.early, key)
 	for _, cm := range buf {
-		s.earlyBytes -= len(cm.Data)
+		s.earlyBytes -= len(cm.Data) + earlyChunkOverhead
 	}
 	return buf
 }
@@ -372,14 +377,15 @@ func (s *Store) handleChunk(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		// across all of them, until it arrives (sweepEarly drops orphans,
 		// so a completed or timed-out transfer's stragglers die here too).
 		buf := s.early[key]
-		if len(buf) >= maxEarlyChunks || s.earlyBytes+len(cm.Data) > s.opts.MaxObjectBytes {
+		cost := len(cm.Data) + earlyChunkOverhead
+		if len(buf) >= maxEarlyChunks || s.earlyBytes+cost > s.opts.MaxObjectBytes {
 			return
 		}
 		if len(buf) == 0 {
 			s.sweepEarly(key)
 		}
 		s.early[key] = append(buf, cm)
-		s.earlyBytes += len(cm.Data)
+		s.earlyBytes += cost
 		return
 	}
 	s.applyChunk(key, from, cm)

@@ -290,11 +290,34 @@ func TestEarlyChunksBoundedAcrossTransfers(t *testing.T) {
 	held := 0
 	for _, buf := range recv.early {
 		for _, cm := range buf {
-			held += len(cm.Data)
+			held += len(cm.Data) + earlyChunkOverhead
 		}
 	}
 	if held > limit || held != recv.earlyBytes {
 		t.Fatalf("early chunks hold %d B (counted %d), want at most %d", held, recv.earlyBytes, limit)
+	}
+	c.world.RunFor(3 * time.Second)
+	if len(recv.early) != 0 || recv.earlyBytes != 0 {
+		t.Fatalf("after the timeout %d early transfers and %d B remain", len(recv.early), recv.earlyBytes)
+	}
+}
+
+// TestEmptyEarlyChunksBounded: an empty chunk held ahead of its manifest
+// is charged its entry's overhead, so a flood of them under fresh
+// transfer IDs holds at most MaxObjectBytes/earlyChunkOverhead entries.
+func TestEmptyEarlyChunksBounded(t *testing.T) {
+	const limit = 64 << 10
+	c := buildCluster(t, 96, 2, Options{RepairInterval: -1, MaxObjectBytes: limit, ChunkTimeout: time.Second})
+	recv, from := c.stores[0], c.stores[1].ep.ID()
+	for i := 0; i < 20000; i++ {
+		recv.handleChunk(nil, from, &ChunkMsg{Xfer: uint64(1000 + i), Off: 0})
+	}
+	entries := 0
+	for _, buf := range recv.early {
+		entries += len(buf)
+	}
+	if want := limit / earlyChunkOverhead; entries > want {
+		t.Fatalf("%d empty early chunks held, want at most %d", entries, want)
 	}
 	c.world.RunFor(3 * time.Second)
 	if len(recv.early) != 0 || recv.earlyBytes != 0 {

@@ -216,7 +216,8 @@ type Store struct {
 	pendingGets map[uint64]*pendingGet
 
 	// Chunked-transfer reassembly, keyed per sender. early holds chunks
-	// delivered ahead of their manifest, earlyBytes their payload bytes.
+	// delivered ahead of their manifest, earlyBytes what they cost (their
+	// bytes plus earlyChunkOverhead each).
 	nextXfer   uint64
 	xfers      map[xferKey]*xfer
 	early      map[xferKey][]*ChunkMsg

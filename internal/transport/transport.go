@@ -329,7 +329,8 @@ type Node struct {
 	nextCorr uint64
 	drainFns []func(ids.ID)
 	// local is the run queue behind DeliverLocal; localCtx the Ctx all
-	// its deliveries share (one-way from ourselves: Reply writes nothing).
+	// its deliveries and every received one-way message share (Reply
+	// writes nothing).
 	local    []wire.Message
 	localCtx tcpCtx
 }
@@ -1158,6 +1159,11 @@ func (n *Node) dispatch(env *wire.Envelope) {
 		n.log.Debug("unhandled message", "kind", env.Msg.Kind())
 		return
 	}
+	if env.CorrID == 0 {
+		h(&n.localCtx, env.From, env.Msg) // replies to nothing, like a local message
+		return
+	}
+	// A request's ctx is its own: a handler may reply after it returns.
 	h(&tcpCtx{node: n, env: env}, env.From, env.Msg)
 }
 

@@ -155,6 +155,45 @@ func TestLoopbackToSelf(t *testing.T) {
 	}
 }
 
+// TestDeferredReplyOverTCP: a handler that answers after it returns (the
+// gateway's shape: the reply is sent from a store callback) still
+// answers its own request, while one-way messages of the same kind,
+// which all share one no-reply ctx, arrive meanwhile.
+func TestDeferredReplyOverTCP(t *testing.T) {
+	reg := testReg()
+	a := newNode(t, "tcp-defer-a", reg)
+	b := newNode(t, "tcp-defer-b", reg)
+	a.AddPeer(b.ID(), b.Addr())
+	b.AddPeer(a.ID(), a.Addr())
+	b.Handle("test.echo", func(ctx netapi.Ctx, _ ids.ID, msg wire.Message) {
+		text := msg.(*echoMsg).Text
+		b.Clock().After(20*time.Millisecond, func() { ctx.Reply(&echoMsg{Text: "re: " + text}) })
+	})
+	got := make(chan string, 3)
+	for _, text := range []string{"x", "y", "z"} {
+		a.Send(b.ID(), &echoMsg{Text: "one-way"})
+		a.Request(b.ID(), &echoMsg{Text: text}, 5*time.Second, func(reply wire.Message, err error) {
+			if err != nil {
+				got <- text + ": " + err.Error()
+				return
+			}
+			got <- text + ": " + reply.(*echoMsg).Text
+		})
+	}
+	want := map[string]bool{"x: re: x": true, "y: re: y": true, "z: re: z": true}
+	for len(want) > 0 {
+		select {
+		case s := <-got:
+			if !want[s] {
+				t.Fatalf("request answered %q", s)
+			}
+			delete(want, s)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("requests never answered: %v", want)
+		}
+	}
+}
+
 func TestClockAfterAndStop(t *testing.T) {
 	reg := testReg()
 	a := newNode(t, "tcp-clock", reg)

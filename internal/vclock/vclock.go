@@ -31,11 +31,44 @@ type Timer interface {
 	Stop() bool
 }
 
-// item is one scheduled callback inside a bucket.
-type item struct {
-	fn      func()
-	stopped bool
+// Task is one unit of scheduled work. A hot path schedules values it
+// already has, so an event costs the scheduler no allocation.
+type Task interface {
+	Run()
 }
+
+// Func makes a plain function a Task. A func value is one pointer, so
+// the conversion allocates nothing.
+type Func func()
+
+// Run calls f.
+func (f Func) Run() { f() }
+
+// Handle cancels one scheduling of a task. It is a Timer, and it is meant
+// to be embedded in the task it cancels, so a stoppable task is one
+// allocation. A handle serves one pending scheduling at a time.
+type Handle struct {
+	stopped, ran bool
+}
+
+// Stop reports whether it prevented the task from running: false once
+// the task has started or the handle was already stopped.
+func (h *Handle) Stop() bool {
+	if h.stopped || h.ran {
+		return false
+	}
+	h.stopped = true
+	return true
+}
+
+// item is one scheduled task inside a bucket, stored by value; h is nil
+// for a task nothing can cancel.
+type item struct {
+	task Task
+	h    *Handle
+}
+
+func (it item) stopped() bool { return it.h != nil && it.h.stopped }
 
 // bucket groups every event scheduled for one instant. The heap orders
 // buckets, not events, so scheduling N same-deadline deliveries (a
@@ -46,7 +79,7 @@ type item struct {
 type bucket struct {
 	at    time.Duration
 	seq   uint64 // creation order; heap tiebreak if equal times ever coexist
-	items []*item
+	items []item
 	next  int // index of the first unexecuted item
 	index int // heap position
 }
@@ -98,7 +131,7 @@ type Scheduler struct {
 	buckets map[time.Duration]*bucket
 	queue   bucketQueue
 	steps   uint64
-	free    []*bucket // drained buckets recycled to keep the hot path alloc-light
+	free    []*bucket // drained buckets, recycled so a deadline costs no allocation
 }
 
 // NewScheduler returns a scheduler positioned at time zero.
@@ -111,8 +144,18 @@ var _ Clock = (*Scheduler)(nil)
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// After schedules fn at now+d. Negative d is treated as zero.
+// After schedules fn at now+d; negative d is treated as zero. The
+// returned handle is its one allocation.
 func (s *Scheduler) After(d time.Duration, fn func()) Timer {
+	h := new(Handle)
+	s.Schedule(d, Func(fn), h)
+	return h
+}
+
+// Schedule runs t at now+d; negative d is treated as zero. Stopping h,
+// when it is non-nil, keeps t from running. Same-instant tasks run in
+// the order they were scheduled.
+func (s *Scheduler) Schedule(d time.Duration, t Task, h *Handle) {
 	if d < 0 {
 		d = 0
 	}
@@ -132,19 +175,10 @@ func (s *Scheduler) After(d time.Duration, fn func()) Timer {
 		s.buckets[at] = b
 		heap.Push(&s.queue, b)
 	}
-	it := &item{fn: fn}
-	b.items = append(b.items, it)
-	return (*schedTimer)(it)
-}
-
-type schedTimer item
-
-func (t *schedTimer) Stop() bool {
-	if t.stopped || t.fn == nil {
-		return false
+	if h != nil {
+		*h = Handle{}
 	}
-	t.stopped = true
-	return true
+	b.items = append(b.items, item{task: t, h: h})
 }
 
 // Pending returns the number of scheduled, unstopped events.
@@ -152,7 +186,7 @@ func (s *Scheduler) Pending() int {
 	n := 0
 	for _, b := range s.buckets {
 		for _, it := range b.items[b.next:] {
-			if !it.stopped {
+			if !it.stopped() {
 				n++
 			}
 		}
@@ -177,16 +211,11 @@ func (s *Scheduler) top() *bucket {
 }
 
 // retire removes a fully drained bucket from the queue and the wheel and
-// recycles its storage.
+// recycles it. Its items were zeroed as they were consumed.
 func (s *Scheduler) retire(b *bucket) {
 	heap.Remove(&s.queue, b.index)
 	delete(s.buckets, b.at)
-	for i := range b.items {
-		b.items[i] = nil
-	}
-	if len(s.free) < 64 {
-		s.free = append(s.free, b)
-	}
+	s.free = append(s.free, b)
 }
 
 // step executes the earliest event. It reports false when the queue is empty.
@@ -198,21 +227,22 @@ func (s *Scheduler) step() bool {
 		}
 		for b.next < len(b.items) {
 			it := b.items[b.next]
-			b.items[b.next] = nil
+			b.items[b.next] = item{}
 			b.next++
 			if b.next == len(b.items) {
 				// Retire before running: a callback scheduling at this
 				// same instant must land in a fresh bucket that runs next.
 				s.retire(b)
 			}
-			if it.stopped {
+			if it.stopped() {
 				continue
 			}
+			if it.h != nil {
+				it.h.ran = true
+			}
 			s.now = b.at
-			fn := it.fn
-			it.fn = nil
 			s.steps++
-			fn()
+			it.task.Run()
 			return true
 		}
 	}
@@ -277,10 +307,10 @@ func (s *Scheduler) peekAt() (time.Duration, bool) {
 			return 0, false
 		}
 		for b.next < len(b.items) {
-			if !b.items[b.next].stopped {
+			if !b.items[b.next].stopped() {
 				return b.at, true
 			}
-			b.items[b.next] = nil
+			b.items[b.next] = item{}
 			b.next++
 		}
 	}
