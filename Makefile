@@ -25,10 +25,10 @@ vet: noswitch
 	$(GO) vet -vettool=$(CURDIR)/bin/vetactive ./...
 
 # noswitch fails when a retired reference-path switch, the second index's
-# option or the shared config block returns to shipped code: the old paths
-# are _test.go oracles, not options.
+# option, the shared config block or simnet's partitioned execution
+# returns to shipped code: the old paths are _test.go oracles, not options.
 noswitch:
-	! grep -rnE '\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg)\b' --include='*.go' --exclude='*_test.go' cmd internal examples active.go
+	! grep -rnE '\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned)\b' --include='*.go' --exclude='*_test.go' cmd internal examples active.go
 
 # loc prints the non-test Go line count ROADMAP item 2 tracks.
 loc:

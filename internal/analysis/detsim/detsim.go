@@ -2,14 +2,14 @@
 // classes that break bit-identical simulation: wall-clock reads,
 // process-seeded randomness, and map-iteration-ordered emission. The
 // simulator's contract — same seed, same Metrics, byte-identical event
-// streams — is the foundation of the differential tests (serial vs
-// sharded matching, serial vs partitioned worlds, XML vs binary
-// codecs); one time.Now or unsorted map range in the wrong place turns
-// every one of them flaky.
+// streams — is the foundation of the differential tests (XML vs binary
+// codecs, the endpoint core against its oracles); one time.Now or
+// unsorted map range in the wrong place turns every one of them flaky.
 //
 // Scope: internal/simnet, internal/vclock, and any package carrying a
-// //vetactive:deterministic annotation. _test.go files are exempt (the
-// differential tests themselves measure wall time).
+// //vetactive:deterministic annotation — internal/netapi does, since its
+// endpoint core runs inside the simulated world. _test.go files are
+// exempt (the differential tests themselves measure wall time).
 //
 // Checks:
 //   - calls to time.Now, time.Since, time.Until, time.After,
@@ -21,10 +21,10 @@
 //   - hash/maphash.MakeSeed — per-process seeds reorder anything keyed
 //     by the resulting hash;
 //   - ranging over a map where the body sends on a channel, calls an
-//     emission method (Send, SendMany, Inject, InjectMany, Reply,
-//     After, Publish), or appends to a slice declared outside the loop
-//     — iteration order is randomized per run, so such loops must
-//     iterate a sorted or insertion-ordered mirror instead.
+//     emission method (Send, SendMany, Reply, After, Publish), or
+//     appends to a slice declared outside the loop — iteration order is
+//     randomized per run, so such loops must iterate a sorted or
+//     insertion-ordered mirror instead.
 package detsim
 
 import (
@@ -58,8 +58,7 @@ var allowedRand = map[string]bool{
 // emitNames are methods whose call inside a map range means the
 // iteration order reaches the wire or the schedule.
 var emitNames = map[string]bool{
-	"Send": true, "SendMany": true, "Inject": true, "InjectMany": true,
-	"Reply": true, "After": true, "Publish": true,
+	"Send": true, "SendMany": true, "Reply": true, "After": true, "Publish": true,
 }
 
 func run(pass *analysis.Pass) error {

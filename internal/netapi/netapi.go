@@ -2,7 +2,10 @@
 // protocol in this repository (overlay routing, pub/sub, storage, bundle
 // deployment, pipelines) talks to the network. Two implementations exist:
 // the deterministic simulator (internal/simnet) and the real TCP transport
-// (internal/transport).
+// (internal/transport). Both run the same endpoint core, Loop: the
+// handler table, pending requests, reply dispatch, the ctx a handler
+// replies through and the local run queue are written once, here, and a
+// substrate only moves envelopes and arms timeouts for it.
 //
 // Callback discipline: an endpoint delivers messages and timer callbacks
 // serially — protocol code never runs concurrently with itself on the same
@@ -15,6 +18,8 @@
 // via ConcurrentSender/Caps.ConcurrentSend; only then may protocol code
 // move send work onto worker goroutines (the broker's fan-out pool does
 // exactly this). Incoming delivery remains serial either way.
+//
+//vetactive:deterministic
 package netapi
 
 import (
@@ -186,8 +191,7 @@ type LocalDeliverer interface {
 // and queue accounting (outbox budgets, stats) stays exact. The TCP
 // transport implements it (encode runs on the caller, the per-peer outbox
 // is mutex-protected); the simulator deliberately does not — its
-// determinism depends on the world loop being the only scheduler, so
-// concurrent load is staged through World.Inject instead.
+// determinism depends on the world loop being the only scheduler.
 type ConcurrentSender interface {
 	// ConcurrentSends reports whether Send/SendMany may be called from
 	// any goroutine. The answer must not change over the endpoint's

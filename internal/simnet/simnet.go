@@ -5,19 +5,20 @@
 // The model: nodes live at planar coordinates (km); message latency is
 // base + distance·perKm + jitter; messages may be lost with a configured
 // probability; links can be severed (partitions) and nodes killed
-// (churn). By default the entire world executes on a single goroutine
-// driven by a vclock.Scheduler, so every run with the same seed is
-// bit-identical. With Config.Shards > 1 the world is split into that
-// many execution partitions (nodes round-robined over per-partition
-// schedulers) and runs conservatively in BaseLatency-sized epochs across
-// cores — still deterministic for a fixed seed and partition count.
+// (churn). The entire world executes on a single goroutine driven by a
+// vclock.Scheduler, so every run with the same seed is bit-identical.
+//
+// Endpoint semantics — handlers, pending requests, reply dispatch, the
+// request ctxs — live in netapi.Loop, which every Node runs. A Node adds
+// only what a simulated link does: latency, loss, delivery batches, the
+// outbox-budget mirror, metrics and liveness.
 package simnet
 
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sync"
 	"time"
 
 	"github.com/gloss/active/internal/ids"
@@ -30,9 +31,6 @@ import (
 type Config struct {
 	// Seed drives all randomness (jitter, loss, node RNGs).
 	Seed int64
-	// Shards is the number of execution partitions the world runs on
-	// (see the package comment). Below 1 means 1: one goroutine.
-	Shards int
 	// BaseLatency is the fixed per-message cost. Default 1ms.
 	BaseLatency time.Duration
 	// LatencyPerKm adds distance-proportional delay. Default 10µs/km
@@ -89,9 +87,6 @@ func (c *Config) applyDefaults() {
 	if c.OutboxHighWater > 0 && c.OutboxLowWater == 0 {
 		c.OutboxLowWater = c.OutboxHighWater / 2
 	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
 }
 
 // Metrics aggregates world-level traffic counters.
@@ -136,49 +131,13 @@ type PayloadKinder interface {
 // LinkFilter decides whether a message from → to may traverse the network.
 type LinkFilter func(from, to ids.ID) bool
 
-// World is the simulated network.
-//
-// With one execution partition (the default) everything runs on the
-// caller's goroutine, exactly as before. With Config.Shards > 1 each
-// partition owns a scheduler, an RNG, a metrics block and a delivery
-// batcher, and RunUntil drives them concurrently in conservative epochs
-// of BaseLatency (the network's minimum delay, hence a safe lookahead):
-// within an epoch a partition only executes its own nodes, every
-// cross-partition message is parked in the sending partition's mailbox,
-// and the epoch barrier migrates mailboxes into the destination wheels
-// — in partition order, so the merge is deterministic. Topology
-// mutation (NewNode, Kill, SetLinkFilter, ...) is only legal while the
-// world is quiescent, i.e. outside RunUntil.
+// World is the simulated network. Everything in it runs on the caller's
+// goroutine.
 type World struct {
-	cfg    Config
-	codec  wire.Codec // nil-normalised view of cfg.Codec
-	parts  []*worldPart
-	runner *vclock.Partitioned // non-nil iff len(parts) > 1
-	nodes  map[ids.ID]*Node
-	order  []*Node // creation order, for deterministic iteration
-	filter LinkFilter
-
-	// injectMu guards staged: messages handed in by goroutines outside
-	// the world loop (Inject/InjectMany), awaiting the next injection
-	// point. Everything else in the World remains world-loop-confined.
-	injectMu sync.Mutex
-	staged   []stagedMsg
-}
-
-// stagedMsg is one concurrently injected message waiting to enter the
-// simulation at the next injection point.
-type stagedMsg struct {
-	from *Node
-	env  *wire.Envelope
-}
-
-// worldPart is one execution partition: the complete per-core slice of
-// world state, so an epoch touches nothing shared.
-type worldPart struct {
-	sched *vclock.Scheduler
-	rng   *rand.Rand
-	// metrics counts what this partition observed (sends by resident
-	// senders, deliveries to resident destinations); World.Metrics sums.
+	cfg     Config
+	codec   wire.Codec // nil-normalised view of cfg.Codec
+	sched   *vclock.Scheduler
+	rng     *rand.Rand
 	metrics Metrics
 	// batches coalesces in-flight messages bound for the same destination
 	// at the same instant into one scheduler event (the simulation mirror
@@ -186,18 +145,9 @@ type worldPart struct {
 	// the batch fires; spare holds delivered batches for reuse.
 	batches map[batchKey]*delivBatch
 	spare   []*delivBatch
-	// mail holds messages sent from this partition to nodes of another,
-	// in send order, awaiting the epoch barrier.
-	mail []mailMsg
-}
-
-// mailMsg is one cross-partition message in flight to the epoch barrier.
-// Its sender-side budget release is already scheduled on the sender's
-// own wheel, so delivery owes none.
-type mailMsg struct {
-	dest *Node
-	env  *wire.Envelope
-	at   time.Duration // absolute delivery deadline; >= next epoch barrier
+	nodes   map[ids.ID]*Node
+	order   []*Node // creation order, for deterministic iteration
+	filter  LinkFilter
 }
 
 // batchKey identifies one coalesced delivery: a destination and the
@@ -228,55 +178,15 @@ func NewWorld(cfg Config) *World {
 			cfg.OutboxLowWater, cfg.OutboxHighWater))
 	}
 	w := &World{
-		cfg:   cfg,
-		codec: normalizeCodec(cfg.Codec),
-		nodes: make(map[ids.ID]*Node),
-		parts: make([]*worldPart, cfg.Shards),
+		cfg:     cfg,
+		codec:   normalizeCodec(cfg.Codec),
+		sched:   vclock.NewScheduler(),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		batches: make(map[batchKey]*delivBatch),
+		nodes:   make(map[ids.ID]*Node),
 	}
-	for i := range w.parts {
-		seed := cfg.Seed
-		if i > 0 {
-			// Partition 0 keeps the plain world seed so a one-partition
-			// world is bit-identical to the historical single-scheduler
-			// one; the rest get decorrelated streams.
-			seed ^= int64(uint64(i) * 0x9E3779B97F4A7C15)
-		}
-		w.parts[i] = &worldPart{
-			sched:   vclock.NewScheduler(),
-			rng:     rand.New(rand.NewSource(seed)),
-			metrics: Metrics{ByKind: make(map[string]uint64), BytesByKind: make(map[string]uint64)},
-			batches: make(map[batchKey]*delivBatch),
-		}
-	}
-	if len(w.parts) > 1 {
-		scheds := make([]*vclock.Scheduler, len(w.parts))
-		for i, p := range w.parts {
-			scheds[i] = p.sched
-		}
-		w.runner = &vclock.Partitioned{
-			Scheds:    scheds,
-			Lookahead: cfg.BaseLatency,
-			Exchange:  w.exchange,
-		}
-	}
+	w.ResetMetrics()
 	return w
-}
-
-// exchange is the epoch-barrier callback: it migrates every partition's
-// outbound mail into the destination partitions' wheels. Iteration is
-// partition order then send order — deterministic given deterministic
-// epochs. It runs with all partition goroutines quiescent.
-func (w *World) exchange(time.Duration) {
-	// Epoch barriers are also injection points: concurrently staged
-	// messages enter here, while every partition goroutine is quiescent,
-	// so a load generator can keep feeding a long partitioned run.
-	w.drainInjected()
-	for _, src := range w.parts {
-		for _, m := range src.mail {
-			w.enqueueAt(w.parts[m.dest.part], m.dest, m.env, -1, m.at)
-		}
-		src.mail = src.mail[:0]
-	}
 }
 
 // SetCodec installs (or clears, with nil) the byte-accounting codec.
@@ -302,64 +212,27 @@ func normalizeCodec(c wire.Codec) wire.Codec {
 	return c
 }
 
-// Sched exposes the underlying scheduler — partition 0's when the world
-// is partitioned, so callers that drive time directly should use the
-// World's own Run methods instead in that mode.
-func (w *World) Sched() *vclock.Scheduler { return w.parts[0].sched }
-
-// ExecPartitions returns the number of execution partitions (1 = the
-// serial world).
-func (w *World) ExecPartitions() int { return len(w.parts) }
-
-// Now returns current virtual time. All partitions agree whenever the
-// world is quiescent.
-func (w *World) Now() time.Duration { return w.parts[0].sched.Now() }
+// Now returns current virtual time.
+func (w *World) Now() time.Duration { return w.sched.Now() }
 
 // RunUntil advances virtual time to t, executing all due events.
-// Messages staged by Inject/InjectMany enter at the start of the run
-// (and, in a partitioned world, at every epoch barrier).
-func (w *World) RunUntil(t time.Duration) {
-	w.drainInjected()
-	if w.runner != nil {
-		w.runner.RunUntil(t)
-		return
-	}
-	w.parts[0].sched.RunUntil(t)
-}
+func (w *World) RunUntil(t time.Duration) { w.sched.RunUntil(t) }
 
 // RunFor advances virtual time by d.
 func (w *World) RunFor(d time.Duration) { w.RunUntil(w.Now() + d) }
 
-// Metrics returns a snapshot of traffic counters, summed over execution
-// partitions.
+// Metrics returns a snapshot of traffic counters.
+//
+//vetactive:ignore atomicstats the world runs on its caller's goroutine, which reads it between runs
 func (w *World) Metrics() Metrics {
-	var m Metrics
-	m.ByKind = make(map[string]uint64)
-	m.BytesByKind = make(map[string]uint64)
-	for _, p := range w.parts {
-		m.Sent += p.metrics.Sent
-		m.Delivered += p.metrics.Delivered
-		m.Dropped += p.metrics.Dropped
-		m.DroppedOverflow += p.metrics.DroppedOverflow
-		m.Bytes += p.metrics.Bytes
-		m.Unhandled += p.metrics.Unhandled
-		m.FlushEvents += p.metrics.FlushEvents
-		m.BatchedMsgs += p.metrics.BatchedMsgs
-		for k, v := range p.metrics.ByKind {
-			m.ByKind[k] += v
-		}
-		for k, v := range p.metrics.BytesByKind {
-			m.BytesByKind[k] += v
-		}
-	}
+	m := w.metrics
+	m.ByKind, m.BytesByKind = maps.Clone(m.ByKind), maps.Clone(m.BytesByKind)
 	return m
 }
 
 // ResetMetrics zeroes all counters (between benchmark phases).
 func (w *World) ResetMetrics() {
-	for _, p := range w.parts {
-		p.metrics = Metrics{ByKind: make(map[string]uint64), BytesByKind: make(map[string]uint64)}
-	}
+	w.metrics = Metrics{ByKind: make(map[string]uint64), BytesByKind: make(map[string]uint64)}
 }
 
 // SetLinkFilter installs f as the connectivity predicate (nil allows all).
@@ -384,14 +257,11 @@ func (w *World) Partition(groups ...[]ids.ID) {
 
 // Node is a simulated host. It implements netapi.Endpoint.
 type Node struct {
-	world    *World
-	part     int // execution partition (creation index mod partitions)
-	info     netapi.NodeInfo
-	rng      *rand.Rand
-	alive    bool
-	handlers map[string]netapi.Handler
-	pending  map[uint64]*pendingReq
-	nextCorr uint64
+	world *World
+	info  netapi.NodeInfo
+	rng   *rand.Rand
+	alive bool
+	loop  netapi.Loop
 	// Outbox-budget mirror state (Config.OutboxHighWater): bytes in
 	// flight per destination, the saturation latch, and the registered
 	// drain callbacks — the simulation counterpart of the transport's
@@ -406,20 +276,29 @@ var (
 	_ netapi.Backpressured = (*Node)(nil)
 )
 
-// pendingReq is an outstanding Request and the timer that times it out.
+// seam is the netapi.Substrate a node's loop sends and times out through.
+type seam Node
+
+func (s *seam) Transmit(env *wire.Envelope) { s.world.transmit((*Node)(s), env) }
+
+// Arm schedules the request's timeout as one task with its handle.
+func (s *seam) Arm(d time.Duration, p netapi.Pending) vclock.Timer {
+	r := &pendingReq{node: (*Node)(s), p: p}
+	s.world.sched.Schedule(d, r, &r.Handle)
+	return &r.Handle
+}
+
+// pendingReq is the task that times an outstanding Request out.
 type pendingReq struct {
 	vclock.Handle
 	node *Node
-	corr uint64
-	cb   netapi.ReplyFunc
+	p    netapi.Pending
 }
 
 // Run times the request out, unless the node is dead, like a node timer.
-// A reply stops the handle as it takes the request out of pending.
 func (r *pendingReq) Run() {
 	if r.node.alive {
-		delete(r.node.pending, r.corr)
-		r.cb(nil, netapi.ErrTimeout)
+		r.node.loop.Expire(r.p)
 	}
 }
 
@@ -431,15 +310,13 @@ func (w *World) NewNode(id ids.ID, region string, coord netapi.Coord) *Node {
 	seed := int64(binary.BigEndian.Uint64(id[:8])) ^ w.cfg.Seed
 	n := &Node{
 		world:    w,
-		part:     len(w.order) % len(w.parts),
 		info:     netapi.NodeInfo{ID: id, Region: region, Coord: coord},
 		rng:      rand.New(rand.NewSource(seed)),
 		alive:    true,
-		handlers: make(map[string]netapi.Handler),
-		pending:  make(map[uint64]*pendingReq),
 		outBytes: make(map[ids.ID]int),
 		outOver:  make(map[ids.ID]bool),
 	}
+	n.loop.Init(id, (*seam)(n))
 	w.nodes[id] = n
 	w.order = append(w.order, n)
 	return n
@@ -481,7 +358,7 @@ func (n *Node) Kill() { n.alive = false }
 func (n *Node) Revive() { n.alive = true }
 
 // Handle implements netapi.Endpoint.
-func (n *Node) Handle(kind string, h netapi.Handler) { n.handlers[kind] = h }
+func (n *Node) Handle(kind string, h netapi.Handler) { n.loop.Handle(kind, h) }
 
 // QueuedBytes implements netapi.Backpressured: bytes this node has in
 // flight toward to (messages per Config's sizing rules when no codec is
@@ -512,8 +389,7 @@ func (n *Node) Send(to ids.ID, msg wire.Message) {
 // rests on the world loop being the only scheduler mutator. (The
 // broker's fan-out pool therefore stays off over simnet and the serial
 // reference path runs — which is exactly what the differential tests
-// compare against.) Goroutines outside the loop feed load through
-// Inject/InjectMany instead.
+// compare against.)
 func (n *Node) SendMany(tos []ids.ID, msg wire.Message) {
 	for _, to := range tos {
 		n.Send(to, msg)
@@ -522,67 +398,13 @@ func (n *Node) SendMany(tos []ids.ID, msg wire.Message) {
 
 var _ netapi.Multicaster = (*Node)(nil)
 
-// Inject stages one message from this node for transmission at the next
-// injection point — the start of the next RunUntil, or in a partitioned
-// world the next epoch barrier too. Unlike Send it is safe to call from
-// any goroutine, including while the world is running: this is how
-// concurrent load generators drive partitioned worlds. Messages from
-// one goroutine enter in call order (the staging buffer is
-// append-ordered); interleaving between goroutines follows their mutex
-// acquisition order, so a run is deterministic given the staged
-// sequence, not across racing producers.
-func (n *Node) Inject(to ids.ID, msg wire.Message) {
-	n.world.inject(n, []ids.ID{to}, msg)
-}
-
-// InjectMany stages msg toward every destination, preserving argument
-// order, under one staging-lock acquisition — the thread-safe analogue
-// of SendMany. Safe from any goroutine.
-func (n *Node) InjectMany(tos []ids.ID, msg wire.Message) {
-	n.world.inject(n, tos, msg)
-}
-
-func (w *World) inject(from *Node, tos []ids.ID, msg wire.Message) {
-	w.injectMu.Lock()
-	defer w.injectMu.Unlock()
-	for _, to := range tos {
-		w.staged = append(w.staged, stagedMsg{
-			from: from,
-			env:  &wire.Envelope{From: from.info.ID, To: to, Msg: msg},
-		})
-	}
-}
-
-// drainInjected moves staged messages into the simulation. Called only
-// at injection points, where every partition goroutine is quiescent, so
-// the plain transmit path (sender-partition state) is safe.
-func (w *World) drainInjected() {
-	w.injectMu.Lock()
-	staged := w.staged
-	w.staged = nil
-	w.injectMu.Unlock()
-	for _, s := range staged {
-		w.transmit(s.from, s.env)
-	}
-}
-
 // Request implements netapi.Endpoint.
 func (n *Node) Request(to ids.ID, msg wire.Message, timeout time.Duration, cb netapi.ReplyFunc) {
-	n.nextCorr++
-	corr := n.nextCorr
-	env := &wire.Envelope{From: n.info.ID, To: to, CorrID: corr, Msg: msg}
-	p := &pendingReq{node: n, corr: corr, cb: cb}
-	n.sched().Schedule(timeout, p, &p.Handle)
-	n.pending[corr] = p
-	n.world.transmit(n, env)
+	n.loop.Request(to, msg, timeout, cb)
 }
 
-// transmit queues env for delivery after the modelled latency. It runs
-// on the sending node's partition: everything it touches is either that
-// partition's slice of the world, the sender's own state, or the
-// read-only topology.
+// transmit queues env for delivery after the modelled latency.
 func (w *World) transmit(from *Node, env *wire.Envelope) {
-	p := w.parts[from.part]
 	// One Size pass serves both byte metrics and the outbox budget.
 	budget := w.cfg.OutboxHighWater > 0
 	size, sized := 0, false
@@ -600,12 +422,12 @@ func (w *World) transmit(from *Node, env *wire.Envelope) {
 		size = 1
 	}
 	if !w.cfg.DisableMetrics {
-		p.metrics.Sent++
+		w.metrics.Sent++
 		if env.Msg != nil {
-			p.metrics.ByKind[env.Msg.Kind()]++
+			w.metrics.ByKind[env.Msg.Kind()]++
 			// Byte accounting is skipped entirely without a codec.
 			if sized {
-				p.metrics.Bytes += uint64(size)
+				w.metrics.Bytes += uint64(size)
 				// Envelope messages (overlay routing) attribute their bytes
 				// to the kind they carry; frame counts stay on the envelope.
 				kind := env.Msg.Kind()
@@ -614,12 +436,12 @@ func (w *World) transmit(from *Node, env *wire.Envelope) {
 						kind = inner
 					}
 				}
-				p.metrics.BytesByKind[kind] += uint64(size)
+				w.metrics.BytesByKind[kind] += uint64(size)
 			}
 		}
 	}
 	if !from.alive {
-		w.drop(p)
+		w.drop()
 		return
 	}
 	// Outbox-budget mirror: the sender-side gate sits before the wire
@@ -628,22 +450,22 @@ func (w *World) transmit(from *Node, env *wire.Envelope) {
 	if budget && !wire.Control(env.Msg) && from.outBytes[env.To] >= w.cfg.OutboxHighWater {
 		from.outOver[env.To] = true
 		if !w.cfg.DisableMetrics {
-			p.metrics.Dropped++
-			p.metrics.DroppedOverflow++
+			w.metrics.Dropped++
+			w.metrics.DroppedOverflow++
 		}
 		return
 	}
 	if w.filter != nil && !w.filter(env.From, env.To) {
-		w.drop(p)
+		w.drop()
 		return
 	}
-	if w.cfg.LossRate > 0 && p.rng.Float64() < w.cfg.LossRate {
-		w.drop(p)
+	if w.cfg.LossRate > 0 && w.rng.Float64() < w.cfg.LossRate {
+		w.drop()
 		return
 	}
 	dest, ok := w.nodes[env.To]
 	if !ok {
-		w.drop(p)
+		w.drop()
 		return
 	}
 	if budget {
@@ -652,23 +474,7 @@ func (w *World) transmit(from *Node, env *wire.Envelope) {
 			from.outOver[env.To] = true
 		}
 	}
-	lat := w.latency(p, from.info.Coord, dest.info.Coord)
-	at := p.sched.Now() + lat
-	if dest.part == from.part {
-		w.enqueueAt(p, dest, env, size, at)
-		return
-	}
-	// Cross-partition: the message waits in this partition's mailbox
-	// until the epoch barrier. Latency is at least the lookahead
-	// (BaseLatency), so the deadline is at or past the barrier and the
-	// destination cannot have run beyond it. The budget release mutates
-	// sender state, so it is scheduled here on the sender's own wheel at
-	// the delivery instant rather than ridden on the remote delivery.
-	if budget {
-		sz := size // a copy, so that size itself stays off the heap
-		p.sched.Schedule(lat, vclock.Func(func() { w.releaseOut(env, sz) }), nil)
-	}
-	p.mail = append(p.mail, mailMsg{dest: dest, env: env, at: at})
+	w.enqueue(dest, env, size, w.sched.Now()+w.latency(from.info.Coord, dest.info.Coord))
 }
 
 // releaseOut retires a landed message from its sender's in-flight
@@ -695,15 +501,12 @@ func (w *World) releaseOut(env *wire.Envelope, size int) {
 	}
 }
 
-// enqueueAt schedules env for delivery at the absolute instant at, on
-// the destination's partition p. Messages landing at the same
-// destination at the same instant share one scheduler event — with
-// DisableJitter and a fixed-latency link, a whole publish fan-out to a
-// node becomes a single batch, and a cross-partition message merged at
-// the epoch barrier coalesces into the same batch a local send opened.
-// Send order within a batch is preserved, matching the scheduler's FIFO
-// tiebreak for equal times. size < 0 marks a message whose budget
-// release is owed elsewhere (cross-partition mail).
+// enqueue schedules env for delivery at the absolute instant at.
+// Messages landing at the same destination at the same instant share one
+// scheduler event — with DisableJitter and a fixed-latency link, a whole
+// publish fan-out to a node becomes a single batch. Send order within a
+// batch is preserved, matching the scheduler's FIFO tiebreak for equal
+// times.
 //
 // Known (deterministic) deviation from the unbatched scheduler: when
 // sends to two destinations interleave at one instant (m1→A, m2→B,
@@ -712,22 +515,22 @@ func (w *World) releaseOut(env *wire.Envelope, size int) {
 // same-instant collision with interleaved destinations — impossible
 // under default jitter in practice, and an accepted trade under
 // DisableJitter where batching is the point.
-func (w *World) enqueueAt(p *worldPart, dest *Node, env *wire.Envelope, size int, at time.Duration) {
+func (w *World) enqueue(dest *Node, env *wire.Envelope, size int, at time.Duration) {
 	budget := w.cfg.OutboxHighWater > 0
 	key := batchKey{to: env.To, at: at}
-	if b, ok := p.batches[key]; ok {
+	if b, ok := w.batches[key]; ok {
 		b.envs = append(b.envs, env)
 		if budget {
 			b.sizes = append(b.sizes, size)
 		}
 		if !w.cfg.DisableMetrics {
-			p.metrics.BatchedMsgs++
+			w.metrics.BatchedMsgs++
 		}
 		return
 	}
 	var b *delivBatch
-	if n := len(p.spare); n > 0 {
-		b, p.spare = p.spare[n-1], p.spare[:n-1]
+	if n := len(w.spare); n > 0 {
+		b, w.spare = w.spare[n-1], w.spare[:n-1]
 	} else {
 		b = &delivBatch{}
 	}
@@ -736,40 +539,37 @@ func (w *World) enqueueAt(p *worldPart, dest *Node, env *wire.Envelope, size int
 	if budget {
 		b.sizes = append(b.sizes, size)
 	}
-	p.batches[key] = b
-	p.sched.Schedule(at-p.sched.Now(), b, nil)
+	w.batches[key] = b
+	w.sched.Schedule(at-w.sched.Now(), b, nil)
 }
 
-// Run delivers the batch and returns it to its partition's spares.
+// Run delivers the batch and returns it to the world's spares.
 func (b *delivBatch) Run() {
 	w := b.dest.world
-	p := w.parts[b.dest.part]
 	budget := w.cfg.OutboxHighWater > 0
-	delete(p.batches, batchKey{to: b.dest.info.ID, at: b.at})
+	delete(w.batches, batchKey{to: b.dest.info.ID, at: b.at})
 	if !w.cfg.DisableMetrics {
-		p.metrics.FlushEvents++
+		w.metrics.FlushEvents++
 	}
 	for i, e := range b.envs {
 		// The budget releases on landing whether or not the destination
 		// is still alive — the sender-side queue emptied either way.
-		// Cross-partition messages (size < 0) released on their sender's
-		// wheel instead.
-		if budget && b.sizes[i] >= 0 {
+		if budget {
 			w.releaseOut(e, b.sizes[i])
 		}
-		w.deliver(p, b.dest, e)
+		w.deliver(b.dest, e)
 	}
 	clear(b.envs)
 	b.envs, b.sizes, b.dest = b.envs[:0], b.sizes[:0], nil
-	p.spare = append(p.spare, b)
+	w.spare = append(w.spare, b)
 }
 
 // latency computes the delay between two coordinates, drawing jitter
-// from the sending partition's RNG.
-func (w *World) latency(p *worldPart, a, b netapi.Coord) time.Duration {
+// from the world's RNG.
+func (w *World) latency(a, b netapi.Coord) time.Duration {
 	d := w.cfg.BaseLatency + time.Duration(a.DistanceKm(b)*float64(w.cfg.LatencyPerKm))
 	if !w.cfg.DisableJitter && w.cfg.Jitter > 0 {
-		d += time.Duration(p.rng.Int63n(int64(w.cfg.Jitter)))
+		d += time.Duration(w.rng.Int63n(int64(w.cfg.Jitter)))
 	}
 	return d
 }
@@ -785,111 +585,37 @@ func (w *World) Latency(a, b ids.ID) time.Duration {
 }
 
 // drop counts a dropped message unless metrics are disabled.
-func (w *World) drop(p *worldPart) {
+func (w *World) drop() {
 	if !w.cfg.DisableMetrics {
-		p.metrics.Dropped++
+		w.metrics.Dropped++
 	}
 }
 
-// deliver runs on the destination's partition p.
-func (w *World) deliver(p *worldPart, dest *Node, env *wire.Envelope) {
+// deliver hands env to its live destination's loop.
+func (w *World) deliver(dest *Node, env *wire.Envelope) {
 	if !dest.alive {
-		w.drop(p)
+		w.drop()
 		return
 	}
 	if !w.cfg.DisableMetrics {
-		p.metrics.Delivered++
+		w.metrics.Delivered++
 	}
-	if env.IsReply {
-		p, ok := dest.pending[env.CorrID]
-		if !ok {
-			return // late reply after timeout: drop
-		}
-		delete(dest.pending, env.CorrID)
-		p.Stop()
-		if env.Err != "" {
-			p.cb(env.Msg, remoteError(env.Err))
-			return
-		}
-		p.cb(env.Msg, nil)
-		return
+	if !dest.loop.Deliver(env) && !w.cfg.DisableMetrics {
+		w.metrics.Unhandled++
 	}
-	if env.Msg == nil {
-		return
-	}
-	h, ok := dest.handlers[env.Msg.Kind()]
-	if !ok {
-		if !w.cfg.DisableMetrics {
-			p.metrics.Unhandled++
-		}
-		return
-	}
-	ctx := oneWay
-	if env.CorrID != 0 {
-		// A request's ctx is its own: a handler may reply after it returns.
-		ctx = &msgCtx{node: dest, env: env}
-	}
-	h(ctx, env.From, env.Msg)
 }
 
-// oneWay is the ctx every one-way message shares: with CorrID 0 its
-// replies send nothing. Nothing writes it.
-var oneWay = &msgCtx{env: &wire.Envelope{}}
-
-type remoteError string
-
-func (e remoteError) Error() string { return string(e) }
-
-// msgCtx implements netapi.Ctx for a delivered message.
-type msgCtx struct {
-	node    *Node
-	env     *wire.Envelope
-	replied bool
-}
-
-func (c *msgCtx) Reply(msg wire.Message) {
-	if c.env.CorrID == 0 || c.replied {
-		return
-	}
-	c.replied = true
-	reply := &wire.Envelope{
-		From:    c.node.info.ID,
-		To:      c.env.From,
-		CorrID:  c.env.CorrID,
-		IsReply: true,
-		Msg:     msg,
-	}
-	c.node.world.transmit(c.node, reply)
-}
-
-func (c *msgCtx) ReplyErr(err error) {
-	if c.env.CorrID == 0 || c.replied {
-		return
-	}
-	c.replied = true
-	reply := &wire.Envelope{
-		From:    c.node.info.ID,
-		To:      c.env.From,
-		CorrID:  c.env.CorrID,
-		IsReply: true,
-		Err:     err.Error(),
-	}
-	c.node.world.transmit(c.node, reply)
-}
-
-// nodeClock is a node's view of its partition's scheduler, suppressing
-// callbacks that fire after the node has been killed. Timers stay
-// partition-local: a node's own future work always runs on its own
-// partition.
+// nodeClock is a node's view of the world's scheduler, suppressing
+// callbacks that fire after the node has been killed.
 type nodeClock Node
 
 var _ vclock.Clock = (*nodeClock)(nil)
 
-func (c *nodeClock) Now() time.Duration { return (*Node)(c).sched().Now() }
+func (c *nodeClock) Now() time.Duration { return c.world.sched.Now() }
 
 func (c *nodeClock) After(d time.Duration, fn func()) vclock.Timer {
 	t := &nodeTimer{node: (*Node)(c), fn: fn}
-	t.node.sched().Schedule(d, t, &t.Handle)
+	t.node.world.sched.Schedule(d, t, &t.Handle)
 	return &t.Handle
 }
 
@@ -905,6 +631,3 @@ func (t *nodeTimer) Run() {
 		t.fn()
 	}
 }
-
-// sched is the scheduler of the node's partition.
-func (n *Node) sched() *vclock.Scheduler { return n.world.parts[n.part].sched }

@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -318,5 +320,53 @@ func TestLatencyEstimate(t *testing.T) {
 	want := time.Millisecond + 10*time.Millisecond // base + 1000km*10µs
 	if got := w.Latency(a.ID(), b.ID()); got != want {
 		t.Fatalf("Latency = %v, want %v", got, want)
+	}
+}
+
+// TestSimnetDoesNotAdvertiseConcurrentSends pins the design decision
+// that keeps simulation deterministic: simnet nodes must NOT report the
+// ConcurrentSend capability, so the broker's fan-out pool stays off and
+// every existing simulation remains on the serial reference path. Nor do
+// they offer the local run queue: a self-send is a scheduled message.
+func TestSimnetDoesNotAdvertiseConcurrentSends(t *testing.T) {
+	w := NewWorld(Config{Seed: 1})
+	n := w.NewNode(ids.FromString("caps"), "eu", netapi.Coord{})
+	if caps := netapi.Capabilities(n); caps.ConcurrentSend || caps.Local != nil {
+		t.Fatalf("simnet.Node advertises %+v, want neither ConcurrentSend nor Local", caps)
+	}
+}
+
+// TestReplyFromWrongPeerIgnored: a reply answers a request only when it
+// comes from the peer asked. A third node that sends a reply carrying
+// the asker's next correlation ID, ahead of the real answer, completes
+// nothing; the request ends with the real reply, or with its timeout
+// when there is none.
+func TestReplyFromWrongPeerIgnored(t *testing.T) {
+	for _, answer := range []bool{true, false} {
+		w, a, b := twoNodeWorld(t, Config{Seed: 1})
+		c := w.NewNode(ids.FromString("c"), "eu", netapi.Coord{X: 10})
+		b.Handle("test.ping", func(ctx netapi.Ctx, _ ids.ID, msg wire.Message) {
+			if answer {
+				ctx.Reply(&pong{N: msg.(*ping).N * 2})
+			}
+		})
+		var got []string
+		a.Request(b.ID(), &ping{N: 21}, 500*time.Millisecond, func(reply wire.Message, err error) {
+			if err != nil {
+				got = append(got, fmt.Sprintf("%v at %v", err, w.Now()))
+				return
+			}
+			got = append(got, fmt.Sprintf("pong %d", reply.(*pong).N))
+		})
+		forged := &wire.Envelope{From: c.ID(), To: a.ID(), CorrID: 1, IsReply: true, Msg: &pong{N: -1}}
+		w.transmit(c, forged)
+		w.RunFor(time.Second)
+		want := []string{"pong 42"}
+		if !answer {
+			want = []string{fmt.Sprintf("%v at %v", netapi.ErrTimeout, 500*time.Millisecond)}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("answer=%v: callbacks %q, want %q", answer, got, want)
+		}
 	}
 }

@@ -20,11 +20,16 @@
 // the actor inbox. The peer table is guarded by an RWMutex whose only
 // writer is the actor loop; peer dial state is atomic so any sender can
 // kick a connection attempt. Stats counters are atomics.
+//
+// Endpoint semantics — handlers, pending requests, reply dispatch, the
+// request ctxs and the local run queue — live in netapi.Loop, which the
+// actor loop runs. A Node adds only what a TCP link does: sockets,
+// codecs, outboxes, the hello merge, and the hop (Do) that brings
+// off-loop callers onto the actor loop.
 package transport
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -280,11 +285,6 @@ type peer struct {
 	connFails int
 }
 
-type pendingReq struct {
-	cb    netapi.ReplyFunc
-	timer vclock.Timer
-}
-
 // binCodecState is the node's current fast-path codec and the registry
 // fingerprint it was built from, swapped atomically on RefreshRegistry so
 // reader goroutines never see a codec/hash torn pair.
@@ -324,15 +324,8 @@ type Node struct {
 	peers   map[ids.ID]*peer
 
 	// Actor-confined state.
-	handlers map[string]netapi.Handler
-	pending  map[uint64]*pendingReq
-	nextCorr uint64
+	loop     netapi.Loop
 	drainFns []func(ids.ID)
-	// local is the run queue behind DeliverLocal; localCtx the Ctx all
-	// its deliveries and every received one-way message share (Reply
-	// writes nothing).
-	local    []wire.Message
-	localCtx tcpCtx
 }
 
 // counters is Stats in atomic form; Stats() materialises a snapshot.
@@ -384,12 +377,10 @@ func Listen(id ids.ID, reg *wire.Registry, opts Options) (*Node, error) {
 		rng:       rand.New(rand.NewSource(opts.Seed)),
 		inbox:     make(chan func(), 1024),
 		closed:    make(chan struct{}),
-		handlers:  make(map[string]netapi.Handler),
 		peers:     make(map[ids.ID]*peer),
-		pending:   make(map[uint64]*pendingReq),
 	}
 	n.codec.Store(&binCodecState{bin: wire.NewBinaryCodec(reg), kindsHash: reg.KindsHash()})
-	n.localCtx = tcpCtx{node: n, env: &wire.Envelope{From: id, To: id}}
+	n.loop.Init(id, (*seam)(n))
 	n.wg.Add(2)
 	go n.actorLoop()
 	go n.acceptLoop()
@@ -450,7 +441,7 @@ func (n *Node) actorLoop() {
 			return
 		case fn := <-n.inbox:
 			fn()
-			n.drainLocal()
+			n.loop.DrainLocal()
 		}
 	}
 }
@@ -459,22 +450,7 @@ func (n *Node) actorLoop() {
 // it never posts to the inbox, so the loop cannot block on itself.
 //
 //vetactive:actoronly
-func (n *Node) DeliverLocal(msg wire.Message) { n.local = append(n.local, msg) }
-
-// drainLocal dispatches the local run queue in order, including what
-// the handlers it runs queue in turn.
-//
-//vetactive:actoronly
-func (n *Node) drainLocal() {
-	for i := 0; i < len(n.local); i++ {
-		msg := n.local[i]
-		n.local[i] = nil
-		if h, ok := n.handlers[msg.Kind()]; ok {
-			h(&n.localCtx, n.info.ID, msg)
-		}
-	}
-	n.local = n.local[:0]
-}
+func (n *Node) DeliverLocal(msg wire.Message) { n.loop.DeliverLocal(msg) }
 
 // Close shuts the node down and waits for its goroutines.
 func (n *Node) Close() error {
@@ -523,7 +499,7 @@ func (n *Node) ConcurrentSends() bool { return true }
 
 // Handle implements netapi.Endpoint.
 func (n *Node) Handle(kind string, h netapi.Handler) {
-	n.do(func() { n.handlers[kind] = h })
+	n.do(func() { n.loop.Handle(kind, h) })
 }
 
 // AddPeer seeds the address book. Synchronous and safe from any
@@ -555,20 +531,17 @@ func (n *Node) SendMany(tos []ids.ID, msg wire.Message) {
 
 // Request implements netapi.Endpoint.
 func (n *Node) Request(to ids.ID, msg wire.Message, timeout time.Duration, cb netapi.ReplyFunc) {
-	n.do(func() {
-		n.nextCorr++
-		corr := n.nextCorr
-		env := &wire.Envelope{From: n.info.ID, To: to, CorrID: corr, Msg: msg}
-		p := &pendingReq{cb: cb}
-		p.timer = n.Clock().After(timeout, func() {
-			if _, ok := n.pending[corr]; ok {
-				delete(n.pending, corr)
-				cb(nil, netapi.ErrTimeout)
-			}
-		})
-		n.pending[corr] = p
-		n.transmit(env, nil)
-	})
+	n.do(func() { n.loop.Request(to, msg, timeout, cb) })
+}
+
+// seam is the netapi.Substrate the actor loop sends and times out through.
+type seam Node
+
+func (s *seam) Transmit(env *wire.Envelope) { (*Node)(s).transmit(env, nil) }
+
+// Arm times a request out on the wall clock, through the actor loop.
+func (s *seam) Arm(d time.Duration, p netapi.Pending) vclock.Timer {
+	return (*Node)(s).Clock().After(d, func() { s.loop.Expire(p) })
 }
 
 // --- sending (any goroutine) ---------------------------------------------------
@@ -1054,7 +1027,7 @@ func (n *Node) readLoop(conn net.Conn, bufSize int) {
 			n.Do(func() {
 				for _, env := range envs {
 					n.accept(env)
-					n.drainLocal()
+					n.loop.DrainLocal()
 				}
 			})
 		}
@@ -1135,64 +1108,11 @@ func (n *Node) mergeHello(h *HelloMsg) {
 	}
 }
 
-// dispatch runs on the actor loop.
+// dispatch runs one envelope on the actor loop.
 func (n *Node) dispatch(env *wire.Envelope) {
-	if env.IsReply {
-		p, ok := n.pending[env.CorrID]
-		if !ok {
-			return
-		}
-		delete(n.pending, env.CorrID)
-		p.timer.Stop()
-		if env.Err != "" {
-			p.cb(env.Msg, errors.New(env.Err))
-			return
-		}
-		p.cb(env.Msg, nil)
-		return
-	}
-	if env.Msg == nil {
-		return
-	}
-	h, ok := n.handlers[env.Msg.Kind()]
-	if !ok {
+	if !n.loop.Deliver(env) {
 		n.log.Debug("unhandled message", "kind", env.Msg.Kind())
-		return
 	}
-	if env.CorrID == 0 {
-		h(&n.localCtx, env.From, env.Msg) // replies to nothing, like a local message
-		return
-	}
-	// A request's ctx is its own: a handler may reply after it returns.
-	h(&tcpCtx{node: n, env: env}, env.From, env.Msg)
-}
-
-type tcpCtx struct {
-	node    *Node
-	env     *wire.Envelope
-	replied bool
-}
-
-func (c *tcpCtx) Reply(msg wire.Message) {
-	if c.env.CorrID == 0 || c.replied {
-		return
-	}
-	c.replied = true
-	c.node.transmit(&wire.Envelope{
-		From: c.node.info.ID, To: c.env.From,
-		CorrID: c.env.CorrID, IsReply: true, Msg: msg,
-	}, nil)
-}
-
-func (c *tcpCtx) ReplyErr(err error) {
-	if c.env.CorrID == 0 || c.replied {
-		return
-	}
-	c.replied = true
-	c.node.transmit(&wire.Envelope{
-		From: c.node.info.ID, To: c.env.From,
-		CorrID: c.env.CorrID, IsReply: true, Err: err.Error(),
-	}, nil)
 }
 
 // --- framing -------------------------------------------------------------------

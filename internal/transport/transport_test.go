@@ -194,6 +194,62 @@ func TestDeferredReplyOverTCP(t *testing.T) {
 	}
 }
 
+// TestReplyFromWrongPeerIgnoredOverTCP: a reply answers a request only
+// when it comes from the peer asked. A third node that sends a reply
+// carrying the asker's correlation ID, ahead of the real answer,
+// completes nothing; the request ends with the real reply, or with its
+// timeout when there is none.
+func TestReplyFromWrongPeerIgnoredOverTCP(t *testing.T) {
+	for _, answer := range []bool{true, false} {
+		reg := testReg()
+		a := newNode(t, "tcp-wrong-a", reg)
+		b := newNode(t, "tcp-wrong-b", reg)
+		c := newNode(t, "tcp-wrong-c", reg)
+		a.AddPeer(b.ID(), b.Addr())
+		c.AddPeer(a.ID(), a.Addr())
+		asked := make(chan netapi.Ctx, 1)
+		b.Handle("test.echo", func(ctx netapi.Ctx, _ ids.ID, _ wire.Message) { asked <- ctx })
+		marked := make(chan struct{}, 1)
+		a.Handle("test.echo", func(netapi.Ctx, ids.ID, wire.Message) { marked <- struct{}{} })
+		timeout := 10 * time.Second
+		if !answer {
+			timeout = time.Second
+		}
+		got := make(chan string, 2)
+		a.Request(b.ID(), &echoMsg{Text: "ask"}, timeout, func(reply wire.Message, err error) {
+			if err != nil {
+				got <- err.Error()
+				return
+			}
+			got <- reply.(*echoMsg).Text
+		})
+		ctx := <-asked // a's request is pending
+		// The forged reply and then a one-way marker share c's connection:
+		// once a has handled the marker, it has dispatched the forgery.
+		c.transmit(&wire.Envelope{From: c.ID(), To: a.ID(), CorrID: 1, IsReply: true, Msg: &echoMsg{Text: "forged"}}, nil)
+		c.Send(a.ID(), &echoMsg{Text: "marker"})
+		<-marked
+		want := netapi.ErrTimeout.Error()
+		if answer {
+			want = "real"
+			b.Do(func() { ctx.Reply(&echoMsg{Text: "real"}) })
+		}
+		select {
+		case s := <-got:
+			if s != want {
+				t.Fatalf("answer=%v: request completed with %q, want %q", answer, s, want)
+			}
+		case <-time.After(2 * timeout):
+			t.Fatalf("answer=%v: request never completed", answer)
+		}
+		select {
+		case s := <-got:
+			t.Fatalf("answer=%v: callback ran again with %q", answer, s)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+}
+
 func TestClockAfterAndStop(t *testing.T) {
 	reg := testReg()
 	a := newNode(t, "tcp-clock", reg)

@@ -187,19 +187,6 @@ func (s *refScheduler) RunUntil(t time.Duration) {
 	}
 }
 
-func (s *refScheduler) RunBefore(t time.Duration) {
-	for {
-		next, ok := s.peekAt()
-		if !ok || next >= t {
-			break
-		}
-		s.step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
 func (s *refScheduler) Drain(maxSteps uint64) bool {
 	for i := uint64(0); i < maxSteps; i++ {
 		if !s.step() {
@@ -216,7 +203,6 @@ type wheel interface {
 	Steps() uint64
 	Pending() int
 	RunUntil(time.Duration)
-	RunBefore(time.Duration)
 	Drain(uint64) bool
 }
 
@@ -293,7 +279,7 @@ func script(seed int64, w wheel, schedule func(id int, d time.Duration, fn func(
 	}
 	r := newPrng(seed)
 	for op := 0; op < 200; op++ {
-		switch r.Intn(6) {
+		switch r.Intn(5) {
 		case 0, 1:
 			add(r)
 		case 2:
@@ -301,8 +287,6 @@ func script(seed int64, w wheel, schedule func(id int, d time.Duration, fn func(
 		case 3:
 			w.RunUntil(w.Now() + time.Duration(r.Intn(6))*time.Millisecond)
 		case 4:
-			w.RunBefore(w.Now() + time.Duration(r.Intn(6))*time.Millisecond)
-		case 5:
 			trace = append(trace, fmt.Sprintf("drain: %v", w.Drain(uint64(r.Intn(5)))))
 		}
 		trace = append(trace, fmt.Sprintf("now %v steps %d pending %d", w.Now(), w.Steps(), w.Pending()))
@@ -312,8 +296,8 @@ func script(seed int64, w wheel, schedule func(id int, d time.Duration, fn func(
 }
 
 // TestSchedulerMatchesReference drives the task scheduler and the
-// closure-per-item oracle with the same random After/Stop/RunUntil/
-// RunBefore/Drain programs — callbacks that schedule at their own
+// closure-per-item oracle with the same random After/Stop/RunUntil/Drain
+// programs — callbacks that schedule at their own
 // instant and stop other timers included — and demands the same run
 // order, Now, Steps, Pending and Stop results.
 func TestSchedulerMatchesReference(t *testing.T) {

@@ -267,23 +267,6 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 // RunFor advances the clock by d, executing all events due in the window.
 func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
-// RunBefore executes events strictly before t, then advances the clock
-// to t. It is the epoch primitive of partitioned execution: events due
-// exactly at an epoch boundary run in the next epoch, after the
-// boundary's cross-partition exchange.
-func (s *Scheduler) RunBefore(t time.Duration) {
-	for {
-		next, ok := s.peekAt()
-		if !ok || next >= t {
-			break
-		}
-		s.step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
 // Drain executes events until none remain or maxSteps events have run.
 // It reports whether the queue was fully drained. Protocols with
 // periodic timers never drain; use RunUntil for those worlds.
