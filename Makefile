@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet noswitch loc fmt bench-smoke
+.PHONY: all build test race allocs vet noswitch loc fmt bench-smoke
 
 all: build vet test
 
@@ -15,6 +15,21 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# allocs runs every allocation-bound test by name, without -race: the
+# race detector's instrumentation allocates, so under it these tests skip
+# or gate their bounds off and `make race` enforces none of them.
+allocs:
+	$(GO) test -count=1 -run '^(TestHandlePubAllocs|TestSwapCostIndependentOfTableSize|TestDecodeBorrowAllocRegression)$$' ./internal/pubsub
+	$(GO) test -count=1 -run '^TestFigure1JourneyAllocs$$' ./internal/core
+	$(GO) test -count=1 -run '^TestLoopDispatchAllocs$$' ./internal/netapi
+	$(GO) test -count=1 -run '^TestSimnetDeliveryAllocs$$' ./internal/simnet
+	$(GO) test -count=1 -run '^TestSendChunkedAllocs$$' ./internal/transport
+	$(GO) test -count=1 -run '^(TestChunkedReceiveKeepsFrames|TestManifestBoundsPieces|TestPaddedChunkFramesOverTCP)$$' ./internal/store
+	$(GO) test -count=1 -run '^(TestBinaryEncodeAllocs|TestXMLCodecAllocs)$$' ./internal/wire
+	$(GO) test -count=1 -run '^TestEncodeSortsNamesWithoutAllocating$$' ./internal/event
+	$(GO) test -count=1 -run '^(TestQuietPutDoesNotAllocate|TestClassify)$$' ./internal/match
+	$(GO) test -count=1 -run '^TestKBAskAndOneDoNotAllocate$$' ./internal/knowledge
 
 # vet runs the stock analyzers, then builds the repo's own analysis
 # suite (cmd/vetactive) and runs it over every package through the

@@ -1,0 +1,63 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// journeyAllocCeiling bounds what one Figure-1 journey allocates on the
+// simulator — Bob's location fix published at a us node, routed through
+// the broker tree to both matchlet instances, correlated by the rule
+// engine with Anna's fix, the weather and the GIS, and the suggestion
+// routed back to Bob's device — together with the background
+// maintenance the world runs in the journey's three virtual seconds.
+// Measured at 161 on go1.24/amd64 (272 while the broker built a fresh
+// target map, closure and lists per publish). It only ratchets down:
+// lower it when a change makes journeys cheaper, never raise it to let
+// one through.
+const journeyAllocCeiling = 170
+
+// TestFigure1JourneyAllocs holds the whole journey, not one layer, to an
+// allocation ceiling: the Mallocs delta over a run of journeys after a
+// warm-up, divided by their number.
+func TestFigure1JourneyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under -race")
+	}
+	desc := IceCreamService(2, "eu")
+	// Every fix is a journey: without output suppression each one yields
+	// a suggestion per matchlet instance.
+	desc.Rules[0].SuppressMs = -1
+	w, got := iceCreamWorld(t, desc)
+	publishWeatherAndAnna(w)
+	w.RunFor(2 * time.Second)
+
+	seq := uint64(3)
+	journey := func() {
+		publishBob(w, seq)
+		seq++
+		w.RunFor(3 * time.Second)
+	}
+	// Every fix stays in the rule's pattern buffer (64 events by
+	// default), so Anna's is never evicted and every journey joins.
+	const warm, journeys = 5, 50
+	for range warm {
+		journey()
+	}
+	before := len(*got)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range journeys {
+		journey()
+	}
+	runtime.ReadMemStats(&m1)
+	if n := len(*got) - before; n != 2*journeys {
+		t.Fatalf("%d suggestions from %d journeys, want one per matchlet instance each", n, journeys)
+	}
+	perJourney := float64(m1.Mallocs-m0.Mallocs) / journeys
+	t.Logf("%.0f allocs per journey (ceiling %d)", perJourney, journeyAllocCeiling)
+	if perJourney > journeyAllocCeiling {
+		t.Errorf("a Figure-1 journey allocated %.0f objects, ceiling %d", perJourney, journeyAllocCeiling)
+	}
+}

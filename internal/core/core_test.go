@@ -70,11 +70,12 @@ func TestStoreAndBusAcrossWorld(t *testing.T) {
 	}
 }
 
-// TestIceCreamEndToEnd is the Figure-1 integration test: sensors publish
-// low-level events onto the bus; the evolution engine has placed matchlets
-// per the service constraints; a matchlet correlates Bob, Anna, weather
-// and the GIS; Bob's device receives the synthesised suggestion.
-func TestIceCreamEndToEnd(t *testing.T) {
+// iceCreamWorld boots the Figure-1 world: nine nodes fast-forwarded to
+// 9:45, desc deployed as two matchlet instances in eu, and Bob's device
+// (the first eu node) subscribed to his suggestions, which collect in
+// the returned slice.
+func iceCreamWorld(t testing.TB, desc *ServiceDescriptor) (*World, *[]*event.Event) {
+	t.Helper()
 	w := testWorld(t, 3, 9, NodeConfig{
 		// Slow background maintenance: the test fast-forwards ~10 hours
 		// of virtual time to reach mid-morning.
@@ -84,7 +85,7 @@ func TestIceCreamEndToEnd(t *testing.T) {
 	})
 	w.RunFor(ScenarioStart - w.Sim.Now()) // advance to 9:45
 
-	svc, err := w.DeployService(IceCreamService(2, "eu"), 0)
+	svc, err := w.DeployService(desc, 0)
 	if err != nil {
 		t.Fatalf("DeployService: %v", err)
 	}
@@ -103,26 +104,45 @@ func TestIceCreamEndToEnd(t *testing.T) {
 	}
 
 	// Bob's device (node at eu) subscribes to suggestions for bob.
-	var suggestions []*event.Event
+	suggestions := new([]*event.Event)
 	device := w.Node(w.NodesInRegion("eu")[0])
 	device.Client.Subscribe(pubsub.NewFilter(
 		pubsub.TypeIs("suggestion.meet"),
 		pubsub.Eq("user", event.S("bob")),
-	), func(ev *event.Event) { suggestions = append(suggestions, ev) })
+	), func(ev *event.Event) { *suggestions = append(*suggestions, ev) })
 	w.RunFor(2 * time.Second)
+	return w, suggestions
+}
 
-	// Sensor events published from different nodes.
+// publishWeatherAndAnna publishes, from two us nodes, the context Bob's
+// location is correlated with: 20 °C in eu and Anna near Janetta's.
+func publishWeatherAndAnna(w *World) {
 	now := w.Sim.Now()
 	us := w.NodesInRegion("us")
 	w.Node(us[0]).Client.Publish(event.New("weather.report", "thermo", now).
 		Set("region", event.S("eu")).Set("tempC", event.F(20)).Stamp(1))
 	w.Node(us[1]).Client.Publish(event.New("gps.location", "gps-anna", now).
 		Set("user", event.S("anna")).Set("x", event.F(10.25)).Set("y", event.F(3.95)).Stamp(2))
+}
+
+// publishBob publishes Bob's location fix seq from a third us node.
+func publishBob(w *World, seq uint64) {
+	w.Node(w.NodesInRegion("us")[2]).Client.Publish(event.New("gps.location", "gps-bob", w.Sim.Now()).
+		Set("user", event.S("bob")).Set("x", event.F(10.20)).Set("y", event.F(4.05)).Stamp(seq))
+}
+
+// TestIceCreamEndToEnd is the Figure-1 integration test: sensors publish
+// low-level events onto the bus; the evolution engine has placed matchlets
+// per the service constraints; a matchlet correlates Bob, Anna, weather
+// and the GIS; Bob's device receives the synthesised suggestion.
+func TestIceCreamEndToEnd(t *testing.T) {
+	w, got := iceCreamWorld(t, IceCreamService(2, "eu"))
+	publishWeatherAndAnna(w)
 	w.RunFor(2 * time.Second)
-	w.Node(us[2]).Client.Publish(event.New("gps.location", "gps-bob", w.Sim.Now()).
-		Set("user", event.S("bob")).Set("x", event.F(10.20)).Set("y", event.F(4.05)).Stamp(3))
+	publishBob(w, 3)
 	w.RunFor(10 * time.Second)
 
+	suggestions := *got
 	if len(suggestions) == 0 {
 		t.Fatal("no suggestion reached bob's device")
 	}

@@ -112,13 +112,19 @@ type Multicaster interface {
 	// destination from the SAME goroutine are emitted in program order.
 	// Callers that need per-destination FIFO across goroutines must keep
 	// each destination on one goroutine (destination-sticky workers).
+	//
+	// tos is borrowed for the call only: an implementation must not keep
+	// it, or any subslice of it, after SendMany returns, and the caller
+	// may reuse it at once.
 	SendMany(tos []ids.ID, msg wire.Message)
 }
 
 // SendMany delivers msg to every destination, using the endpoint's
 // multicast fast path when it has one and per-destination Sends
 // otherwise. Callers must treat msg as shared and immutable afterwards
-// (events should be frozen before fanning out).
+// (events should be frozen before fanning out). tos is borrowed for the
+// call only, as Multicaster.SendMany says: the caller may reuse it once
+// SendMany returns.
 func SendMany(ep Endpoint, tos []ids.ID, msg wire.Message) {
 	if m := Capabilities(ep).Multicast; m != nil {
 		m.SendMany(tos, msg)

@@ -117,6 +117,26 @@ type Broker struct {
 	// pool is the fan-out worker pool, or nil on the serial reference
 	// path (FanoutWorkers = 1, or an endpoint without ConcurrentSend).
 	pool *fanoutPool
+	pub  pubScratch
+}
+
+// pubScratch is handlePub's working set. The broker owns it and resets it
+// on each publish, so a publish allocates only the messages it sends.
+// One set per broker is enough because handlePub never re-enters itself:
+// nothing it calls dispatches a message to a handler on the way —
+// deliverLocal queues on the endpoint's local run queue (or sends to
+// self), Send enqueues (an outbox, the inbox, the simulator's
+// scheduler) — and the target lists it lends out are only borrowed:
+// netapi.SendMany iterates tos and fanoutPool.submit copies them into
+// per-worker jobs before it returns.
+type pubScratch struct {
+	from     ids.ID              // the publish's arrival direction
+	matched  bool                // some table entry matched
+	targets  map[ids.ID]struct{} // distinct destinations; cleared, so it keeps its buckets
+	order    []ids.ID            // targets in ids.Cmp order
+	fwds     []ids.ID            // neighbour brokers, sent one PubMsg
+	delivers []ids.ID            // clients, sent one DeliverMsg
+	visit    func(key string)    // b.collect, bound once so Match gets no fresh closure
 }
 
 // NewBroker constructs a broker bound to ep and registers its handlers.
@@ -133,6 +153,8 @@ func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
 		proxies:   make(map[ids.ID]*proxy),
 		shedTo:    make(map[ids.ID]struct{}),
 	}
+	b.pub.targets = make(map[ids.ID]struct{})
+	b.pub.visit = b.collect
 	caps := netapi.Capabilities(ep)
 	b.local = caps.Local
 	if caps.Backpressure != nil {
@@ -170,7 +192,7 @@ func (b *Broker) AddNeighbor(id ids.ID) {
 	}
 	b.neighbors[id] = true
 	b.nborOrder = append(b.nborOrder, id)
-	sort.Slice(b.nborOrder, func(i, j int) bool { return ids.Less(b.nborOrder[i], b.nborOrder[j]) })
+	slices.SortFunc(b.nborOrder, ids.Cmp)
 	b.covers[id] = &cover{covering: !b.opts.DisableCovering, hidden: make(map[string]coverEntry)}
 }
 
@@ -473,39 +495,33 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	// round-trips byte-identical while guaranteeing no subscriber can
 	// rewrite what its neighbours see.
 	ev.Freeze()
-	targets := make(map[ids.ID]bool)
-	matched := false
-	b.index.Match(ev, func(key string) {
-		matched = true
-		for d := range b.entries[key].dirs {
-			if d != from {
-				targets[d] = true
-			}
-		}
-	})
-	if matched {
+	s := &b.pub
+	clear(s.targets)
+	s.from, s.matched = from, false
+	b.index.Match(ev, s.visit)
+	if s.matched {
 		b.stats.Matches++
 	}
-	if len(targets) == 0 {
+	if len(s.targets) == 0 {
 		return
 	}
-	order := make([]ids.ID, 0, len(targets))
-	for d := range targets {
-		order = append(order, d)
+	s.order = s.order[:0]
+	for d := range s.targets {
+		s.order = append(s.order, d)
 	}
-	if len(order) > 1 {
-		slices.SortFunc(order, ids.Cmp)
+	if len(s.order) > 1 {
+		slices.SortFunc(s.order, ids.Cmp)
 	}
 	// Partition the fan-out by message kind so each group rides one
 	// multicast: the message — and under a serialising transport its
 	// encoded body — is built once for all destinations in the group
 	// (encode once, send many).
-	var fwds, delivers []ids.ID
+	s.fwds, s.delivers = s.fwds[:0], s.delivers[:0]
 	self, toSelf := b.ep.ID(), false
-	for _, d := range order {
+	for _, d := range s.order {
 		if b.neighbors[d] {
 			b.stats.NeighborFwds++
-			fwds = append(fwds, d)
+			s.fwds = append(s.fwds, d)
 			continue
 		}
 		if p, detached := b.proxies[d]; detached {
@@ -535,23 +551,24 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 			toSelf = true
 			continue
 		}
-		delivers = append(delivers, d)
+		s.delivers = append(s.delivers, d)
 	}
 	if toSelf {
 		b.deliverLocal(&DeliverMsg{Event: ev})
 	}
+	fwds, delivers := s.fwds, s.delivers
 	if len(fwds)+len(delivers) == 0 {
 		return
 	}
 	if b.pool != nil {
 		// Pipelined path: everything mutable was decided above on the
-		// actor loop (targets, shed set, stats); the pool gets immutable
-		// snapshots — the frozen event and the two freshly built target
-		// slices — and runs group assembly, encode and sends on
-		// destination-sticky workers. A fan-out of one has nothing to
-		// parallelise: the actor loop sends it itself and saves the
-		// hand-off, unless the destination's worker still holds earlier
-		// sends, which this one must not overtake.
+		// actor loop (targets, shed set, stats); the pool gets the frozen
+		// event and copies of the two target lists, and runs group
+		// assembly, encode and sends on destination-sticky workers. A
+		// fan-out of one has nothing to parallelise: the actor loop sends
+		// it itself and saves the hand-off, unless the destination's
+		// worker still holds earlier sends, which this one must not
+		// overtake.
 		switch {
 		case len(fwds) == 1 && len(delivers) == 0 && b.pool.idle(fwds[0]):
 			b.ep.Send(fwds[0], &PubMsg{Event: ev})
@@ -567,6 +584,19 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	}
 	if len(delivers) > 0 {
 		netapi.SendMany(b.ep, delivers, &DeliverMsg{Event: ev})
+	}
+}
+
+// collect is handlePub's index visitor: the directions subscribed to the
+// matched entry key, bar the publish's own arrival direction, join the
+// target set.
+func (b *Broker) collect(key string) {
+	s := &b.pub
+	s.matched = true
+	for d := range b.entries[key].dirs {
+		if d != s.from {
+			s.targets[d] = struct{}{}
+		}
 	}
 }
 

@@ -123,7 +123,9 @@ func (p *fanoutPool) workerFor(d ids.ID) int {
 // submit partitions one publish's targets by sticky worker and enqueues
 // a job per worker touched. Called from the actor loop only (single
 // producer — that is what makes per-destination FIFO provable). ev must
-// be frozen; fwds and delivers must not be reused by the caller.
+// be frozen. fwds and delivers are borrowed for the call only: each job
+// gets its own copy of its destinations, so the caller may reuse both
+// slices once submit returns (handlePub does).
 func (p *fanoutPool) submit(ev *event.Event, fwds, delivers []ids.ID) {
 	n := len(p.workers)
 	parts := make([]fanoutJob, n)
