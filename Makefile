@@ -24,7 +24,7 @@ allocs:
 	$(GO) test -count=1 -run '^TestFigure1JourneyAllocs$$' ./internal/core
 	$(GO) test -count=1 -run '^TestLoopDispatchAllocs$$' ./internal/netapi
 	$(GO) test -count=1 -run '^TestSimnetDeliveryAllocs$$' ./internal/simnet
-	$(GO) test -count=1 -run '^TestSendChunkedAllocs$$' ./internal/transport
+	$(GO) test -count=1 -run '^(TestSendChunkedAllocs|TestSendManyOfOneAllocsAsSend)$$' ./internal/transport
 	$(GO) test -count=1 -run '^(TestChunkedReceiveKeepsFrames|TestManifestBoundsPieces|TestPaddedChunkFramesOverTCP)$$' ./internal/store
 	$(GO) test -count=1 -run '^(TestBinaryEncodeAllocs|TestXMLCodecAllocs)$$' ./internal/wire
 	$(GO) test -count=1 -run '^TestEncodeSortsNamesWithoutAllocating$$' ./internal/event
@@ -40,10 +40,11 @@ vet: noswitch
 	$(GO) vet -vettool=$(CURDIR)/bin/vetactive ./...
 
 # noswitch fails when a retired reference-path switch, the second index's
-# option, the shared config block or simnet's partitioned execution
-# returns to shipped code: the old paths are _test.go oracles, not options.
+# option, the shared config block, simnet's partitioned execution or the
+# fan-out pool's size knob returns to shipped code: the old paths are
+# _test.go oracles or seams, not options.
 noswitch:
-	! grep -rnE '\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned)\b' --include='*.go' --exclude='*_test.go' cmd internal examples active.go
+	! grep -rnE '\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers)\b' --include='*.go' --exclude='*_test.go' cmd internal examples active.go
 
 # loc prints the non-test Go line count ROADMAP item 2 tracks.
 loc:

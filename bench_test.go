@@ -156,14 +156,6 @@ func BenchmarkE_T13_Backpressure(b *testing.B) {
 	}
 }
 
-func BenchmarkE_T15_ParallelFanout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := exp.T15ParallelFanout(true)
-		reportBy(b, tab, "k dlv/s", "pooled-kdlv-per-s", "workers", "4")
-		reportBy(b, tab, "speedup", "pooled-speedup", "workers", "4") // ≤1 on a single core; the multi-core acceptance bar is ≥2x at 8 workers
-	}
-}
-
 func BenchmarkE_T16_StoragePlane(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := exp.T16StoragePlane(true)

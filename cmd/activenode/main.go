@@ -24,7 +24,6 @@ import (
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/knowledge"
 	"github.com/gloss/active/internal/netapi"
-	"github.com/gloss/active/internal/pubsub"
 	"github.com/gloss/active/internal/store"
 	"github.com/gloss/active/internal/transport"
 	"github.com/gloss/active/internal/wire"
@@ -50,19 +49,12 @@ func run(args []string) error {
 		codec     = fs.String("codec", wire.CodecXML, "preferred wire codec: xml (open interop format) or binary (compact fast path, used only between nodes that both opt in)")
 		outboxHi  = fs.Int("outbox-high", 0, "per-peer send-queue byte budget; sends above it are dropped (0 = 1 MiB default)")
 		outboxLo  = fs.Int("outbox-low", 0, "backpressure-relief watermark in bytes (0 = half of -outbox-high)")
-		fanout    = fs.Int("fanout-workers", 0, "broker publish fan-out workers (0 = one per core capped at 8, 1 = serial reference)")
 		chunkB    = fs.Int("chunk-bytes", 0, "storage transfer chunk size; bodies above it stream as offset-addressed chunk frames (0 = 64 KiB default, negative disables chunking)")
 		writerID  = fs.String("writer-id", "", "knowledge-plane writer identity for version vectors (empty = this node's ID; must be unique per writer)")
 		kbGossip  = fs.Duration("kb-gossip", 0, "knowledge anti-entropy gossip period (0 disables; objects still converge via fetch read-repair)")
 		verbose   = fs.Bool("v", false, "verbose logging")
 	)
 	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
-
-	// transport.Listen judges the codec and the watermarks; the broker has
-	// no error path for its one flag, so that is checked here.
-	if *fanout < 0 {
-		return fmt.Errorf("negative -fanout-workers %d", *fanout)
-	}
 
 	logger := slog.New(slog.DiscardHandler)
 	if *verbose {
@@ -101,7 +93,6 @@ func run(args []string) error {
 		Secret:         []byte(*secret),
 		AdvertInterval: -1, // advertising needs a broker mesh; single-node CLI keeps quiet
 		Store:          store.Options{ChunkBytes: *chunkB},
-		Broker:         pubsub.Options{FanoutWorkers: *fanout},
 		Knowledge:      knowledge.Options{Writer: *writerID, GossipInterval: *kbGossip},
 	})
 	gateway.Serve(node)

@@ -7,14 +7,12 @@ import (
 
 // TestRunRejectsBadValues: every out-of-range value a flag can carry is
 // refused before the node serves — the codec and the watermarks by
-// transport.Listen, on the values it will run with; -fanout-workers, which
-// no substrate can refuse, by run itself.
+// transport.Listen, on the values it will run with.
 func TestRunRejectsBadValues(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string // substring of the error
 	}{
-		{[]string{"-fanout-workers", "-1"}, "-fanout-workers"},
 		{[]string{"-codec", "protobuf"}, "codec"},
 		{[]string{"-outbox-high", "-1"}, "OutboxHighWater"},
 		{[]string{"-outbox-low", "-1"}, "OutboxLowWater"},

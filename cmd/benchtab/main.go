@@ -30,38 +30,15 @@ func main() {
 		}
 	}
 
-	runners := []struct {
-		id  string
-		run func(bool) *exp.Table
-	}{
-		{"E-F1", exp.F1GlobalMatching},
-		{"E-F2", exp.F2Pipelines},
-		{"E-F3", exp.F3Deployment},
-		{"E-T1", exp.T1PlaxtonRouting},
-		{"E-T2", exp.T2ReplicaResilience},
-		{"E-T3", exp.T3PromiscuousCaching},
-		{"E-T4", exp.T4PubSubScaling},
-		{"E-T5", exp.T5MatchThroughput},
-		{"E-T6", exp.T6EvolutionRepair},
-		{"E-T7", exp.T7PlacementPolicies},
-		{"E-T8", exp.T8TypeProjection},
-		{"E-T9", exp.T9MobilityHandoff},
-		{"E-T10", exp.T10Discovery},
-		{"E-T11", exp.T11WireFormat},
-		{"E-T13", exp.T13Backpressure},
-		{"E-T15", exp.T15ParallelFanout},
-		{"E-T16", exp.T16StoragePlane},
-		{"E-T17", exp.T17Knowledge},
-	}
 	ran := 0
-	for _, r := range runners {
-		if len(want) > 0 && !want[r.id] {
+	for _, e := range exp.Experiments {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		start := time.Now()
-		table := r.run(*quick)
+		table := e.Run(*quick)
 		fmt.Println(table.Format())
-		fmt.Printf("(%s took %.1fs)\n\n", r.id, time.Since(start).Seconds())
+		fmt.Printf("(%s took %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 		ran++
 	}
 	if ran == 0 {

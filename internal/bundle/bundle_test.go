@@ -227,7 +227,7 @@ func TestObjectStoreQuotaAndRights(t *testing.T) {
 	reg.Register("grab", func(map[string]string, []byte) (Program, error) {
 		return progFunc{start: func(d *Domain) error { dom = d; return nil }}, nil
 	})
-	ts := NewThinServer(node, reg, Options{Secret: secret, DomainQuota: 10})
+	ts := NewThinServer(node, reg, Options{Secret: secret, domainQuota: 10})
 	pub, priv := testKeys(t, "signer")
 
 	// With store right.

@@ -137,15 +137,17 @@ type Options struct {
 	// TrustedKeys lists accepted bundle signers; empty accepts any
 	// well-signed bundle (verification only proves integrity then).
 	TrustedKeys []wire.Bytes
-	// DomainQuota bounds each domain's object store. Default 256 KiB.
-	DomainQuota int64
 	// Logger receives diagnostics; nil discards.
 	Logger *slog.Logger
+
+	// domainQuota bounds each domain's object store. Default 256 KiB.
+	// Not an option: only this package's tests move it.
+	domainQuota int64
 }
 
 func (o *Options) applyDefaults() {
-	if o.DomainQuota == 0 {
-		o.DomainQuota = 256 << 10
+	if o.domainQuota == 0 {
+		o.domainQuota = 256 << 10
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -253,7 +255,7 @@ func (ts *ThinServer) Install(b *Bundle) (*Domain, error) {
 		server: ts,
 		rights: rights,
 		store:  make(map[string][]byte),
-		quota:  ts.opts.DomainQuota,
+		quota:  ts.opts.domainQuota,
 		log:    ts.log.With("domain", b.Name),
 	}
 	prog, err := ts.reg.New(b.Program, b.ParamMap(), b.Data)

@@ -35,10 +35,9 @@ type NodeConfig struct {
 	// TrustedKeys restricts accepted bundle signers (empty = any
 	// well-signed bundle).
 	TrustedKeys []wire.Bytes
-	// Overlay, Store and Broker options tune the substrates.
+	// Overlay and Store options tune the substrates.
 	Overlay plaxton.Options
 	Store   store.Options
-	Broker  pubsub.Options
 	// Knowledge tunes the knowledge syncer.
 	Knowledge knowledge.Options
 	// AdvertInterval is the resource-advertisement period. Default 2s;
@@ -100,7 +99,7 @@ func NewActiveNode(ep netapi.Endpoint, reg *wire.Registry, cfg NodeConfig) *Acti
 	n.Overlay = plaxton.New(ep, reg, cfg.Codec, cfg.Overlay)
 	n.Store = store.New(ep, n.Overlay, cfg.Store)
 	n.Sync = knowledge.NewSyncerOpts(n.Store, n.KB, cfg.Knowledge)
-	n.Broker = pubsub.NewBroker(ep, cfg.Broker)
+	n.Broker = pubsub.NewBroker(ep, pubsub.Options{})
 	n.Client = pubsub.NewClient(ep, ep.ID())
 	n.Programs = bundle.NewRegistry()
 	n.Server = bundle.NewThinServer(ep, n.Programs, bundle.Options{

@@ -25,25 +25,25 @@ type RegionSpec struct {
 	RadiusKm float64
 }
 
-// DefaultRegions models three continents ~8000 km apart.
+// DefaultRegions models three continents ~8000 km apart. A world's nodes
+// are placed in them round-robin.
 var DefaultRegions = []RegionSpec{
 	{Name: "eu", Center: netapi.Coord{X: 0, Y: 0}, RadiusKm: 300},
 	{Name: "us", Center: netapi.Coord{X: 7000, Y: 1000}, RadiusKm: 300},
 	{Name: "ap", Center: netapi.Coord{X: 15000, Y: -2000}, RadiusKm: 300},
 }
 
+// joinSettle is the virtual time allowed per overlay join.
+const joinSettle = 2 * time.Second
+
 // WorldConfig parameterises a simulated deployment.
 type WorldConfig struct {
 	Seed  int64
 	Nodes int
-	// Regions receive nodes round-robin. Default DefaultRegions.
-	Regions []RegionSpec
 	// Net tunes the simulated network.
 	Net simnet.Config
 	// Node tunes every node's stack.
 	Node NodeConfig
-	// JoinSettle is the virtual time allowed per overlay join. Default 2s.
-	JoinSettle time.Duration
 	// Codec selects the wire codec used for the simulator's byte
 	// accounting: "" leaves Net.Codec as configured (default: no byte
 	// accounting, matching historical tables), wire.CodecXML installs the
@@ -56,12 +56,6 @@ type WorldConfig struct {
 func (c *WorldConfig) applyDefaults() {
 	if c.Nodes == 0 {
 		c.Nodes = 8
-	}
-	if len(c.Regions) == 0 {
-		c.Regions = DefaultRegions
-	}
-	if c.JoinSettle == 0 {
-		c.JoinSettle = 2 * time.Second
 	}
 	c.Net.Seed = c.Seed
 	if c.Node.Secret == nil {
@@ -120,7 +114,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	w.Pub = w.Priv.Public().(ed25519.PublicKey)
 
 	for i := 0; i < cfg.Nodes; i++ {
-		region := cfg.Regions[i%len(cfg.Regions)]
+		region := DefaultRegions[i%len(DefaultRegions)]
 		coord := netapi.Coord{
 			X: region.Center.X + (rng.Float64()*2-1)*region.RadiusKm,
 			Y: region.Center.Y + (rng.Float64()*2-1)*region.RadiusKm,
@@ -141,7 +135,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			joinErr = err
 			done = true
 		})
-		w.Sim.RunFor(cfg.JoinSettle)
+		w.Sim.RunFor(joinSettle)
 		if !done || joinErr != nil {
 			return nil, fmt.Errorf("core: node %d failed to join: %v", i, joinErr)
 		}
@@ -173,11 +167,11 @@ func (w *World) NodesInRegion(region string) []int {
 	return out
 }
 
-// RegionOf maps a coordinate to the nearest configured region.
+// RegionOf maps a coordinate to the nearest region.
 func (w *World) RegionOf(c netapi.Coord) string {
 	best := ""
 	bestD := 0.0
-	for i, r := range w.Cfg.Regions {
+	for i, r := range DefaultRegions {
 		d := r.Center.DistanceKm(c)
 		if i == 0 || d < bestD {
 			best, bestD = r.Name, d

@@ -24,20 +24,14 @@ type EngineOptions struct {
 	Constraints *constraint.Set
 	// MakeBundle realises program deployments.
 	MakeBundle BundleMaker
-	// EvalInterval is the re-evaluation period. Default 2s.
-	EvalInterval time.Duration
-	// DeployTimeout bounds one deployment attempt. Default 5s.
-	DeployTimeout time.Duration
 }
 
-func (o *EngineOptions) applyDefaults() {
-	if o.EvalInterval <= 0 {
-		o.EvalInterval = 2 * time.Second
-	}
-	if o.DeployTimeout <= 0 {
-		o.DeployTimeout = 5 * time.Second
-	}
-}
+const (
+	// evalInterval is the re-evaluation period.
+	evalInterval = 2 * time.Second
+	// deployTimeout bounds one deployment attempt.
+	deployTimeout = 5 * time.Second
+)
 
 // EngineStats counts evolution activity.
 type EngineStats struct {
@@ -72,7 +66,6 @@ type Engine struct {
 
 // NewEngine builds an evolution engine on ep's node.
 func NewEngine(ep netapi.Endpoint, client *pubsub.Client, opts EngineOptions) *Engine {
-	opts.applyDefaults()
 	return &Engine{
 		ep:          ep,
 		client:      client,
@@ -127,9 +120,9 @@ func (e *Engine) Start() {
 			return
 		}
 		e.evaluate()
-		e.ep.Clock().After(e.opts.EvalInterval, tick)
+		e.ep.Clock().After(evalInterval, tick)
 	}
-	e.ep.Clock().After(e.opts.EvalInterval, tick)
+	e.ep.Clock().After(evalInterval, tick)
 }
 
 // Stop halts evaluation.
@@ -212,7 +205,7 @@ func (e *Engine) repair(v constraint.Violation, key string) {
 		// Optimistically record the placement so the same candidate is
 		// not chosen twice; rolled back if the deploy fails.
 		e.state.AddComponent(target, v.Program)
-		bundle.Deploy(e.ep, target, b, e.opts.DeployTimeout, func(err error) {
+		bundle.Deploy(e.ep, target, b, deployTimeout, func(err error) {
 			e.inflight[key]--
 			if err != nil {
 				e.stats.DeploysFailed++

@@ -58,9 +58,6 @@ func buildCluster(cfg clusterCfg) *overlayCluster {
 		reg:   reg,
 		rng:   rand.New(rand.NewSource(cfg.seed)),
 	}
-	if cfg.overlay.LeafHalf == 0 {
-		cfg.overlay.LeafHalf = 8
-	}
 	for i := 0; i < cfg.nodes; i++ {
 		id := ids.Random(c.rng)
 		node := w.NewNode(id, fmt.Sprintf("r%d", i%3),

@@ -144,27 +144,39 @@ func percentileDur(ds []time.Duration, p float64) time.Duration {
 	return sorted[idx]
 }
 
+// Experiment is one table of EXPERIMENTS.md and the function that
+// regenerates it. Quick mode shrinks world sizes for fast runs.
+type Experiment struct {
+	ID  string
+	Run func(quick bool) *Table
+}
+
+// Experiments lists every experiment in document order.
+var Experiments = []Experiment{
+	{"E-F1", F1GlobalMatching},
+	{"E-F2", F2Pipelines},
+	{"E-F3", F3Deployment},
+	{"E-T1", T1PlaxtonRouting},
+	{"E-T2", T2ReplicaResilience},
+	{"E-T3", T3PromiscuousCaching},
+	{"E-T4", T4PubSubScaling},
+	{"E-T5", T5MatchThroughput},
+	{"E-T6", T6EvolutionRepair},
+	{"E-T7", T7PlacementPolicies},
+	{"E-T8", T8TypeProjection},
+	{"E-T9", T9MobilityHandoff},
+	{"E-T10", T10Discovery},
+	{"E-T11", T11WireFormat},
+	{"E-T13", T13Backpressure},
+	{"E-T16", T16StoragePlane},
+	{"E-T17", T17Knowledge},
+}
+
 // All runs every experiment and returns the tables in document order.
-// Quick mode shrinks world sizes for fast runs.
 func All(quick bool) []*Table {
-	return []*Table{
-		F1GlobalMatching(quick),
-		F2Pipelines(quick),
-		F3Deployment(quick),
-		T1PlaxtonRouting(quick),
-		T2ReplicaResilience(quick),
-		T3PromiscuousCaching(quick),
-		T4PubSubScaling(quick),
-		T5MatchThroughput(quick),
-		T6EvolutionRepair(quick),
-		T7PlacementPolicies(quick),
-		T8TypeProjection(quick),
-		T9MobilityHandoff(quick),
-		T10Discovery(quick),
-		T11WireFormat(quick),
-		T13Backpressure(quick),
-		T15ParallelFanout(quick),
-		T16StoragePlane(quick),
-		T17Knowledge(quick),
+	tables := make([]*Table, 0, len(Experiments))
+	for _, e := range Experiments {
+		tables = append(tables, e.Run(quick))
 	}
+	return tables
 }

@@ -205,7 +205,7 @@ func T3PromiscuousCaching(quick bool) *Table {
 			overlay: plaxton.Options{HeartbeatInterval: -1},
 			storeOpts: store.Options{
 				Replicas: 1, RepairInterval: -1,
-				DisableCache: disable, CacheBytes: 1 << 20,
+				DisableCache: disable,
 			},
 		})
 		guids := make([]ids.ID, objects)

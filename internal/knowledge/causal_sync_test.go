@@ -256,7 +256,7 @@ func TestCausalGISConvergence(t *testing.T) {
 	}
 }
 
-// TestSiblingCapCompaction: more concurrent writers than SiblingCap
+// TestSiblingCapCompaction: more concurrent writers than siblingCap
 // forces a deterministic merge instead of unbounded sibling growth.
 func TestSiblingCapCompaction(t *testing.T) {
 	w, stores := buildStores(t, 8)
@@ -265,7 +265,7 @@ func TestSiblingCapCompaction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		kbs[i] = NewKB()
 		kbs[i].AddSPO("bob", "seen-by", stores[i].Endpoint().ID().Short())
-		sys[i] = NewSyncerOpts(stores[i], kbs[i], Options{GossipInterval: time.Second, SiblingCap: 2})
+		sys[i] = NewSyncerOpts(stores[i], kbs[i], Options{GossipInterval: time.Second, siblingCap: 2})
 	}
 	for i := 0; i < 4; i++ {
 		sys[i].PublishSubject("bob", func(error) {})

@@ -2,16 +2,12 @@ package knowledge
 
 import "sort"
 
-// MergeFunc resolves concurrent sibling versions of one subject's fact
-// set into a single set. It must be deterministic and order-free over
+// MergeFactSets resolves concurrent sibling versions of one subject's
+// fact set into a single set. It is deterministic and order-free over
 // its inputs — every replica runs it independently and all must arrive
-// at the same resolution. Applications with richer conflict semantics
-// (e.g. per-sensor precedence) plug their own via Options.Merge.
-type MergeFunc func(sets [][]Fact) []Fact
-
-// MergeFactSets is the default sibling resolution: the union of all
-// sibling sets, with per-(S,P) newest-validity resolution for interval
-// facts. Always-valid facts (zero From and To) union — concurrent
+// at the same resolution. The result is the union of all sibling sets,
+// with per-(S,P) newest-validity resolution for interval facts.
+// Always-valid facts (zero From and To) union — concurrent
 // writers adding different predicates or objects all survive. Interval
 // facts about the same (S,P) compete: the one whose validity starts
 // latest wins (a newer "Bob is at the office from 14:00" supersedes the

@@ -29,21 +29,19 @@ type Options struct {
 	// Writer is this node's identity in version vectors. Defaults to the
 	// store endpoint's ID; it must be unique per writer node.
 	Writer string
-	// Merge resolves concurrent sibling fact sets. Defaults to
-	// MergeFactSets (union + per-(S,P) newest-validity).
-	Merge MergeFunc
 	// GossipInterval enables periodic anti-entropy with that period.
 	// Zero disables gossip (objects still converge via fetch read-repair).
 	GossipInterval time.Duration
-	// GossipFanout is how many partners each round contacts (default 2).
-	GossipFanout int
-	// SiblingCap bounds concurrent histories per object: beyond it the
+
+	// siblingCap bounds concurrent histories per object: beyond it the
 	// sibling set is force-merged into one resolved version (default 8).
-	SiblingCap int
-	// Peers supplies gossip partner candidates. Defaults to the store
-	// overlay's leaf set.
-	Peers func() []ids.ID
+	// Not an option: only this package's tests move it.
+	siblingCap int
 }
+
+// gossipFanout is how many partners, drawn from the store overlay's leaf
+// set, each anti-entropy round contacts.
+const gossipFanout = 2
 
 // SyncStats is a snapshot of syncer counters (see Syncer.Stats).
 type SyncStats struct {
@@ -54,7 +52,7 @@ type SyncStats struct {
 	Absorbed      uint64 // remote versions that changed local state
 	SiblingMerges uint64 // reads that resolved >1 concurrent sibling
 	ReadRepairs   uint64 // fetches that wrote newer state back
-	Compactions   uint64 // sibling sets force-merged at SiblingCap
+	Compactions   uint64 // sibling sets force-merged at siblingCap
 }
 
 // Syncer moves knowledge between a local KB and the P2P storage
@@ -102,17 +100,8 @@ func NewSyncerOpts(st *store.Store, kb *KB, opts Options) *Syncer {
 	if opts.Writer == "" {
 		opts.Writer = st.Endpoint().ID().String()
 	}
-	if opts.Merge == nil {
-		opts.Merge = MergeFactSets
-	}
-	if opts.GossipFanout <= 0 {
-		opts.GossipFanout = 2
-	}
-	if opts.SiblingCap <= 0 {
-		opts.SiblingCap = 8
-	}
-	if opts.Peers == nil {
-		opts.Peers = st.Overlay().Leaves
+	if opts.siblingCap <= 0 {
+		opts.siblingCap = 8
 	}
 	sy := &Syncer{
 		store:    st,
@@ -208,13 +197,13 @@ func (sy *Syncer) absorbSubject(subject string, remote *causal.Versioned[[]Fact]
 	if v.Absorb(remote) {
 		sy.absorbed.Add(1)
 	}
-	if v.Compact(sy.opts.SiblingCap, func(vals [][]Fact) []Fact { return sy.opts.Merge(vals) }) {
+	if v.Compact(sy.opts.siblingCap, MergeFactSets) {
 		sy.compactions.Add(1)
 	}
 	if len(v.Sibs) > 1 {
 		sy.siblingMerges.Add(1)
 	}
-	resolved := sy.opts.Merge(v.Values())
+	resolved := MergeFactSets(v.Values())
 	var repair []byte
 	if storedData != nil {
 		if enc := EncodeVersionedFacts(v); !bytes.Equal(enc, storedData) {
@@ -271,7 +260,7 @@ func (sy *Syncer) absorbGIS(region string, remote *causal.Versioned[[]Place], st
 	if v.Absorb(remote) {
 		sy.absorbed.Add(1)
 	}
-	if v.Compact(sy.opts.SiblingCap, func(vals [][]Place) []Place { return mergePlaces(vals) }) {
+	if v.Compact(sy.opts.siblingCap, mergePlaces) {
 		sy.compactions.Add(1)
 	}
 	if len(v.Sibs) > 1 {
@@ -310,18 +299,18 @@ func (sy *Syncer) gossipTick() {
 func (sy *Syncer) Stop() { sy.stopped.Store(true) }
 
 // GossipNow initiates one anti-entropy round: the local digest is sent
-// to up to GossipFanout random peers; each answers with its own digest
+// to up to gossipFanout random leaf-set peers; each answers with its own digest
 // and both sides push only versions the other provably lacks.
 func (sy *Syncer) GossipNow() {
 	ep := sy.store.Endpoint()
-	peers := sy.opts.Peers()
+	peers := sy.store.Overlay().Leaves()
 	if len(peers) == 0 {
 		return
 	}
 	sy.gossipRounds.Add(1)
 	msg := &GossipMsg{Entries: sy.digest()}
 	order := ep.Rand().Perm(len(peers))
-	n := sy.opts.GossipFanout
+	n := gossipFanout
 	if n > len(peers) {
 		n = len(peers)
 	}

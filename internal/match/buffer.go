@@ -105,7 +105,7 @@ type attrIndex struct {
 }
 
 // buffer holds the events one pattern has accepted inside the rule's
-// window, at most Options.MaxBuffer of them, in insertion order, with a
+// window, at most Options.maxBuffer of them, in insertion order, with a
 // hash index per attribute some join plan probes. Slots are recycled, so a
 // warm buffer takes an event without allocating.
 type buffer struct {

@@ -20,20 +20,24 @@ import (
 
 // Options configure an engine.
 type Options struct {
-	// MaxBuffer bounds the per-pattern event buffer. Default 64.
-	MaxBuffer int
-	// MaxEmittedMemory bounds the duplicate-suppression window. Default 4096.
-	MaxEmittedMemory int
 	// Source stamps synthesised events. Default "matching-engine".
 	Source string
+
+	// The fields below are not options: only this package's tests move
+	// them off their defaults.
+	//
+	// maxBuffer bounds the per-pattern event buffer. Default 64.
+	maxBuffer int
+	// maxEmittedMemory bounds the duplicate-suppression window. Default 4096.
+	maxEmittedMemory int
 }
 
 func (o *Options) applyDefaults() {
-	if o.MaxBuffer <= 0 {
-		o.MaxBuffer = 64
+	if o.maxBuffer <= 0 {
+		o.maxBuffer = 64
 	}
-	if o.MaxEmittedMemory <= 0 {
-		o.MaxEmittedMemory = 4096
+	if o.maxEmittedMemory <= 0 {
+		o.maxEmittedMemory = 4096
 	}
 	if o.Source == "" {
 		o.Source = "matching-engine"
@@ -323,7 +327,7 @@ func (e *Engine) ForgetUnknown(eventType string) {
 }
 
 // insert expires what has left the window from the pattern's buffer and
-// adds ev, evicting the oldest entry beyond MaxBuffer. An event that is
+// adds ev, evicting the oldest entry beyond maxBuffer. An event that is
 // itself older than the window is neither buffered nor joined.
 func (e *Engine) insert(cr *compiledRule, pi int, ev *event.Event, now time.Duration) bool {
 	buf := &cr.bufs[pi]
@@ -334,7 +338,7 @@ func (e *Engine) insert(cr *compiledRule, pi int, ev *event.Event, now time.Dura
 		return false
 	}
 	e.stats.Buffered++
-	if buf.n == e.opts.MaxBuffer {
+	if buf.n == e.opts.maxBuffer {
 		buf.remove(buf.oldest)
 	}
 	buf.add(ev)
@@ -689,7 +693,7 @@ func suppressKey(stable []string, out *event.Event) string {
 func (e *Engine) remember(key string) {
 	e.emitted[key] = true
 	e.emitFIFO = append(e.emitFIFO, key)
-	if len(e.emitFIFO) > e.opts.MaxEmittedMemory {
+	if len(e.emitFIFO) > e.opts.maxEmittedMemory {
 		delete(e.emitted, e.emitFIFO[0])
 		e.emitFIFO = e.emitFIFO[1:]
 	}

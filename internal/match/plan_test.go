@@ -177,7 +177,7 @@ type matcher interface {
 func playScenario(seed int64, build engineBuilder, genRules func(*rand.Rand) []*Rule) ([]string, Stats, []*Rule) {
 	rng := rand.New(rand.NewSource(seed))
 	sched := vclock.NewScheduler()
-	m := build(sched, genKB(rng), knowledge.NewGIS(), Options{MaxBuffer: 3 + rng.Intn(6), MaxEmittedMemory: 32})
+	m := build(sched, genKB(rng), knowledge.NewGIS(), Options{maxBuffer: 3 + rng.Intn(6), maxEmittedMemory: 32})
 	rules := genRules(rng)
 	for _, r := range rules {
 		if err := m.AddRule(r); err != nil {
@@ -491,7 +491,7 @@ func TestPutFromEmitSinkIsDeferred(t *testing.T) {
 	play := func(feed func(eng *Engine, emitted *event.Event)) []string {
 		// Two slots per buffer: an insert during a join would evict what
 		// the join is visiting.
-		eng := NewEngine(newTestClock(), knowledge.NewKB(), knowledge.NewGIS(), Options{MaxBuffer: 2})
+		eng := NewEngine(newTestClock(), knowledge.NewKB(), knowledge.NewGIS(), Options{maxBuffer: 2})
 		mustAdd(t, eng, &Rule{
 			Name: "pairs", SuppressMs: -1,
 			Patterns: []Pattern{

@@ -143,8 +143,8 @@ func (e *refEngine) insert(cr *refRule, pi int, ev *event.Event) bool {
 	}
 	e.stats.Buffered++
 	kept = append(kept, ev)
-	if len(kept) > e.opts.MaxBuffer {
-		kept = kept[len(kept)-e.opts.MaxBuffer:]
+	if len(kept) > e.opts.maxBuffer {
+		kept = kept[len(kept)-e.opts.maxBuffer:]
 	}
 	cr.buffers[pi] = kept
 	return true
@@ -307,7 +307,7 @@ func emitKey(rule string, env_ *refEnv) string {
 func (e *refEngine) remember(key string) {
 	e.emitted[key] = true
 	e.emitFIFO = append(e.emitFIFO, key)
-	if len(e.emitFIFO) > e.opts.MaxEmittedMemory {
+	if len(e.emitFIFO) > e.opts.maxEmittedMemory {
 		delete(e.emitted, e.emitFIFO[0])
 		e.emitFIFO = e.emitFIFO[1:]
 	}

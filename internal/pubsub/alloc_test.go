@@ -59,7 +59,7 @@ func TestHandlePubAllocs(t *testing.T) {
 	ep := &countEndpoint{id: self, rng: rand.New(rand.NewSource(1)), saturated: ids.FromString("alloc-shed")}
 	// A one-slot proxy buffer fills on the warm-up run; later runs count
 	// a drop, which allocates nothing.
-	b := NewBroker(ep, Options{ProxyBufferLimit: 1})
+	b := NewBroker(ep, Options{proxyBufferLimit: 1})
 	nbor := []ids.ID{ids.FromString("alloc-nbor-0"), ids.FromString("alloc-nbor-1")}
 	for _, n := range nbor {
 		b.AddNeighbor(n)

@@ -19,26 +19,16 @@ type Options struct {
 	// UseAdvertisements prunes subscription propagation to directions
 	// from which an intersecting advertisement has been received.
 	UseAdvertisements bool
-	// ProxyBufferLimit bounds the number of events buffered for a
-	// detached mobile client. Default 1024.
-	ProxyBufferLimit int
-	// FanoutWorkers selects the post-match publish pipeline. 0 (the
-	// default) uses a pool of DefaultFanoutWorkers destination-sticky
-	// workers for SendMany group assembly, shared-body encode and
-	// endpoint sends; >= 2 uses that many workers; 1 preserves the
-	// serial reference path, where the whole pipeline runs inline on
-	// the actor loop. The pool engages only when the endpoint
-	// advertises netapi.Caps.ConcurrentSend (the TCP transport does;
-	// simnet does not, keeping simulation deterministic) — otherwise
-	// any setting behaves as 1. Matching, target classification, shed
-	// decisions and all state mutation stay on the actor loop either
-	// way; see fanout.go for the per-destination FIFO argument.
-	FanoutWorkers int
+
+	// proxyBufferLimit bounds the number of events buffered for a
+	// detached mobile client. Default 1024. Not an option: only this
+	// package's tests move it.
+	proxyBufferLimit int
 }
 
 func (o *Options) applyDefaults() {
-	if o.ProxyBufferLimit == 0 {
-		o.ProxyBufferLimit = 1024
+	if o.proxyBufferLimit == 0 {
+		o.proxyBufferLimit = 1024
 	}
 }
 
@@ -114,8 +104,8 @@ type Broker struct {
 	proxies   map[ids.ID]*proxy
 	shedTo    map[ids.ID]struct{} // destinations with an open shed episode
 	stats     Stats
-	// pool is the fan-out worker pool, or nil on the serial reference
-	// path (FanoutWorkers = 1, or an endpoint without ConcurrentSend).
+	// pool is the fan-out worker pool, or nil on the serial path (one
+	// core, or an endpoint without ConcurrentSend).
 	pool *fanoutPool
 	pub  pubScratch
 }
@@ -140,7 +130,22 @@ type pubScratch struct {
 }
 
 // NewBroker constructs a broker bound to ep and registers its handlers.
+//
+// The post-match half of a publish — SendMany group assembly, shared-body
+// encode and endpoint sends — runs on a pool of defaultFanoutWorkers
+// destination-sticky workers when there is more than one core and the
+// endpoint advertises netapi.Caps.ConcurrentSend (the TCP transport does;
+// simnet does not, keeping simulation deterministic). Otherwise the whole
+// pipeline runs inline on the actor loop. Matching, target
+// classification, shed decisions and all state mutation stay on the actor
+// loop either way; see fanout.go for the per-destination FIFO argument.
 func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
+	return newBroker(ep, opts, defaultFanoutWorkers())
+}
+
+// newBroker is NewBroker with the pool size given: 1 is the serial path.
+// The pool tests pick their worker counts through it.
+func newBroker(ep netapi.Endpoint, opts Options, workers int) *Broker {
 	opts.applyDefaults()
 	b := &Broker{
 		ep:        ep,
@@ -160,10 +165,6 @@ func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
 	if caps.Backpressure != nil {
 		b.bp = caps.Backpressure
 		b.bp.OnDrain(b.onDrain)
-	}
-	workers := opts.FanoutWorkers
-	if workers == 0 {
-		workers = DefaultFanoutWorkers()
 	}
 	if workers > 1 && caps.ConcurrentSend {
 		b.pool = newFanoutPool(ep, workers)
@@ -525,7 +526,7 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 			continue
 		}
 		if p, detached := b.proxies[d]; detached {
-			if len(p.buf) >= b.opts.ProxyBufferLimit {
+			if len(p.buf) >= b.opts.proxyBufferLimit {
 				p.dropped++
 				continue
 			}

@@ -11,10 +11,10 @@ import (
 	"github.com/gloss/active/internal/netapi"
 )
 
-// DefaultFanoutWorkers is the pool size selected by FanoutWorkers = 0:
-// one worker per core, capped — past the cap the send path is bounded by
-// the endpoint, not by group assembly and encode.
-func DefaultFanoutWorkers() int {
+// defaultFanoutWorkers is the pool size NewBroker picks: one worker per
+// core, capped — past the cap the send path is bounded by the endpoint,
+// not by group assembly and encode. One core means no pool.
+func defaultFanoutWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 8 {
 		n = 8
@@ -48,7 +48,7 @@ type fanoutJob struct {
 // loop is the only producer; destination d is always assigned to worker
 // hash(d) % N (stickiness); each worker consumes its FIFO channel
 // serially. So the per-destination send order equals the actor's
-// submission order, which equals the serial reference path's order.
+// submission order, which equals the serial path's order.
 // A fan-out of one the actor loop sends itself (Broker.handlePub) joins
 // that order only while the destination's worker has nothing in flight
 // (idle): whatever was submitted earlier has then reached the endpoint.

@@ -109,17 +109,17 @@ func (e *concEndpoint) destLine(to ids.ID) []string {
 }
 
 // TestFanoutPoolCapabilityGate pins when the pool engages: never without
-// ConcurrentSend (bpEndpoint), never with FanoutWorkers = 1, otherwise on.
+// ConcurrentSend (bpEndpoint), never with one worker, otherwise on.
 func TestFanoutPoolCapabilityGate(t *testing.T) {
-	if b := NewBroker(newBPEndpoint("gate-serial-ep"), Options{FanoutWorkers: 8}); b.pool != nil {
+	if b := newBroker(newBPEndpoint("gate-serial-ep"), Options{}, 8); b.pool != nil {
 		t.Fatal("pool engaged over an endpoint without ConcurrentSend")
 	}
-	if b := NewBroker(newConcEndpoint("gate-w1"), Options{FanoutWorkers: 1}); b.pool != nil {
-		t.Fatal("pool engaged with FanoutWorkers = 1 (serial reference)")
+	if b := newBroker(newConcEndpoint("gate-w1"), Options{}, 1); b.pool != nil {
+		t.Fatal("pool engaged with one worker (the serial path)")
 	}
-	b := NewBroker(newConcEndpoint("gate-w4"), Options{FanoutWorkers: 4})
+	b := newBroker(newConcEndpoint("gate-w4"), Options{}, 4)
 	if b.pool == nil {
-		t.Fatal("pool did not engage with FanoutWorkers = 4 over a concurrent endpoint")
+		t.Fatal("pool did not engage with 4 workers over a concurrent endpoint")
 	}
 	if got := len(b.pool.workers); got != 4 {
 		t.Fatalf("pool has %d workers, want 4", got)
@@ -156,7 +156,7 @@ func newFanoutParWorld(name string, workers int, local bool) *fanoutParWorld {
 	if local {
 		ep = localConcEndpoint{w.ep}
 	}
-	w.b = NewBroker(ep, Options{FanoutWorkers: workers})
+	w.b = newBroker(ep, Options{}, workers)
 	for i := 0; i < 12; i++ {
 		w.subs = append(w.subs, ids.FromString(fmt.Sprintf("fp-sub-%d", i)))
 	}
@@ -311,7 +311,7 @@ func testFanoutWorkersVsSerial(t *testing.T, workers int, local bool) {
 // though sends run on concurrent workers.
 func TestFanoutPerSourceFIFOTwoPublishers(t *testing.T) {
 	ep := newConcEndpoint("fifo-broker")
-	b := NewBroker(ep, Options{FanoutWorkers: 8})
+	b := newBroker(ep, Options{}, 8)
 	if b.pool == nil {
 		t.Fatal("pool did not engage")
 	}
@@ -374,7 +374,7 @@ func TestFanoutPerSourceFIFOTwoPublishers(t *testing.T) {
 func TestShedDrainSeamUnderFanout(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	ep := newConcEndpoint("seam-broker")
-	b := NewBroker(ep, Options{FanoutWorkers: 4})
+	b := newBroker(ep, Options{}, 4)
 	if b.pool == nil {
 		t.Fatal("pool did not engage")
 	}
@@ -463,16 +463,16 @@ func (e *devnullConcEndpoint) ConcurrentSends() bool         { return true }
 
 // BenchmarkFanoutWorkers measures the full publish pipeline (match +
 // classification + fan-out) per publish as the worker count grows.
-// workers=1 is the serial reference path. On a single-core runner the
+// workers=1 is the serial path. On a single-core runner the
 // pooled rows show pure handoff overhead; with real cores they show the
-// pipeline speedup E-T15 tables.
+// pipeline speedup.
 func BenchmarkFanoutWorkers(b *testing.B) {
 	from := ids.FromString("bench-fw-src")
 	for _, fanout := range []int{16, 64} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("fanout=%d/workers=%d", fanout, workers), func(b *testing.B) {
 				ep := &devnullConcEndpoint{id: ids.FromString("bench-fw"), rng: rand.New(rand.NewSource(4))}
-				br := NewBroker(ep, Options{FanoutWorkers: workers})
+				br := newBroker(ep, Options{}, workers)
 				defer br.Close()
 				if workers > 1 && br.pool == nil {
 					b.Fatal("pool did not engage")

@@ -23,7 +23,7 @@ import (
 func TestDrainFanoutWhilePublishing(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	ep := newConcEndpoint("drain-broker")
-	b := NewBroker(ep, Options{FanoutWorkers: 4})
+	b := newBroker(ep, Options{}, 4)
 	if b.pool == nil {
 		t.Fatal("pool did not engage")
 	}
@@ -162,7 +162,7 @@ func TestFanoutMixedWidthFIFOOverTCP(t *testing.T) {
 	d.Handle("pubsub.deliver", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { atD.add(msg.(*DeliverMsg).Event) })
 	e.Handle("pubsub.deliver", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { atE.add(msg.(*DeliverMsg).Event) })
 
-	b := NewBroker(hub, Options{FanoutWorkers: 4})
+	b := newBroker(hub, Options{}, 4)
 	if b.pool == nil {
 		t.Fatal("pool did not engage over TCP")
 	}

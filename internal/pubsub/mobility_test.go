@@ -118,7 +118,7 @@ func TestMobilityWithoutProxyLosesEvents(t *testing.T) {
 }
 
 func TestProxyBufferOverflowDrops(t *testing.T) {
-	tn := newChain(22, 2, Options{ProxyBufferLimit: 2})
+	tn := newChain(22, 2, Options{proxyBufferLimit: 2})
 	mobile := tn.addClient(0)
 	pub := tn.addClient(1)
 	mobile.Subscribe(NewFilter(TypeIs("t")), func(*event.Event) {})
@@ -138,13 +138,13 @@ func TestProxyBufferOverflowDrops(t *testing.T) {
 }
 
 // TestProxyBufferFillDropAndOrderedReclaim pins down the proxy contract:
-// the buffer holds exactly ProxyBufferLimit events, every further match
+// the buffer holds exactly proxyBufferLimit events, every further match
 // is counted as dropped (not silently lost), and the reclaim replays the
 // retained prefix in publish order.
 func TestProxyBufferFillDropAndOrderedReclaim(t *testing.T) {
 	const limit = 4
 	const published = 7
-	tn := newChain(24, 2, Options{ProxyBufferLimit: limit})
+	tn := newChain(24, 2, Options{proxyBufferLimit: limit})
 	mobile := tn.addClient(0)
 	pub := tn.addClient(1)
 	var got []int64

@@ -27,16 +27,18 @@ import (
 	"github.com/gloss/active/internal/wire"
 )
 
+const (
+	// baseLatency is the fixed per-message cost.
+	baseLatency = time.Millisecond
+	// latencyPerKm adds distance-proportional delay: roughly twice the
+	// speed of light in fibre, standing in for routing overhead.
+	latencyPerKm = 10 * time.Microsecond
+)
+
 // Config parameterises a World.
 type Config struct {
 	// Seed drives all randomness (jitter, loss, node RNGs).
 	Seed int64
-	// BaseLatency is the fixed per-message cost. Default 1ms.
-	BaseLatency time.Duration
-	// LatencyPerKm adds distance-proportional delay. Default 10µs/km
-	// (roughly twice the speed of light in fibre, standing in for
-	// routing overhead).
-	LatencyPerKm time.Duration
 	// Jitter adds a uniform random delay in [0, Jitter). Default 200µs.
 	Jitter time.Duration
 	// DisableJitter removes the random per-message delay entirely (an
@@ -75,12 +77,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.BaseLatency == 0 {
-		c.BaseLatency = time.Millisecond
-	}
-	if c.LatencyPerKm == 0 {
-		c.LatencyPerKm = 10 * time.Microsecond
-	}
 	if c.Jitter == 0 {
 		c.Jitter = 200 * time.Microsecond
 	}
@@ -567,7 +563,7 @@ func (b *delivBatch) Run() {
 // latency computes the delay between two coordinates, drawing jitter
 // from the world's RNG.
 func (w *World) latency(a, b netapi.Coord) time.Duration {
-	d := w.cfg.BaseLatency + time.Duration(a.DistanceKm(b)*float64(w.cfg.LatencyPerKm))
+	d := baseLatency + time.Duration(a.DistanceKm(b)*float64(latencyPerKm))
 	if !w.cfg.DisableJitter && w.cfg.Jitter > 0 {
 		d += time.Duration(w.rng.Int63n(int64(w.cfg.Jitter)))
 	}
@@ -581,7 +577,7 @@ func (w *World) Latency(a, b ids.ID) time.Duration {
 	if na == nil || nb == nil {
 		return 0
 	}
-	return w.cfg.BaseLatency + time.Duration(na.info.Coord.DistanceKm(nb.info.Coord)*float64(w.cfg.LatencyPerKm))
+	return baseLatency + time.Duration(na.info.Coord.DistanceKm(nb.info.Coord)*float64(latencyPerKm))
 }
 
 // drop counts a dropped message unless metrics are disabled.

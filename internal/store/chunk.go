@@ -303,7 +303,7 @@ func (s *Store) handleManifest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	default:
 		return
 	}
-	ra, err := newReassembly(mm.TotalLen, mm.Chunk, s.opts.MaxObjectBytes, mm.Hash)
+	ra, err := newReassembly(mm.TotalLen, mm.Chunk, s.opts.maxObjectBytes, mm.Hash)
 	if err != nil {
 		return
 	}
@@ -335,10 +335,10 @@ func (s *Store) takeEarly(key xferKey) []*ChunkMsg {
 	return buf
 }
 
-// sweepXfer schedules the transfer's timeout GC: every ChunkTimeout the
+// sweepXfer schedules the transfer's timeout GC: every chunkTimeout the
 // sweep either observes progress and re-arms, or drops the state.
 func (s *Store) sweepXfer(key xferKey) {
-	s.ep.Clock().After(s.opts.ChunkTimeout, func() {
+	s.ep.Clock().After(s.opts.chunkTimeout, func() {
 		x, ok := s.xfers[key]
 		if !ok {
 			return
@@ -355,7 +355,7 @@ func (s *Store) sweepXfer(key xferKey) {
 
 // sweepEarly drops an early-chunk buffer whose manifest never showed up.
 func (s *Store) sweepEarly(key xferKey) {
-	s.ep.Clock().After(s.opts.ChunkTimeout, func() {
+	s.ep.Clock().After(s.opts.chunkTimeout, func() {
 		if s.takeEarly(key) != nil {
 			s.stats.ChunkTimeouts++
 		}
@@ -378,7 +378,7 @@ func (s *Store) handleChunk(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		// so a completed or timed-out transfer's stragglers die here too).
 		buf := s.early[key]
 		cost := len(cm.Data) + earlyChunkOverhead
-		if len(buf) >= maxEarlyChunks || s.earlyBytes+cost > s.opts.MaxObjectBytes {
+		if len(buf) >= maxEarlyChunks || s.earlyBytes+cost > s.opts.maxObjectBytes {
 			return
 		}
 		if len(buf) == 0 {

@@ -15,7 +15,7 @@ func TestGetRetriesUnderMessageLoss(t *testing.T) {
 	c := buildCluster(t, 40, 16, Options{
 		Replicas:       3,
 		RepairInterval: -1,
-		Retries:        4,
+		retries:        4,
 		RequestTimeout: 2 * time.Second,
 	})
 	// Loss starts only after the overlay and writes settle, so the

@@ -225,7 +225,7 @@ func TestCodedGetReportsCorruptFragments(t *testing.T) {
 		Replicas:       1,
 		ErasureData:    3,
 		ErasureParity:  1,
-		Retries:        0,
+		retries:        0,
 		RequestTimeout: 2 * time.Second,
 	})
 	content := []byte("corrupt two of four fragments and the read must fail loudly")
@@ -386,11 +386,11 @@ func TestChunkedReplicationDelivers(t *testing.T) {
 }
 
 // TestChunkTimeoutDropsStalledTransfer: a manifest whose chunks never
-// arrive must be garbage collected after ChunkTimeout, not leak
+// arrive must be garbage collected after chunkTimeout, not leak
 // reassembly buffers forever.
 func TestChunkTimeoutDropsStalledTransfer(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
-	c := buildCluster(t, 84, 2, Options{RepairInterval: -1, ChunkTimeout: time.Second})
+	c := buildCluster(t, 84, 2, Options{RepairInterval: -1, chunkTimeout: time.Second})
 	recv := c.stores[0]
 	recv.handleManifest(nil, c.stores[1].ep.ID(), &ManifestMsg{
 		Xfer:     7,

@@ -279,10 +279,10 @@ func (l *sendLog) Send(_ ids.ID, msg wire.Message) { l.msgs = append(l.msgs, msg
 
 // TestEarlyChunksBoundedAcrossTransfers: chunks held ahead of their
 // manifest are capped in total bytes, not only per transfer, so naming
-// fresh transfer IDs pins no more than MaxObjectBytes.
+// fresh transfer IDs pins no more than maxObjectBytes.
 func TestEarlyChunksBoundedAcrossTransfers(t *testing.T) {
 	const limit = 64 << 10
-	c := buildCluster(t, 95, 2, Options{RepairInterval: -1, MaxObjectBytes: limit, ChunkTimeout: time.Second})
+	c := buildCluster(t, 95, 2, Options{RepairInterval: -1, maxObjectBytes: limit, chunkTimeout: time.Second})
 	recv, from := c.stores[0], c.stores[1].ep.ID()
 	for i := 0; i < 1000; i++ {
 		recv.handleChunk(nil, from, &ChunkMsg{Xfer: uint64(1000 + i), Off: 0, Data: make([]byte, 1<<10)})
@@ -304,10 +304,10 @@ func TestEarlyChunksBoundedAcrossTransfers(t *testing.T) {
 
 // TestEmptyEarlyChunksBounded: an empty chunk held ahead of its manifest
 // is charged its entry's overhead, so a flood of them under fresh
-// transfer IDs holds at most MaxObjectBytes/earlyChunkOverhead entries.
+// transfer IDs holds at most maxObjectBytes/earlyChunkOverhead entries.
 func TestEmptyEarlyChunksBounded(t *testing.T) {
 	const limit = 64 << 10
-	c := buildCluster(t, 96, 2, Options{RepairInterval: -1, MaxObjectBytes: limit, ChunkTimeout: time.Second})
+	c := buildCluster(t, 96, 2, Options{RepairInterval: -1, maxObjectBytes: limit, chunkTimeout: time.Second})
 	recv, from := c.stores[0], c.stores[1].ep.ID()
 	for i := 0; i < 20000; i++ {
 		recv.handleChunk(nil, from, &ChunkMsg{Xfer: uint64(1000 + i), Off: 0})

@@ -31,8 +31,6 @@ var ErrNotFound = errors.New("store: object not found")
 type Options struct {
 	// Replicas is the target copy count k (including the root). Default 3.
 	Replicas int
-	// CacheBytes budgets the promiscuous cache. Default 1 MiB.
-	CacheBytes int64
 	// DisableCache turns promiscuous caching off (E-T3 ablation).
 	DisableCache bool
 	// RepairInterval is the period of replica maintenance. Default 5s;
@@ -40,9 +38,6 @@ type Options struct {
 	RepairInterval time.Duration
 	// RequestTimeout bounds put/get operations. Default 5s.
 	RequestTimeout time.Duration
-	// Retries is the number of times a timed-out get/put is re-issued.
-	// Default 1.
-	Retries int
 	// ErasureData/ErasureParity configure coded storage (m, r) used by
 	// PutCoded/GetCoded. Defaults 4 and 2.
 	ErasureData   int
@@ -52,23 +47,30 @@ type Options struct {
 	// behind a store.manifest instead of one giant frame through the
 	// byte-budgeted outbox. Default 64 KiB; negative disables chunking.
 	ChunkBytes int
-	// ChunkTimeout bounds how long a partly-received transfer may sit
-	// without progress before its reassembly state is dropped. Default 30s.
-	ChunkTimeout time.Duration
-	// MaxObjectBytes rejects transfer manifests announcing bodies larger
-	// than this (hostile-manifest allocation bound). Default 64 MiB.
-	MaxObjectBytes int
 	// DisableFragRepair turns off erasure-coded fragment reconstruction
 	// (the E-T16 whole-object re-copy ablation).
 	DisableFragRepair bool
+
+	// The fields below are not options: only this package's tests move
+	// them off their defaults.
+	//
+	// retries is the number of times a timed-out get/put is re-issued.
+	// Default 1.
+	retries int
+	// chunkTimeout bounds how long a partly-received transfer may sit
+	// without progress before its reassembly state is dropped. Default 30s.
+	chunkTimeout time.Duration
+	// maxObjectBytes rejects transfer manifests announcing bodies larger
+	// than this (hostile-manifest allocation bound). Default 64 MiB.
+	maxObjectBytes int
 }
+
+// cacheBytes budgets the promiscuous cache.
+const cacheBytes = 1 << 20
 
 func (o *Options) applyDefaults() {
 	if o.Replicas == 0 {
 		o.Replicas = 3
-	}
-	if o.CacheBytes == 0 {
-		o.CacheBytes = 1 << 20
 	}
 	if o.RepairInterval == 0 {
 		o.RepairInterval = 5 * time.Second
@@ -76,8 +78,8 @@ func (o *Options) applyDefaults() {
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 5 * time.Second
 	}
-	if o.Retries == 0 {
-		o.Retries = 1
+	if o.retries == 0 {
+		o.retries = 1
 	}
 	if o.ErasureData == 0 {
 		o.ErasureData = 4
@@ -88,11 +90,11 @@ func (o *Options) applyDefaults() {
 	if o.ChunkBytes == 0 {
 		o.ChunkBytes = 64 << 10
 	}
-	if o.ChunkTimeout == 0 {
-		o.ChunkTimeout = 30 * time.Second
+	if o.chunkTimeout == 0 {
+		o.chunkTimeout = 30 * time.Second
 	}
-	if o.MaxObjectBytes == 0 {
-		o.MaxObjectBytes = 64 << 20
+	if o.maxObjectBytes == 0 {
+		o.maxObjectBytes = 64 << 20
 	}
 }
 
@@ -249,7 +251,7 @@ func New(ep netapi.Endpoint, overlay *plaxton.Overlay, opts Options) *Store {
 		code:         code,
 		objects:      make(map[ids.ID]*blob),
 		pinned:       make(map[ids.ID]bool),
-		cache:        newLRU(opts.CacheBytes),
+		cache:        newLRU(cacheBytes),
 		pendingPuts:  make(map[uint64]*pendingPut),
 		pendingGets:  make(map[uint64]*pendingGet),
 		xfers:        make(map[xferKey]*xfer),
@@ -414,7 +416,7 @@ func (s *Store) Get(guid ids.ID, cb func([]byte, error)) {
 			return
 		}
 	}
-	s.issueGet(guid, cb, s.opts.Retries)
+	s.issueGet(guid, cb, s.opts.retries)
 }
 
 func (s *Store) issueGet(guid ids.ID, cb func([]byte, error), retries int) {

@@ -328,7 +328,7 @@ func TestCodedPutGet(t *testing.T) {
 }
 
 func TestCodedSurvivesFragmentLoss(t *testing.T) {
-	c := buildCluster(t, 10, 24, Options{RepairInterval: -1, Replicas: 1, ErasureData: 3, ErasureParity: 2, Retries: 0, RequestTimeout: 2 * time.Second})
+	c := buildCluster(t, 10, 24, Options{RepairInterval: -1, Replicas: 1, ErasureData: 3, ErasureParity: 2, retries: 0, RequestTimeout: 2 * time.Second})
 	content := []byte("lose up to two fragment roots and still decode")
 	var guid ids.ID
 	c.stores[0].PutCoded(content, func(g ids.ID, err error) { guid = g })

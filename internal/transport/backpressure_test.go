@@ -265,7 +265,7 @@ func TestRedialBackoffRecovers(t *testing.T) {
 	}
 	a, err := Listen(ids.FromString("tcp-redial-a"), reg, Options{
 		Region: "test", Seed: 1,
-		RedialBackoff: 20 * time.Millisecond, RedialAttempts: 50,
+		redialBackoff: 20 * time.Millisecond, redialAttempts: 50,
 	})
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -304,13 +304,13 @@ func TestRedialBackoffRecovers(t *testing.T) {
 }
 
 // TestRedialExhaustionDrains: a permanently dead peer cannot park
-// frames forever — after RedialAttempts failures the queue is drained
+// frames forever — after redialAttempts failures the queue is drained
 // and the loss is attributed to DroppedDialFail.
 func TestRedialExhaustionDrains(t *testing.T) {
 	reg := testReg()
 	a, err := Listen(ids.FromString("tcp-drain-a"), reg, Options{
 		Region: "test", Seed: 1,
-		RedialBackoff: 5 * time.Millisecond, RedialAttempts: 3,
+		redialBackoff: 5 * time.Millisecond, redialAttempts: 3,
 	})
 	if err != nil {
 		t.Fatalf("Listen: %v", err)

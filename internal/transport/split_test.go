@@ -12,9 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gloss/active/internal/event"
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/leakcheck"
 	"github.com/gloss/active/internal/netapi"
+	"github.com/gloss/active/internal/pubsub"
 	"github.com/gloss/active/internal/store"
 	"github.com/gloss/active/internal/wire"
 )
@@ -175,6 +177,59 @@ func TestSendChunkedAllocs(t *testing.T) {
 	}
 	if st := n.Stats(); st.SentBinary != st.Sent {
 		t.Fatalf("%d of %d frames binary: the test measured the wrong codec", st.SentBinary, st.Sent)
+	}
+}
+
+// TestSendManyOfOneAllocsAsSend: a SendMany to one destination has no
+// body to share, so it is a Send — it allocates no more than Send does
+// (no SharedBody, no split encode) and queues the same frame, on both
+// codecs. The peer is parked mid-dial: frames queue and nothing writes
+// them, so the count is the sender's alone and the queue holds the bytes.
+func TestSendManyOfOneAllocsAsSend(t *testing.T) {
+	for _, codec := range []string{wire.CodecXML, wire.CodecBinary} {
+		t.Run(codec, func(t *testing.T) {
+			reg := testReg()
+			pubsub.RegisterMessages(reg)
+			n, err := Listen(ids.FromString("tcp-many-of-one-"+codec), reg, Options{Seed: 1, Codec: codec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			to := ids.FromString("parked-peer")
+			hash := n.codec.Load().kindsHash
+			n.Do(func() {
+				n.mergeHello(&HelloMsg{ID: to.String(), Addr: "127.0.0.1:1",
+					Codecs: []string{wire.CodecXML, wire.CodecBinary}, KindsHash: hash})
+			})
+			n.Stats() // one trip through the actor loop: the hello is merged
+			p, _, binOK := n.lookupPeer(to, hash)
+			if !binOK {
+				t.Fatal("binary not negotiated with the parked peer")
+			}
+			p.state.Store(peerDialing)
+			msg := &pubsub.DeliverMsg{Event: event.New("hot", "sensor-1", 0).
+				Set("user", event.S("user-1")).Set("x", event.F(4.5)).Stamp(1)}
+			tos := []ids.ID{to}
+
+			send := testing.AllocsPerRun(100, func() { n.Send(to, msg); p.ox.dropAll() })
+			many := testing.AllocsPerRun(100, func() { n.SendMany(tos, msg); p.ox.dropAll() })
+			t.Logf("Send %.0f allocs, SendMany of one %.0f", send, many)
+			if many > send && !raceEnabled {
+				t.Errorf("SendMany to one peer allocates %.0f, Send %.0f", many, send)
+			}
+
+			n.Send(to, msg)
+			n.SendMany(tos, msg)
+			frames, _ := p.ox.take(nil, 1<<30)
+			if len(frames) != 2 {
+				t.Fatalf("%d frames queued, want 2", len(frames))
+			}
+			one := append(append([]byte(nil), frames[0].head...), frames[0].body...)
+			two := append(append([]byte(nil), frames[1].head...), frames[1].body...)
+			if !bytes.Equal(one, two) {
+				t.Fatalf("SendMany of one queued %x, Send %x", two, one)
+			}
+		})
 	}
 }
 

@@ -160,8 +160,6 @@ type Options struct {
 	Coord  netapi.Coord
 	// Seed drives the node's RNG.
 	Seed int64
-	// DialTimeout bounds connection attempts. Default 3s.
-	DialTimeout time.Duration
 	// Codec is the preferred wire codec: wire.CodecXML (default) or
 	// wire.CodecBinary. A node preferring binary advertises it in its
 	// hello and uses it toward every peer that advertised it back with a
@@ -178,31 +176,29 @@ type Options struct {
 	// fire and Saturated flips false. Default OutboxHighWater/2; must
 	// not exceed OutboxHighWater.
 	OutboxLowWater int
-	// PeerBudget, when non-nil, overrides the outbox watermarks per
-	// peer — per-link-class tuning (generous budgets toward LAN
-	// brokers, tight ones toward constrained WAN edges). Return
-	// high <= 0 to keep the node-wide defaults; low <= 0 defaults to
-	// high/2.
-	PeerBudget func(peer ids.ID) (high, low int)
-	// RedialBackoff is the initial delay before redialing a peer whose
+	// Logger receives diagnostics; nil discards.
+	Logger *slog.Logger
+
+	// The fields below are not options: only this package's tests move
+	// them off their defaults.
+	//
+	// redialBackoff is the initial delay before redialing a peer whose
 	// connection failed while frames are still queued; it doubles per
 	// consecutive failure, capped at 32x. Default 100ms.
-	RedialBackoff time.Duration
-	// RedialAttempts bounds consecutive connection failures before a
+	redialBackoff time.Duration
+	// redialAttempts bounds consecutive connection failures before a
 	// peer's queued frames are drained and counted as
 	// Stats.DroppedDialFail, so a dead address cannot park memory
 	// forever. Default 6.
-	RedialAttempts int
-	// Logger receives diagnostics; nil discards.
-	Logger *slog.Logger
+	redialAttempts int
 }
+
+// dialTimeout bounds connection attempts.
+const dialTimeout = 3 * time.Second
 
 func (o *Options) applyDefaults() {
 	if o.Listen == "" {
 		o.Listen = "127.0.0.1:0"
-	}
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 3 * time.Second
 	}
 	if o.OutboxHighWater == 0 {
 		o.OutboxHighWater = 1 << 20
@@ -210,11 +206,11 @@ func (o *Options) applyDefaults() {
 	if o.OutboxLowWater == 0 {
 		o.OutboxLowWater = o.OutboxHighWater / 2
 	}
-	if o.RedialBackoff == 0 {
-		o.RedialBackoff = 100 * time.Millisecond
+	if o.redialBackoff == 0 {
+		o.redialBackoff = 100 * time.Millisecond
 	}
-	if o.RedialAttempts == 0 {
-		o.RedialAttempts = 6
+	if o.redialAttempts == 0 {
+		o.redialAttempts = 6
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -237,7 +233,7 @@ type Stats struct {
 	DroppedNoAddr uint64
 	// DroppedEncode counts codec failures.
 	DroppedEncode uint64
-	// DroppedDialFail counts queued frames drained after RedialAttempts
+	// DroppedDialFail counts queued frames drained after redialAttempts
 	// consecutive connection failures to an unreachable peer.
 	DroppedDialFail uint64
 	Dials           uint64
@@ -523,6 +519,12 @@ func (n *Node) Send(to ids.ID, msg wire.Message) {
 // Safe from any goroutine; destinations are processed in argument order
 // on the caller's goroutine, so per-destination FIFO holds per caller.
 func (n *Node) SendMany(tos []ids.ID, msg wire.Message) {
+	if len(tos) == 1 {
+		// Nothing to share: a shared body would cost its own allocation
+		// and a split encode for the same bytes.
+		n.Send(tos[0], msg)
+		return
+	}
 	shared := &wire.SharedBody{}
 	for _, to := range tos {
 		n.transmit(&wire.Envelope{From: n.info.ID, To: to, Msg: msg}, shared)
@@ -552,7 +554,7 @@ func (s *seam) Arm(d time.Duration, p netapi.Pending) vclock.Timer {
 func (n *Node) ensurePeerLocked(id ids.ID) *peer {
 	p, ok := n.peers[id]
 	if !ok {
-		p = &peer{id: id, ox: n.newOutbox(id)}
+		p = &peer{id: id, ox: newOutbox(n.opts.OutboxHighWater, n.opts.OutboxLowWater)}
 		n.peers[id] = p
 	}
 	return p
@@ -576,23 +578,6 @@ func (n *Node) lookupPeer(to ids.ID, localHash string) (p *peer, addr string, bi
 		return nil, "", false
 	}
 	return p, p.addr, p.wantsBinary && p.kindsHash == localHash
-}
-
-// newOutbox builds a peer's queue with its link-class budget: the
-// node-wide watermarks unless Options.PeerBudget overrides them.
-func (n *Node) newOutbox(id ids.ID) *outbox {
-	high, low := n.opts.OutboxHighWater, n.opts.OutboxLowWater
-	if n.opts.PeerBudget != nil {
-		if h, l := n.opts.PeerBudget(id); h > 0 {
-			high = h
-			if l > 0 && l <= h {
-				low = l
-			} else {
-				low = h / 2
-			}
-		}
-	}
-	return newOutbox(high, low)
 }
 
 // transmit encodes env and queues it toward its destination. Safe from
@@ -692,7 +677,7 @@ func (n *Node) maybeDial(p *peer) {
 // scheduleRedial arranges another dial after a connection failure while
 // frames are still queued — without it a transient dial failure would
 // strand those frames until an unrelated later transmit. Backoff doubles
-// per consecutive failure; after Options.RedialAttempts failures the
+// per consecutive failure; after redialAttempts failures the
 // stranded frames are drained and counted (DroppedDialFail) so a dead
 // address cannot park memory forever. Actor loop only.
 func (n *Node) scheduleRedial(p *peer) {
@@ -701,7 +686,7 @@ func (n *Node) scheduleRedial(p *peer) {
 		return
 	}
 	p.connFails++
-	if p.connFails >= n.opts.RedialAttempts {
+	if p.connFails >= n.opts.redialAttempts {
 		dropped, drained := p.ox.dropAll()
 		n.c.dropped.Add(uint64(dropped))
 		n.c.droppedDialFail.Add(uint64(dropped))
@@ -716,13 +701,13 @@ func (n *Node) scheduleRedial(p *peer) {
 	if !p.redialPending.CompareAndSwap(false, true) {
 		return
 	}
-	// Cap the exponent, not the product: a large RedialAttempts must not
+	// Cap the exponent, not the product: a large redialAttempts must not
 	// shift the backoff into overflow.
 	shift := p.connFails - 1
 	if shift > 5 {
 		shift = 5
 	}
-	n.Clock().After(n.opts.RedialBackoff<<shift, func() {
+	n.Clock().After(n.opts.redialBackoff<<shift, func() {
 		p.redialPending.Store(false)
 		if p.ox.pendingFrames() > 0 {
 			n.maybeDial(p)
@@ -795,7 +780,7 @@ func (n *Node) dialPeer(id ids.ID, addr string) {
 			}
 		})
 	}
-	conn, err := net.DialTimeout("tcp", addr, n.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		fail(true)
 		return
