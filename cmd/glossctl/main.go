@@ -69,9 +69,9 @@ func run() error {
 	done := make(chan error, 1)
 	switch cmd := flag.Arg(0); cmd {
 	case "status":
-		ep.Request(target, &gateway.StatusReq{}, *timeout, func(reply wire.Message, err error) {
+		gw.Status(*timeout, func(text string, err error) {
 			if err == nil {
-				fmt.Print(reply.(*gateway.StatusReply).Text)
+				fmt.Print(text)
 			}
 			done <- err
 		})

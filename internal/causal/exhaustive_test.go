@@ -265,3 +265,89 @@ func TestAbsorbExhaustive(t *testing.T) {
 		}
 	}
 }
+
+// antichains enumerates every sibling set in scope: each set of pairwise
+// concurrent vectors over the writers a, b and c with counters 0–2 (no
+// explicit zeros, as Put and Absorb never make one), the empty set and
+// the singletons included.
+func antichains() [][]Vec {
+	var vecs []Vec
+	for code := 0; code < 27; code++ {
+		v := Vec{}
+		for i, n := 0, code; i < len(smallWriters); i, n = i+1, n/3 {
+			if n%3 > 0 {
+				v[smallWriters[i]] = uint64(n % 3)
+			}
+		}
+		vecs = append(vecs, v)
+	}
+	var out [][]Vec
+	var grow func(start int, cur []Vec)
+	grow = func(start int, cur []Vec) {
+		out = append(out, cur)
+		for i := start; i < len(vecs); i++ {
+			free := true
+			for _, c := range cur {
+				free = free && Compare(c, vecs[i]) == Concurrent
+			}
+			if free {
+				grow(i+1, append(cur[:len(cur):len(cur)], vecs[i]))
+			}
+		}
+	}
+	grow(0, nil)
+	return out
+}
+
+func TestCompactExhaustive(t *testing.T) {
+	sets := antichains()
+	// The antichains of the 3×3×3 grid are the plane partitions in a
+	// 3×3×3 box: MacMahon's formula gives 980.
+	if len(sets) != 980 {
+		t.Fatalf("%d sibling sets in scope, want 980", len(sets))
+	}
+	for _, set := range sets {
+		if len(set) < 2 {
+			continue
+		}
+		v := &Versioned[string]{}
+		var want Vec
+		for _, vec := range set {
+			v.Absorb(&Versioned[string]{Sibs: []Sibling[string]{{Vec: vec, Value: vec.String()}}})
+			want = Merge(want, vec)
+		}
+		before, vals := state(v), v.Values()
+		if v.Compact(len(set), func([]string) string { return "" }) || state(v) != before {
+			t.Fatalf("compacting %s at its own size changed it to %s", before, state(v))
+		}
+		var seen []string
+		merge := func(vals []string) string {
+			seen = append(seen, vals...)
+			return "merged"
+		}
+		if !v.Compact(1, merge) {
+			t.Fatalf("compacting %s at cap 1 did nothing", before)
+		}
+		if len(v.Sibs) != 1 || v.Sibs[0].Value != "merged" {
+			t.Fatalf("compacting %s gave %s", before, state(v))
+		}
+		got := v.Sibs[0].Vec
+		for _, w := range smallWriters {
+			if got[w] != want[w] {
+				t.Fatalf("compacting %s: vector %v, want the pointwise max %v", before, got, want)
+			}
+		}
+		if !slices.Equal(seen, vals) {
+			t.Fatalf("compacting %s: merge saw %q, want every sibling's value", before, seen)
+		}
+		after := state(v)
+		for _, vec := range set {
+			if o := Compare(got, vec); o != Descends {
+				t.Fatalf("compacted vector %v is %v input %v", got, o, vec)
+			}
+			if v.Absorb(&Versioned[string]{Sibs: []Sibling[string]{{Vec: vec, Value: vec.String()}}}) || state(v) != after {
+				t.Fatalf("absorbing input %v after compacting %s changed %s to %s", vec, before, after, state(v))
+			}
+		}
+	}
+}

@@ -3,13 +3,12 @@
 // placement of processing steps. For example, a constraint might specify
 // that at least 5 pipeline components providing a data replication
 // service must be deployed in parallel within a given geographical
-// region." Constraints are declarative, XML-serialisable, and evaluated
-// against a deployment state snapshot; violations feed the evolution
-// engine, which repairs them by deploying or moving components.
+// region." Constraints are declarative and evaluated, where they are
+// declared, against a deployment state snapshot; violations feed the
+// evolution engine, which repairs them by deploying or moving components.
 package constraint
 
 import (
-	"encoding/xml"
 	"fmt"
 	"sort"
 
@@ -159,10 +158,9 @@ type Constraint interface {
 // MinInstances requires at least N live instances of Program in Region
 // ("" = anywhere) — the paper's worked example.
 type MinInstances struct {
-	XMLName xml.Name `xml:"minInstances"`
-	Program string   `xml:"program,attr"`
-	Region  string   `xml:"region,attr,omitempty"`
-	N       int      `xml:"n,attr"`
+	Program string
+	Region  string
+	N       int
 }
 
 var _ Constraint = (*MinInstances)(nil)
@@ -188,9 +186,8 @@ func (c *MinInstances) Describe() string {
 
 // Spread requires Program to run in at least MinRegions distinct regions.
 type Spread struct {
-	XMLName    xml.Name `xml:"spread"`
-	Program    string   `xml:"program,attr"`
-	MinRegions int      `xml:"minRegions,attr"`
+	Program    string
+	MinRegions int
 }
 
 var _ Constraint = (*Spread)(nil)
@@ -242,9 +239,8 @@ func (c *Spread) Describe() string {
 // Colocate requires every node running A to also run B (e.g. a probe
 // beside every storelet).
 type Colocate struct {
-	XMLName xml.Name `xml:"colocate"`
-	A       string   `xml:"a,attr"`
-	B       string   `xml:"b,attr"`
+	A string
+	B string
 }
 
 var _ Constraint = (*Colocate)(nil)
@@ -300,49 +296,4 @@ func (cs *Set) Describe() []string {
 		out[i] = c.Describe()
 	}
 	return out
-}
-
-// xmlSet is the XML document form of a constraint set.
-type xmlSet struct {
-	XMLName xml.Name        `xml:"constraints"`
-	Min     []*MinInstances `xml:"minInstances"`
-	Spread  []*Spread       `xml:"spread"`
-	Coloc   []*Colocate     `xml:"colocate"`
-}
-
-// MarshalSet serialises a constraint set (grouped by kind).
-func MarshalSet(cs *Set) ([]byte, error) {
-	var doc xmlSet
-	for _, c := range cs.constraints {
-		switch t := c.(type) {
-		case *MinInstances:
-			doc.Min = append(doc.Min, t)
-		case *Spread:
-			doc.Spread = append(doc.Spread, t)
-		case *Colocate:
-			doc.Coloc = append(doc.Coloc, t)
-		default:
-			return nil, fmt.Errorf("constraint: cannot serialise %T", c)
-		}
-	}
-	return xml.Marshal(doc)
-}
-
-// UnmarshalSet parses a constraint document.
-func UnmarshalSet(data []byte) (*Set, error) {
-	var doc xmlSet
-	if err := xml.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("constraint: parse: %w", err)
-	}
-	out := NewSet()
-	for _, c := range doc.Min {
-		out.Add(c)
-	}
-	for _, c := range doc.Spread {
-		out.Add(c)
-	}
-	for _, c := range doc.Coloc {
-		out.Add(c)
-	}
-	return out, nil
 }

@@ -4,8 +4,8 @@
 // publish/subscribe network.
 //
 // An event carries a set of typed named attributes (the view pub/sub
-// filters and matchlets operate on) plus an optional XML body island for
-// structured payloads bound via type projection (internal/typeproj).
+// filters and matchlets operate on) plus an optional XML body island that
+// carries a structured payload through unchanged.
 package event
 
 import (
@@ -233,8 +233,8 @@ type Event struct {
 	// corruption of every sharer. The clone-vs-borrow differential test
 	// keeps in-tree stages honest about this.
 	Attrs Attributes
-	// Body is an optional XML island with structured payload, bound via
-	// type projection.
+	// Body is an optional XML island with structured payload, carried
+	// opaquely.
 	Body string
 
 	// frozen marks the event immutable and shareable across deliveries.
@@ -428,17 +428,3 @@ var (
 	_ xml.Marshaler   = (*Event)(nil)
 	_ xml.Unmarshaler = (*Event)(nil)
 )
-
-// Marshal serialises the event to XML bytes.
-func Marshal(e *Event) ([]byte, error) {
-	return xml.Marshal(e)
-}
-
-// Unmarshal parses XML bytes into an event.
-func Unmarshal(data []byte) (*Event, error) {
-	var e Event
-	if err := xml.Unmarshal(data, &e); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}

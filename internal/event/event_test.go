@@ -1,6 +1,7 @@
 package event
 
 import (
+	"encoding/xml"
 	"slices"
 	"strings"
 	"testing"
@@ -84,13 +85,13 @@ func TestXMLRoundTrip(t *testing.T) {
 		Set("sunny", B(true)).
 		SetBody(`<reading><raw>20.5</raw></reading>`).
 		Stamp(1)
-	data, err := Marshal(e)
+	data, err := xml.Marshal(e)
 	if err != nil {
-		t.Fatalf("Marshal: %v", err)
+		t.Fatalf("xml.Marshal: %v", err)
 	}
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
+	got := new(Event)
+	if err := xml.Unmarshal(data, got); err != nil {
+		t.Fatalf("xml.Unmarshal: %v", err)
 	}
 	if got.ID != e.ID || got.Type != e.Type || got.Source != e.Source || got.Time != e.Time {
 		t.Fatalf("envelope mismatch: %+v vs %+v", got, e)
@@ -110,11 +111,11 @@ func TestXMLRoundTrip(t *testing.T) {
 
 func TestXMLDeterministic(t *testing.T) {
 	e := New("t", "s", 0).Set("b", I(1)).Set("a", I(2)).Set("c", I(3)).Stamp(9)
-	d1, err := Marshal(e)
+	d1, err := xml.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Marshal(e)
+	d2, err := xml.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +170,12 @@ func TestQuickAttrRoundTrip(t *testing.T) {
 		e := New("q", "quick", 0).
 			Set("s", S(s)).Set("i", I(i)).Set("f", F(fl)).Set("b", B(b)).
 			Stamp(0)
-		data, err := Marshal(e)
+		data, err := xml.Marshal(e)
 		if err != nil {
 			return false
 		}
-		got, err := Unmarshal(data)
-		if err != nil {
+		got := new(Event)
+		if err := xml.Unmarshal(data, got); err != nil {
 			return false
 		}
 		return got.Attrs["s"].S == s && got.Attrs["i"].I == i &&
@@ -265,12 +266,12 @@ func TestWireRoundTripNotFrozen(t *testing.T) {
 	// event frozen by fan-out decodes unfrozen on the receiving node (it
 	// is refrozen at that node's own fan-out boundary).
 	e := New("t", "s", 0).Set("user", S("anna")).Stamp(1).Freeze()
-	data, err := Marshal(e)
+	data, err := xml.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(data)
-	if err != nil {
+	got := new(Event)
+	if err := xml.Unmarshal(data, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Frozen() {

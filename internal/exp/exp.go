@@ -163,7 +163,6 @@ var Experiments = []Experiment{
 	{"E-T5", T5MatchThroughput},
 	{"E-T6", T6EvolutionRepair},
 	{"E-T7", T7PlacementPolicies},
-	{"E-T8", T8TypeProjection},
 	{"E-T9", T9MobilityHandoff},
 	{"E-T10", T10Discovery},
 	{"E-T11", T11WireFormat},

@@ -212,17 +212,6 @@ func TestT7PlacementPolicies(t *testing.T) {
 	}
 }
 
-func TestT8TypeProjection(t *testing.T) {
-	tab := runQuick(t, "T8", T8TypeProjection)
-	docs := cellFloat(t, tab.Rows[0][1])
-	if cellFloat(t, tab.Rows[0][3]) != docs {
-		t.Fatalf("projection missed islands: %v", tab.Rows[0])
-	}
-	if cellFloat(t, tab.Rows[2][3]) != 0 {
-		t.Fatalf("strict unmarshal should bind nothing: %v", tab.Rows[2])
-	}
-}
-
 func TestT9MobilityHandoff(t *testing.T) {
 	tab := runQuick(t, "T9", T9MobilityHandoff)
 	naiveLost := cellFloat(t, tab.Rows[0][3])

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/xml"
 	"fmt"
 	"math/rand"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"github.com/gloss/active/internal/knowledge"
 	"github.com/gloss/active/internal/match"
 	"github.com/gloss/active/internal/pubsub"
-	"github.com/gloss/active/internal/typeproj"
 	"github.com/gloss/active/internal/vclock"
 )
 
@@ -127,123 +125,5 @@ func T5MatchThroughput(quick bool) *Table {
 		}
 	}
 	t.Notes = append(t.Notes, "wall-clock throughput; +1 rule is the two-pattern correlation join")
-	return t
-}
-
-// gisRecord is the T8 projection target.
-type gisRecord struct {
-	Name  string   `proj:"@name"`
-	Lat   float64  `proj:"lat"`
-	Lon   float64  `proj:"lon"`
-	Sells []string `proj:"sells"`
-}
-
-// xmlRecord is the equivalent encoding/xml target (strict layout).
-type xmlRecord struct {
-	XMLName xml.Name `xml:"place"`
-	Name    string   `xml:"name,attr"`
-	Lat     float64  `xml:"lat"`
-	Lon     float64  `xml:"lon"`
-	Sells   []string `xml:"sells"`
-}
-
-// t8Doc builds a loosely structured document with one known island.
-func t8Doc(i int) []byte {
-	return []byte(fmt.Sprintf(`<feed v="2">
-  <meta><src>provider-%d</src><extra><deep a="1"/></extra></meta>
-  <junk>%d</junk>
-  <entry>
-    <place name="place-%d"><lat>%d.5</lat><lon>-%d.25</lon><sells>ice cream</sells><sells>tea</sells>
-      <unmodelled><noise/></unmodelled>
-    </place>
-  </entry>
-</feed>`, i, i*7, i, i%90, i%45))
-}
-
-// T8TypeProjection compares type projection against a generic DOM walk
-// and strict encoding/xml decoding on loosely structured documents (§3).
-func T8TypeProjection(quick bool) *Table {
-	t := &Table{
-		ID:     "E-T8",
-		Title:  "Type projection vs generic XML handling",
-		Header: []string{"method", "docs", "µs/doc", "islands bound", "notes"},
-	}
-	docs := 3000
-	if quick {
-		docs = 800
-	}
-	inputs := make([][]byte, docs)
-	for i := range inputs {
-		inputs[i] = t8Doc(i)
-	}
-
-	// Method 1: compiled projector.
-	proj, err := typeproj.NewProjector("place", gisRecord{})
-	if err != nil {
-		panic(err)
-	}
-	start := time.Now()
-	bound := 0
-	for _, doc := range inputs {
-		var r gisRecord
-		if err := proj.First(doc, &r); err == nil && r.Name != "" && len(r.Sells) == 2 {
-			bound++
-		}
-	}
-	projWall := time.Since(start)
-	t.AddRow("type projection", fmt.Sprint(docs),
-		f2(float64(projWall.Microseconds())/float64(docs)),
-		fmt.Sprint(bound), "partial model; unknown elements ignored")
-
-	// Method 2: generic DOM walk (parse tree + manual search and
-	// conversion — what a program without projection must write).
-	start = time.Now()
-	bound = 0
-	for _, doc := range inputs {
-		tree, err := typeproj.ParseTree(doc)
-		if err != nil {
-			continue
-		}
-		islands := tree.Find("place")
-		if len(islands) == 0 {
-			continue
-		}
-		island := islands[0]
-		var r gisRecord
-		r.Name = island.Attrs["name"]
-		for _, c := range island.Children {
-			switch c.Name {
-			case "lat":
-				fmt.Sscanf(c.Text, "%f", &r.Lat)
-			case "lon":
-				fmt.Sscanf(c.Text, "%f", &r.Lon)
-			case "sells":
-				r.Sells = append(r.Sells, c.Text)
-			}
-		}
-		if r.Name != "" && len(r.Sells) == 2 {
-			bound++
-		}
-	}
-	domWall := time.Since(start)
-	t.AddRow("hand-written DOM walk", fmt.Sprint(docs),
-		f2(float64(domWall.Microseconds())/float64(docs)),
-		fmt.Sprint(bound), "per-type boilerplate")
-
-	// Method 3: strict encoding/xml aimed at the document root — the
-	// "type generation" strawman: it cannot find the nested island.
-	start = time.Now()
-	bound = 0
-	for _, doc := range inputs {
-		var r xmlRecord
-		if err := xml.Unmarshal(doc, &r); err == nil && r.Name != "" && len(r.Sells) == 2 {
-			bound++
-		}
-	}
-	strictWall := time.Since(start)
-	t.AddRow("strict xml.Unmarshal", fmt.Sprint(docs),
-		f2(float64(strictWall.Microseconds())/float64(docs)),
-		fmt.Sprint(bound), "island not at root: binds nothing")
-	t.Notes = append(t.Notes, "documents contain unmodelled structure around one known 'place' island")
 	return t
 }

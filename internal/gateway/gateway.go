@@ -181,11 +181,14 @@ type Client struct {
 // Put stores content and returns the GUID.
 func (c *Client) Put(data []byte, timeout time.Duration, cb func(string, error)) {
 	c.EP.Request(c.Target, &PutReq{Data: data}, timeout, func(reply wire.Message, err error) {
+		r, ok := reply.(*PutReply)
+		if err == nil && !ok {
+			err = fmt.Errorf("gateway: unexpected reply %T", reply)
+		}
 		if err != nil {
 			cb("", err)
 			return
 		}
-		r := reply.(*PutReply)
 		if r.Err != "" {
 			cb("", fmt.Errorf("%s", r.Err))
 			return
@@ -194,14 +197,32 @@ func (c *Client) Put(data []byte, timeout time.Duration, cb func(string, error))
 	})
 }
 
+// Status fetches the node's status report.
+func (c *Client) Status(timeout time.Duration, cb func(string, error)) {
+	c.EP.Request(c.Target, &StatusReq{}, timeout, func(reply wire.Message, err error) {
+		r, ok := reply.(*StatusReply)
+		if err == nil && !ok {
+			err = fmt.Errorf("gateway: unexpected reply %T", reply)
+		}
+		if err != nil {
+			cb("", err)
+			return
+		}
+		cb(r.Text, nil)
+	})
+}
+
 // Get fetches an object by GUID hex.
 func (c *Client) Get(guid string, timeout time.Duration, cb func([]byte, error)) {
 	c.EP.Request(c.Target, &GetReq{GUID: guid}, timeout, func(reply wire.Message, err error) {
+		r, ok := reply.(*GetReply)
+		if err == nil && !ok {
+			err = fmt.Errorf("gateway: unexpected reply %T", reply)
+		}
 		if err != nil {
 			cb(nil, err)
 			return
 		}
-		r := reply.(*GetReply)
 		if r.Err != "" {
 			cb(nil, fmt.Errorf("%s", r.Err))
 			return

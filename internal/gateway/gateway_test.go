@@ -10,6 +10,7 @@ import (
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/netapi"
 	"github.com/gloss/active/internal/pubsub"
+	"github.com/gloss/active/internal/simnet"
 	"github.com/gloss/active/internal/wire"
 )
 
@@ -108,5 +109,37 @@ func TestGatewayStatus(t *testing.T) {
 	}
 	if !strings.Contains(text, "joined=true") {
 		t.Fatalf("node not joined per status:\n%s", text)
+	}
+}
+
+// TestClientRepliesOfWrongShape: a gateway that answers with an empty
+// reply, or with a message of another kind, makes every client call
+// complete with an error instead of panicking.
+func TestClientRepliesOfWrongShape(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply wire.Message
+	}{{"empty", nil}, {"wrong-kind", &StatusReq{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := simnet.NewWorld(simnet.Config{Seed: 1})
+			server := w.NewNode(ids.FromString("gw"), "eu", netapi.Coord{})
+			for _, kind := range []string{"gateway.put", "gateway.get", "gateway.status"} {
+				server.Handle(kind, func(ctx netapi.Ctx, _ ids.ID, _ wire.Message) { ctx.Reply(tc.reply) })
+			}
+			gw := &Client{EP: w.NewNode(ids.FromString("ctl"), "eu", netapi.Coord{X: 1}), Target: server.ID()}
+			var errs []error
+			gw.Put([]byte("x"), time.Second, func(_ string, err error) { errs = append(errs, err) })
+			gw.Get("00", time.Second, func(_ []byte, err error) { errs = append(errs, err) })
+			gw.Status(time.Second, func(_ string, err error) { errs = append(errs, err) })
+			w.RunFor(2 * time.Second)
+			if len(errs) != 3 {
+				t.Fatalf("%d of 3 calls completed", len(errs))
+			}
+			for i, err := range errs {
+				if err == nil {
+					t.Fatalf("call %d: no error for a %s reply", i, tc.name)
+				}
+			}
+		})
 	}
 }

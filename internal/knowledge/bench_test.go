@@ -41,24 +41,12 @@ func BenchmarkKBQueryWildcard(b *testing.B) {
 	}
 }
 
-// BenchmarkKnowledgeSync measures one publish+fetch serialisation cycle:
-// the legacy XML body against the causal binary envelope including
-// sibling absorption and the default merge.
+// BenchmarkKnowledgeSync measures one publish+fetch serialisation cycle
+// of the causal binary envelope, including sibling absorption and the
+// default merge.
 func BenchmarkKnowledgeSync(b *testing.B) {
 	kb := benchKB(1, 16)
 	facts := kb.SubjectFacts("user-0000")
-	b.Run("legacy-xml", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			data, err := MarshalFacts(facts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := UnmarshalFacts(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("causal-bin", func(b *testing.B) {
 		b.ReportAllocs()
 		var src causal.Versioned[[]Fact]

@@ -2,11 +2,13 @@ package knowledge
 
 import (
 	"bytes"
+	"encoding/xml"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/leakcheck"
 	"github.com/gloss/active/internal/store"
 )
@@ -39,12 +41,19 @@ func wantUnion(t *testing.T, kb *KB, label string) {
 	}
 }
 
+// xmlFacts is the bare XML document the last-writer-wins reference
+// stores for a subject.
+type xmlFacts struct {
+	XMLName xml.Name `xml:"facts"`
+	Facts   []Fact   `xml:"fact"`
+}
+
 // lwwPublish and lwwFetch are the seed's last-writer-wins knowledge sync,
 // kept as the reference the Syncer is compared against: the subject's
 // facts as a bare XML document, blindly overwritten on publish and blindly
 // merged into the local KB on fetch.
 func lwwPublish(st *store.Store, kb *KB, subject string, cb func(error)) {
-	data, err := MarshalFacts(kb.SubjectFacts(subject))
+	data, err := xml.Marshal(xmlFacts{Facts: kb.SubjectFacts(subject)})
 	if err != nil {
 		cb(err)
 		return
@@ -57,8 +66,9 @@ func lwwFetch(st *store.Store, kb *KB, subject string) {
 		if err != nil {
 			return
 		}
-		if facts, err := UnmarshalFacts(data); err == nil {
-			kb.MergeSubject(subject, facts)
+		var doc xmlFacts
+		if err := xml.Unmarshal(data, &doc); err == nil {
+			kb.MergeSubject(subject, doc.Facts)
 		}
 	})
 }
@@ -76,7 +86,7 @@ func TestLegacySyncByteIdentical(t *testing.T) {
 	if pubErr != nil {
 		t.Fatalf("publish: %v", pubErr)
 	}
-	want, err := MarshalFacts(kb.SubjectFacts("bob"))
+	want, err := xml.Marshal(xmlFacts{Facts: kb.SubjectFacts("bob")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,29 +296,52 @@ func TestSiblingCapCompaction(t *testing.T) {
 	}
 }
 
-// TestLegacyDataUpgrade: a fetch of a legacy bare-XML body lifts it into
-// the empty-vector history, which any versioned write then dominates.
-func TestLegacyDataUpgrade(t *testing.T) {
+// TestXMLBodyRejected: the decoders read only the versioned binary
+// envelopes the Syncer writes. A bare XML fact or GIS document, as the
+// last-writer-wins reference stores, is an error at the decoder and at a
+// fetch, and leaves the KB and the stored body as they were.
+func TestXMLBodyRejected(t *testing.T) {
+	factsXML := []byte(`<facts><fact s="bob" p="likes" o="ice cream"></fact></facts>`)
+	gisXML := []byte(`<gis><place name="janettas" region="st-andrews" x="0.8" y="0.3"></place></gis>`)
+	if v, err := DecodeVersionedFacts(factsXML); err == nil {
+		t.Fatalf("DecodeVersionedFacts accepted an XML body: %+v", v)
+	}
+	if v, err := DecodeVersionedGIS(gisXML); err == nil {
+		t.Fatalf("DecodeVersionedGIS accepted an XML body: %+v", v)
+	}
+
 	w, stores := buildStores(t, 6)
-	kbL := NewKB()
-	bobWriter0(kbL)
-	lwwPublish(stores[0], kbL, "bob", func(error) {})
+	stores[0].PutAs(SubjectKey("bob"), factsXML, func(error) {})
+	stores[0].PutAs(GISKey("st-andrews"), gisXML, func(error) {})
 	w.RunFor(5 * time.Second)
 
-	kbC := NewKB()
-	syC := NewSyncer(stores[3], kbC)
-	var fetchErr error
-	syC.FetchSubject("bob", func(err error) { fetchErr = err })
+	kb := NewKB()
+	kb.AddSPO("bob", "likes", "haggis")
+	sy := NewSyncer(stores[3], kb)
+	var fetchErr, gisErr error
+	var fetched *GIS
+	sy.FetchSubject("bob", func(err error) { fetchErr = err })
+	sy.FetchGIS("st-andrews", func(g *GIS, err error) { fetched, gisErr = g, err })
 	w.RunFor(5 * time.Second)
-	if fetchErr != nil {
-		t.Fatalf("causal fetch of legacy body: %v", fetchErr)
+	if fetchErr == nil {
+		t.Fatalf("fetch of an XML fact body succeeded")
 	}
-	if !kbC.Ask("bob", "likes", "ice cream", -1) {
-		t.Fatalf("legacy facts lost in upgrade")
+	if gisErr == nil || fetched != nil {
+		t.Fatalf("fetch of an XML GIS body succeeded: %v, %v", fetched, gisErr)
 	}
-	// The fetch read-repairs the store to the versioned envelope.
-	if syC.Stats().ReadRepairs == 0 {
-		t.Fatalf("legacy body should be upgraded by read repair")
+	if kb.Len() != 1 || !kb.Ask("bob", "likes", "haggis", -1) || kb.Ask("bob", "likes", "ice cream", -1) {
+		t.Fatalf("rejected body changed the KB: %+v", kb.SubjectFacts("bob"))
+	}
+	if st := sy.Stats(); st.ReadRepairs != 0 || st.Absorbed != 0 {
+		t.Fatalf("rejected body was absorbed or repaired: %+v", st)
+	}
+	for key, want := range map[ids.ID][]byte{SubjectKey("bob"): factsXML, GISKey("st-andrews"): gisXML} {
+		var got []byte
+		stores[5].Get(key, func(data []byte, err error) { got = data })
+		w.RunFor(5 * time.Second)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("stored body %v changed: %q", key, got)
+		}
 	}
 }
 

@@ -6,13 +6,12 @@
 //
 // Facts are subject–predicate–object triples with optional validity
 // intervals. The GIS layer holds places with coordinates, opening hours
-// and stock, indexed on a spatial grid. Both serialise to XML so they can
-// live in the P2P storage architecture and be cached near the matching
-// computation (see Syncer).
+// and stock, indexed on a spatial grid. Both serialise to a versioned
+// binary form (wirebin.go) so they can live in the P2P storage
+// architecture and be cached near the matching computation (see Syncer).
 package knowledge
 
 import (
-	"encoding/xml"
 	"fmt"
 	"sort"
 	"time"
@@ -247,43 +246,23 @@ func (kb *KB) MergeSubject(s string, facts []Fact) {
 	}
 }
 
-// factsDoc is the XML document form of a fact set.
-type factsDoc struct {
-	XMLName xml.Name `xml:"facts"`
-	Facts   []Fact   `xml:"fact"`
-}
-
-// MarshalFacts serialises facts to XML.
-func MarshalFacts(facts []Fact) ([]byte, error) {
-	return xml.Marshal(factsDoc{Facts: facts})
-}
-
-// UnmarshalFacts parses an XML fact document.
-func UnmarshalFacts(data []byte) ([]Fact, error) {
-	var d factsDoc
-	if err := xml.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("knowledge: parse facts: %w", err)
-	}
-	return d.Facts, nil
-}
-
 // --- GIS -----------------------------------------------------------------------
 
 // Span is a daily opening interval [Open, Close) in time-of-day offsets.
 type Span struct {
-	Open  time.Duration `xml:"open,attr"`
-	Close time.Duration `xml:"close,attr"`
+	Open  time.Duration
+	Close time.Duration
 }
 
 // Place is a GIS feature.
 type Place struct {
-	Name   string   `xml:"name,attr"`
-	Region string   `xml:"region,attr"`
-	X      float64  `xml:"x,attr"`
-	Y      float64  `xml:"y,attr"`
-	Hours  Span     `xml:"hours"`
-	Sells  []string `xml:"sells"`
-	Tags   []string `xml:"tag"`
+	Name   string
+	Region string
+	X      float64
+	Y      float64
+	Hours  Span
+	Sells  []string
+	Tags   []string
 }
 
 // At returns the place coordinate.
@@ -432,34 +411,4 @@ func (g *GIS) Places() []Place {
 		out = append(out, *g.places[name])
 	}
 	return out
-}
-
-// gisDoc is the XML document form of the GIS layer.
-type gisDoc struct {
-	XMLName xml.Name `xml:"gis"`
-	Places  []Place  `xml:"place"`
-}
-
-// MarshalGIS serialises places in insertion order.
-func (g *GIS) MarshalGIS() ([]byte, error) {
-	doc := gisDoc{}
-	for _, name := range g.order {
-		doc.Places = append(doc.Places, *g.places[name])
-	}
-	return xml.Marshal(doc)
-}
-
-// UnmarshalGIS parses a GIS document into a fresh index.
-func UnmarshalGIS(data []byte) (*GIS, error) {
-	var doc gisDoc
-	if err := xml.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("knowledge: parse gis: %w", err)
-	}
-	g := NewGIS()
-	for _, p := range doc.Places {
-		if err := g.AddPlace(p); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }

@@ -81,24 +81,6 @@ func TestKBRemoveAndMerge(t *testing.T) {
 	}
 }
 
-func TestFactsXMLRoundTrip(t *testing.T) {
-	in := []Fact{
-		{S: "bob", P: "likes", O: "ice cream"},
-		{S: "bob", P: "on-holiday", O: "true", From: hours(480), To: hours(648)},
-	}
-	data, err := MarshalFacts(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalFacts(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-}
-
 func janettas() Place {
 	return Place{
 		Name: "janettas", Region: "st-andrews", X: 10.2, Y: 4.1,
@@ -176,28 +158,6 @@ func TestGISSpatialQueries(t *testing.T) {
 	}
 	if p := g.NearestSelling(netapi.Coord{X: 50, Y: 50}, "ice cream", 1); p == nil || p.Name != "far-shop" {
 		t.Fatalf("distant cell lookup failed")
-	}
-}
-
-func TestGISXMLRoundTrip(t *testing.T) {
-	g := NewGIS()
-	if err := g.AddPlace(janettas()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := g.MarshalGIS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := UnmarshalGIS(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := g2.Place("janettas")
-	if !ok {
-		t.Fatalf("place lost")
-	}
-	if !p.SellsItem("ice cream") || p.Hours.Open != hours(9) || p.Region != "st-andrews" {
-		t.Fatalf("place fields lost: %+v", p)
 	}
 }
 

@@ -65,8 +65,8 @@ type SyncStats struct {
 // set: concurrent writers are detected rather than silently overwritten,
 // fetches read-repair stale replicas, and optional gossip rounds push
 // digests + missing versions between brokers until every node converges
-// on the merged state. A bare XML body written before versioning decodes
-// as a sibling every versioned write dominates.
+// on the merged state. Any other body, a bare XML document included,
+// fails to decode and changes nothing.
 type Syncer struct {
 	store *store.Store
 	kb    *KB

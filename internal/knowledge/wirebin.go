@@ -9,15 +9,12 @@ import (
 )
 
 // Versioned binary envelopes for knowledge objects stored in the P2P
-// storage plane. A stored fact set or GIS document is no longer a bare
-// XML body but a sibling set — one or more (version vector, value) pairs
-// — so replicas can tell causally stale copies from concurrent ones.
+// storage plane. A stored fact set or GIS document is a sibling set —
+// one or more (version vector, value) pairs — so replicas can tell
+// causally stale copies from concurrent ones.
 //
-// Both formats open with a two-byte magic and a format version. The
-// decoders also accept the pre-causal XML bodies ('<' first byte) and
-// lift them into a single sibling with an empty vector: the empty
-// history is dominated by any causal write, so legacy data loses to
-// the first versioned update — exactly the upgrade semantics we want.
+// Both formats open with a two-byte magic and a format version; the
+// decoders reject any other body, an XML document included.
 
 const (
 	factsMagic0 = 'K'
@@ -77,16 +74,9 @@ func EncodeVersionedFacts(v *causal.Versioned[[]Fact]) []byte {
 	return b
 }
 
-// DecodeVersionedFacts parses a stored fact-set body, accepting both the
-// versioned binary envelope and the legacy XML document.
+// DecodeVersionedFacts parses a stored fact-set body: the versioned
+// binary envelope EncodeVersionedFacts writes, and nothing else.
 func DecodeVersionedFacts(data []byte) (*causal.Versioned[[]Fact], error) {
-	if len(data) > 0 && data[0] == '<' {
-		facts, err := UnmarshalFacts(data)
-		if err != nil {
-			return nil, err
-		}
-		return &causal.Versioned[[]Fact]{Sibs: []causal.Sibling[[]Fact]{{Value: facts}}}, nil
-	}
 	if len(data) < 3 || data[0] != factsMagic0 || data[1] != factsMagic1 {
 		return nil, fmt.Errorf("knowledge: bad versioned facts magic")
 	}
@@ -165,20 +155,9 @@ func EncodeVersionedGIS(v *causal.Versioned[[]Place]) []byte {
 	return b
 }
 
-// DecodeVersionedGIS parses a stored GIS body, accepting both the
-// versioned binary envelope and the legacy XML document.
+// DecodeVersionedGIS parses a stored GIS body: the versioned binary
+// envelope EncodeVersionedGIS writes, and nothing else.
 func DecodeVersionedGIS(data []byte) (*causal.Versioned[[]Place], error) {
-	if len(data) > 0 && data[0] == '<' {
-		g, err := UnmarshalGIS(data)
-		if err != nil {
-			return nil, err
-		}
-		places := g.Places()
-		if len(places) == 0 {
-			places = nil // match the binary decoder's empty form
-		}
-		return &causal.Versioned[[]Place]{Sibs: []causal.Sibling[[]Place]{{Value: places}}}, nil
-	}
 	if len(data) < 3 || data[0] != factsMagic0 || data[1] != gisMagic1 {
 		return nil, fmt.Errorf("knowledge: bad versioned gis magic")
 	}

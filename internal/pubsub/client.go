@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/gloss/active/internal/event"
@@ -144,13 +145,16 @@ func (c *Client) AttachTo(newBroker ids.ID, timeout time.Duration, onComplete fu
 		if oldBroker == newBroker {
 			c.resubscribe()
 		}
+		rr, ok := reply.(*ReclaimReply)
+		if err == nil && !ok {
+			err = fmt.Errorf("pubsub: unexpected reclaim reply %T", reply)
+		}
 		if err != nil {
 			if onComplete != nil {
 				onComplete(0, err)
 			}
 			return
 		}
-		rr := reply.(*ReclaimReply)
 		for _, ev := range rr.Events {
 			c.dispatch(ev)
 		}

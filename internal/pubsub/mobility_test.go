@@ -5,6 +5,10 @@ import (
 	"time"
 
 	"github.com/gloss/active/internal/event"
+	"github.com/gloss/active/internal/ids"
+	"github.com/gloss/active/internal/netapi"
+	"github.com/gloss/active/internal/simnet"
+	"github.com/gloss/active/internal/wire"
 )
 
 // TestMobilityHandoffNoLoss reproduces the Mobikit behaviour (§3): a
@@ -266,5 +270,33 @@ func TestReattachToSameBroker(t *testing.T) {
 	tn.settle()
 	if count == 0 {
 		t.Fatalf("no events after same-broker reattach")
+	}
+}
+
+// TestReclaimReplyOfWrongShape: a broker that answers a reclaim with an
+// empty reply, or with a message of another kind, fails the handoff with
+// an error instead of panicking the client's actor loop.
+func TestReclaimReplyOfWrongShape(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply wire.Message
+	}{{"empty", nil}, {"wrong-kind", &DetachMsg{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := simnet.NewWorld(simnet.Config{Seed: 1})
+			broker := w.NewNode(ids.FromString("broker"), "eu", netapi.Coord{})
+			broker.Handle("pubsub.reclaim", func(ctx netapi.Ctx, _ ids.ID, _ wire.Message) {
+				ctx.Reply(tc.reply)
+			})
+			mobile := NewClient(w.NewNode(ids.FromString("mobile"), "eu", netapi.Coord{X: 100}), broker.ID())
+			var handoffErr error
+			done := false
+			mobile.AttachTo(broker.ID(), 5*time.Second, func(_ int, err error) {
+				done, handoffErr = true, err
+			})
+			w.RunFor(5 * time.Second)
+			if !done || handoffErr == nil {
+				t.Fatalf("handoff done=%v err=%v, want an error", done, handoffErr)
+			}
+		})
 	}
 }
