@@ -40,11 +40,12 @@ vet: noswitch
 	$(GO) vet -vettool=$(CURDIR)/bin/vetactive ./...
 
 # noswitch fails when a retired reference-path switch, the second index's
-# option, the shared config block, simnet's partitioned execution or the
-# fan-out pool's size knob returns to shipped code: the old paths are
-# _test.go oracles or seams, not options.
+# option, the shared config block, simnet's partitioned execution, the
+# fan-out pool's size knob or a second send path for a publish (the pool,
+# its drain and the concurrent-send capability it needed) returns to
+# shipped code: the old paths are _test.go oracles or seams, not options.
 noswitch:
-	! grep -rnE '\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers)\b' --include='*.go' --exclude='*_test.go' cmd internal examples active.go
+	! grep -rnE '\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends)\b' --include='*.go' --exclude='*_test.go' cmd internal examples active.go
 
 # loc prints the non-test Go line count ROADMAP item 2 tracks.
 loc:

@@ -55,6 +55,9 @@ func run(args []string) error {
 		verbose   = fs.Bool("v", false, "verbose logging")
 	)
 	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
+	if *kbGossip < 0 {
+		return fmt.Errorf("-kb-gossip %v: a gossip period must not be negative (0 disables gossip)", *kbGossip)
+	}
 
 	logger := slog.New(slog.DiscardHandler)
 	if *verbose {

@@ -7,7 +7,8 @@ import (
 
 // TestRunRejectsBadValues: every out-of-range value a flag can carry is
 // refused before the node serves — the codec and the watermarks by
-// transport.Listen, on the values it will run with.
+// transport.Listen, on the values it will run with, and the gossip period
+// by run itself, since the knowledge plane reads any value ≤ 0 as "off".
 func TestRunRejectsBadValues(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -17,6 +18,7 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{[]string{"-outbox-high", "-1"}, "OutboxHighWater"},
 		{[]string{"-outbox-low", "-1"}, "OutboxLowWater"},
 		{[]string{"-outbox-low", "2", "-outbox-high", "1"}, "OutboxLowWater"},
+		{[]string{"-kb-gossip", "-1s"}, "kb-gossip"},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -12,7 +12,7 @@
 //
 // Flagged: calls from unannotated functions, calls from function
 // literals launched with `go` or handed to a worker pool — exactly the
-// paths a fan-out worker or gossip tick would take into actor state.
+// paths a worker goroutine or gossip tick would take into actor state.
 //
 // The check is package-local (vetactive analyzers exchange no facts
 // across packages): cross-package callers of exported actor-only

@@ -52,10 +52,10 @@ func (b *broker) notified() {
 //vetactive:actoronly
 func (b *broker) deliverLocal(msg string) { b.entries[msg]++ }
 
-type fanoutPool struct{ b *broker }
+type workerPool struct{ b *broker }
 
-// run is a fan-out worker's loop: the run queue is not its to touch.
-func (p *fanoutPool) run(jobs chan string) {
+// run is a worker goroutine's loop: the run queue is not its to touch.
+func (p *workerPool) run(jobs chan string) {
 	for msg := range jobs {
 		p.b.deliverLocal(msg) // want `call to actor-only broker\.deliverLocal from run`
 	}

@@ -198,7 +198,7 @@ func TestOwnBrokerPublishWithFullInbox(t *testing.T) {
 	}
 	node := NewActiveNode(ep, reg, NodeConfig{Secret: []byte("s"), AdvertInterval: -1})
 	// Closing the endpoint is also what frees a loop blocked on its inbox.
-	t.Cleanup(func() { _ = ep.Close(); node.Broker.Close() })
+	t.Cleanup(func() { _ = ep.Close() })
 
 	const inboxSlots = 1024
 	var order []string // actor loop only

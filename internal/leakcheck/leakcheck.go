@@ -1,6 +1,6 @@
 // Package leakcheck fails a test when goroutines spawned by this
 // module outlive it. Close paths are where middleware rots quietly —
-// a fan-out worker, an accept loop or a sweeper that survives Close
+// a writer goroutine, an accept loop or a sweeper that survives Close
 // shows up nowhere until a long-running process runs out of threads —
 // so shutdown tests pin the property directly:
 //

@@ -12,12 +12,9 @@
 // node and therefore needs no locks. Under simnet the whole world shares
 // one event loop; under TCP each node has an actor loop.
 //
-// Send discipline: by default Send/SendMany may only be called from the
-// endpoint's callback goroutine (the same discipline as everything else).
-// Endpoints that can accept sends from arbitrary goroutines advertise it
-// via ConcurrentSender/Caps.ConcurrentSend; only then may protocol code
-// move send work onto worker goroutines (the broker's fan-out pool does
-// exactly this). Incoming delivery remains serial either way.
+// Send discipline: protocol code calls Send/SendMany from the endpoint's
+// callback goroutine, like everything else, so what one node sends toward
+// one destination leaves in the order its callbacks issued it.
 //
 //vetactive:deterministic
 package netapi
@@ -105,14 +102,6 @@ type Multicaster interface {
 	// SendMany transmits msg once to each destination, in order.
 	// Semantically identical to calling Send per destination.
 	//
-	// Ordering under concurrency: when the endpoint advertises
-	// ConcurrentSends, calls from different goroutines may interleave
-	// arbitrarily with each other, but each call still emits toward its
-	// destinations in argument order, and two calls toward the same
-	// destination from the SAME goroutine are emitted in program order.
-	// Callers that need per-destination FIFO across goroutines must keep
-	// each destination on one goroutine (destination-sticky workers).
-	//
 	// tos is borrowed for the call only: an implementation must not keep
 	// it, or any subslice of it, after SendMany returns, and the caller
 	// may reuse it at once.
@@ -142,10 +131,6 @@ type Caps struct {
 	Multicast Multicaster
 	// Backpressure is the send-queue saturation signal, or nil.
 	Backpressure Backpressured
-	// ConcurrentSend reports that Send/SendMany (and the read-only
-	// Backpressured gauges, if present) are safe to call from any
-	// goroutine, not just the callback goroutine.
-	ConcurrentSend bool
 	// Local is the callback-goroutine hand-off to this node's own
 	// handlers, or nil.
 	Local LocalDeliverer
@@ -164,9 +149,6 @@ func Capabilities(ep Endpoint) Caps {
 	}
 	if b, ok := ep.(Backpressured); ok {
 		c.Backpressure = b
-	}
-	if s, ok := ep.(ConcurrentSender); ok && s.ConcurrentSends() {
-		c.ConcurrentSend = true
 	}
 	if l, ok := ep.(LocalDeliverer); ok {
 		c.Local = l
@@ -189,22 +171,6 @@ type LocalDeliverer interface {
 	DeliverLocal(msg wire.Message)
 }
 
-// ConcurrentSender is optionally implemented by endpoints whose send path
-// tolerates concurrent producers. The default Endpoint contract confines
-// Send/SendMany to the callback goroutine; an endpoint that returns true
-// here widens that to any goroutine: sends may race with each other and
-// with the callback goroutine without corrupting state or losing frames,
-// and queue accounting (outbox budgets, stats) stays exact. The TCP
-// transport implements it (encode runs on the caller, the per-peer outbox
-// is mutex-protected); the simulator deliberately does not — its
-// determinism depends on the world loop being the only scheduler.
-type ConcurrentSender interface {
-	// ConcurrentSends reports whether Send/SendMany may be called from
-	// any goroutine. The answer must not change over the endpoint's
-	// lifetime (Capabilities snapshots it at wiring time).
-	ConcurrentSends() bool
-}
-
 // Backpressured is optionally implemented by endpoints whose send path
 // can saturate: the TCP transport's byte-budgeted per-peer outboxes and
 // the simulator's in-flight budget mirror. It surfaces overload to
@@ -215,12 +181,8 @@ type ConcurrentSender interface {
 // Callback discipline applies: these methods may only be called from
 // protocol code running on the endpoint's callback goroutine (the
 // actor loop under TCP, the world loop under simnet), and OnDrain
-// callbacks are invoked there too. Exception: an endpoint that reports
-// Caps.ConcurrentSend must also make QueuedBytes and Saturated safe to
-// call from any goroutine (they become advisory snapshots under
-// concurrent sends); OnDrain registration and callback delivery stay on
-// the callback goroutine regardless, which is what lets the broker keep
-// its shed-episode bookkeeping lock-free on the actor loop.
+// callbacks are invoked there too, which is what lets the broker keep its
+// shed-episode bookkeeping lock-free on the actor loop.
 type Backpressured interface {
 	// QueuedBytes is the backpressure gauge: payload bytes currently
 	// queued (including frames mid-write) toward to. Zero for unknown

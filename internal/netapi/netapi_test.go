@@ -59,25 +59,6 @@ func (stubEndpoint) Send(ids.ID, wire.Message)                              {}
 func (stubEndpoint) Request(ids.ID, wire.Message, time.Duration, ReplyFunc) {}
 func (stubEndpoint) Handle(string, Handler)                                 {}
 
-type concStub struct {
-	stubEndpoint
-	ok bool
-}
-
-func (c concStub) ConcurrentSends() bool { return c.ok }
-
-func TestCapabilitiesConcurrentSend(t *testing.T) {
-	if Capabilities(stubEndpoint{}).ConcurrentSend {
-		t.Fatal("plain endpoint must not report ConcurrentSend")
-	}
-	if Capabilities(concStub{ok: false}).ConcurrentSend {
-		t.Fatal("ConcurrentSends()==false must not set the capability")
-	}
-	if !Capabilities(concStub{ok: true}).ConcurrentSend {
-		t.Fatal("ConcurrentSends()==true must set the capability")
-	}
-}
-
 type localStub struct {
 	stubEndpoint
 	queued []wire.Message

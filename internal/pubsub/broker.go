@@ -104,21 +104,17 @@ type Broker struct {
 	proxies   map[ids.ID]*proxy
 	shedTo    map[ids.ID]struct{} // destinations with an open shed episode
 	stats     Stats
-	// pool is the fan-out worker pool, or nil on the serial path (one
-	// core, or an endpoint without ConcurrentSend).
-	pool *fanoutPool
-	pub  pubScratch
+	pub       pubScratch
 }
 
 // pubScratch is handlePub's working set. The broker owns it and resets it
 // on each publish, so a publish allocates only the messages it sends.
 // One set per broker is enough because handlePub never re-enters itself:
 // nothing it calls dispatches a message to a handler on the way —
-// deliverLocal queues on the endpoint's local run queue (or sends to
-// self), Send enqueues (an outbox, the inbox, the simulator's
-// scheduler) — and the target lists it lends out are only borrowed:
-// netapi.SendMany iterates tos and fanoutPool.submit copies them into
-// per-worker jobs before it returns.
+// DeliverLocal queues on the endpoint's local run queue, Send enqueues
+// (an outbox, the inbox, the simulator's scheduler) — and the target
+// lists it lends out are only borrowed: netapi.SendMany iterates tos
+// before it returns.
 type pubScratch struct {
 	from     ids.ID              // the publish's arrival direction
 	matched  bool                // some table entry matched
@@ -130,22 +126,10 @@ type pubScratch struct {
 }
 
 // NewBroker constructs a broker bound to ep and registers its handlers.
-//
-// The post-match half of a publish — SendMany group assembly, shared-body
-// encode and endpoint sends — runs on a pool of defaultFanoutWorkers
-// destination-sticky workers when there is more than one core and the
-// endpoint advertises netapi.Caps.ConcurrentSend (the TCP transport does;
-// simnet does not, keeping simulation deterministic). Otherwise the whole
-// pipeline runs inline on the actor loop. Matching, target
-// classification, shed decisions and all state mutation stay on the actor
-// loop either way; see fanout.go for the per-destination FIFO argument.
+// A publish is matched, classified and sent on the endpoint's callback
+// goroutine, one netapi.SendMany per message kind, so the per-destination
+// order of what the broker sends is the order it handled the publishes in.
 func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
-	return newBroker(ep, opts, defaultFanoutWorkers())
-}
-
-// newBroker is NewBroker with the pool size given: 1 is the serial path.
-// The pool tests pick their worker counts through it.
-func newBroker(ep netapi.Endpoint, opts Options, workers int) *Broker {
 	opts.applyDefaults()
 	b := &Broker{
 		ep:        ep,
@@ -165,9 +149,6 @@ func newBroker(ep netapi.Endpoint, opts Options, workers int) *Broker {
 	if caps.Backpressure != nil {
 		b.bp = caps.Backpressure
 		b.bp.OnDrain(b.onDrain)
-	}
-	if workers > 1 && caps.ConcurrentSend {
-		b.pool = newFanoutPool(ep, workers)
 	}
 	ep.Handle("pubsub.sub", b.handleSub)
 	ep.Handle("pubsub.unsub", b.handleUnsub)
@@ -264,10 +245,9 @@ func ConnectBrokers(a, b *Broker) {
 
 // Stats returns a snapshot of activity counters and table sizes. It
 // must run on the broker's owning goroutine: counters and tables are
-// actor-confined, and only the fan-out pool (which keeps its own
-// atomic counters) runs elsewhere.
+// actor-confined, and nothing of the broker runs elsewhere.
 //
-//vetactive:ignore atomicstats actor-confined; fan-out pool counters are separately atomic
+//vetactive:ignore atomicstats actor-confined; the broker owns no goroutine
 func (b *Broker) Stats() Stats {
 	s := b.stats
 	s.TableEntries = len(b.entries)
@@ -545,46 +525,22 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 			continue
 		}
 		b.stats.ClientDelivers++
-		// This node's own client leaves the target set where there is a
-		// cheaper way to it than the send path, or a pool whose workers
-		// must not take that path (deliverLocal).
-		if d == self && (b.local != nil || b.pool != nil) {
+		// This node's own client leaves the target set where the endpoint
+		// has a cheaper way to it than a send to self.
+		if d == self && b.local != nil {
 			toSelf = true
 			continue
 		}
 		s.delivers = append(s.delivers, d)
 	}
 	if toSelf {
-		b.deliverLocal(&DeliverMsg{Event: ev})
+		b.local.DeliverLocal(&DeliverMsg{Event: ev})
 	}
-	fwds, delivers := s.fwds, s.delivers
-	if len(fwds)+len(delivers) == 0 {
-		return
+	if len(s.fwds) > 0 {
+		netapi.SendMany(b.ep, s.fwds, &PubMsg{Event: ev})
 	}
-	if b.pool != nil {
-		// Pipelined path: everything mutable was decided above on the
-		// actor loop (targets, shed set, stats); the pool gets the frozen
-		// event and copies of the two target lists, and runs group
-		// assembly, encode and sends on destination-sticky workers. A
-		// fan-out of one has nothing to parallelise: the actor loop sends
-		// it itself and saves the hand-off, unless the destination's
-		// worker still holds earlier sends, which this one must not
-		// overtake.
-		switch {
-		case len(fwds) == 1 && len(delivers) == 0 && b.pool.idle(fwds[0]):
-			b.ep.Send(fwds[0], &PubMsg{Event: ev})
-		case len(fwds) == 0 && len(delivers) == 1 && b.pool.idle(delivers[0]):
-			b.ep.Send(delivers[0], &DeliverMsg{Event: ev})
-		default:
-			b.pool.submit(ev, fwds, delivers)
-		}
-		return
-	}
-	if len(fwds) > 0 {
-		netapi.SendMany(b.ep, fwds, &PubMsg{Event: ev})
-	}
-	if len(delivers) > 0 {
-		netapi.SendMany(b.ep, delivers, &DeliverMsg{Event: ev})
+	if len(s.delivers) > 0 {
+		netapi.SendMany(b.ep, s.delivers, &DeliverMsg{Event: ev})
 	}
 }
 
@@ -601,41 +557,9 @@ func (b *Broker) collect(key string) {
 	}
 }
 
-// deliverLocal hands msg to this node's own client: through the
-// endpoint's local run queue where it has one, else by a send-to-self —
-// from the actor loop, never from a fan-out worker, which would block on
-// the node's inbox while the loop may be blocked on that worker's queue.
-//
-//vetactive:actoronly
-func (b *Broker) deliverLocal(msg wire.Message) {
-	if b.local != nil {
-		b.local.DeliverLocal(msg)
-		return
-	}
-	b.ep.Send(b.ep.ID(), msg)
-}
-
-// DrainFanout blocks until every publish handled before the call has
-// been sent to the endpoint; a no-op on the serial path. Call from
-// outside the actor loop (tests, benchmarks, shutdown), not concurrently
-// with Close; publishes may continue meanwhile. After the last publish
-// it makes "all publishes processed" imply "all sends issued", which
-// the serial path gave for free.
-func (b *Broker) DrainFanout() {
-	if b.pool != nil {
-		b.pool.quiesce()
-	}
-}
-
-// Close stops the fan-out workers after draining them. The broker must
-// not handle further publishes. Serial-path brokers need no Close (it
-// is a no-op), so existing call sites are unaffected.
-func (b *Broker) Close() {
-	if b.pool != nil {
-		b.pool.close()
-		b.pool = nil
-	}
-}
+// Close is a no-op: the broker owns no goroutine, and every publish it
+// handled has been sent to the endpoint by the time its handler returns.
+func (b *Broker) Close() {}
 
 // onDrain is the endpoint's below-the-low-watermark-again signal: the
 // destination can absorb fan-out again. A shed episode toward it is

@@ -284,3 +284,58 @@ func BenchmarkFanoutWorld(b *testing.B) {
 		})
 	}
 }
+
+// TestFanoutPerSourceFIFOTwoPublishers pins per-source FIFO through one
+// broker: two publishers interleave publishes toward nine subscribers,
+// and every subscriber must be sent each source's events in publish
+// order.
+func TestFanoutPerSourceFIFOTwoPublishers(t *testing.T) {
+	ep := newBPEndpoint("fifo-broker")
+	b := NewBroker(ep, Options{})
+
+	f := NewFilter(TypeIs("fifo.evt"))
+	var subs []ids.ID
+	for i := 0; i < 9; i++ {
+		d := ids.FromString(fmt.Sprintf("fifo-sub-%d", i))
+		subs = append(subs, d)
+		b.subscribe(d, f)
+	}
+	srcs := []ids.ID{ids.FromString("fifo-pub-a"), ids.FromString("fifo-pub-b")}
+
+	const perSource = 300
+	rng := rand.New(rand.NewSource(21))
+	next := []int{0, 0}
+	for next[0] < perSource || next[1] < perSource {
+		s := rng.Intn(2)
+		if next[s] >= perSource {
+			s = 1 - s
+		}
+		// Source and per-source sequence ride in the event itself.
+		ev := event.New("fifo.evt", fmt.Sprintf("src-%d", s), 0).
+			Set("seq", event.I(int64(next[s]))).
+			Stamp(uint64(s*1_000_000 + next[s]))
+		b.handlePub(nil, srcs[s], &PubMsg{Event: ev})
+		next[s]++
+	}
+
+	for _, d := range subs {
+		msgs := ep.sentTo(d)
+		if len(msgs) != 2*perSource {
+			t.Fatalf("sub %s received %d events, want %d", d.Short(), len(msgs), 2*perSource)
+		}
+		last := map[string]int64{}
+		for i, m := range msgs {
+			ev := m.(*DeliverMsg).Event
+			seq := int64(ev.GetNum("seq"))
+			prev, ok := last[ev.Source]
+			if !ok {
+				prev = -1
+			}
+			if seq != prev+1 {
+				t.Fatalf("sub %s: source %s FIFO violated at arrival %d: seq %d after %d",
+					d.Short(), ev.Source, i, seq, prev)
+			}
+			last[ev.Source] = seq
+		}
+	}
+}

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,76 +16,235 @@ import (
 	"github.com/gloss/active/internal/wire"
 )
 
-// TestDrainFanoutWhilePublishing is hazard 5 of bench/README.md: a
-// goroutine drains the pool while the actor keeps publishing. Under
-// -race the WaitGroup the pool used to count jobs with reported its
-// Wait racing an Add from zero. Beyond "no race", a drain must cover
-// every publish handled before it was called.
-func TestDrainFanoutWhilePublishing(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	ep := newConcEndpoint("drain-broker")
-	b := newBroker(ep, Options{}, 4)
-	if b.pool == nil {
-		t.Fatal("pool did not engage")
+// localBPEndpoint is a bpEndpoint with the local run queue
+// (netapi.LocalDeliverer, the TCP endpoint's shape): what is queued there
+// is logged like a send to the node itself, so both kinds of endpoint
+// keep comparable logs.
+type localBPEndpoint struct {
+	*bpEndpoint
+	queued int // DeliverLocal calls
+}
+
+func (e *localBPEndpoint) DeliverLocal(msg wire.Message) {
+	e.queued++
+	e.Send(e.id, msg)
+}
+
+// destLine renders what was sent to one destination as "kind:eventID",
+// in send order: the comparison key of the self-delivery differential.
+func (e *bpEndpoint) destLine(to ids.ID) []string {
+	var out []string
+	for _, m := range e.sentTo(to) {
+		switch msg := m.(type) {
+		case *PubMsg:
+			out = append(out, "fwd:"+msg.Event.ID.String())
+		case *DeliverMsg:
+			out = append(out, "del:"+msg.Event.ID.String())
+		default:
+			out = append(out, "ctl:"+msg.Kind())
+		}
 	}
-	defer b.Close()
-	f := NewFilter(TypeIs("drain.evt"))
-	var subs []ids.ID
-	for i := 0; i < 6; i++ {
-		d := ids.FromString(fmt.Sprintf("drain-sub-%d", i))
-		subs = append(subs, d)
-		b.subscribe(d, f)
+	return out
+}
+
+// selfWorld is one side of the self-delivery differential: a standalone
+// broker with a fixed cast of subscribers, neighbours and publishers. Both
+// sides' brokers have the same ID, so every destination is the same ID on
+// both.
+type selfWorld struct {
+	ep     *bpEndpoint
+	local  *localBPEndpoint // nil on the send-to-self side
+	b      *Broker
+	subs   []ids.ID
+	nbors  []ids.ID
+	pubsrc []ids.ID
+}
+
+func newSelfWorld(local bool) *selfWorld {
+	w := &selfWorld{ep: newBPEndpoint("sd-broker")}
+	var ep netapi.Endpoint = w.ep
+	if local {
+		w.local = &localBPEndpoint{bpEndpoint: w.ep}
+		ep = w.local
 	}
-	const publishes = 3000
-	var handled atomic.Int64
-	done := make(chan struct{})
-	var drains int
-	go func() {
-		defer close(done)
-		for handled.Load() < publishes {
-			before := int(handled.Load())
-			b.DrainFanout()
-			drains++
-			for _, d := range subs {
-				if got := len(ep.sentTo(d)); got < before {
-					t.Errorf("drain %d returned with %d of the %d publishes handled before it sent to %s",
-						drains, got, before, d.Short())
-					return
+	w.b = NewBroker(ep, Options{})
+	for i := 0; i < 12; i++ {
+		w.subs = append(w.subs, ids.FromString(fmt.Sprintf("sd-sub-%d", i)))
+	}
+	for i := 0; i < 3; i++ {
+		n := ids.FromString(fmt.Sprintf("sd-nbor-%d", i))
+		w.nbors = append(w.nbors, n)
+		w.b.AddNeighbor(n)
+	}
+	w.pubsrc = []ids.ID{ids.FromString("sd-pub-a"), ids.FromString("sd-pub-b")}
+	return w
+}
+
+// dests is every destination the broker can send to: subscribers,
+// neighbours and its own node.
+func (w *selfWorld) dests() []ids.ID {
+	return append(append(append([]ids.ID(nil), w.subs...), w.nbors...), w.ep.id)
+}
+
+// TestBrokerDifferentialFanoutWorkersVsSerial holds the broker's two
+// ways to its own node's client to each other: a broker whose endpoint
+// has a local run queue (TCP's shape) takes its own node out of the
+// fan-out and queues the delivery there; one without it (simnet, or an
+// endpoint behind the benchmark's spy) sends to itself along with the
+// other subscribers. Under a randomized workload with subscription churn,
+// saturation episodes and drains, the two must send the same messages to
+// every destination in the same order and keep the same Stats.
+//
+// The name and the subtests are kept from when one side fanned out
+// through a worker pool: workers=N now only picks the workload's seed
+// (1000+N, as it did then), and local says whether the side under test
+// has the run queue. The reference always sends to itself, so local=false
+// replays one script on two independent send-to-self brokers, which must
+// agree too.
+func TestBrokerDifferentialFanoutWorkersVsSerial(t *testing.T) {
+	for _, workers := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			for _, local := range []bool{true, false} {
+				t.Run(fmt.Sprintf("local=%v", local), func(t *testing.T) {
+					testSelfDeliveryDifferential(t, int64(1000+workers), local)
+				})
+			}
+		})
+	}
+}
+
+func testSelfDeliveryDifferential(t *testing.T, seed int64, local bool) {
+	loc, snd := newSelfWorld(local), newSelfWorld(false)
+	if (loc.b.local != nil) != local || snd.b.local != nil {
+		t.Fatal("one side has the wrong self-delivery path; differential is vacuous")
+	}
+	worlds := []*selfWorld{loc, snd}
+
+	// Subscriptions: every destination takes a few random filters, which
+	// only "wide" events can match; sub 0, neighbour 0 and the node itself
+	// each take every wide event and one type nobody shares. The churn
+	// below moves the random ones in and out.
+	type subscription struct {
+		d ids.ID
+		f Filter
+	}
+	var plan []subscription
+	var churnable []Filter
+	sub := rand.New(rand.NewSource(7))
+	for _, d := range loc.dests() {
+		for k := 0; k < 3; k++ {
+			f := ixRandFilter(sub)
+			f = NewFilter(append(f.Constraints, Exists("wide"))...)
+			churnable = append(churnable, f)
+			plan = append(plan, subscription{d, f})
+		}
+	}
+	for _, solo := range []subscription{
+		{loc.subs[0], NewFilter(TypeIs("sd.solo"))},
+		{loc.nbors[0], NewFilter(TypeIs("sd.nbor"))},
+		{loc.ep.id, NewFilter(TypeIs("sd.self"))},
+	} {
+		plan = append(plan, solo, subscription{solo.d, NewFilter(Exists("wide"))})
+	}
+	for _, w := range worlds {
+		for _, s := range plan {
+			w.b.subscribe(s.d, s.f)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	removed := map[string]bool{} // "dest|filter key" pairs the churn took out
+	churned := 0
+	for i := 0; i < 600; i++ {
+		// Scripted identically on both sides: saturate a subscriber, drain
+		// one, or move one destination's subscription out or back in.
+		switch rng.Intn(10) {
+		case 0:
+			d := loc.subs[rng.Intn(len(loc.subs))]
+			for _, w := range worlds {
+				w.ep.saturated[d] = true
+			}
+		case 1:
+			d := loc.subs[rng.Intn(len(loc.subs))]
+			for _, w := range worlds {
+				w.ep.saturated[d] = false
+				w.ep.fireDrain(d)
+			}
+		case 2:
+			dests := loc.dests()
+			d := dests[rng.Intn(len(dests))]
+			f := churnable[rng.Intn(len(churnable))]
+			k := d.String() + "|" + f.Key()
+			for _, w := range worlds {
+				if removed[k] {
+					w.b.subscribe(d, f)
+				} else {
+					w.b.unsubscribe(d, f)
 				}
 			}
+			removed[k] = !removed[k]
+			churned++
 		}
-	}()
-	pub := ids.FromString("drain-pub")
-	for i := 0; i < publishes; i++ {
-		b.handlePub(nil, pub, &PubMsg{Event: event.New("drain.evt", "drain", 0).Stamp(uint64(i + 1))})
-		handled.Add(1)
+		var ev *event.Event
+		switch i % 6 {
+		case 1:
+			ev = event.New("sd.solo", "solo", 0).Stamp(uint64(i))
+		case 3:
+			ev = event.New("sd.self", "solo", 0).Stamp(uint64(i))
+		case 5:
+			ev = event.New("sd.nbor", "solo", 0).Stamp(uint64(i))
+		default:
+			ev = ixRandEvent(rng, uint64(i)).Set("wide", event.B(true))
+		}
+		src := rng.Intn(len(loc.pubsrc))
+		for _, w := range worlds {
+			w.b.handlePub(nil, w.pubsrc[src], &PubMsg{Event: ev.Clone()})
+		}
 	}
-	<-done
-	b.DrainFanout()
-	for _, d := range subs {
-		if got := len(ep.sentTo(d)); got != publishes {
-			t.Fatalf("%s was sent %d events, want %d", d.Short(), got, publishes)
+	// Per-destination send sequences must match exactly: the delivery-set
+	// check and the per-destination FIFO check in one (no sorting).
+	for _, d := range loc.dests() {
+		gl, gs := loc.ep.destLine(d), snd.ep.destLine(d)
+		if len(gl) != len(gs) {
+			t.Fatalf("dest %s: side under test sent %d, send-to-self reference %d", d.Short(), len(gl), len(gs))
 		}
+		for i := range gl {
+			if gl[i] != gs[i] {
+				t.Fatalf("dest %s: send %d diverges: side under test %s, send-to-self reference %s",
+					d.Short(), i, gl[i], gs[i])
+			}
+		}
+	}
+	sl, ss := loc.b.Stats(), snd.b.Stats()
+	if sl != ss {
+		t.Fatalf("stats diverge:\nside under test: %+v\nreference:      %+v", sl, ss)
+	}
+	if sl.ShedDeliveries == 0 || sl.DrainEvents == 0 {
+		t.Fatalf("workload shed %d and drained %d times; saturation seam untested (vacuous)", sl.ShedDeliveries, sl.DrainEvents)
+	}
+	self := len(loc.ep.destLine(loc.ep.id))
+	if self < 150 || churned < 20 {
+		t.Fatalf("%d deliveries to the broker's own node, %d churn steps: the workload does not exercise the seam (vacuous)",
+			self, churned)
+	}
+	if local && loc.local.queued != self {
+		t.Fatalf("%d of %d deliveries to the broker's own node went through the local run queue", loc.local.queued, self)
 	}
 }
 
-// slowMany is a TCP endpoint whose multicast path — the one the fan-out
-// workers take — dawdles, while Send, the actor loop's path for a
-// fan-out of one, does not: the slowed worker of the mixed-width test.
-// Everything else, the local run queue included, is the node's own.
-type slowMany struct {
+// widthLog is a TCP endpoint that counts the broker's SendMany calls by
+// width and otherwise is the node itself, local run queue included.
+type widthLog struct {
 	*transport.Node
-	sends, multicasts atomic.Int64
+	one, many atomic.Int64
 }
 
-func (e *slowMany) Send(to ids.ID, msg wire.Message) {
-	e.sends.Add(1)
-	e.Node.Send(to, msg)
-}
-
-func (e *slowMany) SendMany(tos []ids.ID, msg wire.Message) {
-	e.multicasts.Add(1)
-	time.Sleep(50 * time.Microsecond)
+func (e *widthLog) SendMany(tos []ids.ID, msg wire.Message) {
+	if len(tos) == 1 {
+		e.one.Add(1)
+	} else {
+		e.many.Add(1)
+	}
 	e.Node.SendMany(tos, msg)
 }
 
@@ -143,18 +303,17 @@ func onLoop(n *transport.Node, fn func()) {
 	<-done
 }
 
-// TestFanoutMixedWidthFIFOOverTCP pins per-destination FIFO where the
-// two send paths meet: the publisher alternates events only d takes
-// (a fan-out of one, which the actor loop may send itself) with events d
-// and e take (pooled, on a slowed worker). An inline send that did not
-// wait for d's worker to run dry would overtake the pooled one before
-// it; d must see every event once, in publish order.
+// TestFanoutMixedWidthFIFOOverTCP pins per-destination FIFO toward one
+// TCP peer where the transport's two send shapes meet: the publisher
+// alternates events only d takes (a fan-out of one, which SendMany sends
+// as a plain Send) with events d and e take (a fan-out of two, one shared
+// body for both frames). d must see every event once, in publish order.
 func TestFanoutMixedWidthFIFOOverTCP(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	reg := wire.NewRegistry()
 	RegisterMessages(reg)
 	transport.RegisterMessages(reg)
-	hub := &slowMany{Node: tcpNode(t, "mixed-hub", reg)}
+	hub := &widthLog{Node: tcpNode(t, "mixed-hub", reg)}
 	d, e := tcpNode(t, "mixed-d", reg), tcpNode(t, "mixed-e", reg)
 	hub.AddPeer(d.ID(), d.Addr())
 	hub.AddPeer(e.ID(), e.Addr())
@@ -162,11 +321,7 @@ func TestFanoutMixedWidthFIFOOverTCP(t *testing.T) {
 	d.Handle("pubsub.deliver", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { atD.add(msg.(*DeliverMsg).Event) })
 	e.Handle("pubsub.deliver", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { atE.add(msg.(*DeliverMsg).Event) })
 
-	b := newBroker(hub, Options{}, 4)
-	if b.pool == nil {
-		t.Fatal("pool did not engage over TCP")
-	}
-	t.Cleanup(func() { _ = hub.Close(); b.Close() }) // the loop that submits stops first
+	b := NewBroker(hub, Options{})
 	onLoop(hub.Node, func() {
 		b.subscribe(d.ID(), NewFilter(TypeIs("mixed.one")))
 		b.subscribe(d.ID(), NewFilter(TypeIs("mixed.two")))
@@ -185,20 +340,11 @@ func TestFanoutMixedWidthFIFOOverTCP(t *testing.T) {
 		wantD = append(wantD, i)
 		ev := event.New(typ, "mixed", 0).Set("seq", event.I(i)).Stamp(uint64(i + 1))
 		hub.Do(func() { b.handlePub(nil, src, &PubMsg{Event: ev}) })
-		if i%40 == 39 {
-			// Let the loop catch up and the workers run dry now and then,
-			// so that the inline path is taken as well as refused.
-			onLoop(hub.Node, func() {})
-			b.DrainFanout()
-		}
 	}
 	atD.requireSeqs(t, "d", wantD)
 	atE.requireSeqs(t, "e", wantE)
-	// The broker calls Send only for a fan-out of one it sends inline.
-	inline := int(hub.sends.Load())
-	if heldBack := len(wantD) - len(wantE) - inline; inline == 0 || heldBack == 0 {
-		t.Fatalf("of %d fan-outs of one, %d were sent inline and %d held back behind the busy worker: one of the two paths is untested (vacuous)",
-			len(wantD)-len(wantE), inline, heldBack)
+	if one, many := hub.one.Load(), hub.many.Load(); one == 0 || many == 0 {
+		t.Fatalf("%d fan-outs of one and %d wider ones were sent: one of the two shapes is untested (vacuous)", one, many)
 	}
 }
 
@@ -219,7 +365,6 @@ func TestLocalClientInterleavedWithRemote(t *testing.T) {
 	d.Handle("pubsub.deliver", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { atD.add(msg.(*DeliverMsg).Event) })
 
 	b := NewBroker(hub, Options{})
-	t.Cleanup(func() { _ = hub.Close(); b.Close() }) // the loop that submits stops first
 	if b.local == nil {
 		t.Fatal("the broker did not pick up the TCP endpoint's local run queue")
 	}

@@ -1,12 +1,14 @@
 package pubsub
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/gloss/active/internal/event"
 	"github.com/gloss/active/internal/ids"
+	"github.com/gloss/active/internal/leakcheck"
 	"github.com/gloss/active/internal/netapi"
 	"github.com/gloss/active/internal/vclock"
 	"github.com/gloss/active/internal/wire"
@@ -185,5 +187,72 @@ func TestBrokerShedDisabled(t *testing.T) {
 	}
 	if st := b.Stats(); st.ShedDeliveries != 0 {
 		t.Fatalf("ShedDeliveries = %d without a backpressure signal, want 0", st.ShedDeliveries)
+	}
+}
+
+// TestShedDrainSeamUnderFanout runs fifty shed episodes toward one of
+// seven subscribers of a filter: each sheds several publishes toward the
+// saturated one, then drains. Neither ShedDeliveries nor DrainEvents may
+// be lost or double-counted — an episode that sheds four times closes
+// with one drain — and the healthy subscribers miss nothing. leakcheck
+// pins that the broker started no goroutine of its own.
+func TestShedDrainSeamUnderFanout(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	ep := newBPEndpoint("seam-broker")
+	b := NewBroker(ep, Options{})
+
+	f := NewFilter(TypeIs("seam.evt"))
+	hot := ids.FromString("seam-hot")
+	b.subscribe(hot, f)
+	var cold []ids.ID
+	for i := 0; i < 6; i++ {
+		d := ids.FromString(fmt.Sprintf("seam-cold-%d", i))
+		cold = append(cold, d)
+		b.subscribe(d, f)
+	}
+	pub := ids.FromString("seam-pub")
+
+	const (
+		episodes     = 50
+		shedPerEp    = 4 // publishes while hot is saturated
+		deliverPerEp = 3 // publishes after the drain
+	)
+	seq := uint64(0)
+	publish := func() {
+		seq++
+		b.handlePub(nil, pub, &PubMsg{
+			Event: event.New("seam.evt", "seam", 0).Set("x", event.I(1)).Stamp(seq)})
+	}
+	for e := 0; e < episodes; e++ {
+		ep.saturated[hot] = true
+		for i := 0; i < shedPerEp; i++ {
+			publish() // sheds toward hot; the cold subscribers are sent it
+		}
+		ep.saturated[hot] = false
+		ep.fireDrain(hot)
+		for i := 0; i < deliverPerEp; i++ {
+			publish()
+		}
+	}
+
+	st := b.Stats()
+	if want := uint64(episodes * shedPerEp); st.ShedDeliveries != want {
+		t.Fatalf("ShedDeliveries = %d, want %d (lost or double-counted sheds)", st.ShedDeliveries, want)
+	}
+	if st.DrainEvents != episodes {
+		t.Fatalf("DrainEvents = %d, want %d", st.DrainEvents, episodes)
+	}
+	total := uint64(episodes * (shedPerEp + deliverPerEp))
+	// hot receives only the post-drain publishes; cold receive everything.
+	if got := len(ep.sentTo(hot)); got != episodes*deliverPerEp {
+		t.Fatalf("hot received %d events, want %d", got, episodes*deliverPerEp)
+	}
+	for _, d := range cold {
+		if got := len(ep.sentTo(d)); got != int(total) {
+			t.Fatalf("cold %s received %d events, want %d", d.Short(), got, total)
+		}
+	}
+	if want := uint64(episodes*deliverPerEp) + total*uint64(len(cold)); st.ClientDelivers != want {
+		t.Fatalf("ClientDelivers = %d, want %d", st.ClientDelivers, want)
 	}
 }

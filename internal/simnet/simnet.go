@@ -380,12 +380,8 @@ func (n *Node) Send(to ids.ID, msg wire.Message) {
 // is free), and same-deadline deliveries coalesce in the world's
 // delivery batcher.
 //
-// Like Send, SendMany is world-loop-only: the simulator deliberately
-// does not implement netapi.ConcurrentSender, because its determinism
-// rests on the world loop being the only scheduler mutator. (The
-// broker's fan-out pool therefore stays off over simnet and the serial
-// reference path runs — which is exactly what the differential tests
-// compare against.)
+// Like Send, SendMany is world-loop-only: the simulator's determinism
+// rests on the world loop being the only scheduler mutator.
 func (n *Node) SendMany(tos []ids.ID, msg wire.Message) {
 	for _, to := range tos {
 		n.Send(to, msg)

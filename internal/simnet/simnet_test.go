@@ -323,16 +323,14 @@ func TestLatencyEstimate(t *testing.T) {
 	}
 }
 
-// TestSimnetDoesNotAdvertiseConcurrentSends pins the design decision
-// that keeps simulation deterministic: simnet nodes must NOT report the
-// ConcurrentSend capability, so the broker's fan-out pool stays off and
-// every existing simulation remains on the serial reference path. Nor do
-// they offer the local run queue: a self-send is a scheduled message.
+// TestSimnetDoesNotAdvertiseConcurrentSends pins that simnet nodes offer
+// no local run queue: a self-send there is a scheduled message, so the
+// broker reaches its own node's client by a send to self.
 func TestSimnetDoesNotAdvertiseConcurrentSends(t *testing.T) {
 	w := NewWorld(Config{Seed: 1})
 	n := w.NewNode(ids.FromString("caps"), "eu", netapi.Coord{})
-	if caps := netapi.Capabilities(n); caps.ConcurrentSend || caps.Local != nil {
-		t.Fatalf("simnet.Node advertises %+v, want neither ConcurrentSend nor Local", caps)
+	if caps := netapi.Capabilities(n); caps.Local != nil {
+		t.Fatalf("simnet.Node advertises %+v, want no Local", caps)
 	}
 }
 

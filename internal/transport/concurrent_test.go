@@ -12,18 +12,8 @@ import (
 	"github.com/gloss/active/internal/wire"
 )
 
-// TestConcurrentSendsAdvertised pins the capability: the TCP transport
-// must report ConcurrentSend so the broker's fan-out pool turns on over
-// it, and the probe must flow through netapi.Capabilities.
-func TestConcurrentSendsAdvertised(t *testing.T) {
-	n := newNode(t, "tcp-caps", testReg())
-	if !netapi.Capabilities(n).ConcurrentSend {
-		t.Fatal("transport.Node must advertise netapi.Caps.ConcurrentSend")
-	}
-}
-
 // TestSendManyConcurrentProducers drives SendMany from many goroutines
-// at once — the netapi.ConcurrentSender contract — and asserts three
+// at once — the send path's thread safety — and asserts three
 // things: no message is lost or double-counted (receiver count and
 // Stats.Sent both exact), outbox accounting returns to zero, and
 // per-destination FIFO holds per producing goroutine (each goroutine

@@ -13,13 +13,13 @@
 // it sends to and reads the connections it accepts, which removes all
 // simultaneous-connect conflicts. Only the acceptor's hello travels back.
 //
-// The send path, by contrast, is thread-safe (netapi.ConcurrentSender):
-// Send/SendMany encode on the caller's goroutine and push into the
-// per-peer mutex-protected outbox directly, so a broker's fan-out worker
-// pool can drive many destinations in parallel without detouring through
-// the actor inbox. The peer table is guarded by an RWMutex whose only
-// writer is the actor loop; peer dial state is atomic so any sender can
-// kick a connection attempt. Stats counters are atomics.
+// The send path, by contrast, is thread-safe: Send/SendMany encode on the
+// caller's goroutine and push into the per-peer mutex-protected outbox
+// directly, without detouring through the actor inbox, so a caller off
+// the actor loop may send too. The peer table is
+// guarded by an RWMutex whose only writer is the actor loop; peer dial
+// state is atomic so any sender can kick a connection attempt. Stats
+// counters are atomics.
 //
 // Endpoint semantics — handlers, pending requests, reply dispatch, the
 // request ctxs and the local run queue — live in netapi.Loop, which the
@@ -307,7 +307,7 @@ type Node struct {
 	wg       sync.WaitGroup
 
 	// Stats counters, all atomics: the send path runs on arbitrary
-	// caller goroutines (netapi.ConcurrentSender), writer goroutines
+	// caller goroutines, writer goroutines
 	// count flushes, and the read loops count receives — none of them
 	// detour through the inbox to count.
 	c counters
@@ -333,11 +333,10 @@ type counters struct {
 }
 
 var (
-	_ netapi.Endpoint         = (*Node)(nil)
-	_ netapi.Multicaster      = (*Node)(nil)
-	_ netapi.Backpressured    = (*Node)(nil)
-	_ netapi.ConcurrentSender = (*Node)(nil)
-	_ netapi.LocalDeliverer   = (*Node)(nil)
+	_ netapi.Endpoint       = (*Node)(nil)
+	_ netapi.Multicaster    = (*Node)(nil)
+	_ netapi.Backpressured  = (*Node)(nil)
+	_ netapi.LocalDeliverer = (*Node)(nil)
 )
 
 // Listen starts a TCP node. Register every message type with reg before
@@ -485,14 +484,6 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// ConcurrentSends implements netapi.ConcurrentSender: Send and SendMany
-// may be called from any goroutine. Encode runs on the caller, the
-// per-peer outbox is mutex-protected, stats are atomic, and dial
-// kick-off CASes the peer state — nothing on the send path needs the
-// actor loop. This is what lets the pub/sub broker's fan-out workers
-// drive the transport in parallel.
-func (n *Node) ConcurrentSends() bool { return true }
-
 // Handle implements netapi.Endpoint.
 func (n *Node) Handle(kind string, h netapi.Handler) {
 	n.do(func() { n.loop.Handle(kind, h) })
@@ -506,9 +497,8 @@ func (n *Node) AddPeer(id ids.ID, addr string) {
 	n.peersMu.Unlock()
 }
 
-// Send implements netapi.Endpoint. Safe from any goroutine
-// (ConcurrentSends): the frame is encoded and queued on the caller's
-// goroutine before Send returns.
+// Send implements netapi.Endpoint. Safe from any goroutine: the frame is
+// encoded and queued on the caller's goroutine before Send returns.
 func (n *Node) Send(to ids.ID, msg wire.Message) {
 	n.transmit(&wire.Envelope{From: n.info.ID, To: to, Msg: msg}, nil)
 }
@@ -581,10 +571,10 @@ func (n *Node) lookupPeer(to ids.ID, localHash string) (p *peer, addr string, bi
 }
 
 // transmit encodes env and queues it toward its destination. Safe from
-// any goroutine (netapi.ConcurrentSender): the encode runs on the
-// caller, the outbox push is mutex-protected, counters are atomic, and
-// a needed dial is kicked off via CAS on the peer state. Loopback
-// dispatch is posted to the actor loop, where all protocol callbacks run.
+// any goroutine: the encode runs on the caller, the outbox push is
+// mutex-protected, counters are atomic, and a needed dial is kicked off
+// via CAS on the peer state. Loopback dispatch is posted to the actor
+// loop, where all protocol callbacks run.
 func (n *Node) transmit(env *wire.Envelope, shared *wire.SharedBody) {
 	select {
 	case <-n.closed:
@@ -717,10 +707,10 @@ func (n *Node) scheduleRedial(p *peer) {
 
 // --- backpressure (netapi.Backpressured) -----------------------------------------
 
-// QueuedBytes implements netapi.Backpressured. Safe from any goroutine
-// (the ConcurrentSender widening of the Backpressured contract): the
-// peer table is read under RLock and the byte counter is lock-protected.
-// Under concurrent sends the value is an advisory snapshot.
+// QueuedBytes implements netapi.Backpressured. Safe from any goroutine,
+// like the send path: the peer table is read under RLock and the byte
+// counter is lock-protected. Under concurrent sends the value is an
+// advisory snapshot.
 func (n *Node) QueuedBytes(to ids.ID) int {
 	n.peersMu.RLock()
 	p, ok := n.peers[to]
