@@ -80,7 +80,6 @@ func (k *BrokerKeeper) Upstream() ids.ID { return k.upstream }
 // stop flowing into the void.
 func (k *BrokerKeeper) probe() {
 	for _, n := range k.broker.Neighbors() {
-		n := n
 		if k.inflight[n] {
 			continue
 		}
@@ -113,11 +112,17 @@ func (k *BrokerKeeper) reattach() {
 	}
 	k.upstream = next
 	k.Reattachments++
-	// Both ends must treat the link as broker-to-broker: the peer message
-	// makes the new parent register us and resync its own state.
-	k.ep.Send(next, &pubsub.PeerMsg{})
-	k.broker.AddNeighbor(next)
-	k.broker.Resync()
+	joinBroker(k.ep, k.broker, next)
+}
+
+// joinBroker links broker to parent as a tree edge. Both ends must treat
+// the link as broker-to-broker: the peer message makes the parent register
+// the broker and resync its own state toward it, and AddNeighbor and
+// Resync do the same on this side.
+func joinBroker(ep netapi.Endpoint, broker *pubsub.Broker, parent ids.ID) {
+	ep.Send(parent, &pubsub.PeerMsg{})
+	broker.AddNeighbor(parent)
+	broker.Resync()
 }
 
 // nextAncestor returns the ancestor after the given one in the chain.
@@ -130,20 +135,51 @@ func (k *BrokerKeeper) nextAncestor(after ids.ID) (ids.ID, bool) {
 	return ids.Zero, false
 }
 
+// maxBrokerChildren caps how many children brokerParents gives a broker,
+// and so each broker's fan-out. On world-sim a cap of 2 put the journey
+// p50 at 178 virtual ms; 3 and 4 gave 113 and 110 (seed 1), and the same
+// 113 on seed 7.
+const maxBrokerChildren = 3
+
+// brokerParents is the broker tree's shape, the one rule every world and
+// every keeper reads. Node i's parent is the nearest of nodes 0..i-1 by
+// Coord distance among those with fewer than maxBrokerChildren children;
+// equal distances go to the lower ids.Cmp ID. parents[0] is -1: node 0 is
+// the root. The rule reads only Coord, so it means the same on simnet and
+// over TCP, and each parent index is below its child's, so the edges form
+// a tree.
+func brokerParents(nodes []netapi.NodeInfo) []int {
+	parents := make([]int, len(nodes))
+	children := make([]int, len(nodes))
+	for i, n := range nodes {
+		best, bestKm := -1, 0.0
+		for j := range i {
+			if children[j] >= maxBrokerChildren {
+				continue
+			}
+			km := n.Coord.DistanceKm(nodes[j].Coord)
+			if best < 0 || km < bestKm || km == bestKm && ids.Cmp(nodes[j].ID, nodes[best].ID) < 0 {
+				best, bestKm = j, km
+			}
+		}
+		parents[i] = best
+		if best >= 0 {
+			children[best]++
+		}
+	}
+	return parents
+}
+
 // StartBrokerKeepers wires a keeper on every node of the world's broker
-// tree (node i's ancestors are (i-1)/2, …, 0; the root only prunes dead
-// downstream links) and starts them. Returns the keepers by node index.
+// tree and starts them. Node i's fallback chain is its parent,
+// grandparent, …, root, read from the tree NewWorld built; the root only
+// prunes dead downstream links. Returns the keepers by node index.
 func (w *World) StartBrokerKeepers(interval time.Duration) map[int]*BrokerKeeper {
 	keepers := make(map[int]*BrokerKeeper, len(w.Nodes))
-	for i := 0; i < len(w.Nodes); i++ {
+	for i := range w.Nodes {
 		var chain []ids.ID
-		if i > 0 {
-			for p := (i - 1) / 2; ; p = (p - 1) / 2 {
-				chain = append(chain, w.Nodes[p].ID())
-				if p == 0 {
-					break
-				}
-			}
+		for p := w.parents[i]; p >= 0; p = w.parents[p] {
+			chain = append(chain, w.Nodes[p].ID())
 		}
 		k := NewBrokerKeeper(w.Nodes[i].Endpoint(), w.Nodes[i].Broker, chain, interval)
 		k.Start()

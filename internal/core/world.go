@@ -25,8 +25,8 @@ type RegionSpec struct {
 	RadiusKm float64
 }
 
-// DefaultRegions models three continents ~8000 km apart. A world's nodes
-// are placed in them round-robin.
+// DefaultRegions models three continents whose centres are 7 000–15 000 km
+// apart. A world's nodes are placed in them round-robin (placeNode).
 var DefaultRegions = []RegionSpec{
 	{Name: "eu", Center: netapi.Coord{X: 0, Y: 0}, RadiusKm: 300},
 	{Name: "us", Center: netapi.Coord{X: 7000, Y: 1000}, RadiusKm: 300},
@@ -81,6 +81,9 @@ type World struct {
 	Pub     ed25519.PublicKey
 	Priv    ed25519.PrivateKey
 	mintSeq int
+	// parents is the broker tree NewWorld built by brokerParents: node
+	// i's parent index, -1 for the root.
+	parents []int
 }
 
 // NewWorld builds and boots a world: nodes placed across regions, broker
@@ -113,18 +116,20 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	w.Priv = ed25519.NewKeyFromSeed(seed)
 	w.Pub = w.Priv.Public().(ed25519.PublicKey)
 
-	for i := 0; i < cfg.Nodes; i++ {
-		region := DefaultRegions[i%len(DefaultRegions)]
-		coord := netapi.Coord{
-			X: region.Center.X + (rng.Float64()*2-1)*region.RadiusKm,
-			Y: region.Center.Y + (rng.Float64()*2-1)*region.RadiusKm,
-		}
-		ep := w.Sim.NewNode(ids.Random(rng), region.Name, coord)
+	infos := make([]netapi.NodeInfo, cfg.Nodes)
+	for i := range infos {
+		region, coord := placeNode(rng, i)
+		ep := w.Sim.NewNode(ids.Random(rng), region, coord)
 		w.Nodes = append(w.Nodes, NewActiveNode(ep, w.Reg, cfg.Node))
+		infos[i] = ep.Info()
 	}
-	// Broker tree: node i's broker peers with its parent (i-1)/2.
-	for i := 1; i < cfg.Nodes; i++ {
-		pubsub.ConnectBrokers(w.Nodes[(i-1)/2].Broker, w.Nodes[i].Broker)
+	// Broker tree: each broker joins the parent brokerParents picks for
+	// it, over the wire, as a keeper reattaches.
+	w.parents = brokerParents(infos)
+	for i, p := range w.parents {
+		if p >= 0 {
+			joinBroker(w.Nodes[i].Endpoint(), w.Nodes[i].Broker, infos[p].ID)
+		}
 	}
 	// Overlay: sequential joins via random earlier nodes.
 	w.Nodes[0].Overlay.CreateNetwork()
@@ -148,6 +153,16 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	}
 	w.Sim.RunFor(3 * time.Second)
 	return w, nil
+}
+
+// placeNode draws node i's position: the DefaultRegions region i falls to
+// round-robin, uniformly within RadiusKm of its centre on each axis.
+func placeNode(rng *rand.Rand, i int) (region string, coord netapi.Coord) {
+	r := DefaultRegions[i%len(DefaultRegions)]
+	return r.Name, netapi.Coord{
+		X: r.Center.X + (rng.Float64()*2-1)*r.RadiusKm,
+		Y: r.Center.Y + (rng.Float64()*2-1)*r.RadiusKm,
+	}
 }
 
 // RunFor advances virtual time.

@@ -235,7 +235,9 @@ func (b *Broker) refresh(n ids.ID) {
 	}
 }
 
-// ConnectBrokers wires two brokers as neighbours (both directions).
+// ConnectBrokers wires two brokers as neighbours (both directions), in
+// memory: no message is sent. It serves harnesses that wire brokers by
+// hand; a deployment links a broker to its parent over PeerMsg.
 //
 //vetactive:actorloop
 func ConnectBrokers(a, b *Broker) {
