@@ -51,9 +51,8 @@ func main() {
 		},
 	}
 	svc := &active.ServiceDescriptor{
-		Name:          "dine-out",
-		Rules:         []*active.Rule{rule},
-		Subscriptions: []active.Filter{active.NewFilter(active.TypeIs("gps.location"))},
+		Name:  "dine-out",
+		Rules: []*active.Rule{rule},
 		Facts: []active.Fact{
 			{S: "bob", P: "knows", O: "anna"},
 			{S: "harbour-grill", P: "recommended-by", O: "anna"},

@@ -12,6 +12,7 @@ import (
 	"github.com/gloss/active/internal/event"
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/netapi"
+	"github.com/gloss/active/internal/pubsub"
 	"github.com/gloss/active/internal/simnet"
 	"github.com/gloss/active/internal/wire"
 )
@@ -276,6 +277,56 @@ type progFunc struct {
 
 func (p progFunc) Start(d *Domain) error { return p.start(d) }
 func (p progFunc) Stop()                 {}
+
+// TestDomainSubscriptionsFollowInstallation: the host holds a domain's
+// filters from Subscribe until Uninstall, and a domain whose Start fails
+// holds none.
+func TestDomainSubscriptionsFollowInstallation(t *testing.T) {
+	secret := []byte("k")
+	w := simnet.NewWorld(simnet.Config{Seed: 3})
+	node := w.NewNode(ids.FromString("server"), "eu", netapi.Coord{})
+	reg := NewRegistry()
+	gps := pubsub.NewFilter(pubsub.TypeIs("gps.location"))
+	weather := pubsub.NewFilter(pubsub.TypeIs("weather.report"))
+	reg.Register("two", func(map[string]string, []byte) (Program, error) {
+		return progFunc{start: func(d *Domain) error {
+			d.Subscribe(gps)
+			d.Subscribe(weather)
+			return nil
+		}}, nil
+	})
+	reg.Register("fails", func(map[string]string, []byte) (Program, error) {
+		return progFunc{start: func(d *Domain) error {
+			d.Subscribe(gps)
+			return errors.New("cannot start")
+		}}, nil
+	})
+	ts := NewThinServer(node, reg, Options{Secret: secret})
+	held := make(map[string]int)
+	ts.SetSubscriber(func(f pubsub.Filter) func() {
+		held[f.Key()]++
+		return func() { held[f.Key()]-- }
+	})
+
+	if _, err := ts.Install(signedBundle(t, secret, "a", "two")); err != nil {
+		t.Fatal(err)
+	}
+	if held[gps.Key()] != 1 || held[weather.Key()] != 1 {
+		t.Fatalf("after install the host holds %v, want each filter once", held)
+	}
+	if _, err := ts.Install(signedBundle(t, secret, "b", "fails")); err == nil {
+		t.Fatal("a program whose Start fails was installed")
+	}
+	if held[gps.Key()] != 1 {
+		t.Fatalf("a failed Start left %d holds on its filter, want the other domain's 1", held[gps.Key()])
+	}
+	if err := ts.Uninstall("a"); err != nil {
+		t.Fatal(err)
+	}
+	if held[gps.Key()] != 0 || held[weather.Key()] != 0 {
+		t.Fatalf("after uninstall the host holds %v, want nothing", held)
+	}
+}
 
 func TestRemoteDeploy(t *testing.T) {
 	secret := []byte("k")

@@ -11,6 +11,7 @@ import (
 	"github.com/gloss/active/internal/event"
 	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/netapi"
+	"github.com/gloss/active/internal/pubsub"
 	"github.com/gloss/active/internal/vclock"
 	"github.com/gloss/active/internal/wire"
 )
@@ -73,7 +74,9 @@ type Domain struct {
 	quota   int64
 	program Program
 	onEvent func(*event.Event)
-	log     *slog.Logger
+	// held releases the subscriptions the domain took through Subscribe.
+	held []func()
+	log  *slog.Logger
 }
 
 // ErrForbidden reports a capability violation.
@@ -130,6 +133,23 @@ func (d *Domain) Emit(ev *event.Event) error {
 // event delivery source and an event sink", §5).
 func (d *Domain) OnEvent(h func(*event.Event)) { d.onEvent = h }
 
+// Subscribe is the event delivery source of the same API: it asks the host
+// to route events matching f to this node while the domain is installed.
+// The subscription is released on Uninstall, or when Start fails.
+func (d *Domain) Subscribe(f pubsub.Filter) {
+	if d.server.subscribe != nil {
+		d.held = append(d.held, d.server.subscribe(f))
+	}
+}
+
+// release drops every subscription the domain holds.
+func (d *Domain) release() {
+	for _, r := range d.held {
+		r()
+	}
+	d.held = nil
+}
+
 // Options configure a thin server.
 type Options struct {
 	// Secret is the HMAC key capabilities must be minted with.
@@ -165,14 +185,15 @@ type Stats struct {
 // ThinServer hosts security domains and accepts bundle deployments, both
 // locally and over the network ("bundle.deploy" requests).
 type ThinServer struct {
-	ep      netapi.Endpoint
-	reg     *Registry
-	opts    Options
-	log     *slog.Logger
-	domains map[string]*Domain
-	order   []string // deterministic iteration
-	emit    func(*event.Event)
-	stats   Stats
+	ep        netapi.Endpoint
+	reg       *Registry
+	opts      Options
+	log       *slog.Logger
+	domains   map[string]*Domain
+	order     []string // deterministic iteration
+	emit      func(*event.Event)
+	subscribe func(pubsub.Filter) (release func())
+	stats     Stats
 }
 
 // NewThinServer builds a thin server on ep and registers its handlers.
@@ -193,6 +214,12 @@ func NewThinServer(ep netapi.Endpoint, reg *Registry, opts Options) *ThinServer 
 
 // SetEmitter wires domain Emit calls into the host (pipelines/pub-sub).
 func (ts *ThinServer) SetEmitter(emit func(*event.Event)) { ts.emit = emit }
+
+// SetSubscriber wires domain Subscribe calls into the host: subscribe takes
+// the host's hold on a filter and returns the function that gives it back.
+func (ts *ThinServer) SetSubscriber(subscribe func(pubsub.Filter) (release func())) {
+	ts.subscribe = subscribe
+}
 
 // Stats returns a snapshot of counters. Must run on the server's
 // owning goroutine: deployment state is confined to the endpoint's
@@ -265,6 +292,7 @@ func (ts *ThinServer) Install(b *Bundle) (*Domain, error) {
 	}
 	d.program = prog
 	if err := prog.Start(d); err != nil {
+		d.release()
 		ts.stats.Rejected++
 		return nil, fmt.Errorf("bundle: start %q: %w", b.Name, err)
 	}
@@ -305,6 +333,7 @@ func (ts *ThinServer) Uninstall(name string) error {
 		return fmt.Errorf("bundle: no domain %q", name)
 	}
 	d.program.Stop()
+	d.release()
 	delete(ts.domains, name)
 	for i, n := range ts.order {
 		if n == name {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/gloss/active/internal/event"
 	"github.com/gloss/active/internal/ids"
+	"github.com/gloss/active/internal/knowledge"
 	"github.com/gloss/active/internal/match"
 	"github.com/gloss/active/internal/pipeline"
 	"github.com/gloss/active/internal/plaxton"
@@ -104,14 +106,32 @@ func iceCreamWorld(t testing.TB, desc *ServiceDescriptor) (*World, *[]*event.Eve
 	}
 
 	// Bob's device (node at eu) subscribes to suggestions for bob.
+	return w, bobsDevice(w, w.NodesInRegion("eu")[0])
+}
+
+// bobsDevice subscribes node i to the suggestions for bob, which collect
+// in the returned slice.
+func bobsDevice(w *World, i int) *[]*event.Event {
 	suggestions := new([]*event.Event)
-	device := w.Node(w.NodesInRegion("eu")[0])
-	device.Client.Subscribe(pubsub.NewFilter(
+	w.Node(i).Client.Subscribe(pubsub.NewFilter(
 		pubsub.TypeIs("suggestion.meet"),
 		pubsub.Eq("user", event.S("bob")),
 	), func(ev *event.Event) { *suggestions = append(*suggestions, ev) })
 	w.RunFor(2 * time.Second)
-	return w, suggestions
+	return suggestions
+}
+
+// alwaysOpen makes the scenario hold at any hour, for worlds that do not
+// fast-forward to ScenarioStart: the shop never closes and every fact,
+// Bob's spare time included, is always valid.
+func alwaysOpen(desc *ServiceDescriptor) *ServiceDescriptor {
+	for i := range desc.Places {
+		desc.Places[i].Hours = knowledge.Span{}
+	}
+	for i := range desc.Facts {
+		desc.Facts[i].From, desc.Facts[i].To = 0, 0
+	}
+	return desc
 }
 
 // publishWeatherAndAnna publishes, from two us nodes, the context Bob's
@@ -280,19 +300,26 @@ func TestPipelineBundleProgram(t *testing.T) {
 	}
 }
 
+// TestGracefulLeaveTriggersRedeployment: a matchlet host withdraws, the
+// evolution engine places a replacement, and the replacement's host
+// subscribes to the rule's patterns — a Figure-1 journey then yields a
+// suggestion from it.
 func TestGracefulLeaveTriggersRedeployment(t *testing.T) {
 	w := testWorld(t, 6, 9, NodeConfig{})
-	svc, err := w.DeployService(IceCreamService(2, ""), 0)
+	svc, err := w.DeployService(alwaysOpen(IceCreamService(2, "")), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.RunFor(20 * time.Second)
 
 	victim := -1
+	placed := make(map[string]bool)
 	for i, n := range w.Nodes {
-		if i != 0 && len(n.Server.Domains()) > 0 {
-			victim = i
-			break
+		for _, d := range n.Server.Domains() {
+			placed[d] = true
+			if i != 0 && victim == -1 {
+				victim = i
+			}
 		}
 	}
 	if victim == -1 {
@@ -304,11 +331,17 @@ func TestGracefulLeaveTriggersRedeployment(t *testing.T) {
 	w.RunFor(30 * time.Second)
 
 	live := 0
+	replacement := ""
 	for i, n := range w.Nodes {
 		if i == victim {
 			continue
 		}
-		live += len(n.Server.Domains())
+		for _, d := range n.Server.Domains() {
+			live++
+			if !placed[d] {
+				replacement = d
+			}
+		}
 	}
 	if live < 2 {
 		t.Fatalf("matchlets after graceful leave = %d, want ≥ 2", live)
@@ -316,4 +349,19 @@ func TestGracefulLeaveTriggersRedeployment(t *testing.T) {
 	if svc.Engine.Stats().LeavesSeen == 0 {
 		t.Fatal("leave never observed")
 	}
+	if replacement == "" {
+		t.Fatal("no replacement matchlet installed")
+	}
+
+	got := bobsDevice(w, 0)
+	publishWeatherAndAnna(w)
+	w.RunFor(2 * time.Second)
+	publishBob(w, 3)
+	w.RunFor(5 * time.Second)
+	for _, s := range *got {
+		if strings.Contains(s.Source, replacement+"/") {
+			return
+		}
+	}
+	t.Fatalf("no suggestion from the replacement %s among %d", replacement, len(*got))
 }

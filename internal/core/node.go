@@ -10,6 +10,7 @@ package core
 import (
 	"crypto/ed25519"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/gloss/active/internal/bundle"
@@ -76,6 +77,19 @@ type ActiveNode struct {
 	Advertiser *evolve.Advertiser
 	Gauges     *gauges.Registry
 	Programs   *bundle.Registry
+
+	// matching is the node's matching-subscription table, in the order
+	// its filters were first held.
+	matching []*matchSub
+}
+
+// matchSub is one filter of a node's matching-subscription table and the
+// number of holders it has: SubscribeMatching callers and installed
+// domains.
+type matchSub struct {
+	filter pubsub.Filter
+	key    string
+	refs   int
 }
 
 // RegisterMessages records every message type the stack uses.
@@ -113,6 +127,8 @@ func NewActiveNode(ep netapi.Endpoint, reg *wire.Registry, cfg NodeConfig) *Acti
 
 	// Matchlet results go onto the event bus (§5).
 	n.Server.SetEmitter(func(ev *event.Event) { n.Client.Publish(ev) })
+	// A domain's subscriptions are the node's while it is installed.
+	n.Server.SetSubscriber(n.holdMatching)
 	n.Engine.OnEmit(func(ev *event.Event) { n.Client.Publish(ev) })
 
 	if cfg.EnableDiscovery {
@@ -153,10 +169,47 @@ func (n *ActiveNode) DeliverEvent(ev *event.Event) {
 	n.Server.Deliver(ev)
 }
 
-// SubscribeMatching routes a bus subscription into the matching
-// infrastructure.
-func (n *ActiveNode) SubscribeMatching(f pubsub.Filter) {
-	n.Client.Subscribe(f, n.DeliverEvent)
+// SubscribeMatching routes events matching f into the node's matching
+// infrastructure for the node's lifetime.
+func (n *ActiveNode) SubscribeMatching(f pubsub.Filter) { n.holdMatching(f) }
+
+// holdMatching takes a reference on f in the matching-subscription table,
+// keyed by Filter.Key. The node subscribes to f on the bus when the key's
+// first reference is taken, and unsubscribes when release gives back its
+// last.
+func (n *ActiveNode) holdMatching(f pubsub.Filter) (release func()) {
+	key := f.Key()
+	i := slices.IndexFunc(n.matching, func(s *matchSub) bool { return s.key == key })
+	var s *matchSub
+	if i >= 0 {
+		s = n.matching[i]
+	} else {
+		s = &matchSub{filter: f, key: key}
+		n.matching = append(n.matching, s)
+		n.Client.Subscribe(f, func(ev *event.Event) { n.deliverMatched(s, ev) })
+	}
+	s.refs++
+	return func() {
+		if s.refs--; s.refs == 0 {
+			n.matching = slices.DeleteFunc(n.matching, func(x *matchSub) bool { return x == s })
+			n.Client.Unsubscribe(s.filter)
+		}
+	}
+}
+
+// deliverMatched is the bus handler of table entry s. The client calls the
+// handler of every subscription an event matches, so ev is delivered only
+// from the first entry that matches it: once, however many held filters
+// overlap.
+func (n *ActiveNode) deliverMatched(s *matchSub, ev *event.Event) {
+	for _, held := range n.matching {
+		if held.filter.Matches(ev) {
+			if held == s {
+				n.DeliverEvent(ev)
+			}
+			return
+		}
+	}
 }
 
 // registerStandardPrograms loads the bundle programs every node can host.

@@ -117,12 +117,8 @@ func IceCreamRule() *match.Rule {
 // the given matchlet placement constraint.
 func IceCreamService(matchletInstances int, region string) *ServiceDescriptor {
 	return &ServiceDescriptor{
-		Name:  "ice-cream-meetup",
-		Rules: []*match.Rule{IceCreamRule()},
-		Subscriptions: []pubsub.Filter{
-			pubsub.NewFilter(pubsub.TypeIs("gps.location")),
-			pubsub.NewFilter(pubsub.TypeIs("weather.report")),
-		},
+		Name:   "ice-cream-meetup",
+		Rules:  []*match.Rule{IceCreamRule()},
 		Facts:  IceCreamFacts(),
 		Places: IceCreamPlaces(),
 		Constraints: constraint.NewSet(&constraint.MinInstances{

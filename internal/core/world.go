@@ -235,9 +235,6 @@ type ServiceDescriptor struct {
 	Name string
 	// Rules are the service's matchlets.
 	Rules []*match.Rule
-	// Subscriptions are the event streams the matching infrastructure
-	// needs delivered wherever matchlets run.
-	Subscriptions []pubsub.Filter
 	// Facts seed the knowledge base.
 	Facts []knowledge.Fact
 	// Places seed the GIS layer.
@@ -255,9 +252,10 @@ type Service struct {
 	Engine *evolve.Engine
 }
 
-// DeployService realises a descriptor: knowledge is seeded everywhere,
-// subscriptions wired, and an evolution engine started on the given node
-// to place matchlets per the constraints.
+// DeployService realises a descriptor: knowledge is seeded everywhere and
+// an evolution engine started on the given node to place matchlets per the
+// constraints. It subscribes nothing: each matchlet's host subscribes to
+// the rule's patterns while the matchlet is installed.
 func (w *World) DeployService(desc *ServiceDescriptor, engineNode int) (*Service, error) {
 	for _, n := range w.Nodes {
 		for _, f := range desc.Facts {
@@ -267,9 +265,6 @@ func (w *World) DeployService(desc *ServiceDescriptor, engineNode int) (*Service
 			if err := n.GIS.AddPlace(p); err != nil {
 				return nil, fmt.Errorf("core: seed GIS: %w", err)
 			}
-		}
-		for _, f := range desc.Subscriptions {
-			n.SubscribeMatching(f)
 		}
 	}
 	rules := make(map[string]*match.Rule, len(desc.Rules))

@@ -17,9 +17,10 @@ import (
 // the host to matchlets is an event delivery source and an event sink."
 //
 // A matchlet program runs one declarative rule on a private engine that
-// shares the host's knowledge base and GIS view; it reads events from its
-// security domain's event source and emits synthesised events through the
-// domain (requiring the emit capability).
+// shares the host's knowledge base and GIS view; it subscribes its security
+// domain to each of the rule's pattern filters, reads events from the
+// domain's event source and emits synthesised events through the domain
+// (requiring the emit capability).
 type Matchlet struct {
 	rule   *Rule
 	engine *Engine
@@ -53,6 +54,14 @@ func (m *Matchlet) Start(d *bundle.Domain) error {
 		_ = d.Emit(ev)
 	})
 	d.OnEvent(m.engine.Put)
+	// The host routes the rule's streams here only while it runs.
+	seen := make(map[string]bool, len(m.rule.Patterns))
+	for _, p := range m.rule.Patterns {
+		if key := p.Filter.Key(); !seen[key] {
+			seen[key] = true
+			d.Subscribe(p.Filter)
+		}
+	}
 	return nil
 }
 
