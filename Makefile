@@ -20,7 +20,7 @@ race:
 # race detector's instrumentation allocates, so under it these tests skip
 # or gate their bounds off and `make race` enforces none of them.
 allocs:
-	$(GO) test -count=1 -run '^(TestHandlePubAllocs|TestSwapCostIndependentOfTableSize|TestDecodeBorrowAllocRegression)$$' ./internal/pubsub
+	$(GO) test -count=1 -run '^(TestHandlePubAllocs|TestClientDispatchAllocs|TestSwapCostIndependentOfTableSize|TestDecodeBorrowAllocRegression)$$' ./internal/pubsub
 	$(GO) test -count=1 -run '^TestFigure1JourneyAllocs$$' ./internal/core
 	$(GO) test -count=1 -run '^TestLoopDispatchAllocs$$' ./internal/netapi
 	$(GO) test -count=1 -run '^TestSimnetDeliveryAllocs$$' ./internal/simnet

@@ -172,7 +172,7 @@ func BenchmarkE_T17_Knowledge(b *testing.B) {
 
 // BenchmarkBrokerPublishWorld measures the full per-publish path through
 // the simulated network — client → broker chain → matched subscribers —
-// with the counting predicate index doing the matching at every hop.
+// with the access-predicate index doing the matching at every hop.
 // (internal/pubsub's BenchmarkBrokerPublish isolates matching cost alone,
 // index vs the linear-scan oracle.)
 func BenchmarkBrokerPublishWorld(b *testing.B) {

@@ -42,13 +42,13 @@ func buildBus(seed int64, brokers, clientsPerBroker int, opts pubsub.Options) *b
 // T4PubSubScaling measures broker routing state and per-publish cost as
 // subscriptions grow, with covering-based pruning on and off (§4.1).
 // The widest setting (1200 subscriptions over 24 brokers, 300 distinct
-// users) drives the broker tables into the regime where the counting
-// predicate index matters; "index postings" reports its size.
+// users) drives the broker tables into the regime where the predicate
+// index matters.
 func T4PubSubScaling(quick bool) *Table {
 	t := &Table{
 		ID:     "E-T4",
 		Title:  "Content-based pub/sub scaling; covering ablation",
-		Header: []string{"brokers", "subs", "covering", "table entries", "fwd subs", "index postings", "broker fwds/pub", "deliveries/pub"},
+		Header: []string{"brokers", "subs", "covering", "table entries", "fwd subs", "broker fwds/pub", "deliveries/pub"},
 	}
 	brokerCounts := []int{8, 24}
 	subCounts := []int{120, 360, 1200}
@@ -104,19 +104,18 @@ func T4PubSubScaling(quick bool) *Table {
 				}
 				b.world.RunFor(10 * time.Second)
 
-				var entries, fwdSubs, postings int
+				var entries, fwdSubs int
 				var fwds, deliv uint64
 				for _, br := range b.brokers {
 					st := br.Stats()
 					entries += st.TableEntries
 					fwdSubs += st.ForwardedSubs
-					postings += st.IndexPostings
 					fwds += st.NeighborFwds
 					deliv += st.ClientDelivers
 				}
 				t.AddRow(
 					fmt.Sprint(nb), fmt.Sprint(ns), fmt.Sprint(!disableCovering),
-					fmt.Sprint(entries), fmt.Sprint(fwdSubs), fmt.Sprint(postings),
+					fmt.Sprint(entries), fmt.Sprint(fwdSubs),
 					f2(float64(fwds-beforeFwds)/pubs),
 					f2(float64(deliv-beforeDeliv)/pubs),
 				)

@@ -109,7 +109,7 @@ type Engine struct {
 	opts    Options
 	rules   map[string]*compiledRule
 	ruleSeq uint64
-	// filters is the counting index over every installed pattern's
+	// filters is the predicate index over every installed pattern's
 	// filter, and patterns resolves its keys.
 	filters  *pubsub.Index
 	patterns map[string]patRef

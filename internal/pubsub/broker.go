@@ -41,7 +41,6 @@ type matcher interface {
 	Match(ev *event.Event, visit func(key string))
 	Len() int
 	AttrCount() int
-	Postings() int
 }
 
 // entry records one distinct filter and the directions subscribed to it.
@@ -67,7 +66,6 @@ type Stats struct {
 	TableEntries   int // distinct filters in the subscription table
 	ForwardedSubs  int // filters currently forwarded to neighbours (total)
 	IndexAttrs     int // attributes with postings in the predicate index
-	IndexPostings  int // constraint postings in the predicate index
 	SubsReceived   uint64
 	PubsReceived   uint64
 	Matches        uint64 // events matched at this broker
@@ -98,7 +96,7 @@ type Broker struct {
 	nborOrder []ids.ID // sorted, for deterministic iteration
 	entries   map[string]*entry
 	entryKeys []string          // sorted
-	index     matcher           // counting-algorithm view of entries
+	index     matcher           // access-predicate view of entries
 	covers    map[ids.ID]*cover // per neighbour: what it holds on our behalf
 	adverts   map[string]*advEntry
 	proxies   map[ids.ID]*proxy
@@ -254,7 +252,6 @@ func (b *Broker) Stats() Stats {
 	s := b.stats
 	s.TableEntries = len(b.entries)
 	s.IndexAttrs = b.index.AttrCount()
-	s.IndexPostings = b.index.Postings()
 	for _, c := range b.covers {
 		s.ForwardedSubs += len(c.sent)
 	}

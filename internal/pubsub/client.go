@@ -1,7 +1,9 @@
 package pubsub
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/gloss/active/internal/event"
@@ -19,6 +21,9 @@ const seenLimit = 4096
 type Subscription struct {
 	Filter   Filter
 	Handlers []func(*event.Event)
+
+	seq  uint64 // subscription order: handlers of one event run in it
+	gone bool   // unsubscribed
 }
 
 // Client attaches to a broker, publishes events and receives matched
@@ -30,10 +35,16 @@ type Client struct {
 	local    netapi.LocalDeliverer // ep's local run queue, or nil
 	broker   ids.ID
 	subs     map[string]*Subscription
-	subOrder []string
+	index    *Index // over the keys of subs
+	nextSeq  uint64
 	seen     map[ids.ID]bool
 	seenFIFO []ids.ID
 	detached bool
+	// hits is dispatch's buffer of matched subscriptions. A handler may
+	// dispatch again (a matchlet's Emit publishes): the nested call
+	// appends past its caller's run and truncates back to it on return.
+	hits  []*Subscription
+	onHit func(key string) // appends c.subs[key] to hits, bound once
 
 	// Delivered counts events handed to subscription handlers.
 	Delivered uint64
@@ -48,8 +59,10 @@ func NewClient(ep netapi.Endpoint, broker ids.ID) *Client {
 		local:  netapi.Capabilities(ep).Local,
 		broker: broker,
 		subs:   make(map[string]*Subscription),
+		index:  NewIndex(),
 		seen:   make(map[ids.ID]bool),
 	}
+	c.onHit = func(key string) { c.hits = append(c.hits, c.subs[key]) }
 	ep.Handle("pubsub.deliver", c.handleDeliver)
 	return c
 }
@@ -75,9 +88,10 @@ func (c *Client) Subscribe(f Filter, h func(*event.Event)) {
 	key := f.Key()
 	sub, dup := c.subs[key]
 	if !dup {
-		sub = &Subscription{Filter: f}
+		c.nextSeq++
+		sub = &Subscription{Filter: f, seq: c.nextSeq}
 		c.subs[key] = sub
-		c.subOrder = append(c.subOrder, key)
+		c.index.Add(key, f)
 	}
 	sub.Handlers = append(sub.Handlers, h)
 	c.send(&SubMsg{Filter: f})
@@ -86,16 +100,13 @@ func (c *Client) Subscribe(f Filter, h func(*event.Event)) {
 // Unsubscribe withdraws a filter.
 func (c *Client) Unsubscribe(f Filter) {
 	key := f.Key()
-	if _, ok := c.subs[key]; !ok {
+	sub, ok := c.subs[key]
+	if !ok {
 		return
 	}
+	sub.gone = true
 	delete(c.subs, key)
-	for i, k := range c.subOrder {
-		if k == key {
-			c.subOrder = append(c.subOrder[:i], c.subOrder[i+1:]...)
-			break
-		}
-	}
+	c.index.Remove(key)
 	c.send(&UnsubMsg{Filter: f})
 }
 
@@ -165,18 +176,27 @@ func (c *Client) AttachTo(newBroker ids.ID, timeout time.Duration, onComplete fu
 }
 
 func (c *Client) resubscribe() {
-	for _, key := range c.subOrder {
-		c.send(&SubMsg{Filter: c.subs[key].Filter})
+	subs := make([]*Subscription, 0, len(c.subs))
+	for _, s := range c.subs {
+		subs = append(subs, s)
+	}
+	slices.SortFunc(subs, bySeq)
+	for _, s := range subs {
+		c.send(&SubMsg{Filter: s.Filter})
 	}
 }
+
+func bySeq(a, b *Subscription) int { return cmp.Compare(a.seq, b.seq) }
 
 func (c *Client) handleDeliver(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 	c.dispatch(msg.(*DeliverMsg).Event)
 }
 
-// dispatch hands an event to every matching subscription, once per event ID.
-// The event is frozen first: handlers share one immutable value (zero-copy
-// delivery) and take Mutable()/CloneDetached() when they need to rewrite.
+// dispatch hands an event to every matching subscription, once per event
+// ID, in subscription order. The event is frozen first: handlers share one
+// immutable value (zero-copy delivery) and take Mutable()/CloneDetached()
+// when they need to rewrite. A subscription withdrawn by an earlier
+// handler of the same event is skipped.
 func (c *Client) dispatch(ev *event.Event) {
 	ev.Freeze()
 	if c.seen[ev.ID] {
@@ -189,13 +209,20 @@ func (c *Client) dispatch(ev *event.Event) {
 		delete(c.seen, c.seenFIFO[0])
 		c.seenFIFO = c.seenFIFO[1:]
 	}
-	for _, key := range c.subOrder {
-		s := c.subs[key]
-		if s.Filter.Matches(ev) {
-			c.Delivered++
-			for _, h := range s.Handlers {
-				h(ev)
-			}
+	start := len(c.hits)
+	c.index.Match(ev, c.onHit)
+	end := len(c.hits)
+	slices.SortFunc(c.hits[start:end], bySeq)
+	for i := start; i < end; i++ {
+		s := c.hits[i]
+		if s.gone {
+			continue
+		}
+		c.Delivered++
+		for _, h := range s.Handlers {
+			h(ev)
 		}
 	}
+	clear(c.hits[start:end])
+	c.hits = c.hits[:start]
 }

@@ -7,15 +7,19 @@ import (
 	"github.com/gloss/active/internal/event"
 )
 
-// This file implements the Siena/Gryphon-style counting algorithm for
-// content-based matching. Each distinct filter in the broker's table is
-// decomposed into per-attribute constraint postings; publishing an event
-// touches only the postings its attributes can satisfy, and a counting
-// table declares a filter matched once every one of its constraints has
-// been satisfied. Publish cost therefore tracks the number of *matching*
-// constraints rather than the size of the subscription table, which the
-// linear scan it replaces (Broker.matchLinear, preserved as the
-// differential reference) could not do.
+// This file implements access-predicate matching (Fabret et al., SIGMOD
+// 2001) for content-based subscriptions. Each distinct filter is posted
+// under exactly one of its constraints, its access constraint, chosen
+// when the filter is added: the equality whose (attribute, value) has the
+// fewest postings, else a sorted range, else an exists, else a scanned
+// constraint. Publishing an event probes the postings of the attributes
+// it carries; every satisfied posting yields one candidate, which matches
+// outright if it is the filter's only constraint and otherwise once its
+// other constraints hold. Publish cost therefore tracks the candidates
+// the event selects, not the size of the table nor the number of filters
+// sharing a popular constraint (every filter pinning the same event type,
+// say). The linear scan (linearMatcher, the differential oracle in
+// index_test.go) tracks the table.
 //
 // Postings are organised by attribute name, then by operator and value
 // domain. Equality and range constraints over numeric and string values
@@ -25,7 +29,7 @@ import (
 // linearly within its attribute, which keeps the index's semantics
 // byte-for-byte identical to Filter.Matches.
 
-// posting is one constraint of one indexed filter.
+// posting is the one access posting of one indexed filter.
 type posting struct {
 	con Constraint
 	fx  *ixFilter
@@ -35,212 +39,136 @@ type posting struct {
 type ixFilter struct {
 	key    string
 	filter Filter
-	slot   int // dense position in the counting table
-	total  int // constraints to satisfy before the filter matches
+	access int // the constraint (index into filter.Constraints) it is posted under
 }
 
-// Posting bucket kinds: how a bucket is ordered, and therefore how the
-// satisfied span is located at match time.
+// The posting lists of one attribute. The numeric and string lists are
+// sorted by value; exists postings hold on presence alone, and misc
+// postings are evaluated one by one. NaN-valued comparisons go to misc:
+// NaN breaks the total order binary search relies on, and Filter.Matches
+// gives them exact (if degenerate) semantics.
 const (
-	bucketMisc   = iota // unordered; evaluate Constraint.Matches per posting
-	bucketExists        // satisfied by attribute presence alone
-	bucketNum           // sorted by Val.Num()
-	bucketStr           // sorted by Val.S
+	listEqNum = iota
+	listLtNum
+	listLeNum
+	listGtNum
+	listGeNum
+	listEqStr
+	listLtStr
+	listLeStr
+	listGtStr
+	listGeStr
+	listExists
+	listMisc
+	numLists
 )
 
-// attrPostings holds every posting that constrains one attribute.
-type attrPostings struct {
-	exists []posting
-	eqNum  []posting
-	ltNum  []posting
-	leNum  []posting
-	gtNum  []posting
-	geNum  []posting
-	eqStr  []posting
-	ltStr  []posting
-	leStr  []posting
-	gtStr  []posting
-	geStr  []posting
-	misc   []posting
-}
-
-// bucket routes a constraint to the posting list it lives in, together
-// with the list's ordering kind. NaN-valued comparisons are routed to the
-// linear bucket: NaN breaks the total order binary search relies on, and
-// Filter.Matches gives them exact (if degenerate) semantics.
-func (ap *attrPostings) bucket(c Constraint) (*[]posting, int) {
+// listOf routes a constraint to the posting list it lives in.
+func listOf(c Constraint) int {
+	var num, str int
 	switch c.Op {
 	case OpExists:
-		return &ap.exists, bucketExists
-	case OpEq, OpLt, OpLe, OpGt, OpGe:
-		if n, ok := c.Val.Num(); ok && !math.IsNaN(n) {
-			switch c.Op {
-			case OpEq:
-				return &ap.eqNum, bucketNum
-			case OpLt:
-				return &ap.ltNum, bucketNum
-			case OpLe:
-				return &ap.leNum, bucketNum
-			case OpGt:
-				return &ap.gtNum, bucketNum
-			default:
-				return &ap.geNum, bucketNum
-			}
-		}
-		if c.Val.K == event.KindString {
-			switch c.Op {
-			case OpEq:
-				return &ap.eqStr, bucketStr
-			case OpLt:
-				return &ap.ltStr, bucketStr
-			case OpLe:
-				return &ap.leStr, bucketStr
-			case OpGt:
-				return &ap.gtStr, bucketStr
-			default:
-				return &ap.geStr, bucketStr
-			}
-		}
-		return &ap.misc, bucketMisc
+		return listExists
+	case OpEq:
+		num, str = listEqNum, listEqStr
+	case OpLt:
+		num, str = listLtNum, listLtStr
+	case OpLe:
+		num, str = listLeNum, listLeStr
+	case OpGt:
+		num, str = listGtNum, listGtStr
+	case OpGe:
+		num, str = listGeNum, listGeStr
 	default:
-		return &ap.misc, bucketMisc
+		return listMisc
 	}
+	if n, ok := c.Val.Num(); ok && !math.IsNaN(n) {
+		return num
+	}
+	if c.Val.K == event.KindString {
+		return str
+	}
+	return listMisc
 }
 
-// lists enumerates every posting bucket once, so size and emptiness
-// checks cannot drift from the field set.
-func (ap *attrPostings) lists() [][]posting {
-	return [][]posting{
-		ap.exists,
-		ap.eqNum, ap.ltNum, ap.leNum, ap.gtNum, ap.geNum,
-		ap.eqStr, ap.ltStr, ap.leStr, ap.gtStr, ap.geStr,
-		ap.misc,
+// accessRank orders the lists a filter may be posted under, most
+// selective first: an equality, a sorted range, an exists, a scan.
+func accessRank(l int) int {
+	switch l {
+	case listEqNum, listEqStr:
+		return 0
+	case listExists:
+		return 2
+	case listMisc:
+		return 3
 	}
+	return 1
 }
 
-func (ap *attrPostings) empty() bool { return ap.size() == 0 }
-
-func (ap *attrPostings) size() int {
-	n := 0
-	for _, ps := range ap.lists() {
-		n += len(ps)
-	}
-	return n
+// attrPostings holds every posting filed under one attribute.
+type attrPostings struct {
+	name  string
+	lists [numLists][]posting
+	n     int // postings over all lists
 }
 
-// insertPosting adds p to ps, keeping value-ordered buckets sorted.
-func insertPosting(ps *[]posting, kind int, p posting) {
-	i := len(*ps)
-	switch kind {
-	case bucketNum:
-		n, _ := p.con.Val.Num()
-		i = sort.Search(len(*ps), func(j int) bool {
-			m, _ := (*ps)[j].con.Val.Num()
-			return m >= n
-		})
-	case bucketStr:
-		s := p.con.Val.S
-		i = sort.Search(len(*ps), func(j int) bool { return (*ps)[j].con.Val.S >= s })
+// bound returns the first posting of the sorted list l whose value sorts
+// above v (after) or at or above it (!after): by float64 for the numeric
+// lists, by string for the string lists.
+func bound(ps []posting, l int, v *event.Value, after bool) int {
+	if len(ps) == 0 {
+		return 0
 	}
-	*ps = append(*ps, posting{})
-	copy((*ps)[i+1:], (*ps)[i:])
-	(*ps)[i] = p
-}
-
-// removePosting deletes the posting for exactly (p.con, p.fx); one
-// instance only, so filters carrying duplicate constraints stay balanced.
-func removePosting(ps *[]posting, kind int, p posting) bool {
-	start := 0
-	switch kind {
-	case bucketNum:
-		n, _ := p.con.Val.Num()
-		start = sort.Search(len(*ps), func(j int) bool {
-			m, _ := (*ps)[j].con.Val.Num()
-			return m >= n
-		})
-	case bucketStr:
-		s := p.con.Val.S
-		start = sort.Search(len(*ps), func(j int) bool { return (*ps)[j].con.Val.S >= s })
-	}
-	for i := start; i < len(*ps); i++ {
-		q := &(*ps)[i]
-		switch kind {
-		case bucketNum:
-			n, _ := p.con.Val.Num()
-			if m, _ := q.con.Val.Num(); m > n {
-				return false
-			}
-		case bucketStr:
-			if q.con.Val.S > p.con.Val.S {
-				return false
-			}
+	if l <= listGeNum {
+		n, _ := v.Num()
+		if after {
+			return sort.Search(len(ps), func(j int) bool { return postNum(ps, j) > n })
 		}
-		if q.fx == p.fx && q.con == p.con {
-			*ps = append((*ps)[:i], (*ps)[i+1:]...)
-			return true
+		return sort.Search(len(ps), func(j int) bool { return postNum(ps, j) >= n })
+	}
+	s := v.S
+	if after {
+		return sort.Search(len(ps), func(j int) bool { return ps[j].con.Val.S > s })
+	}
+	return sort.Search(len(ps), func(j int) bool { return ps[j].con.Val.S >= s })
+}
+
+// eqSpan returns the run [lo, hi) of list l whose values sort equal to v;
+// an unsorted list is one run. The run is found by one binary search and
+// a walk over it: access postings spread filters across values, so runs
+// are short, and each caller either visits the run or inserts into the
+// list, which costs the list's length anyway.
+func eqSpan(ps []posting, l int, v *event.Value) (lo, hi int) {
+	switch {
+	case l <= listGeNum:
+		n, _ := v.Num()
+		lo = bound(ps, l, v, false)
+		for hi = lo; hi < len(ps) && postNum(ps, hi) == n; hi++ {
 		}
+	case l <= listGeStr:
+		lo = bound(ps, l, v, false)
+		for hi = lo; hi < len(ps) && ps[hi].con.Val.S == v.S; hi++ {
+		}
+	default:
+		hi = len(ps)
 	}
-	return false
+	return lo, hi
 }
 
-// countTable is the per-match counting state of the algorithm: one
-// counter per filter slot, validated by a stamp so no clear is paid
-// between matches. The owner column records which filter a slot's count
-// belongs to this match: Remove recycles slots, and should a visit
-// callback ever change the index mid-match the owner check stops the new
-// tenant from inheriting the previous tenant's partial count.
-type countTable struct {
-	counts []int
-	owner  []*ixFilter
-	stamps []uint64
-	stamp  uint64
-}
+func postNum(ps []posting, j int) float64 { m, _ := ps[j].con.Val.Num(); return m }
 
-// begin opens a new match: all existing counts become stale at once.
-func (t *countTable) begin() { t.stamp++ }
-
-// bump records one satisfied constraint for fx and emits the filter once
-// its count reaches the constraint total. Growth is lazy so the table
-// tracks slot-space expansion without coordination.
-func (t *countTable) bump(fx *ixFilter, visit func(string)) {
-	s := fx.slot
-	if s >= len(t.counts) {
-		grown := make([]int, s+s/2+8)
-		copy(grown, t.counts)
-		t.counts = grown
-		owner := make([]*ixFilter, len(grown))
-		copy(owner, t.owner)
-		t.owner = owner
-		stamps := make([]uint64, len(grown))
-		copy(stamps, t.stamps)
-		t.stamps = stamps
-	}
-	if t.stamps[s] != t.stamp || t.owner[s] != fx {
-		t.stamps[s] = t.stamp
-		t.owner[s] = fx
-		t.counts[s] = 0
-	}
-	t.counts[s]++
-	if t.counts[s] == fx.total {
-		visit(fx.key)
-	}
-}
-
-// Index is the counting-algorithm predicate index over a broker's
-// distinct subscription filters. Not safe for concurrent use: its one
-// shipped caller, Broker.handlePub, runs on the actor loop.
+// Index is the access-predicate index over a broker's distinct
+// subscription filters. Not safe for concurrent use: its shipped callers
+// (Broker.handlePub, Client.dispatch, the rule engine's put) each own
+// theirs on one goroutine.
 type Index struct {
 	filters map[string]*ixFilter
 	attrs   map[string]*attrPostings
-	// attrOrder keeps the indexed attribute names sorted, for
-	// deterministic introspection (Attrs) and debugging.
-	attrOrder []string
+	// order holds attrs sorted by name: the walk Match takes when the
+	// index has fewer attributes than the event, and Attrs' order.
+	order []*attrPostings
 	// empties are zero-constraint filters: they match every event.
 	empties []*ixFilter
-
-	slots []*ixFilter
-	free  []int
-	ct    countTable
 }
 
 // NewIndex returns an empty predicate index.
@@ -259,22 +187,15 @@ func NewShardedIndex(int) *Index { return NewIndex() }
 // Len returns the number of indexed filters.
 func (ix *Index) Len() int { return len(ix.filters) }
 
-// Postings returns the total number of constraint postings.
-func (ix *Index) Postings() int {
-	n := 0
-	for _, ap := range ix.attrs {
-		n += ap.size()
-	}
-	return n
-}
-
 // AttrCount returns the number of attributes with live postings.
 func (ix *Index) AttrCount() int { return len(ix.attrs) }
 
 // Attrs returns the indexed attribute names in sorted order.
 func (ix *Index) Attrs() []string {
-	out := make([]string, len(ix.attrOrder))
-	copy(out, ix.attrOrder)
+	out := make([]string, len(ix.order))
+	for i, ap := range ix.order {
+		out[i] = ap.name
+	}
 	return out
 }
 
@@ -284,33 +205,57 @@ func (ix *Index) Add(key string, f Filter) {
 	if _, dup := ix.filters[key]; dup {
 		return
 	}
-	fx := &ixFilter{key: key, filter: f, total: len(f.Constraints)}
-	if n := len(ix.free); n > 0 {
-		fx.slot = ix.free[n-1]
-		ix.free = ix.free[:n-1]
-		ix.slots[fx.slot] = fx
-	} else {
-		fx.slot = len(ix.slots)
-		ix.slots = append(ix.slots, fx)
-	}
+	fx := &ixFilter{key: key, filter: f}
 	ix.filters[key] = fx
-	if fx.total == 0 {
+	if len(f.Constraints) == 0 {
 		ix.empties = append(ix.empties, fx)
 		return
 	}
-	for _, c := range f.Constraints {
-		ap := ix.attrs[c.Attr]
-		if ap == nil {
-			ap = &attrPostings{}
-			ix.attrs[c.Attr] = ap
-			i := sort.SearchStrings(ix.attrOrder, c.Attr)
-			ix.attrOrder = append(ix.attrOrder, "")
-			copy(ix.attrOrder[i+1:], ix.attrOrder[i:])
-			ix.attrOrder[i] = c.Attr
-		}
-		ps, kind := ap.bucket(c)
-		insertPosting(ps, kind, posting{con: c, fx: fx})
+	fx.access = ix.accessOf(f)
+	c := f.Constraints[fx.access]
+	ap := ix.attrs[c.Attr]
+	if ap == nil {
+		ap = &attrPostings{name: c.Attr}
+		ix.attrs[c.Attr] = ap
+		i := ix.orderPos(c.Attr)
+		ix.order = append(ix.order, nil)
+		copy(ix.order[i+1:], ix.order[i:])
+		ix.order[i] = ap
 	}
+	l := listOf(c)
+	ps := &ap.lists[l]
+	_, i := eqSpan(*ps, l, &c.Val) // after its equals: insertion order among them
+	*ps = append(*ps, posting{})
+	copy((*ps)[i+1:], (*ps)[i:])
+	(*ps)[i] = posting{con: c, fx: fx}
+	ap.n++
+}
+
+// accessOf picks the constraint f is posted under: the best-ranked list,
+// and among equalities the (attribute, value) with the fewest postings
+// now. Ties go to the earlier constraint.
+func (ix *Index) accessOf(f Filter) int {
+	best, bestRank, bestN := 0, numLists, 0
+	for i, c := range f.Constraints {
+		l := listOf(c)
+		r, n := accessRank(l), 0
+		if r > bestRank {
+			continue
+		}
+		if ap := ix.attrs[c.Attr]; ap != nil && r == 0 {
+			lo, hi := eqSpan(ap.lists[l], l, &c.Val)
+			n = hi - lo
+		}
+		if r < bestRank || n < bestN {
+			best, bestRank, bestN = i, r, n
+		}
+	}
+	return best
+}
+
+// orderPos is where attr sits, or would sit, in ix.order.
+func (ix *Index) orderPos(attr string) int {
+	return sort.Search(len(ix.order), func(i int) bool { return ix.order[i].name >= attr })
 }
 
 // Remove drops the filter indexed under key. Unknown keys are a no-op.
@@ -320,148 +265,163 @@ func (ix *Index) Remove(key string) {
 		return
 	}
 	delete(ix.filters, key)
-	if fx.total == 0 {
+	if len(fx.filter.Constraints) == 0 {
 		for i, e := range ix.empties {
 			if e == fx {
 				ix.empties = append(ix.empties[:i], ix.empties[i+1:]...)
 				break
 			}
 		}
-	} else {
-		for _, c := range fx.filter.Constraints {
-			ap := ix.attrs[c.Attr]
-			if ap == nil {
-				continue
-			}
-			ps, kind := ap.bucket(c)
-			removePosting(ps, kind, posting{con: c, fx: fx})
-			if ap.empty() {
-				delete(ix.attrs, c.Attr)
-				i := sort.SearchStrings(ix.attrOrder, c.Attr)
-				if i < len(ix.attrOrder) && ix.attrOrder[i] == c.Attr {
-					ix.attrOrder = append(ix.attrOrder[:i], ix.attrOrder[i+1:]...)
-				}
-			}
+		return
+	}
+	c := fx.filter.Constraints[fx.access]
+	ap := ix.attrs[c.Attr]
+	l := listOf(c)
+	ps := &ap.lists[l]
+	lo, hi := eqSpan(*ps, l, &c.Val)
+	for i := lo; i < hi; i++ {
+		if (*ps)[i].fx == fx {
+			*ps = append((*ps)[:i], (*ps)[i+1:]...)
+			ap.n--
+			break
 		}
 	}
-	ix.slots[fx.slot] = nil
-	ix.free = append(ix.free, fx.slot)
+	if ap.n == 0 {
+		delete(ix.attrs, c.Attr)
+		i := ix.orderPos(c.Attr)
+		ix.order = append(ix.order[:i], ix.order[i+1:]...)
+	}
 }
 
 // Match invokes visit exactly once for the key of every indexed filter
 // the event satisfies. The visit order is unspecified.
+//
+// The probe walks whichever side has fewer attributes: the event's,
+// looking each up among the index's, or the index's, looking each up on
+// the event. A filter has one posting and each attribute is probed once,
+// so no filter is visited twice.
 func (ix *Index) Match(ev *event.Event, visit func(key string)) {
-	ix.ct.begin()
 	for _, fx := range ix.empties {
 		visit(fx.key)
 	}
+	p := probe{ev: ev, visit: visit}
+	if len(ix.order) <= 3+len(ev.Attrs) { // the envelope's type, source, time, then Attrs
+		for _, ap := range ix.order {
+			if v, ok := ev.Get(ap.name); ok {
+				p.attr(ap, v)
+			}
+		}
+		return
+	}
 	// Implicit envelope attributes first; they shadow Attrs entries of
 	// the same name, exactly as Event.Get does.
-	ix.matchAttr("type", event.S(ev.Type), visit)
-	ix.matchAttr("source", event.S(ev.Source), visit)
-	ix.matchAttr("time", event.I(int64(ev.Time)), visit)
+	p.named(ix, "type", event.S(ev.Type))
+	p.named(ix, "source", event.S(ev.Source))
+	p.named(ix, "time", event.I(int64(ev.Time)))
 	for name, v := range ev.Attrs {
 		switch name {
 		case "type", "source", "time":
 			continue
 		}
-		ix.matchAttr(name, v, visit)
+		p.named(ix, name, v)
 	}
 }
 
-func (ix *Index) matchAttr(name string, v event.Value, visit func(string)) {
+// probe is one Match call's event and callback.
+type probe struct {
+	ev    *event.Event
+	visit func(string)
+}
+
+func (p *probe) named(ix *Index, name string, v event.Value) {
 	if ap := ix.attrs[name]; ap != nil {
-		probeAttr(ap, v, &ix.ct, visit)
+		p.attr(ap, v)
 	}
 }
 
-// probeAttr runs one attribute's value against its postings, bumping the
-// counting table for every satisfied constraint.
-func probeAttr(ap *attrPostings, v event.Value, ct *countTable, visit func(string)) {
-	for i := range ap.exists {
-		ct.bump(ap.exists[i].fx, visit)
+// hit takes one filter whose access posting the event satisfies. The
+// posting lookup is exact, so the filter matches once its other
+// constraints hold, as Filter.Matches checks them; a one-constraint
+// filter matches outright.
+func (p *probe) hit(fx *ixFilter) {
+	for i, c := range fx.filter.Constraints {
+		if i == fx.access {
+			continue
+		}
+		if v, ok := p.ev.Get(c.Attr); !ok || !c.Matches(v) {
+			return
+		}
 	}
+	p.visit(fx.key)
+}
+
+// hitAll takes every posting of ps[lo:hi].
+func (p *probe) hitAll(ps []posting, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p.hit(ps[i].fx)
+	}
+}
+
+// attr runs one attribute's value against its postings.
+func (p *probe) attr(ap *attrPostings, v event.Value) {
+	ls := &ap.lists
+	p.hitAll(ls[listExists], 0, len(ls[listExists]))
 	if n, ok := v.Num(); ok {
 		if math.IsNaN(n) {
 			// NaN compares as equal to everything under Value.Compare;
 			// only direct evaluation reproduces that faithfully.
-			scanBucket(ap.eqNum, v, ct, visit)
-			scanBucket(ap.ltNum, v, ct, visit)
-			scanBucket(ap.leNum, v, ct, visit)
-			scanBucket(ap.gtNum, v, ct, visit)
-			scanBucket(ap.geNum, v, ct, visit)
+			for l := listEqNum; l <= listGeNum; l++ {
+				p.scan(ls[l], v)
+			}
 		} else {
-			num := func(ps []posting, j int) float64 { m, _ := ps[j].con.Val.Num(); return m }
 			// eq: postings whose value equals n. The float64 span is a
 			// superset of the truly equal postings — Value.Equal compares
 			// same-kind ints exactly, and distinct int64s beyond 2^53
 			// collide in float64 — so each candidate is confirmed with
 			// the constraint's own predicate.
-			ps := ap.eqNum
-			for i := sort.Search(len(ps), func(j int) bool { return num(ps, j) >= n }); i < len(ps) && num(ps, i) == n; i++ {
-				if ps[i].con.Matches(v) {
-					ct.bump(ps[i].fx, visit)
-				}
-			}
+			ps := ls[listEqNum]
+			lo, hi := eqSpan(ps, listEqNum, &v)
+			p.scan(ps[lo:hi], v)
 			// v < c.Val ⇔ c.Val > n: the suffix strictly above n.
-			ps = ap.ltNum
-			for i := sort.Search(len(ps), func(j int) bool { return num(ps, j) > n }); i < len(ps); i++ {
-				ct.bump(ps[i].fx, visit)
-			}
+			ps = ls[listLtNum]
+			p.hitAll(ps, bound(ps, listLtNum, &v, true), len(ps))
 			// v ≤ c.Val: the suffix from n up.
-			ps = ap.leNum
-			for i := sort.Search(len(ps), func(j int) bool { return num(ps, j) >= n }); i < len(ps); i++ {
-				ct.bump(ps[i].fx, visit)
-			}
+			ps = ls[listLeNum]
+			p.hitAll(ps, bound(ps, listLeNum, &v, false), len(ps))
 			// v > c.Val: the prefix strictly below n.
-			ps = ap.gtNum
-			for i, hi := 0, sort.Search(len(ps), func(j int) bool { return num(ps, j) >= n }); i < hi; i++ {
-				ct.bump(ps[i].fx, visit)
-			}
+			ps = ls[listGtNum]
+			p.hitAll(ps, 0, bound(ps, listGtNum, &v, false))
 			// v ≥ c.Val: the prefix up to n.
-			ps = ap.geNum
-			for i, hi := 0, sort.Search(len(ps), func(j int) bool { return num(ps, j) > n }); i < hi; i++ {
-				ct.bump(ps[i].fx, visit)
-			}
+			ps = ls[listGeNum]
+			p.hitAll(ps, 0, bound(ps, listGeNum, &v, true))
 		}
 	} else if v.K == event.KindString {
-		s := v.S
-		ps := ap.eqStr
-		// Both sides are strings: Constraint.Matches is struct equality.
-		for i := sort.Search(len(ps), func(j int) bool { return ps[j].con.Val.S >= s }); i < len(ps) && ps[i].con.Val.S == s; i++ {
+		// Value.Equal is struct equality between two strings; confirm
+		// the span with it, as Filter.Matches would.
+		ps := ls[listEqStr]
+		lo, hi := eqSpan(ps, listEqStr, &v)
+		for i := lo; i < hi; i++ {
 			if ps[i].con.Val == v {
-				ct.bump(ps[i].fx, visit)
+				p.hit(ps[i].fx)
 			}
 		}
-		ps = ap.ltStr
-		for i := sort.Search(len(ps), func(j int) bool { return ps[j].con.Val.S > s }); i < len(ps); i++ {
-			ct.bump(ps[i].fx, visit)
-		}
-		ps = ap.leStr
-		for i := sort.Search(len(ps), func(j int) bool { return ps[j].con.Val.S >= s }); i < len(ps); i++ {
-			ct.bump(ps[i].fx, visit)
-		}
-		ps = ap.gtStr
-		for i, hi := 0, sort.Search(len(ps), func(j int) bool { return ps[j].con.Val.S >= s }); i < hi; i++ {
-			ct.bump(ps[i].fx, visit)
-		}
-		ps = ap.geStr
-		for i, hi := 0, sort.Search(len(ps), func(j int) bool { return ps[j].con.Val.S > s }); i < hi; i++ {
-			ct.bump(ps[i].fx, visit)
-		}
+		ps = ls[listLtStr]
+		p.hitAll(ps, bound(ps, listLtStr, &v, true), len(ps))
+		ps = ls[listLeStr]
+		p.hitAll(ps, bound(ps, listLeStr, &v, false), len(ps))
+		ps = ls[listGtStr]
+		p.hitAll(ps, 0, bound(ps, listGtStr, &v, false))
+		ps = ls[listGeStr]
+		p.hitAll(ps, 0, bound(ps, listGeStr, &v, true))
 	}
-	for i := range ap.misc {
-		if ap.misc[i].con.Matches(v) {
-			ct.bump(ap.misc[i].fx, visit)
-		}
-	}
+	p.scan(ls[listMisc], v)
 }
 
-// scanBucket is the binary-search bypass for degenerate values.
-func scanBucket(ps []posting, v event.Value, ct *countTable, visit func(string)) {
+// scan takes the postings of ps whose constraint v satisfies.
+func (p *probe) scan(ps []posting, v event.Value) {
 	for i := range ps {
 		if ps[i].con.Matches(v) {
-			ct.bump(ps[i].fx, visit)
+			p.hit(ps[i].fx)
 		}
 	}
 }

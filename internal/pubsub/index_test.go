@@ -85,8 +85,8 @@ func ixRandEvent(rng *rand.Rand, seq uint64) *event.Event {
 
 // --- index unit tests ---------------------------------------------------------
 
-// TestIndexDifferential is the core property test of the counting
-// algorithm: a mutating stream of adds and removes, with every event
+// TestIndexDifferential is the core property test of the access-predicate
+// index: a mutating stream of adds and removes, with every event
 // checked against every live filter's Filter.Matches. Well over 1000
 // randomized filter/event pairs per run.
 func TestIndexDifferential(t *testing.T) {
@@ -185,8 +185,8 @@ func TestIndexExistsOperator(t *testing.T) {
 }
 
 func TestIndexDuplicateConstraints(t *testing.T) {
-	// A filter may carry the same constraint twice; the counting table
-	// must require both postings, and removal must drop both.
+	// A filter may carry the same constraint twice; it must match once,
+	// and removal must leave no posting behind.
 	ix := NewIndex()
 	c := Eq("user", event.S("bob"))
 	f := NewFilter(c, c)
@@ -197,7 +197,7 @@ func TestIndexDuplicateConstraints(t *testing.T) {
 		t.Fatalf("duplicate-constraint filter matched %d times, want 1", hit)
 	}
 	ix.Remove(f.Key())
-	if got := ix.Postings(); got != 0 {
+	if got := postingCount(ix); got != 0 {
 		t.Fatalf("postings after removal = %d, want 0", got)
 	}
 	if got := len(ix.Attrs()); got != 0 {
@@ -239,21 +239,42 @@ func TestIndexLargeIntEquality(t *testing.T) {
 	}
 }
 
-func TestIndexSlotReuse(t *testing.T) {
+// postingCount is the number of access postings in ix.
+func postingCount(ix *Index) int {
+	n := 0
+	for _, ap := range ix.attrs {
+		n += ap.n
+	}
+	return n
+}
+
+// TestIndexSharedConstraintPostedOnce: filters that all share one
+// equality and differ in a second are posted under the second, so an
+// event probes only its own candidates, not every filter of its type.
+// One posting per filter, and every filter still matches its own event.
+func TestIndexSharedConstraintPostedOnce(t *testing.T) {
+	const n = 4000
 	ix := NewIndex()
-	for i := 0; i < 100; i++ {
-		f := NewFilter(Eq("user", event.S(fmt.Sprintf("u%d", i))))
-		key := f.Key()
-		ix.Add(key, f)
-		if i%2 == 0 {
-			ix.Remove(key)
+	for i := 0; i < n; i++ {
+		f := NewFilter(TypeIs("gps.location"), Eq("user", event.S(fmt.Sprintf("u%d", i))))
+		ix.Add(f.Key(), f)
+	}
+	if got := postingCount(ix); got != n {
+		t.Fatalf("%d postings for %d filters, want one each", got, n)
+	}
+	ps, gps := ix.attrs["type"].lists[listEqStr], event.S("gps.location")
+	if lo, hi := eqSpan(ps, listEqStr, &gps); hi-lo > 1 {
+		t.Fatalf("%d postings under (type, gps.location), want at most 1", hi-lo)
+	}
+	for i := 0; i < n; i++ {
+		user := fmt.Sprintf("u%d", i)
+		ev := event.New("gps.location", "gps", 0).Set("user", event.S(user)).Set("x", event.F(1)).Stamp(uint64(i))
+		var got []string
+		ix.Match(ev, func(key string) { got = append(got, key) })
+		want := NewFilter(TypeIs("gps.location"), Eq("user", event.S(user))).Key()
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("event of %s matched %q, want [%q]", user, got, want)
 		}
-	}
-	if got := len(ix.slots) - len(ix.free); got != ix.Len() {
-		t.Fatalf("slot accounting: %d live slots vs %d filters", got, ix.Len())
-	}
-	if len(ix.slots) >= 100 {
-		t.Fatalf("free slots not reused: %d slots for %d live filters", len(ix.slots), ix.Len())
 	}
 }
 
@@ -290,10 +311,10 @@ func newDiffWorld(seed int64, brokers, clientsPerBroker int, opts Options) *diff
 	return &diffWorld{tn: tn, got: &deliveries{byClient: map[int][]string{}}}
 }
 
-// linearMatcher is the reference implementation the counting index is
+// linearMatcher is the reference implementation the index is
 // differentially tested and benchmarked against: the original O(table)
 // scan, Filter.Matches on every registered filter. It embeds an Index for
-// the filter table and for the Len/AttrCount/Postings figures
+// the filter table and for the Len/AttrCount figures
 // Broker.Stats reports, so both worlds' Stats compare equal; its Match
 // never touches the postings.
 type linearMatcher struct{ *Index }
@@ -309,7 +330,7 @@ func (m linearMatcher) Match(ev *event.Event, visit func(key string)) {
 }
 
 // TestBrokerDifferentialIndexVsLinear drives two identical broker chains
-// — one matching through the counting index, one through the linear-scan
+// — one matching through the index, one through the linear-scan
 // oracle behind the matcher seam — with the same randomized subscribe/
 // advertise/publish/unsubscribe workload under all four DisableCovering ×
 // UseAdvertisements combinations, and requires identical delivery sets,
@@ -517,7 +538,7 @@ func benchBroker(subs int, linear bool) (*Broker, []*event.Event) {
 }
 
 // BenchmarkBrokerPublish measures per-publish matching cost at growing
-// subscription-table sizes, for the counting index and the linear-scan
+// subscription-table sizes, for the index and the linear-scan
 // oracle. The acceptance bar for the index is ≥5× lower ns/op at
 // subs=10000.
 func BenchmarkBrokerPublish(b *testing.B) {
@@ -539,11 +560,37 @@ func BenchmarkBrokerPublish(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexMatch isolates the counting algorithm itself.
+// BenchmarkIndexMatch isolates the index itself: mix/10000 is
+// benchBroker's table, shared-type/N is N filters of mobile-subs' shape
+// (type=gps.location ∧ user=uK, every filter sharing the type) probed by
+// events of 5 attributes.
 func BenchmarkIndexMatch(b *testing.B) {
-	br, evs := benchBroker(10000, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		br.index.Match(evs[i%len(evs)], func(string) {})
+	run := func(b *testing.B, ix *Index, evs []*event.Event) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ix.Match(evs[i%len(evs)], func(string) {})
+		}
+	}
+	b.Run("mix/10000", func(b *testing.B) {
+		br, evs := benchBroker(10000, false)
+		run(b, br.index.(*Index), evs)
+	})
+	for _, n := range []int{400, 4000} {
+		b.Run(fmt.Sprintf("shared-type/%d", n), func(b *testing.B) {
+			ix := NewIndex()
+			for i := 0; i < n; i++ {
+				f := NewFilter(TypeIs("gps.location"), Eq("user", event.S(fmt.Sprintf("u%05d", i))))
+				ix.Add(f.Key(), f)
+			}
+			evs := make([]*event.Event, 64)
+			for i := range evs {
+				evs[i] = event.New("gps.location", "gps", 0).
+					Set("user", event.S(fmt.Sprintf("u%05d", i*7%n))).
+					Set("lat", event.F(1)).Set("lon", event.F(2)).
+					Set("acc", event.F(5)).Set("seq", event.I(int64(i))).Stamp(uint64(i))
+			}
+			run(b, ix, evs)
+		})
 	}
 }
