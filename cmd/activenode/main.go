@@ -1,6 +1,8 @@
 // Command activenode runs one node of the active architecture over real
-// TCP. The first node creates the overlay; later nodes join via a
-// bootstrap peer:
+// TCP. The first node starts a deployment; each later node joins through
+// a bootstrap peer, which is both its entry point to the overlay and the
+// parent of its broker in the event service's tree, so N processes form
+// one event service and one store:
 //
 //	activenode -listen 127.0.0.1:7701 -name seed -region eu
 //	activenode -listen 127.0.0.1:7702 -name n2 -region us \
@@ -92,11 +94,10 @@ func run(args []string) error {
 	defer func() { _ = ep.Close() }()
 
 	node := core.NewActiveNode(ep, reg, core.NodeConfig{
-		Codec:          *codec,
-		Secret:         []byte(*secret),
-		AdvertInterval: -1, // advertising needs a broker mesh; single-node CLI keeps quiet
-		Store:          store.Options{ChunkBytes: *chunkB},
-		Knowledge:      knowledge.Options{Writer: *writerID, GossipInterval: *kbGossip},
+		Codec:     *codec,
+		Secret:    []byte(*secret),
+		Store:     store.Options{ChunkBytes: *chunkB},
+		Knowledge: knowledge.Options{Writer: *writerID, GossipInterval: *kbGossip},
 	})
 	gateway.Serve(node)
 
@@ -105,30 +106,25 @@ func run(args []string) error {
 	fmt.Printf("region:    %s\n", *region)
 	fmt.Printf("codec:     %s\n", *codec)
 
-	// Protocol state belongs to the node's actor loop; marshal the
-	// bootstrap calls onto it.
-	if *bootstrap == "" {
-		ep.Do(node.Overlay.CreateNetwork)
-		fmt.Println("overlay:   created new network")
-	} else {
-		peerID, addr, err := parsePeer(*bootstrap)
-		if err != nil {
+	var peerID ids.ID // zero: start a new deployment
+	if *bootstrap != "" {
+		var addr string
+		if peerID, addr, err = parsePeer(*bootstrap); err != nil {
 			return err
 		}
 		ep.AddPeer(peerID, addr)
-		done := make(chan error, 1)
-		ep.Do(func() {
-			node.Overlay.Join(peerID, func(err error) { done <- err })
-		})
-		select {
-		case err := <-done:
-			if err != nil {
-				return fmt.Errorf("join: %w", err)
-			}
-		case <-time.After(15 * time.Second):
-			return fmt.Errorf("join: no response from bootstrap")
-		}
-		fmt.Printf("overlay:   joined via %s\n", peerID.Short())
+	}
+	// Protocol state belongs to the node's actor loop; marshal the join
+	// onto it. The overlay's join timeout reports a dead bootstrap.
+	joined := make(chan error, 1)
+	ep.Do(func() { node.Join(peerID, func(err error) { joined <- err }) })
+	if err := <-joined; err != nil {
+		return fmt.Errorf("join: %w", err)
+	}
+	if peerID.IsZero() {
+		fmt.Println("joined:    started a new deployment")
+	} else {
+		fmt.Printf("joined:    via %s\n", peerID.Short())
 	}
 
 	stop := make(chan os.Signal, 1)

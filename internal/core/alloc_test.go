@@ -4,6 +4,11 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/gloss/active/internal/constraint"
+	"github.com/gloss/active/internal/event"
+	"github.com/gloss/active/internal/ids"
+	"github.com/gloss/active/internal/match"
 )
 
 // journeyAllocCeiling bounds what one Figure-1 journey allocates on the
@@ -12,7 +17,13 @@ import (
 // engine with Anna's fix, the weather and the GIS, and the suggestion
 // routed back to Bob's device — together with the background
 // maintenance the world runs in the journey's three virtual seconds.
-// Measured at 140 on go1.24/amd64 (164 while every node's matching stack
+// The two matchlet instances are installed on node 0, not placed by the
+// evolution engine: where the engine puts them depends on which adverts
+// its first evaluation has seen, and so on boot timing, and a journey to
+// two hosts costs more than a journey to one. Measured at 137 on
+// go1.24/amd64 (146 with the instances on nodes 0 and 3; before every
+// join waited for its announces to be answered, 134 and 143, and 140
+// with engine placement; 164 while every node's matching stack
 // subscribed to the service's streams, not only the matchlets' hosts, so
 // each fix crossed every edge of the broker tree; 161 before the broker
 // tree followed node coordinates, which changed the brokers a journey
@@ -32,7 +43,7 @@ func TestFigure1JourneyAllocs(t *testing.T) {
 	// Every fix is a journey: without output suppression each one yields
 	// a suggestion per matchlet instance.
 	desc.Rules[0].SuppressMs = -1
-	w, got := iceCreamWorld(t, desc)
+	w, got := pinnedIceCreamWorld(t, desc, 0, 0)
 	publishWeatherAndAnna(w)
 	w.RunFor(2 * time.Second)
 
@@ -63,4 +74,29 @@ func TestFigure1JourneyAllocs(t *testing.T) {
 	if perJourney > journeyAllocCeiling {
 		t.Errorf("a Figure-1 journey allocated %.0f objects, ceiling %d", perJourney, journeyAllocCeiling)
 	}
+}
+
+// pinnedIceCreamWorld is iceCreamWorld with desc's matchlet instances
+// installed on the given hosts, one per host entry, instead of placed by
+// the evolution engine.
+func pinnedIceCreamWorld(t testing.TB, desc *ServiceDescriptor, hosts ...int) (*World, *[]*event.Event) {
+	t.Helper()
+	w := iceCreamBoot(t)
+	rule := desc.Rules[0]
+	desc.Constraints = constraint.NewSet()
+	if _, err := w.DeployService(desc, 0); err != nil {
+		t.Fatalf("DeployService: %v", err)
+	}
+	mint := w.BundleMaker(map[string]*match.Rule{rule.Name: rule})
+	for _, h := range hosts {
+		b, err := mint("matchlet/"+rule.Name, ids.Zero, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Node(h).Server.Install(b); err != nil {
+			t.Fatalf("install on node %d: %v", h, err)
+		}
+	}
+	w.RunFor(20 * time.Second)
+	return w, bobsDevice(w, w.NodesInRegion("eu")[0])
 }

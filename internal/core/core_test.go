@@ -78,15 +78,7 @@ func TestStoreAndBusAcrossWorld(t *testing.T) {
 // the returned slice.
 func iceCreamWorld(t testing.TB, desc *ServiceDescriptor) (*World, *[]*event.Event) {
 	t.Helper()
-	w := testWorld(t, 3, 9, NodeConfig{
-		// Slow background maintenance: the test fast-forwards ~10 hours
-		// of virtual time to reach mid-morning.
-		Overlay:        plaxton.Options{HeartbeatInterval: time.Minute},
-		Store:          store.Options{RepairInterval: time.Minute},
-		AdvertInterval: 10 * time.Second,
-	})
-	w.RunFor(ScenarioStart - w.Sim.Now()) // advance to 9:45
-
+	w := iceCreamBoot(t)
 	svc, err := w.DeployService(desc, 0)
 	if err != nil {
 		t.Fatalf("DeployService: %v", err)
@@ -107,6 +99,21 @@ func iceCreamWorld(t testing.TB, desc *ServiceDescriptor) (*World, *[]*event.Eve
 
 	// Bob's device (node at eu) subscribes to suggestions for bob.
 	return w, bobsDevice(w, w.NodesInRegion("eu")[0])
+}
+
+// iceCreamBoot boots the Figure-1 world's nine nodes and fast-forwards
+// it to 9:45.
+func iceCreamBoot(t testing.TB) *World {
+	t.Helper()
+	w := testWorld(t, 3, 9, NodeConfig{
+		// Slow background maintenance: the test fast-forwards ~10 hours
+		// of virtual time to reach mid-morning.
+		Overlay:        plaxton.Options{HeartbeatInterval: time.Minute},
+		Store:          store.Options{RepairInterval: time.Minute},
+		AdvertInterval: 10 * time.Second,
+	})
+	w.RunFor(ScenarioStart - w.Sim.Now()) // advance to 9:45
+	return w
 }
 
 // bobsDevice subscribes node i to the suggestions for bob, which collect

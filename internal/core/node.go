@@ -42,7 +42,8 @@ type NodeConfig struct {
 	// Knowledge tunes the knowledge syncer.
 	Knowledge knowledge.Options
 	// AdvertInterval is the resource-advertisement period. Default 2s;
-	// negative disables advertising.
+	// negative disables advertising. Advertising starts when the node
+	// has joined (ActiveNode.Join).
 	AdvertInterval time.Duration
 	// Codec is the node's preferred wire codec: wire.CodecXML (default,
 	// the paper's open format) or wire.CodecBinary (compact fast path).
@@ -78,6 +79,8 @@ type ActiveNode struct {
 	Gauges     *gauges.Registry
 	Programs   *bundle.Registry
 
+	// advertise is false when NodeConfig.AdvertInterval is negative.
+	advertise bool
 	// matching is the node's matching-subscription table, in the order
 	// its filters were first held.
 	matching []*matchSub
@@ -105,10 +108,11 @@ func RegisterMessages(reg *wire.Registry) {
 // NewActiveNode wires the full stack onto one endpoint.
 func NewActiveNode(ep netapi.Endpoint, reg *wire.Registry, cfg NodeConfig) *ActiveNode {
 	n := &ActiveNode{
-		ep:     ep,
-		KB:     knowledge.NewKB(),
-		GIS:    knowledge.NewGIS(),
-		Gauges: gauges.NewRegistry(),
+		ep:        ep,
+		KB:        knowledge.NewKB(),
+		GIS:       knowledge.NewGIS(),
+		Gauges:    gauges.NewRegistry(),
+		advertise: cfg.AdvertInterval >= 0,
 	}
 	n.Overlay = plaxton.New(ep, reg, cfg.Codec, cfg.Overlay)
 	n.Store = store.New(ep, n.Overlay, cfg.Store)
@@ -140,6 +144,35 @@ func NewActiveNode(ep netapi.Endpoint, reg *wire.Registry, cfg NodeConfig) *Acti
 
 	n.registerStandardPrograms()
 	return n
+}
+
+// Join enters a deployment through bootstrap, the one peer a node is
+// given: it is both the node's entry point to the overlay and its broker
+// tree parent. A zero bootstrap starts a new deployment. Once the overlay
+// join has completed, the broker links to bootstrap as a keeper
+// reattaches, the advertiser starts (unless AdvertInterval is negative)
+// and done fires with nil. A failed overlay join is handed to done and
+// starts nothing. Actor loop only.
+func (n *ActiveNode) Join(bootstrap ids.ID, done func(error)) {
+	serve := func() {
+		if n.advertise {
+			n.Advertiser.Start()
+		}
+		done(nil)
+	}
+	if bootstrap.IsZero() {
+		n.Overlay.CreateNetwork()
+		serve()
+		return
+	}
+	n.Overlay.Join(bootstrap, func(err error) {
+		if err != nil {
+			done(err)
+			return
+		}
+		joinBroker(n.ep, n.Broker, bootstrap)
+		serve()
+	})
 }
 
 // Endpoint exposes the node's network endpoint.

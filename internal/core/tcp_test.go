@@ -14,9 +14,11 @@ import (
 	"github.com/gloss/active/internal/wire"
 )
 
-// TestActiveNodeOverTCP boots three full active nodes over real sockets:
-// overlay join, broker chain, pub/sub delivery, store round trip and a
-// matchlet deployed via a signed bundle — the whole stack, no simulator.
+// TestActiveNodeOverTCP boots three full active nodes over real sockets
+// the way activenode does: each node is given only its bootstrap's
+// address and calls Join. Then a publish at one node reaches a subscriber
+// at another exactly once, a put at one node is gettable at another, and
+// a matchlet deploys via a signed bundle — the whole stack, no simulator.
 func TestActiveNodeOverTCP(t *testing.T) {
 	reg := wire.NewRegistry()
 	RegisterMessages(reg)
@@ -28,6 +30,7 @@ func TestActiveNodeOverTCP(t *testing.T) {
 		AdvertInterval: -1, // keep the wire quiet; no evolution engine here
 	}
 	names := []string{"tcp-core-a", "tcp-core-b", "tcp-core-c"}
+	bootstraps := []int{-1, 0, 1} // a chain: b joins via a, c via b
 	nodes := make([]*ActiveNode, len(names))
 	eps := make([]*transport.Node, len(names))
 	for i, name := range names {
@@ -41,43 +44,35 @@ func TestActiveNodeOverTCP(t *testing.T) {
 		eps[i] = ep
 		nodes[i] = NewActiveNode(ep, reg, cfg)
 	}
-	// Full address books.
-	for i := range eps {
-		for j := range eps {
-			if i != j {
-				eps[i].AddPeer(eps[j].ID(), eps[j].Addr())
-			}
+	for i, b := range bootstraps {
+		var bootstrap ids.ID
+		if b >= 0 {
+			bootstrap = eps[b].ID()
+			eps[i].AddPeer(bootstrap, eps[b].Addr())
 		}
-	}
-	// Broker chain a—b—c.
-	pubsub.ConnectBrokers(nodes[0].Broker, nodes[1].Broker)
-	pubsub.ConnectBrokers(nodes[1].Broker, nodes[2].Broker)
-
-	// Overlay join. All protocol calls go through the actor loop (Do).
-	eps[0].Do(nodes[0].Overlay.CreateNetwork)
-	for i := 1; i < len(nodes); i++ {
-		i := i
-		done := make(chan error, 1)
-		eps[i].Do(func() {
-			nodes[i].Overlay.Join(nodes[0].ID(), func(err error) { done <- err })
-		})
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("join %d: %v", i, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("join %d stuck", i)
+		joined := make(chan error, 1)
+		eps[i].Do(func() { nodes[i].Join(bootstrap, func(err error) { joined <- err }) })
+		if err := <-joined; err != nil { // the overlay's JoinTimeout bounds the wait
+			t.Fatalf("join %s: %v", names[i], err)
 		}
 	}
 
-	// Pub/sub across the chain.
+	// Pub/sub across the broker chain a—b—c.
 	gotEvent := make(chan *event.Event, 4)
 	eps[2].Do(func() {
 		nodes[2].Client.Subscribe(pubsub.NewFilter(pubsub.TypeIs("tcp.test")),
 			func(ev *event.Event) { gotEvent <- ev })
 	})
-	time.Sleep(300 * time.Millisecond) // subscription propagation over sockets
+	// The subscription has crossed the chain once a's broker holds it.
+	deadline := time.Now().Add(5 * time.Second)
+	for entries := 0; entries == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the subscription at c never reached a's broker")
+		}
+		got := make(chan int)
+		eps[0].Do(func() { got <- nodes[0].Broker.Stats().TableEntries })
+		entries = <-got
+	}
 	eps[0].Do(func() {
 		nodes[0].Client.Publish(event.New("tcp.test", "a", 0).Set("n", event.I(9)).Stamp(1))
 	})
@@ -88,6 +83,11 @@ func TestActiveNodeOverTCP(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("pub/sub delivery over TCP failed")
+	}
+	select {
+	case ev := <-gotEvent:
+		t.Fatalf("the publish was delivered twice: %+v", ev.Attrs)
+	case <-time.After(300 * time.Millisecond):
 	}
 
 	// Store round trip.

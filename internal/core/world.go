@@ -33,8 +33,9 @@ var DefaultRegions = []RegionSpec{
 	{Name: "ap", Center: netapi.Coord{X: 15000, Y: -2000}, RadiusKm: 300},
 }
 
-// joinSettle is the virtual time allowed per overlay join.
-const joinSettle = 2 * time.Second
+// joinStep is the virtual time NewWorld runs between looks at whether
+// a join has completed.
+const joinStep = 10 * time.Millisecond
 
 // WorldConfig parameterises a simulated deployment.
 type WorldConfig struct {
@@ -86,8 +87,9 @@ type World struct {
 	parents []int
 }
 
-// NewWorld builds and boots a world: nodes placed across regions, broker
-// tree wired, overlay joined, advertisers running.
+// NewWorld builds and boots a world: nodes placed across regions, each
+// joined in turn through ActiveNode.Join via its broker tree parent, and
+// advertisers running.
 func NewWorld(cfg WorldConfig) (*World, error) {
 	cfg.applyDefaults()
 	w := &World{
@@ -123,32 +125,23 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		w.Nodes = append(w.Nodes, NewActiveNode(ep, w.Reg, cfg.Node))
 		infos[i] = ep.Info()
 	}
-	// Broker tree: each broker joins the parent brokerParents picks for
-	// it, over the wire, as a keeper reattaches.
+	// Each node joins through the parent brokerParents picks for it, once
+	// the node before it has joined; the overlay's JoinTimeout ends a join
+	// that cannot complete.
 	w.parents = brokerParents(infos)
-	for i, p := range w.parents {
-		if p >= 0 {
-			joinBroker(w.Nodes[i].Endpoint(), w.Nodes[i].Broker, infos[p].ID)
+	for i, n := range w.Nodes {
+		var bootstrap ids.ID
+		if p := w.parents[i]; p >= 0 {
+			bootstrap = infos[p].ID
 		}
-	}
-	// Overlay: sequential joins via random earlier nodes.
-	w.Nodes[0].Overlay.CreateNetwork()
-	for i := 1; i < cfg.Nodes; i++ {
 		var joinErr error
 		done := false
-		w.Nodes[i].Overlay.Join(w.Nodes[rng.Intn(i)].ID(), func(err error) {
-			joinErr = err
-			done = true
-		})
-		w.Sim.RunFor(joinSettle)
-		if !done || joinErr != nil {
-			return nil, fmt.Errorf("core: node %d failed to join: %v", i, joinErr)
+		n.Join(bootstrap, func(err error) { joinErr, done = err, true })
+		for !done {
+			w.Sim.RunFor(joinStep)
 		}
-	}
-	// Advertisers.
-	if cfg.Node.AdvertInterval >= 0 {
-		for _, n := range w.Nodes {
-			n.Advertiser.Start()
+		if joinErr != nil {
+			return nil, fmt.Errorf("core: node %d failed to join: %w", i, joinErr)
 		}
 	}
 	w.Sim.RunFor(3 * time.Second)

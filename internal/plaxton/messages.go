@@ -31,17 +31,22 @@ func (RouteMsg) Kind() string { return "plaxton.route" }
 func (m RouteMsg) PayloadKind() string { return m.InnerKind }
 
 // JoinMsg is routed toward the joining node's own ID; every hop pushes its
-// state to the newcomer, and the root completes the join.
+// state to the newcomer, and the root completes the join. Hop counts the
+// nodes the message has passed: 0 at the bootstrap.
 type JoinMsg struct {
 	Joiner string `xml:"joiner,attr"`
+	Hop    int    `xml:"hop,attr"`
 }
 
 // Kind implements wire.Message.
 func (JoinMsg) Kind() string { return "plaxton.join" }
 
-// StateMsg transfers a node's routing state to a joining node.
+// StateMsg transfers a node's routing state to a joining node. Hop is the
+// sender's place on the join route; the root's (Done) is the last, so the
+// joiner knows how many states to wait for whatever order they land in.
 type StateMsg struct {
 	From   string   `xml:"from,attr"`
+	Hop    int      `xml:"hop,attr"`
 	Done   bool     `xml:"done,attr"` // true when sent by the join root
 	Leaves []string `xml:"leaf"`
 	Table  []string `xml:"entry"`
@@ -50,7 +55,8 @@ type StateMsg struct {
 // Kind implements wire.Message.
 func (StateMsg) Kind() string { return "plaxton.state" }
 
-// AnnounceMsg tells existing nodes about a newly joined node.
+// AnnounceMsg tells existing nodes about a newly joined node (request,
+// answered with PongMsg once the receiver has learned the node).
 type AnnounceMsg struct {
 	Node string `xml:"node,attr"`
 }
@@ -64,7 +70,7 @@ type PingMsg struct{}
 // Kind implements wire.Message.
 func (PingMsg) Kind() string { return "plaxton.ping" }
 
-// PongMsg answers a ping.
+// PongMsg answers a ping or an announce.
 type PongMsg struct{}
 
 // Kind implements wire.Message.

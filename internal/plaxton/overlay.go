@@ -97,9 +97,8 @@ type Overlay struct {
 	hooks       map[string]ForwardHook
 	leavesDirty []func()
 
-	joined    bool
-	joinDone  func(error)
-	joinTimer vclock.Timer
+	joined bool
+	join   *joining // the join in progress, nil when none is
 
 	probing   map[ids.ID]bool
 	probeNext int // round-robin index over table rows for maintenance
@@ -109,6 +108,21 @@ type Overlay struct {
 	// re-teach each other a dead node forever.
 	dead  map[ids.ID]time.Duration
 	stats Stats
+}
+
+// joining is a join in progress. It completes once the joiner holds the
+// state of every hop on the join route, whatever order those states
+// arrive in, and every node in that view has answered its announce or
+// timed out: a node that has joined is known to the nodes it knows.
+type joining struct {
+	done  func(error)
+	timer vclock.Timer
+	// states counts the StateMsgs received; last is the root's hop
+	// number, -1 until its Done has arrived.
+	states, last int
+	// unanswered counts announces not yet answered or timed out; zero
+	// until every hop's state is in.
+	unanswered int
 }
 
 // New constructs an overlay node bound to ep. codec is the node's wire
@@ -183,7 +197,10 @@ func (o *Overlay) CreateNetwork() {
 }
 
 // Join enters the overlay via the given bootstrap node. done fires with
-// nil on success or an error (e.g. timeout when the bootstrap is dead).
+// nil once the node has joined — it holds the state of every node on its
+// join route, and every node in that view has answered its announce or
+// timed out — or with an error after JoinTimeout (e.g. when the
+// bootstrap is dead).
 func (o *Overlay) Join(bootstrap ids.ID, done func(error)) {
 	if o.joined {
 		if done != nil {
@@ -191,9 +208,10 @@ func (o *Overlay) Join(bootstrap ids.ID, done func(error)) {
 		}
 		return
 	}
-	o.joinDone = done
-	o.joinTimer = o.ep.Clock().After(o.opts.JoinTimeout, func() {
-		if !o.joined {
+	j := &joining{done: done, last: -1}
+	o.join = j
+	j.timer = o.ep.Clock().After(o.opts.JoinTimeout, func() {
+		if o.join == j {
 			o.finishJoin(fmt.Errorf("plaxton: join via %s timed out", bootstrap.Short()))
 		}
 	})
@@ -201,18 +219,15 @@ func (o *Overlay) Join(bootstrap ids.ID, done func(error)) {
 }
 
 func (o *Overlay) finishJoin(err error) {
-	if o.joinTimer != nil {
-		o.joinTimer.Stop()
-		o.joinTimer = nil
-	}
-	done := o.joinDone
-	o.joinDone = nil
+	j := o.join
+	o.join = nil
+	j.timer.Stop()
 	if err == nil {
 		o.joined = true
 		o.startMaintenance()
 	}
-	if done != nil {
-		done(err)
+	if j.done != nil {
+		j.done(err)
 	}
 }
 
@@ -479,12 +494,13 @@ func (o *Overlay) handleJoin(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	done := next == o.self
 	o.ep.Send(joiner, &StateMsg{
 		From:   o.self.String(),
+		Hop:    jm.Hop,
 		Done:   done,
 		Leaves: idsToStrings(o.leaves.members()),
 		Table:  idsToStrings(o.tableEntries()),
 	})
 	if !done {
-		o.ep.Send(next, jm)
+		o.ep.Send(next, &JoinMsg{Joiner: jm.Joiner, Hop: jm.Hop + 1})
 	}
 	o.learn(joiner)
 }
@@ -520,16 +536,30 @@ func (o *Overlay) handleState(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	for _, id := range table {
 		o.learn(id)
 	}
-	if sm.Done && !o.joined {
-		// Announce ourselves to everything we learned about.
-		for _, id := range o.allKnown() {
-			o.ep.Send(id, &AnnounceMsg{Node: o.self.String()})
-		}
-		o.finishJoin(nil)
+	j := o.join
+	if j == nil || j.unanswered > 0 {
+		return
+	}
+	j.states++
+	if sm.Done {
+		j.last = sm.Hop
+	}
+	if j.last < 0 || j.states <= j.last {
+		return // an earlier hop's state is still on its way
+	}
+	// The view is whole: announce ourselves to everything in it.
+	known := o.allKnown()
+	j.unanswered = len(known)
+	for _, id := range known {
+		o.ep.Request(id, &AnnounceMsg{Node: o.self.String()}, o.opts.ProbeTimeout, func(wire.Message, error) {
+			if j.unanswered--; j.unanswered == 0 && o.join == j {
+				o.finishJoin(nil)
+			}
+		})
 	}
 }
 
-func (o *Overlay) handleAnnounce(_ netapi.Ctx, from ids.ID, msg wire.Message) {
+func (o *Overlay) handleAnnounce(ctx netapi.Ctx, from ids.ID, msg wire.Message) {
 	am := msg.(*AnnounceMsg)
 	node, err := ids.Parse(am.Node)
 	if err != nil {
@@ -538,6 +568,7 @@ func (o *Overlay) handleAnnounce(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	}
 	o.learn(from)
 	o.learn(node)
+	ctx.Reply(&PongMsg{})
 }
 
 // allKnown returns every node in the routing state, deterministically.

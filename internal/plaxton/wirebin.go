@@ -66,17 +66,22 @@ func (m *RouteMsg) ParseWire(r *wire.BinReader) error {
 }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *JoinMsg) AppendWire(b []byte) []byte { return wire.AppendString(b, m.Joiner) }
+func (m *JoinMsg) AppendWire(b []byte) []byte {
+	b = wire.AppendString(b, m.Joiner)
+	return wire.AppendVarint(b, int64(m.Hop))
+}
 
 // ParseWire implements wire.BinaryMessage.
 func (m *JoinMsg) ParseWire(r *wire.BinReader) error {
 	m.Joiner = r.String()
+	m.Hop = int(r.Varint())
 	return r.Err()
 }
 
 // AppendWire implements wire.BinaryMessage.
 func (m *StateMsg) AppendWire(b []byte) []byte {
 	b = wire.AppendString(b, m.From)
+	b = wire.AppendVarint(b, int64(m.Hop))
 	b = wire.AppendBool(b, m.Done)
 	b = appendStrings(b, m.Leaves)
 	return appendStrings(b, m.Table)
@@ -85,6 +90,7 @@ func (m *StateMsg) AppendWire(b []byte) []byte {
 // ParseWire implements wire.BinaryMessage.
 func (m *StateMsg) ParseWire(r *wire.BinReader) error {
 	m.From = r.String()
+	m.Hop = int(r.Varint())
 	m.Done = r.Bool()
 	m.Leaves = readStrings(r)
 	m.Table = readStrings(r)

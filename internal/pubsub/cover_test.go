@@ -628,69 +628,10 @@ func TestControlPlaneSendsSubsBeforeUnsubs(t *testing.T) {
 	}
 }
 
-// fifoEndpoint gives a jittered simnet node what TCP gives a real one:
-// messages between two brokers are handled in the order they were sent.
-// (simnet draws jitter per message, so two messages sent back to back on
-// one link may land swapped; make-before-break is a property of ordered
-// links.) Sends to peers are numbered; the receiving side holds early
-// arrivals back until their predecessors have been handled.
-type fifoEndpoint struct {
-	netapi.Endpoint
-	peers map[ids.ID]bool
-	next  map[ids.ID]uint64
-	want  map[ids.ID]uint64
-	early map[ids.ID]map[uint64]func()
-}
-
-type seqMsg struct {
-	wire.Message
-	seq uint64
-}
-
-func newFIFOEndpoint(ep netapi.Endpoint) *fifoEndpoint {
-	return &fifoEndpoint{
-		Endpoint: ep,
-		peers:    make(map[ids.ID]bool),
-		next:     make(map[ids.ID]uint64),
-		want:     make(map[ids.ID]uint64),
-		early:    make(map[ids.ID]map[uint64]func()),
-	}
-}
-
-func (e *fifoEndpoint) Send(to ids.ID, msg wire.Message) {
-	if e.peers[to] {
-		msg = &seqMsg{Message: msg, seq: e.next[to]}
-		e.next[to]++
-	}
-	e.Endpoint.Send(to, msg)
-}
-
-func (e *fifoEndpoint) Handle(kind string, h netapi.Handler) {
-	e.Endpoint.Handle(kind, func(ctx netapi.Ctx, from ids.ID, msg wire.Message) {
-		sm, ok := msg.(*seqMsg)
-		if !ok {
-			h(ctx, from, msg)
-			return
-		}
-		if e.early[from] == nil {
-			e.early[from] = make(map[uint64]func())
-		}
-		e.early[from][sm.seq] = func() { h(ctx, from, sm.Message) }
-		for {
-			run := e.early[from][e.want[from]]
-			if run == nil {
-				return
-			}
-			delete(e.early[from], e.want[from])
-			e.want[from]++
-			run()
-		}
-	})
-}
-
 // TestNarrowSubscriberMissesNothingWhenBroadLeaves is the end-to-end face
 // of make-before-break: on a three-broker chain with jittered latencies
-// and ordered links, a broad filter leaves while publishes keep arriving
+// (simnet links keep send order, as TCP connections do), a broad filter
+// leaves while publishes keep arriving
 // from the far end, and the subscriber of the narrow filter it was hiding
 // receives every one of them. With Unsub sent ahead of the uncovering
 // Subs, each broker on the path has a window with neither filter in its
@@ -698,16 +639,12 @@ func (e *fifoEndpoint) Handle(kind string, h netapi.Handler) {
 func TestNarrowSubscriberMissesNothingWhenBroadLeaves(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		tn := &testNet{world: simnet.NewWorld(simnet.Config{Seed: seed})}
-		var eps []*fifoEndpoint
 		for i := 0; i < 3; i++ {
 			node := tn.world.NewNode(ids.FromString(fmt.Sprintf("broker-%d", i)), "eu", netapi.Coord{X: float64(i * 100)})
-			eps = append(eps, newFIFOEndpoint(node))
-			tn.brokers = append(tn.brokers, NewBroker(eps[i], Options{}))
+			tn.brokers = append(tn.brokers, NewBroker(node, Options{}))
 		}
 		for i := 1; i < 3; i++ {
 			ConnectBrokers(tn.brokers[i-1], tn.brokers[i])
-			eps[i-1].peers[eps[i].ID()] = true
-			eps[i].peers[eps[i-1].ID()] = true
 		}
 		broadSub, narrowSub, pub := tn.addClient(0), tn.addClient(0), tn.addClient(2)
 		broad := NewFilter(TypeIs("t"))

@@ -3,7 +3,8 @@
 // architecture runs in tests, examples and benchmarks.
 //
 // The model: nodes live at planar coordinates (km); message latency is
-// base + distance·perKm + jitter; messages may be lost with a configured
+// base + distance·perKm + jitter, and a link delivers in send order, as a
+// TCP connection does; messages may be lost with a configured
 // probability; links can be severed (partitions) and nodes killed
 // (churn). The entire world executes on a single goroutine driven by a
 // vclock.Scheduler, so every run with the same seed is bit-identical.
@@ -265,6 +266,9 @@ type Node struct {
 	outBytes map[ids.ID]int
 	outOver  map[ids.ID]bool
 	drainFns []func(ids.ID)
+	// landsAt is, per destination, the instant the last message sent
+	// toward it lands: a later one never lands before it.
+	landsAt map[ids.ID]time.Duration
 }
 
 var (
@@ -311,6 +315,7 @@ func (w *World) NewNode(id ids.ID, region string, coord netapi.Coord) *Node {
 		alive:    true,
 		outBytes: make(map[ids.ID]int),
 		outOver:  make(map[ids.ID]bool),
+		landsAt:  make(map[ids.ID]time.Duration),
 	}
 	n.loop.Init(id, (*seam)(n))
 	w.nodes[id] = n
@@ -466,7 +471,11 @@ func (w *World) transmit(from *Node, env *wire.Envelope) {
 			from.outOver[env.To] = true
 		}
 	}
-	w.enqueue(dest, env, size, w.sched.Now()+w.latency(from.info.Coord, dest.info.Coord))
+	// Jitter may draw an instant ahead of the previous message's on this
+	// link; it then lands with that message, after it.
+	at := max(w.sched.Now()+w.latency(from.info.Coord, dest.info.Coord), from.landsAt[env.To])
+	from.landsAt[env.To] = at
+	w.enqueue(dest, env, size, at)
 }
 
 // releaseOut retires a landed message from its sender's in-flight

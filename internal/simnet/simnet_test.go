@@ -250,9 +250,36 @@ func TestDeliveryBatchingCoalesces(t *testing.T) {
 	}
 }
 
+// TestLinkKeepsSendOrder: two messages sent back to back on one jittered
+// link are handled in the order they were sent, as on a TCP connection,
+// though jitter draws each its own delay.
+func TestLinkKeepsSendOrder(t *testing.T) {
+	w, a, b := twoNodeWorld(t, Config{Seed: 1})
+	var got []int
+	b.Handle("test.ping", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { got = append(got, msg.(*ping).N) })
+	const pairs = 100
+	for i := range pairs {
+		a.Clock().After(time.Duration(i)*time.Millisecond, func() {
+			a.Send(b.ID(), &ping{N: 2 * i})
+			a.Send(b.ID(), &ping{N: 2*i + 1})
+		})
+	}
+	w.RunFor(time.Second)
+	if len(got) != 2*pairs {
+		t.Fatalf("delivered %d of %d", len(got), 2*pairs)
+	}
+	for i, n := range got {
+		if n != i {
+			t.Fatalf("delivery %d is message %d: the link reordered a back-to-back pair", i, n)
+		}
+	}
+}
+
 func TestJitterKeepsBatchesApart(t *testing.T) {
-	// With jitter on, deadlines are (almost surely) distinct: batching
-	// degenerates to one flush per message and semantics are unchanged.
+	// With jitter on, a burst's deadlines differ except where jitter would
+	// land a message ahead of its predecessor, which then lands with it:
+	// every message is one flush or rides in one, and semantics are
+	// unchanged.
 	w, a, b := twoNodeWorld(t, Config{Seed: 1})
 	delivered := 0
 	b.Handle("test.ping", func(netapi.Ctx, ids.ID, wire.Message) { delivered++ })

@@ -1029,7 +1029,12 @@ func (n *Node) readLoop(conn net.Conn, bufSize int) {
 // accept runs one received envelope on the actor loop.
 func (n *Node) accept(env *wire.Envelope) {
 	if hello, ok := env.Msg.(*HelloMsg); ok {
-		n.mergeHello(hello)
+		// An address this node has just learned goes on to its connected
+		// peers ahead of anything it sends them next, so a join forwarded
+		// along the overlay reaches nodes that can answer the joiner.
+		if n.mergeHello(hello) {
+			n.rehello()
+		}
 		return
 	}
 	n.dispatch(env)
@@ -1051,17 +1056,19 @@ func (n *Node) decodeFrame(frame []byte) (*wire.Envelope, error) {
 	return n.reg.Decode(frame)
 }
 
-// mergeHello learns addresses and codec capabilities from a peer's hello.
+// mergeHello learns addresses and codec capabilities from a peer's hello,
+// and reports whether it learned the address of a node it had none for.
 // Capabilities are recorded verbatim and compared against our own kinds
 // hash lazily at send time, so a later RefreshRegistry on either side
 // re-evaluates every link without new state. Actor loop only (the sole
 // peer-table writer); mutations hold the peersMu write lock so
 // concurrent senders see consistent routing fields.
-func (n *Node) mergeHello(h *HelloMsg) {
+func (n *Node) mergeHello(h *HelloMsg) (learned bool) {
 	n.peersMu.Lock()
 	defer n.peersMu.Unlock()
 	if id, err := ids.Parse(h.ID); err == nil && h.Addr != "" {
 		p := n.ensurePeerLocked(id)
+		learned = p.addr == ""
 		p.addr = h.Addr
 		p.wantsBinary = false
 		p.kindsHash = h.KindsHash
@@ -1079,8 +1086,10 @@ func (n *Node) mergeHello(h *HelloMsg) {
 		p := n.ensurePeerLocked(id)
 		if p.addr == "" {
 			p.addr = k.Addr
+			learned = true
 		}
 	}
+	return learned
 }
 
 // dispatch runs one envelope on the actor loop.

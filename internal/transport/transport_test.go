@@ -142,6 +142,48 @@ func TestHelloGossipsAddresses(t *testing.T) {
 	}
 }
 
+// TestLearnedAddressReachesConnectedPeers: a node that learns an address
+// passes it on to the peers it is connected to, ahead of what it sends
+// them next. c knows only b; b relays c's message to a over a link that
+// was up before c appeared, and a can answer c — the shape of a join
+// forwarded along the overlay, answered by a node the joiner never
+// contacted.
+func TestLearnedAddressReachesConnectedPeers(t *testing.T) {
+	reg := testReg()
+	a := newNode(t, "tcp-l-a", reg)
+	b := newNode(t, "tcp-l-b", reg)
+	c := newNode(t, "tcp-l-c", reg)
+	a.AddPeer(b.ID(), b.Addr())
+	b.AddPeer(a.ID(), a.Addr())
+	c.AddPeer(b.ID(), b.Addr())
+
+	up := make(chan struct{}, 1)
+	a.Handle("test.echo", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
+		if msg.(*echoMsg).Text == "up" {
+			up <- struct{}{}
+			return
+		}
+		a.Send(c.ID(), &echoMsg{Text: "answer"})
+	})
+	b.Send(a.ID(), &echoMsg{Text: "up"})
+	select {
+	case <-up:
+	case <-time.After(5 * time.Second):
+		t.Fatal("b never reached a")
+	}
+	b.Handle("test.echo", func(netapi.Ctx, ids.ID, wire.Message) {
+		b.Send(a.ID(), &echoMsg{Text: "relayed"})
+	})
+	answered := make(chan struct{}, 1)
+	c.Handle("test.echo", func(netapi.Ctx, ids.ID, wire.Message) { answered <- struct{}{} })
+	c.Send(b.ID(), &echoMsg{Text: "from c"})
+	select {
+	case <-answered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a never learned c's address from b")
+	}
+}
+
 func TestLoopbackToSelf(t *testing.T) {
 	reg := testReg()
 	a := newNode(t, "tcp-self", reg)
