@@ -41,11 +41,14 @@ vet: noswitch
 
 # noswitch fails when a retired reference-path switch, the second index's
 # option, the shared config block, simnet's partitioned execution, the
-# fan-out pool's size knob or a second send path for a publish (the pool,
-# its drain and the concurrent-send capability it needed) returns to
-# shipped code: the old paths are _test.go oracles or seams, not options.
+# fan-out pool's size knob, a second send path for a publish (the pool,
+# its drain and the concurrent-send capability it needed), Siena
+# advertisements, runtime registry refresh or the store's buffer for
+# chunks ahead of their manifest returns to shipped code: the old paths
+# are _test.go oracles or seams, not options, and the last three carried
+# no traffic.
 noswitch:
-	! grep -rnE '\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends)\b' --include='*.go' --exclude='*_test.go' cmd internal examples active.go
+	! grep -rnE '\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks)\b' --include='*.go' --exclude='*_test.go' cmd internal examples active.go
 
 # loc prints the non-test Go line count ROADMAP item 2 tracks.
 loc:

@@ -16,9 +16,6 @@ type Options struct {
 	// propagation (for the E-T4 ablation). All subscriptions are then
 	// forwarded verbatim.
 	DisableCovering bool
-	// UseAdvertisements prunes subscription propagation to directions
-	// from which an intersecting advertisement has been received.
-	UseAdvertisements bool
 
 	// proxyBufferLimit bounds the number of events buffered for a
 	// detached mobile client. Default 1024. Not an option: only this
@@ -45,12 +42,6 @@ type matcher interface {
 
 // entry records one distinct filter and the directions subscribed to it.
 type entry struct {
-	filter Filter
-	dirs   map[ids.ID]bool
-}
-
-// advEntry records an advertisement and the directions it arrived from.
-type advEntry struct {
 	filter Filter
 	dirs   map[ids.ID]bool
 }
@@ -98,7 +89,6 @@ type Broker struct {
 	entryKeys []string          // sorted
 	index     matcher           // access-predicate view of entries
 	covers    map[ids.ID]*cover // per neighbour: what it holds on our behalf
-	adverts   map[string]*advEntry
 	proxies   map[ids.ID]*proxy
 	shedTo    map[ids.ID]struct{} // destinations with an open shed episode
 	stats     Stats
@@ -136,7 +126,6 @@ func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
 		entries:   make(map[string]*entry),
 		index:     NewIndex(),
 		covers:    make(map[ids.ID]*cover),
-		adverts:   make(map[string]*advEntry),
 		proxies:   make(map[ids.ID]*proxy),
 		shedTo:    make(map[ids.ID]struct{}),
 	}
@@ -151,8 +140,6 @@ func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
 	ep.Handle("pubsub.sub", b.handleSub)
 	ep.Handle("pubsub.unsub", b.handleUnsub)
 	ep.Handle("pubsub.pub", b.handlePub)
-	ep.Handle("pubsub.adv", b.handleAdv)
-	ep.Handle("pubsub.unadv", b.handleUnadv)
 	ep.Handle("pubsub.peer", b.handlePeer)
 	ep.Handle("pubsub.detach", b.handleDetach)
 	ep.Handle("pubsub.reclaim", b.handleReclaim)
@@ -194,9 +181,6 @@ func (b *Broker) RemoveNeighbor(id ids.ID) {
 	}
 	delete(b.covers, id)
 	b.retractAll(id)
-	for _, a := range b.adverts {
-		delete(a.dirs, id)
-	}
 }
 
 // Neighbors lists the current peer brokers in deterministic order.
@@ -327,11 +311,8 @@ func (b *Broker) subscribe(from ids.ID, f Filter) {
 }
 
 // wants reports whether ent belongs to neighbour n's desired set: some
-// direction other than n subscribes to it and, under UseAdvertisements,
-// an advertisement that arrived via n intersects it.
-func (b *Broker) wants(n ids.ID, ent *entry) bool {
-	return !ent.onlyFrom(n) && (!b.opts.UseAdvertisements || b.advertIntersectsVia(n, ent.filter))
-}
+// direction other than n subscribes to it.
+func (b *Broker) wants(n ids.ID, ent *entry) bool { return !ent.onlyFrom(n) }
 
 // onlyFrom reports whether n is the entry's sole subscriber.
 func (ent *entry) onlyFrom(n ids.ID) bool { return len(ent.dirs) == 1 && ent.dirs[n] }
@@ -351,18 +332,6 @@ func (b *Broker) flush() {
 		}
 		c.subs, c.unsubs = c.subs[:0], c.unsubs[:0]
 	}
-}
-
-// advertIntersectsVia reports whether any advertisement that arrived from
-// direction n intersects f (i.e. a publisher in that direction may emit
-// matching events).
-func (b *Broker) advertIntersectsVia(n ids.ID, f Filter) bool {
-	for _, a := range b.adverts {
-		if a.dirs[n] && Intersects(a.filter, f) {
-			return true
-		}
-	}
-	return false
 }
 
 //vetactive:actorloop
@@ -407,60 +376,6 @@ func (b *Broker) retractAll(from ids.ID) {
 		}
 	}
 	b.flush()
-}
-
-// --- advertisement handling ----------------------------------------------------
-
-//vetactive:actorloop
-func (b *Broker) handleAdv(_ netapi.Ctx, from ids.ID, msg wire.Message) {
-	adv := msg.(*AdvMsg)
-	key := adv.Filter.Key()
-	a, ok := b.adverts[key]
-	if !ok {
-		a = &advEntry{filter: adv.Filter, dirs: make(map[ids.ID]bool)}
-		b.adverts[key] = a
-	}
-	if a.dirs[from] {
-		return // duplicate; already flooded
-	}
-	a.dirs[from] = true
-	// Advertisements flood the acyclic broker graph.
-	for _, n := range b.nborOrder {
-		if n != from {
-			b.ep.Send(n, &AdvMsg{Filter: adv.Filter})
-		}
-	}
-	// Subscriptions pruned for lack of an intersecting advertisement may
-	// now need forwarding toward the advertiser.
-	if b.opts.UseAdvertisements && b.neighbors[from] {
-		b.refresh(from)
-		b.flush()
-	}
-}
-
-//vetactive:actorloop
-func (b *Broker) handleUnadv(_ netapi.Ctx, from ids.ID, msg wire.Message) {
-	unadv := msg.(*UnadvMsg)
-	key := unadv.Filter.Key()
-	a, ok := b.adverts[key]
-	if !ok || !a.dirs[from] {
-		return
-	}
-	delete(a.dirs, from)
-	if len(a.dirs) == 0 {
-		delete(b.adverts, key)
-	}
-	for _, n := range b.nborOrder {
-		if n != from {
-			b.ep.Send(n, &UnadvMsg{Filter: unadv.Filter})
-		}
-	}
-	// Subscriptions forwarded toward the advertiser on the strength of
-	// this advertisement alone have no publisher left to reach.
-	if b.opts.UseAdvertisements && b.neighbors[from] {
-		b.refresh(from)
-		b.flush()
-	}
 }
 
 // --- notification handling -------------------------------------------------------

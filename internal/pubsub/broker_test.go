@@ -234,57 +234,6 @@ func TestDuplicateSuppressionAtClient(t *testing.T) {
 	}
 }
 
-func TestAdvertisementPruning(t *testing.T) {
-	// With UseAdvertisements, a subscription travels only toward
-	// advertised publishers.
-	tn := newChain(10, 3, Options{UseAdvertisements: true})
-	pub := tn.addClient(2)
-	pub.Advertise(NewFilter(TypeIs("t")))
-	tn.settle()
-	sub := tn.addClient(0)
-	count := 0
-	sub.Subscribe(NewFilter(TypeIs("t"), Eq("user", event.S("anna"))), func(*event.Event) { count++ })
-	tn.settle()
-	pub.Publish(mkEvent("t", "anna", 1))
-	tn.settle()
-	if count != 1 {
-		t.Fatalf("delivered %d, want 1", count)
-	}
-	// A subscription that no advertisement intersects stays local.
-	sub2 := tn.addClient(0)
-	sub2.Subscribe(NewFilter(TypeIs("other.kind")), func(*event.Event) {})
-	tn.settle()
-	if got := tn.brokers[2].Stats().TableEntries; got != 2 {
-		// broker 2's table: its own advert-side sub for "t"/anna + client? —
-		// it must NOT contain "other.kind".
-		t.Logf("broker2 entries = %d", got)
-	}
-	for _, ent := range tn.brokers[2].entries {
-		for _, c := range ent.filter.Constraints {
-			if c.Val.S == "other.kind" {
-				t.Fatalf("non-intersecting subscription leaked toward advertiser")
-			}
-		}
-	}
-}
-
-func TestLateAdvertisementTriggersSubForwarding(t *testing.T) {
-	tn := newChain(11, 3, Options{UseAdvertisements: true})
-	sub := tn.addClient(0)
-	count := 0
-	sub.Subscribe(NewFilter(TypeIs("t")), func(*event.Event) { count++ })
-	tn.settle()
-	// Advertise *after* subscription: sub must now flow toward publisher.
-	pub := tn.addClient(2)
-	pub.Advertise(NewFilter(TypeIs("t")))
-	tn.settle()
-	pub.Publish(mkEvent("t", "anna", 1))
-	tn.settle()
-	if count != 1 {
-		t.Fatalf("delivered %d, want 1 (late advertisement)", count)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	tn := newChain(12, 2, Options{})
 	sub := tn.addClient(0)

@@ -125,11 +125,6 @@ func (c *Client) Publish(ev *event.Event) {
 	c.dispatch(ev)
 }
 
-// Advertise announces that this client publishes events matching f.
-func (c *Client) Advertise(f Filter) {
-	c.send(&AdvMsg{Filter: f})
-}
-
 // Detach disconnects the client, leaving a buffering proxy behind.
 func (c *Client) Detach() {
 	c.detached = true

@@ -64,9 +64,6 @@ func desiredAt(b *Broker, n ids.ID) map[string]Filter {
 		if len(ent.dirs) == 1 && ent.dirs[n] {
 			continue // only subscriber is n itself
 		}
-		if b.opts.UseAdvertisements && !b.advertIntersectsVia(n, ent.filter) {
-			continue
-		}
 		desired[key] = ent.filter
 	}
 	return desired
@@ -143,41 +140,6 @@ func driveByOracle(b *Broker) {
 		}
 		reconcileAll(b)
 		ctx.Reply(reply)
-	})
-	b.ep.Handle("pubsub.adv", func(_ netapi.Ctx, from ids.ID, msg wire.Message) {
-		f := msg.(*AdvMsg).Filter
-		a := b.adverts[f.Key()]
-		if a == nil {
-			a = &advEntry{filter: f, dirs: make(map[ids.ID]bool)}
-			b.adverts[f.Key()] = a
-		}
-		if a.dirs[from] {
-			return
-		}
-		a.dirs[from] = true
-		for _, n := range b.nborOrder {
-			if n != from {
-				b.ep.Send(n, &AdvMsg{Filter: f})
-			}
-		}
-		reconcileAll(b)
-	})
-	b.ep.Handle("pubsub.unadv", func(_ netapi.Ctx, from ids.ID, msg wire.Message) {
-		f := msg.(*UnadvMsg).Filter
-		a := b.adverts[f.Key()]
-		if a == nil || !a.dirs[from] {
-			return
-		}
-		delete(a.dirs, from)
-		if len(a.dirs) == 0 {
-			delete(b.adverts, f.Key())
-		}
-		for _, n := range b.nborOrder {
-			if n != from {
-				b.ep.Send(n, &UnadvMsg{Filter: f})
-			}
-		}
-		reconcileAll(b)
 	})
 }
 
@@ -270,16 +232,14 @@ func coveredBy(held map[string]Filter, key string, f Filter) bool {
 // and requires identical delivery sets.
 func TestIncrementalCoverMatchesOracle(t *testing.T) {
 	for _, disableCovering := range []bool{false, true} {
-		for _, useAdverts := range []bool{false, true} {
-			opts := Options{DisableCovering: disableCovering, UseAdvertisements: useAdverts}
-			name := fmt.Sprintf("covering=%v/adverts=%v", !disableCovering, useAdverts)
-			t.Run(name+"/steps", func(t *testing.T) {
-				for seed := int64(1); seed <= 6; seed++ {
-					runCoverSteps(t, seed, opts)
-				}
-			})
-			t.Run(name+"/chain", func(t *testing.T) { runCoverChain(t, opts) })
-		}
+		opts := Options{DisableCovering: disableCovering}
+		name := fmt.Sprintf("covering=%v", !disableCovering)
+		t.Run(name+"/steps", func(t *testing.T) {
+			for seed := int64(1); seed <= 6; seed++ {
+				runCoverSteps(t, seed, opts)
+			}
+		})
+		t.Run(name+"/chain", func(t *testing.T) { runCoverChain(t, opts) })
 	}
 }
 
@@ -304,7 +264,7 @@ func runCoverSteps(t *testing.T, seed int64, opts Options) {
 		from ids.ID
 		f    Filter
 	}
-	var subs, advs []subRec
+	var subs []subRec
 
 	for step := 0; step < 400; step++ {
 		before := make(map[ids.ID]map[string]Filter)
@@ -313,7 +273,7 @@ func runCoverSteps(t *testing.T, seed int64, opts Options) {
 		}
 		ep.sent = ep.sent[:0]
 		var op string
-		switch r := rng.Intn(100); {
+		switch r := rng.Intn(82); {
 		case r < 40:
 			s := subRec{dirs[rng.Intn(len(dirs))], coverFamilyFilter(rng)}
 			subs = append(subs, s)
@@ -329,18 +289,7 @@ func runCoverSteps(t *testing.T, seed int64, opts Options) {
 			from := dirs[3+rng.Intn(3)]
 			op = fmt.Sprintf("reclaim %v", from)
 			b.handleReclaim(nopCtx{}, from, &ReclaimMsg{})
-		case r < 80:
-			a := subRec{dirs[rng.Intn(len(dirs))], coverFamilyFilter(rng)}
-			advs = append(advs, a)
-			op = fmt.Sprintf("adv %v %q", a.from, a.f.Key())
-			b.handleAdv(nopCtx{}, a.from, &AdvMsg{Filter: a.f})
-		case r < 88 && len(advs) > 0:
-			i := rng.Intn(len(advs))
-			a := advs[i]
-			advs = append(advs[:i], advs[i+1:]...)
-			op = fmt.Sprintf("unadv %v %q", a.from, a.f.Key())
-			b.handleUnadv(nopCtx{}, a.from, &UnadvMsg{Filter: a.f})
-		case r < 93:
+		case r < 75:
 			n := nbors[rng.Intn(len(nbors))]
 			if b.neighbors[n] {
 				op = fmt.Sprintf("remove-neighbor %v", n)
@@ -463,7 +412,7 @@ func runCoverSteps(t *testing.T, seed int64, opts Options) {
 
 // runCoverChain drives two three-broker simnet chains — shipped brokers and
 // brokers driven by the oracle — through one seeded script of subscribes,
-// unsubscribes, adverts, withdrawn adverts, client hand-offs and publishes,
+// unsubscribes, client hand-offs and publishes,
 // settling between phases, and compares what every client received.
 func runCoverChain(t *testing.T, opts Options) {
 	const (
@@ -489,26 +438,13 @@ func runCoverChain(t *testing.T, opts Options) {
 		client int
 		f      Filter
 	}
-	var subs, advs []rec
+	var subs []rec
 	at := make([]int, nClients) // broker each client is attached to
 	for ci := range at {
 		at[ci] = ci % brokers
 	}
 	seq := uint64(50_000)
 	for round := 0; round < rounds; round++ {
-		for i := 0; i < 3; i++ {
-			a := rec{rng.Intn(nClients), coverFamilyFilter(rng)}
-			advs = append(advs, a)
-			for _, w := range worlds {
-				w.tn.clients[a.client].Advertise(a.f)
-			}
-		}
-		if round == 0 {
-			for _, w := range worlds { // somebody always publishes anything
-				w.tn.clients[0].Advertise(NewFilter())
-			}
-		}
-		settle()
 		for i := 0; i < 12; i++ {
 			s := rec{rng.Intn(nClients), coverFamilyFilter(rng)}
 			subs = append(subs, s)
@@ -526,15 +462,6 @@ func runCoverChain(t *testing.T, opts Options) {
 			subs = append(subs[:j], subs[j+1:]...)
 			for _, w := range worlds {
 				w.tn.clients[s.client].Unsubscribe(s.f)
-			}
-			settle()
-		}
-		if j := rng.Intn(len(advs)); round%2 == 1 {
-			a := advs[j]
-			advs = append(advs[:j], advs[j+1:]...)
-			for _, w := range worlds {
-				c := w.tn.clients[a.client]
-				c.ep.Send(c.broker, &UnadvMsg{Filter: a.f})
 			}
 			settle()
 		}
@@ -667,61 +594,6 @@ func TestNarrowSubscriberMissesNothingWhenBroadLeaves(t *testing.T) {
 		if got != pubs {
 			t.Fatalf("seed %d: narrow subscriber received %d of %d publishes while the broad filter left", seed, got, pubs)
 		}
-	}
-}
-
-// TestUnadvertiseRetiresForwardedSubscriptions: a subscription travels
-// toward an advertiser on the strength of its advertisement, and comes
-// back when the last advertisement that intersects it is withdrawn —
-// at once, not as a side effect of some later unsubscribe.
-func TestUnadvertiseRetiresForwardedSubscriptions(t *testing.T) {
-	ep := newBPEndpoint("unadv-broker")
-	b := NewBroker(ep, Options{UseAdvertisements: true})
-	n, other := ids.FromString("unadv-nbor"), ids.FromString("unadv-other")
-	b.AddNeighbor(n)
-	b.AddNeighbor(other)
-	client := ids.FromString("unadv-client")
-	advT, advU, advBob := NewFilter(TypeIs("t")), NewFilter(TypeIs("u")), NewFilter(Eq("user", event.S("bob")))
-	subBob := NewFilter(TypeIs("t"), Eq("user", event.S("bob")))
-	subAnna := NewFilter(TypeIs("t"), Eq("user", event.S("anna")))
-	subU := NewFilter(TypeIs("u"))
-	for _, adv := range []Filter{advT, advU, advBob} {
-		b.handleAdv(nopCtx{}, n, &AdvMsg{Filter: adv})
-	}
-	for _, f := range []Filter{subBob, subAnna, subU} {
-		b.Subscribe(client, f)
-	}
-	check := func(stage string, want ...Filter) {
-		t.Helper()
-		wantKeys := make(map[string]Filter)
-		for _, f := range want {
-			wantKeys[f.Key()] = f
-		}
-		if got := sentKeys(b.covers[n]); fmt.Sprint(got) != fmt.Sprint(sortedFilterKeys(wantKeys)) {
-			t.Fatalf("%s: sent toward the advertiser %v, want %v", stage, got, sortedFilterKeys(wantKeys))
-		}
-		if oracle := minimalCover(desiredAt(b, n)); fmt.Sprint(sortedFilterKeys(oracle)) != fmt.Sprint(sentKeys(b.covers[n])) {
-			t.Fatalf("%s: sent toward the advertiser %v, oracle %v", stage, sentKeys(b.covers[n]), sortedFilterKeys(oracle))
-		}
-		if got := len(b.covers[other].sent); got != 0 {
-			t.Fatalf("%s: %d subscriptions sent toward a neighbour nobody advertised from", stage, got)
-		}
-	}
-	check("advertised", subBob, subAnna, subU)
-
-	ep.sent = nil
-	b.handleUnadv(nopCtx{}, n, &UnadvMsg{Filter: advT})
-	// subBob still meets the user=bob advertisement; subAnna meets none.
-	check("type t withdrawn", subBob, subU)
-	if got, want := renderControl(ep, n), []string{"unsub " + subAnna.Key()}; fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("withdrawing the advert sent %v, want %v", got, want)
-	}
-	b.handleUnadv(nopCtx{}, n, &UnadvMsg{Filter: advBob})
-	check("user bob withdrawn", subU)
-	b.handleUnadv(nopCtx{}, n, &UnadvMsg{Filter: advU})
-	check("all withdrawn")
-	if got := b.Stats().TableEntries; got != 3 {
-		t.Fatalf("withdrawn adverts touched the subscription table: %d entries, want 3", got)
 	}
 }
 

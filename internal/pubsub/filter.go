@@ -323,73 +323,6 @@ func Covers(f, g Filter) bool {
 	return true
 }
 
-// Intersects reports whether some event could match both filters. It is
-// conservative: it may report true for disjoint filters, never false for
-// overlapping ones. Used for advertisement-based pruning.
-func Intersects(f, g Filter) bool {
-	for _, cf := range f.Constraints {
-		for _, cg := range g.Constraints {
-			if cf.Attr != cg.Attr {
-				continue
-			}
-			if disjoint(cf, cg) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// disjoint reports provable unsatisfiability of the conjunction a ∧ b.
-func disjoint(a, b Constraint) bool {
-	if a.Op == OpEq && b.Op == OpEq {
-		return !a.Val.Equal(b.Val)
-	}
-	if a.Op == OpEq {
-		return !b.Matches(a.Val)
-	}
-	if b.Op == OpEq {
-		return !a.Matches(b.Val)
-	}
-	// Range disjointness: upper bound below lower bound.
-	lo := func(c Constraint) (event.Value, bool, bool) { // value, strict, isLower
-		switch c.Op {
-		case OpGt:
-			return c.Val, true, true
-		case OpGe:
-			return c.Val, false, true
-		}
-		return event.Value{}, false, false
-	}
-	hi := func(c Constraint) (event.Value, bool, bool) {
-		switch c.Op {
-		case OpLt:
-			return c.Val, true, true
-		case OpLe:
-			return c.Val, false, true
-		}
-		return event.Value{}, false, false
-	}
-	if hv, hstrict, okh := hi(a); okh {
-		if lv, lstrict, okl := lo(b); okl {
-			if cmp, ok := hv.Compare(lv); ok && (cmp < 0 || (cmp == 0 && (hstrict || lstrict))) {
-				return true
-			}
-		}
-	}
-	if hv, hstrict, okh := hi(b); okh {
-		if lv, lstrict, okl := lo(a); okl {
-			if cmp, ok := hv.Compare(lv); ok && (cmp < 0 || (cmp == 0 && (hstrict || lstrict))) {
-				return true
-			}
-		}
-	}
-	if a.Op == OpPrefix && b.Op == OpPrefix {
-		return !strings.HasPrefix(a.Val.S, b.Val.S) && !strings.HasPrefix(b.Val.S, a.Val.S)
-	}
-	return false
-}
-
 // xmlConstraint is the XML form of a constraint.
 type xmlConstraint struct {
 	Attr string `xml:"attr,attr"`

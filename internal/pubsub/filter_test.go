@@ -211,27 +211,6 @@ func TestCoversSound(t *testing.T) {
 	}
 }
 
-// TestIntersectsComplete verifies: whenever a sampled value satisfies both
-// constraints, Intersects must be true (no false negatives).
-func TestIntersectsComplete(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 5000; i++ {
-		a := randomConstraint(rng)
-		b := randomConstraint(rng)
-		fa, fb := NewFilter(a), NewFilter(b)
-		if Intersects(fa, fb) {
-			continue
-		}
-		// Claimed disjoint: no sampled value may satisfy both.
-		for j := 0; j < 200; j++ {
-			v := randomValue(rng)
-			if a.Matches(v) && b.Matches(v) {
-				t.Fatalf("incomplete: Intersects(%v, %v) = false but %v satisfies both", a, b, v)
-			}
-		}
-	}
-}
-
 func TestFilterXMLRoundTrip(t *testing.T) {
 	f := NewFilter(
 		TypeIs("weather.report"),

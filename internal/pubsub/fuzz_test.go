@@ -54,7 +54,7 @@ func sameFilter(a, b Filter) bool {
 }
 
 // FuzzFilterParseXML drives the hand-written XML filter scanner — the
-// payload of every XML sub, unsub, adv and unadv — with arbitrary bytes
+// payload of every XML sub and unsub — with arbitrary bytes
 // against encoding/xml: it must never panic; what it accepts,
 // UnmarshalXML accepts as the same filter; and an accepted filter appends
 // the bytes MarshalXML writes, which the scanner takes back.

@@ -332,21 +332,15 @@ func (m linearMatcher) Match(ev *event.Event, visit func(key string)) {
 // TestBrokerDifferentialIndexVsLinear drives two identical broker chains
 // — one matching through the index, one through the linear-scan
 // oracle behind the matcher seam — with the same randomized subscribe/
-// advertise/publish/unsubscribe workload under all four DisableCovering ×
-// UseAdvertisements combinations, and requires identical delivery sets,
-// Stats counters, table contents and forwarding state. 160 filters × 240
-// events per combo ≈ 38k filter/event pairs each.
+// publish/unsubscribe workload with covering on and off, and requires
+// identical delivery sets, Stats counters, table contents and forwarding
+// state. 160 filters × 240 events per run ≈ 38k filter/event pairs each.
 func TestBrokerDifferentialIndexVsLinear(t *testing.T) {
 	for _, disableCovering := range []bool{false, true} {
-		for _, useAdverts := range []bool{false, true} {
-			name := fmt.Sprintf("covering=%v/adverts=%v", !disableCovering, useAdverts)
-			t.Run(name, func(t *testing.T) {
-				runBrokerDifferential(t, Options{
-					DisableCovering:   disableCovering,
-					UseAdvertisements: useAdverts,
-				})
-			})
-		}
+		name := fmt.Sprintf("covering=%v", !disableCovering)
+		t.Run(name, func(t *testing.T) {
+			runBrokerDifferential(t, Options{DisableCovering: disableCovering})
+		})
 	}
 }
 
@@ -372,23 +366,6 @@ func runBrokerDifferential(t *testing.T, opts Options) {
 
 	// One rng drives the workload; both worlds receive identical inputs.
 	rng := rand.New(rand.NewSource(seed))
-
-	// Advertisements (only meaningful under UseAdvertisements, harmless
-	// otherwise): every client advertises something, half of them broadly.
-	for ci := 0; ci < nClients; ci++ {
-		var adv Filter
-		if ci%2 == 0 {
-			adv = NewFilter() // empty: intersects everything
-		} else {
-			adv = NewFilter(TypeIs(genTypes[rng.Intn(len(genTypes))]))
-		}
-		for _, w := range worlds {
-			w.tn.clients[ci].Advertise(adv)
-		}
-	}
-	for _, w := range worlds {
-		w.tn.settle()
-	}
 
 	// Random subscriptions.
 	type subRec struct {

@@ -37,23 +37,6 @@ type DeliverMsg struct {
 // Kind implements wire.Message.
 func (DeliverMsg) Kind() string { return "pubsub.deliver" }
 
-// AdvMsg advertises that events matching the filter may be published from
-// the sending direction.
-type AdvMsg struct {
-	Filter Filter `xml:"filter"`
-}
-
-// Kind implements wire.Message.
-func (AdvMsg) Kind() string { return "pubsub.adv" }
-
-// UnadvMsg withdraws an advertisement.
-type UnadvMsg struct {
-	Filter Filter `xml:"filter"`
-}
-
-// Kind implements wire.Message.
-func (UnadvMsg) Kind() string { return "pubsub.unadv" }
-
 // PeerMsg asks a broker to register the sender as a peer broker (used by
 // topology self-healing when an orphaned subtree reattaches upstream).
 // The receiver resynchronises its subscription state over the new link.
@@ -88,7 +71,7 @@ func (ReclaimReply) Kind() string { return "pubsub.reclaimReply" }
 // The subscription-state and topology messages are control-plane
 // traffic (wire.ControlMessage): budgeted send queues shed event
 // fan-out (PubMsg/DeliverMsg) before the routing state that steers it,
-// since a lost sub/unsub/adv silently mis-routes every later event
+// since a lost sub/unsub silently mis-routes every later event
 // while a lost event loses only itself. ReclaimReply is excluded — it
 // carries the buffered events themselves.
 
@@ -97,12 +80,6 @@ func (SubMsg) Control() bool { return true }
 
 // Control implements wire.ControlMessage.
 func (UnsubMsg) Control() bool { return true }
-
-// Control implements wire.ControlMessage.
-func (AdvMsg) Control() bool { return true }
-
-// Control implements wire.ControlMessage.
-func (UnadvMsg) Control() bool { return true }
 
 // Control implements wire.ControlMessage.
 func (PeerMsg) Control() bool { return true }
@@ -119,8 +96,6 @@ func RegisterMessages(r *wire.Registry) {
 	r.Register(&UnsubMsg{})
 	r.Register(&PubMsg{})
 	r.Register(&DeliverMsg{})
-	r.Register(&AdvMsg{})
-	r.Register(&UnadvMsg{})
 	r.Register(&PeerMsg{})
 	r.Register(&DetachMsg{})
 	r.Register(&ReclaimMsg{})

@@ -78,8 +78,7 @@ func (e *bpEndpoint) sentTo(to ids.ID) []wire.Message {
 // budget drops: routing state is control, event traffic is not.
 func TestControlMessageMarking(t *testing.T) {
 	control := []wire.Message{
-		&SubMsg{}, &UnsubMsg{}, &AdvMsg{}, &UnadvMsg{},
-		&PeerMsg{}, &DetachMsg{}, &ReclaimMsg{},
+		&SubMsg{}, &UnsubMsg{}, &PeerMsg{}, &DetachMsg{}, &ReclaimMsg{},
 	}
 	for _, m := range control {
 		if !wire.Control(m) {

@@ -54,8 +54,6 @@ var (
 	_ wire.BinaryMessage = (*UnsubMsg)(nil)
 	_ wire.BinaryMessage = (*PubMsg)(nil)
 	_ wire.BinaryMessage = (*DeliverMsg)(nil)
-	_ wire.BinaryMessage = (*AdvMsg)(nil)
-	_ wire.BinaryMessage = (*UnadvMsg)(nil)
 	_ wire.BinaryMessage = (*PeerMsg)(nil)
 	_ wire.BinaryMessage = (*DetachMsg)(nil)
 	_ wire.BinaryMessage = (*ReclaimMsg)(nil)
@@ -73,18 +71,6 @@ func (m *UnsubMsg) AppendWire(b []byte) []byte { return m.Filter.AppendWire(b) }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *UnsubMsg) ParseWire(r *wire.BinReader) error { return m.Filter.ParseWire(r) }
-
-// AppendWire implements wire.BinaryMessage.
-func (m *AdvMsg) AppendWire(b []byte) []byte { return m.Filter.AppendWire(b) }
-
-// ParseWire implements wire.BinaryMessage.
-func (m *AdvMsg) ParseWire(r *wire.BinReader) error { return m.Filter.ParseWire(r) }
-
-// AppendWire implements wire.BinaryMessage.
-func (m *UnadvMsg) AppendWire(b []byte) []byte { return m.Filter.AppendWire(b) }
-
-// ParseWire implements wire.BinaryMessage.
-func (m *UnadvMsg) ParseWire(r *wire.BinReader) error { return m.Filter.ParseWire(r) }
 
 // AppendWire implements wire.BinaryMessage.
 func (m *PubMsg) AppendWire(b []byte) []byte { return event.AppendWirePtr(b, m.Event) }

@@ -61,8 +61,6 @@ var (
 	_ wire.XMLMessage = (*UnsubMsg)(nil)
 	_ wire.XMLMessage = (*PubMsg)(nil)
 	_ wire.XMLMessage = (*DeliverMsg)(nil)
-	_ wire.XMLMessage = (*AdvMsg)(nil)
-	_ wire.XMLMessage = (*UnadvMsg)(nil)
 )
 
 // appendFilterMsg wraps the filter in the message's element, which
@@ -123,26 +121,6 @@ func (m *UnsubMsg) AppendXML(dst []byte) []byte {
 // ParseXML implements wire.XMLMessage.
 func (m *UnsubMsg) ParseXML(s *wire.XMLScanner) error {
 	return parseFilterMsg(s, "<UnsubMsg>", "</UnsubMsg>", &m.Filter)
-}
-
-// AppendXML implements wire.XMLMessage.
-func (m *AdvMsg) AppendXML(dst []byte) []byte {
-	return appendFilterMsg(dst, "<AdvMsg>", "</AdvMsg>", m.Filter)
-}
-
-// ParseXML implements wire.XMLMessage.
-func (m *AdvMsg) ParseXML(s *wire.XMLScanner) error {
-	return parseFilterMsg(s, "<AdvMsg>", "</AdvMsg>", &m.Filter)
-}
-
-// AppendXML implements wire.XMLMessage.
-func (m *UnadvMsg) AppendXML(dst []byte) []byte {
-	return appendFilterMsg(dst, "<UnadvMsg>", "</UnadvMsg>", m.Filter)
-}
-
-// ParseXML implements wire.XMLMessage.
-func (m *UnadvMsg) ParseXML(s *wire.XMLScanner) error {
-	return parseFilterMsg(s, "<UnadvMsg>", "</UnadvMsg>", &m.Filter)
 }
 
 // AppendXML implements wire.XMLMessage.

@@ -190,15 +190,6 @@ type xferKey struct {
 	id   uint64
 }
 
-// maxEarlyChunks bounds how many chunks delivered ahead of their
-// manifest (network reordering) are buffered per transfer.
-const maxEarlyChunks = 256
-
-// earlyChunkOverhead is what holding an early chunk costs beyond its
-// bytes (the message, its slot, for a fresh transfer the map entry and
-// sweep timer), so that empty chunks cannot be held without bound.
-const earlyChunkOverhead = 256
-
 // xfer is one inbound transfer's reassembly state plus completion context.
 type xfer struct {
 	ra        *reassembly
@@ -320,19 +311,6 @@ func (s *Store) handleManifest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		pin:       mm.Pin,
 	}
 	s.sweepXfer(key)
-	for _, cm := range s.takeEarly(key) {
-		s.applyChunk(key, from, cm)
-	}
-}
-
-// takeEarly removes and returns the chunks held for key.
-func (s *Store) takeEarly(key xferKey) []*ChunkMsg {
-	buf := s.early[key]
-	delete(s.early, key)
-	for _, cm := range buf {
-		s.earlyBytes -= len(cm.Data) + earlyChunkOverhead
-	}
-	return buf
 }
 
 // sweepXfer schedules the transfer's timeout GC: every chunkTimeout the
@@ -353,51 +331,25 @@ func (s *Store) sweepXfer(key xferKey) {
 	})
 }
 
-// sweepEarly drops an early-chunk buffer whose manifest never showed up.
-func (s *Store) sweepEarly(key xferKey) {
-	s.ep.Clock().After(s.opts.chunkTimeout, func() {
-		if s.takeEarly(key) != nil {
-			s.stats.ChunkTimeouts++
-		}
-	})
-}
-
 func (s *Store) handleChunk(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	cm := msg.(*ChunkMsg)
-	if cap(cm.Data)-len(cm.Data) > len(cm.Data)/8 {
+	key := xferKey{from: from, id: cm.Xfer}
+	x, ok := s.xfers[key]
+	if !ok {
+		// A sender queues a manifest and its chunks back to back on one
+		// link, and both substrates keep a link's order, so a chunk with
+		// no open transfer belongs to one that completed, failed, timed
+		// out or lost its manifest: nothing would ever take it.
+		return
+	}
+	data := cm.Data
+	if cap(data)-len(data) > len(data)/8 {
 		// The piece is kept as the slice it came in, so that slice's storage
 		// must not run far past it: a frame padded behind its chunk would
 		// stay alive under a byte count that leaves the padding out.
-		cm = &ChunkMsg{Xfer: cm.Xfer, Off: cm.Off, Data: bytes.Clone(cm.Data)}
+		data = bytes.Clone(data)
 	}
-	key := xferKey{from: from, id: cm.Xfer}
-	if _, ok := s.xfers[key]; !ok {
-		// Reordering can deliver chunks ahead of their manifest: hold a
-		// bounded few per transfer, and no more than one object's worth
-		// across all of them, until it arrives (sweepEarly drops orphans,
-		// so a completed or timed-out transfer's stragglers die here too).
-		buf := s.early[key]
-		cost := len(cm.Data) + earlyChunkOverhead
-		if len(buf) >= maxEarlyChunks || s.earlyBytes+cost > s.opts.maxObjectBytes {
-			return
-		}
-		if len(buf) == 0 {
-			s.sweepEarly(key)
-		}
-		s.early[key] = append(buf, cm)
-		s.earlyBytes += cost
-		return
-	}
-	s.applyChunk(key, from, cm)
-}
-
-// applyChunk feeds one chunk into an open transfer's reassembly.
-func (s *Store) applyChunk(key xferKey, from ids.ID, cm *ChunkMsg) {
-	x, ok := s.xfers[key]
-	if !ok {
-		return
-	}
-	done, err := x.ra.add(cm.Off, cm.Data)
+	done, err := x.ra.add(cm.Off, data)
 	if err != nil {
 		delete(s.xfers, key)
 		s.stats.ChunkCorrupt++

@@ -13,6 +13,7 @@ import (
 	"github.com/gloss/active/internal/netapi"
 	"github.com/gloss/active/internal/plaxton"
 	"github.com/gloss/active/internal/transport"
+	"github.com/gloss/active/internal/vclock"
 	"github.com/gloss/active/internal/wire"
 )
 
@@ -81,8 +82,7 @@ func TestChunkedReceiveKeepsFrames(t *testing.T) {
 
 // TestPaddedChunkIsCopied: a chunk whose slice has storage running far
 // past it — a frame padded behind its chunk — is copied out rather than
-// kept, whether it lands in an open transfer or ahead of its manifest,
-// so a held piece pins only about the bytes it counts.
+// kept, so a held piece pins only about the bytes it counts.
 func TestPaddedChunkIsCopied(t *testing.T) {
 	c := buildCluster(t, 96, 2, Options{RepairInterval: -1})
 	recv, from := c.stores[0], c.stores[1].ep.ID()
@@ -93,9 +93,8 @@ func TestPaddedChunkIsCopied(t *testing.T) {
 		frame := make([]byte, 1<<20)
 		return append(frame[:0], body[off:off+4]...)
 	}
-	recv.handleChunk(nil, from, &ChunkMsg{Xfer: 1, Off: 0, Data: padded(0)}) // ahead of the manifest
 	recv.handleManifest(nil, from, mm)
-	for off := 4; off < len(body); off += 4 {
+	for off := 0; off < len(body); off += 4 {
 		recv.handleChunk(nil, from, &ChunkMsg{Xfer: 1, Off: off, Data: padded(off)})
 	}
 	b, ok := recv.objects[guid]
@@ -277,50 +276,54 @@ type sendLog struct {
 
 func (l *sendLog) Send(_ ids.ID, msg wire.Message) { l.msgs = append(l.msgs, msg) }
 
-// TestEarlyChunksBoundedAcrossTransfers: chunks held ahead of their
-// manifest are capped in total bytes, not only per transfer, so naming
-// fresh transfer IDs pins no more than maxObjectBytes.
-func TestEarlyChunksBoundedAcrossTransfers(t *testing.T) {
-	const limit = 64 << 10
-	c := buildCluster(t, 95, 2, Options{RepairInterval: -1, maxObjectBytes: limit, chunkTimeout: time.Second})
+// TestChunkWithoutManifestHoldsNothing: a chunk of a transfer whose
+// manifest has not arrived is dropped — it opens no transfer and arms no
+// timer — and a manifest that comes afterwards still completes from the
+// chunks the sender resends.
+func TestChunkWithoutManifestHoldsNothing(t *testing.T) {
+	c := buildCluster(t, 97, 2, Options{RepairInterval: -1})
 	recv, from := c.stores[0], c.stores[1].ep.ID()
-	for i := 0; i < 1000; i++ {
-		recv.handleChunk(nil, from, &ChunkMsg{Xfer: uint64(1000 + i), Off: 0, Data: make([]byte, 1<<10)})
+	arms := &armLog{Endpoint: recv.ep}
+	recv.ep = arms
+	body := []byte("sixteen bytes!!!")
+	guid := ids.FromString("no-manifest")
+	mm, cms := chunkStream(guid, body, 4)
+	for _, cm := range cms {
+		recv.handleChunk(nil, from, cm)
 	}
-	held := 0
-	for _, buf := range recv.early {
-		for _, cm := range buf {
-			held += len(cm.Data) + earlyChunkOverhead
-		}
+	if len(recv.xfers) != 0 || arms.armed != 0 {
+		t.Fatalf("chunks with no manifest left %d transfers and armed %d timers", len(recv.xfers), arms.armed)
 	}
-	if held > limit || held != recv.earlyBytes {
-		t.Fatalf("early chunks hold %d B (counted %d), want at most %d", held, recv.earlyBytes, limit)
+	if _, ok := recv.objects[guid]; ok {
+		t.Fatal("chunks with no manifest stored an object")
 	}
-	c.world.RunFor(3 * time.Second)
-	if len(recv.early) != 0 || recv.earlyBytes != 0 {
-		t.Fatalf("after the timeout %d early transfers and %d B remain", len(recv.early), recv.earlyBytes)
+
+	recv.handleManifest(nil, from, mm)
+	for _, cm := range cms {
+		recv.handleChunk(nil, from, cm)
+	}
+	got, ok := recv.objects[guid]
+	if !ok || !bytes.Equal(got.bytes(), body) {
+		t.Fatal("the transfer did not complete from the resent chunks")
+	}
+	if len(recv.xfers) != 0 {
+		t.Fatalf("%d transfers still open after completion", len(recv.xfers))
 	}
 }
 
-// TestEmptyEarlyChunksBounded: an empty chunk held ahead of its manifest
-// is charged its entry's overhead, so a flood of them under fresh
-// transfer IDs holds at most maxObjectBytes/earlyChunkOverhead entries.
-func TestEmptyEarlyChunksBounded(t *testing.T) {
-	const limit = 64 << 10
-	c := buildCluster(t, 96, 2, Options{RepairInterval: -1, maxObjectBytes: limit, chunkTimeout: time.Second})
-	recv, from := c.stores[0], c.stores[1].ep.ID()
-	for i := 0; i < 20000; i++ {
-		recv.handleChunk(nil, from, &ChunkMsg{Xfer: uint64(1000 + i), Off: 0})
-	}
-	entries := 0
-	for _, buf := range recv.early {
-		entries += len(buf)
-	}
-	if want := limit / earlyChunkOverhead; entries > want {
-		t.Fatalf("%d empty early chunks held, want at most %d", entries, want)
-	}
-	c.world.RunFor(3 * time.Second)
-	if len(recv.early) != 0 || recv.earlyBytes != 0 {
-		t.Fatalf("after the timeout %d early transfers and %d B remain", len(recv.early), recv.earlyBytes)
-	}
+// armLog counts the timers a store arms on its endpoint's clock.
+type armLog struct {
+	netapi.Endpoint
+	armed int
+}
+
+func (l *armLog) Clock() vclock.Clock { return armClock{l} }
+
+type armClock struct{ l *armLog }
+
+func (c armClock) Now() time.Duration { return c.l.Endpoint.Clock().Now() }
+
+func (c armClock) After(d time.Duration, fn func()) vclock.Timer {
+	c.l.armed++
+	return c.l.Endpoint.Clock().After(d, fn)
 }

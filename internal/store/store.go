@@ -217,13 +217,9 @@ type Store struct {
 	pendingPuts map[uint64]*pendingPut
 	pendingGets map[uint64]*pendingGet
 
-	// Chunked-transfer reassembly, keyed per sender. early holds chunks
-	// delivered ahead of their manifest, earlyBytes what they cost (their
-	// bytes plus earlyChunkOverhead each).
-	nextXfer   uint64
-	xfers      map[xferKey]*xfer
-	early      map[xferKey][]*ChunkMsg
-	earlyBytes int
+	// Chunked-transfer reassembly, keyed per sender.
+	nextXfer uint64
+	xfers    map[xferKey]*xfer
 
 	// Digest repair round state: what the current round asked each
 	// replica target to confirm.
@@ -255,7 +251,6 @@ func New(ep netapi.Endpoint, overlay *plaxton.Overlay, opts Options) *Store {
 		pendingPuts:  make(map[uint64]*pendingPut),
 		pendingGets:  make(map[uint64]*pendingGet),
 		xfers:        make(map[xferKey]*xfer),
-		early:        make(map[xferKey][]*ChunkMsg),
 		digestWant:   make(map[ids.ID][]ids.ID),
 		pendingStats: make(map[uint64]*statProbe),
 		fragBusy:     make(map[ids.ID]bool),

@@ -114,50 +114,6 @@ func TestCodecRegistryMismatchStaysXML(t *testing.T) {
 	}
 }
 
-// TestCodecRenegotiationMidSession: a peer flips from XML to binary
-// mid-session. Node a starts with a registry missing one kind, so the
-// kinds hashes differ and all traffic is XML despite both nodes
-// preferring binary. Registering the missing kind and calling
-// RefreshRegistry rebuilds a's codec and rebroadcasts its hello; both
-// directions then converge on binary without reconnecting.
-func TestCodecRenegotiationMidSession(t *testing.T) {
-	regA := testReg()
-	regB := testReg()
-	regB.Register(&extraMsg{}) // a's table is short one kind
-	a := newCodecNode(t, "tcp-reneg-a", regA, wire.CodecBinary)
-	b := newCodecNode(t, "tcp-reneg-b", regB, wire.CodecBinary)
-	a.AddPeer(b.ID(), b.Addr())
-	b.AddPeer(a.ID(), a.Addr())
-	b.Handle("test.echo", func(ctx netapi.Ctx, _ ids.ID, msg wire.Message) {
-		ctx.Reply(&echoMsg{Text: "re: " + msg.(*echoMsg).Text})
-	})
-
-	// Phase 1: hashes mismatch — everything stays XML.
-	for _, text := range []string{"one", "two", "three"} {
-		roundTrip(t, a, b, text)
-	}
-	if sa, sb := a.Stats(), b.Stats(); sa.SentBinary != 0 || sb.SentBinary != 0 {
-		t.Fatalf("binary before renegotiation: a=%d b=%d", sa.SentBinary, sb.SentBinary)
-	}
-
-	// Phase 2: a learns the missing kind at runtime (a dynamic bundle
-	// type) and renegotiates. The registries now hash identically.
-	regA.Register(&extraMsg{})
-	a.RefreshRegistry()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sa, sb := a.Stats(), b.Stats()
-		if sa.SentBinary >= 1 && sb.SentBinary >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("binary never negotiated after refresh: a=%+v b=%+v", sa, sb)
-		}
-		roundTrip(t, a, b, "again")
-	}
-}
-
 func TestListenRejectsUnknownCodec(t *testing.T) {
 	if _, err := Listen(ids.FromString("x"), testReg(), Options{Codec: "protobuf"}); err == nil {
 		t.Fatal("want error for unknown codec")

@@ -114,7 +114,7 @@ func recvCorpus(t testing.TB, n *Node, seed int64, small bool) []recvStream {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	from, to := ids.FromString("recv-peer"), n.ID()
-	xml, bin := wire.Codec(n.reg), wire.Codec(n.codec.Load().bin)
+	xml, bin := wire.Codec(n.reg), wire.Codec(n.bin)
 	encode := func(c wire.Codec, msg wire.Message) []byte {
 		frame, err := c.Encode(&wire.Envelope{From: from, To: to, CorrID: uint64(rng.Intn(3)), Msg: msg})
 		if err != nil {
@@ -378,7 +378,7 @@ func TestReadLoopMatchesReadFrame(t *testing.T) {
 				}
 			}
 			mu.Unlock()
-			if _, addr, binOK := n.lookupPeer(ids.FromString("recv-peer"), reg.KindsHash()); addr != "127.0.0.1:9" || !binOK {
+			if _, addr, binOK := n.lookupPeer(ids.FromString("recv-peer")); addr != "127.0.0.1:9" || !binOK {
 				t.Fatalf("%s, %s: the hello in mid-burst was not merged (addr %q, binary %v)", s.name, cut, addr, binOK)
 			}
 		}

@@ -48,7 +48,7 @@ func TestHelloBackOnInboundConnection(t *testing.T) {
 	}
 	send(0)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, _, binOK := a.lookupPeer(b.ID(), reg.KindsHash()); binOK {
+		if _, _, binOK := a.lookupPeer(b.ID()); binOK {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -134,7 +134,7 @@ func sinkPeer(t testing.TB, n *Node) ids.ID {
 	})
 	id := ids.FromString("sink-" + t.Name())
 	hello := &HelloMsg{ID: id.String(), Addr: ln.Addr().String(),
-		Codecs: []string{wire.CodecXML, wire.CodecBinary}, KindsHash: n.codec.Load().kindsHash}
+		Codecs: []string{wire.CodecXML, wire.CodecBinary}, KindsHash: n.bin.KindsHash()}
 	n.Do(func() { n.mergeHello(hello) })
 	n.Stats() // one trip through the actor loop: the hello is merged
 	return id
@@ -196,13 +196,13 @@ func TestSendManyOfOneAllocsAsSend(t *testing.T) {
 			}
 			defer n.Close()
 			to := ids.FromString("parked-peer")
-			hash := n.codec.Load().kindsHash
+			hash := n.bin.KindsHash()
 			n.Do(func() {
 				n.mergeHello(&HelloMsg{ID: to.String(), Addr: "127.0.0.1:1",
 					Codecs: []string{wire.CodecXML, wire.CodecBinary}, KindsHash: hash})
 			})
 			n.Stats() // one trip through the actor loop: the hello is merged
-			p, _, binOK := n.lookupPeer(to, hash)
+			p, _, binOK := n.lookupPeer(to)
 			if !binOK {
 				t.Fatal("binary not negotiated with the parked peer")
 			}

@@ -268,9 +268,7 @@ type peer struct {
 	// addr is where to dial. wantsBinary and kindsHash record the codec
 	// capabilities from the peer's most recent hello: binary frames flow
 	// toward it only while it advertised the binary codec AND its registry
-	// fingerprint matches ours — re-derived on every send, so either side
-	// re-helloing after a runtime registry change flips the link codec
-	// without reconnecting.
+	// fingerprint matches ours.
 	addr        string
 	wantsBinary bool
 	kindsHash   string
@@ -281,19 +279,11 @@ type peer struct {
 	connFails int
 }
 
-// binCodecState is the node's current fast-path codec and the registry
-// fingerprint it was built from, swapped atomically on RefreshRegistry so
-// reader goroutines never see a codec/hash torn pair.
-type binCodecState struct {
-	bin       *wire.BinaryCodec
-	kindsHash string
-}
-
 // Node is a TCP-backed netapi.Endpoint.
 type Node struct {
 	info      netapi.NodeInfo
 	reg       *wire.Registry
-	codec     atomic.Pointer[binCodecState]
+	bin       *wire.BinaryCodec // the fast-path codec, built from reg at Listen
 	preferBin bool
 	opts      Options
 	log       *slog.Logger
@@ -364,6 +354,7 @@ func Listen(id ids.ID, reg *wire.Registry, opts Options) (*Node, error) {
 	n := &Node{
 		info:      netapi.NodeInfo{ID: id, Region: opts.Region, Coord: opts.Coord},
 		reg:       reg,
+		bin:       wire.NewBinaryCodec(reg),
 		preferBin: opts.Codec == wire.CodecBinary,
 		opts:      opts,
 		log:       opts.Logger.With("node", id.Short()),
@@ -374,7 +365,6 @@ func Listen(id ids.ID, reg *wire.Registry, opts Options) (*Node, error) {
 		closed:    make(chan struct{}),
 		peers:     make(map[ids.ID]*peer),
 	}
-	n.codec.Store(&binCodecState{bin: wire.NewBinaryCodec(reg), kindsHash: reg.KindsHash()})
 	n.loop.Init(id, (*seam)(n))
 	n.wg.Add(2)
 	go n.actorLoop()
@@ -559,15 +549,15 @@ func (n *Node) ensurePeer(id ids.ID) *peer {
 
 // lookupPeer snapshots the routing fields needed by one transmit: the
 // peer entry, its dial address and whether the binary fast path is
-// negotiated against localHash. Safe from any goroutine.
-func (n *Node) lookupPeer(to ids.ID, localHash string) (p *peer, addr string, binOK bool) {
+// negotiated. Safe from any goroutine.
+func (n *Node) lookupPeer(to ids.ID) (p *peer, addr string, binOK bool) {
 	n.peersMu.RLock()
 	defer n.peersMu.RUnlock()
 	p = n.peers[to]
 	if p == nil {
 		return nil, "", false
 	}
-	return p, p.addr, p.wantsBinary && p.kindsHash == localHash
+	return p, p.addr, p.wantsBinary && p.kindsHash == n.bin.KindsHash()
 }
 
 // transmit encodes env and queues it toward its destination. Safe from
@@ -589,8 +579,7 @@ func (n *Node) transmit(env *wire.Envelope, shared *wire.SharedBody) {
 	// Route check first: no peer entry or no address means the frame
 	// could never leave this node — drop before paying the encode, and
 	// never grow the peer map for unroutable destinations.
-	st := n.codec.Load()
-	p, addr, binOK := n.lookupPeer(env.To, st.kindsHash)
+	p, addr, binOK := n.lookupPeer(env.To)
 	if p == nil || addr == "" {
 		n.c.dropped.Add(1)
 		n.c.droppedNoAddr.Add(1)
@@ -601,7 +590,7 @@ func (n *Node) transmit(env *wire.Envelope, shared *wire.SharedBody) {
 	// advertised the binary codec with a matching kind table.
 	codec := splitEncoder(n.reg)
 	if n.preferBin && binOK {
-		codec = st.bin
+		codec = n.bin
 	}
 	head, body, err := codec.EncodeSplit(env, shared, lenPrefix)
 	if err != nil {
@@ -612,7 +601,7 @@ func (n *Node) transmit(env *wire.Envelope, shared *wire.SharedBody) {
 	}
 	if p.ox.push(newFrame(head, body), wire.Control(env.Msg)) {
 		n.c.sent.Add(1)
-		if codec == st.bin {
+		if codec == n.bin {
 			n.c.sentBinary.Add(1)
 		}
 	} else {
@@ -812,7 +801,7 @@ func (n *Node) helloFrame() frame {
 	}
 	if n.preferBin {
 		hello.Codecs = []string{wire.CodecXML, wire.CodecBinary}
-		hello.KindsHash = n.codec.Load().kindsHash
+		hello.KindsHash = n.bin.KindsHash()
 	}
 	n.peersMu.RLock()
 	for id, p := range n.peers {
@@ -835,28 +824,13 @@ func (n *Node) helloBack(conn net.Conn) {
 	_, _ = conn.Write(n.helloFrame().head) // a failed write is readLoop's to see
 }
 
-// RefreshRegistry rebuilds the binary fast-path codec after message
-// kinds were registered at runtime (e.g. dynamic bundle types) and
-// rebroadcasts the hello on every established link, so peers re-evaluate
-// codec compatibility against the new kinds hash — adaptive
-// renegotiation without reconnecting. Links whose peers now match flip
-// to binary on this node's next sends; peers learn the new hash from the
-// hello and flip their own sending side.
-func (n *Node) RefreshRegistry() {
-	n.do(func() {
-		n.codec.Store(&binCodecState{bin: wire.NewBinaryCodec(n.reg), kindsHash: n.reg.KindsHash()})
-		n.rehello()
-	})
-}
-
-// rehello queues a fresh hello on every connected peer link. Actor loop
-// only. A saturated outbox must not lose the renegotiation: capability
-// knowledge is updated only by hellos, so a dropped one would leave the
-// peer on the stale kinds hash until the next reconnect. Hellos are
-// control frames, exempt from the byte budget, so only a queue at its
-// hard cap can refuse one — those peers are tracked individually and
-// only they are retried; peers that already got the hello are not
-// re-broadcast to.
+// rehello queues a fresh hello on every connected peer link, so an
+// address the node just learned reaches them. Actor loop only. A
+// saturated outbox must not lose it: addresses travel only in hellos.
+// Hellos are control frames, exempt from the byte budget, so only a
+// queue at its hard cap can refuse one — those peers are tracked
+// individually and only they are retried; peers that already got the
+// hello are not re-broadcast to.
 func (n *Node) rehello() { n.rehelloTo(nil) }
 
 // rehelloTo sends the hello to every connected peer, or with a non-nil
@@ -1051,7 +1025,7 @@ func (n *Node) accept(env *wire.Envelope) {
 // decodes an event without one allocation per attribute.
 func (n *Node) decodeFrame(frame []byte) (*wire.Envelope, error) {
 	if wire.IsBinaryFrame(frame) {
-		return n.codec.Load().bin.DecodeBorrow(frame)
+		return n.bin.DecodeBorrow(frame)
 	}
 	return n.reg.Decode(frame)
 }
@@ -1059,8 +1033,7 @@ func (n *Node) decodeFrame(frame []byte) (*wire.Envelope, error) {
 // mergeHello learns addresses and codec capabilities from a peer's hello,
 // and reports whether it learned the address of a node it had none for.
 // Capabilities are recorded verbatim and compared against our own kinds
-// hash lazily at send time, so a later RefreshRegistry on either side
-// re-evaluates every link without new state. Actor loop only (the sole
+// hash at send time. Actor loop only (the sole
 // peer-table writer); mutations hold the peersMu write lock so
 // concurrent senders see consistent routing fields.
 func (n *Node) mergeHello(h *HelloMsg) (learned bool) {

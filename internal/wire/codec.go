@@ -170,14 +170,11 @@ type BinReader struct {
 func NewBinReader(buf []byte) *BinReader { return &BinReader{buf: buf} }
 
 // NewBinReaderBorrowed wraps buf for borrowing reads: String returns
-// views over buf instead of copies (see Borrowed). Use only when buf is
-// immutable for the life of everything decoded from it.
+// views over buf instead of copies. Use only when buf is immutable for
+// the life of everything decoded from it.
 func NewBinReaderBorrowed(buf []byte) *BinReader {
 	return &BinReader{buf: buf, borrow: true}
 }
-
-// Borrowed reports whether String returns views over the input buffer.
-func (r *BinReader) Borrowed() bool { return r.borrow }
 
 // Err returns the first decoding error, or nil.
 func (r *BinReader) Err() error { return r.err }

@@ -118,7 +118,7 @@ func FuzzXMLFastDecode(f *testing.F) {
 	for _, msg := range []wire.Message{
 		&pubsub.PubMsg{Event: ev}, &pubsub.PubMsg{}, &pubsub.DeliverMsg{Event: ev},
 		&pubsub.SubMsg{Filter: flt}, &pubsub.UnsubMsg{Filter: flt},
-		&pubsub.AdvMsg{Filter: flt}, &pubsub.UnadvMsg{}, nil,
+		&pubsub.SubMsg{}, &pubsub.UnsubMsg{}, nil,
 	} {
 		envs = append(envs, &wire.Envelope{From: ids.FromString("a"), To: ids.FromString("b"),
 			CorrID: 5, IsReply: true, Err: "e<r>r", Msg: msg})

@@ -59,10 +59,9 @@ type Envelope struct {
 
 // Registry maps message kinds to concrete Go types for decoding.
 // The zero value is not usable; construct with NewRegistry. Registration
-// is normally completed at wiring time, but the registry tolerates
-// runtime Register calls (dynamic bundle types) concurrent with decoding
-// — transport nodes then rebuild their binary codec and re-advertise the
-// new kinds hash (see transport.Node.RefreshRegistry).
+// is completed at wiring time; the lock keeps a Register call that runs
+// concurrently with decoding safe. A binary codec interns the kinds
+// registered when it is built.
 type Registry struct {
 	mu    sync.RWMutex
 	types map[string]kindType

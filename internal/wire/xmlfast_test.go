@@ -145,9 +145,9 @@ func nastyEnvelope(rng *rand.Rand, nan bool) *wire.Envelope {
 	case 9:
 		env.Msg = &pubsub.UnsubMsg{Filter: nastyFilter(rng, nan)}
 	case 10:
-		env.Msg = &pubsub.AdvMsg{Filter: nastyFilter(rng, nan)}
+		env.Msg = &pubsub.SubMsg{Filter: nastyFilter(rng, nan)}
 	case 11:
-		env.Msg = &pubsub.UnadvMsg{Filter: nastyFilter(rng, nan)}
+		env.Msg = &pubsub.UnsubMsg{Filter: nastyFilter(rng, nan)}
 	case 12:
 		env.Msg = nastyHello(rng, nan)
 	}
