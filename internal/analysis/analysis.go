@@ -1,8 +1,21 @@
 // Package analysis is a minimal, dependency-free reimplementation of
 // the golang.org/x/tools/go/analysis vocabulary, sized for this repo's
-// needs. The module deliberately has no external dependencies, so the
-// vetactive suite (cmd/vetactive) carries its own Analyzer/Pass types,
-// driver (internal/analysis/driver) and fixture runner
+// needs, and the home of the vetactive suite: five analyzers that
+// machine-check the concurrency and determinism invariants the
+// middleware relies on but the compiler cannot see.
+//
+//   - detsim: simulation determinism (internal/simnet, internal/vclock
+//     and packages annotated //vetactive:deterministic);
+//   - actoronly: actor-loop confinement;
+//   - frozenmut: frozen event immutability;
+//   - atomicstats: racy stats snapshots;
+//   - wirecomplete: wire-registry completeness.
+//
+// TestModuleAnalyzers (module_test.go) runs them over every package of
+// the module, tests included, through the standalone driver
+// (internal/analysis/driver), so `go test ./...` fails on a finding.
+// The module deliberately has no external dependencies, so the suite
+// carries its own Analyzer/Pass types, driver and fixture runner
 // (internal/analysis/analysistest) built purely on the standard
 // library's go/ast, go/parser, go/token and go/types.
 //
@@ -51,9 +64,9 @@ type Diagnostic struct {
 }
 
 // A Pass holds one analyzed package unit: its syntax, its type
-// information, and the report sink. A unit is a package possibly
-// augmented with its in-package _test.go files (exactly the units `go
-// vet` hands a vettool).
+// information, and the report sink. A unit is a package with its
+// in-package _test.go files, or its external test package (the units
+// `go vet` type-checks).
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet

@@ -1,9 +1,8 @@
-// Package driver runs vetactive analyzers in the two modes a Go vet
-// tool needs: as a standalone command over package patterns (resolved
-// with `go list`, type-checked from source), and as a `go vet
-// -vettool` backend speaking cmd/go's unitchecker protocol (see
-// unitchecker.go). Both modes share the Pass construction and the
-// //vetactive:ignore suppression filter.
+// Package driver runs analyzers over every package of a module,
+// listed with `go list` and type-checked from source. Each package is
+// analysed as the units `go vet` would hand a vet tool: the package with
+// its in-package _test.go files, and its external test package (package
+// p_test) on its own.
 package driver
 
 import (
@@ -17,69 +16,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
 	"github.com/gloss/active/internal/analysis"
 )
-
-// Main is the entry point for cmd/vetactive. It dispatches on the
-// argument shape: -V=full and -flags implement the vet tool handshake,
-// a single *.cfg argument selects unitchecker mode, anything else is a
-// list of package patterns for standalone mode (default ./...).
-func Main(analyzers []*analysis.Analyzer) {
-	progname := filepath.Base(os.Args[0])
-	args := os.Args[1:]
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		printVersion(progname)
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		// cmd/go asks which flags the tool supports; vetactive has none,
-		// so go vet passes only the unit config.
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
-		fmt.Fprintf(os.Stderr, "usage: %s [packages]   # standalone, e.g. %s ./...\n", progname, progname)
-		fmt.Fprintf(os.Stderr, "   or: go vet -vettool=$(pwd)/bin/%s ./...\n\nanalyzers:\n", progname)
-		for _, a := range analyzers {
-			doc, _, _ := strings.Cut(a.Doc, "\n")
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, doc)
-		}
-		os.Exit(2)
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnit(args[0], analyzers)
-		return
-	}
-	patterns := args
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	diags, err := RunStandalone(patterns, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-		os.Exit(1)
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		os.Exit(1)
-	}
-}
-
-// printVersion implements the -V=full handshake: cmd/go keys its action
-// cache on this line, so it embeds a hash of the executable.
-func printVersion(progname string) {
-	data, err := os.ReadFile(os.Args[0])
-	if err != nil {
-		fmt.Printf("%s version devel\n", progname)
-		return
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, contentHash(data))
-}
 
 // runAnalyzers applies every analyzer to one loaded unit and returns
 // formatted, position-sorted diagnostics surviving suppression.
@@ -120,23 +62,31 @@ func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 
 // listedPkg is the slice of `go list -json` output the loader needs.
 type listedPkg struct {
-	Dir         string
-	ImportPath  string
-	Name        string
-	GoFiles     []string
-	CgoFiles    []string
-	TestGoFiles []string
+	Dir          string
+	ImportPath   string
+	GoFiles      []string
+	CgoFiles     []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Deps         []string
 }
 
 // loader type-checks module packages from source. Imports of module
 // packages resolve to a cached GoFiles-only compilation (so test-only
 // imports cannot introduce cycles); everything else falls through to
 // the standard library's source importer, which reads GOROOT.
+//
+// An external test package's loader (see forXTest) sees the package
+// under test with its in-package test files, as the go command builds
+// it: it type-checks again every module package that imports the one
+// under test, and takes the rest from base.
 type loader struct {
 	fset   *token.FileSet
 	listed map[string]*listedPkg
 	std    types.Importer
 	cache  map[string]*loadResult
+	base   *loader
+	under  string
 }
 
 type loadResult struct {
@@ -153,15 +103,32 @@ func newLoader(fset *token.FileSet, listed map[string]*listedPkg) *loader {
 	}
 }
 
+// forXTest returns the loader for the external tests of the package at
+// path, whose test-augmented compilation is pkg.
+func (ld *loader) forXTest(path string, pkg *types.Package) *loader {
+	return &loader{
+		fset:   ld.fset,
+		listed: ld.listed,
+		std:    ld.std,
+		cache:  map[string]*loadResult{path: {pkg: pkg}},
+		base:   ld,
+		under:  path,
+	}
+}
+
 // Import implements types.Importer for the dependency graph.
 func (ld *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if info, ok := ld.listed[path]; ok {
-		return ld.loadModule(info)
+	info, ok := ld.listed[path]
+	if !ok {
+		return ld.std.Import(path)
 	}
-	return ld.std.Import(path)
+	if ld.base != nil && path != ld.under && !slices.Contains(info.Deps, ld.under) {
+		return ld.base.Import(path)
+	}
+	return ld.loadModule(info)
 }
 
 // loadModule type-checks (once) the non-test compilation of a module
@@ -175,9 +142,6 @@ func (ld *loader) loadModule(info *listedPkg) (*types.Package, error) {
 	}
 	ld.cache[info.ImportPath] = nil // in-progress marker
 	files, err := ld.parse(info.Dir, info.GoFiles)
-	if err == nil && len(info.CgoFiles) > 0 {
-		err = fmt.Errorf("%s: cgo packages are not supported by the standalone driver", info.ImportPath)
-	}
 	var pkg *types.Package
 	if err == nil {
 		conf := &types.Config{Importer: ld}
@@ -199,44 +163,54 @@ func (ld *loader) parse(dir string, names []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// RunStandalone loads the module packages matched by patterns,
-// type-checks each with its in-package test files, runs the analyzers,
-// and returns formatted diagnostics.
-func RunStandalone(patterns []string, analyzers []*analysis.Analyzer) ([]string, error) {
-	universe, err := goList([]string{"./..."})
+// check type-checks one unit, the named files of dir as package path,
+// and runs the analyzers over it.
+func (ld *loader) check(path, dir string, names []string, analyzers []*analysis.Analyzer) (*types.Package, []string, error) {
+	files, err := ld.parse(dir, names)
+	if err != nil {
+		return nil, nil, err
+	}
+	info := newTypesInfo()
+	conf := &types.Config{Importer: ld}
+	pkg, err := conf.Check(path, ld.fset, files, info)
+	if err != nil {
+		return nil, nil, fmt.Errorf("typecheck %s: %w", path, err)
+	}
+	includesTests := slices.ContainsFunc(names, func(n string) bool { return strings.HasSuffix(n, "_test.go") })
+	diags, err := runAnalyzers(ld.fset, files, pkg, info, includesTests, analyzers)
+	return pkg, diags, err
+}
+
+// RunStandalone loads every package of the module in the working
+// directory, type-checks each with its in-package test files and then
+// its external test package, runs the analyzers over both, and returns
+// formatted diagnostics.
+func RunStandalone(analyzers []*analysis.Analyzer) ([]string, error) {
+	pkgs, err := goList()
 	if err != nil {
 		return nil, err
 	}
-	listed := make(map[string]*listedPkg, len(universe))
-	for _, p := range universe {
+	listed := make(map[string]*listedPkg, len(pkgs))
+	for _, p := range pkgs {
+		if len(p.CgoFiles) > 0 {
+			return nil, fmt.Errorf("%s: the driver does not support cgo packages", p.ImportPath)
+		}
 		listed[p.ImportPath] = p
 	}
-	targets := universe
-	if !(len(patterns) == 1 && patterns[0] == "./...") {
-		if targets, err = goList(patterns); err != nil {
-			return nil, err
-		}
-	}
-	fset := token.NewFileSet()
-	ld := newLoader(fset, listed)
+	ld := newLoader(token.NewFileSet(), listed)
 
 	var all []string
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-	for _, p := range targets {
-		if len(p.CgoFiles) > 0 {
-			return nil, fmt.Errorf("%s: cgo packages are not supported by the standalone driver", p.ImportPath)
-		}
-		files, err := ld.parse(p.Dir, append(append([]string{}, p.GoFiles...), p.TestGoFiles...))
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
+	for _, p := range pkgs {
+		pkg, diags, err := ld.check(p.ImportPath, p.Dir, slices.Concat(p.GoFiles, p.TestGoFiles), analyzers)
 		if err != nil {
 			return nil, err
 		}
-		info := newTypesInfo()
-		conf := &types.Config{Importer: ld}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
+		all = append(all, diags...)
+		if len(p.XTestGoFiles) == 0 {
+			continue
 		}
-		diags, err := runAnalyzers(fset, files, pkg, info, len(p.TestGoFiles) > 0, analyzers)
+		_, diags, err = ld.forXTest(p.ImportPath, pkg).check(p.ImportPath+"_test", p.Dir, p.XTestGoFiles, analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -257,12 +231,12 @@ func newTypesInfo() *types.Info {
 	}
 }
 
-func goList(patterns []string) ([]*listedPkg, error) {
-	cmd := exec.Command("go", append([]string{"list", "-json"}, patterns...)...)
+func goList() ([]*listedPkg, error) {
+	cmd := exec.Command("go", "list", "-json", "./...")
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %s: %w", strings.Join(patterns, " "), err)
+		return nil, fmt.Errorf("go list ./...: %w", err)
 	}
 	var pkgs []*listedPkg
 	dec := json.NewDecoder(strings.NewReader(string(out)))
