@@ -1,11 +1,14 @@
-// Package driver runs analyzers over every package of a module,
-// listed with `go list` and type-checked from source. Each package is
-// analysed as the units `go vet` would hand a vet tool: the package with
-// its in-package _test.go files, and its external test package (package
-// p_test) on its own.
+// Package driver runs analyzers over every package of a module. `go list
+// -deps -test -export` names the units `go vet` would hand a vet tool —
+// each package with its in-package _test.go files, and its external test
+// package (package p_test) on its own — and the export data of every
+// package they import, test-augmented variants included. Each unit is
+// type-checked from source against that export data, its imports
+// resolved through its ImportMap as the compiler resolved them.
 package driver
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -13,6 +16,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -60,128 +64,43 @@ func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 	return out, nil
 }
 
-// listedPkg is the slice of `go list -json` output the loader needs.
+// listedPkg is the slice of `go list -json` output the driver needs.
 type listedPkg struct {
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	CgoFiles     []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Deps         []string
+	Dir         string
+	ImportPath  string // "p [p.test]" for a variant built for p's tests
+	ForTest     string
+	Export      string
+	GoFiles     []string // a test variant's include its _test.go files
+	CgoFiles    []string
+	TestGoFiles []string
+	ImportMap   map[string]string // source import path → ImportPath, where they differ
+	DepOnly     bool
 }
 
-// loader type-checks module packages from source. Imports of module
-// packages resolve to a cached GoFiles-only compilation (so test-only
-// imports cannot introduce cycles); everything else falls through to
-// the standard library's source importer, which reads GOROOT.
-//
-// An external test package's loader (see forXTest) sees the package
-// under test with its in-package test files, as the go command builds
-// it: it type-checks again every module package that imports the one
-// under test, and takes the rest from base.
-type loader struct {
-	fset   *token.FileSet
-	listed map[string]*listedPkg
-	std    types.Importer
-	cache  map[string]*loadResult
-	base   *loader
-	under  string
-}
+// listFields are the listedPkg fields asked of go list.
+const listFields = "Dir,ImportPath,ForTest,Export,GoFiles,CgoFiles,TestGoFiles,ImportMap,DepOnly"
 
-type loadResult struct {
-	pkg *types.Package
-	err error
-}
-
-func newLoader(fset *token.FileSet, listed map[string]*listedPkg) *loader {
-	return &loader{
-		fset:   fset,
-		listed: listed,
-		std:    importer.ForCompiler(fset, "source", nil),
-		cache:  make(map[string]*loadResult),
+// isUnit reports whether p is analysed: a package of the module, as its
+// tests build it when it has in-package tests, or its external test
+// package — not a dependency, and not a generated test main.
+func (p *listedPkg) isUnit() bool {
+	switch {
+	case p.DepOnly:
+		return false
+	case p.ForTest != "":
+		return true
+	default:
+		return len(p.TestGoFiles) == 0 && !strings.HasSuffix(p.ImportPath, ".test")
 	}
 }
 
-// forXTest returns the loader for the external tests of the package at
-// path, whose test-augmented compilation is pkg.
-func (ld *loader) forXTest(path string, pkg *types.Package) *loader {
-	return &loader{
-		fset:   ld.fset,
-		listed: ld.listed,
-		std:    ld.std,
-		cache:  map[string]*loadResult{path: {pkg: pkg}},
-		base:   ld,
-		under:  path,
-	}
+// path is p's import path without a test variant's suffix.
+func (p *listedPkg) path() string {
+	path, _, _ := strings.Cut(p.ImportPath, " ")
+	return path
 }
 
-// Import implements types.Importer for the dependency graph.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	info, ok := ld.listed[path]
-	if !ok {
-		return ld.std.Import(path)
-	}
-	if ld.base != nil && path != ld.under && !slices.Contains(info.Deps, ld.under) {
-		return ld.base.Import(path)
-	}
-	return ld.loadModule(info)
-}
-
-// loadModule type-checks (once) the non-test compilation of a module
-// package, for use as an import.
-func (ld *loader) loadModule(info *listedPkg) (*types.Package, error) {
-	if r, ok := ld.cache[info.ImportPath]; ok {
-		if r == nil {
-			return nil, fmt.Errorf("import cycle through %s", info.ImportPath)
-		}
-		return r.pkg, r.err
-	}
-	ld.cache[info.ImportPath] = nil // in-progress marker
-	files, err := ld.parse(info.Dir, info.GoFiles)
-	var pkg *types.Package
-	if err == nil {
-		conf := &types.Config{Importer: ld}
-		pkg, err = conf.Check(info.ImportPath, ld.fset, files, nil)
-	}
-	ld.cache[info.ImportPath] = &loadResult{pkg: pkg, err: err}
-	return pkg, err
-}
-
-func (ld *loader) parse(dir string, names []string) ([]*ast.File, error) {
-	files := make([]*ast.File, 0, len(names))
-	for _, name := range names {
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
-}
-
-// check type-checks one unit, the named files of dir as package path,
-// and runs the analyzers over it.
-func (ld *loader) check(path, dir string, names []string, analyzers []*analysis.Analyzer) (*types.Package, []string, error) {
-	files, err := ld.parse(dir, names)
-	if err != nil {
-		return nil, nil, err
-	}
-	info := newTypesInfo()
-	conf := &types.Config{Importer: ld}
-	pkg, err := conf.Check(path, ld.fset, files, info)
-	if err != nil {
-		return nil, nil, fmt.Errorf("typecheck %s: %w", path, err)
-	}
-	includesTests := slices.ContainsFunc(names, func(n string) bool { return strings.HasSuffix(n, "_test.go") })
-	diags, err := runAnalyzers(ld.fset, files, pkg, info, includesTests, analyzers)
-	return pkg, diags, err
-}
-
-// RunStandalone loads every package of the module in the working
+// RunStandalone lists every package of the module in the working
 // directory, type-checks each with its in-package test files and then
 // its external test package, runs the analyzers over both, and returns
 // formatted diagnostics.
@@ -190,27 +109,23 @@ func RunStandalone(analyzers []*analysis.Analyzer) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	listed := make(map[string]*listedPkg, len(pkgs))
+	exports := make(map[string]string, len(pkgs))
+	var units []*listedPkg
 	for _, p := range pkgs {
+		exports[p.ImportPath] = p.Export
+		if !p.isUnit() {
+			continue
+		}
 		if len(p.CgoFiles) > 0 {
 			return nil, fmt.Errorf("%s: the driver does not support cgo packages", p.ImportPath)
 		}
-		listed[p.ImportPath] = p
+		units = append(units, p)
 	}
-	ld := newLoader(token.NewFileSet(), listed)
-
+	sort.Slice(units, func(i, j int) bool { return units[i].path() < units[j].path() })
+	fset := token.NewFileSet()
 	var all []string
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
-	for _, p := range pkgs {
-		pkg, diags, err := ld.check(p.ImportPath, p.Dir, slices.Concat(p.GoFiles, p.TestGoFiles), analyzers)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, diags...)
-		if len(p.XTestGoFiles) == 0 {
-			continue
-		}
-		_, diags, err = ld.forXTest(p.ImportPath, pkg).check(p.ImportPath+"_test", p.Dir, p.XTestGoFiles, analyzers)
+	for _, p := range units {
+		diags, err := check(fset, p, exports, analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -218,6 +133,42 @@ func RunStandalone(analyzers []*analysis.Analyzer) ([]string, error) {
 	}
 	return all, nil
 }
+
+// check type-checks one unit against its imports' export data and runs
+// the analyzers over it.
+func check(fset *token.FileSet, p *listedPkg, exports map[string]string, analyzers []*analysis.Analyzer) ([]string, error) {
+	files := make([]*ast.File, 0, len(p.GoFiles))
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	gc := importer.ForCompiler(fset, "gc", func(id string) (io.ReadCloser, error) {
+		if exports[id] == "" {
+			return nil, fmt.Errorf("no export data for %s", id)
+		}
+		return os.Open(exports[id])
+	})
+	conf := &types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if id, ok := p.ImportMap[path]; ok {
+			path = id
+		}
+		return gc.Import(path)
+	})}
+	info := newTypesInfo()
+	pkg, err := conf.Check(p.path(), fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
+	}
+	includesTests := slices.ContainsFunc(p.GoFiles, func(n string) bool { return strings.HasSuffix(n, "_test.go") })
+	return runAnalyzers(fset, files, pkg, info, includesTests, analyzers)
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func newTypesInfo() *types.Info {
 	return &types.Info{
@@ -232,14 +183,14 @@ func newTypesInfo() *types.Info {
 }
 
 func goList() ([]*listedPkg, error) {
-	cmd := exec.Command("go", "list", "-json", "./...")
+	cmd := exec.Command("go", "list", "-deps", "-test", "-export", "-json="+listFields, "./...")
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
 		return nil, fmt.Errorf("go list ./...: %w", err)
 	}
 	var pkgs []*listedPkg
-	dec := json.NewDecoder(strings.NewReader(string(out)))
+	dec := json.NewDecoder(bytes.NewReader(out))
 	for dec.More() {
 		var p listedPkg
 		if err := dec.Decode(&p); err != nil {

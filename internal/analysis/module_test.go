@@ -46,10 +46,12 @@ func TestModuleAnalyzers(t *testing.T) {
 // the shared config block, simnet's partitioned execution, the fan-out
 // pool's size knob, a second send path for a publish (the pool, its
 // drain and the concurrent-send capability it needed), Siena
-// advertisements, runtime registry refresh and the store's buffer for
-// chunks ahead of their manifest. The old paths are _test.go oracles or
-// seams, not options, and the last three carried no traffic.
-var retired = regexp.MustCompile(`\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks)\b`)
+// advertisements, runtime registry refresh, the store's buffer for
+// chunks ahead of their manifest and the endpoint capability for a send
+// to self (netapi.Loop owns that rule on both substrates). The old paths
+// are _test.go oracles or seams, not options, and the three before the
+// last carried no traffic.
+var retired = regexp.MustCompile(`\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks|LocalDeliverer|DeliverLocal)\b`)
 
 // TestRetiredNamesStayRetired fails when a retired name returns to a
 // shipped file: any non-test .go file under cmd, internal and examples,

@@ -181,13 +181,14 @@ func testPriv(t *testing.T) ed25519.PrivateKey {
 // inbox fills up from outside; it then publishes, and the broker hands
 // the node's own client an event from elsewhere. Both used to be sends
 // to self, i.e. blocking posts to that full inbox from the only
-// goroutine that empties it: the loop waited on itself for ever. They
-// now go through the endpoint's local run queue and complete right
-// after the callback, ahead of everything queued in the inbox.
+// goroutine that empties it: the loop waited on itself for ever. Every
+// send to self now goes through the loop's local run queue and completes
+// right after the callback, ahead of everything queued in the inbox
+// (transport's TestSelfSendsNeverWaitOnTheInbox covers a Request too).
 //
-// Not covered: a Request to oneself or a Handle registration made on
-// the loop still post to the inbox and would still block here (ROADMAP
-// item 1 keeps that).
+// Not covered: a Request to another node or a Handle registration made
+// on the loop still post to the inbox and would still block here
+// (ROADMAP item 1 keeps that).
 func TestOwnBrokerPublishWithFullInbox(t *testing.T) {
 	reg := wire.NewRegistry()
 	RegisterMessages(reg)

@@ -11,25 +11,33 @@ import (
 // Loop is the endpoint core both substrates run: the handler table,
 // pending requests and their timeouts, dispatch of a received envelope,
 // the ctx a handler replies through, and the local run queue. A node
-// keeps one by value, calls Init once, hands every received envelope to
-// Deliver, and moves frames and timers for it through a Substrate. Every
-// method runs on the callback goroutine.
+// keeps one by value, calls Init once, sends through it, hands every
+// received envelope to Deliver, runs Drain after every callback, and
+// moves frames and timers for it through a Substrate. Every method runs
+// on the callback goroutine, except that Send and SendMany toward
+// another node touch nothing Init does not set, so a substrate may offer
+// those to any goroutine.
 type Loop struct {
 	id       ids.ID
 	sub      Substrate
 	handlers map[string]Handler
 	pending  map[Pending]pendingReply
 	nextCorr uint64
-	local    []wire.Message
+	local    []entry
 }
 
 // Substrate is what a Loop needs from the network under it.
 type Substrate interface {
-	// Transmit sends one envelope the loop built: a request or a reply.
-	Transmit(env *wire.Envelope)
+	// Transmit sends one envelope the loop built to another node. The
+	// envelopes of one SendMany carry the same message and share
+	// shared, which is nil for every other send.
+	Transmit(env *wire.Envelope, shared *wire.SharedBody)
 	// Arm arranges for Loop.Expire(p) to run on the callback goroutine d
 	// from now, and returns the timer a reply to p stops.
 	Arm(d time.Duration, p Pending) vclock.Timer
+	// Wake reports that the empty local run queue took an entry: Drain
+	// must run before the node's next message or timer.
+	Wake()
 }
 
 // Pending names an outstanding request: the peer asked, which alone may
@@ -43,6 +51,15 @@ type Pending struct {
 type pendingReply struct {
 	cb    ReplyFunc
 	timer vclock.Timer
+}
+
+// entry is what dispatch reads of a message: an envelope bar its
+// addresses. The local run queue holds entries by value.
+type entry struct {
+	msg   wire.Message
+	corr  uint64
+	reply bool
+	err   string
 }
 
 // remoteError is the error a peer's handler answered a request with.
@@ -60,14 +77,39 @@ func (l *Loop) Init(id ids.ID, sub Substrate) {
 // Handle registers h for kind, replacing an earlier handler.
 func (l *Loop) Handle(kind string, h Handler) { l.handlers[kind] = h }
 
+// Send sends a one-way msg to to.
+func (l *Loop) Send(to ids.ID, msg wire.Message) { l.send(to, entry{msg: msg}, nil) }
+
+// SendMany sends msg to each of tos in order, as Send does; the
+// envelopes toward other nodes share shared.
+func (l *Loop) SendMany(tos []ids.ID, msg wire.Message, shared *wire.SharedBody) {
+	for _, to := range tos {
+		l.send(to, entry{msg: msg}, shared)
+	}
+}
+
 // Request sends msg to to and runs cb once: with to's reply, or with
 // ErrTimeout after timeout.
 func (l *Loop) Request(to ids.ID, msg wire.Message, timeout time.Duration, cb ReplyFunc) {
 	l.nextCorr++
 	p := Pending{to, l.nextCorr}
-	env := &wire.Envelope{From: l.id, To: to, CorrID: p.corr, Msg: msg}
 	l.pending[p] = pendingReply{cb, l.sub.Arm(timeout, p)}
-	l.sub.Transmit(env)
+	l.send(to, entry{msg: msg, corr: p.corr}, nil)
+}
+
+// send is the one rule for where a message goes: one addressed to this
+// node joins the local run queue, anything else leaves as an envelope.
+func (l *Loop) send(to ids.ID, e entry, shared *wire.SharedBody) {
+	if to == l.id {
+		if len(l.local) == 0 {
+			l.sub.Wake()
+		}
+		l.local = append(l.local, e)
+		return
+	}
+	l.sub.Transmit(&wire.Envelope{
+		From: l.id, To: to, CorrID: e.corr, IsReply: e.reply, Msg: e.msg, Err: e.err,
+	}, shared)
 }
 
 // Expire times request p out, unless its reply came first.
@@ -78,60 +120,63 @@ func (l *Loop) Expire(p Pending) {
 	}
 }
 
-// Deliver runs one received envelope: a reply completes the request it
-// answers, if its sender is the peer asked and it is still pending;
-// anything else goes to the handler of its kind. Deliver reports false
-// when no handler is registered for that kind.
+// Deliver runs one received envelope. It reports false when no handler
+// is registered for its kind.
 func (l *Loop) Deliver(env *wire.Envelope) bool {
-	if env.IsReply {
-		p := Pending{env.From, env.CorrID}
-		if r, ok := l.pending[p]; ok {
-			delete(l.pending, p)
-			r.timer.Stop()
-			if env.Err != "" {
-				r.cb(env.Msg, remoteError(env.Err))
-			} else {
-				r.cb(env.Msg, nil)
-			}
-		}
-		return true
-	}
-	if env.Msg == nil {
-		return true
-	}
-	h, ok := l.handlers[env.Msg.Kind()]
-	if !ok {
-		return false
-	}
-	var ctx Ctx = noReply{}
-	if env.CorrID != 0 {
-		// A request's ctx is its own: a handler may reply after it returns.
-		ctx = &reqCtx{loop: l, env: env}
-	}
-	h(ctx, env.From, env.Msg)
-	return true
+	return l.dispatch(env.From, entry{env.Msg, env.CorrID, env.IsReply, env.Err})
 }
 
-// DeliverLocal queues msg for this node's handler of msg.Kind(), as if it
-// had come from the node itself; DrainLocal runs it.
-func (l *Loop) DeliverLocal(msg wire.Message) { l.local = append(l.local, msg) }
-
-// DrainLocal runs the local run queue in order, including what the
-// handlers it runs queue in turn. A substrate that offers DeliverLocal
-// calls it after every callback.
-func (l *Loop) DrainLocal() {
+// Drain runs the local run queue in order, including what the entries it
+// runs queue in turn.
+func (l *Loop) Drain() {
 	for i := 0; i < len(l.local); i++ {
-		msg := l.local[i]
-		l.local[i] = nil
-		if h, ok := l.handlers[msg.Kind()]; ok {
-			h(noReply{}, l.id, msg)
-		}
+		e := l.local[i]
+		l.local[i] = entry{}
+		l.dispatch(l.id, e)
 	}
 	l.local = l.local[:0]
 }
 
-// noReply is the ctx of every one-way and local message: it answers
-// nothing.
+// Discard empties the local run queue without running it.
+func (l *Loop) Discard() {
+	clear(l.local)
+	l.local = l.local[:0]
+}
+
+// dispatch runs one message from from: a reply completes the request it
+// answers, if from is the peer asked and it is still pending; anything
+// else goes to the handler of its kind.
+func (l *Loop) dispatch(from ids.ID, e entry) bool {
+	if e.reply {
+		p := Pending{from, e.corr}
+		if r, ok := l.pending[p]; ok {
+			delete(l.pending, p)
+			r.timer.Stop()
+			if e.err != "" {
+				r.cb(e.msg, remoteError(e.err))
+			} else {
+				r.cb(e.msg, nil)
+			}
+		}
+		return true
+	}
+	if e.msg == nil {
+		return true
+	}
+	h, ok := l.handlers[e.msg.Kind()]
+	if !ok {
+		return false
+	}
+	var ctx Ctx = noReply{}
+	if e.corr != 0 {
+		// A request's ctx is its own: a handler may reply after it returns.
+		ctx = &reqCtx{loop: l, to: from, corr: e.corr}
+	}
+	h(ctx, from, e.msg)
+	return true
+}
+
+// noReply is the ctx of every one-way message: it answers nothing.
 type noReply struct{}
 
 func (noReply) Reply(wire.Message) {}
@@ -140,7 +185,8 @@ func (noReply) ReplyErr(error)     {}
 // reqCtx answers one request, once.
 type reqCtx struct {
 	loop    *Loop
-	env     *wire.Envelope
+	to      ids.ID
+	corr    uint64
 	replied bool
 }
 
@@ -157,8 +203,5 @@ func (c *reqCtx) answer(msg wire.Message, errText string) {
 		return
 	}
 	c.replied = true
-	c.loop.sub.Transmit(&wire.Envelope{
-		From: c.loop.id, To: c.env.From,
-		CorrID: c.env.CorrID, IsReply: true, Msg: msg, Err: errText,
-	})
+	c.loop.send(c.to, entry{msg: msg, corr: c.corr, reply: true, err: errText}, nil)
 }

@@ -253,7 +253,8 @@ type simPending struct {
 
 func (r *simPending) Run() { r.loop.Expire(r.p) }
 
-func (c *coreEP) Transmit(env *wire.Envelope) { c.transmit(env) }
+func (c *coreEP) Transmit(env *wire.Envelope, _ *wire.SharedBody) { c.transmit(env) }
+func (c *coreEP) Wake()                                           {}
 
 func (c *coreEP) Arm(d time.Duration, p Pending) vclock.Timer {
 	if c.simArm {
@@ -269,8 +270,8 @@ func (c *coreEP) request(to ids.ID, msg wire.Message, timeout time.Duration, cb 
 	c.Request(to, msg, timeout, cb)
 }
 func (c *coreEP) deliver(env *wire.Envelope) bool { return c.Deliver(env) }
-func (c *coreEP) deliverLocal(msg wire.Message)   { c.DeliverLocal(msg) }
-func (c *coreEP) drainLocal()                     { c.DrainLocal() }
+func (c *coreEP) deliverLocal(msg wire.Message)   { c.Send(loopSelf, msg) }
+func (c *coreEP) drainLocal()                     { c.Drain() }
 
 // endpoint is what a program drives: the core or an oracle.
 type endpoint interface {
@@ -289,7 +290,7 @@ const (
 	actReplyTwice  // Reply, then a second Reply that must send nothing
 	actReplyBoth   // Reply, then ReplyErr
 	actDeferred    // Reply from a timer after the handler returned
-	actLocal       // DeliverLocal the message's next, then Reply
+	actLocal       // send the message's next to self, then Reply
 	actReplyErrAll // ReplyErr, then Reply
 	numActs
 )
@@ -515,8 +516,9 @@ func TestLoopMatchesOracles(t *testing.T) {
 // nopSubstrate sends nothing and never expires.
 type nopSubstrate struct{}
 
-func (nopSubstrate) Transmit(*wire.Envelope)                 {}
-func (nopSubstrate) Arm(time.Duration, Pending) vclock.Timer { return new(vclock.Handle) }
+func (nopSubstrate) Transmit(*wire.Envelope, *wire.SharedBody) {}
+func (nopSubstrate) Arm(time.Duration, Pending) vclock.Timer   { return new(vclock.Handle) }
+func (nopSubstrate) Wake()                                     {}
 
 // TestLoopDispatchAllocs: dispatch allocates nothing of its own for a
 // one-way envelope and one ctx for a request, which may outlive its
@@ -539,5 +541,41 @@ func TestLoopDispatchAllocs(t *testing.T) {
 	}
 	if calls != 402 {
 		t.Fatalf("handler ran %d times, want 402", calls)
+	}
+}
+
+// TestSelfSendAllocs: a one-way send to self allocates nothing beyond its
+// message (no envelope; the run queue keeps its array), and a request to
+// self with its reply allocates what a request round trip does: the
+// request's ctx and the reply callback's timer, which nopSubstrate
+// makes.
+func TestSelfSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under -race")
+	}
+	var l Loop
+	l.Init(loopSelf, nopSubstrate{})
+	calls := 0
+	l.Handle("k0", func(ctx Ctx, _ ids.ID, msg wire.Message) {
+		calls++
+		ctx.Reply(msg)
+	})
+	msg := &tmsg{kind: "k0"}
+	if n := testing.AllocsPerRun(200, func() {
+		l.Send(loopSelf, msg)
+		l.Drain()
+	}); n != 0 {
+		t.Errorf("one-way self-send: %.1f allocs, want 0", n)
+	}
+	answered := 0
+	cb := func(wire.Message, error) { answered++ }
+	if n := testing.AllocsPerRun(200, func() {
+		l.Request(loopSelf, msg, time.Second, cb)
+		l.Drain()
+	}); n > 2 {
+		t.Errorf("request to self: %.1f allocs, want ≤ 2 (its ctx, its timer)", n)
+	}
+	if calls != 402 || answered != 201 {
+		t.Fatalf("handler ran %d times, %d requests answered; want 402 and 201", calls, answered)
 	}
 }

@@ -14,7 +14,13 @@
 //
 // Send discipline: protocol code calls Send/SendMany from the endpoint's
 // callback goroutine, like everything else, so what one node sends toward
-// one destination leaves in the order its callbacks issued it.
+// one destination leaves in the order its callbacks issued it. A send
+// addressed to the node itself — a Send, a SendMany destination, a
+// Request or its reply — never leaves the node: Loop queues it on its
+// local run queue, which the substrate drains after the current callback
+// and before the next message or timer, so it runs with from == ID(),
+// allocates no envelope, counts as no network send and never waits on a
+// bounded queue. Such a send must come from the callback goroutine.
 //
 //vetactive:deterministic
 package netapi
@@ -82,7 +88,8 @@ type Endpoint interface {
 	// Rand returns the node's deterministic random source. Protocol code
 	// must use this rather than global rand.
 	Rand() *rand.Rand
-	// Send transmits a one-way message.
+	// Send transmits a one-way message; see the package doc for a send
+	// to the node itself.
 	Send(to ids.ID, msg wire.Message)
 	// Request transmits msg and invokes cb exactly once with the reply
 	// or an error (ErrTimeout after the deadline).
@@ -90,17 +97,21 @@ type Endpoint interface {
 	// Handle registers the handler for a message kind. A second
 	// registration for the same kind replaces the first.
 	Handle(kind string, h Handler)
+	// Both substrates offer the fan-out path and the saturation signal.
+	Multicaster
+	Backpressured
 }
 
-// Multicaster is optionally implemented by endpoints with a fan-out fast
-// path: one message value (and, where the endpoint serialises, one
-// encoded body) is shared across every destination instead of being
-// re-built per Send. The TCP transport encodes the payload once per
-// negotiated codec; the simulator coalesces same-deadline deliveries
-// into one scheduler event.
+// Multicaster is the fan-out path every endpoint offers: one message
+// value (and, where the endpoint serialises, one encoded body) is shared
+// across every destination instead of being re-built per Send. The TCP
+// transport encodes the payload once per negotiated codec; the simulator
+// coalesces same-deadline deliveries into one scheduler event.
 type Multicaster interface {
 	// SendMany transmits msg once to each destination, in order.
-	// Semantically identical to calling Send per destination.
+	// Semantically identical to calling Send per destination, the node
+	// itself included. Callers must treat msg as shared and immutable
+	// afterwards (events should be frozen before fanning out).
 	//
 	// tos is borrowed for the call only: an implementation must not keep
 	// it, or any subslice of it, after SendMany returns, and the caller
@@ -108,72 +119,9 @@ type Multicaster interface {
 	SendMany(tos []ids.ID, msg wire.Message)
 }
 
-// SendMany delivers msg to every destination, using the endpoint's
-// multicast fast path when it has one and per-destination Sends
-// otherwise. Callers must treat msg as shared and immutable afterwards
-// (events should be frozen before fanning out). tos is borrowed for the
-// call only, as Multicaster.SendMany says: the caller may reuse it once
-// SendMany returns.
-func SendMany(ep Endpoint, tos []ids.ID, msg wire.Message) {
-	if m := Capabilities(ep).Multicast; m != nil {
-		m.SendMany(tos, msg)
-		return
-	}
-	for _, to := range tos {
-		ep.Send(to, msg)
-	}
-}
-
-// Caps collects an endpoint's optional interfaces in one typed struct.
-// A field is nil when the endpoint does not provide that capability.
-type Caps struct {
-	// Multicast is the fan-out fast path, or nil.
-	Multicast Multicaster
-	// Backpressure is the send-queue saturation signal, or nil.
-	Backpressure Backpressured
-	// Local is the callback-goroutine hand-off to this node's own
-	// handlers, or nil.
-	Local LocalDeliverer
-}
-
-// Capabilities discovers ep's optional interfaces. It formalises what
-// callers used to do with scattered ad-hoc type assertions: probe once,
-// keep the typed result. Protocol constructors call it at wiring time
-// (the broker records Caps.Backpressure for shedding, SendMany uses
-// Caps.Multicast); the capability set of an endpoint never changes over
-// its lifetime, so the snapshot stays valid.
-func Capabilities(ep Endpoint) Caps {
-	var c Caps
-	if m, ok := ep.(Multicaster); ok {
-		c.Multicast = m
-	}
-	if b, ok := ep.(Backpressured); ok {
-		c.Backpressure = b
-	}
-	if l, ok := ep.(LocalDeliverer); ok {
-		c.Local = l
-	}
-	return c
-}
-
-// LocalDeliverer is optionally implemented by endpoints on which a
-// send-to-self costs a trip through a bounded receive queue (the TCP
-// transport's inbox). Protocol code on the callback goroutine queues a
-// message for this node's own handler instead; the endpoint drains the
-// queue, in order, after the current callback returns and before it
-// takes the next message or timer. Run-to-completion holds, nothing is
-// encoded, and queueing never blocks — a node whose client is attached
-// to its own broker cannot wait on its own full inbox. The simulator
-// does not implement it: a self-send there is a scheduled event.
-type LocalDeliverer interface {
-	// DeliverLocal queues msg for this node's handler of msg.Kind(), as
-	// if it had arrived from the node itself. Callback goroutine only.
-	DeliverLocal(msg wire.Message)
-}
-
-// Backpressured is optionally implemented by endpoints whose send path
-// can saturate: the TCP transport's byte-budgeted per-peer outboxes and
-// the simulator's in-flight budget mirror. It surfaces overload to
+// Backpressured is the saturation signal every endpoint offers: the TCP
+// transport's byte-budgeted per-peer outboxes and the simulator's
+// in-flight budget mirror. It surfaces overload to
 // protocol code so it can shed its lowest-value work (the pub/sub
 // broker drops per-subscriber deliveries toward saturated destinations)
 // instead of letting the transport drop blindly.

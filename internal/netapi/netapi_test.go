@@ -2,14 +2,8 @@ package netapi
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"github.com/gloss/active/internal/ids"
-	"github.com/gloss/active/internal/vclock"
-	"github.com/gloss/active/internal/wire"
 )
 
 func TestDistanceKm(t *testing.T) {
@@ -45,40 +39,5 @@ func TestQuickDistanceMetric(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// stubEndpoint is the minimal Endpoint for capability-probe tests.
-type stubEndpoint struct{}
-
-func (stubEndpoint) ID() ids.ID                                             { return ids.ID{} }
-func (stubEndpoint) Info() NodeInfo                                         { return NodeInfo{} }
-func (stubEndpoint) Clock() vclock.Clock                                    { return nil }
-func (stubEndpoint) Rand() *rand.Rand                                       { return nil }
-func (stubEndpoint) Send(ids.ID, wire.Message)                              {}
-func (stubEndpoint) Request(ids.ID, wire.Message, time.Duration, ReplyFunc) {}
-func (stubEndpoint) Handle(string, Handler)                                 {}
-
-type localStub struct {
-	stubEndpoint
-	queued []wire.Message
-}
-
-func (l *localStub) DeliverLocal(msg wire.Message) { l.queued = append(l.queued, msg) }
-
-// hidingStub wraps an endpoint the way the benchmark's spy does: it
-// forwards the Endpoint interface and nothing else.
-type hidingStub struct{ Endpoint }
-
-func TestCapabilitiesLocal(t *testing.T) {
-	if Capabilities(stubEndpoint{}).Local != nil {
-		t.Fatal("plain endpoint must not report a local run queue")
-	}
-	l := &localStub{}
-	if Capabilities(l).Local == nil {
-		t.Fatal("a LocalDeliverer must set Caps.Local")
-	}
-	if Capabilities(hidingStub{l}).Local != nil {
-		t.Fatal("a wrapper that forwards only Endpoint must hide the run queue")
 	}
 }

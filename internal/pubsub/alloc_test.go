@@ -14,15 +14,14 @@ import (
 
 // countEndpoint is a netapi.Endpoint that sends nothing: it counts what
 // it is handed, by kind, without allocating, and reports one destination
-// saturated so the broker sheds toward it. It has no local run queue, so
-// the broker reaches its own client through Send like any other.
+// saturated so the broker sheds toward it. The broker reaches its own
+// client through SendMany like any other.
 type countEndpoint struct {
 	id        ids.ID
 	rng       *rand.Rand
 	saturated ids.ID
 	pubs      int // PubMsg sends, one per destination
 	delivers  int // DeliverMsg sends, one per destination
-	local     int // DeliverMsg handed to the local run queue
 }
 
 func (e *countEndpoint) ID() ids.ID                    { return e.id }
@@ -43,47 +42,37 @@ func (e *countEndpoint) Send(_ ids.ID, msg wire.Message) {
 	}
 }
 
+func (e *countEndpoint) SendMany(tos []ids.ID, msg wire.Message) {
+	for _, to := range tos {
+		e.Send(to, msg)
+	}
+}
+
 func (e *countEndpoint) QueuedBytes(ids.ID) int   { return 0 }
 func (e *countEndpoint) Saturated(to ids.ID) bool { return to == e.saturated }
 func (e *countEndpoint) OnDrain(func(to ids.ID))  {}
 
-// localCountEndpoint is a countEndpoint with the local run queue
-// (netapi.LocalDeliverer), the TCP endpoint's shape: the broker hands the
-// delivery to its own client to DeliverLocal instead of sending it.
-type localCountEndpoint struct{ *countEndpoint }
-
-func (e localCountEndpoint) DeliverLocal(msg wire.Message) {
-	if _, ok := msg.(*DeliverMsg); ok {
-		e.local++
-	}
-}
-
 // TestHandlePubAllocs: a publish allocates only the messages it hands
 // over — one per message kind sent, however wide the fan-out and whatever
 // mix of neighbours, clients, a detached proxy, a shed destination and
-// the broker's own node it reaches, plus one for a delivery queued on the
-// local run queue. The working set (target set, order, per-kind lists,
-// index visitor) is the broker's and is reused. Both endpoint shapes are
-// counted: one without the local run queue, where the broker's own node
-// is sent to like any client, and one with it.
+// the broker's own node it reaches. The working set (target set, order,
+// per-kind lists, index visitor) is the broker's and is reused. The
+// broker's own node is one more destination of the one DeliverMsg: where
+// a send to self goes is the endpoint's affair, so the broker is counted
+// sending to its own node like any client.
 func TestHandlePubAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds do not hold under -race")
 	}
-	t.Run("send-to-self", func(t *testing.T) { testHandlePubAllocs(t, false) })
-	t.Run("local-run-queue", func(t *testing.T) { testHandlePubAllocs(t, true) })
+	t.Run("send-to-self", testHandlePubAllocs)
 }
 
-func testHandlePubAllocs(t *testing.T, local bool) {
+func testHandlePubAllocs(t *testing.T) {
 	self := ids.FromString("alloc-broker")
 	ep := &countEndpoint{id: self, rng: rand.New(rand.NewSource(1)), saturated: ids.FromString("alloc-shed")}
-	var nep netapi.Endpoint = ep
-	if local {
-		nep = localCountEndpoint{ep}
-	}
 	// A one-slot proxy buffer fills on the warm-up run; later runs count
 	// a drop, which allocates nothing.
-	b := NewBroker(nep, Options{proxyBufferLimit: 1})
+	b := NewBroker(ep, Options{proxyBufferLimit: 1})
 	nbor := []ids.ID{ids.FromString("alloc-nbor-0"), ids.FromString("alloc-nbor-1")}
 	for _, n := range nbor {
 		b.AddNeighbor(n)
@@ -112,42 +101,37 @@ func testHandlePubAllocs(t *testing.T, local bool) {
 		name           string
 		typ            string
 		from           ids.ID
-		pubs, delivers int  // destinations of each kind, the broker's own node included
-		toSelf         bool // the broker's own node is among the delivers
+		pubs, delivers int // destinations of each kind, the broker's own node included
 	}{
-		{"matches nothing", "unsubscribed", publisher, 0, 0, false},
-		{"matches only its sender", "only.sender", client[0], 0, 0, false},
-		{"fan-out of 1", "width.1", publisher, 0, 1, false},
-		{"fan-out of 2", "width.2", publisher, 1, 1, false},
-		{"fan-out of 2 to a proxy and a shed client", "width.2.silent", publisher, 0, 0, false},
-		{"fan-out of 1 to its own node", "only.self", publisher, 0, 1, true},
-		{"fan-out of 8", "width.8", publisher, 2, 4, true},
-		{"fan-out of 8 arriving from a neighbour", "width.8", nbor[1], 1, 4, true},
+		{"matches nothing", "unsubscribed", publisher, 0, 0},
+		{"matches only its sender", "only.sender", client[0], 0, 0},
+		{"fan-out of 1", "width.1", publisher, 0, 1},
+		{"fan-out of 2", "width.2", publisher, 1, 1},
+		{"fan-out of 2 to a proxy and a shed client", "width.2.silent", publisher, 0, 0},
+		{"fan-out of 1 to its own node", "only.self", publisher, 0, 1},
+		{"fan-out of 8", "width.8", publisher, 2, 4},
+		{"fan-out of 8 arriving from a neighbour", "width.8", nbor[1], 1, 4},
 	}
 	for _, tc := range cases {
 		ev := event.New(tc.typ, "alloc", 0).Set("n", event.I(1)).Stamp(1).Freeze()
 		pub := &PubMsg{Event: ev}
 		publish := func() { b.handlePub(nil, tc.from, pub) }
 
-		wantSent, wantLocal := tc.delivers, 0
-		if local && tc.toSelf {
-			wantSent, wantLocal = tc.delivers-1, 1
-		}
-		ep.pubs, ep.delivers, ep.local = 0, 0, 0
+		ep.pubs, ep.delivers = 0, 0
 		publish()
-		if ep.pubs != tc.pubs || ep.delivers != wantSent || ep.local != wantLocal {
-			t.Errorf("%s: sent %d pubs and %d delivers and queued %d locally, want %d, %d and %d",
-				tc.name, ep.pubs, ep.delivers, ep.local, tc.pubs, wantSent, wantLocal)
+		if ep.pubs != tc.pubs || ep.delivers != tc.delivers {
+			t.Errorf("%s: sent %d pubs and %d delivers, want %d and %d",
+				tc.name, ep.pubs, ep.delivers, tc.pubs, tc.delivers)
 		}
-		msgs := float64(wantLocal)
+		msgs := 0.0
 		if tc.pubs > 0 {
 			msgs++
 		}
-		if wantSent > 0 {
+		if tc.delivers > 0 {
 			msgs++
 		}
 		if n := testing.AllocsPerRun(200, publish); n != msgs {
-			t.Errorf("%s: %.1f allocs per publish, want %v: one message per kind sent, one per local delivery", tc.name, n, msgs)
+			t.Errorf("%s: %.1f allocs per publish, want %v: one message per kind sent", tc.name, n, msgs)
 		}
 	}
 }

@@ -80,8 +80,6 @@ type Stats struct {
 // Broker is one node of the content-based event service.
 type Broker struct {
 	ep        netapi.Endpoint
-	bp        netapi.Backpressured  // non-nil when the endpoint reports saturation
-	local     netapi.LocalDeliverer // non-nil when ep has a local run queue
 	opts      Options
 	neighbors map[ids.ID]bool
 	nborOrder []ids.ID // sorted, for deterministic iteration
@@ -98,11 +96,10 @@ type Broker struct {
 // pubScratch is handlePub's working set. The broker owns it and resets it
 // on each publish, so a publish allocates only the messages it sends.
 // One set per broker is enough because handlePub never re-enters itself:
-// nothing it calls dispatches a message to a handler on the way —
-// DeliverLocal queues on the endpoint's local run queue, Send enqueues
-// (an outbox, the inbox, the simulator's scheduler) — and the target
-// lists it lends out are only borrowed: netapi.SendMany iterates tos
-// before it returns.
+// nothing it calls dispatches a message to a handler on the way — a
+// send queues (on an outbox, the simulator's scheduler, or the local
+// run queue when it is addressed to this node) — and the target lists it
+// lends out are only borrowed: SendMany iterates tos before it returns.
 type pubScratch struct {
 	from     ids.ID              // the publish's arrival direction
 	matched  bool                // some table entry matched
@@ -115,7 +112,7 @@ type pubScratch struct {
 
 // NewBroker constructs a broker bound to ep and registers its handlers.
 // A publish is matched, classified and sent on the endpoint's callback
-// goroutine, one netapi.SendMany per message kind, so the per-destination
+// goroutine, one SendMany per message kind, so the per-destination
 // order of what the broker sends is the order it handled the publishes in.
 func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
 	opts.applyDefaults()
@@ -131,12 +128,7 @@ func NewBroker(ep netapi.Endpoint, opts Options) *Broker {
 	}
 	b.pub.targets = make(map[ids.ID]struct{})
 	b.pub.visit = b.collect
-	caps := netapi.Capabilities(ep)
-	b.local = caps.Local
-	if caps.Backpressure != nil {
-		b.bp = caps.Backpressure
-		b.bp.OnDrain(b.onDrain)
-	}
+	ep.OnDrain(b.onDrain)
 	ep.Handle("pubsub.sub", b.handleSub)
 	ep.Handle("pubsub.unsub", b.handleUnsub)
 	ep.Handle("pubsub.pub", b.handlePub)
@@ -412,7 +404,6 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	// encoded body — is built once for all destinations in the group
 	// (encode once, send many).
 	s.fwds, s.delivers = s.fwds[:0], s.delivers[:0]
-	self, toSelf := b.ep.ID(), false
 	for _, d := range s.order {
 		if b.neighbors[d] {
 			b.stats.NeighborFwds++
@@ -433,28 +424,19 @@ func (b *Broker) handlePub(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		// neighbour brokers (above) are never shed — they serve whole
 		// subtrees, and shedding would starve every subscriber behind
 		// them for one congested hop.
-		if b.bp != nil && b.bp.Saturated(d) {
+		if b.ep.Saturated(d) {
 			b.stats.ShedDeliveries++
 			b.shedTo[d] = struct{}{}
 			continue
 		}
 		b.stats.ClientDelivers++
-		// This node's own client leaves the target set where the endpoint
-		// has a cheaper way to it than a send to self.
-		if d == self && b.local != nil {
-			toSelf = true
-			continue
-		}
 		s.delivers = append(s.delivers, d)
 	}
-	if toSelf {
-		b.local.DeliverLocal(&DeliverMsg{Event: ev})
-	}
 	if len(s.fwds) > 0 {
-		netapi.SendMany(b.ep, s.fwds, &PubMsg{Event: ev})
+		b.ep.SendMany(s.fwds, &PubMsg{Event: ev})
 	}
 	if len(s.delivers) > 0 {
-		netapi.SendMany(b.ep, s.delivers, &DeliverMsg{Event: ev})
+		b.ep.SendMany(s.delivers, &DeliverMsg{Event: ev})
 	}
 }
 

@@ -32,7 +32,6 @@ type Subscription struct {
 // broker and replays the buffered events exactly once.
 type Client struct {
 	ep       netapi.Endpoint
-	local    netapi.LocalDeliverer // ep's local run queue, or nil
 	broker   ids.ID
 	subs     map[string]*Subscription
 	index    *Index // over the keys of subs
@@ -56,7 +55,6 @@ type Client struct {
 func NewClient(ep netapi.Endpoint, broker ids.ID) *Client {
 	c := &Client{
 		ep:     ep,
-		local:  netapi.Capabilities(ep).Local,
 		broker: broker,
 		subs:   make(map[string]*Subscription),
 		index:  NewIndex(),
@@ -69,17 +67,6 @@ func NewClient(ep netapi.Endpoint, broker ids.ID) *Client {
 
 // Broker returns the current attachment point.
 func (c *Client) Broker() ids.ID { return c.broker }
-
-// send passes a one-way message to the current broker — through the
-// endpoint's local run queue where there is one and the broker is on this
-// very node (every ActiveNode's is): no inbox slot for the loop to wait on.
-func (c *Client) send(msg wire.Message) {
-	if c.local != nil && c.broker == c.ep.ID() {
-		c.local.DeliverLocal(msg)
-		return
-	}
-	c.ep.Send(c.broker, msg)
-}
 
 // Subscribe registers a filter with a handler and propagates it. A second
 // subscription with an identical filter adds the handler rather than
@@ -94,7 +81,7 @@ func (c *Client) Subscribe(f Filter, h func(*event.Event)) {
 		c.index.Add(key, f)
 	}
 	sub.Handlers = append(sub.Handlers, h)
-	c.send(&SubMsg{Filter: f})
+	c.ep.Send(c.broker, &SubMsg{Filter: f})
 }
 
 // Unsubscribe withdraws a filter.
@@ -107,7 +94,7 @@ func (c *Client) Unsubscribe(f Filter) {
 	sub.gone = true
 	delete(c.subs, key)
 	c.index.Remove(key)
-	c.send(&UnsubMsg{Filter: f})
+	c.ep.Send(c.broker, &UnsubMsg{Filter: f})
 }
 
 // Publish sends an event into the network via the current broker, and
@@ -121,14 +108,14 @@ func (c *Client) Unsubscribe(f Filter) {
 // per publish, or CloneDetached before republishing with changes.
 func (c *Client) Publish(ev *event.Event) {
 	ev.Freeze()
-	c.send(&PubMsg{Event: ev})
+	c.ep.Send(c.broker, &PubMsg{Event: ev})
 	c.dispatch(ev)
 }
 
 // Detach disconnects the client, leaving a buffering proxy behind.
 func (c *Client) Detach() {
 	c.detached = true
-	c.send(&DetachMsg{})
+	c.ep.Send(c.broker, &DetachMsg{})
 }
 
 // AttachTo moves the client to a new broker: it re-subscribes there, then
@@ -177,7 +164,7 @@ func (c *Client) resubscribe() {
 	}
 	slices.SortFunc(subs, bySeq)
 	for _, s := range subs {
-		c.send(&SubMsg{Filter: s.Filter})
+		c.ep.Send(c.broker, &SubMsg{Filter: s.Filter})
 	}
 }
 

@@ -623,7 +623,8 @@ type countingEndpoint struct {
 	sends int
 }
 
-func (e *countingEndpoint) Send(ids.ID, wire.Message) { e.sends++ }
+func (e *countingEndpoint) Send(ids.ID, wire.Message)             { e.sends++ }
+func (e *countingEndpoint) SendMany(tos []ids.ID, _ wire.Message) { e.sends += len(tos) }
 
 // TestSwapCostIndependentOfTableSize is the scaling guard that needs no
 // clock: one unsubscribe + subscribe among disjoint filters allocates the

@@ -479,7 +479,11 @@ func (n *nullEndpoint) Send(ids.ID, wire.Message) {}
 func (n *nullEndpoint) Request(to ids.ID, msg wire.Message, timeout time.Duration, cb netapi.ReplyFunc) {
 	cb(nil, netapi.ErrUnreachable)
 }
-func (n *nullEndpoint) Handle(string, netapi.Handler) {}
+func (n *nullEndpoint) Handle(string, netapi.Handler)         {}
+func (n *nullEndpoint) QueuedBytes(ids.ID) int                { return 0 }
+func (n *nullEndpoint) Saturated(ids.ID) bool                 { return false }
+func (n *nullEndpoint) OnDrain(func(ids.ID))                  {}
+func (n *nullEndpoint) SendMany(tos []ids.ID, _ wire.Message) {}
 
 // benchBroker builds a standalone broker with subs distinct subscriptions
 // in a realistic Siena mix: every filter pins an event type (50 types),

@@ -13,22 +13,43 @@ import (
 	"github.com/gloss/active/internal/leakcheck"
 	"github.com/gloss/active/internal/netapi"
 	"github.com/gloss/active/internal/transport"
+	"github.com/gloss/active/internal/vclock"
 	"github.com/gloss/active/internal/wire"
 )
 
-// localBPEndpoint is a bpEndpoint with the local run queue
-// (netapi.LocalDeliverer, the TCP endpoint's shape): what is queued there
-// is logged like a send to the node itself, so both kinds of endpoint
-// keep comparable logs.
+// localBPEndpoint is a bpEndpoint that sends through a netapi.Loop, as
+// both substrates do: a send to the node itself joins the loop's local
+// run queue, and what drains from there is logged like a send to the node
+// itself, so both kinds of endpoint keep comparable logs.
 type localBPEndpoint struct {
 	*bpEndpoint
-	queued int // DeliverLocal calls
+	loop   netapi.Loop
+	queued int // messages run from the local run queue
 }
 
-func (e *localBPEndpoint) DeliverLocal(msg wire.Message) {
-	e.queued++
-	e.Send(e.id, msg)
+func newLocalBPEndpoint(e *bpEndpoint) *localBPEndpoint {
+	l := &localBPEndpoint{bpEndpoint: e}
+	l.loop.Init(e.id, (*loopSeam)(l))
+	logged := func(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
+		l.queued++
+		e.Send(e.id, msg)
+	}
+	l.loop.Handle("pubsub.deliver", logged)
+	l.loop.Handle("pubsub.pub", logged)
+	return l
 }
+
+func (e *localBPEndpoint) Send(to ids.ID, msg wire.Message)        { e.loop.Send(to, msg) }
+func (e *localBPEndpoint) SendMany(tos []ids.ID, msg wire.Message) { e.loop.SendMany(tos, msg, nil) }
+
+// loopSeam hands the loop's envelopes to the recorder.
+type loopSeam localBPEndpoint
+
+func (s *loopSeam) Transmit(env *wire.Envelope, _ *wire.SharedBody) {
+	s.bpEndpoint.Send(env.To, env.Msg)
+}
+func (s *loopSeam) Arm(time.Duration, netapi.Pending) vclock.Timer { return nil }
+func (s *loopSeam) Wake()                                          {}
 
 // destLine renders what was sent to one destination as "kind:eventID",
 // in send order: the comparison key of the self-delivery differential.
@@ -64,7 +85,7 @@ func newSelfWorld(local bool) *selfWorld {
 	w := &selfWorld{ep: newBPEndpoint("sd-broker")}
 	var ep netapi.Endpoint = w.ep
 	if local {
-		w.local = &localBPEndpoint{bpEndpoint: w.ep}
+		w.local = newLocalBPEndpoint(w.ep)
 		ep = w.local
 	}
 	w.b = NewBroker(ep, Options{})
@@ -86,21 +107,19 @@ func (w *selfWorld) dests() []ids.ID {
 	return append(append(append([]ids.ID(nil), w.subs...), w.nbors...), w.ep.id)
 }
 
-// TestBrokerDifferentialFanoutWorkersVsSerial holds the broker's two
-// ways to its own node's client to each other: a broker whose endpoint
-// has a local run queue (TCP's shape) takes its own node out of the
-// fan-out and queues the delivery there; one without it (simnet, or an
-// endpoint behind the benchmark's spy) sends to itself along with the
-// other subscribers. Under a randomized workload with subscription churn,
-// saturation episodes and drains, the two must send the same messages to
-// every destination in the same order and keep the same Stats.
+// TestBrokerDifferentialFanoutWorkersVsSerial holds a broker whose
+// sends run through a netapi.Loop, where its deliveries to its own node
+// take the local run queue and run after the publish, to one whose
+// endpoint logs them as plain sends. Under a randomized workload with
+// subscription churn, saturation episodes and drains, the two must send
+// the same messages to every destination in the same order and keep the
+// same Stats.
 //
 // The name and the subtests are kept from when one side fanned out
 // through a worker pool: workers=N now only picks the workload's seed
 // (1000+N, as it did then), and local says whether the side under test
-// has the run queue. The reference always sends to itself, so local=false
-// replays one script on two independent send-to-self brokers, which must
-// agree too.
+// runs the loop. The reference always logs, so local=false replays one
+// script on two independent logging brokers, which must agree too.
 func TestBrokerDifferentialFanoutWorkersVsSerial(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -115,9 +134,6 @@ func TestBrokerDifferentialFanoutWorkersVsSerial(t *testing.T) {
 
 func testSelfDeliveryDifferential(t *testing.T, seed int64, local bool) {
 	loc, snd := newSelfWorld(local), newSelfWorld(false)
-	if (loc.b.local != nil) != local || snd.b.local != nil {
-		t.Fatal("one side has the wrong self-delivery path; differential is vacuous")
-	}
 	worlds := []*selfWorld{loc, snd}
 
 	// Subscriptions: every destination takes a few random filters, which
@@ -199,6 +215,9 @@ func testSelfDeliveryDifferential(t *testing.T, seed int64, local bool) {
 		src := rng.Intn(len(loc.pubsrc))
 		for _, w := range worlds {
 			w.b.handlePub(nil, w.pubsrc[src], &PubMsg{Event: ev.Clone()})
+			if w.local != nil {
+				w.local.loop.Drain() // as a substrate does after the callback
+			}
 		}
 	}
 	// Per-destination send sequences must match exactly: the delivery-set
@@ -233,7 +252,7 @@ func testSelfDeliveryDifferential(t *testing.T, seed int64, local bool) {
 }
 
 // widthLog is a TCP endpoint that counts the broker's SendMany calls by
-// width and otherwise is the node itself, local run queue included.
+// width and otherwise is the node itself.
 type widthLog struct {
 	*transport.Node
 	one, many atomic.Int64
@@ -365,9 +384,6 @@ func TestLocalClientInterleavedWithRemote(t *testing.T) {
 	d.Handle("pubsub.deliver", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { atD.add(msg.(*DeliverMsg).Event) })
 
 	b := NewBroker(hub, Options{})
-	if b.local == nil {
-		t.Fatal("the broker did not pick up the TCP endpoint's local run queue")
-	}
 	client := NewClient(hub, hub.ID())
 	f := NewFilter(TypeIs("local.evt"))
 	onLoop(hub, func() {

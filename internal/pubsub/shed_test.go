@@ -14,8 +14,8 @@ import (
 	"github.com/gloss/active/internal/wire"
 )
 
-// bpEndpoint is a scriptable netapi.Endpoint + Backpressured: tests
-// mark destinations saturated and observe exactly what the broker sends.
+// bpEndpoint is a scriptable netapi.Endpoint: tests mark destinations
+// saturated and observe exactly what the broker sends.
 type bpEndpoint struct {
 	id        ids.ID
 	rng       *rand.Rand
@@ -43,6 +43,11 @@ func (e *bpEndpoint) Clock() vclock.Clock   { return nil }
 func (e *bpEndpoint) Rand() *rand.Rand      { return e.rng }
 func (e *bpEndpoint) Send(to ids.ID, msg wire.Message) {
 	e.sent = append(e.sent, sentRec{to: to, msg: msg})
+}
+func (e *bpEndpoint) SendMany(tos []ids.ID, msg wire.Message) {
+	for _, to := range tos {
+		e.Send(to, msg)
+	}
 }
 func (e *bpEndpoint) Request(to ids.ID, msg wire.Message, timeout time.Duration, cb netapi.ReplyFunc) {
 	cb(nil, netapi.ErrUnreachable)
@@ -171,9 +176,9 @@ func TestBrokerShedsDeliveriesFirst(t *testing.T) {
 	}
 }
 
-// TestBrokerShedDisabled: an endpoint that reports no backpressure
-// (no Caps.Backpressure) gets blind fan-out — the broker sheds only on a
-// saturation signal, never on its own account.
+// TestBrokerShedDisabled: an endpoint that never reports a destination
+// saturated gets blind fan-out — the broker sheds only on a saturation
+// signal, never on its own account.
 func TestBrokerShedDisabled(t *testing.T) {
 	ep := &countingEndpoint{nullEndpoint: nullEndpoint{id: ids.FromString("noshed-broker"), rng: rand.New(rand.NewSource(3))}}
 	b := NewBroker(ep, Options{})

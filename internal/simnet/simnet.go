@@ -10,9 +10,11 @@
 // vclock.Scheduler, so every run with the same seed is bit-identical.
 //
 // Endpoint semantics — handlers, pending requests, reply dispatch, the
-// request ctxs — live in netapi.Loop, which every Node runs. A Node adds
-// only what a simulated link does: latency, loss, delivery batches, the
-// outbox-budget mirror, metrics and liveness.
+// request ctxs and the local run queue — live in netapi.Loop, which every
+// Node runs. A Node adds only what a simulated link does: latency, loss,
+// delivery batches, the outbox-budget mirror, metrics and liveness. A
+// send to self crosses no link: it runs after the current callback, as
+// on TCP, and counts in no metric.
 package simnet
 
 import (
@@ -145,6 +147,9 @@ type World struct {
 	nodes   map[ids.ID]*Node
 	order   []*Node // creation order, for deterministic iteration
 	filter  LinkFilter
+	// ready holds, in wake order, the nodes whose local run queue took
+	// an entry since the last drain.
+	ready []*Node
 }
 
 // batchKey identifies one coalesced delivery: a destination and the
@@ -212,8 +217,25 @@ func normalizeCodec(c wire.Codec) wire.Codec {
 // Now returns current virtual time.
 func (w *World) Now() time.Duration { return w.sched.Now() }
 
-// RunUntil advances virtual time to t, executing all due events.
-func (w *World) RunUntil(t time.Duration) { w.sched.RunUntil(t) }
+// RunUntil advances virtual time to t, executing all due events. What
+// nodes sent to themselves since the last step runs first, at the
+// current instant.
+func (w *World) RunUntil(t time.Duration) {
+	w.drain()
+	w.sched.RunUntil(t)
+}
+
+// drain runs the local run queue of every woken node that is alive.
+// Every task that runs a node's callback calls it after the callback.
+func (w *World) drain() {
+	for i := 0; i < len(w.ready); i++ {
+		if n := w.ready[i]; n.alive {
+			n.loop.Drain()
+		}
+		w.ready[i] = nil
+	}
+	w.ready = w.ready[:0]
+}
 
 // RunFor advances virtual time by d.
 func (w *World) RunFor(d time.Duration) { w.RunUntil(w.Now() + d) }
@@ -271,15 +293,15 @@ type Node struct {
 	landsAt map[ids.ID]time.Duration
 }
 
-var (
-	_ netapi.Endpoint      = (*Node)(nil)
-	_ netapi.Backpressured = (*Node)(nil)
-)
+var _ netapi.Endpoint = (*Node)(nil)
 
 // seam is the netapi.Substrate a node's loop sends and times out through.
 type seam Node
 
-func (s *seam) Transmit(env *wire.Envelope) { s.world.transmit((*Node)(s), env) }
+func (s *seam) Transmit(env *wire.Envelope, _ *wire.SharedBody) { s.world.transmit((*Node)(s), env) }
+
+// Wake queues the node for the world's next drain.
+func (s *seam) Wake() { s.world.ready = append(s.world.ready, (*Node)(s)) }
 
 // Arm schedules the request's timeout as one task with its handle.
 func (s *seam) Arm(d time.Duration, p netapi.Pending) vclock.Timer {
@@ -299,6 +321,7 @@ type pendingReq struct {
 func (r *pendingReq) Run() {
 	if r.node.alive {
 		r.node.loop.Expire(r.p)
+		r.node.world.drain()
 	}
 }
 
@@ -355,8 +378,12 @@ func (n *Node) Kill() { n.alive = false }
 
 // Revive brings a killed node back with its handlers intact. Protocol
 // state is whatever it was at kill time; protocols are responsible for
-// re-joining overlays.
-func (n *Node) Revive() { n.alive = true }
+// re-joining overlays. Nothing the node sent itself before it came back
+// runs.
+func (n *Node) Revive() {
+	n.loop.Discard()
+	n.alive = true
+}
 
 // Handle implements netapi.Endpoint.
 func (n *Node) Handle(kind string, h netapi.Handler) { n.loop.Handle(kind, h) }
@@ -375,10 +402,7 @@ func (n *Node) Saturated(to ids.ID) bool { return n.outOver[to] }
 func (n *Node) OnDrain(fn func(to ids.ID)) { n.drainFns = append(n.drainFns, fn) }
 
 // Send implements netapi.Endpoint.
-func (n *Node) Send(to ids.ID, msg wire.Message) {
-	env := &wire.Envelope{From: n.info.ID, To: to, Msg: msg}
-	n.world.transmit(n, env)
-}
+func (n *Node) Send(to ids.ID, msg wire.Message) { n.loop.Send(to, msg) }
 
 // SendMany implements netapi.Multicaster: one message value is shared
 // across every destination (the simulator never serialises, so sharing
@@ -387,13 +411,7 @@ func (n *Node) Send(to ids.ID, msg wire.Message) {
 //
 // Like Send, SendMany is world-loop-only: the simulator's determinism
 // rests on the world loop being the only scheduler mutator.
-func (n *Node) SendMany(tos []ids.ID, msg wire.Message) {
-	for _, to := range tos {
-		n.Send(to, msg)
-	}
-}
-
-var _ netapi.Multicaster = (*Node)(nil)
+func (n *Node) SendMany(tos []ids.ID, msg wire.Message) { n.loop.SendMany(tos, msg, nil) }
 
 // Request implements netapi.Endpoint.
 func (n *Node) Request(to ids.ID, msg wire.Message, timeout time.Duration, cb netapi.ReplyFunc) {
@@ -559,6 +577,7 @@ func (b *delivBatch) Run() {
 			w.releaseOut(e, b.sizes[i])
 		}
 		w.deliver(b.dest, e)
+		w.drain()
 	}
 	clear(b.envs)
 	b.envs, b.sizes, b.dest = b.envs[:0], b.sizes[:0], nil
@@ -630,5 +649,6 @@ type nodeTimer struct {
 func (t *nodeTimer) Run() {
 	if t.node.alive {
 		t.fn()
+		t.node.world.drain()
 	}
 }

@@ -350,14 +350,44 @@ func TestLatencyEstimate(t *testing.T) {
 	}
 }
 
-// TestSimnetDoesNotAdvertiseConcurrentSends pins that simnet nodes offer
-// no local run queue: a self-send there is a scheduled message, so the
-// broker reaches its own node's client by a send to self.
-func TestSimnetDoesNotAdvertiseConcurrentSends(t *testing.T) {
-	w := NewWorld(Config{Seed: 1})
-	n := w.NewNode(ids.FromString("caps"), "eu", netapi.Coord{})
-	if caps := netapi.Capabilities(n); caps.Local != nil {
-		t.Fatalf("simnet.Node advertises %+v, want no Local", caps)
+// TestSelfSendOutsideCallbacks: a send to self made between RunFor steps
+// runs at the start of the next step, at the instant it was made and
+// ahead of anything due then, and counts in no metric. A node runs
+// nothing it sent itself before it died or while it was dead, then or
+// after a revive; what it sends itself once back runs.
+func TestSelfSendOutsideCallbacks(t *testing.T) {
+	w, a, _ := twoNodeWorld(t, Config{Seed: 1})
+	var got []string
+	a.Handle("test.ping", func(_ netapi.Ctx, from ids.ID, msg wire.Message) {
+		if from != a.ID() {
+			t.Errorf("self-send from %s, want %s", from.Short(), a.ID().Short())
+		}
+		got = append(got, fmt.Sprintf("ping %d at %v", msg.(*ping).N, w.Now()))
+	})
+	w.RunFor(5 * time.Millisecond)
+	a.Clock().After(0, func() { got = append(got, "timer due now") })
+	a.Send(a.ID(), &ping{N: 1})
+	a.Send(a.ID(), &ping{N: 2})
+	w.RunFor(0)
+	want := []string{"ping 1 at 5ms", "ping 2 at 5ms", "timer due now"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ran %q, want %q", got, want)
+	}
+	if m := w.Metrics(); m.Sent != 0 || m.Delivered != 0 || len(m.ByKind) != 0 {
+		t.Fatalf("sends to self counted: %+v", m)
+	}
+
+	got = nil
+	a.Send(a.ID(), &ping{N: 3})
+	a.Kill()
+	w.RunFor(time.Millisecond)
+	a.Send(a.ID(), &ping{N: 4})
+	a.Revive()
+	w.RunFor(time.Millisecond)
+	a.Send(a.ID(), &ping{N: 5})
+	w.RunFor(time.Millisecond)
+	if want := []string{"ping 5 at 7ms"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("across a kill and a revive ran %q, want %q", got, want)
 	}
 }
 

@@ -386,15 +386,12 @@ func TestReadLoopMatchesReadFrame(t *testing.T) {
 }
 
 // TestDeliverLocalRunsAfterCallbackBeforeInbox pins the local run queue:
-// a message queued from a callback reaches its handler once that
-// callback has returned (run to completion), before anything already
-// waiting in the inbox, in queueing order — including what handlers
-// queue in turn — and its Ctx answers nothing.
+// a message a callback sends to its own node reaches its handler once
+// that callback has returned (run to completion), before anything
+// already waiting in the inbox, in send order — including what handlers
+// send in turn — and its Ctx answers nothing.
 func TestDeliverLocalRunsAfterCallbackBeforeInbox(t *testing.T) {
 	n := newNode(t, "local-queue", testReg())
-	if netapi.Capabilities(n).Local == nil {
-		t.Fatal("transport.Node must advertise netapi.Caps.Local")
-	}
 	var order []string
 	n.Handle("test.echo", func(ctx netapi.Ctx, from ids.ID, msg wire.Message) {
 		text := msg.(*echoMsg).Text
@@ -404,24 +401,76 @@ func TestDeliverLocalRunsAfterCallbackBeforeInbox(t *testing.T) {
 		}
 		ctx.Reply(&echoMsg{Text: "ignored"})
 		if text == "one" {
-			n.DeliverLocal(&echoMsg{Text: "three, queued by one's handler"})
+			n.Send(n.ID(), &echoMsg{Text: "three, sent by one's handler"})
 		}
 	})
 	parked, release := make(chan struct{}), make(chan struct{})
 	n.Do(func() {
 		close(parked)
 		<-release
-		n.DeliverLocal(&echoMsg{Text: "one"})
-		n.DeliverLocal(&echoMsg{Text: "two"})
+		n.Send(n.ID(), &echoMsg{Text: "one"})
+		n.Send(n.ID(), &echoMsg{Text: "two"})
 		order = append(order, "callback done")
 	})
 	<-parked
 	n.Do(func() { order = append(order, "inbox") })
 	close(release)
-	n.Stats()
-	want := []string{"callback done", "one", "two", "three, queued by one's handler", "inbox"}
+	if st := n.Stats(); st.Sent != 0 {
+		t.Errorf("Stats.Sent = %d after sends to self only, want 0", st.Sent)
+	}
+	want := []string{"callback done", "one", "two", "three, sent by one's handler", "inbox"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order %q, want %q", order, want)
+	}
+}
+
+// TestSelfSendsNeverWaitOnTheInbox is hazard 1 (ROADMAP item 1) at the
+// endpoint: a handler sends twice the inbox's 1 024 slots to its own node
+// and then asks itself a request. A send to self used to be a blocking
+// post to that inbox from the only goroutine that empties it, so the
+// 1 025th send waited for ever. The handler must return, every message
+// must run after it in send order, and the request must be answered.
+func TestSelfSendsNeverWaitOnTheInbox(t *testing.T) {
+	n := newNode(t, "self-flood", testReg())
+	const sends = 2000
+	var order []string // actor loop only
+	answered := make(chan error, 1)
+	n.Handle("test.echo", func(ctx netapi.Ctx, from ids.ID, msg wire.Message) {
+		switch text := msg.(*echoMsg).Text; text {
+		case "go":
+			for i := 0; i < sends; i++ {
+				n.Send(n.ID(), &echoMsg{Text: fmt.Sprint(i)})
+			}
+			n.Request(n.ID(), &echoMsg{Text: "ask"}, 10*time.Second, func(reply wire.Message, err error) {
+				if err == nil && reply.(*echoMsg).Text != "answer" {
+					err = fmt.Errorf("reply %q, want \"answer\"", reply.(*echoMsg).Text)
+				}
+				answered <- err
+			})
+			order = append(order, "handler returned")
+		case "ask":
+			ctx.Reply(&echoMsg{Text: "answer"})
+		default:
+			order = append(order, text)
+		}
+	})
+	n.Do(func() { n.Send(n.ID(), &echoMsg{Text: "go"}) })
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatalf("request to self: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the actor loop is blocked on its own inbox (hazard 1): the request to self was never answered")
+	}
+	got := make(chan []string, 1)
+	n.Do(func() { got <- order })
+	want := []string{"handler returned"}
+	for i := 0; i < sends; i++ {
+		want = append(want, fmt.Sprint(i))
+	}
+	if order := <-got; !reflect.DeepEqual(order, want) {
+		t.Fatalf("%d entries in the handler's log, want %d: the handler returning, then every message in send order", len(order), len(want))
 	}
 }
 

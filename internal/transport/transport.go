@@ -13,13 +13,15 @@
 // it sends to and reads the connections it accepts, which removes all
 // simultaneous-connect conflicts. Only the acceptor's hello travels back.
 //
-// The send path, by contrast, is thread-safe: Send/SendMany encode on the
-// caller's goroutine and push into the per-peer mutex-protected outbox
-// directly, without detouring through the actor inbox, so a caller off
-// the actor loop may send too. The peer table is
-// guarded by an RWMutex whose only writer is the actor loop; peer dial
-// state is atomic so any sender can kick a connection attempt. Stats
-// counters are atomics.
+// The send path toward other nodes, by contrast, is thread-safe:
+// Send/SendMany encode on the caller's goroutine and push into the
+// per-peer mutex-protected outbox directly, without detouring through
+// the actor inbox, so a caller off the actor loop may send too. A send
+// to the node itself never reaches a socket or the inbox: it joins the
+// loop's local run queue, so it must come from the actor loop. The peer
+// table is guarded by an RWMutex whose only writer is the actor loop;
+// peer dial state is atomic so any sender can kick a connection
+// attempt. Stats counters are atomics.
 //
 // Endpoint semantics — handlers, pending requests, reply dispatch, the
 // request ctxs and the local run queue — live in netapi.Loop, which the
@@ -322,12 +324,7 @@ type counters struct {
 	flushWrites, batchedFrames                                              atomic.Uint64
 }
 
-var (
-	_ netapi.Endpoint       = (*Node)(nil)
-	_ netapi.Multicaster    = (*Node)(nil)
-	_ netapi.Backpressured  = (*Node)(nil)
-	_ netapi.LocalDeliverer = (*Node)(nil)
-)
+var _ netapi.Endpoint = (*Node)(nil)
 
 // Listen starts a TCP node. Register every message type with reg before
 // calling — the binary fast-path codec interns the registry's kind table
@@ -426,16 +423,10 @@ func (n *Node) actorLoop() {
 			return
 		case fn := <-n.inbox:
 			fn()
-			n.loop.DrainLocal()
+			n.loop.Drain()
 		}
 	}
 }
-
-// DeliverLocal implements netapi.LocalDeliverer. Unlike Send(ID(), msg)
-// it never posts to the inbox, so the loop cannot block on itself.
-//
-//vetactive:actoronly
-func (n *Node) DeliverLocal(msg wire.Message) { n.loop.DeliverLocal(msg) }
 
 // Close shuts the node down and waits for its goroutines.
 func (n *Node) Close() error {
@@ -487,39 +478,51 @@ func (n *Node) AddPeer(id ids.ID, addr string) {
 	n.peersMu.Unlock()
 }
 
-// Send implements netapi.Endpoint. Safe from any goroutine: the frame is
-// encoded and queued on the caller's goroutine before Send returns.
-func (n *Node) Send(to ids.ID, msg wire.Message) {
-	n.transmit(&wire.Envelope{From: n.info.ID, To: to, Msg: msg}, nil)
-}
+// Send implements netapi.Endpoint. Toward another node it is safe from
+// any goroutine: the frame is encoded and queued on the caller's
+// goroutine before Send returns. A send to the node itself goes on the
+// local run queue and must come from the actor loop.
+func (n *Node) Send(to ids.ID, msg wire.Message) { n.loop.Send(to, msg) }
 
 // SendMany implements netapi.Multicaster: the message body is encoded
 // once per negotiated codec and shared across every destination frame
 // (encode once, send many); only the per-peer envelope header differs.
-// Safe from any goroutine; destinations are processed in argument order
-// on the caller's goroutine, so per-destination FIFO holds per caller.
+// Safe from any goroutine, as Send is, unless the node itself is among
+// tos; destinations are processed in argument order on the caller's
+// goroutine, so per-destination FIFO holds per caller.
 func (n *Node) SendMany(tos []ids.ID, msg wire.Message) {
-	if len(tos) == 1 {
-		// Nothing to share: a shared body would cost its own allocation
-		// and a split encode for the same bytes.
-		n.Send(tos[0], msg)
-		return
+	var shared *wire.SharedBody
+	if len(tos) > 1 {
+		// With one destination there is nothing to share: a shared body
+		// would cost its own allocation and a split encode for the same
+		// bytes.
+		shared = &wire.SharedBody{}
 	}
-	shared := &wire.SharedBody{}
-	for _, to := range tos {
-		n.transmit(&wire.Envelope{From: n.info.ID, To: to, Msg: msg}, shared)
-	}
+	n.loop.SendMany(tos, msg, shared)
 }
 
-// Request implements netapi.Endpoint.
+// Request implements netapi.Endpoint. A request to another node hops
+// onto the actor loop, so it is safe from any goroutine. One to the node
+// itself must come from the actor loop, like every send to self, and
+// goes straight to the loop: no inbox post for the loop to wait on.
 func (n *Node) Request(to ids.ID, msg wire.Message, timeout time.Duration, cb netapi.ReplyFunc) {
+	if to == n.info.ID {
+		n.loop.Request(to, msg, timeout, cb)
+		return
+	}
 	n.do(func() { n.loop.Request(to, msg, timeout, cb) })
 }
 
 // seam is the netapi.Substrate the actor loop sends and times out through.
 type seam Node
 
-func (s *seam) Transmit(env *wire.Envelope) { (*Node)(s).transmit(env, nil) }
+func (s *seam) Transmit(env *wire.Envelope, shared *wire.SharedBody) {
+	(*Node)(s).transmit(env, shared)
+}
+
+// Wake does nothing: the actor loop drains after every callback, and a
+// send to self comes from one.
+func (s *seam) Wake() {}
 
 // Arm times a request out on the wall clock, through the actor loop.
 func (s *seam) Arm(d time.Duration, p netapi.Pending) vclock.Timer {
@@ -560,21 +563,15 @@ func (n *Node) lookupPeer(to ids.ID) (p *peer, addr string, binOK bool) {
 	return p, p.addr, p.wantsBinary && p.kindsHash == n.bin.KindsHash()
 }
 
-// transmit encodes env and queues it toward its destination. Safe from
-// any goroutine: the encode runs on the caller, the outbox push is
+// transmit encodes env and queues it toward another node. Safe from any
+// goroutine: the encode runs on the caller, the outbox push is
 // mutex-protected, counters are atomic, and a needed dial is kicked off
-// via CAS on the peer state. Loopback dispatch is posted to the actor
-// loop, where all protocol callbacks run.
+// via CAS on the peer state.
 func (n *Node) transmit(env *wire.Envelope, shared *wire.SharedBody) {
 	select {
 	case <-n.closed:
 		return
 	default:
-	}
-	if env.To == n.info.ID {
-		// Local loopback.
-		n.do(func() { n.dispatch(env) })
-		return
 	}
 	// Route check first: no peer entry or no address means the frame
 	// could never leave this node — drop before paying the encode, and
@@ -976,7 +973,7 @@ func (n *Node) readLoop(conn net.Conn, bufSize int) {
 			n.Do(func() {
 				for _, env := range envs {
 					n.accept(env)
-					n.loop.DrainLocal()
+					n.loop.Drain()
 				}
 			})
 		}
