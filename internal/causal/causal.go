@@ -10,7 +10,7 @@ package causal
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/gloss/active/internal/wire"
@@ -119,22 +119,24 @@ func Compare(a, b Vec) Order {
 	return Equal
 }
 
-// writers returns v's writer IDs in sorted order — the basis of every
-// deterministic serialisation below.
-func (v Vec) writers() []string {
-	ws := make([]string, 0, len(v))
+// writers appends v's writer IDs to ws in sorted order — the basis of
+// every deterministic serialisation below.
+func (v Vec) writers(ws []string) []string {
 	for w := range v {
 		ws = append(ws, w)
 	}
-	sort.Strings(ws)
+	slices.Sort(ws)
 	return ws
 }
 
 // AppendWire serialises v deterministically (writers sorted) using the
 // wire binary primitives, so equal vectors always produce equal bytes.
+// Up to eight writers are sorted on the stack: a gossip digest encodes
+// every object's vector each round.
 func (v Vec) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(v)))
-	for _, w := range v.writers() {
+	var buf [8]string
+	for _, w := range v.writers(buf[:0]) {
 		b = wire.AppendString(b, w)
 		b = wire.AppendUvarint(b, v[w])
 	}
@@ -172,7 +174,7 @@ func (v Vec) Key() string { return string(v.AppendWire(nil)) }
 func (v Vec) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	for i, w := range v.writers() {
+	for i, w := range v.writers(nil) {
 		if i > 0 {
 			sb.WriteByte(' ')
 		}

@@ -21,11 +21,25 @@ type Versioned[T any] struct {
 }
 
 // Vec returns the object's summary vector: the merge of every sibling's
-// vector — what this replica has seen, regardless of conflicts.
+// vector — what this replica has seen, regardless of conflicts. With one
+// sibling it is that sibling's own vector, not a copy, so it is
+// read-only: nothing here writes a vector in place (Increment and Merge
+// return fresh ones), and a caller must not either. Several siblings
+// merge into one fresh map.
 func (v *Versioned[T]) Vec() Vec {
+	if len(v.Sibs) == 1 {
+		return v.Sibs[0].Vec
+	}
 	var out Vec
 	for _, s := range v.Sibs {
-		out = Merge(out, s.Vec)
+		for w, n := range s.Vec {
+			if n > out[w] {
+				if out == nil {
+					out = make(Vec, len(s.Vec))
+				}
+				out[w] = n
+			}
+		}
 	}
 	return out
 }

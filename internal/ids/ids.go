@@ -9,8 +9,10 @@ package ids
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -53,11 +55,9 @@ func Parse(s string) (ID, error) {
 	if len(s) != Digits {
 		return id, fmt.Errorf("ids: parse %q: want %d hex digits, got %d", s, Digits, len(s))
 	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return id, fmt.Errorf("ids: parse %q: %w", s, err)
+	if _, err := hex.Decode(id[:], []byte(s)); err != nil {
+		return ID{}, fmt.Errorf("ids: parse %q: %w", s, err)
 	}
-	copy(id[:], b)
 	return id, nil
 }
 
@@ -114,62 +114,66 @@ func CommonPrefixLen(a, b ID) int {
 	return Digits
 }
 
-// Cmp compares a and b as unsigned 128-bit integers:
-// -1 if a < b, 0 if equal, +1 if a > b.
-func Cmp(a, b ID) int {
-	for i := 0; i < Size; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
+// u128 is an ID as two big-endian machine words, so the ring arithmetic
+// below runs on words, not byte by byte.
+type u128 struct{ hi, lo uint64 }
+
+func words(id ID) u128 {
+	return u128{binary.BigEndian.Uint64(id[:8]), binary.BigEndian.Uint64(id[8:])}
 }
 
-// Less reports a < b as unsigned integers.
-func Less(a, b ID) bool { return Cmp(a, b) < 0 }
-
-// Add returns (a + b) mod 2^128.
-func Add(a, b ID) ID {
-	var out ID
-	var carry uint16
-	for i := Size - 1; i >= 0; i-- {
-		s := uint16(a[i]) + uint16(b[i]) + carry
-		out[i] = byte(s)
-		carry = s >> 8
-	}
-	return out
+func (x u128) id() (id ID) {
+	binary.BigEndian.PutUint64(id[:8], x.hi)
+	binary.BigEndian.PutUint64(id[8:], x.lo)
+	return id
 }
 
-// Sub returns (a - b) mod 2^128.
-func Sub(a, b ID) ID {
-	var out ID
-	var borrow int16
-	for i := Size - 1; i >= 0; i-- {
-		d := int16(a[i]) - int16(b[i]) - borrow
-		if d < 0 {
-			d += 256
-			borrow = 1
-		} else {
-			borrow = 0
-		}
-		out[i] = byte(d)
-	}
-	return out
+func (x u128) less(y u128) bool { return x.hi < y.hi || x.hi == y.hi && x.lo < y.lo }
+
+func (x u128) sub(y u128) u128 {
+	lo, borrow := bits.Sub64(x.lo, y.lo, 0)
+	hi, _ := bits.Sub64(x.hi, y.hi, borrow)
+	return u128{hi, lo}
 }
 
-// RingDistance returns the minimal distance between a and b on the ring,
-// i.e. min(a-b, b-a) mod 2^128.
-func RingDistance(a, b ID) ID {
-	d1 := Sub(a, b)
-	d2 := Sub(b, a)
-	if Less(d1, d2) {
+// ring is RingDistance on words.
+func (x u128) ring(y u128) u128 {
+	d1, d2 := x.sub(y), y.sub(x)
+	if d1.less(d2) {
 		return d1
 	}
 	return d2
 }
+
+// Cmp compares a and b as unsigned 128-bit integers:
+// -1 if a < b, 0 if equal, +1 if a > b.
+func Cmp(a, b ID) int {
+	switch {
+	case a == b:
+		return 0
+	case Less(a, b):
+		return -1
+	}
+	return 1
+}
+
+// Less reports a < b as unsigned integers.
+func Less(a, b ID) bool { return words(a).less(words(b)) }
+
+// Add returns (a + b) mod 2^128.
+func Add(a, b ID) ID {
+	x, y := words(a), words(b)
+	lo, carry := bits.Add64(x.lo, y.lo, 0)
+	hi, _ := bits.Add64(x.hi, y.hi, carry)
+	return u128{hi, lo}.id()
+}
+
+// Sub returns (a - b) mod 2^128.
+func Sub(a, b ID) ID { return words(a).sub(words(b)).id() }
+
+// RingDistance returns the minimal distance between a and b on the ring,
+// i.e. min(a-b, b-a) mod 2^128.
+func RingDistance(a, b ID) ID { return words(a).ring(words(b)).id() }
 
 // Between reports whether x lies in the half-open ring interval (a, b]
 // walking clockwise (increasing) from a. If a == b the interval is the
@@ -179,18 +183,18 @@ func Between(a, x, b ID) bool {
 		return x != a
 	}
 	if Less(a, b) {
-		return Cmp(a, x) < 0 && Cmp(x, b) <= 0
+		return Less(a, x) && !Less(b, x)
 	}
 	// Interval wraps zero.
-	return Cmp(a, x) < 0 || Cmp(x, b) <= 0
+	return Less(a, x) || !Less(b, x)
 }
 
 // Closer reports whether a is strictly closer to target than b is,
 // by ring distance; ties broken by smaller numeric ID.
 func Closer(target, a, b ID) bool {
-	da, db := RingDistance(a, target), RingDistance(b, target)
-	if c := Cmp(da, db); c != 0 {
-		return c < 0
+	t, x, y := words(target), words(a), words(b)
+	if dx, dy := x.ring(t), y.ring(t); dx != dy {
+		return dx.less(dy)
 	}
-	return Less(a, b)
+	return x.less(y)
 }

@@ -342,10 +342,9 @@ func (sy *Syncer) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	if !ok {
 		return
 	}
-	seen := make(map[string]causal.Vec, len(dg.Entries))
+	seen := make(map[digestKey][]byte, len(dg.Entries))
 	for _, e := range dg.Entries {
-		key := digestKey(e.Name, e.GIS)
-		seen[key] = causal.ParseVec(wire.NewBinReader(e.Vec))
+		seen[digestKey{e.Name, e.GIS}] = e.Vec
 	}
 	ep := sy.store.Endpoint()
 	type push struct {
@@ -354,16 +353,17 @@ func (sy *Syncer) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		data []byte
 	}
 	var pushes []push
+	var scratch []byte
 	sy.mu.Lock()
 	for name, v := range sy.subjects {
-		remote, known := seen[digestKey(name, false)]
-		if !known || needsPush(v.Vec(), remote) {
+		remote, known := seen[digestKey{name, false}]
+		if !known || partnerLacks(v.Vec(), remote, &scratch) {
 			pushes = append(pushes, push{name, false, EncodeVersionedFacts(v)})
 		}
 	}
 	for name, v := range sy.gisDocs {
-		remote, known := seen[digestKey(name, true)]
-		if !known || needsPush(v.Vec(), remote) {
+		remote, known := seen[digestKey{name, true}]
+		if !known || partnerLacks(v.Vec(), remote, &scratch) {
 			pushes = append(pushes, push{name, true, EncodeVersionedGIS(v)})
 		}
 	}
@@ -377,21 +377,26 @@ func (sy *Syncer) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	}
 }
 
-// needsPush reports whether a local summary vector holds history the
-// remote one lacks.
-func needsPush(local, remote causal.Vec) bool {
-	switch causal.Compare(local, remote) {
+// digestKey names one object of a digest: a subject or a GIS region.
+type digestKey struct {
+	name string
+	gis  bool
+}
+
+// partnerLacks reports whether local holds history the partner's digest
+// vector, in its AppendWire bytes, lacks. AppendWire is canonical, so
+// equal bytes are an Equal vector: a converged object costs one encode
+// into scratch and no parse.
+func partnerLacks(local causal.Vec, remote []byte, scratch *[]byte) bool {
+	*scratch = local.AppendWire((*scratch)[:0])
+	if bytes.Equal(*scratch, remote) {
+		return false
+	}
+	switch causal.Compare(local, causal.ParseVec(wire.NewBinReader(remote))) {
 	case causal.Descends, causal.Concurrent:
 		return true
 	}
 	return false
-}
-
-func digestKey(name string, gis bool) string {
-	if gis {
-		return "g/" + name
-	}
-	return "s/" + name
 }
 
 // handlePush absorbs a versioned object pushed by a gossip partner.

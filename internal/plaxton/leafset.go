@@ -46,8 +46,13 @@ func (l *leafSet) insert(id ids.ID) bool {
 }
 
 // insertRanked inserts id into the slice ordered by less, keeping at most
-// max entries. Reports whether the slice changed.
+// max entries. Reports whether the slice changed. A full side turns away
+// an id no closer than its last entry with that one comparison: every
+// received frame offers its sender here.
 func insertRanked(s *[]ids.ID, id ids.ID, max int, less func(a, b ids.ID) bool) bool {
+	if n := len(*s); n > 0 && n >= max && !less(id, (*s)[n-1]) {
+		return false
+	}
 	for _, x := range *s {
 		if x == id {
 			return false

@@ -2,6 +2,7 @@ package plaxton
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -121,5 +122,76 @@ func TestLeafSetEmpty(t *testing.T) {
 	}
 	if got := ls.closest(ids.FromString("anything")); got != self {
 		t.Fatal("empty leaf set must answer self")
+	}
+}
+
+// refInsertRanked is insertRanked without its full-side shortcut: the two
+// linear scans alone, the oracle of TestLeafSetMatchesScanningInsert.
+func refInsertRanked(s *[]ids.ID, id ids.ID, max int, less func(a, b ids.ID) bool) bool {
+	for _, x := range *s {
+		if x == id {
+			return false
+		}
+	}
+	pos := len(*s)
+	for i, x := range *s {
+		if less(id, x) {
+			pos = i
+			break
+		}
+	}
+	if pos >= max {
+		return false
+	}
+	*s = append(*s, ids.Zero)
+	copy((*s)[pos+1:], (*s)[pos:])
+	(*s)[pos] = id
+	if len(*s) > max {
+		*s = (*s)[:max]
+	}
+	return true
+}
+
+// TestLeafSetMatchesScanningInsert drives a leaf set and a scanning
+// reference through random insert/remove sequences over a small pool of
+// IDs (so duplicates, evictions and re-inserts are common) and requires
+// identical sides and change reports after every step.
+func TestLeafSetMatchesScanningInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 300; trial++ {
+		self := ids.Random(rng)
+		half := 1 + rng.Intn(4)
+		pool := make([]ids.ID, 2+rng.Intn(20))
+		for i := range pool {
+			pool[i] = ids.Random(rng)
+		}
+		pool[0] = self
+		ls := newLeafSet(self, half)
+		var cw, ccw []ids.ID
+		cwLess := func(a, b ids.ID) bool { return ids.Less(ids.Sub(a, self), ids.Sub(b, self)) }
+		ccwLess := func(a, b ids.ID) bool { return ids.Less(ids.Sub(self, a), ids.Sub(self, b)) }
+		for step := 0; step < 60; step++ {
+			id := pool[rng.Intn(len(pool))]
+			var got, want bool
+			if rng.Intn(4) == 0 {
+				got = ls.remove(id)
+				for _, side := range []*[]ids.ID{&cw, &ccw} {
+					if i := slices.Index(*side, id); i >= 0 {
+						*side = slices.Delete(*side, i, i+1)
+						want = true
+					}
+				}
+			} else {
+				got = ls.insert(id)
+				if id != self {
+					want = refInsertRanked(&cw, id, half, cwLess)
+					want = refInsertRanked(&ccw, id, half, ccwLess) || want
+				}
+			}
+			if got != want || !slices.Equal(ls.cw, cw) || !slices.Equal(ls.ccw, ccw) {
+				t.Fatalf("trial %d step %d (%s): changed %v, sides %v / %v; reference %v, %v / %v",
+					trial, step, id.Short(), got, ls.cw, ls.ccw, want, cw, ccw)
+			}
+		}
 	}
 }

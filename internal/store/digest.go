@@ -97,11 +97,8 @@ func (s *Store) handleDigestReq(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	reply := &DigestMsg{Round: rq.Round, Entries: make([]DigestEntry, 0, len(s.keys))}
 	for _, guid := range s.keys {
 		b := s.objects[guid]
-		if b.key == "" {
-			b.key = guid.String()
-		}
 		reply.Entries = append(reply.Entries, DigestEntry{
-			GUID: b.key,
+			GUID: b.hexKey(guid),
 			Len:  b.size(),
 			Hash: b.hash(),
 		})
@@ -131,7 +128,7 @@ func (s *Store) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		if !ok || !s.rootAmong(leaves, guid) {
 			continue // dropped or re-rooted since the round opened
 		}
-		if e, ok := held[guid.String()]; ok && e.Len == b.size() && e.Hash == b.hash() {
+		if e, ok := held[b.hexKey(guid)]; ok && e.Len == b.size() && e.Hash == b.hash() {
 			s.stats.RepairSkipped++
 			continue
 		}

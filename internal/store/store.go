@@ -161,6 +161,15 @@ type blob struct {
 	key    string // the GUID it is held under as a digest entry spells it, rendered on first need
 }
 
+// hexKey returns guid, the key b is held under, as a digest entry spells
+// it: rendered once, then read by every digest round.
+func (b *blob) hexKey(guid ids.ID) string {
+	if b.key == "" {
+		b.key = guid.String()
+	}
+	return b.key
+}
+
 func (b *blob) size() int {
 	n := len(b.data)
 	for _, p := range b.pieces {
