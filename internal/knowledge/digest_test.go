@@ -1,9 +1,13 @@
 package knowledge
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/gloss/active/internal/causal"
 	"github.com/gloss/active/internal/ids"
@@ -16,8 +20,9 @@ import (
 
 // convergedSyncer is a one-node syncer holding objects subjects (each
 // written by three writers in turn) and one GIS document, with the
-// answering digest of a partner that holds exactly the same versions.
-func convergedSyncer(tb testing.TB, objects int) (*Syncer, *GossipMsg) {
+// answering digest of a partner that holds exactly the same versions,
+// and the world it runs in.
+func convergedSyncer(tb testing.TB, objects int) (*Syncer, *GossipMsg, *simnet.World) {
 	tb.Helper()
 	w := simnet.NewWorld(simnet.Config{Seed: 5})
 	reg := wire.NewRegistry()
@@ -40,7 +45,7 @@ func convergedSyncer(tb testing.TB, objects int) (*Syncer, *GossipMsg) {
 	g := &causal.Versioned[[]Place]{}
 	g.Put("writer-0", []Place{{Name: "cafe"}})
 	sy.gisDocs["world"] = g
-	return sy, &GossipMsg{Reply: true, Entries: sy.digest()}
+	return sy, &GossipMsg{Reply: true, Entries: sy.digest()}, w
 }
 
 // TestConvergedDigestAllocs pins the cost of answering a digest that
@@ -50,7 +55,7 @@ func convergedSyncer(tb testing.TB, objects int) (*Syncer, *GossipMsg) {
 // vector clone, a sort buffer and a parse per object.
 func TestConvergedDigestAllocs(t *testing.T) {
 	for _, objects := range []int{10, 100} {
-		sy, dg := convergedSyncer(t, objects)
+		sy, dg, _ := convergedSyncer(t, objects)
 		allocs := testing.AllocsPerRun(50, func() { sy.handleDigest(nil, ids.Zero, dg) })
 		if pushes := sy.Stats().GossipPushes; pushes != 0 {
 			t.Fatalf("%d objects: a converged digest pushed %d objects", objects, pushes)
@@ -62,6 +67,30 @@ func TestConvergedDigestAllocs(t *testing.T) {
 		if allocs > 6 {
 			t.Errorf("%d objects: %.0f allocs per converged digest, want at most 6", objects, allocs)
 		}
+	}
+}
+
+// TestDigestReplyIsTheDigest holds the reply handleDigest builds as it
+// compares to the digest a gossip round sends: the same entries, byte for
+// byte, objects of several siblings included.
+func TestDigestReplyIsTheDigest(t *testing.T) {
+	sy, dg, w := convergedSyncer(t, 20)
+	ep := sy.store.Endpoint()
+	var reply *GossipMsg
+	ep.Handle("kb.digest", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { reply = msg.(*GossipMsg) })
+	sy.handleDigest(nil, ep.ID(), &GossipMsg{Entries: dg.Entries[:10]}) // the rest is pushed
+	w.RunFor(time.Second)
+	if reply == nil || !reply.Reply {
+		t.Fatalf("no reply to a digest: %+v", reply)
+	}
+	byName := func(es []DigestEntry) []DigestEntry {
+		return slices.SortedFunc(slices.Values(es), func(a, b DigestEntry) int { return cmp.Compare(a.Name, b.Name) })
+	}
+	if got, want := byName(reply.Entries), byName(sy.digest()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reply entries\n %v\nwant the digest's\n %v", got, want)
+	}
+	if pushes := sy.Stats().GossipPushes; pushes != uint64(len(dg.Entries)-10) {
+		t.Fatalf("%d objects pushed, want the %d the partner's digest left out", pushes, len(dg.Entries)-10)
 	}
 }
 
@@ -79,7 +108,6 @@ func TestPartnerLacksMatchesCompare(t *testing.T) {
 		}
 		return v
 	}
-	var scratch []byte
 	for i := 0; i < 2000; i++ {
 		local, remote := rvec(), rvec()
 		if i%3 == 0 {
@@ -87,7 +115,7 @@ func TestPartnerLacksMatchesCompare(t *testing.T) {
 		}
 		o := causal.Compare(local, remote)
 		want := o == causal.Descends || o == causal.Concurrent
-		if got := partnerLacks(local, remote.AppendWire(nil), &scratch); got != want {
+		if got := partnerLacks(local, local.AppendWire(nil), remote.AppendWire(nil)); got != want {
 			t.Fatalf("partnerLacks(%v, %v) = %v, want %v (%v)", local, remote, got, want, o)
 		}
 	}
@@ -95,13 +123,13 @@ func TestPartnerLacksMatchesCompare(t *testing.T) {
 	padded := wire.AppendUvarint(nil, 2)
 	padded = wire.AppendUvarint(wire.AppendString(padded, "a"), 2)
 	padded = wire.AppendUvarint(wire.AppendString(padded, "b"), 0)
-	if partnerLacks(local, padded, &scratch) {
+	if partnerLacks(local, local.AppendWire(nil), padded) {
 		t.Fatalf("{a:2 b:0} from the partner is Equal to %v: no push", local)
 	}
 }
 
 func BenchmarkGossipDigestConverged(b *testing.B) {
-	sy, dg := convergedSyncer(b, 100)
+	sy, dg, _ := convergedSyncer(b, 100)
 	b.ReportAllocs()
 	for b.Loop() {
 		sy.handleDigest(nil, ids.Zero, dg)

@@ -336,7 +336,9 @@ func (sy *Syncer) digest() []DigestEntry {
 // handleDigest answers a partner's digest: push every local object the
 // partner's vector shows it is missing (ours descends) or conflicted on
 // (concurrent), including objects absent from its digest entirely; then
-// reply with our own digest (once — replies are not re-answered).
+// reply with our own digest (once — replies are not re-answered). The
+// reply's entries are the vectors the comparison encoded, so each
+// object's vector is merged and encoded once.
 func (sy *Syncer) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	dg, ok := msg.(*GossipMsg)
 	if !ok {
@@ -353,17 +355,33 @@ func (sy *Syncer) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		data []byte
 	}
 	var pushes []push
+	var reply []DigestEntry
 	var scratch []byte
+	// lacks encodes one local vector, into the reply when there is one,
+	// and reports whether the partner lacks history it holds.
+	lacks := func(key digestKey, vec causal.Vec) bool {
+		var mine []byte
+		if dg.Reply {
+			scratch = vec.AppendWire(scratch[:0])
+			mine = scratch
+		} else {
+			mine = vec.AppendWire(nil)
+			reply = append(reply, DigestEntry{Name: key.name, GIS: key.gis, Vec: mine})
+		}
+		remote, known := seen[key]
+		return !known || partnerLacks(vec, mine, remote)
+	}
 	sy.mu.Lock()
+	if !dg.Reply {
+		reply = make([]DigestEntry, 0, len(sy.subjects)+len(sy.gisDocs))
+	}
 	for name, v := range sy.subjects {
-		remote, known := seen[digestKey{name, false}]
-		if !known || partnerLacks(v.Vec(), remote, &scratch) {
+		if lacks(digestKey{name, false}, v.Vec()) {
 			pushes = append(pushes, push{name, false, EncodeVersionedFacts(v)})
 		}
 	}
 	for name, v := range sy.gisDocs {
-		remote, known := seen[digestKey{name, true}]
-		if !known || partnerLacks(v.Vec(), remote, &scratch) {
+		if lacks(digestKey{name, true}, v.Vec()) {
 			pushes = append(pushes, push{name, true, EncodeVersionedGIS(v)})
 		}
 	}
@@ -373,7 +391,7 @@ func (sy *Syncer) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		ep.Send(from, &GossipPushMsg{Name: p.name, GIS: p.gis, Data: p.data})
 	}
 	if !dg.Reply {
-		ep.Send(from, &GossipMsg{Reply: true, Entries: sy.digest()})
+		ep.Send(from, &GossipMsg{Reply: true, Entries: reply})
 	}
 }
 
@@ -383,13 +401,12 @@ type digestKey struct {
 	gis  bool
 }
 
-// partnerLacks reports whether local holds history the partner's digest
-// vector, in its AppendWire bytes, lacks. AppendWire is canonical, so
-// equal bytes are an Equal vector: a converged object costs one encode
-// into scratch and no parse.
-func partnerLacks(local causal.Vec, remote []byte, scratch *[]byte) bool {
-	*scratch = local.AppendWire((*scratch)[:0])
-	if bytes.Equal(*scratch, remote) {
+// partnerLacks reports whether local, whose AppendWire bytes are mine,
+// holds history the partner's digest vector, in its AppendWire bytes,
+// lacks. AppendWire is canonical, so equal bytes are an Equal vector: a
+// converged object costs no parse.
+func partnerLacks(local causal.Vec, mine, remote []byte) bool {
+	if bytes.Equal(mine, remote) {
 		return false
 	}
 	switch causal.Compare(local, causal.ParseVec(wire.NewBinReader(remote))) {

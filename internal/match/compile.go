@@ -407,7 +407,13 @@ func (cp *compiler) compileCond(c *Condition) (cond, error) {
 //  2. a cmp eq between something this pattern binds and something already
 //     known → probe with the known side;
 //  3. a kb condition linking something known to something this pattern
-//     binds → enumerate the knowledge base and probe with each answer;
+//     binds → enumerate the knowledge base and probe with each answer.
+//     One whose key comes from an earlier level (a variable, an alias
+//     attribute) goes before one whose key is a constant: a constant key
+//     finds the same candidates on every visit, so it correlates nothing
+//     (`$U likes "ice cream"` names every user; `$U knows $F` names one).
+//     Within a rank Where order decides, and a constant key still beats
+//     the scan;
 //
 // and otherwise scans. Every path yields a superset of the candidates the
 // level's own checks accept, so the choice never changes what is emitted.
@@ -431,24 +437,38 @@ func (cp *compiler) chooseAccess(lv *level, d int, buf *buffer) {
 			}
 		}
 	}
-	for i := range lv.conds {
-		c := &lv.conds[i]
-		if c.typ != condKB || !c.b.known(d) {
-			continue
-		}
-		if attr, ok := lv.boundHere(&c.c); ok && c.a.known(d) {
-			lv.access, lv.index, lv.key, lv.pred = accessKBObjects, buf.indexOn(attr), c.a, c.b
-			return
-		}
-		if attr, ok := lv.boundHere(&c.a); ok && c.c.known(d) {
-			lv.access, lv.index, lv.key, lv.pred = accessKBSubjects, buf.indexOn(attr), c.c, c.b
-			return
+	for _, constant := range [2]bool{false, true} {
+		for i := range lv.conds {
+			c := &lv.conds[i]
+			if c.typ != condKB || !c.b.known(d) {
+				continue
+			}
+			if attr, ok := lv.boundHere(&c.c); ok && c.a.known(d) && c.a.constant() == constant {
+				lv.access, lv.index, lv.key, lv.pred = accessKBObjects, buf.indexOn(attr), c.a, c.b
+				return
+			}
+			if attr, ok := lv.boundHere(&c.a); ok && c.c.known(d) && c.c.constant() == constant {
+				lv.access, lv.index, lv.key, lv.pred = accessKBSubjects, buf.indexOn(attr), c.c, c.b
+				return
+			}
 		}
 	}
 }
 
 // known reports whether the operand has its value before depth d binds.
 func (o *operand) known(d int) bool { return o.kind != opUnbound && o.depth < d }
+
+// constant reports whether the operand reads no variable and no event:
+// a literal, or a place or fact named by one.
+func (o *operand) constant() bool {
+	switch o.kind {
+	case opLit:
+		return true
+	case opPlace, opKB:
+		return o.sub.constant()
+	}
+	return false
+}
 
 // boundHere reports whether o is a value of the event joined at this
 // level — a variable the level sets, or an attribute of its own event —

@@ -59,6 +59,7 @@ type Stats struct {
 	Duplicates uint64 // exact tuple repeats
 	Suppressed uint64 // semantically identical outputs within the window
 	Expired    uint64
+	Evicted    uint64 // in-window events a full buffer pushed out
 	Errors     uint64
 	Rules      int
 }
@@ -327,8 +328,10 @@ func (e *Engine) ForgetUnknown(eventType string) {
 }
 
 // insert expires what has left the window from the pattern's buffer and
-// adds ev, evicting the oldest entry beyond maxBuffer. An event that is
-// itself older than the window is neither buffered nor joined.
+// adds ev, evicting the oldest entry beyond maxBuffer: after the expiry
+// every entry is inside the window, so each eviction is counted. An
+// event that is itself older than the window is neither buffered nor
+// joined.
 func (e *Engine) insert(cr *compiledRule, pi int, ev *event.Event, now time.Duration) bool {
 	buf := &cr.bufs[pi]
 	cutoff := now - cr.window
@@ -340,6 +343,7 @@ func (e *Engine) insert(cr *compiledRule, pi int, ev *event.Event, now time.Dura
 	e.stats.Buffered++
 	if buf.n == e.opts.maxBuffer {
 		buf.remove(buf.oldest)
+		e.stats.Evicted++
 	}
 	buf.add(ev)
 	return true

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,15 +274,56 @@ func TestCompiledPlansMatchInterpreter(t *testing.T) {
 	t.Run("random rules", func(t *testing.T) {
 		diffAgainstInterpreter(t, randomRules, 400, accessScan, accessProbe, accessKBObjects, accessKBSubjects)
 	})
+	t.Run("random rules behind a constant kb condition", func(t *testing.T) {
+		if diffAgainstInterpreter(t, constantFirstRules, 200, accessScan, accessProbe, accessKBObjects, accessKBSubjects) == 0 {
+			t.Fatalf("no rule ranks a correlating kb condition above a constant-keyed one: the ranking is not exercised")
+		}
+	})
 	t.Run("figure-1 rules", func(t *testing.T) {
 		diffAgainstInterpreter(t, figure1Rules, 100, accessKBObjects, accessKBSubjects)
 	})
 }
 
+// constantFirstRules draws random rules and puts a kb condition with one
+// constant end at the head of each Where list, as the ice-cream rule's
+// `$U likes "ice cream"`: a level it could drive is driven by a later,
+// correlating kb condition where there is one. Its variable is one a
+// later kb condition links, when there is one, and its predicate and
+// constant are mostly "", the wildcard: like "ice cream", that holds for
+// most of the pool.
+func constantFirstRules(rng *rand.Rand) []*Rule {
+	rules := randomRules(rng)
+	for _, r := range rules {
+		var linked []string
+		for _, c := range r.Where {
+			for _, end := range []string{c.S, c.O} {
+				if c.Type == "kb" && slices.Contains(genVars, strings.TrimPrefix(end, "$")) {
+					linked = append(linked, end)
+				}
+			}
+		}
+		if len(linked) == 0 {
+			linked = []string{"$" + genVars[rng.Intn(len(genVars))]}
+		}
+		v, p, lit := linked[rng.Intn(len(linked))], "", ""
+		if rng.Intn(4) == 0 {
+			p, lit = genPreds[rng.Intn(len(genPreds))], genNames[rng.Intn(len(genNames))]
+		}
+		c := Condition{Type: "kb", S: v, P: p, O: lit}
+		if rng.Intn(2) == 0 {
+			c.S, c.O = lit, v
+		}
+		r.Where = append([]Condition{c}, r.Where...)
+	}
+	return rules
+}
+
 // diffAgainstInterpreter plays every seed's scenario through both engines
 // and requires the same emitted sequence; the scenarios must have chosen
 // each of the wanted access paths for a twentieth of the seeds at least.
-func diffAgainstInterpreter(t *testing.T, genRules func(*rand.Rand) []*Rule, seeds int, wanted ...accessKind) {
+// It returns how many rules the ranking drives from another kb condition
+// than the first in Where order.
+func diffAgainstInterpreter(t *testing.T, genRules func(*rand.Rand) []*Rule, seeds int, wanted ...accessKind) (rerankedRules int) {
 	if testing.Short() {
 		seeds /= 5
 	}
@@ -306,7 +349,7 @@ func diffAgainstInterpreter(t *testing.T, genRules func(*rand.Rand) []*Rule, see
 				seed, len(got), len(want), i, got[min(i, len(got)):min(i+1, len(got))], want[min(i, len(want)):min(i+1, len(want))], describe())
 		}
 		if st.Emitted != ref.Emitted || st.Duplicates != ref.Duplicates || st.Suppressed != ref.Suppressed ||
-			st.EventsIn != ref.EventsIn || st.Buffered != ref.Buffered || st.Expired != ref.Expired {
+			st.EventsIn != ref.EventsIn || st.Buffered != ref.Buffered || st.Expired != ref.Expired || st.Evicted != ref.Evicted {
 			t.Fatalf("seed %d: stats %+v, interpreter %+v\n%s", seed, st, ref, describe())
 		}
 		if st.Joins > ref.Joins {
@@ -329,10 +372,13 @@ func diffAgainstInterpreter(t *testing.T, genRules func(*rand.Rand) []*Rule, see
 					paths[lv.access]++
 				}
 			}
+			if rerankedLevels(eng, r.Name) > 0 {
+				rerankedRules++
+			}
 		}
 	}
-	t.Logf("%d seeds: %d events emitted, %d tuples examined against the interpreter's %d; join levels: %d scan, %d probe, %d kb objects, %d kb subjects",
-		seeds, emitted, joins, refJoins, paths[accessScan], paths[accessProbe], paths[accessKBObjects], paths[accessKBSubjects])
+	t.Logf("%d seeds: %d events emitted, %d tuples examined against the interpreter's %d; join levels: %d scan, %d probe, %d kb objects, %d kb subjects; %d rules driven past their first kb condition",
+		seeds, emitted, joins, refJoins, paths[accessScan], paths[accessProbe], paths[accessKBObjects], paths[accessKBSubjects], rerankedRules)
 	if emitted < uint64(seeds) || joins >= refJoins {
 		t.Fatalf("the scenarios no longer exercise the engine: %d emitted, %d of %d tuples", emitted, joins, refJoins)
 	}
@@ -340,6 +386,85 @@ func diffAgainstInterpreter(t *testing.T, genRules func(*rand.Rand) []*Rule, see
 		if paths[kind] < seeds/20 {
 			t.Fatalf("access path %d chosen for only %d join levels", kind, paths[kind])
 		}
+	}
+	return rerankedRules
+}
+
+// whereOrderAccess is the kb access path of level d when the first usable
+// kb condition in Where order drives it, whatever its key: the choice
+// before access paths were ranked.
+func whereOrderAccess(lv *level, d int) (kind accessKind, key, pred operand) {
+	for i := range lv.conds {
+		c := &lv.conds[i]
+		if c.typ != condKB || !c.b.known(d) {
+			continue
+		}
+		if _, ok := lv.boundHere(&c.c); ok && c.a.known(d) {
+			return accessKBObjects, c.a, c.b
+		}
+		if _, ok := lv.boundHere(&c.a); ok && c.c.known(d) {
+			return accessKBSubjects, c.c, c.b
+		}
+	}
+	return accessScan, operand{}, operand{}
+}
+
+// rerankedLevels counts the join levels of an installed rule that the
+// ranking drives from another kb condition than whereOrderAccess.
+func rerankedLevels(eng *Engine, rule string) int {
+	n := 0
+	for _, pl := range eng.rules[rule].plans {
+		for d := 1; d < len(pl.levels); d++ {
+			lv := &pl.levels[d]
+			if lv.access != accessKBObjects && lv.access != accessKBSubjects {
+				continue
+			}
+			kind, key, pred := whereOrderAccess(lv, d)
+			if kind != lv.access || !reflect.DeepEqual(key, lv.key) || !reflect.DeepEqual(pred, lv.pred) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// The ranking changes the ice-cream rule's plan and no ctx-chain plan:
+// there every rule has at most one kb condition.
+func TestRankingMovesOnlyTheIceCreamPlan(t *testing.T) {
+	for _, tt := range []struct {
+		fixture func(testing.TB, int) (*Engine, []*event.Event)
+		rule    string
+		want    int
+	}{
+		{iceCreamFixture, "ice-cream-meetup", 1},
+		{ctxChainFixture, "nearby-friends", 0},
+		{ctxChainFixture, "hot-r0", 0},
+	} {
+		eng, _ := tt.fixture(t, 0)
+		if got := rerankedLevels(eng, tt.rule); got != tt.want {
+			t.Errorf("%s: %d join levels driven past their first kb condition, want %d", tt.rule, got, tt.want)
+		}
+	}
+}
+
+// On the ice-cream fixture the friend's fix finds the user through
+// `$U knows $F`, not through every user who likes ice cream: the same
+// tuples are examined and the same suggestions emitted, and the
+// candidates visited and turned away fall from 66 per event to 9.
+func TestIceCreamFixtureCounts(t *testing.T) {
+	const events = 16384
+	eng, evs := iceCreamFixture(t, events)
+	for _, ev := range evs {
+		eng.Put(ev)
+	}
+	st := eng.Stats()
+	t.Logf("%d events: %d joins, %d emitted, %d condition failures (%.1f per event), %d evicted",
+		events, st.Joins, st.Emitted, st.CondFails, float64(st.CondFails)/events, st.Evicted)
+	if st.Joins != 162743 || st.Emitted != 75544 {
+		t.Fatalf("%d joins and %d emitted, want 162743 and 75544", st.Joins, st.Emitted)
+	}
+	if st.CondFails > 12*events {
+		t.Fatalf("%d condition failures, %.1f per event: want at most 12", st.CondFails, float64(st.CondFails)/events)
 	}
 }
 
@@ -539,27 +664,39 @@ func TestAccessPathChoice(t *testing.T) {
 		name  string
 		rule  Rule
 		paths []accessKind // of pattern 1 when an event arrives at 0, and of 0 when at 1
+		keys  []opKind     // of the same levels' keys, where given
 	}{
-		{"shared variable", Rule{Patterns: []Pattern{pat("p", "U"), pat("q", "U")}}, []accessKind{accessProbe, accessProbe}},
+		{"shared variable", Rule{Patterns: []Pattern{pat("p", "U"), pat("q", "U")}}, []accessKind{accessProbe, accessProbe}, nil},
 		{"cmp eq", Rule{Patterns: []Pattern{pat("p", "U"), pat("q", "F")},
-			Where: []Condition{{Type: "cmp", Left: "$F", Op: "eq", Right: "$p.k"}}}, []accessKind{accessProbe, accessProbe}},
+			Where: []Condition{{Type: "cmp", Left: "$F", Op: "eq", Right: "$p.k"}}}, []accessKind{accessProbe, accessProbe}, nil},
 		{"cmp eq on an attribute", Rule{Patterns: []Pattern{pat("p", "U"), pat("q", "F")},
-			Where: []Condition{{Type: "cmp", Left: "$p.k", Op: "eq", Right: "$q.k"}}}, []accessKind{accessProbe, accessProbe}},
+			Where: []Condition{{Type: "cmp", Left: "$p.k", Op: "eq", Right: "$q.k"}}}, []accessKind{accessProbe, accessProbe}, nil},
 		{"kb", Rule{Patterns: []Pattern{pat("p", "U"), pat("q", "F")},
-			Where: []Condition{{Type: "kb", S: "$U", P: "knows", O: "$F"}}}, []accessKind{accessKBObjects, accessKBSubjects}},
+			Where: []Condition{{Type: "kb", S: "$U", P: "knows", O: "$F"}}}, []accessKind{accessKBObjects, accessKBSubjects}, nil},
 		{"kb through a binder", Rule{Patterns: []Pattern{pat("p", "U"), pat("q", "F")},
 			Where: []Condition{{Type: "kbBind", S: "$U", P: "likes", Var: "L"}, {Type: "kb", S: "$F", P: "likes", O: "$L"}}},
-			[]accessKind{accessKBSubjects, accessScan}},
+			[]accessKind{accessKBSubjects, accessScan}, nil},
 		{"nothing to drive from", Rule{Patterns: []Pattern{pat("p", "U"), pat("q", "F")},
 			Where: []Condition{{Type: "cmp", Left: "$U", Op: "ne", Right: "$F"}, {Type: "nokb", S: "$U", P: "knows", O: "$F"}}},
-			[]accessKind{accessScan, accessScan}},
+			[]accessKind{accessScan, accessScan}, nil},
+		// Figure 1: every user likes ice cream, one is the friend's.
+		{"kb on a variable before kb on a literal", Rule{Patterns: []Pattern{pat("p", "U"), pat("q", "F")},
+			Where: []Condition{{Type: "kb", S: "$U", P: "likes", O: "ice cream"}, {Type: "kb", S: "$U", P: "knows", O: "$F"}}},
+			[]accessKind{accessKBObjects, accessKBSubjects}, []opKind{opVar, opVar}},
+		{"kb on a literal before the scan", Rule{Patterns: []Pattern{pat("p", "U"), pat("q", "F")},
+			Where: []Condition{{Type: "cmp", Left: "$U", Op: "ne", Right: "$F"}, {Type: "kb", S: "$U", P: "likes", O: "ice cream"}}},
+			[]accessKind{accessScan, accessKBSubjects}, []opKind{opLit, opLit}},
 	} {
 		eng := NewEngine(newTestClock(), knowledge.NewKB(), knowledge.NewGIS(), Options{})
 		tt.rule.Name, tt.rule.Emit.Type = tt.name, "out"
 		mustAdd(t, eng, &tt.rule)
 		for fixed, want := range tt.paths {
-			if got := eng.rules[tt.name].plans[fixed].levels[1].access; got != want {
-				t.Errorf("%s, event at pattern %d: access path %d, want %d", tt.name, fixed, got, want)
+			lv := &eng.rules[tt.name].plans[fixed].levels[1]
+			if lv.access != want {
+				t.Errorf("%s, event at pattern %d: access path %d, want %d", tt.name, fixed, lv.access, want)
+			}
+			if want != accessScan && tt.keys != nil && lv.key.kind != tt.keys[fixed] {
+				t.Errorf("%s, event at pattern %d: key of kind %d, want %d", tt.name, fixed, lv.key.kind, tt.keys[fixed])
 			}
 		}
 	}

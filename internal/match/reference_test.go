@@ -144,6 +144,7 @@ func (e *refEngine) insert(cr *refRule, pi int, ev *event.Event) bool {
 	e.stats.Buffered++
 	kept = append(kept, ev)
 	if len(kept) > e.opts.maxBuffer {
+		e.stats.Evicted += uint64(len(kept) - e.opts.maxBuffer)
 		kept = kept[len(kept)-e.opts.maxBuffer:]
 	}
 	cr.buffers[pi] = kept
