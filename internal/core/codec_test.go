@@ -1,9 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/gloss/active/internal/event"
+	"github.com/gloss/active/internal/pubsub"
 	"github.com/gloss/active/internal/wire"
 )
 
@@ -64,5 +67,53 @@ func TestNodeCodecDefaultsWorldCodec(t *testing.T) {
 	}
 	if w.Sim.Metrics().Bytes == 0 {
 		t.Fatal("NodeConfig.Codec did not enable byte accounting")
+	}
+}
+
+// TestSizedKindsCountTheirFrames holds the binary codec's Size, which
+// counts a wire.SizedMessage without encoding it, to the frame Encode
+// writes for every registered kind that is one: empty and event-bearing
+// bodies, with and without a correlation ID and an error text.
+func TestSizedKindsCountTheirFrames(t *testing.T) {
+	reg := wire.NewRegistry()
+	RegisterMessages(reg)
+	codec := wire.NewBinaryCodec(reg)
+	ev := event.New("gps.location", "gps", 3*time.Second).
+		Set("user", event.S("bob")).Set("x", event.F(4.5)).Set("n", event.I(-300)).Set("ok", event.B(true)).
+		Stamp(9)
+	sized := 0
+	for _, kind := range reg.Kinds() {
+		msg, err := reg.New(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := msg.(wire.SizedMessage); !ok {
+			continue
+		}
+		sized++
+		msgs := []wire.Message{msg}
+		switch msg.(type) {
+		case *pubsub.PubMsg:
+			msgs = append(msgs, &pubsub.PubMsg{Event: ev})
+		case *pubsub.DeliverMsg:
+			msgs = append(msgs, &pubsub.DeliverMsg{Event: ev})
+		}
+		for _, m := range msgs {
+			for _, env := range []*wire.Envelope{
+				{Msg: m},
+				{Msg: m, CorrID: 1 << 40, IsReply: true, Err: strings.Repeat("e", 200)},
+			} {
+				frame, err := codec.Encode(env)
+				if err != nil {
+					t.Fatalf("%s: %v", kind, err)
+				}
+				if n, err := codec.Size(env); err != nil || n != len(frame) {
+					t.Fatalf("%s: Size = %d, %v; the frame is %d bytes", kind, n, err, len(frame))
+				}
+			}
+		}
+	}
+	if sized < 4 {
+		t.Fatalf("%d sized kinds registered, want at least pub, deliver, ping and pong", sized)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"maps"
 	"os"
@@ -13,13 +14,18 @@ import (
 	"time"
 
 	"github.com/gloss/active/internal/ids"
+	"github.com/gloss/active/internal/knowledge"
+	"github.com/gloss/active/internal/plaxton"
 	"github.com/gloss/active/internal/simnet"
 	"github.com/gloss/active/internal/wire"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/fingerprint.golden")
+var update = flag.Bool("update", false, "rewrite the golden files in testdata")
 
-const fingerprintGolden = "testdata/fingerprint.golden"
+const (
+	fingerprintGolden = "testdata/fingerprint.golden"
+	upkeepGolden      = "testdata/upkeep.golden"
+)
 
 // TestWorldFingerprint holds the simulated system to the messages it
 // sends: a fixed-seed 24-node world runs the Figure-1 service, a store
@@ -29,40 +35,48 @@ const fingerprintGolden = "testdata/fingerprint.golden"
 // testdata/fingerprint.golden. A change that means to move a message
 // regenerates the golden file with
 //
-//	go test -run TestWorldFingerprint -update ./internal/core
+//	go test ./internal/core -run TestWorldFingerprint -update
 //
 // and says so; a mismatch prints the per-kind counts that moved.
 func TestWorldFingerprint(t *testing.T) {
-	got := worldFingerprint(t)
-	if again := worldFingerprint(t); again != got {
+	checkFingerprint(t, fingerprintGolden, worldFingerprint)
+}
+
+// TestUpkeepFingerprint holds the overlay's and the knowledge syncer's
+// upkeep traffic, which TestWorldFingerprint's world never sends, to
+// testdata/upkeep.golden: a fixed-seed 12-node world with heartbeats
+// every 2 s and gossip every second, one published subject, and one
+// kill and revive, over a virtual minute. Regenerate it like the other.
+func TestUpkeepFingerprint(t *testing.T) {
+	checkFingerprint(t, upkeepGolden, upkeepFingerprint)
+}
+
+// checkFingerprint runs a fingerprinted scenario twice and compares it
+// with its golden file, or rewrites that file under -update.
+func checkFingerprint(t *testing.T, golden string, run func(*testing.T) string) {
+	got := run(t)
+	if again := run(t); again != got {
 		t.Fatalf("two runs of one seed differ:\n%s", kindDiff(got, again))
 	}
 	if *update {
-		if err := os.WriteFile(fingerprintGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(fingerprintGolden)
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
 	if string(want) != got {
 		t.Fatalf("the world's traffic moved from %s (regenerate with -update if that is meant):\n%s",
-			fingerprintGolden, kindDiff(string(want), got))
+			golden, kindDiff(string(want), got))
 	}
 }
 
-// worldFingerprint runs the scenario and returns its fingerprint: the
-// hash of the transmit stream and the counters, then one line of
-// counters per message kind.
-func worldFingerprint(t *testing.T) string {
-	t.Helper()
-	w, err := NewWorld(WorldConfig{Seed: 41, Nodes: 24, Codec: wire.CodecBinary})
-	if err != nil {
-		t.Fatalf("NewWorld: %v", err)
-	}
-	h := fnv.New64a()
+// hashTransmits feeds every transmit's virtual instant and endpoints
+// from now on to h.
+func hashTransmits(w *World, h hash.Hash64) {
 	var rec [8 + 2*len(ids.ID{})]byte
 	w.Sim.SetLinkFilter(func(from, to ids.ID) bool {
 		binary.LittleEndian.PutUint64(rec[:8], uint64(w.Sim.Now()))
@@ -71,6 +85,32 @@ func worldFingerprint(t *testing.T) string {
 		h.Write(rec[:])
 		return true
 	})
+}
+
+// fingerprintOf returns a run's fingerprint: the hash of the transmit
+// stream and the counters, then one line of counters per message kind.
+func fingerprintOf(w *World, h hash.Hash64) string {
+	m := w.Sim.Metrics()
+	kinds := slices.Sorted(maps.Keys(m.ByKind))
+	var b strings.Builder
+	fmt.Fprintf(&b, "sent %d delivered %d\n", m.Sent, m.Delivered)
+	for _, k := range kinds {
+		fmt.Fprintf(&b, "%s %d %d\n", k, m.ByKind[k], m.BytesByKind[k])
+	}
+	h.Write([]byte(b.String()))
+	return fmt.Sprintf("fingerprint %016x\n%s", h.Sum64(), b.String())
+}
+
+// worldFingerprint runs the Figure-1 scenario and returns its
+// fingerprint.
+func worldFingerprint(t *testing.T) string {
+	t.Helper()
+	w, err := NewWorld(WorldConfig{Seed: 41, Nodes: 24, Codec: wire.CodecBinary})
+	if err != nil {
+		t.Fatalf("NewWorld: %v", err)
+	}
+	h := fnv.New64a()
+	hashTransmits(w, h)
 
 	if _, err := w.DeployService(alwaysOpen(IceCreamService(2, "eu")), 0); err != nil {
 		t.Fatalf("DeployService: %v", err)
@@ -110,16 +150,36 @@ func worldFingerprint(t *testing.T) string {
 	w.RunFor(10 * time.Second)
 	victim.Revive()
 	w.RunFor(10 * time.Second)
+	return fingerprintOf(w, h)
+}
 
-	m := w.Sim.Metrics()
-	kinds := slices.Sorted(maps.Keys(m.ByKind))
-	var b strings.Builder
-	fmt.Fprintf(&b, "sent %d delivered %d\n", m.Sent, m.Delivered)
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "%s %d %d\n", k, m.ByKind[k], m.BytesByKind[k])
+// upkeepFingerprint runs the upkeep scenario and returns its
+// fingerprint.
+func upkeepFingerprint(t *testing.T) string {
+	t.Helper()
+	w, err := NewWorld(WorldConfig{Seed: 43, Nodes: 12, Codec: wire.CodecBinary, Node: NodeConfig{
+		Overlay:   plaxton.Options{HeartbeatInterval: 2 * time.Second},
+		Knowledge: knowledge.Options{GossipInterval: time.Second},
+	}})
+	if err != nil {
+		t.Fatalf("NewWorld: %v", err)
 	}
-	h.Write([]byte(b.String()))
-	return fmt.Sprintf("fingerprint %016x\n%s", h.Sum64(), b.String())
+	h := fnv.New64a()
+	hashTransmits(w, h)
+	writer := w.Node(2)
+	writer.KB.AddSPO("bob", "likes", "ice cream")
+	writer.Sync.PublishSubject("bob", func(err error) {
+		if err != nil {
+			t.Errorf("publish: %v", err)
+		}
+	})
+	w.RunFor(20 * time.Second)
+	victim := w.Node(7).Endpoint().(*simnet.Node)
+	victim.Kill()
+	w.RunFor(20 * time.Second)
+	victim.Revive()
+	w.RunFor(20 * time.Second)
+	return fingerprintOf(w, h)
 }
 
 // kindDiff lists the counter lines of two fingerprints that differ.

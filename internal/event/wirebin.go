@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/wire"
 )
 
@@ -30,6 +31,17 @@ func (e *Event) AppendWire(b []byte) []byte {
 		b = e.Attrs[name].AppendWire(b)
 	}
 	return b
+}
+
+// WireSize is len(e.AppendWire(nil)), counted without writing the event
+// or sorting its attribute names.
+func (e *Event) WireSize() int {
+	n := ids.Size + wire.StringLen(e.Type) + wire.StringLen(e.Source) +
+		wire.VarintLen(int64(e.Time)) + wire.StringLen(e.Body) + wire.UvarintLen(uint64(len(e.Attrs)))
+	for name, v := range e.Attrs {
+		n += wire.StringLen(name) + v.WireSize()
+	}
+	return n
 }
 
 // ParseWire reads the form produced by AppendWire.
@@ -60,6 +72,14 @@ func AppendWirePtr(b []byte, e *Event) []byte {
 	return e.AppendWire(b)
 }
 
+// WireSizePtr is len(AppendWirePtr(nil, e)).
+func WireSizePtr(e *Event) int {
+	if e == nil {
+		return 1
+	}
+	return 1 + e.WireSize()
+}
+
 // ReadPtr reads an optional event written by AppendWirePtr.
 func ReadPtr(r *wire.BinReader) *Event {
 	if !r.Bool() || r.Err() != nil {
@@ -85,6 +105,21 @@ func (v Value) AppendWire(b []byte) []byte {
 		b = wire.AppendBool(b, v.B)
 	}
 	return b
+}
+
+// WireSize is len(v.AppendWire(nil)).
+func (v Value) WireSize() int {
+	switch v.K {
+	case KindString:
+		return 1 + wire.StringLen(v.S)
+	case KindInt:
+		return 1 + wire.VarintLen(v.I)
+	case KindFloat:
+		return 1 + 8
+	case KindBool:
+		return 1 + 1
+	}
+	return 1
 }
 
 // ReadValue reads a value written by Value.AppendWire. An out-of-range

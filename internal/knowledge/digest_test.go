@@ -49,10 +49,9 @@ func convergedSyncer(tb testing.TB, objects int) (*Syncer, *GossipMsg, *simnet.W
 }
 
 // TestConvergedDigestAllocs pins the cost of answering a digest that
-// matches every local version: no push, and at most six allocations
+// matches every local version: no push, and at most three allocations
 // however many objects the digest names (the map of the partner's
-// entries and the growth of the one scratch encoding buffer), not a
-// vector clone, a sort buffer and a parse per object.
+// entries), not a vector merge, an encoding and a parse per object.
 func TestConvergedDigestAllocs(t *testing.T) {
 	for _, objects := range []int{10, 100} {
 		sy, dg, _ := convergedSyncer(t, objects)
@@ -64,8 +63,8 @@ func TestConvergedDigestAllocs(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
-		if allocs > 6 {
-			t.Errorf("%d objects: %.0f allocs per converged digest, want at most 6", objects, allocs)
+		if allocs > 3 {
+			t.Errorf("%d objects: %.0f allocs per converged digest, want at most 3", objects, allocs)
 		}
 	}
 }
@@ -91,6 +90,149 @@ func TestDigestReplyIsTheDigest(t *testing.T) {
 	}
 	if pushes := sy.Stats().GossipPushes; pushes != uint64(len(dg.Entries)-10) {
 		t.Fatalf("%d objects pushed, want the %d the partner's digest left out", pushes, len(dg.Entries)-10)
+	}
+}
+
+// answers runs handleDigest on dg, sent by the syncer's own node, and
+// returns the digest reply and the number of pushes it sent.
+func answers(t *testing.T, sy *Syncer, w *simnet.World, dg *GossipMsg) (reply *GossipMsg, pushes int) {
+	t.Helper()
+	ep := sy.store.Endpoint()
+	ep.Handle("kb.digest", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { reply = msg.(*GossipMsg) })
+	ep.Handle("kb.push", func(netapi.Ctx, ids.ID, wire.Message) { pushes++ })
+	sy.handleDigest(nil, ep.ID(), dg)
+	w.RunFor(time.Second)
+	return reply, pushes
+}
+
+// TestEqualDigestGetsNoReply: a digest that is not a reply and names
+// exactly this node's objects, every vector byte-equal, is answered by
+// nothing: no push and no reply digest.
+func TestEqualDigestGetsNoReply(t *testing.T) {
+	sy, dg, w := convergedSyncer(t, 20)
+	reply, pushes := answers(t, sy, w, &GossipMsg{Entries: dg.Entries})
+	if reply != nil || pushes != 0 {
+		t.Fatalf("an equal digest got reply %v and %d pushes, want neither", reply, pushes)
+	}
+}
+
+// TestUnequalDigestGetsTheFullReply: a digest that differs from ours in
+// one entry — a stale vector, a newer one, a missing object or an object
+// we lack — still gets our whole digest back, and a push exactly when
+// the partner lacks history we hold.
+func TestUnequalDigestGetsTheFullReply(t *testing.T) {
+	byName := func(es []DigestEntry) []DigestEntry {
+		return slices.SortedFunc(slices.Values(es), func(a, b DigestEntry) int { return cmp.Compare(a.Name, b.Name) })
+	}
+	older := causal.Vec{"writer-0": 1}.AppendWire(nil)
+	newer := causal.Vec{"writer-0": 1, "writer-1": 1, "writer-2": 1, "writer-9": 1}.AppendWire(nil)
+	for _, tc := range []struct {
+		name   string
+		edit   func([]DigestEntry) []DigestEntry
+		pushes int
+	}{
+		{"stale entry", func(es []DigestEntry) []DigestEntry { es[3].Vec = older; return es }, 1},
+		{"newer entry", func(es []DigestEntry) []DigestEntry { es[3].Vec = newer; return es }, 0},
+		{"missing entry", func(es []DigestEntry) []DigestEntry { return slices.Delete(es, 3, 4) }, 1},
+		{"extra entry", func(es []DigestEntry) []DigestEntry { return append(es, DigestEntry{Name: "user-new", Vec: older}) }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sy, dg, w := convergedSyncer(t, 20)
+			reply, pushes := answers(t, sy, w, &GossipMsg{Entries: tc.edit(slices.Clone(dg.Entries))})
+			if reply == nil || !reply.Reply {
+				t.Fatalf("no reply digest: %+v", reply)
+			}
+			if got, want := byName(reply.Entries), byName(sy.digest()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reply entries\n %v\nwant the digest's\n %v", got, want)
+			}
+			if pushes != tc.pushes {
+				t.Fatalf("%d pushes, want %d", pushes, tc.pushes)
+			}
+		})
+	}
+}
+
+// TestCachedDigestMatchesRecomputed runs random programs of publishes,
+// fetch-absorbs (with read repair), gossip pushes and digests on one
+// syncer, with a sibling cap low enough to compact, and after every step
+// holds digest(), served from the vector cache, to the vectors encoded
+// afresh from every object.
+func TestCachedDigestMatchesRecomputed(t *testing.T) {
+	byName := func(es []DigestEntry) []DigestEntry {
+		return slices.SortedFunc(slices.Values(es), func(a, b DigestEntry) int {
+			return cmp.Or(cmp.Compare(a.Name, b.Name), cmp.Compare(fmt.Sprint(a.GIS), fmt.Sprint(b.GIS)))
+		})
+	}
+	fresh := func(sy *Syncer) []DigestEntry {
+		var es []DigestEntry
+		for name, v := range sy.subjects {
+			es = append(es, DigestEntry{Name: name, Vec: v.Vec().AppendWire(nil)})
+		}
+		for name, v := range sy.gisDocs {
+			es = append(es, DigestEntry{Name: name, GIS: true, Vec: v.Vec().AppendWire(nil)})
+		}
+		return es
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sy, _, w := convergedSyncer(t, 3)
+		sy.opts.siblingCap = 3
+		names := []string{"user-0000", "user-0001", "user-0007"}
+		regions := []string{"world", "eu"}
+		remoteFacts := map[string]*causal.Versioned[[]Fact]{}
+		remoteGIS := map[string]*causal.Versioned[[]Place]{}
+		writer := func() string { return fmt.Sprintf("remote-%d", rng.Intn(4)) }
+		for step := 0; step < 60; step++ {
+			subj, region := names[rng.Intn(len(names))], regions[rng.Intn(len(regions))]
+			if remoteFacts[subj] == nil {
+				remoteFacts[subj] = &causal.Versioned[[]Fact]{}
+			}
+			if remoteGIS[region] == nil {
+				remoteGIS[region] = &causal.Versioned[[]Place]{}
+			}
+			op := rng.Intn(7)
+			switch op {
+			case 0: // publish a subject
+				sy.kb.AddSPO(subj, "step", fmt.Sprint(step))
+				sy.PublishSubject(subj, func(error) {})
+			case 1: // publish a GIS layer
+				g := NewGIS()
+				if err := g.AddPlace(Place{Name: fmt.Sprint("place-", step)}); err != nil {
+					t.Fatal(err)
+				}
+				sy.PublishGIS(region, g, func(error) {})
+			case 2: // a fetch absorbs the stored copy and may read-repair it
+				remoteFacts[subj].Put(writer(), []Fact{{S: subj, P: "r", O: fmt.Sprint(step)}})
+				data := EncodeVersionedFacts(remoteFacts[subj])
+				dec, err := DecodeVersionedFacts(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sy.absorbSubject(subj, dec, data)
+			case 3: // a GIS fetch
+				remoteGIS[region].Put(writer(), []Place{{Name: fmt.Sprint("r-", step)}})
+				data := EncodeVersionedGIS(remoteGIS[region])
+				dec, err := DecodeVersionedGIS(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sy.absorbGIS(region, dec, data); err != nil {
+					t.Fatal(err)
+				}
+			case 4: // a gossip push of either kind
+				remoteFacts[subj].Put(writer(), []Fact{{S: subj, P: "g", O: fmt.Sprint(step)}})
+				sy.handlePush(nil, ids.Zero, &GossipPushMsg{Name: subj, Data: EncodeVersionedFacts(remoteFacts[subj])})
+				remoteGIS[region].Put(writer(), []Place{{Name: fmt.Sprint("g-", step)}})
+				sy.handlePush(nil, ids.Zero, &GossipPushMsg{Name: region, GIS: true, Data: EncodeVersionedGIS(remoteGIS[region])})
+			case 5: // a partner's digest is answered from the cache
+				sy.handleDigest(nil, ids.Zero, &GossipMsg{Entries: fresh(sy)[:rng.Intn(3)]})
+			case 6:
+				w.RunFor(100 * time.Millisecond)
+			}
+			if got, want := byName(sy.digest()), byName(fresh(sy)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d (op %d): digest\n %v\nrecomputed\n %v", seed, step, op, got, want)
+			}
+		}
 	}
 }
 

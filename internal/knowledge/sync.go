@@ -75,6 +75,10 @@ type Syncer struct {
 	mu       sync.Mutex
 	subjects map[string]*causal.Versioned[[]Fact]
 	gisDocs  map[string]*causal.Versioned[[]Place]
+	// vecs caches each object's summary vector in AppendWire form. An
+	// entry is dropped before its object's Put, Absorb or Compact, and
+	// cached bytes are never written: digests carry them as they are.
+	vecs map[digestKey][]byte
 
 	stopped atomic.Bool
 
@@ -109,6 +113,7 @@ func NewSyncerOpts(st *store.Store, kb *KB, opts Options) *Syncer {
 		opts:     opts,
 		subjects: make(map[string]*causal.Versioned[[]Fact]),
 		gisDocs:  make(map[string]*causal.Versioned[[]Place]),
+		vecs:     make(map[digestKey][]byte),
 	}
 	ep := st.Endpoint()
 	ep.Handle("kb.digest", sy.handleDigest)
@@ -159,6 +164,7 @@ func (sy *Syncer) gisObj(region string) *causal.Versioned[[]Place] {
 func (sy *Syncer) PublishSubject(subject string, cb func(error)) {
 	sy.mu.Lock()
 	v := sy.subjectObj(subject)
+	delete(sy.vecs, digestKey{subject, false})
 	v.Put(sy.opts.Writer, sy.kb.SubjectFacts(subject))
 	data := EncodeVersionedFacts(v)
 	sy.mu.Unlock()
@@ -194,6 +200,7 @@ func (sy *Syncer) FetchSubject(subject string, cb func(error)) {
 func (sy *Syncer) absorbSubject(subject string, remote *causal.Versioned[[]Fact], storedData []byte) {
 	sy.mu.Lock()
 	v := sy.subjectObj(subject)
+	delete(sy.vecs, digestKey{subject, false})
 	if v.Absorb(remote) {
 		sy.absorbed.Add(1)
 	}
@@ -222,6 +229,7 @@ func (sy *Syncer) absorbSubject(subject string, remote *causal.Versioned[[]Fact]
 func (sy *Syncer) PublishGIS(region string, g *GIS, cb func(error)) {
 	sy.mu.Lock()
 	v := sy.gisObj(region)
+	delete(sy.vecs, digestKey{region, true})
 	v.Put(sy.opts.Writer, g.Places())
 	data := EncodeVersionedGIS(v)
 	sy.mu.Unlock()
@@ -257,6 +265,7 @@ func (sy *Syncer) FetchGIS(region string, cb func(*GIS, error)) {
 func (sy *Syncer) absorbGIS(region string, remote *causal.Versioned[[]Place], storedData []byte) ([]Place, error) {
 	sy.mu.Lock()
 	v := sy.gisObj(region)
+	delete(sy.vecs, digestKey{region, true})
 	if v.Absorb(remote) {
 		sy.absorbed.Add(1)
 	}
@@ -299,8 +308,12 @@ func (sy *Syncer) gossipTick() {
 func (sy *Syncer) Stop() { sy.stopped.Store(true) }
 
 // GossipNow initiates one anti-entropy round: the local digest is sent
-// to up to gossipFanout random leaf-set peers; each answers with its own digest
-// and both sides push only versions the other provably lacks.
+// to up to gossipFanout random leaf-set peers; each pushes what the
+// digest shows the initiator lacks and answers with its own digest, so
+// the initiator can push in turn. A partner whose digest names exactly
+// the initiator's objects, every vector byte-equal, sends nothing back:
+// such a reply could not make the initiator push, and a change the
+// initiator makes meanwhile travels in its next round.
 func (sy *Syncer) GossipNow() {
 	ep := sy.store.Endpoint()
 	peers := sy.store.Overlay().Leaves()
@@ -325,20 +338,36 @@ func (sy *Syncer) digest() []DigestEntry {
 	defer sy.mu.Unlock()
 	entries := make([]DigestEntry, 0, len(sy.subjects)+len(sy.gisDocs))
 	for name, v := range sy.subjects {
-		entries = append(entries, DigestEntry{Name: name, Vec: v.Vec().AppendWire(nil)})
+		key := digestKey{name, false}
+		entries = append(entries, DigestEntry{Name: name, Vec: sy.vecBytes(key, v)})
 	}
 	for name, v := range sy.gisDocs {
-		entries = append(entries, DigestEntry{Name: name, GIS: true, Vec: v.Vec().AppendWire(nil)})
+		key := digestKey{name, true}
+		entries = append(entries, DigestEntry{Name: name, GIS: true, Vec: sy.vecBytes(key, v)})
 	}
 	return entries
+}
+
+// vecBytes returns the AppendWire bytes of the summary vector of v, the
+// object key names: cached, or encoded and cached on a miss. Callers
+// hold sy.mu and must not write the bytes.
+func (sy *Syncer) vecBytes(key digestKey, v interface{ Vec() causal.Vec }) []byte {
+	b, ok := sy.vecs[key]
+	if !ok {
+		b = v.Vec().AppendWire(nil)
+		sy.vecs[key] = b
+	}
+	return b
 }
 
 // handleDigest answers a partner's digest: push every local object the
 // partner's vector shows it is missing (ours descends) or conflicted on
 // (concurrent), including objects absent from its digest entirely; then
-// reply with our own digest (once — replies are not re-answered). The
-// reply's entries are the vectors the comparison encoded, so each
-// object's vector is merged and encoded once.
+// reply with our own digest (once — replies are not re-answered), unless
+// the partner's digest equals ours: the same objects, every vector
+// byte-equal. The reply's entries are the cached vector bytes the
+// comparison read, and a vector is parsed and compared only when its
+// bytes differ from the partner's.
 func (sy *Syncer) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	dg, ok := msg.(*GossipMsg)
 	if !ok {
@@ -356,32 +385,36 @@ func (sy *Syncer) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	}
 	var pushes []push
 	var reply []DigestEntry
-	var scratch []byte
-	// lacks encodes one local vector, into the reply when there is one,
-	// and reports whether the partner lacks history it holds.
-	lacks := func(key digestKey, vec causal.Vec) bool {
-		var mine []byte
-		if dg.Reply {
-			scratch = vec.AppendWire(scratch[:0])
-			mine = scratch
-		} else {
-			mine = vec.AppendWire(nil)
+	equal := 0 // local objects whose vector bytes the partner's digest repeats
+	// lacks reads one local vector's bytes, adds them to the reply when
+	// there is one, and reports whether the partner lacks history v holds.
+	lacks := func(key digestKey, v interface{ Vec() causal.Vec }) bool {
+		mine := sy.vecBytes(key, v)
+		if !dg.Reply {
 			reply = append(reply, DigestEntry{Name: key.name, GIS: key.gis, Vec: mine})
 		}
 		remote, known := seen[key]
-		return !known || partnerLacks(vec, mine, remote)
+		if !known {
+			return true
+		}
+		if bytes.Equal(mine, remote) {
+			equal++
+			return false
+		}
+		return partnerLacks(v.Vec(), mine, remote)
 	}
 	sy.mu.Lock()
+	objects := len(sy.subjects) + len(sy.gisDocs)
 	if !dg.Reply {
-		reply = make([]DigestEntry, 0, len(sy.subjects)+len(sy.gisDocs))
+		reply = make([]DigestEntry, 0, objects)
 	}
 	for name, v := range sy.subjects {
-		if lacks(digestKey{name, false}, v.Vec()) {
+		if lacks(digestKey{name, false}, v) {
 			pushes = append(pushes, push{name, false, EncodeVersionedFacts(v)})
 		}
 	}
 	for name, v := range sy.gisDocs {
-		if lacks(digestKey{name, true}, v.Vec()) {
+		if lacks(digestKey{name, true}, v) {
 			pushes = append(pushes, push{name, true, EncodeVersionedGIS(v)})
 		}
 	}
@@ -390,7 +423,7 @@ func (sy *Syncer) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		sy.gossipPushes.Add(1)
 		ep.Send(from, &GossipPushMsg{Name: p.name, GIS: p.gis, Data: p.data})
 	}
-	if !dg.Reply {
+	if !dg.Reply && (equal != objects || len(seen) != objects) {
 		ep.Send(from, &GossipMsg{Reply: true, Entries: reply})
 	}
 }

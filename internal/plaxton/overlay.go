@@ -29,6 +29,14 @@ type Options struct {
 	// leaves maintenance off, so a dead node is never noticed and the
 	// store never re-replicates around it. Worlds with churn set it (1-5s
 	// in the experiments); static benchmark worlds leave it off.
+	//
+	// A ping received counts as an ack: a peer that pinged this node
+	// within the last interval is not probed, so two nodes that list each
+	// other exchange one ping and one pong per interval, not two of each.
+	// A peer that pinged just before it died is therefore probed one
+	// interval later, and a node that lists a dead peer forgets it within
+	// 2×HeartbeatInterval + ProbeTimeout of the peer's last ping landing
+	// (HeartbeatInterval + ProbeTimeout when the peer never pings it).
 	HeartbeatInterval time.Duration
 	// ProbeTimeout bounds liveness probes. Default 500ms.
 	ProbeTimeout time.Duration
@@ -102,6 +110,10 @@ type Overlay struct {
 
 	probing   map[ids.ID]bool
 	probeNext int // round-robin index over table rows for maintenance
+	// pinged is when each peer last pinged this node, while that was
+	// within the last HeartbeatInterval: such a peer is not probed.
+	// forget drops a peer, and every heartbeat drops the older entries.
+	pinged map[ids.ID]time.Duration
 	// dead quarantines recently failed nodes (ID → expiry) so that leaf
 	// repair gossip cannot reinstate them before every neighbour has
 	// purged them — otherwise two nodes with staggered heartbeats can
@@ -142,16 +154,14 @@ func New(ep netapi.Endpoint, reg *wire.Registry, codec string, opts Options) *Ov
 		handlers: make(map[string]DeliverFunc),
 		hooks:    make(map[string]ForwardHook),
 		probing:  make(map[ids.ID]bool),
+		pinged:   make(map[ids.ID]time.Duration),
 		dead:     make(map[ids.ID]time.Duration),
 	}
 	ep.Handle("plaxton.route", o.handleRoute)
 	ep.Handle("plaxton.join", o.handleJoin)
 	ep.Handle("plaxton.state", o.handleState)
 	ep.Handle("plaxton.announce", o.handleAnnounce)
-	ep.Handle("plaxton.ping", func(ctx netapi.Ctx, from ids.ID, _ wire.Message) {
-		o.learn(from)
-		ctx.Reply(&PongMsg{})
-	})
+	ep.Handle("plaxton.ping", o.handlePing)
 	ep.Handle("plaxton.leafreq", func(ctx netapi.Ctx, from ids.ID, _ wire.Message) {
 		o.learn(from)
 		ctx.Reply(&LeafReplyMsg{Leaves: idsToStrings(o.leaves.members())})
@@ -454,6 +464,7 @@ func (o *Overlay) forget(id ids.ID) {
 		quarantine = 10 * time.Second
 	}
 	o.dead[id] = o.ep.Clock().Now() + quarantine
+	delete(o.pinged, id)
 	changed := o.leaves.remove(id)
 	for r := range o.table {
 		for c := range o.table[r] {
@@ -606,8 +617,24 @@ func (o *Overlay) startMaintenance() {
 	o.ep.Clock().After(o.opts.HeartbeatInterval, tick)
 }
 
-// heartbeat probes leaf members and one routing-table entry per round.
+// handlePing answers a peer's probe and, when heartbeats are on, notes
+// when it came: the ping is this node's ack from that peer.
+func (o *Overlay) handlePing(ctx netapi.Ctx, from ids.ID, _ wire.Message) {
+	o.learn(from)
+	if o.opts.HeartbeatInterval > 0 {
+		o.pinged[from] = o.ep.Clock().Now()
+	}
+	ctx.Reply(&PongMsg{})
+}
+
+// heartbeat probes leaf members and one routing-table row per round.
 func (o *Overlay) heartbeat() {
+	now := o.ep.Clock().Now()
+	for id, at := range o.pinged {
+		if now-at >= o.opts.HeartbeatInterval {
+			delete(o.pinged, id)
+		}
+	}
 	for _, id := range o.leaves.members() {
 		o.probe(id)
 	}
@@ -621,9 +648,15 @@ func (o *Overlay) heartbeat() {
 	}
 }
 
-// probe pings id; on failure the node is forgotten and repair runs.
+// probe pings id; on failure the node is forgotten and repair runs. A
+// peer whose own ping came within the last interval is not probed: its
+// ping was the ack. A pong does not count so: if it did, two nodes that
+// list each other would take turns, each probing every other interval.
 func (o *Overlay) probe(id ids.ID) {
 	if o.probing[id] {
+		return
+	}
+	if at, ok := o.pinged[id]; ok && o.ep.Clock().Now()-at < o.opts.HeartbeatInterval {
 		return
 	}
 	o.probing[id] = true

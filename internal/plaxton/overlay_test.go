@@ -37,6 +37,12 @@ type ring struct {
 // buildRing creates n overlay nodes and joins them sequentially.
 func buildRing(t testing.TB, seed int64, n int, opts Options) *ring {
 	t.Helper()
+	return buildRingOn(t, seed, n, opts, func(ep netapi.Endpoint) netapi.Endpoint { return ep })
+}
+
+// buildRingOn is buildRing with each overlay bound to wrap(its node).
+func buildRingOn(t testing.TB, seed int64, n int, opts Options, wrap func(netapi.Endpoint) netapi.Endpoint) *ring {
+	t.Helper()
 	w := simnet.NewWorld(simnet.Config{Seed: seed})
 	reg := testRegistry()
 	r := &ring{world: w, reg: reg, byID: make(map[ids.ID]*Overlay)}
@@ -46,7 +52,7 @@ func buildRing(t testing.TB, seed int64, n int, opts Options) *ring {
 		node := w.NewNode(id, "r", netapi.Coord{X: rng.Float64() * 5000, Y: rng.Float64() * 5000})
 		// Alternate codecs: every ring routes XML and binary payloads
 		// through nodes of the other kind.
-		o := New(node, reg, [2]string{wire.CodecXML, wire.CodecBinary}[i%2], opts)
+		o := New(wrap(node), reg, [2]string{wire.CodecXML, wire.CodecBinary}[i%2], opts)
 		r.overlays = append(r.overlays, o)
 		r.byID[id] = o
 	}

@@ -14,8 +14,8 @@ var (
 	_ wire.BinaryMessage = (*JoinMsg)(nil)
 	_ wire.BinaryMessage = (*StateMsg)(nil)
 	_ wire.BinaryMessage = (*AnnounceMsg)(nil)
-	_ wire.BinaryMessage = (*PingMsg)(nil)
-	_ wire.BinaryMessage = (*PongMsg)(nil)
+	_ wire.SizedMessage  = (*PingMsg)(nil)
+	_ wire.SizedMessage  = (*PongMsg)(nil)
 	_ wire.BinaryMessage = (*LeafReqMsg)(nil)
 	_ wire.BinaryMessage = (*LeafReplyMsg)(nil)
 )
@@ -109,11 +109,17 @@ func (m *AnnounceMsg) ParseWire(r *wire.BinReader) error {
 // AppendWire implements wire.BinaryMessage.
 func (m *PingMsg) AppendWire(b []byte) []byte { return b }
 
+// WireSize implements wire.SizedMessage: the body is empty.
+func (m *PingMsg) WireSize() int { return 0 }
+
 // ParseWire implements wire.BinaryMessage.
 func (m *PingMsg) ParseWire(r *wire.BinReader) error { return r.Err() }
 
 // AppendWire implements wire.BinaryMessage.
 func (m *PongMsg) AppendWire(b []byte) []byte { return b }
+
+// WireSize implements wire.SizedMessage: the body is empty.
+func (m *PongMsg) WireSize() int { return 0 }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *PongMsg) ParseWire(r *wire.BinReader) error { return r.Err() }

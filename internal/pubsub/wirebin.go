@@ -52,8 +52,8 @@ func (f *Filter) ParseWire(r *wire.BinReader) error {
 var (
 	_ wire.BinaryMessage = (*SubMsg)(nil)
 	_ wire.BinaryMessage = (*UnsubMsg)(nil)
-	_ wire.BinaryMessage = (*PubMsg)(nil)
-	_ wire.BinaryMessage = (*DeliverMsg)(nil)
+	_ wire.SizedMessage  = (*PubMsg)(nil)
+	_ wire.SizedMessage  = (*DeliverMsg)(nil)
 	_ wire.BinaryMessage = (*PeerMsg)(nil)
 	_ wire.BinaryMessage = (*DetachMsg)(nil)
 	_ wire.BinaryMessage = (*ReclaimMsg)(nil)
@@ -75,6 +75,9 @@ func (m *UnsubMsg) ParseWire(r *wire.BinReader) error { return m.Filter.ParseWir
 // AppendWire implements wire.BinaryMessage.
 func (m *PubMsg) AppendWire(b []byte) []byte { return event.AppendWirePtr(b, m.Event) }
 
+// WireSize implements wire.SizedMessage.
+func (m *PubMsg) WireSize() int { return event.WireSizePtr(m.Event) }
+
 // ParseWire implements wire.BinaryMessage.
 func (m *PubMsg) ParseWire(r *wire.BinReader) error {
 	m.Event = event.ReadPtr(r)
@@ -83,6 +86,9 @@ func (m *PubMsg) ParseWire(r *wire.BinReader) error {
 
 // AppendWire implements wire.BinaryMessage.
 func (m *DeliverMsg) AppendWire(b []byte) []byte { return event.AppendWirePtr(b, m.Event) }
+
+// WireSize implements wire.SizedMessage.
+func (m *DeliverMsg) WireSize() int { return event.WireSizePtr(m.Event) }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *DeliverMsg) ParseWire(r *wire.BinReader) error {

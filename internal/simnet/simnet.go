@@ -47,8 +47,9 @@ type Config struct {
 	// DisableJitter removes the random per-message delay entirely (an
 	// explicit flag, since a zero Jitter selects the default). Message
 	// deadlines then collapse onto shared instants, which lets the
-	// delivery batcher and the scheduler's timer wheel coalesce fan-out
-	// hot paths — the configuration for million-message benchmark runs.
+	// delivery batcher coalesce a fan-out to one node into one event and
+	// the scheduler's buckets a fan-out to many into one heap entry — the
+	// configuration for million-message benchmark runs.
 	DisableJitter bool
 	// LossRate is the probability a message is silently dropped.
 	LossRate float64
@@ -138,25 +139,14 @@ type World struct {
 	sched   *vclock.Scheduler
 	rng     *rand.Rand
 	metrics Metrics
-	// batches coalesces in-flight messages bound for the same destination
-	// at the same instant into one scheduler event (the simulation mirror
-	// of the TCP transport's frame batching). Entries are removed when
-	// the batch fires; spare holds delivered batches for reuse.
-	batches map[batchKey]*delivBatch
-	spare   []*delivBatch
-	nodes   map[ids.ID]*Node
-	order   []*Node // creation order, for deterministic iteration
-	filter  LinkFilter
+	// spare holds delivered batches (Node.batches) for reuse.
+	spare  []*delivBatch
+	nodes  map[ids.ID]*Node
+	order  []*Node // creation order, for deterministic iteration
+	filter LinkFilter
 	// ready holds, in wake order, the nodes whose local run queue took
 	// an entry since the last drain.
 	ready []*Node
-}
-
-// batchKey identifies one coalesced delivery: a destination and the
-// virtual instant its messages land.
-type batchKey struct {
-	to ids.ID
-	at time.Duration
 }
 
 // delivBatch accumulates the envelopes of one coalesced delivery, in
@@ -180,12 +170,11 @@ func NewWorld(cfg Config) *World {
 			cfg.OutboxLowWater, cfg.OutboxHighWater))
 	}
 	w := &World{
-		cfg:     cfg,
-		codec:   normalizeCodec(cfg.Codec),
-		sched:   vclock.NewScheduler(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		batches: make(map[batchKey]*delivBatch),
-		nodes:   make(map[ids.ID]*Node),
+		cfg:   cfg,
+		codec: normalizeCodec(cfg.Codec),
+		sched: vclock.NewScheduler(),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		nodes: make(map[ids.ID]*Node),
 	}
 	w.ResetMetrics()
 	return w
@@ -291,6 +280,10 @@ type Node struct {
 	// landsAt is, per destination, the instant the last message sent
 	// toward it lands: a later one never lands before it.
 	landsAt map[ids.ID]time.Duration
+	// batches coalesces the in-flight messages landing here at one
+	// instant into one scheduler event (the simulation mirror of the TCP
+	// transport's frame batching). An entry goes when its batch fires.
+	batches map[time.Duration]*delivBatch
 }
 
 var _ netapi.Endpoint = (*Node)(nil)
@@ -339,6 +332,7 @@ func (w *World) NewNode(id ids.ID, region string, coord netapi.Coord) *Node {
 		outBytes: make(map[ids.ID]int),
 		outOver:  make(map[ids.ID]bool),
 		landsAt:  make(map[ids.ID]time.Duration),
+		batches:  make(map[time.Duration]*delivBatch),
 	}
 	n.loop.Init(id, (*seam)(n))
 	w.nodes[id] = n
@@ -522,10 +516,10 @@ func (w *World) releaseOut(env *wire.Envelope, size int) {
 
 // enqueue schedules env for delivery at the absolute instant at.
 // Messages landing at the same destination at the same instant share one
-// scheduler event — with DisableJitter and a fixed-latency link, a whole
-// publish fan-out to a node becomes a single batch. Send order within a
-// batch is preserved, matching the scheduler's FIFO tiebreak for equal
-// times.
+// scheduler event, found in the destination's batches by that instant —
+// with DisableJitter and a fixed-latency link, a whole publish fan-out to
+// a node becomes a single batch. Send order within a batch is preserved,
+// matching the scheduler's FIFO tiebreak for equal times.
 //
 // Known (deterministic) deviation from the unbatched scheduler: when
 // sends to two destinations interleave at one instant (m1→A, m2→B,
@@ -536,8 +530,7 @@ func (w *World) releaseOut(env *wire.Envelope, size int) {
 // DisableJitter where batching is the point.
 func (w *World) enqueue(dest *Node, env *wire.Envelope, size int, at time.Duration) {
 	budget := w.cfg.OutboxHighWater > 0
-	key := batchKey{to: env.To, at: at}
-	if b, ok := w.batches[key]; ok {
+	if b, ok := dest.batches[at]; ok {
 		b.envs = append(b.envs, env)
 		if budget {
 			b.sizes = append(b.sizes, size)
@@ -558,7 +551,7 @@ func (w *World) enqueue(dest *Node, env *wire.Envelope, size int, at time.Durati
 	if budget {
 		b.sizes = append(b.sizes, size)
 	}
-	w.batches[key] = b
+	dest.batches[at] = b
 	w.sched.Schedule(at-w.sched.Now(), b, nil)
 }
 
@@ -566,7 +559,7 @@ func (w *World) enqueue(dest *Node, env *wire.Envelope, size int, at time.Durati
 func (b *delivBatch) Run() {
 	w := b.dest.world
 	budget := w.cfg.OutboxHighWater > 0
-	delete(w.batches, batchKey{to: b.dest.info.ID, at: b.at})
+	delete(b.dest.batches, b.at)
 	if !w.cfg.DisableMetrics {
 		w.metrics.FlushEvents++
 	}

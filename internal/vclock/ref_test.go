@@ -357,3 +357,29 @@ func BenchmarkSchedulerAfter(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSchedulerDeadlines schedules and runs 1 000 tasks per
+// iteration: all at one deadline, the fan-out case buckets exist for, and
+// at 1 000 distinct deadlines, where every task opens a bucket of its own.
+func BenchmarkSchedulerDeadlines(b *testing.B) {
+	const tasks = 1000
+	task := Func(func() {})
+	for _, bc := range []struct {
+		name string
+		at   func(i int) time.Duration
+	}{
+		{"same-instant", func(int) time.Duration { return time.Millisecond }},
+		{"spread", func(i int) time.Duration { return time.Duration(tasks-i) * time.Microsecond }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewScheduler()
+			b.ReportAllocs()
+			for b.Loop() {
+				for i := range tasks {
+					s.Schedule(bc.at(i), task, nil)
+				}
+				s.RunUntil(s.Now() + time.Second)
+			}
+		})
+	}
+}

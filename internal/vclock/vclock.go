@@ -5,10 +5,7 @@
 // (Real, in internal/transport).
 package vclock
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Clock supplies time and timer scheduling to protocol code.
 //
@@ -70,74 +67,48 @@ type item struct {
 
 func (it item) stopped() bool { return it.h != nil && it.h.stopped }
 
-// bucket groups every event scheduled for one instant. The heap orders
+// bucket groups events scheduled for one instant. The heap orders
 // buckets, not events, so scheduling N same-deadline deliveries (a
 // publish fan-out under fixed latency) costs one heap operation total
-// plus N slice appends — the timer-wheel analogue for a discrete-event
-// world where deadlines repeat exactly rather than falling into coarse
-// slots.
+// plus N slice appends. A task joins a bucket only while that bucket is
+// the one Schedule opened last, so finding it needs no map: a deadline
+// that repeats after another was opened gets a second bucket, which the
+// creation order in seq puts after the first.
 type bucket struct {
 	at    time.Duration
-	seq   uint64 // creation order; heap tiebreak if equal times ever coexist
+	seq   uint64 // creation order; breaks ties between buckets of one instant
 	items []item
 	next  int // index of the first unexecuted item
-	index int // heap position
 }
 
-type bucketQueue []*bucket
-
-func (q bucketQueue) Len() int { return len(q) }
-
-func (q bucketQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders buckets by (deadline, creation).
+func (b *bucket) before(c *bucket) bool {
+	if b.at != c.at {
+		return b.at < c.at
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q bucketQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *bucketQueue) Push(x any) {
-	b := x.(*bucket)
-	b.index = len(*q)
-	*q = append(*q, b)
-}
-
-func (q *bucketQueue) Pop() any {
-	old := *q
-	n := len(old)
-	b := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return b
+	return b.seq < c.seq
 }
 
 // Scheduler is a deterministic discrete-event scheduler. It is not safe
 // for concurrent use: the entire simulated world runs on one goroutine.
 //
-// Internally it is a bucketed timer wheel: events scheduled for the same
-// virtual instant share one bucket and the priority queue holds buckets,
-// so hot fan-out workloads (thousands of messages due at one deadline)
-// pay O(1) amortised scheduling instead of O(log n) heap churn each.
-// Within a bucket events run in scheduling order, which preserves the
-// original global FIFO tiebreak for equal times exactly.
+// Internally it is a 4-ary heap of buckets: events scheduled for the same
+// virtual instant, one after another, share one bucket, so hot fan-out
+// workloads (thousands of messages due at one deadline) pay one heap
+// operation between them. Buckets run in (deadline, creation) order and
+// a bucket's events in scheduling order, so every event runs in
+// (deadline, scheduling order).
 type Scheduler struct {
-	now     time.Duration
-	seq     uint64 // bucket creation counter
-	buckets map[time.Duration]*bucket
-	queue   bucketQueue
-	steps   uint64
-	free    []*bucket // drained buckets, recycled so a deadline costs no allocation
+	now   time.Duration
+	seq   uint64  // bucket creation counter
+	last  *bucket // the bucket Schedule opened last, while it is queued
+	queue []*bucket
+	steps uint64
+	free  []*bucket // drained buckets, recycled so a deadline costs no allocation
 }
 
 // NewScheduler returns a scheduler positioned at time zero.
-func NewScheduler() *Scheduler {
-	return &Scheduler{buckets: make(map[time.Duration]*bucket)}
-}
+func NewScheduler() *Scheduler { return &Scheduler{} }
 
 var _ Clock = (*Scheduler)(nil)
 
@@ -160,8 +131,8 @@ func (s *Scheduler) Schedule(d time.Duration, t Task, h *Handle) {
 		d = 0
 	}
 	at := s.now + d
-	b, ok := s.buckets[at]
-	if !ok {
+	b := s.last
+	if b == nil || b.at != at {
 		if n := len(s.free); n > 0 {
 			b = s.free[n-1]
 			s.free[n-1] = nil
@@ -172,8 +143,8 @@ func (s *Scheduler) Schedule(d time.Duration, t Task, h *Handle) {
 		}
 		b.seq = s.seq
 		s.seq++
-		s.buckets[at] = b
-		heap.Push(&s.queue, b)
+		s.last = b
+		s.push(b)
 	}
 	if h != nil {
 		*h = Handle{}
@@ -181,10 +152,58 @@ func (s *Scheduler) Schedule(d time.Duration, t Task, h *Handle) {
 	b.items = append(b.items, item{task: t, h: h})
 }
 
+// push adds b to the heap.
+func (s *Scheduler) push(b *bucket) {
+	q := append(s.queue, b)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !b.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = b
+	s.queue = q
+}
+
+// pop removes the heap's root.
+func (s *Scheduler) pop() {
+	q := s.queue
+	n := len(q) - 1
+	b := q[n]
+	q[n] = nil
+	q = q[:n]
+	s.queue = q
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(b) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = b
+}
+
 // Pending returns the number of scheduled, unstopped events.
 func (s *Scheduler) Pending() int {
 	n := 0
-	for _, b := range s.buckets {
+	for _, b := range s.queue {
 		for _, it := range b.items[b.next:] {
 			if !it.stopped() {
 				n++
@@ -210,11 +229,14 @@ func (s *Scheduler) top() *bucket {
 	return nil
 }
 
-// retire removes a fully drained bucket from the queue and the wheel and
-// recycles it. Its items were zeroed as they were consumed.
+// retire removes a fully drained bucket, the heap's root, and recycles
+// it; a task scheduled for its instant afterwards opens a new bucket. Its
+// items were zeroed as they were consumed.
 func (s *Scheduler) retire(b *bucket) {
-	heap.Remove(&s.queue, b.index)
-	delete(s.buckets, b.at)
+	s.pop()
+	if s.last == b {
+		s.last = nil
+	}
 	s.free = append(s.free, b)
 }
 
@@ -281,7 +303,7 @@ func (s *Scheduler) Drain(maxSteps uint64) bool {
 }
 
 // peekAt returns the deadline of the earliest unstopped event. Stopped
-// items at the front of the wheel are discarded on the way (they would
+// items at the front of the queue are discarded on the way (they would
 // be skipped by step anyway).
 func (s *Scheduler) peekAt() (time.Duration, bool) {
 	for {

@@ -58,6 +58,14 @@ type BinaryMessage interface {
 	ParseWire(r *BinReader) error
 }
 
+// SizedMessage is implemented by binary kinds whose body length is known
+// without writing the body: WireSize() == len(AppendWire(nil)). The
+// binary codec's Size then counts a frame without encoding it.
+type SizedMessage interface {
+	BinaryMessage
+	WireSize() int
+}
+
 // TailMessage is implemented by binary kinds whose last field is bulk
 // bytes — a stored object, a chunk, a routed payload. AppendWireHead
 // appends every field before it, WireTail returns it, and AppendWire must
@@ -119,6 +127,15 @@ func MarshalBinary(prefix []byte, m BinaryMessage) []byte {
 func AppendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
+
+// UvarintLen is the length of v in AppendUvarint's form.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// VarintLen is the length of v in AppendVarint's form.
+func VarintLen(v int64) int { return UvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
+
+// StringLen is the length of s in AppendString's form.
+func StringLen(s string) int { return UvarintLen(uint64(len(s))) + len(s) }
 
 // AppendVarint appends v in zig-zag LEB128 form.
 func AppendVarint(b []byte, v int64) []byte {
@@ -480,12 +497,18 @@ func (c *BinaryCodec) split(env *Envelope, s *SharedBody) (f binFrame, err error
 
 // headLen is the length of the frame up to its referenced bytes.
 func (f *binFrame) headLen(env *Envelope) int {
-	n := 3 + 2*ids.Size + uvarintLen(env.CorrID)
-	if f.flags&flagHasErr != 0 {
-		n += uvarintLen(uint64(len(env.Err))) + len(env.Err)
+	return frameLen(env, f.flags, f.kindID, len(f.inline)+len(f.ref)) - len(f.ref)
+}
+
+// frameLen is the length of env's frame with the given flags, kind number
+// and message body length.
+func frameLen(env *Envelope, flags byte, kindID uint64, body int) int {
+	n := 3 + 2*ids.Size + UvarintLen(env.CorrID)
+	if flags&flagHasErr != 0 {
+		n += StringLen(env.Err)
 	}
-	if f.flags&flagHasMsg != 0 {
-		n += uvarintLen(f.kindID) + uvarintLen(uint64(len(f.inline)+len(f.ref))) + len(f.inline)
+	if flags&flagHasMsg != 0 {
+		n += UvarintLen(kindID) + UvarintLen(uint64(body)) + body
 	}
 	return n
 }
@@ -506,9 +529,6 @@ func (f *binFrame) appendHead(b []byte, env *Envelope) []byte {
 	}
 	return b
 }
-
-// uvarintLen is the length of v in AppendUvarint's form.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Decode implements Codec. Every decoded string is an independent copy;
 // the frame may be reused or mutated afterwards.
@@ -589,15 +609,25 @@ func (c *BinaryCodec) decode(data []byte, borrow bool) (*Envelope, error) {
 	return env, nil
 }
 
-// Size implements Codec with no reflection and no retained document: the
-// message body is encoded in a pooled buffer, except for a tail, which is
-// only counted.
+// Size implements Codec with no reflection and no retained document: a
+// SizedMessage is counted without being encoded; any other message body
+// is encoded in a pooled buffer, except for a tail, which is only
+// counted.
 func (c *BinaryCodec) Size(env *Envelope) (int, error) {
+	if sm, ok := env.Msg.(SizedMessage); ok {
+		if kindID, ok := c.kindID[sm.Kind()]; ok {
+			flags := byte(flagHasMsg)
+			if env.Err != "" {
+				flags |= flagHasErr
+			}
+			return frameLen(env, flags, kindID, sm.WireSize()), nil
+		}
+	}
 	f, err := c.split(env, nil)
 	if err != nil {
 		return 0, err
 	}
-	n := f.headLen(env) + len(f.ref)
+	n := frameLen(env, f.flags, f.kindID, len(f.inline)+len(f.ref))
 	releaseBody(f.bp, f.inline)
 	return n, nil
 }
