@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,19 +29,26 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "glossctl:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// action is a command's one network step. It runs on the endpoint's
+// actor loop, where every send must start, and reports through done.
+type action func(gw *gateway.Client, done chan<- error)
+
+// run checks args in full before it opens a socket, then runs the
+// command's action inside one ep.Do and writes what it answers to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("glossctl", flag.ExitOnError)
 	var (
-		nodeSpec = flag.String("node", "", "target node as <id-hex>@<host:port>")
-		timeout  = flag.Duration("timeout", 10*time.Second, "request timeout")
+		nodeSpec = fs.String("node", "", "target node as <id-hex>@<host:port>")
+		timeout  = fs.Duration("timeout", 10*time.Second, "request timeout")
 	)
-	flag.Parse()
-	if *nodeSpec == "" || flag.NArg() == 0 {
+	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
+	if *nodeSpec == "" || fs.NArg() == 0 {
 		return fmt.Errorf("usage: glossctl -node <id>@<addr> <status|put|get|pub|sub|deploy> [args]")
 	}
 	at := strings.LastIndex(*nodeSpec, "@")
@@ -51,7 +59,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	addr := (*nodeSpec)[at+1:]
+	act, err := command(fs.Args(), *timeout, out)
+	if err != nil {
+		return err
+	}
 
 	reg := wire.NewRegistry()
 	core.RegisterMessages(reg)
@@ -63,47 +74,71 @@ func run() error {
 		return err
 	}
 	defer func() { _ = ep.Close() }()
-	ep.AddPeer(target, addr)
-	gw := &gateway.Client{EP: ep, Target: target}
-
+	ep.AddPeer(target, (*nodeSpec)[at+1:])
+	// Only a sub is sent events; setup calls come before the loop serves.
+	ep.Handle("gateway.event", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
+		ev := msg.(*gateway.EventMsg).Event
+		fmt.Fprintf(out, "%s %s %v\n", ev.Type, ev.Source, renderAttrs(ev))
+	})
 	done := make(chan error, 1)
-	switch cmd := flag.Arg(0); cmd {
+	ep.Do(func() { act(&gateway.Client{EP: ep, Target: target}, done) })
+	var expired <-chan time.Time // a sub streams until interrupted
+	if fs.Arg(0) != "sub" {
+		expired = time.After(*timeout + 2*time.Second)
+	}
+	select {
+	case err := <-done:
+		return err
+	case <-expired:
+		return fmt.Errorf("timed out")
+	}
+}
+
+// command checks a command line and returns its action.
+func command(args []string, timeout time.Duration, out io.Writer) (action, error) {
+	switch cmd := args[0]; cmd {
 	case "status":
-		gw.Status(*timeout, func(text string, err error) {
-			if err == nil {
-				fmt.Print(text)
-			}
-			done <- err
-		})
+		return func(gw *gateway.Client, done chan<- error) {
+			gw.Status(timeout, func(text string, err error) {
+				if err == nil {
+					fmt.Fprint(out, text)
+				}
+				done <- err
+			})
+		}, nil
 	case "put":
-		if flag.NArg() < 2 {
-			return fmt.Errorf("put needs content")
+		if len(args) < 2 {
+			return nil, fmt.Errorf("put needs content")
 		}
-		gw.Put([]byte(flag.Arg(1)), *timeout, func(guid string, err error) {
-			if err == nil {
-				fmt.Println(guid)
-			}
-			done <- err
-		})
+		return func(gw *gateway.Client, done chan<- error) {
+			gw.Put([]byte(args[1]), timeout, func(guid string, err error) {
+				if err == nil {
+					fmt.Fprintln(out, guid)
+				}
+				done <- err
+			})
+		}, nil
 	case "get":
-		if flag.NArg() < 2 {
-			return fmt.Errorf("get needs a guid")
+		if len(args) < 2 {
+			return nil, fmt.Errorf("get needs a guid")
 		}
-		gw.Get(flag.Arg(1), *timeout, func(data []byte, err error) {
-			if err == nil {
-				fmt.Println(string(data))
-			}
-			done <- err
-		})
+		return func(gw *gateway.Client, done chan<- error) {
+			gw.Get(args[1], timeout, func(data []byte, err error) {
+				if err == nil {
+					fmt.Fprintln(out, string(data))
+				}
+				done <- err
+			})
+		}, nil
 	case "pub":
-		if flag.NArg() < 2 {
-			return fmt.Errorf("pub needs an event type")
+		if len(args) < 2 {
+			return nil, fmt.Errorf("pub needs an event type")
 		}
-		ev := event.New(flag.Arg(1), "glossctl", time.Duration(time.Now().UnixNano()))
-		for _, kv := range flag.Args()[2:] {
+		ev := event.New(args[1], "glossctl", time.Duration(time.Now().UnixNano()))
+		for _, kv := range args[2:] {
 			eq := strings.Index(kv, "=")
 			if eq <= 0 {
-				return fmt.Errorf("bad attribute %q, want k=v", kv)
+				return nil, fmt.Errorf("bad attribute %q, want k=v", kv)
 			}
 			k, v := kv[:eq], kv[eq+1:]
 			if f, err := strconv.ParseFloat(v, 64); err == nil {
@@ -113,47 +148,43 @@ func run() error {
 			}
 		}
 		ev.Stamp(uint64(time.Now().UnixNano()))
-		ep.Send(target, &gateway.PubReq{Event: ev})
-		time.Sleep(300 * time.Millisecond) // let the frame flush
-		fmt.Println("published", ev.Type)
-		done <- nil
+		return func(gw *gateway.Client, done chan<- error) {
+			gw.EP.Send(gw.Target, &gateway.PubReq{Event: ev})
+			gw.EP.Clock().After(300*time.Millisecond, func() { // let the frame flush
+				fmt.Fprintln(out, "published", ev.Type)
+				done <- nil
+			})
+		}, nil
 	case "sub":
-		if flag.NArg() < 2 {
-			return fmt.Errorf("sub needs an event type")
+		if len(args) < 2 {
+			return nil, fmt.Errorf("sub needs an event type")
 		}
-		ep.Handle("gateway.event", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
-			ev := msg.(*gateway.EventMsg).Event
-			fmt.Printf("%s %s %v\n", ev.Type, ev.Source, renderAttrs(ev))
-		})
-		ep.Send(target, &gateway.SubReq{Filter: pubsub.NewFilter(pubsub.TypeIs(flag.Arg(1)))})
-		fmt.Println("subscribed to", flag.Arg(1), "— ctrl-c to stop")
-		select {} // stream until interrupted
+		return func(gw *gateway.Client, _ chan<- error) {
+			gw.EP.Send(gw.Target, &gateway.SubReq{Filter: pubsub.NewFilter(pubsub.TypeIs(args[1]))})
+			fmt.Fprintln(out, "subscribed to", args[1], "— ctrl-c to stop")
+		}, nil
 	case "deploy":
-		if flag.NArg() < 2 {
-			return fmt.Errorf("deploy needs a bundle XML file")
+		if len(args) < 2 {
+			return nil, fmt.Errorf("deploy needs a bundle XML file")
 		}
-		data, err := os.ReadFile(flag.Arg(1))
+		data, err := os.ReadFile(args[1])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		b, err := bundle.Unmarshal(data)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		bundle.Deploy(ep, target, b, *timeout, func(err error) {
-			if err == nil {
-				fmt.Println("deployed", b.Name)
-			}
-			done <- err
-		})
+		return func(gw *gateway.Client, done chan<- error) {
+			bundle.Deploy(gw.EP, gw.Target, b, timeout, func(err error) {
+				if err == nil {
+					fmt.Fprintln(out, "deployed", b.Name)
+				}
+				done <- err
+			})
+		}, nil
 	default:
-		return fmt.Errorf("unknown command %q", cmd)
-	}
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(*timeout + 2*time.Second):
-		return fmt.Errorf("timed out")
+		return nil, fmt.Errorf("unknown command %q", cmd)
 	}
 }
 

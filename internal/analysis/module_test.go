@@ -47,11 +47,12 @@ func TestModuleAnalyzers(t *testing.T) {
 // pool's size knob, a second send path for a publish (the pool, its
 // drain and the concurrent-send capability it needed), Siena
 // advertisements, runtime registry refresh, the store's buffer for
-// chunks ahead of their manifest and the endpoint capability for a send
-// to self (netapi.Loop owns that rule on both substrates). The old paths
-// are _test.go oracles or seams, not options, and the three before the
-// last carried no traffic.
-var retired = regexp.MustCompile(`\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks|LocalDeliverer|DeliverLocal)\b`)
+// chunks ahead of their manifest, the endpoint capability for a send
+// to self (netapi.Loop owns that rule on both substrates) and the TCP
+// peer table's lock (its actor loop owns the table, so senders are on
+// the loop). The old paths are _test.go oracles or seams, not options,
+// and the three before the send-to-self names carried no traffic.
+var retired = regexp.MustCompile(`\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks|LocalDeliverer|DeliverLocal|peersMu)\b`)
 
 // TestRetiredNamesStayRetired fails when a retired name returns to a
 // shipped file: any non-test .go file under cmd, internal and examples,

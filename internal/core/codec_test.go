@@ -107,7 +107,7 @@ func TestSizedKindsCountTheirFrames(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}
-				if n, err := codec.Size(env); err != nil || n != len(frame) {
+				if n, err := codec.Size(env, nil); err != nil || n != len(frame) {
 					t.Fatalf("%s: Size = %d, %v; the frame is %d bytes", kind, n, err, len(frame))
 				}
 			}

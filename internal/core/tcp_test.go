@@ -186,9 +186,10 @@ func testPriv(t *testing.T) ed25519.PrivateKey {
 // right after the callback, ahead of everything queued in the inbox
 // (transport's TestSelfSendsNeverWaitOnTheInbox covers a Request too).
 //
-// Not covered: a Request to another node or a Handle registration made
-// on the loop still post to the inbox and would still block here
-// (ROADMAP item 1 keeps that).
+// A Request to another node is queued on the loop too (transport's
+// TestRemoteRequestsNeverWaitOnTheInbox). Not covered: a Handle
+// registration made on the loop still posts to the inbox and would still
+// block here; Handle is a setup call, made before the loop serves.
 func TestOwnBrokerPublishWithFullInbox(t *testing.T) {
 	reg := wire.NewRegistry()
 	RegisterMessages(reg)

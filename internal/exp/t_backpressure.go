@@ -158,9 +158,12 @@ func tcpBackpressureRun(burst, rounds int, suffix string, opts transport.Options
 
 	pad := strings.Repeat("x", 2048)
 	for r := 0; r < rounds; r++ {
-		for j := 0; j < burst; j++ {
-			a.Send(b.ID(), &t13Msg{Stamp: time.Now().UnixNano(), Pad: pad})
-		}
+		// A round's burst is one actor turn: sends run on the loop.
+		a.Do(func() {
+			for j := 0; j < burst; j++ {
+				a.Send(b.ID(), &t13Msg{Stamp: time.Now().UnixNano(), Pad: pad})
+			}
+		})
 		// Drain completely before the next round so every round hits the
 		// configured bound from empty.
 		deadline := time.Now().Add(30 * time.Second)

@@ -5,6 +5,7 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -172,7 +173,9 @@ func Status(n *core.ActiveNode) string {
 	return b.String()
 }
 
-// Client is a thin glossctl-side helper speaking to one gateway node.
+// Client is a thin glossctl-side helper speaking to one gateway node. Its
+// calls send, so they run on EP's callback goroutine, as every send does;
+// glossctl starts them inside Do.
 type Client struct {
 	EP     netapi.Endpoint
 	Target ids.ID
@@ -180,53 +183,37 @@ type Client struct {
 
 // Put stores content and returns the GUID.
 func (c *Client) Put(data []byte, timeout time.Duration, cb func(string, error)) {
-	c.EP.Request(c.Target, &PutReq{Data: data}, timeout, func(reply wire.Message, err error) {
-		r, ok := reply.(*PutReply)
-		if err == nil && !ok {
-			err = fmt.Errorf("gateway: unexpected reply %T", reply)
-		}
-		if err != nil {
-			cb("", err)
-			return
-		}
-		if r.Err != "" {
-			cb("", fmt.Errorf("%s", r.Err))
-			return
-		}
-		cb(r.GUID, nil)
-	})
+	call(c, &PutReq{Data: data}, timeout, func(r *PutReply) (string, string) { return r.GUID, r.Err }, cb)
 }
 
 // Status fetches the node's status report.
 func (c *Client) Status(timeout time.Duration, cb func(string, error)) {
-	c.EP.Request(c.Target, &StatusReq{}, timeout, func(reply wire.Message, err error) {
-		r, ok := reply.(*StatusReply)
-		if err == nil && !ok {
-			err = fmt.Errorf("gateway: unexpected reply %T", reply)
-		}
-		if err != nil {
-			cb("", err)
-			return
-		}
-		cb(r.Text, nil)
-	})
+	call(c, &StatusReq{}, timeout, func(r *StatusReply) (string, string) { return r.Text, "" }, cb)
 }
 
 // Get fetches an object by GUID hex.
 func (c *Client) Get(guid string, timeout time.Duration, cb func([]byte, error)) {
-	c.EP.Request(c.Target, &GetReq{GUID: guid}, timeout, func(reply wire.Message, err error) {
-		r, ok := reply.(*GetReply)
-		if err == nil && !ok {
+	call(c, &GetReq{GUID: guid}, timeout, func(r *GetReply) ([]byte, string) { return r.Data, r.Err }, cb)
+}
+
+// call asks the gateway req and hands cb what read takes from an R reply:
+// its value, or the error text the gateway answered with. No reply, or a
+// reply of another shape, completes with an error.
+func call[R wire.Message, T any](c *Client, req wire.Message, timeout time.Duration, read func(R) (T, string), cb func(T, error)) {
+	c.EP.Request(c.Target, req, timeout, func(reply wire.Message, err error) {
+		var v T
+		r, ok := reply.(R)
+		switch {
+		case err != nil:
+		case !ok:
 			err = fmt.Errorf("gateway: unexpected reply %T", reply)
+		default:
+			if got, failure := read(r); failure != "" {
+				err = errors.New(failure)
+			} else {
+				v = got
+			}
 		}
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		if r.Err != "" {
-			cb(nil, fmt.Errorf("%s", r.Err))
-			return
-		}
-		cb(r.Data, nil)
+		cb(v, err)
 	})
 }

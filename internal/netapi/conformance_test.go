@@ -3,6 +3,7 @@ package netapi_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +22,11 @@ import (
 // reaches its handler with from == ID(), runs after the callback that
 // sent it and before the node's next arrival, and is not a network send
 // (simnet's Metrics().Sent, transport's Stats().Sent).
+//
+// The loop-only cases hold them to the rule for a send to another node:
+// a Send or a Request made on the loop is queued toward its peer
+// (QueuedBytes > 0) before the callback that made it returns, with no hop
+// through anything the loop must first run.
 
 type probeMsg struct {
 	Text string `xml:"text,attr"`
@@ -70,7 +76,8 @@ type rig struct {
 }
 
 func simRig(t *testing.T) *rig {
-	w := simnet.NewWorld(simnet.Config{Seed: 1, DisableJitter: true})
+	// A budget makes QueuedBytes count in-flight messages, one byte each.
+	w := simnet.NewWorld(simnet.Config{Seed: 1, DisableJitter: true, OutboxHighWater: 1 << 20})
 	self := w.NewNode(ids.FromString("conf-self"), "eu", netapi.Coord{})
 	p0 := w.NewNode(ids.FromString("conf-p0"), "eu", netapi.Coord{X: 100})
 	p1 := w.NewNode(ids.FromString("conf-p1"), "eu", netapi.Coord{X: 200})
@@ -137,7 +144,7 @@ func tcpRig(t *testing.T) *rig {
 				self.Clock().After(time.Millisecond, run)
 			} else {
 				self.Handle("conf.go", func(netapi.Ctx, ids.ID, wire.Message) { run() })
-				p0.Send(self.ID(), &goMsg{})
+				p0.Do(func() { p0.Send(self.ID(), &goMsg{}) })
 			}
 			<-parked
 			self.Do(next)
@@ -157,21 +164,33 @@ func tcpRig(t *testing.T) *rig {
 	}
 }
 
-// selfCase is one way to address the node itself.
+// selfCase is one way to address the node itself, or a loop-only send
+// to another node.
 type selfCase struct {
 	name   string
 	issue  func(r *rig, j *journal)
 	remote uint64   // network sends the case makes
+	during []string // what the callback logs itself
 	want   []string // what runs between the callback and the next arrival
+}
+
+// queuedToPeer logs whether the node under test has bytes queued toward
+// its second peer.
+func queuedToPeer(r *rig, j *journal) {
+	if r.self.QueuedBytes(r.peers[1].ID()) > 0 {
+		j.add("queued toward p1")
+	} else {
+		j.add("nothing queued toward p1")
+	}
 }
 
 var selfCases = []selfCase{
 	{"Send", func(r *rig, _ *journal) {
 		r.self.Send(r.self.ID(), &probeMsg{Text: "send"})
-	}, 0, []string{"probe send"}},
+	}, 0, nil, []string{"probe send"}},
 	{"SendMany", func(r *rig, _ *journal) {
 		r.self.SendMany([]ids.ID{r.peers[0].ID(), r.self.ID(), r.peers[1].ID()}, &probeMsg{Text: "many"})
-	}, 2, []string{"probe many"}},
+	}, 2, nil, []string{"probe many"}},
 	{"Request", func(r *rig, j *journal) {
 		r.self.Request(r.self.ID(), &probeMsg{Text: "ask"}, 5*time.Second, func(reply wire.Message, err error) {
 			if err != nil {
@@ -180,7 +199,16 @@ var selfCases = []selfCase{
 			}
 			j.add("reply " + reply.(*probeMsg).Text)
 		})
-	}, 0, []string{"probe ask", "reply re ask"}},
+	}, 0, nil, []string{"probe ask", "reply re ask"}},
+	{"RemoteSend", func(r *rig, j *journal) {
+		r.self.Send(r.peers[1].ID(), &probeMsg{Text: "out"})
+		queuedToPeer(r, j)
+	}, 1, []string{"queued toward p1"}, nil},
+	{"RemoteRequest", func(r *rig, j *journal) {
+		// The peers answer nothing; the request outlives the test.
+		r.self.Request(r.peers[1].ID(), &probeMsg{Text: "ask out"}, time.Minute, func(wire.Message, error) {})
+		queuedToPeer(r, j)
+	}, 1, []string{"queued toward p1"}, nil},
 }
 
 func TestSelfDeliveryConformance(t *testing.T) {
@@ -228,7 +256,7 @@ func testSelfDelivery(t *testing.T, r *rig, c selfCase, fromTimer bool) {
 		c.issue(r, j)
 		j.add("callback done")
 	}, func() { j.add("next") })
-	want := append(append([]string{"callback done"}, c.want...), "next")
+	want := slices.Concat(c.during, []string{"callback done"}, c.want, []string{"next"})
 	r.until(t, func() bool { return len(j.read()) >= len(want) && remote.Load() == int32(c.remote) })
 	if got := j.read(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ran %q, want %q", got, want)

@@ -14,9 +14,7 @@ import (
 // keeps one by value, calls Init once, sends through it, hands every
 // received envelope to Deliver, runs Drain after every callback, and
 // moves frames and timers for it through a Substrate. Every method runs
-// on the callback goroutine, except that Send and SendMany toward
-// another node touch nothing Init does not set, so a substrate may offer
-// those to any goroutine.
+// on the callback goroutine.
 type Loop struct {
 	id       ids.ID
 	sub      Substrate

@@ -12,15 +12,24 @@
 // node and therefore needs no locks. Under simnet the whole world shares
 // one event loop; under TCP each node has an actor loop.
 //
-// Send discipline: protocol code calls Send/SendMany from the endpoint's
-// callback goroutine, like everything else, so what one node sends toward
-// one destination leaves in the order its callbacks issued it. A send
-// addressed to the node itself — a Send, a SendMany destination, a
-// Request or its reply — never leaves the node: Loop queues it on its
+// Loop-only traffic: Send, SendMany, Request, QueuedBytes and Saturated
+// run on the endpoint's callback goroutine — in a handler, a timer, a
+// reply or drain callback — and nowhere else. Code off the loop (a main
+// goroutine, a test) reaches the node through the substrate's one door,
+// transport.Node.Do; under simnet whoever drives the world is on its
+// loop. A send is queued toward its destination before it returns, so
+// what one node sends toward one destination leaves in the order its
+// callbacks issued it, and no send waits for the loop to run something
+// else first. Handle and OnDrain are setup calls: the TCP transport hops
+// them onto its loop, so a node's owner may register them before the
+// node serves traffic.
+//
+// A send addressed to the node itself — a Send, a SendMany destination,
+// a Request or its reply — never leaves the node: Loop queues it on its
 // local run queue, which the substrate drains after the current callback
 // and before the next message or timer, so it runs with from == ID(),
 // allocates no envelope, counts as no network send and never waits on a
-// bounded queue. Such a send must come from the callback goroutine.
+// bounded queue.
 //
 //vetactive:deterministic
 package netapi
@@ -126,9 +135,9 @@ type Multicaster interface {
 // broker drops per-subscriber deliveries toward saturated destinations)
 // instead of letting the transport drop blindly.
 //
-// Callback discipline applies: these methods may only be called from
-// protocol code running on the endpoint's callback goroutine (the
-// actor loop under TCP, the world loop under simnet), and OnDrain
+// Callback discipline applies: QueuedBytes and Saturated may only be
+// called from protocol code running on the endpoint's callback goroutine
+// (the actor loop under TCP, the world loop under simnet), and OnDrain
 // callbacks are invoked there too, which is what lets the broker keep its
 // shed-episode bookkeeping lock-free on the actor loop.
 type Backpressured interface {

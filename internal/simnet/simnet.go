@@ -147,6 +147,10 @@ type World struct {
 	// ready holds, in wake order, the nodes whose local run queue took
 	// an entry since the last drain.
 	ready []*Node
+	// fanout is the SharedBody a SendMany sizes its message through. A
+	// SendMany transmits to every destination before it returns, so one
+	// serves each in turn.
+	fanout wire.SharedBody
 }
 
 // delivBatch accumulates the envelopes of one coalesced delivery, in
@@ -291,7 +295,9 @@ var _ netapi.Endpoint = (*Node)(nil)
 // seam is the netapi.Substrate a node's loop sends and times out through.
 type seam Node
 
-func (s *seam) Transmit(env *wire.Envelope, _ *wire.SharedBody) { s.world.transmit((*Node)(s), env) }
+func (s *seam) Transmit(env *wire.Envelope, shared *wire.SharedBody) {
+	s.world.transmit((*Node)(s), env, shared)
+}
 
 // Wake queues the node for the world's next drain.
 func (s *seam) Wake() { s.world.ready = append(s.world.ready, (*Node)(s)) }
@@ -399,26 +405,34 @@ func (n *Node) OnDrain(fn func(to ids.ID)) { n.drainFns = append(n.drainFns, fn)
 func (n *Node) Send(to ids.ID, msg wire.Message) { n.loop.Send(to, msg) }
 
 // SendMany implements netapi.Multicaster: one message value is shared
-// across every destination (the simulator never serialises, so sharing
-// is free), and same-deadline deliveries coalesce in the world's
-// delivery batcher.
+// across every destination, a world that sizes messages counts its body
+// once, as the transport encodes it once, and same-deadline deliveries
+// coalesce in the world's delivery batcher.
 //
 // Like Send, SendMany is world-loop-only: the simulator's determinism
 // rests on the world loop being the only scheduler mutator.
-func (n *Node) SendMany(tos []ids.ID, msg wire.Message) { n.loop.SendMany(tos, msg, nil) }
+func (n *Node) SendMany(tos []ids.ID, msg wire.Message) {
+	var shared *wire.SharedBody
+	if len(tos) > 1 && n.world.codec != nil { // one destination has nothing to share
+		shared = &n.world.fanout
+		*shared = wire.SharedBody{} // it is valid for one message
+	}
+	n.loop.SendMany(tos, msg, shared)
+}
 
 // Request implements netapi.Endpoint.
 func (n *Node) Request(to ids.ID, msg wire.Message, timeout time.Duration, cb netapi.ReplyFunc) {
 	n.loop.Request(to, msg, timeout, cb)
 }
 
-// transmit queues env for delivery after the modelled latency.
-func (w *World) transmit(from *Node, env *wire.Envelope) {
+// transmit queues env for delivery after the modelled latency. The
+// envelopes of one SendMany share shared, which sizes their body once.
+func (w *World) transmit(from *Node, env *wire.Envelope, shared *wire.SharedBody) {
 	// One Size pass serves both byte metrics and the outbox budget.
 	budget := w.cfg.OutboxHighWater > 0
 	size, sized := 0, false
 	if w.codec != nil && (budget || (!w.cfg.DisableMetrics && env.Msg != nil)) {
-		if sz, err := w.codec.Size(env); err == nil {
+		if sz, err := w.codec.Size(env, shared); err == nil {
 			// Codec.Size is a single pass over the message (the binary
 			// codec counts through a pooled scratch buffer — no throwaway
 			// XML document).

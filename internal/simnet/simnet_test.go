@@ -414,7 +414,7 @@ func TestReplyFromWrongPeerIgnored(t *testing.T) {
 			got = append(got, fmt.Sprintf("pong %d", reply.(*pong).N))
 		})
 		forged := &wire.Envelope{From: c.ID(), To: a.ID(), CorrID: 1, IsReply: true, Msg: &pong{N: -1}}
-		w.transmit(c, forged)
+		w.transmit(c, forged, nil)
 		w.RunFor(time.Second)
 		want := []string{"pong 42"}
 		if !answer {

@@ -122,9 +122,11 @@ func TestTransmitNoAddrSkipsEncodeAndPeerMap(t *testing.T) {
 	a := newNode(t, "tcp-noaddr-a", reg)
 	unknown := ids.FromString("tcp-noaddr-ghost")
 
-	for i := 0; i < 3; i++ {
-		a.Send(unknown, &panicMsg{})
-	}
+	onLoop(a, func() {
+		for i := 0; i < 3; i++ {
+			a.Send(unknown, &panicMsg{})
+		}
+	})
 	peers := make(chan int, 1)
 	a.Do(func() { peers <- len(a.peers) })
 	if got := <-peers; got != 0 {
@@ -144,7 +146,7 @@ func TestTransmitEncodeFailureCounted(t *testing.T) {
 	b := newNode(t, "tcp-badenc-b", reg)
 	a.AddPeer(b.ID(), b.Addr())
 
-	a.Send(b.ID(), &badMsg{C: make(chan int)})
+	onLoop(a, func() { a.Send(b.ID(), &badMsg{C: make(chan int)}) })
 	st := a.Stats()
 	if st.DroppedEncode != 1 || st.Dropped != 1 {
 		t.Fatalf("DroppedEncode = %d, Dropped = %d, want 1, 1", st.DroppedEncode, st.Dropped)
@@ -186,7 +188,7 @@ func TestWatermarkTransitions(t *testing.T) {
 	// accepts a handful and then saturates.
 	park := make(chan struct{})
 	a.Do(func() {
-		a.peers[b.ID()].state.Store(peerDialing)
+		a.peers[b.ID()].state = peerDialing
 		close(park)
 	})
 	<-park
@@ -228,7 +230,7 @@ func TestWatermarkTransitions(t *testing.T) {
 	accepted := st2.Sent
 	a.Do(func() {
 		p := a.peers[b.ID()]
-		p.state.Store(peerIdle)
+		p.state = peerIdle
 		a.maybeDial(p)
 	})
 	deadline := time.Now().Add(5 * time.Second)
@@ -273,7 +275,7 @@ func TestRedialBackoffRecovers(t *testing.T) {
 	t.Cleanup(func() { _ = a.Close() })
 	bID := ids.FromString("tcp-redial-b2")
 	a.AddPeer(bID, addr)
-	a.Send(bID, &echoMsg{Text: "parked"})
+	onLoop(a, func() { a.Send(bID, &echoMsg{Text: "parked"}) })
 
 	// Let at least one dial fail, then bring the destination up at the
 	// same address with the expected ID.
@@ -319,9 +321,11 @@ func TestRedialExhaustionDrains(t *testing.T) {
 	dead := ids.FromString("tcp-drain-dead")
 	a.AddPeer(dead, "127.0.0.1:1") // nothing listens here
 	const sends = 5
-	for i := 0; i < sends; i++ {
-		a.Send(dead, &echoMsg{Text: "doomed"})
-	}
+	onLoop(a, func() {
+		for i := 0; i < sends; i++ {
+			a.Send(dead, &echoMsg{Text: "doomed"})
+		}
+	})
 	deadline := time.Now().Add(5 * time.Second)
 	for a.Stats().DroppedDialFail < sends {
 		if time.Now().After(deadline) {
@@ -356,7 +360,7 @@ func TestRehelloRetriesOnlyMissedPeers(t *testing.T) {
 		for _, id := range []ids.ID{full, roomy} {
 			p := a.ensurePeer(id)
 			p.addr = "127.0.0.1:1"
-			p.state.Store(peerConnected)
+			p.state = peerConnected
 		}
 		// Saturate one queue past the control hard cap.
 		pf := a.peers[full]
@@ -403,9 +407,35 @@ func TestRehelloRetriesOnlyMissedPeers(t *testing.T) {
 	}
 }
 
+// TestRehelloReachesDialingPeers: a learned address goes to every peer
+// link that is up or being dialled — a dial's own hello was built when
+// the dial started — and to no idle peer, whose dial will build a fresh
+// one. The peers are fake: no dial runs and no writer drains them.
+func TestRehelloReachesDialingPeers(t *testing.T) {
+	a := newNode(t, "tcp-rh-dial", testReg())
+	want := map[int]int{peerIdle: 0, peerDialing: 1, peerConnected: 1}
+	got := map[int]int{}
+	onLoop(a, func() {
+		for state := range want {
+			p := a.ensurePeer(ids.FromString(fmt.Sprint("tcp-rh-state-", state)))
+			p.addr, p.state = "127.0.0.1:1", state
+		}
+		a.rehello()
+		for _, p := range a.peers {
+			got[p.state] = p.ox.pendingFrames()
+		}
+	})
+	for state, n := range want {
+		if got[state] != n {
+			t.Errorf("peer in state %d queued %d hellos, want %d", state, got[state], n)
+		}
+	}
+}
+
 // TestNoFrameLossBelowHighWatermark is the race-enabled stress check:
-// concurrent senders below the byte budget must lose nothing — every
-// frame is delivered and every drop counter stays zero.
+// concurrent producers, each posting its sends through Do, below the byte
+// budget must lose nothing — every frame is delivered and every drop
+// counter stays zero.
 func TestNoFrameLossBelowHighWatermark(t *testing.T) {
 	reg := testReg()
 	a, err := Listen(ids.FromString("tcp-stress-a"), reg, Options{
@@ -430,7 +460,8 @@ func TestNoFrameLossBelowHighWatermark(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perSend; i++ {
-				a.Send(b.ID(), &echoMsg{Text: fmt.Sprintf("s%d-%d", g, i)})
+				msg := &echoMsg{Text: fmt.Sprintf("s%d-%d", g, i)}
+				a.Do(func() { a.Send(b.ID(), msg) })
 			}
 		}(g)
 	}

@@ -104,35 +104,73 @@ func TestDisableBatchingReference(t *testing.T) {
 	}
 }
 
-// TestSendManySharedBody: a multicast burst reaches every peer intact
-// (the shared encoded body is stamped with per-peer headers).
+// TestSendManySharedBody: multicast rounds reach every peer intact (the
+// shared encoded body is stamped with per-peer headers) and in the order
+// sent, and the sender's accounting is exact: every frame counted once as
+// sent, none dropped, and the queue gauge back at zero once the peers
+// have read it all. Each round is its own actor turn, and every fourth
+// goes out as one Send per peer, so per-destination FIFO is held across
+// turns and across both send shapes.
 func TestSendManySharedBody(t *testing.T) {
 	reg := testReg()
 	a := newNode(t, "tcp-many-a", reg)
-	peers := make([]*Node, 3)
-	tos := make([]ids.ID, 3)
+	const peers, rounds = 3, 200
+	tos := make([]ids.ID, peers)
+	seqs := make([][]int, peers) // each appended on its peer's actor loop
 	var received atomic.Uint64
-	for i := range peers {
-		peers[i] = newNode(t, fmt.Sprintf("tcp-many-p%d", i), reg)
-		tos[i] = peers[i].ID()
-		a.AddPeer(peers[i].ID(), peers[i].Addr())
-		want := fmt.Sprintf("tcp-many-p%d", i)
-		peers[i].Handle("test.echo", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
-			if msg.(*echoMsg).Text != "multicast" {
-				t.Errorf("%s got %q", want, msg.(*echoMsg).Text)
+	for i := range tos {
+		p := newNode(t, fmt.Sprintf("tcp-many-p%d", i), reg)
+		tos[i] = p.ID()
+		a.AddPeer(p.ID(), p.Addr())
+		p.Handle("test.echo", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
+			var seq int
+			if _, err := fmt.Sscanf(msg.(*echoMsg).Text, "multicast %d", &seq); err != nil {
+				t.Errorf("peer %d got %q", i, msg.(*echoMsg).Text)
 			}
+			seqs[i] = append(seqs[i], seq)
 			received.Add(1)
 		})
 	}
-	for round := 0; round < 4; round++ {
-		a.SendMany(tos, &echoMsg{Text: "multicast"})
+	for r := 0; r < rounds; r++ {
+		msg := &echoMsg{Text: fmt.Sprint("multicast ", r)}
+		a.Do(func() {
+			if r%4 != 3 {
+				a.SendMany(tos, msg)
+				return
+			}
+			for _, to := range tos {
+				a.Send(to, msg)
+			}
+		})
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for received.Load() < 12 {
+	const want = peers * rounds
+	deadline := time.Now().Add(10 * time.Second)
+	for received.Load() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("received %d of 12 multicast copies", received.Load())
+			t.Fatalf("received %d of %d multicast copies", received.Load(), want)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	for i, got := range seqs {
+		for j, seq := range got {
+			if seq != j {
+				t.Fatalf("peer %d: copy %d is round %d (FIFO violated)", i, j, seq)
+			}
+		}
+	}
+	if st := a.Stats(); st.Sent != want || st.Dropped != 0 {
+		t.Fatalf("Sent = %d, Dropped = %d; want %d and 0 (no frame lost or counted twice)", st.Sent, st.Dropped, want)
+	}
+	for queued := -1; queued != 0; time.Sleep(time.Millisecond) {
+		onLoop(a, func() {
+			queued = 0
+			for _, to := range tos {
+				queued += a.QueuedBytes(to)
+			}
+		})
+		if queued != 0 && time.Now().After(deadline) {
+			t.Fatalf("QueuedBytes = %d after every copy arrived, want 0", queued)
+		}
 	}
 }
 

@@ -23,12 +23,14 @@ func newCodecNode(t *testing.T, name string, reg *wire.Registry, codec string) *
 func roundTrip(t *testing.T, a, b *Node, text string) {
 	t.Helper()
 	done := make(chan string, 1)
-	a.Request(b.ID(), &echoMsg{Text: text}, 5*time.Second, func(reply wire.Message, err error) {
-		if err != nil {
-			done <- "err: " + err.Error()
-			return
-		}
-		done <- reply.(*echoMsg).Text
+	onLoop(a, func() {
+		a.Request(b.ID(), &echoMsg{Text: text}, 5*time.Second, func(reply wire.Message, err error) {
+			if err != nil {
+				done <- "err: " + err.Error()
+				return
+			}
+			done <- reply.(*echoMsg).Text
+		})
 	})
 	select {
 	case s := <-done:

@@ -13,12 +13,13 @@ import (
 )
 
 // TestSendManyConcurrentProducers drives SendMany from many goroutines
-// at once — the send path's thread safety — and asserts three
-// things: no message is lost or double-counted (receiver count and
-// Stats.Sent both exact), outbox accounting returns to zero, and
-// per-destination FIFO holds per producing goroutine (each goroutine
-// tags its messages with a sequence; the receiver asserts the sequence
-// is monotone per tag even though goroutines interleave freely).
+// at once, each reaching the node through Do — the one door that stays
+// safe from any goroutine — and asserts three things: no message is lost
+// or double-counted (receiver count and Stats.Sent both exact), outbox
+// accounting returns to zero, and per-destination FIFO holds per
+// producing goroutine (each goroutine tags its messages with a sequence;
+// the receiver asserts the sequence is monotone per tag even though
+// goroutines interleave freely in the inbox).
 func TestSendManyConcurrentProducers(t *testing.T) {
 	reg := testReg()
 	a := newNode(t, "tcp-conc-a", reg)
@@ -58,7 +59,8 @@ func TestSendManyConcurrentProducers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				a.SendMany(tos, &echoMsg{Text: fmt.Sprintf("p%d/%d", p, i)})
+				msg := &echoMsg{Text: fmt.Sprintf("p%d/%d", p, i)}
+				a.Do(func() { a.SendMany(tos, msg) })
 			}
 		}(p)
 	}
@@ -89,8 +91,11 @@ func TestSendManyConcurrentProducers(t *testing.T) {
 	if st.Dropped != 0 {
 		t.Fatalf("Stats.Dropped = %d under an uncontended 1MiB budget: %+v", st.Dropped, st)
 	}
-	if qb := a.QueuedBytes(b.ID()); qb != 0 {
-		t.Fatalf("QueuedBytes(b) = %d after full drain, want 0", qb)
+	for queued := -1; queued != 0; time.Sleep(time.Millisecond) {
+		onLoop(a, func() { queued = a.QueuedBytes(b.ID()) + a.QueuedBytes(c.ID()) })
+		if queued != 0 && time.Now().After(deadline) {
+			t.Fatalf("QueuedBytes = %d after full drain, want 0", queued)
+		}
 	}
 
 	for name, r := range map[string]*rec{"b": rb, "c": rc} {
@@ -111,10 +116,10 @@ func TestSendManyConcurrentProducers(t *testing.T) {
 }
 
 // TestConcurrentSendsWithChurn races SendMany producers against address
-// churn (AddPeer re-seeding) and Backpressured gauge reads from other
-// goroutines — the widened thread-safety surface. The assertion is the
-// race detector plus conservation: every frame is either Sent or
-// attributed to a drop reason.
+// churn (AddPeer re-seeding) and backpressure gauge reads, each from its
+// own goroutine and each entering through Do or a setup call. The
+// assertion is the race detector plus conservation: every frame is
+// either Sent or attributed to a drop reason.
 func TestConcurrentSendsWithChurn(t *testing.T) {
 	reg := testReg()
 	a := newNode(t, "tcp-churn-a", reg)
@@ -128,7 +133,8 @@ func TestConcurrentSendsWithChurn(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				a.SendMany([]ids.ID{b.ID()}, &echoMsg{Text: fmt.Sprintf("c%d/%d", p, i)})
+				msg := &echoMsg{Text: fmt.Sprintf("c%d/%d", p, i)}
+				a.Do(func() { a.SendMany([]ids.ID{b.ID()}, msg) })
 			}
 		}(p)
 	}
@@ -147,8 +153,10 @@ func TestConcurrentSendsWithChurn(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = a.Saturated(b.ID())
-				_ = a.QueuedBytes(b.ID())
+				onLoop(a, func() {
+					_ = a.Saturated(b.ID())
+					_ = a.QueuedBytes(b.ID())
+				})
 			}
 		}
 	}()

@@ -378,8 +378,10 @@ func TestReadLoopMatchesReadFrame(t *testing.T) {
 				}
 			}
 			mu.Unlock()
-			if _, addr, binOK := n.lookupPeer(ids.FromString("recv-peer")); addr != "127.0.0.1:9" || !binOK {
-				t.Fatalf("%s, %s: the hello in mid-burst was not merged (addr %q, binary %v)", s.name, cut, addr, binOK)
+			var merged peer
+			onLoop(n, func() { merged = *n.peers[ids.FromString("recv-peer")] })
+			if merged.addr != "127.0.0.1:9" || !merged.binary {
+				t.Fatalf("%s, %s: the hello in mid-burst was not merged (addr %q, binary %v)", s.name, cut, merged.addr, merged.binary)
 			}
 		}
 	}
@@ -471,6 +473,76 @@ func TestSelfSendsNeverWaitOnTheInbox(t *testing.T) {
 	}
 	if order := <-got; !reflect.DeepEqual(order, want) {
 		t.Fatalf("%d entries in the handler's log, want %d: the handler returning, then every message in send order", len(order), len(want))
+	}
+}
+
+// TestRemoteRequestsNeverWaitOnTheInbox is hazard 1 for requests to
+// another node: a callback issues a burst of remote requests while its
+// node's inbox is full. A remote Request used to post itself to that
+// inbox from the only goroutine that empties it, so the callback waited
+// for ever. It must return, and every request must be answered.
+func TestRemoteRequestsNeverWaitOnTheInbox(t *testing.T) {
+	reg := testReg()
+	n, peer := newNode(t, "remote-flood", reg), newNode(t, "remote-flood-peer", reg)
+	n.AddPeer(peer.ID(), peer.Addr())
+	peer.AddPeer(n.ID(), n.Addr())
+	peer.Handle("test.echo", func(ctx netapi.Ctx, _ ids.ID, msg wire.Message) {
+		ctx.Reply(&echoMsg{Text: "re: " + msg.(*echoMsg).Text})
+	})
+	const requests = 10
+	answered := make(chan error, requests)
+	returned := make(chan struct{})
+	parked, release := make(chan struct{}), make(chan struct{})
+	n.Do(func() {
+		close(parked)
+		<-release
+	})
+	<-parked
+	n.Do(func() {
+		for i := 0; i < requests; i++ {
+			text := fmt.Sprint(i)
+			n.Request(peer.ID(), &echoMsg{Text: text}, 10*time.Second, func(reply wire.Message, err error) {
+				if err == nil && reply.(*echoMsg).Text != "re: "+text {
+					err = fmt.Errorf("reply %q to %q", reply.(*echoMsg).Text, text)
+				}
+				answered <- err
+			})
+		}
+		close(returned)
+	})
+	// The filler keeps the inbox at its capacity until the callback is back.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				n.Do(func() {})
+			}
+		}
+	}()
+	for len(n.inbox) < cap(n.inbox) {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the callback waits on its own full inbox (hazard 1): remote requests hop through it")
+	}
+	close(stop)
+	<-stopped
+	for i := 0; i < requests; i++ {
+		select {
+		case err := <-answered:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d requests answered", i, requests)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func TestHelloBackOnInboundConnection(t *testing.T) {
 	b.Handle("test.echo", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { got <- msg.(*echoMsg).Text })
 	send := func(i int) {
 		text := fmt.Sprint("one way ", i)
-		a.Send(b.ID(), &echoMsg{Text: text})
+		onLoop(a, func() { a.Send(b.ID(), &echoMsg{Text: text}) })
 		select {
 		case s := <-got:
 			if s != text {
@@ -48,7 +48,9 @@ func TestHelloBackOnInboundConnection(t *testing.T) {
 	}
 	send(0)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, _, binOK := a.lookupPeer(b.ID()); binOK {
+		var binOK bool
+		onLoop(a, func() { binOK = a.peers[b.ID()].binary })
+		if binOK {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -140,16 +142,21 @@ func sinkPeer(t testing.TB, n *Node) ids.ID {
 	return id
 }
 
-// pushChunked sends body to `to` as store.sendChunked does: a manifest,
-// then one chunk frame per 64 KiB slice of the stored bytes. It returns
-// once the outbox has written everything.
+// pushChunked sends body to `to` as store.sendChunked does, in one actor
+// turn: a manifest, then one chunk frame per 64 KiB slice of the stored
+// bytes. It returns once the outbox has written everything: it polls the
+// outbox itself, which its writer shares, not the loop.
 func pushChunked(n *Node, to ids.ID, body []byte) {
 	const chunk = 64 << 10
-	n.Send(to, &store.ManifestMsg{Xfer: 1, GUID: "g", Purpose: 1, TotalLen: len(body), Chunk: chunk, Hash: 7})
-	for off := 0; off < len(body); off += chunk {
-		n.Send(to, &store.ChunkMsg{Xfer: 1, Off: off, Data: body[off:min(off+chunk, len(body))]})
-	}
-	for n.QueuedBytes(to) > 0 {
+	var ox *outbox
+	onLoop(n, func() {
+		n.Send(to, &store.ManifestMsg{Xfer: 1, GUID: "g", Purpose: 1, TotalLen: len(body), Chunk: chunk, Hash: 7})
+		for off := 0; off < len(body); off += chunk {
+			n.Send(to, &store.ChunkMsg{Xfer: 1, Off: off, Data: body[off:min(off+chunk, len(body))]})
+		}
+		ox = n.peers[to].ox
+	})
+	for ox.queuedBytes() > 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
 }
@@ -185,6 +192,7 @@ func TestSendChunkedAllocs(t *testing.T) {
 // (no SharedBody, no split encode) and queues the same frame, on both
 // codecs. The peer is parked mid-dial: frames queue and nothing writes
 // them, so the count is the sender's alone and the queue holds the bytes.
+// The test measures on the actor loop, where sends run.
 func TestSendManyOfOneAllocsAsSend(t *testing.T) {
 	for _, codec := range []string{wire.CodecXML, wire.CodecBinary} {
 		t.Run(codec, func(t *testing.T) {
@@ -201,26 +209,29 @@ func TestSendManyOfOneAllocsAsSend(t *testing.T) {
 				n.mergeHello(&HelloMsg{ID: to.String(), Addr: "127.0.0.1:1",
 					Codecs: []string{wire.CodecXML, wire.CodecBinary}, KindsHash: hash})
 			})
-			n.Stats() // one trip through the actor loop: the hello is merged
-			p, _, binOK := n.lookupPeer(to)
-			if !binOK {
-				t.Fatal("binary not negotiated with the parked peer")
-			}
-			p.state.Store(peerDialing)
 			msg := &pubsub.DeliverMsg{Event: event.New("hot", "sensor-1", 0).
 				Set("user", event.S("user-1")).Set("x", event.F(4.5)).Stamp(1)}
 			tos := []ids.ID{to}
-
-			send := testing.AllocsPerRun(100, func() { n.Send(to, msg); p.ox.dropAll() })
-			many := testing.AllocsPerRun(100, func() { n.SendMany(tos, msg); p.ox.dropAll() })
+			var (
+				p          *peer
+				send, many float64
+				frames     []frame
+			)
+			onLoop(n, func() {
+				if p = n.peers[to]; !p.binary {
+					t.Error("binary not negotiated with the parked peer")
+				}
+				p.state = peerDialing
+				send = testing.AllocsPerRun(100, func() { n.Send(to, msg); p.ox.dropAll() })
+				many = testing.AllocsPerRun(100, func() { n.SendMany(tos, msg); p.ox.dropAll() })
+				n.Send(to, msg)
+				n.SendMany(tos, msg)
+			})
 			t.Logf("Send %.0f allocs, SendMany of one %.0f", send, many)
 			if many > send && !raceEnabled {
 				t.Errorf("SendMany to one peer allocates %.0f, Send %.0f", many, send)
 			}
-
-			n.Send(to, msg)
-			n.SendMany(tos, msg)
-			frames, _ := p.ox.take(nil, 1<<30)
+			frames, _ = p.ox.take(nil, 1<<30)
 			if len(frames) != 2 {
 				t.Fatalf("%d frames queued, want 2", len(frames))
 			}
@@ -256,7 +267,8 @@ func BenchmarkSendChunk(b *testing.B) {
 // borrow one SendMany body and, sent one by one as replica pushes are, one
 // stored object. The eight peers' writer goroutines then read the same
 // bytes at once; run under -race, nothing may write them, and every peer
-// receives every copy intact.
+// receives every copy intact. Each round is one actor turn, so writers
+// take frames while later rounds are queued.
 func TestSharedBodiesUnderConcurrentWriters(t *testing.T) {
 	reg := testReg()
 	a := newCodecNode(t, "tcp-sharedbody-a", reg, wire.CodecBinary)
@@ -281,23 +293,14 @@ func TestSharedBodiesUnderConcurrentWriters(t *testing.T) {
 		a.Do(func() { a.mergeHello(hello) })
 	}
 	a.Stats() // one trip through the actor loop: the hellos are merged
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
+	for r := 0; r < rounds; r++ {
+		a.Do(func() {
 			a.SendMany(tos, &store.ReplicateMsg{GUID: "fan-out", Data: stored})
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for r := 0; r < rounds; r++ {
 			for _, to := range tos {
 				a.Send(to, &store.CacheFillMsg{GUID: "stored", Data: stored})
 			}
-		}
-	}()
-	wg.Wait()
+		})
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for received.Load() < 2*peers*rounds {
 		if time.Now().After(deadline) {

@@ -13,15 +13,12 @@
 // it sends to and reads the connections it accepts, which removes all
 // simultaneous-connect conflicts. Only the acceptor's hello travels back.
 //
-// The send path toward other nodes, by contrast, is thread-safe:
-// Send/SendMany encode on the caller's goroutine and push into the
-// per-peer mutex-protected outbox directly, without detouring through
-// the actor inbox, so a caller off the actor loop may send too. A send
-// to the node itself never reaches a socket or the inbox: it joins the
-// loop's local run queue, so it must come from the actor loop. The peer
-// table is guarded by an RWMutex whose only writer is the actor loop;
-// peer dial state is atomic so any sender can kick a connection
-// attempt. Stats counters are atomics.
+// The actor loop owns the peer table: Send, SendMany and Request encode
+// and queue a frame on the loop, and QueuedBytes and Saturated read the
+// queue there, as netapi requires. Code off the loop reaches the node
+// through Do. Only a peer's outbox is shared, with the writer goroutine
+// that drains it, and the Stats counters are atomics, because the reader
+// and writer goroutines count too.
 //
 // Endpoint semantics — handlers, pending requests, reply dispatch, the
 // request ctxs and the local run queue — live in netapi.Loop, which the
@@ -37,6 +34,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -251,31 +249,27 @@ type Stats struct {
 }
 
 const (
-	peerIdle int32 = iota
+	peerIdle = iota
 	peerDialing
 	peerConnected
 )
 
+// peer is one entry of the peer table. Everything but ox is the actor
+// loop's.
 type peer struct {
 	id ids.ID
 	ox *outbox
 	// state is the connection lifecycle (peerIdle/peerDialing/
-	// peerConnected), atomic so any sender can CAS idle→dialing and spawn
-	// the dial itself instead of detouring through the actor inbox.
-	// redialPending guards against stacking redial timers.
-	state         atomic.Int32
-	redialPending atomic.Bool
-	// Routing fields guarded by Node.peersMu (writers: the actor loop
-	// via mergeHello, and AddPeer; concurrent senders read under RLock).
-	// addr is where to dial. wantsBinary and kindsHash record the codec
-	// capabilities from the peer's most recent hello: binary frames flow
-	// toward it only while it advertised the binary codec AND its registry
-	// fingerprint matches ours.
-	addr        string
-	wantsBinary bool
-	kindsHash   string
-	// Actor-confined: conn is the established write connection; connFails
-	// counts consecutive dial/connection failures while frames were still
+	// peerConnected); redialPending guards against stacking redial timers.
+	state         int
+	redialPending bool
+	// addr is where to dial. binary records the peer's most recent hello:
+	// binary frames flow toward it only while it advertised the binary
+	// codec AND its registry fingerprint matches ours.
+	addr   string
+	binary bool
+	// conn is the established write connection; connFails counts
+	// consecutive dial/connection failures while frames were still
 	// queued, reset on a successful connection.
 	conn      net.Conn
 	connFails int
@@ -298,20 +292,13 @@ type Node struct {
 	closeOne sync.Once
 	wg       sync.WaitGroup
 
-	// Stats counters, all atomics: the send path runs on arbitrary
-	// caller goroutines, writer goroutines
-	// count flushes, and the read loops count receives — none of them
-	// detour through the inbox to count.
+	// Stats counters, all atomics: writer goroutines count flushes and
+	// the read loops count receives without detouring through the inbox,
+	// and Stats reads them off the loop.
 	c counters
 
-	// peersMu guards the peer table and each peer's routing fields
-	// (addr, wantsBinary, kindsHash). Writers are the actor loop
-	// (mergeHello) and AddPeer; the concurrent send path reads under
-	// RLock and never grows the table.
-	peersMu sync.RWMutex
-	peers   map[ids.ID]*peer
-
 	// Actor-confined state.
+	peers    map[ids.ID]*peer
 	loop     netapi.Loop
 	drainFns []func(ids.ID)
 }
@@ -409,9 +396,10 @@ func (n *Node) do(fn func()) {
 }
 
 // Do schedules fn on the node's actor loop, where all protocol state may
-// be touched safely. Code outside the loop (main goroutines, tests) must
-// use Do to invoke protocol APIs such as Store.Get or Overlay.Join — the
-// loop owns their state. No-op after Close.
+// be touched safely. It is the one door in: code outside the loop (main
+// goroutines, tests) must use Do to send, to read the backpressure gauge
+// or to invoke protocol APIs such as Store.Get or Overlay.Join — the loop
+// owns their state. No-op after Close.
 func (n *Node) Do(fn func()) { n.do(fn) }
 
 //vetactive:actorloop
@@ -465,31 +453,27 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// Handle implements netapi.Endpoint.
+// Handle implements netapi.Endpoint. It is a setup call: it hops onto the
+// actor loop, so it may be called before the node serves traffic.
 func (n *Node) Handle(kind string, h netapi.Handler) {
 	n.do(func() { n.loop.Handle(kind, h) })
 }
 
-// AddPeer seeds the address book. Synchronous and safe from any
-// goroutine: a Send immediately after AddPeer returns sees the address.
+// AddPeer seeds the address book. It is a setup call, like Handle: it
+// hops onto the actor loop, so work posted with Do after it returns sees
+// the address.
 func (n *Node) AddPeer(id ids.ID, addr string) {
-	n.peersMu.Lock()
-	n.ensurePeerLocked(id).addr = addr
-	n.peersMu.Unlock()
+	n.do(func() { n.ensurePeer(id).addr = addr })
 }
 
-// Send implements netapi.Endpoint. Toward another node it is safe from
-// any goroutine: the frame is encoded and queued on the caller's
-// goroutine before Send returns. A send to the node itself goes on the
-// local run queue and must come from the actor loop.
+// Send implements netapi.Endpoint. Toward another node the frame is
+// encoded and queued before Send returns.
 func (n *Node) Send(to ids.ID, msg wire.Message) { n.loop.Send(to, msg) }
 
 // SendMany implements netapi.Multicaster: the message body is encoded
 // once per negotiated codec and shared across every destination frame
 // (encode once, send many); only the per-peer envelope header differs.
-// Safe from any goroutine, as Send is, unless the node itself is among
-// tos; destinations are processed in argument order on the caller's
-// goroutine, so per-destination FIFO holds per caller.
+// Destinations are queued in argument order.
 func (n *Node) SendMany(tos []ids.ID, msg wire.Message) {
 	var shared *wire.SharedBody
 	if len(tos) > 1 {
@@ -501,16 +485,10 @@ func (n *Node) SendMany(tos []ids.ID, msg wire.Message) {
 	n.loop.SendMany(tos, msg, shared)
 }
 
-// Request implements netapi.Endpoint. A request to another node hops
-// onto the actor loop, so it is safe from any goroutine. One to the node
-// itself must come from the actor loop, like every send to self, and
-// goes straight to the loop: no inbox post for the loop to wait on.
+// Request implements netapi.Endpoint. Like a Send, it queues its frame
+// before it returns, and never posts to the inbox the loop empties.
 func (n *Node) Request(to ids.ID, msg wire.Message, timeout time.Duration, cb netapi.ReplyFunc) {
-	if to == n.info.ID {
-		n.loop.Request(to, msg, timeout, cb)
-		return
-	}
-	n.do(func() { n.loop.Request(to, msg, timeout, cb) })
+	n.loop.Request(to, msg, timeout, cb)
 }
 
 // seam is the netapi.Substrate the actor loop sends and times out through.
@@ -529,12 +507,10 @@ func (s *seam) Arm(d time.Duration, p netapi.Pending) vclock.Timer {
 	return (*Node)(s).Clock().After(d, func() { s.loop.Expire(p) })
 }
 
-// --- sending (any goroutine) ---------------------------------------------------
+// --- sending (actor loop) -------------------------------------------------------
 
-// ensurePeerLocked inserts or returns the peer entry for id. Callers must
-// hold peersMu for writing (actor loop only — the send path never grows
-// the table).
-func (n *Node) ensurePeerLocked(id ids.ID) *peer {
+// ensurePeer inserts or returns the peer entry for id.
+func (n *Node) ensurePeer(id ids.ID) *peer {
 	p, ok := n.peers[id]
 	if !ok {
 		p = &peer{id: id, ox: newOutbox(n.opts.OutboxHighWater, n.opts.OutboxLowWater)}
@@ -543,41 +519,14 @@ func (n *Node) ensurePeerLocked(id ids.ID) *peer {
 	return p
 }
 
-// ensurePeer is ensurePeerLocked under the write lock. Actor loop only.
-func (n *Node) ensurePeer(id ids.ID) *peer {
-	n.peersMu.Lock()
-	defer n.peersMu.Unlock()
-	return n.ensurePeerLocked(id)
-}
-
-// lookupPeer snapshots the routing fields needed by one transmit: the
-// peer entry, its dial address and whether the binary fast path is
-// negotiated. Safe from any goroutine.
-func (n *Node) lookupPeer(to ids.ID) (p *peer, addr string, binOK bool) {
-	n.peersMu.RLock()
-	defer n.peersMu.RUnlock()
-	p = n.peers[to]
-	if p == nil {
-		return nil, "", false
-	}
-	return p, p.addr, p.wantsBinary && p.kindsHash == n.bin.KindsHash()
-}
-
-// transmit encodes env and queues it toward another node. Safe from any
-// goroutine: the encode runs on the caller, the outbox push is
-// mutex-protected, counters are atomic, and a needed dial is kicked off
-// via CAS on the peer state.
+// transmit encodes env and queues it toward another node, and starts a
+// dial if the peer has no connection.
 func (n *Node) transmit(env *wire.Envelope, shared *wire.SharedBody) {
-	select {
-	case <-n.closed:
-		return
-	default:
-	}
 	// Route check first: no peer entry or no address means the frame
 	// could never leave this node — drop before paying the encode, and
 	// never grow the peer map for unroutable destinations.
-	p, addr, binOK := n.lookupPeer(env.To)
-	if p == nil || addr == "" {
+	p := n.peers[env.To]
+	if p == nil || p.addr == "" {
 		n.c.dropped.Add(1)
 		n.c.droppedNoAddr.Add(1)
 		n.log.Debug("no address for peer", "peer", env.To.Short())
@@ -586,7 +535,7 @@ func (n *Node) transmit(env *wire.Envelope, shared *wire.SharedBody) {
 	// Negotiated per peer: binary frames only toward peers whose hello
 	// advertised the binary codec with a matching kind table.
 	codec := splitEncoder(n.reg)
-	if n.preferBin && binOK {
+	if n.preferBin && p.binary {
 		codec = n.bin
 	}
 	head, body, err := codec.EncodeSplit(env, shared, lenPrefix)
@@ -621,33 +570,23 @@ func newFrame(head, body []byte) frame {
 }
 
 // maybeDial starts a connection attempt toward p unless one is already
-// in flight or a redial backoff owns the next attempt. Safe from any
-// goroutine: the idle→dialing transition is a CAS, so exactly one
-// concurrent sender wins the dial.
+// in flight or a redial backoff owns the next attempt. The dialer's
+// hello is built here, on the loop that owns the address book it carries.
 func (n *Node) maybeDial(p *peer) {
-	if p.redialPending.Load() {
-		return
-	}
-	n.peersMu.RLock()
-	addr := p.addr
-	n.peersMu.RUnlock()
-	if addr == "" {
-		return
-	}
-	if !p.state.CompareAndSwap(peerIdle, peerDialing) {
+	if p.redialPending || p.addr == "" || p.state != peerIdle {
 		return
 	}
 	select {
 	case <-n.closed:
-		// Late send racing Close: undo and bail rather than spawn a
-		// goroutine Close will not wait for.
-		p.state.Store(peerIdle)
+		// A callback running after Close: spawn no goroutine Close will
+		// not wait for.
 		return
 	default:
 	}
+	p.state = peerDialing
 	n.c.dials.Add(1)
 	n.wg.Add(1)
-	go n.dialPeer(p.id, addr)
+	go n.dialPeer(p, p.addr, n.helloFrame())
 }
 
 // scheduleRedial arranges another dial after a connection failure while
@@ -674,9 +613,10 @@ func (n *Node) scheduleRedial(p *peer) {
 		}
 		return
 	}
-	if !p.redialPending.CompareAndSwap(false, true) {
+	if p.redialPending {
 		return
 	}
+	p.redialPending = true
 	// Cap the exponent, not the product: a large redialAttempts must not
 	// shift the backoff into overflow.
 	shift := p.connFails - 1
@@ -684,7 +624,7 @@ func (n *Node) scheduleRedial(p *peer) {
 		shift = 5
 	}
 	n.Clock().After(n.opts.redialBackoff<<shift, func() {
-		p.redialPending.Store(false)
+		p.redialPending = false
 		if p.ox.pendingFrames() > 0 {
 			n.maybeDial(p)
 		}
@@ -693,33 +633,24 @@ func (n *Node) scheduleRedial(p *peer) {
 
 // --- backpressure (netapi.Backpressured) -----------------------------------------
 
-// QueuedBytes implements netapi.Backpressured. Safe from any goroutine,
-// like the send path: the peer table is read under RLock and the byte
-// counter is lock-protected. Under concurrent sends the value is an
-// advisory snapshot.
+// QueuedBytes implements netapi.Backpressured.
 func (n *Node) QueuedBytes(to ids.ID) int {
-	n.peersMu.RLock()
-	p, ok := n.peers[to]
-	n.peersMu.RUnlock()
-	if ok {
+	if p, ok := n.peers[to]; ok {
 		return p.ox.queuedBytes()
 	}
 	return 0
 }
 
-// Saturated implements netapi.Backpressured. Safe from any goroutine;
-// see QueuedBytes.
+// Saturated implements netapi.Backpressured.
 func (n *Node) Saturated(to ids.ID) bool {
-	n.peersMu.RLock()
-	p, ok := n.peers[to]
-	n.peersMu.RUnlock()
-	if ok {
+	if p, ok := n.peers[to]; ok {
 		return p.ox.saturated()
 	}
 	return false
 }
 
-// OnDrain implements netapi.Backpressured; fn runs on the actor loop.
+// OnDrain implements netapi.Backpressured. It is a setup call, like
+// Handle: it hops onto the actor loop, where fn runs too.
 func (n *Node) OnDrain(fn func(to ids.ID)) {
 	n.do(func() { n.drainFns = append(n.drainFns, fn) })
 }
@@ -736,57 +667,43 @@ func (n *Node) notifyDrain(id ids.ID) {
 	n.do(func() { n.fireDrain(id) })
 }
 
-// dialPeer establishes the connection to a peer and reads the hello the
-// peer answers on it, until the connection ends. Failures hand the peer
-// to scheduleRedial so frames queued during the attempt are not stranded
+// dialPeer establishes the connection to p, opens it with hello and
+// reads the hello the peer answers on it, until the connection ends. It
+// touches p only through the actor loop. Failures hand the peer to
+// scheduleRedial so frames queued during the attempt are not stranded
 // until an unrelated later transmit.
-func (n *Node) dialPeer(id ids.ID, addr string) {
+func (n *Node) dialPeer(p *peer, addr string, hello frame) {
 	defer n.wg.Done()
-	fail := func(countDial bool) {
-		if countDial {
-			n.c.dialFails.Add(1)
-		}
+	fail := func() {
 		n.do(func() {
-			n.peersMu.RLock()
-			p, ok := n.peers[id]
-			n.peersMu.RUnlock()
-			if ok {
-				p.state.Store(peerIdle)
-				n.scheduleRedial(p)
-			}
+			p.state = peerIdle
+			n.scheduleRedial(p)
 		})
 	}
 	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
-		fail(true)
+		n.c.dialFails.Add(1)
+		fail()
 		return
 	}
-	if _, err := conn.Write(n.helloFrame().head); err != nil { // XML: all head
+	if _, err := conn.Write(hello.head); err != nil { // XML: all head
 		_ = conn.Close()
-		fail(false)
+		fail()
 		return
 	}
 	n.wg.Add(1)
 	go n.readLoop(conn, 1<<10) // it carries only the peer's hello
 	n.do(func() {
-		n.peersMu.RLock()
-		p, ok := n.peers[id]
-		n.peersMu.RUnlock()
-		if !ok {
-			_ = conn.Close()
-			return
-		}
 		p.conn = conn
 		p.connFails = 0
-		p.state.Store(peerConnected)
+		p.state = peerConnected
 		n.wg.Add(1)
 		go n.writeLoop(p, conn)
 	})
 }
 
-// helloFrame builds this node's hello frame around a snapshot of its
-// address book. Safe from any goroutine: everything else it reads is
-// immutable or atomic. Hellos always travel as XML so negotiation needs no
+// helloFrame builds this node's hello frame around its address book.
+// Actor loop only. Hellos always travel as XML so negotiation needs no
 // prior agreement.
 func (n *Node) helloFrame() frame {
 	hello := &HelloMsg{
@@ -800,13 +717,11 @@ func (n *Node) helloFrame() frame {
 		hello.Codecs = []string{wire.CodecXML, wire.CodecBinary}
 		hello.KindsHash = n.bin.KindsHash()
 	}
-	n.peersMu.RLock()
 	for id, p := range n.peers {
 		if p.addr != "" {
 			hello.Known = append(hello.Known, HelloPeer{ID: id.String(), Addr: p.addr})
 		}
 	}
-	n.peersMu.RUnlock()
 	env := &wire.Envelope{From: n.info.ID, To: n.info.ID, Msg: hello}
 	head, body, _ := n.reg.EncodeSplit(env, nil, lenPrefix) // AppendXML cannot fail
 	return newFrame(head, body)
@@ -816,13 +731,15 @@ func (n *Node) helloFrame() frame {
 // dialer this node never dials back still learns its codecs. A dialer
 // that does not read its connection leaves the hello in its socket
 // buffer; readLoop closing the connection ends a write that blocks.
-func (n *Node) helloBack(conn net.Conn) {
+func (n *Node) helloBack(conn net.Conn, hello frame) {
 	defer n.wg.Done()
-	_, _ = conn.Write(n.helloFrame().head) // a failed write is readLoop's to see
+	_, _ = conn.Write(hello.head) // a failed write is readLoop's to see
 }
 
-// rehello queues a fresh hello on every connected peer link, so an
-// address the node just learned reaches them. Actor loop only. A
+// rehello queues a fresh hello on every peer link that is up or being
+// dialled, so an address the node just learned reaches them: a dial's
+// own hello was built when the dial started, and what is queued is
+// written after it. Actor loop only. A
 // saturated outbox must not lose it: addresses travel only in hellos.
 // Hellos are control frames, exempt from the byte budget, so only a
 // queue at its hard cap can refuse one — those peers are tracked
@@ -830,21 +747,13 @@ func (n *Node) helloBack(conn net.Conn) {
 // hello are not re-broadcast to.
 func (n *Node) rehello() { n.rehelloTo(nil) }
 
-// rehelloTo sends the hello to every connected peer, or with a non-nil
-// only set just to those peers. Actor loop only.
+// rehelloTo sends the hello to every peer link rehello reaches, or with
+// a non-nil only set just to those peers. Actor loop only.
 func (n *Node) rehelloTo(only map[ids.ID]bool) {
 	hello := n.helloFrame()
 	var missed map[ids.ID]bool
-	n.peersMu.RLock()
-	conns := make([]*peer, 0, len(n.peers))
 	for _, p := range n.peers {
-		if p.state.Load() == peerConnected {
-			conns = append(conns, p)
-		}
-	}
-	n.peersMu.RUnlock()
-	for _, p := range conns {
-		if only != nil && !only[p.id] {
+		if p.state == peerIdle || only != nil && !only[p.id] {
 			continue
 		}
 		if !p.ox.push(hello, true) {
@@ -865,7 +774,7 @@ func (n *Node) writeLoop(p *peer, conn net.Conn) {
 	fail := func() {
 		n.do(func() {
 			p.conn = nil
-			p.state.Store(peerIdle)
+			p.state = peerIdle
 			// Frames queued after this batch was taken would otherwise be
 			// stranded until an unrelated later transmit.
 			n.scheduleRedial(p)
@@ -942,9 +851,13 @@ func (n *Node) acceptLoop() {
 				continue
 			}
 		}
-		n.wg.Add(2)
+		n.wg.Add(1)
 		go n.readLoop(conn, readBufSize)
-		go n.helloBack(conn)
+		// The hello carries the address book, which is the loop's.
+		n.do(func() {
+			n.wg.Add(1)
+			go n.helloBack(conn, n.helloFrame())
+		})
 	}
 }
 
@@ -1029,31 +942,19 @@ func (n *Node) decodeFrame(frame []byte) (*wire.Envelope, error) {
 
 // mergeHello learns addresses and codec capabilities from a peer's hello,
 // and reports whether it learned the address of a node it had none for.
-// Capabilities are recorded verbatim and compared against our own kinds
-// hash at send time. Actor loop only (the sole
-// peer-table writer); mutations hold the peersMu write lock so
-// concurrent senders see consistent routing fields.
 func (n *Node) mergeHello(h *HelloMsg) (learned bool) {
-	n.peersMu.Lock()
-	defer n.peersMu.Unlock()
 	if id, err := ids.Parse(h.ID); err == nil && h.Addr != "" {
-		p := n.ensurePeerLocked(id)
+		p := n.ensurePeer(id)
 		learned = p.addr == ""
 		p.addr = h.Addr
-		p.wantsBinary = false
-		p.kindsHash = h.KindsHash
-		for _, c := range h.Codecs {
-			if c == wire.CodecBinary {
-				p.wantsBinary = true
-			}
-		}
+		p.binary = h.KindsHash == n.bin.KindsHash() && slices.Contains(h.Codecs, wire.CodecBinary)
 	}
 	for _, k := range h.Known {
 		id, err := ids.Parse(k.ID)
 		if err != nil || k.Addr == "" || id == n.info.ID {
 			continue
 		}
-		p := n.ensurePeerLocked(id)
+		p := n.ensurePeer(id)
 		if p.addr == "" {
 			p.addr = k.Addr
 			learned = true

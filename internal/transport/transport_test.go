@@ -40,6 +40,14 @@ func newNode(t *testing.T, name string, reg *wire.Registry) *Node {
 	return n
 }
 
+// onLoop runs fn on n's actor loop and waits for it. A test sends
+// through it, as all code off the loop must.
+func onLoop(n *Node, fn func()) {
+	done := make(chan struct{})
+	n.Do(func() { fn(); close(done) })
+	<-done
+}
+
 func TestSendAndHandle(t *testing.T) {
 	reg := testReg()
 	a := newNode(t, "tcp-a", reg)
@@ -53,7 +61,7 @@ func TestSendAndHandle(t *testing.T) {
 		}
 		got <- msg.(*echoMsg).Text
 	})
-	a.Send(b.ID(), &echoMsg{Text: "over tcp"})
+	onLoop(a, func() { a.Send(b.ID(), &echoMsg{Text: "over tcp"}) })
 	select {
 	case s := <-got:
 		if s != "over tcp" {
@@ -75,12 +83,14 @@ func TestRequestReplyOverTCP(t *testing.T) {
 		ctx.Reply(&echoMsg{Text: "re: " + msg.(*echoMsg).Text})
 	})
 	done := make(chan string, 1)
-	a.Request(b.ID(), &echoMsg{Text: "hi"}, 5*time.Second, func(reply wire.Message, err error) {
-		if err != nil {
-			done <- "err: " + err.Error()
-			return
-		}
-		done <- reply.(*echoMsg).Text
+	onLoop(a, func() {
+		a.Request(b.ID(), &echoMsg{Text: "hi"}, 5*time.Second, func(reply wire.Message, err error) {
+			if err != nil {
+				done <- "err: " + err.Error()
+				return
+			}
+			done <- reply.(*echoMsg).Text
+		})
 	})
 	select {
 	case s := <-done:
@@ -99,8 +109,8 @@ func TestRequestTimeoutOverTCP(t *testing.T) {
 	dead := ids.FromString("tcp-dead")
 	a.AddPeer(dead, "127.0.0.1:1")
 	done := make(chan error, 1)
-	a.Request(dead, &echoMsg{}, 500*time.Millisecond, func(_ wire.Message, err error) {
-		done <- err
+	onLoop(a, func() {
+		a.Request(dead, &echoMsg{}, 500*time.Millisecond, func(_ wire.Message, err error) { done <- err })
 	})
 	select {
 	case err := <-done:
@@ -128,13 +138,13 @@ func TestHelloGossipsAddresses(t *testing.T) {
 	cGot := make(chan struct{}, 1)
 	c.Handle("test.echo", func(netapi.Ctx, ids.ID, wire.Message) { cGot <- struct{}{} })
 
-	a.Send(b.ID(), &echoMsg{Text: "seed"})
+	onLoop(a, func() { a.Send(b.ID(), &echoMsg{Text: "seed"}) })
 	select {
 	case <-bGot:
 	case <-time.After(5 * time.Second):
 		t.Fatal("seed message lost")
 	}
-	b.Send(c.ID(), &echoMsg{Text: "via gossip"})
+	onLoop(b, func() { b.Send(c.ID(), &echoMsg{Text: "via gossip"}) })
 	select {
 	case <-cGot:
 	case <-time.After(5 * time.Second):
@@ -165,7 +175,7 @@ func TestLearnedAddressReachesConnectedPeers(t *testing.T) {
 		}
 		a.Send(c.ID(), &echoMsg{Text: "answer"})
 	})
-	b.Send(a.ID(), &echoMsg{Text: "up"})
+	onLoop(b, func() { b.Send(a.ID(), &echoMsg{Text: "up"}) })
 	select {
 	case <-up:
 	case <-time.After(5 * time.Second):
@@ -176,7 +186,7 @@ func TestLearnedAddressReachesConnectedPeers(t *testing.T) {
 	})
 	answered := make(chan struct{}, 1)
 	c.Handle("test.echo", func(netapi.Ctx, ids.ID, wire.Message) { answered <- struct{}{} })
-	c.Send(b.ID(), &echoMsg{Text: "from c"})
+	onLoop(c, func() { c.Send(b.ID(), &echoMsg{Text: "from c"}) })
 	select {
 	case <-answered:
 	case <-time.After(5 * time.Second):
@@ -213,16 +223,18 @@ func TestDeferredReplyOverTCP(t *testing.T) {
 		b.Clock().After(20*time.Millisecond, func() { ctx.Reply(&echoMsg{Text: "re: " + text}) })
 	})
 	got := make(chan string, 3)
-	for _, text := range []string{"x", "y", "z"} {
-		a.Send(b.ID(), &echoMsg{Text: "one-way"})
-		a.Request(b.ID(), &echoMsg{Text: text}, 5*time.Second, func(reply wire.Message, err error) {
-			if err != nil {
-				got <- text + ": " + err.Error()
-				return
-			}
-			got <- text + ": " + reply.(*echoMsg).Text
-		})
-	}
+	onLoop(a, func() {
+		for _, text := range []string{"x", "y", "z"} {
+			a.Send(b.ID(), &echoMsg{Text: "one-way"})
+			a.Request(b.ID(), &echoMsg{Text: text}, 5*time.Second, func(reply wire.Message, err error) {
+				if err != nil {
+					got <- text + ": " + err.Error()
+					return
+				}
+				got <- text + ": " + reply.(*echoMsg).Text
+			})
+		}
+	})
 	want := map[string]bool{"x: re: x": true, "y: re: y": true, "z: re: z": true}
 	for len(want) > 0 {
 		select {
@@ -259,18 +271,22 @@ func TestReplyFromWrongPeerIgnoredOverTCP(t *testing.T) {
 			timeout = time.Second
 		}
 		got := make(chan string, 2)
-		a.Request(b.ID(), &echoMsg{Text: "ask"}, timeout, func(reply wire.Message, err error) {
-			if err != nil {
-				got <- err.Error()
-				return
-			}
-			got <- reply.(*echoMsg).Text
+		onLoop(a, func() {
+			a.Request(b.ID(), &echoMsg{Text: "ask"}, timeout, func(reply wire.Message, err error) {
+				if err != nil {
+					got <- err.Error()
+					return
+				}
+				got <- reply.(*echoMsg).Text
+			})
 		})
 		ctx := <-asked // a's request is pending
 		// The forged reply and then a one-way marker share c's connection:
 		// once a has handled the marker, it has dispatched the forgery.
-		c.transmit(&wire.Envelope{From: c.ID(), To: a.ID(), CorrID: 1, IsReply: true, Msg: &echoMsg{Text: "forged"}}, nil)
-		c.Send(a.ID(), &echoMsg{Text: "marker"})
+		onLoop(c, func() {
+			c.transmit(&wire.Envelope{From: c.ID(), To: a.ID(), CorrID: 1, IsReply: true, Msg: &echoMsg{Text: "forged"}}, nil)
+			c.Send(a.ID(), &echoMsg{Text: "marker"})
+		})
 		<-marked
 		want := netapi.ErrTimeout.Error()
 		if answer {
@@ -438,6 +454,6 @@ func TestCloseIsIdempotentAndStopsTraffic(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Sends after close are silently discarded.
-	a.Send(b.ID(), &echoMsg{})
+	// A send posted after close is discarded, and the post does not block.
+	a.Do(func() { a.Send(b.ID(), &echoMsg{}) })
 }

@@ -35,8 +35,10 @@ type Codec interface {
 	Encode(env *Envelope) ([]byte, error)
 	// Decode parses a frame produced by Encode.
 	Decode(data []byte) (*Envelope, error)
-	// Size returns the encoded size of env in bytes.
-	Size(env *Envelope) (int, error)
+	// Size returns the encoded size of env in bytes. A non-nil s is the
+	// SharedBody of a fan-out of env's message, as EncodeShared takes it:
+	// the body is then counted once for every destination.
+	Size(env *Envelope, s *SharedBody) (int, error)
 }
 
 // Codec names used for negotiation and configuration.
@@ -612,24 +614,43 @@ func (c *BinaryCodec) decode(data []byte, borrow bool) (*Envelope, error) {
 // Size implements Codec with no reflection and no retained document: a
 // SizedMessage is counted without being encoded; any other message body
 // is encoded in a pooled buffer, except for a tail, which is only
-// counted.
-func (c *BinaryCodec) Size(env *Envelope) (int, error) {
+// counted. With a non-nil s the first Size keeps the body's kind number
+// and length there, and the rest of the fan-out reads them.
+func (c *BinaryCodec) Size(env *Envelope, s *SharedBody) (int, error) {
+	var flags byte
+	if env.Err != "" {
+		flags |= flagHasErr
+	}
+	if env.Msg == nil {
+		return frameLen(env, flags, 0, 0), nil
+	}
+	flags |= flagHasMsg
+	if s != nil && s.binSized {
+		return frameLen(env, flags, s.binKind, s.binLen), nil
+	}
+	kindID, body, err := c.countBody(env)
+	if err != nil {
+		return 0, err
+	}
+	if s != nil {
+		s.binKind, s.binLen, s.binSized = kindID, body, true
+	}
+	return frameLen(env, flags, kindID, body), nil
+}
+
+// countBody returns the kind number and the body length of env's frame.
+func (c *BinaryCodec) countBody(env *Envelope) (kindID uint64, body int, err error) {
 	if sm, ok := env.Msg.(SizedMessage); ok {
 		if kindID, ok := c.kindID[sm.Kind()]; ok {
-			flags := byte(flagHasMsg)
-			if env.Err != "" {
-				flags |= flagHasErr
-			}
-			return frameLen(env, flags, kindID, sm.WireSize()), nil
+			return kindID, sm.WireSize(), nil
 		}
 	}
 	f, err := c.split(env, nil)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	n := frameLen(env, f.flags, f.kindID, len(f.inline)+len(f.ref))
 	releaseBody(f.bp, f.inline)
-	return n, nil
+	return f.kindID, len(f.inline) + len(f.ref), nil
 }
 
 // KindsHash fingerprints the registry's sorted kind list; two registries

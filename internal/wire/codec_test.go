@@ -137,7 +137,7 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, env) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, env)
 	}
-	if n, err := c.Size(env); err != nil || n != len(frame) {
+	if n, err := c.Size(env, nil); err != nil || n != len(frame) {
 		t.Fatalf("Size = %d, %v; want %d", n, err, len(frame))
 	}
 }

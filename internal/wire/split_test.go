@@ -89,12 +89,51 @@ func checkSplit(t *testing.T, reg *wire.Registry, bin *wire.BinaryCodec, env *wi
 		head, body, err = bin.EncodeSplit(env, shared, 0)
 		same("EncodeSplit with a body shared with the "+dest, joined(head, body, 0), err)
 	}
-	if n, err := bin.Size(env); err != nil || n != len(want) {
-		t.Fatalf("%s: binary Size = %d (err %v), frame %d", kind, n, err, len(want))
-	}
 	frame, err := reg.Encode(env)
-	if n, serr := reg.Size(env); (err == nil) != (serr == nil) || n != len(frame) {
-		t.Fatalf("%s: XML Size = %d (err %v), frame %d (err %v)", kind, n, serr, len(frame), err)
+	binShared, xmlShared := &wire.SharedBody{}, &wire.SharedBody{}
+	for _, s := range []*wire.SharedBody{nil, binShared, binShared} {
+		if n, err := bin.Size(env, s); err != nil || n != len(want) {
+			t.Fatalf("%s: binary Size = %d (err %v), frame %d", kind, n, err, len(want))
+		}
+	}
+	for _, s := range []*wire.SharedBody{nil, xmlShared, xmlShared} {
+		if n, serr := reg.Size(env, s); (err == nil) != (serr == nil) || n != len(frame) {
+			t.Fatalf("%s: XML Size = %d (err %v), frame %d (err %v)", kind, n, serr, len(frame), err)
+		}
+	}
+}
+
+// walkCounted is a sized binary kind that counts how often its body is
+// measured.
+type walkCounted struct{ walks *int }
+
+func (walkCounted) Kind() string                      { return "test.walkCounted" }
+func (walkCounted) AppendWire(b []byte) []byte        { return append(b, 1, 2, 3) }
+func (walkCounted) ParseWire(r *wire.BinReader) error { return nil }
+func (m walkCounted) WireSize() int                   { *m.walks++; return 3 }
+
+// TestSizeSharedMeasuresBodyOnce: sizing a fan-out through one SharedBody
+// measures the message body once, whatever the destinations, and gives
+// each frame the size it has alone.
+func TestSizeSharedMeasuresBodyOnce(t *testing.T) {
+	reg := wire.NewRegistry()
+	reg.Register(walkCounted{})
+	bin := wire.NewBinaryCodec(reg)
+	var walks int
+	msg := walkCounted{&walks}
+	shared := &wire.SharedBody{}
+	for i := 0; i < 5; i++ {
+		env := &wire.Envelope{From: ids.FromString("from"), To: ids.FromString(fmt.Sprint("to-", i)), Msg: msg}
+		alone, err := bin.Size(env, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := bin.Size(env, shared); err != nil || n != alone {
+			t.Fatalf("destination %d: shared Size = %d (err %v), alone %d", i, n, err, alone)
+		}
+	}
+	if walks != 5+1 {
+		t.Fatalf("the body was measured %d times for 5 frames sized alone and 5 sharing it, want 6", walks)
 	}
 }
 
@@ -312,7 +351,8 @@ func TestWireBytesUnchanged(t *testing.T) {
 			}
 		}
 	})
-	n.Stats() // the turn has run
+	n.Stats() // the turn has run: rng is the test's again
+	// The rest goes out one actor turn at a time, while the writers run.
 	for _, kind := range kinds {
 		for _, size := range []int{0, 1, 4 << 10, 64 << 10, 1 << 20} {
 			msg := randMessage(t, reg, kind, rng)
@@ -323,7 +363,7 @@ func TestWireBytesUnchanged(t *testing.T) {
 			tail := make([]byte, size)
 			rng.Read(tail)
 			setTail(t, tm, tail)
-			send(msg, false, 0, 1)
+			n.Do(func() { send(msg, false, 0, 1) })
 		}
 	}
 	for trial := 0; trial < 16; trial++ {
@@ -333,9 +373,13 @@ func TestWireBytesUnchanged(t *testing.T) {
 			rng.Read(tail)
 			setTail(t, tm, tail)
 		}
-		send(msg, true, rng.Intn(peers))
-		send(msg, true, all...)
+		one := rng.Intn(peers)
+		n.Do(func() {
+			send(msg, true, one)
+			send(msg, true, all...)
+		})
 	}
+	n.Stats() // every turn has run: want and sent are final
 
 	for i, p := range raw {
 		deadline := time.Now().Add(20 * time.Second)

@@ -146,6 +146,11 @@ type SharedBody struct {
 	binBody []byte
 	binXML  bool // binBody holds the XML fallback form
 	haveBin bool
+	// binKind and binLen are the binary kind number and body length,
+	// once BinaryCodec.Size has counted the body (binSized).
+	binKind  uint64
+	binLen   int
+	binSized bool
 }
 
 // Encode serialises an envelope to XML bytes.
@@ -373,8 +378,9 @@ func (r *Registry) decodeReflect(data []byte) (*Envelope, error) {
 }
 
 // Size returns the encoded size of env in bytes (for bandwidth
-// accounting); the frame is not kept.
-func (r *Registry) Size(env *Envelope) (int, error) {
-	_, n, err := r.encode(env, nil, -1)
+// accounting); the frame is not kept. A non-nil s keeps the marshalled
+// body, as EncodeShared does, for the rest of the fan-out.
+func (r *Registry) Size(env *Envelope, s *SharedBody) (int, error) {
+	_, n, err := r.encode(env, s, -1)
 	return n, err
 }

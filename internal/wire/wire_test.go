@@ -134,11 +134,11 @@ func TestSize(t *testing.T) {
 	r := testRegistry()
 	small := &Envelope{From: ids.FromString("a"), To: ids.FromString("b"), Msg: &testMsg{}}
 	big := &Envelope{From: ids.FromString("a"), To: ids.FromString("b"), Msg: &testMsg{Data: make([]byte, 10000)}}
-	ss, err := r.Size(small)
+	ss, err := r.Size(small, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := r.Size(big)
+	sb, err := r.Size(big, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func TestXMLAppendMatchesMarshal(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("envelope %d (%+v):\n appended %q\nmarshalled %q", i, env.Msg, got, want)
 		}
-		if n, err := reg.Size(env); err != nil || n != len(want) {
+		if n, err := reg.Size(env, nil); err != nil || n != len(want) {
 			t.Fatalf("envelope %d: Size = %d, %v; the frame has %d bytes", i, n, err, len(want))
 		}
 		shared := &wire.SharedBody{}
