@@ -1,8 +1,8 @@
 package pubsub
 
 import (
+	"maps"
 	"slices"
-	"sort"
 
 	"github.com/gloss/active/internal/event"
 	"github.com/gloss/active/internal/ids"
@@ -82,12 +82,11 @@ type Broker struct {
 	ep        netapi.Endpoint
 	opts      Options
 	neighbors map[ids.ID]bool
-	nborOrder []ids.ID // sorted, for deterministic iteration
-	entries   map[string]*entry
-	entryKeys []string          // sorted
-	index     matcher           // access-predicate view of entries
-	covers    map[ids.ID]*cover // per neighbour: what it holds on our behalf
-	proxies   map[ids.ID]*proxy
+	nborOrder []ids.ID            // neighbors sorted, for deterministic iteration
+	entries   map[string]*entry   // the subscription table, by Filter.Key
+	index     matcher             // access-predicate view of entries
+	covers    map[ids.ID]*cover   // per neighbour: what it holds on our behalf
+	proxies   map[ids.ID]*proxy   // detached mobile clients' buffers
 	shedTo    map[ids.ID]struct{} // destinations with an open shed episode
 	stats     Stats
 	pub       pubScratch
@@ -200,7 +199,7 @@ func (b *Broker) Resync() {
 //vetactive:actoronly
 func (b *Broker) refresh(n ids.ID) {
 	c := b.covers[n]
-	for _, key := range b.entryKeys {
+	for _, key := range slices.Sorted(maps.Keys(b.entries)) {
 		if ent := b.entries[key]; b.wants(n, ent) {
 			c.add(key, ent.filter)
 		} else {
@@ -241,7 +240,6 @@ func (b *Broker) Stats() Stats {
 func (b *Broker) addEntry(key string, f Filter) *entry {
 	ent := &entry{filter: f, dirs: make(map[ids.ID]bool)}
 	b.entries[key] = ent
-	b.addEntryKey(key)
 	b.index.Add(key, f)
 	return ent
 }
@@ -251,27 +249,7 @@ func (b *Broker) addEntry(key string, f Filter) *entry {
 //vetactive:actoronly
 func (b *Broker) dropEntry(key string) {
 	delete(b.entries, key)
-	b.dropEntryKey(key)
 	b.index.Remove(key)
-}
-
-//vetactive:actoronly
-func (b *Broker) addEntryKey(key string) {
-	i := sort.SearchStrings(b.entryKeys, key)
-	if i < len(b.entryKeys) && b.entryKeys[i] == key {
-		return
-	}
-	b.entryKeys = append(b.entryKeys, "")
-	copy(b.entryKeys[i+1:], b.entryKeys[i:])
-	b.entryKeys[i] = key
-}
-
-//vetactive:actoronly
-func (b *Broker) dropEntryKey(key string) {
-	i := sort.SearchStrings(b.entryKeys, key)
-	if i < len(b.entryKeys) && b.entryKeys[i] == key {
-		b.entryKeys = append(b.entryKeys[:i], b.entryKeys[i+1:]...)
-	}
 }
 
 // --- subscription handling ---------------------------------------------------
@@ -358,11 +336,11 @@ func (b *Broker) retract(from ids.ID, key string, ent *entry) {
 }
 
 // retractAll retracts every subscription held by direction from (a client
-// that moved on, a neighbour that died) and flushes once.
+// that moved on, a neighbour that died), in key order, and flushes once.
 //
 //vetactive:actoronly
 func (b *Broker) retractAll(from ids.ID) {
-	for _, key := range append([]string(nil), b.entryKeys...) {
+	for _, key := range slices.Sorted(maps.Keys(b.entries)) {
 		if ent := b.entries[key]; ent.dirs[from] {
 			b.retract(from, key, ent)
 		}

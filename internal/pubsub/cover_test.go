@@ -2,7 +2,9 @@ package pubsub
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -59,7 +61,7 @@ func minimalCover(in map[string]Filter) map[string]Filter {
 // desiredAt recomputes neighbour n's desired set from the broker's tables.
 func desiredAt(b *Broker, n ids.ID) map[string]Filter {
 	desired := make(map[string]Filter)
-	for _, key := range b.entryKeys {
+	for _, key := range slices.Sorted(maps.Keys(b.entries)) {
 		ent := b.entries[key]
 		if len(ent.dirs) == 1 && ent.dirs[n] {
 			continue // only subscriber is n itself
@@ -133,7 +135,7 @@ func driveByOracle(b *Broker) {
 			reply.Events, reply.Dropped = p.buf, p.dropped
 		}
 		delete(b.proxies, from)
-		for _, key := range append([]string(nil), b.entryKeys...) {
+		for _, key := range slices.Sorted(maps.Keys(b.entries)) {
 			if b.entries[key].dirs[from] {
 				drop(from, key)
 			}

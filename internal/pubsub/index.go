@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/gloss/active/internal/event"
@@ -11,7 +12,7 @@ import (
 // 2001) for content-based subscriptions. Each distinct filter is posted
 // under exactly one of its constraints, its access constraint, chosen
 // when the filter is added: the equality whose (attribute, value) has the
-// fewest postings, else a sorted range, else an exists, else a scanned
+// fewest postings, else a range, else an exists, else a scanned
 // constraint. Publishing an event probes the postings of the attributes
 // it carries; every satisfied posting yields one candidate, which matches
 // outright if it is the filter's only constraint and otherwise once its
@@ -22,10 +23,12 @@ import (
 // index_test.go) tracks the table.
 //
 // Postings are organised by attribute name, then by operator and value
-// domain. Equality and range constraints over numeric and string values
-// are kept sorted by value so the satisfied set resolves with a binary
-// search; every other operator (ne, substring ops, exists on the value
-// side, and degenerate bool/invalid-valued comparisons) is scanned
+// domain. Equality constraints over numeric and string values are hashed
+// by value, so an event's value finds its run with one lookup and adding
+// or removing a filter touches only its own run; range constraints are
+// kept sorted by value, so the satisfied prefix or suffix resolves with a
+// binary search. Every other operator (ne, substring ops, exists on the
+// value side, and degenerate bool/invalid-valued comparisons) is scanned
 // linearly within its attribute, which keeps the index's semantics
 // byte-for-byte identical to Filter.Matches.
 
@@ -42,18 +45,17 @@ type ixFilter struct {
 	access int // the constraint (index into filter.Constraints) it is posted under
 }
 
-// The posting lists of one attribute. The numeric and string lists are
-// sorted by value; exists postings hold on presence alone, and misc
-// postings are evaluated one by one. NaN-valued comparisons go to misc:
-// NaN breaks the total order binary search relies on, and Filter.Matches
-// gives them exact (if degenerate) semantics.
+// The posting lists of one attribute. The numeric and string range lists
+// are sorted by value; exists postings hold on presence alone, and misc
+// postings are evaluated one by one. Equalities are not a list but runs
+// hashed by value (attrPostings.eq). NaN-valued comparisons go to misc:
+// NaN equals no key and breaks the total order binary search relies on,
+// and Filter.Matches gives them exact (if degenerate) semantics.
 const (
-	listEqNum = iota
-	listLtNum
+	listLtNum = iota
 	listLeNum
 	listGtNum
 	listGeNum
-	listEqStr
 	listLtStr
 	listLeStr
 	listGtStr
@@ -61,6 +63,7 @@ const (
 	listExists
 	listMisc
 	numLists
+	listEq = numLists // hashed in attrPostings.eq
 )
 
 // listOf routes a constraint to the posting list it lives in.
@@ -70,7 +73,7 @@ func listOf(c Constraint) int {
 	case OpExists:
 		return listExists
 	case OpEq:
-		num, str = listEqNum, listEqStr
+		num, str = listEq, listEq
 	case OpLt:
 		num, str = listLtNum, listLtStr
 	case OpLe:
@@ -95,7 +98,7 @@ func listOf(c Constraint) int {
 // selective first: an equality, a sorted range, an exists, a scan.
 func accessRank(l int) int {
 	switch l {
-	case listEqNum, listEqStr:
+	case listEq:
 		return 0
 	case listExists:
 		return 2
@@ -108,8 +111,26 @@ func accessRank(l int) int {
 // attrPostings holds every posting filed under one attribute.
 type attrPostings struct {
 	name  string
+	eq    map[eqKey][]posting // equality runs; a run left empty is deleted
 	lists [numLists][]posting
-	n     int // postings over all lists
+	n     int // postings over all runs and lists
+}
+
+// eqKey is the hash key of an equality run: a number by its float64, so
+// I(3) and F(3), -0 and +0, and int64s beyond 2^53 that round alike share
+// a run, else a string. A run is thus a superset of the postings a value
+// equals, and each is confirmed with its own predicate.
+type eqKey struct {
+	num   float64
+	str   string
+	isStr bool
+}
+
+func eqKeyOf(v *event.Value) eqKey {
+	if n, ok := v.Num(); ok {
+		return eqKey{num: n}
+	}
+	return eqKey{str: v.S, isStr: true}
 }
 
 // bound returns the first posting of the sorted list l whose value sorts
@@ -136,8 +157,8 @@ func bound(ps []posting, l int, v *event.Value, after bool) int {
 // eqSpan returns the run [lo, hi) of list l whose values sort equal to v;
 // an unsorted list is one run. The run is found by one binary search and
 // a walk over it: access postings spread filters across values, so runs
-// are short, and each caller either visits the run or inserts into the
-// list, which costs the list's length anyway.
+// are short, and each caller inserts into or deletes from the list, which
+// costs the list's length anyway.
 func eqSpan(ps []posting, l int, v *event.Value) (lo, hi int) {
 	switch {
 	case l <= listGeNum:
@@ -215,20 +236,21 @@ func (ix *Index) Add(key string, f Filter) {
 	c := f.Constraints[fx.access]
 	ap := ix.attrs[c.Attr]
 	if ap == nil {
-		ap = &attrPostings{name: c.Attr}
+		ap = &attrPostings{name: c.Attr, eq: make(map[eqKey][]posting)}
 		ix.attrs[c.Attr] = ap
 		i := ix.orderPos(c.Attr)
 		ix.order = append(ix.order, nil)
 		copy(ix.order[i+1:], ix.order[i:])
 		ix.order[i] = ap
 	}
-	l := listOf(c)
-	ps := &ap.lists[l]
-	_, i := eqSpan(*ps, l, &c.Val) // after its equals: insertion order among them
-	*ps = append(*ps, posting{})
-	copy((*ps)[i+1:], (*ps)[i:])
-	(*ps)[i] = posting{con: c, fx: fx}
 	ap.n++
+	if l := listOf(c); l == listEq {
+		k := eqKeyOf(&c.Val)
+		ap.eq[k] = append(ap.eq[k], posting{con: c, fx: fx})
+	} else {
+		_, i := eqSpan(ap.lists[l], l, &c.Val) // after its equals: insertion order among them
+		ap.lists[l] = slices.Insert(ap.lists[l], i, posting{con: c, fx: fx})
+	}
 }
 
 // accessOf picks the constraint f is posted under: the best-ranked list,
@@ -243,8 +265,7 @@ func (ix *Index) accessOf(f Filter) int {
 			continue
 		}
 		if ap := ix.attrs[c.Attr]; ap != nil && r == 0 {
-			lo, hi := eqSpan(ap.lists[l], l, &c.Val)
-			n = hi - lo
+			n = len(ap.eq[eqKeyOf(&c.Val)])
 		}
 		if r < bestRank || n < bestN {
 			best, bestRank, bestN = i, r, n
@@ -276,15 +297,19 @@ func (ix *Index) Remove(key string) {
 	}
 	c := fx.filter.Constraints[fx.access]
 	ap := ix.attrs[c.Attr]
-	l := listOf(c)
-	ps := &ap.lists[l]
-	lo, hi := eqSpan(*ps, l, &c.Val)
-	for i := lo; i < hi; i++ {
-		if (*ps)[i].fx == fx {
-			*ps = append((*ps)[:i], (*ps)[i+1:]...)
-			ap.n--
-			break
+	ap.n--
+	of := func(p posting) bool { return p.fx == fx }
+	if l := listOf(c); l == listEq {
+		k := eqKeyOf(&c.Val)
+		if run := slices.DeleteFunc(ap.eq[k], of); len(run) > 0 {
+			ap.eq[k] = run
+		} else {
+			delete(ap.eq, k)
 		}
+	} else {
+		lo, hi := eqSpan(ap.lists[l], l, &c.Val)
+		i := lo + slices.IndexFunc(ap.lists[l][lo:hi], of)
+		ap.lists[l] = slices.Delete(ap.lists[l], i, i+1)
 	}
 	if ap.n == 0 {
 		delete(ix.attrs, c.Attr)
@@ -368,22 +393,21 @@ func (p *probe) attr(ap *attrPostings, v event.Value) {
 	p.hitAll(ls[listExists], 0, len(ls[listExists]))
 	if n, ok := v.Num(); ok {
 		if math.IsNaN(n) {
-			// NaN compares as equal to everything under Value.Compare;
-			// only direct evaluation reproduces that faithfully.
-			for l := listEqNum; l <= listGeNum; l++ {
+			// NaN compares as equal to everything under Value.Compare and
+			// keys no run; only direct evaluation reproduces that faithfully.
+			for k, run := range ap.eq {
+				if !k.isStr {
+					p.scan(run, v)
+				}
+			}
+			for l := listLtNum; l <= listGeNum; l++ {
 				p.scan(ls[l], v)
 			}
 		} else {
-			// eq: postings whose value equals n. The float64 span is a
-			// superset of the truly equal postings — Value.Equal compares
-			// same-kind ints exactly, and distinct int64s beyond 2^53
-			// collide in float64 — so each candidate is confirmed with
-			// the constraint's own predicate.
-			ps := ls[listEqNum]
-			lo, hi := eqSpan(ps, listEqNum, &v)
-			p.scan(ps[lo:hi], v)
+			// eq: the run of n, confirmed posting by posting (eqKey).
+			p.scan(ap.eq[eqKeyOf(&v)], v)
 			// v < c.Val ⇔ c.Val > n: the suffix strictly above n.
-			ps = ls[listLtNum]
+			ps := ls[listLtNum]
 			p.hitAll(ps, bound(ps, listLtNum, &v, true), len(ps))
 			// v ≤ c.Val: the suffix from n up.
 			ps = ls[listLeNum]
@@ -396,16 +420,13 @@ func (p *probe) attr(ap *attrPostings, v event.Value) {
 			p.hitAll(ps, 0, bound(ps, listGeNum, &v, true))
 		}
 	} else if v.K == event.KindString {
-		// Value.Equal is struct equality between two strings; confirm
-		// the span with it, as Filter.Matches would.
-		ps := ls[listEqStr]
-		lo, hi := eqSpan(ps, listEqStr, &v)
-		for i := lo; i < hi; i++ {
-			if ps[i].con.Val == v {
-				p.hit(ps[i].fx)
+		// Confirm with Value.Equal's struct equality, as Filter.Matches would.
+		for _, e := range ap.eq[eqKeyOf(&v)] {
+			if e.con.Val == v {
+				p.hit(e.fx)
 			}
 		}
-		ps = ls[listLtStr]
+		ps := ls[listLtStr]
 		p.hitAll(ps, bound(ps, listLtStr, &v, true), len(ps))
 		ps = ls[listLeStr]
 		p.hitAll(ps, bound(ps, listLeStr, &v, false), len(ps))

@@ -11,16 +11,28 @@ import (
 	"github.com/gloss/active/internal/wire"
 )
 
-// sendBurst queues n echo messages a→to in one actor turn (so they are
-// all pending before the write loop drains) and returns when the
-// receiver has counted them all and the sender every flush that carried
-// them: the writer counts a flush after its bytes are on their way, so
-// the receiver can get there first.
+// sendBurst queues n echo messages a→to in one actor turn and returns
+// when the receiver has counted them all and the sender every flush that
+// carried them: the writer counts a flush after its bytes are on their
+// way, so the receiver can get there first. Toward a peer not yet
+// connected the dial is held until the whole burst is queued, as on a
+// link slower to start than the burst is to queue, so the write loop's
+// first drain sees all of it: a dialled connection's writer starts as
+// soon as it connects, not when the turn ends.
 func sendBurst(t *testing.T, a *Node, to ids.ID, n int, received *atomic.Uint64, want uint64) {
 	t.Helper()
 	a.Do(func() {
+		p := a.peers[to]
+		held := p.state == peerIdle
+		if held {
+			p.state = peerDialing
+		}
 		for i := 0; i < n; i++ {
 			a.transmit(&wire.Envelope{From: a.ID(), To: to, Msg: &echoMsg{Text: fmt.Sprintf("burst-%d", i)}}, nil)
+		}
+		if held {
+			p.state = peerIdle
+			a.maybeDial(p)
 		}
 	})
 	deadline := time.Now().Add(5 * time.Second)
@@ -67,6 +79,33 @@ func TestWriteBatchingCoalesces(t *testing.T) {
 	}
 	if st.BatchedFrames != st.Sent-st.FlushWrites {
 		t.Fatalf("counter identity broken: Batched=%d, Sent-Flushes=%d", st.BatchedFrames, st.Sent-st.FlushWrites)
+	}
+}
+
+// TestWriterStartsWhileTheDialingCallbackRuns: frames one callback
+// queues toward a peer it is still dialling start to flow before that
+// callback returns, so a burst drains instead of piling into the outbox
+// budget while the loop is busy.
+func TestWriterStartsWhileTheDialingCallbackRuns(t *testing.T) {
+	reg := testReg()
+	a := newNode(t, "tcp-early-a", reg)
+	b := newNode(t, "tcp-early-b", reg)
+	a.AddPeer(b.ID(), b.Addr())
+	var received atomic.Uint64
+	b.Handle("test.echo", func(netapi.Ctx, ids.ID, wire.Message) { received.Add(1) })
+
+	var seen bool
+	onLoop(a, func() {
+		for i := 0; i < 8; i++ {
+			a.Send(b.ID(), &echoMsg{Text: fmt.Sprintf("early-%d", i)})
+		}
+		for deadline := time.Now().Add(5 * time.Second); received.Load() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		seen = received.Load() > 0
+	})
+	if !seen {
+		t.Fatal("nothing queued toward a dialling peer arrived while the callback that queued it ran")
 	}
 }
 

@@ -697,9 +697,14 @@ func (n *Node) dialPeer(p *peer, addr string, hello frame) {
 		p.conn = conn
 		p.connFails = 0
 		p.state = peerConnected
-		n.wg.Add(1)
-		go n.writeLoop(p, conn)
 	})
+	// The writer starts here, not in the callback above: a callback
+	// still running on the loop may be queueing a burst toward p, and
+	// the writer drains it meanwhile. The connect is queued on the inbox
+	// ahead of any failure the writer posts, and this goroutine's own wg
+	// count keeps Close waiting.
+	n.wg.Add(1)
+	go n.writeLoop(p, conn)
 }
 
 // helloFrame builds this node's hello frame around its address book.
