@@ -50,9 +50,12 @@ func TestModuleAnalyzers(t *testing.T) {
 // chunks ahead of their manifest, the endpoint capability for a send
 // to self (netapi.Loop owns that rule on both substrates) and the TCP
 // peer table's lock (its actor loop owns the table, so senders are on
-// the loop). The old paths are _test.go oracles or seams, not options,
-// and the three before the send-to-self names carried no traffic.
-var retired = regexp.MustCompile(`\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks|LocalDeliverer|DeliverLocal|peersMu)\b`)
+// the loop), GIS replication in the knowledge syncer with its second
+// constructor (each node's GIS is installed where the node is built),
+// and simnet's switch that turned traffic accounting off. The old paths
+// are _test.go oracles or seams, not options, and the three before the
+// send-to-self names carried no traffic.
+var retired = regexp.MustCompile(`\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks|LocalDeliverer|DeliverLocal|peersMu|PublishGIS|FetchGIS|GISKey|EncodeVersionedGIS|DecodeVersionedGIS|NewSyncerOpts|DisableMetrics)\b`)
 
 // TestRetiredNamesStayRetired fails when a retired name returns to a
 // shipped file: any non-test .go file under cmd, internal and examples,

@@ -150,7 +150,20 @@ func worldFingerprint(t *testing.T) string {
 	w.RunFor(10 * time.Second)
 	victim.Revive()
 	w.RunFor(10 * time.Second)
-	return fingerprintOf(w, h)
+	fp := fingerprintOf(w, h)
+
+	// The acknowledged put survived the kill: at least Replicas live
+	// nodes (the store's default, 3, which this world keeps) hold it.
+	holders := 0
+	for _, n := range w.Nodes {
+		if n.Endpoint().(*simnet.Node).Alive() && n.Store.Holds(key) {
+			holders++
+		}
+	}
+	if holders < 3 {
+		t.Errorf("%d live nodes hold the acknowledged put, want at least 3", holders)
+	}
+	return fp
 }
 
 // upkeepFingerprint runs the upkeep scenario and returns its
@@ -179,7 +192,16 @@ func upkeepFingerprint(t *testing.T) string {
 	w.RunFor(20 * time.Second)
 	victim.Revive()
 	w.RunFor(20 * time.Second)
-	return fingerprintOf(w, h)
+	fp := fingerprintOf(w, h)
+
+	// Gossip delivered the published subject to every node, the revived
+	// one included.
+	for i, n := range w.Nodes {
+		if !n.KB.Ask("bob", "likes", "ice cream", -1) {
+			t.Errorf("node %d's KB lacks bob likes ice cream after a virtual minute of gossip", i)
+		}
+	}
+	return fp
 }
 
 // kindDiff lists the counter lines of two fingerprints that differ.

@@ -116,7 +116,7 @@ func NewActiveNode(ep netapi.Endpoint, reg *wire.Registry, cfg NodeConfig) *Acti
 	}
 	n.Overlay = plaxton.New(ep, reg, cfg.Codec, cfg.Overlay)
 	n.Store = store.New(ep, n.Overlay, cfg.Store)
-	n.Sync = knowledge.NewSyncerOpts(n.Store, n.KB, cfg.Knowledge)
+	n.Sync = knowledge.NewSyncer(n.Store, n.KB, cfg.Knowledge)
 	n.Broker = pubsub.NewBroker(ep, pubsub.Options{})
 	n.Client = pubsub.NewClient(ep, ep.ID())
 	n.Programs = bundle.NewRegistry()

@@ -85,7 +85,7 @@ func t17Run(seed int64, nodes, writers int, gossip time.Duration) (t17Result, bo
 	sys := make([]*knowledge.Syncer, nodes)
 	for i := 0; i < nodes; i++ {
 		kbs[i] = knowledge.NewKB()
-		sys[i] = knowledge.NewSyncerOpts(c.stores[i], kbs[i], knowledge.Options{
+		sys[i] = knowledge.NewSyncer(c.stores[i], kbs[i], knowledge.Options{
 			GossipInterval: gossip,
 		})
 	}

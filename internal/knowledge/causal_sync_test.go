@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/leakcheck"
 	"github.com/gloss/active/internal/store"
 )
@@ -137,7 +136,7 @@ func TestCausalConvergesNoLostWrites(t *testing.T) {
 	sys := make([]*Syncer, len(stores))
 	for i := range stores {
 		kbs[i] = NewKB()
-		sys[i] = NewSyncerOpts(stores[i], kbs[i], Options{GossipInterval: time.Second})
+		sys[i] = NewSyncer(stores[i], kbs[i], Options{GossipInterval: time.Second})
 	}
 	bobWriter0(kbs[0])
 	bobWriter1(kbs[1])
@@ -175,8 +174,8 @@ func TestCausalFetchReadRepair(t *testing.T) {
 	kb0, kb1 := NewKB(), NewKB()
 	bobWriter0(kb0)
 	bobWriter1(kb1)
-	sy0 := NewSyncer(stores[0], kb0)
-	sy1 := NewSyncer(stores[1], kb1)
+	sy0 := NewSyncer(stores[0], kb0, Options{})
+	sy1 := NewSyncer(stores[1], kb1, Options{})
 	sy0.PublishSubject("bob", func(error) {})
 	sy1.PublishSubject("bob", func(error) {})
 	w.RunFor(10 * time.Second)
@@ -191,7 +190,7 @@ func TestCausalFetchReadRepair(t *testing.T) {
 	}
 
 	kbR := NewKB()
-	NewSyncer(stores[6], kbR).FetchSubject("bob", func(error) {})
+	NewSyncer(stores[6], kbR, Options{}).FetchSubject("bob", func(error) {})
 	w.RunFor(10 * time.Second)
 	wantUnion(t, kbR, "reader after repair")
 }
@@ -211,9 +210,9 @@ func TestSyncerDifferentialSingleWriter(t *testing.T) {
 			w.RunFor(5 * time.Second)
 			lwwFetch(stores[6], kbR, "bob")
 		} else {
-			NewSyncer(stores[2], kb).PublishSubject("bob", func(error) {})
+			NewSyncer(stores[2], kb, Options{}).PublishSubject("bob", func(error) {})
 			w.RunFor(5 * time.Second)
-			NewSyncer(stores[6], kbR).FetchSubject("bob", func(error) {})
+			NewSyncer(stores[6], kbR, Options{}).FetchSubject("bob", func(error) {})
 		}
 		w.RunFor(5 * time.Second)
 		got := kbR.SubjectFacts("bob")
@@ -226,46 +225,6 @@ func TestSyncerDifferentialSingleWriter(t *testing.T) {
 	}
 }
 
-// TestCausalGISConvergence: concurrent GIS publishes for one region
-// union by place name on every reader.
-func TestCausalGISConvergence(t *testing.T) {
-	w, stores := buildStores(t, 8)
-	g0, g1 := NewGIS(), NewGIS()
-	if err := g0.AddPlace(janettas()); err != nil {
-		t.Fatal(err)
-	}
-	if err := g1.AddPlace(Place{Name: "luvians", Region: "st-andrews", X: 1.2, Y: 0.4, Sells: []string{"wine"}}); err != nil {
-		t.Fatal(err)
-	}
-	sy0 := NewSyncer(stores[0], NewKB())
-	sy1 := NewSyncer(stores[1], NewKB())
-	sy0.PublishGIS("st-andrews", g0, func(error) {})
-	sy1.PublishGIS("st-andrews", g1, func(error) {})
-	w.RunFor(10 * time.Second)
-	// Writers fetch (read-repair), then a third node reads.
-	sy0.FetchGIS("st-andrews", func(*GIS, error) {})
-	sy1.FetchGIS("st-andrews", func(*GIS, error) {})
-	w.RunFor(10 * time.Second)
-	var got *GIS
-	NewSyncer(stores[5], NewKB()).FetchGIS("st-andrews", func(g *GIS, err error) {
-		if err != nil {
-			t.Errorf("fetch gis: %v", err)
-			return
-		}
-		got = g
-	})
-	w.RunFor(10 * time.Second)
-	if got == nil {
-		t.Fatalf("no gis fetched")
-	}
-	if _, ok := got.Place("janettas"); !ok {
-		t.Fatalf("lost writer 0's place")
-	}
-	if _, ok := got.Place("luvians"); !ok {
-		t.Fatalf("lost writer 1's place")
-	}
-}
-
 // TestSiblingCapCompaction: more concurrent writers than siblingCap
 // forces a deterministic merge instead of unbounded sibling growth.
 func TestSiblingCapCompaction(t *testing.T) {
@@ -275,7 +234,7 @@ func TestSiblingCapCompaction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		kbs[i] = NewKB()
 		kbs[i].AddSPO("bob", "seen-by", stores[i].Endpoint().ID().Short())
-		sys[i] = NewSyncerOpts(stores[i], kbs[i], Options{GossipInterval: time.Second, siblingCap: 2})
+		sys[i] = NewSyncer(stores[i], kbs[i], Options{GossipInterval: time.Second, siblingCap: 2})
 	}
 	for i := 0; i < 4; i++ {
 		sys[i].PublishSubject("bob", func(error) {})
@@ -296,38 +255,28 @@ func TestSiblingCapCompaction(t *testing.T) {
 	}
 }
 
-// TestXMLBodyRejected: the decoders read only the versioned binary
-// envelopes the Syncer writes. A bare XML fact or GIS document, as the
+// TestXMLBodyRejected: the decoder reads only the versioned binary
+// envelope the Syncer writes. A bare XML fact document, as the
 // last-writer-wins reference stores, is an error at the decoder and at a
 // fetch, and leaves the KB and the stored body as they were.
 func TestXMLBodyRejected(t *testing.T) {
 	factsXML := []byte(`<facts><fact s="bob" p="likes" o="ice cream"></fact></facts>`)
-	gisXML := []byte(`<gis><place name="janettas" region="st-andrews" x="0.8" y="0.3"></place></gis>`)
 	if v, err := DecodeVersionedFacts(factsXML); err == nil {
 		t.Fatalf("DecodeVersionedFacts accepted an XML body: %+v", v)
-	}
-	if v, err := DecodeVersionedGIS(gisXML); err == nil {
-		t.Fatalf("DecodeVersionedGIS accepted an XML body: %+v", v)
 	}
 
 	w, stores := buildStores(t, 6)
 	stores[0].PutAs(SubjectKey("bob"), factsXML, func(error) {})
-	stores[0].PutAs(GISKey("st-andrews"), gisXML, func(error) {})
 	w.RunFor(5 * time.Second)
 
 	kb := NewKB()
 	kb.AddSPO("bob", "likes", "haggis")
-	sy := NewSyncer(stores[3], kb)
-	var fetchErr, gisErr error
-	var fetched *GIS
+	sy := NewSyncer(stores[3], kb, Options{})
+	var fetchErr error
 	sy.FetchSubject("bob", func(err error) { fetchErr = err })
-	sy.FetchGIS("st-andrews", func(g *GIS, err error) { fetched, gisErr = g, err })
 	w.RunFor(5 * time.Second)
 	if fetchErr == nil {
 		t.Fatalf("fetch of an XML fact body succeeded")
-	}
-	if gisErr == nil || fetched != nil {
-		t.Fatalf("fetch of an XML GIS body succeeded: %v, %v", fetched, gisErr)
 	}
 	if kb.Len() != 1 || !kb.Ask("bob", "likes", "haggis", -1) || kb.Ask("bob", "likes", "ice cream", -1) {
 		t.Fatalf("rejected body changed the KB: %+v", kb.SubjectFacts("bob"))
@@ -335,13 +284,11 @@ func TestXMLBodyRejected(t *testing.T) {
 	if st := sy.Stats(); st.ReadRepairs != 0 || st.Absorbed != 0 {
 		t.Fatalf("rejected body was absorbed or repaired: %+v", st)
 	}
-	for key, want := range map[ids.ID][]byte{SubjectKey("bob"): factsXML, GISKey("st-andrews"): gisXML} {
-		var got []byte
-		stores[5].Get(key, func(data []byte, err error) { got = data })
-		w.RunFor(5 * time.Second)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("stored body %v changed: %q", key, got)
-		}
+	var got []byte
+	stores[5].Get(SubjectKey("bob"), func(data []byte, err error) { got = data })
+	w.RunFor(5 * time.Second)
+	if !bytes.Equal(got, factsXML) {
+		t.Fatalf("stored body changed: %q", got)
 	}
 }
 
@@ -353,7 +300,7 @@ func TestSyncerStatsRace(t *testing.T) {
 	sys := make([]*Syncer, len(stores))
 	for i := range stores {
 		kbs[i] = NewKB()
-		sys[i] = NewSyncerOpts(stores[i], kbs[i], Options{GossipInterval: 500 * time.Millisecond})
+		sys[i] = NewSyncer(stores[i], kbs[i], Options{GossipInterval: 500 * time.Millisecond})
 	}
 	kbs[0].AddSPO("bob", "likes", "ice cream")
 	sys[0].PublishSubject("bob", func(error) {})
@@ -422,7 +369,7 @@ func TestSyncerStopHaltsGossip(t *testing.T) {
 	w, stores := buildStores(t, 4)
 	kb := NewKB()
 	bobWriter0(kb)
-	sy := NewSyncerOpts(stores[0], kb, Options{GossipInterval: time.Second})
+	sy := NewSyncer(stores[0], kb, Options{GossipInterval: time.Second})
 	sy.PublishSubject("bob", func(error) {})
 	w.RunFor(10 * time.Second)
 	if sy.Stats().GossipRounds == 0 {

@@ -19,8 +19,7 @@ import (
 )
 
 // convergedSyncer is a one-node syncer holding objects subjects (each
-// written by three writers in turn) and one GIS document, with the
-// answering digest of a partner that holds exactly the same versions,
+// written by three writers in turn), with the answering digest of a partner that holds exactly the same versions,
 // and the world it runs in.
 func convergedSyncer(tb testing.TB, objects int) (*Syncer, *GossipMsg, *simnet.World) {
 	tb.Helper()
@@ -33,7 +32,7 @@ func convergedSyncer(tb testing.TB, objects int) (*Syncer, *GossipMsg, *simnet.W
 	ov := plaxton.New(node, reg, wire.CodecBinary, plaxton.Options{HeartbeatInterval: -1})
 	st := store.New(node, ov, store.Options{RepairInterval: -1})
 	ov.CreateNetwork()
-	sy := NewSyncer(st, NewKB())
+	sy := NewSyncer(st, NewKB(), Options{})
 	for i := 0; i < objects; i++ {
 		subj := fmt.Sprintf("user-%04d", i)
 		v := &causal.Versioned[[]Fact]{}
@@ -42,9 +41,6 @@ func convergedSyncer(tb testing.TB, objects int) (*Syncer, *GossipMsg, *simnet.W
 		}
 		sy.subjects[subj] = v
 	}
-	g := &causal.Versioned[[]Place]{}
-	g.Put("writer-0", []Place{{Name: "cafe"}})
-	sy.gisDocs["world"] = g
 	return sy, &GossipMsg{Reply: true, Entries: sy.digest()}, w
 }
 
@@ -159,17 +155,12 @@ func TestUnequalDigestGetsTheFullReply(t *testing.T) {
 // afresh from every object.
 func TestCachedDigestMatchesRecomputed(t *testing.T) {
 	byName := func(es []DigestEntry) []DigestEntry {
-		return slices.SortedFunc(slices.Values(es), func(a, b DigestEntry) int {
-			return cmp.Or(cmp.Compare(a.Name, b.Name), cmp.Compare(fmt.Sprint(a.GIS), fmt.Sprint(b.GIS)))
-		})
+		return slices.SortedFunc(slices.Values(es), func(a, b DigestEntry) int { return cmp.Compare(a.Name, b.Name) })
 	}
 	fresh := func(sy *Syncer) []DigestEntry {
 		var es []DigestEntry
 		for name, v := range sy.subjects {
 			es = append(es, DigestEntry{Name: name, Vec: v.Vec().AppendWire(nil)})
-		}
-		for name, v := range sy.gisDocs {
-			es = append(es, DigestEntry{Name: name, GIS: true, Vec: v.Vec().AppendWire(nil)})
 		}
 		return es
 	}
@@ -178,30 +169,19 @@ func TestCachedDigestMatchesRecomputed(t *testing.T) {
 		sy, _, w := convergedSyncer(t, 3)
 		sy.opts.siblingCap = 3
 		names := []string{"user-0000", "user-0001", "user-0007"}
-		regions := []string{"world", "eu"}
 		remoteFacts := map[string]*causal.Versioned[[]Fact]{}
-		remoteGIS := map[string]*causal.Versioned[[]Place]{}
 		writer := func() string { return fmt.Sprintf("remote-%d", rng.Intn(4)) }
 		for step := 0; step < 60; step++ {
-			subj, region := names[rng.Intn(len(names))], regions[rng.Intn(len(regions))]
+			subj := names[rng.Intn(len(names))]
 			if remoteFacts[subj] == nil {
 				remoteFacts[subj] = &causal.Versioned[[]Fact]{}
 			}
-			if remoteGIS[region] == nil {
-				remoteGIS[region] = &causal.Versioned[[]Place]{}
-			}
-			op := rng.Intn(7)
+			op := rng.Intn(5)
 			switch op {
 			case 0: // publish a subject
 				sy.kb.AddSPO(subj, "step", fmt.Sprint(step))
 				sy.PublishSubject(subj, func(error) {})
-			case 1: // publish a GIS layer
-				g := NewGIS()
-				if err := g.AddPlace(Place{Name: fmt.Sprint("place-", step)}); err != nil {
-					t.Fatal(err)
-				}
-				sy.PublishGIS(region, g, func(error) {})
-			case 2: // a fetch absorbs the stored copy and may read-repair it
+			case 1: // a fetch absorbs the stored copy and may read-repair it
 				remoteFacts[subj].Put(writer(), []Fact{{S: subj, P: "r", O: fmt.Sprint(step)}})
 				data := EncodeVersionedFacts(remoteFacts[subj])
 				dec, err := DecodeVersionedFacts(data)
@@ -209,24 +189,12 @@ func TestCachedDigestMatchesRecomputed(t *testing.T) {
 					t.Fatal(err)
 				}
 				sy.absorbSubject(subj, dec, data)
-			case 3: // a GIS fetch
-				remoteGIS[region].Put(writer(), []Place{{Name: fmt.Sprint("r-", step)}})
-				data := EncodeVersionedGIS(remoteGIS[region])
-				dec, err := DecodeVersionedGIS(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sy.absorbGIS(region, dec, data); err != nil {
-					t.Fatal(err)
-				}
-			case 4: // a gossip push of either kind
+			case 2: // a gossip push
 				remoteFacts[subj].Put(writer(), []Fact{{S: subj, P: "g", O: fmt.Sprint(step)}})
 				sy.handlePush(nil, ids.Zero, &GossipPushMsg{Name: subj, Data: EncodeVersionedFacts(remoteFacts[subj])})
-				remoteGIS[region].Put(writer(), []Place{{Name: fmt.Sprint("g-", step)}})
-				sy.handlePush(nil, ids.Zero, &GossipPushMsg{Name: region, GIS: true, Data: EncodeVersionedGIS(remoteGIS[region])})
-			case 5: // a partner's digest is answered from the cache
+			case 3: // a partner's digest is answered from the cache
 				sy.handleDigest(nil, ids.Zero, &GossipMsg{Entries: fresh(sy)[:rng.Intn(3)]})
-			case 6:
+			case 4:
 				w.RunFor(100 * time.Millisecond)
 			}
 			if got, want := byName(sy.digest()), byName(fresh(sy)); !reflect.DeepEqual(got, want) {

@@ -45,31 +45,3 @@ func FuzzDecodeVersionedFacts(f *testing.F) {
 		}
 	})
 }
-
-func FuzzDecodeVersionedGIS(f *testing.F) {
-	var v causal.Versioned[[]Place]
-	v.Put("writer-a", []Place{{Name: "janettas", Region: "st-andrews", X: 0.8, Y: 0.3,
-		Sells: []string{"ice cream"}}})
-	enc := EncodeVersionedGIS(&v)
-	f.Add(enc)
-	f.Add(enc[:len(enc)/2])
-	f.Add([]byte(`<gis><place name="x" region="r" x="1" y="2"></place></gis>`))
-	f.Add([]byte{'K', 'G', 1, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := DecodeVersionedGIS(data)
-		if err != nil {
-			return
-		}
-		if data[0] == '<' {
-			t.Fatalf("accepted an XML body: %q", data)
-		}
-		enc := EncodeVersionedGIS(v)
-		again, err := DecodeVersionedGIS(enc)
-		if err != nil {
-			t.Fatalf("re-decode own encoding: %v", err)
-		}
-		if !reflect.DeepEqual(v, again) {
-			t.Fatalf("unstable round trip:\n%+v\n%+v", v, again)
-		}
-	})
-}

@@ -5,10 +5,11 @@
 // cream, and is open between 9.00 and 17.00").
 //
 // Facts are subject–predicate–object triples with optional validity
-// intervals. The GIS layer holds places with coordinates, opening hours
-// and stock, indexed on a spatial grid. Both serialise to a versioned
-// binary form (wirebin.go) so they can live in the P2P storage
-// architecture and be cached near the matching computation (see Syncer).
+// intervals. Fact sets serialise to a versioned binary form (wirebin.go)
+// so they can live in the P2P storage architecture and be cached near the
+// matching computation (see Syncer). The GIS layer holds places with
+// coordinates, opening hours and stock, indexed on a spatial grid; each
+// node's layer is installed where the node is built, not replicated.
 package knowledge
 
 import (
@@ -318,7 +319,6 @@ type cellKey struct{ cx, cy int }
 // GIS is a spatially indexed set of places.
 type GIS struct {
 	places map[string]*Place
-	order  []string
 	grid   map[cellKey][]*Place
 }
 
@@ -341,7 +341,6 @@ func (g *GIS) AddPlace(p Place) error {
 	}
 	cp := p
 	g.places[p.Name] = &cp
-	g.order = append(g.order, p.Name)
 	k := cellOf(cp.At())
 	g.grid[k] = append(g.grid[k], &cp)
 	return nil
@@ -401,14 +400,4 @@ func (g *GIS) NearestTagged(c netapi.Coord, tag string, maxKm float64) *Place {
 		}
 	}
 	return nil
-}
-
-// Places returns the indexed places in insertion order, copied out so
-// callers can serialise or merge them without aliasing the index.
-func (g *GIS) Places() []Place {
-	out := make([]Place, 0, len(g.order))
-	for _, name := range g.order {
-		out = append(out, *g.places[name])
-	}
-	return out
 }

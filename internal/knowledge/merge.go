@@ -68,33 +68,3 @@ func sortFacts(fs []Fact) {
 		return a.To < b.To
 	})
 }
-
-// mergePlaces resolves concurrent GIS siblings: union by place name.
-// When two siblings carry different versions of the same place, the one
-// with the lexicographically greater binary encoding wins — arbitrary
-// but deterministic on every replica. Output is name-sorted.
-func mergePlaces(sets [][]Place) []Place {
-	byName := make(map[string]Place)
-	for _, set := range sets {
-		for _, p := range set {
-			cur, ok := byName[p.Name]
-			if !ok {
-				byName[p.Name] = p
-				continue
-			}
-			if string(appendPlace(nil, p)) > string(appendPlace(nil, cur)) {
-				byName[p.Name] = p
-			}
-		}
-	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Place, 0, len(names))
-	for _, n := range names {
-		out = append(out, byName[n])
-	}
-	return out
-}

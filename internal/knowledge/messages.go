@@ -4,18 +4,18 @@ import (
 	"github.com/gloss/active/internal/wire"
 )
 
-// Gossip anti-entropy messages. Brokers periodically exchange per-object
-// digests (name + version vector); a receiver pushes back only objects
-// whose local version is causally newer than — or concurrent with — the
-// digest entry, so settled objects cost one small digest line per round
-// and never move their bodies.
+// Gossip anti-entropy messages. Brokers periodically exchange per-subject
+// digests (subject + version vector); a receiver pushes back only fact
+// sets whose local version is causally newer than — or concurrent with —
+// the digest entry, so settled subjects cost one small digest line per
+// round and never move their bodies. Only fact sets replicate: each
+// node's GIS layer is installed where the node is built.
 
-// DigestEntry summarises one knowledge object: its name (subject or GIS
-// region), which namespace it lives in, and the serialised summary
-// vector of the local sibling set (causal.Vec.AppendWire form).
+// DigestEntry summarises one subject's fact set: the subject and the
+// serialised summary vector of the local sibling set
+// (causal.Vec.AppendWire form).
 type DigestEntry struct {
 	Name string     `xml:"name,attr"`
-	GIS  bool       `xml:"gis,attr,omitempty"`
 	Vec  wire.Bytes `xml:"vec"`
 }
 
@@ -30,12 +30,11 @@ type GossipMsg struct {
 // Kind implements wire.Message.
 func (GossipMsg) Kind() string { return "kb.digest" }
 
-// GossipPushMsg pushes one versioned knowledge object (the full binary
+// GossipPushMsg pushes one subject's versioned fact set (the full binary
 // envelope, siblings and all) to a gossip partner whose digest showed it
 // stale or concurrent.
 type GossipPushMsg struct {
 	Name string     `xml:"name,attr"`
-	GIS  bool       `xml:"gis,attr,omitempty"`
 	Data wire.Bytes `xml:"data"`
 }
 
@@ -59,7 +58,6 @@ func (m *GossipMsg) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Entries)))
 	for _, e := range m.Entries {
 		b = wire.AppendString(b, e.Name)
-		b = wire.AppendBool(b, e.GIS)
 		b = wire.AppendBytes(b, e.Vec)
 	}
 	return b
@@ -73,7 +71,6 @@ func (m *GossipMsg) ParseWire(r *wire.BinReader) error {
 	for i := 0; i < n && r.Err() == nil; i++ {
 		var e DigestEntry
 		e.Name = r.String()
-		e.GIS = r.Bool()
 		e.Vec = r.OwnedBytes() // kept past the handler callback
 		if r.Err() == nil {
 			m.Entries = append(m.Entries, e)
@@ -86,10 +83,7 @@ func (m *GossipMsg) ParseWire(r *wire.BinReader) error {
 func (m *GossipPushMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
 
 // AppendWireHead implements wire.TailMessage.
-func (m *GossipPushMsg) AppendWireHead(b []byte) []byte {
-	b = wire.AppendString(b, m.Name)
-	return wire.AppendBool(b, m.GIS)
-}
+func (m *GossipPushMsg) AppendWireHead(b []byte) []byte { return wire.AppendString(b, m.Name) }
 
 // WireTail implements wire.TailMessage.
 func (m *GossipPushMsg) WireTail() []byte { return m.Data }
@@ -97,7 +91,6 @@ func (m *GossipPushMsg) WireTail() []byte { return m.Data }
 // ParseWire implements wire.BinaryMessage.
 func (m *GossipPushMsg) ParseWire(r *wire.BinReader) error {
 	m.Name = r.String()
-	m.GIS = r.Bool()
 	m.Data = r.OwnedBytes()
 	return r.Err()
 }

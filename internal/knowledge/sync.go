@@ -19,11 +19,6 @@ func SubjectKey(subject string) ids.ID {
 	return ids.FromString("kb/subject/" + subject)
 }
 
-// GISKey is the storage GUID of the shared GIS document.
-func GISKey(region string) ids.ID {
-	return ids.FromString("kb/gis/" + region)
-}
-
 // Options tunes a Syncer.
 type Options struct {
 	// Writer is this node's identity in version vectors. Defaults to the
@@ -45,8 +40,8 @@ const gossipFanout = 2
 
 // SyncStats is a snapshot of syncer counters (see Syncer.Stats).
 type SyncStats struct {
-	Fetches       uint64 // remote subject/GIS loads issued
-	Publishes     uint64 // subject/GIS uploads issued
+	Fetches       uint64 // remote subject loads issued
+	Publishes     uint64 // subject uploads issued
 	GossipRounds  uint64 // anti-entropy rounds initiated
 	GossipPushes  uint64 // versioned objects pushed to partners
 	Absorbed      uint64 // remote versions that changed local state
@@ -61,11 +56,11 @@ type SyncStats struct {
 // matching computation occurs" — the store's promiscuous caching pulls
 // hot subjects close to their matchers.
 //
-// Every stored fact set and GIS document is a version-vectored sibling
-// set: concurrent writers are detected rather than silently overwritten,
-// fetches read-repair stale replicas, and optional gossip rounds push
-// digests + missing versions between brokers until every node converges
-// on the merged state. Any other body, a bare XML document included,
+// Every stored fact set is a version-vectored sibling set: concurrent
+// writers are detected rather than silently overwritten, fetches
+// read-repair stale replicas, and optional gossip rounds push digests +
+// missing versions between brokers until every node converges on the
+// merged state. Any other body, a bare XML document included,
 // fails to decode and changes nothing.
 type Syncer struct {
 	store *store.Store
@@ -74,11 +69,10 @@ type Syncer struct {
 
 	mu       sync.Mutex
 	subjects map[string]*causal.Versioned[[]Fact]
-	gisDocs  map[string]*causal.Versioned[[]Place]
-	// vecs caches each object's summary vector in AppendWire form. An
-	// entry is dropped before its object's Put, Absorb or Compact, and
+	// vecs caches each subject's summary vector in AppendWire form. An
+	// entry is dropped before its subject's Put, Absorb or Compact, and
 	// cached bytes are never written: digests carry them as they are.
-	vecs map[digestKey][]byte
+	vecs map[string][]byte
 
 	stopped atomic.Bool
 
@@ -92,15 +86,9 @@ type Syncer struct {
 	compactions   atomic.Uint64
 }
 
-// NewSyncer binds a syncer to a store and a local KB with default
-// (gossip-off) options.
-func NewSyncer(st *store.Store, kb *KB) *Syncer {
-	return NewSyncerOpts(st, kb, Options{})
-}
-
-// NewSyncerOpts binds a syncer with explicit options. At most one Syncer
+// NewSyncer binds a syncer to a store and a local KB. At most one Syncer
 // may be bound per endpoint (it owns the kb.* message kinds).
-func NewSyncerOpts(st *store.Store, kb *KB, opts Options) *Syncer {
+func NewSyncer(st *store.Store, kb *KB, opts Options) *Syncer {
 	if opts.Writer == "" {
 		opts.Writer = st.Endpoint().ID().String()
 	}
@@ -112,8 +100,7 @@ func NewSyncerOpts(st *store.Store, kb *KB, opts Options) *Syncer {
 		kb:       kb,
 		opts:     opts,
 		subjects: make(map[string]*causal.Versioned[[]Fact]),
-		gisDocs:  make(map[string]*causal.Versioned[[]Place]),
-		vecs:     make(map[digestKey][]byte),
+		vecs:     make(map[string][]byte),
 	}
 	ep := st.Endpoint()
 	ep.Handle("kb.digest", sy.handleDigest)
@@ -150,21 +137,12 @@ func (sy *Syncer) subjectObj(subject string) *causal.Versioned[[]Fact] {
 	return v
 }
 
-func (sy *Syncer) gisObj(region string) *causal.Versioned[[]Place] {
-	v, ok := sy.gisDocs[region]
-	if !ok {
-		v = &causal.Versioned[[]Place]{}
-		sy.gisDocs[region] = v
-	}
-	return v
-}
-
 // PublishSubject uploads the local facts about subject to the store,
 // wrapped in a new version descending from everything this node has seen.
 func (sy *Syncer) PublishSubject(subject string, cb func(error)) {
 	sy.mu.Lock()
 	v := sy.subjectObj(subject)
-	delete(sy.vecs, digestKey{subject, false})
+	delete(sy.vecs, subject)
 	v.Put(sy.opts.Writer, sy.kb.SubjectFacts(subject))
 	data := EncodeVersionedFacts(v)
 	sy.mu.Unlock()
@@ -200,7 +178,7 @@ func (sy *Syncer) FetchSubject(subject string, cb func(error)) {
 func (sy *Syncer) absorbSubject(subject string, remote *causal.Versioned[[]Fact], storedData []byte) {
 	sy.mu.Lock()
 	v := sy.subjectObj(subject)
-	delete(sy.vecs, digestKey{subject, false})
+	delete(sy.vecs, subject)
 	if v.Absorb(remote) {
 		sy.absorbed.Add(1)
 	}
@@ -223,71 +201,6 @@ func (sy *Syncer) absorbSubject(subject string, remote *causal.Versioned[[]Fact]
 		sy.readRepairs.Add(1)
 		sy.store.PutAs(SubjectKey(subject), repair, func(error) {})
 	}
-}
-
-// PublishGIS uploads a GIS layer under the given region key.
-func (sy *Syncer) PublishGIS(region string, g *GIS, cb func(error)) {
-	sy.mu.Lock()
-	v := sy.gisObj(region)
-	delete(sy.vecs, digestKey{region, true})
-	v.Put(sy.opts.Writer, g.Places())
-	data := EncodeVersionedGIS(v)
-	sy.mu.Unlock()
-	sy.publishes.Add(1)
-	sy.store.PutAs(GISKey(region), data, cb)
-}
-
-// FetchGIS downloads a region's GIS layer.
-func (sy *Syncer) FetchGIS(region string, cb func(*GIS, error)) {
-	sy.fetches.Add(1)
-	sy.store.Get(GISKey(region), func(data []byte, err error) {
-		if err != nil {
-			cb(nil, fmt.Errorf("knowledge: fetch gis %q: %w", region, err))
-			return
-		}
-		remote, err := DecodeVersionedGIS(data)
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		places, repairErr := sy.absorbGIS(region, remote, data)
-		g := NewGIS()
-		for _, p := range places {
-			if err := g.AddPlace(p); err != nil {
-				cb(nil, err)
-				return
-			}
-		}
-		cb(g, repairErr)
-	})
-}
-
-func (sy *Syncer) absorbGIS(region string, remote *causal.Versioned[[]Place], storedData []byte) ([]Place, error) {
-	sy.mu.Lock()
-	v := sy.gisObj(region)
-	delete(sy.vecs, digestKey{region, true})
-	if v.Absorb(remote) {
-		sy.absorbed.Add(1)
-	}
-	if v.Compact(sy.opts.siblingCap, mergePlaces) {
-		sy.compactions.Add(1)
-	}
-	if len(v.Sibs) > 1 {
-		sy.siblingMerges.Add(1)
-	}
-	resolved := mergePlaces(v.Values())
-	var repair []byte
-	if storedData != nil {
-		if enc := EncodeVersionedGIS(v); !bytes.Equal(enc, storedData) {
-			repair = enc
-		}
-	}
-	sy.mu.Unlock()
-	if repair != nil {
-		sy.readRepairs.Add(1)
-		sy.store.PutAs(GISKey(region), repair, func(error) {})
-	}
-	return resolved, nil
 }
 
 // --- gossip anti-entropy ------------------------------------------------------
@@ -332,39 +245,34 @@ func (sy *Syncer) GossipNow() {
 	}
 }
 
-// digest snapshots every tracked object's name and summary vector.
+// digest snapshots every tracked subject's name and summary vector.
 func (sy *Syncer) digest() []DigestEntry {
 	sy.mu.Lock()
 	defer sy.mu.Unlock()
-	entries := make([]DigestEntry, 0, len(sy.subjects)+len(sy.gisDocs))
+	entries := make([]DigestEntry, 0, len(sy.subjects))
 	for name, v := range sy.subjects {
-		key := digestKey{name, false}
-		entries = append(entries, DigestEntry{Name: name, Vec: sy.vecBytes(key, v)})
-	}
-	for name, v := range sy.gisDocs {
-		key := digestKey{name, true}
-		entries = append(entries, DigestEntry{Name: name, GIS: true, Vec: sy.vecBytes(key, v)})
+		entries = append(entries, DigestEntry{Name: name, Vec: sy.vecBytes(name, v)})
 	}
 	return entries
 }
 
 // vecBytes returns the AppendWire bytes of the summary vector of v, the
-// object key names: cached, or encoded and cached on a miss. Callers
+// subject's sibling set: cached, or encoded and cached on a miss. Callers
 // hold sy.mu and must not write the bytes.
-func (sy *Syncer) vecBytes(key digestKey, v interface{ Vec() causal.Vec }) []byte {
-	b, ok := sy.vecs[key]
+func (sy *Syncer) vecBytes(subject string, v *causal.Versioned[[]Fact]) []byte {
+	b, ok := sy.vecs[subject]
 	if !ok {
 		b = v.Vec().AppendWire(nil)
-		sy.vecs[key] = b
+		sy.vecs[subject] = b
 	}
 	return b
 }
 
-// handleDigest answers a partner's digest: push every local object the
+// handleDigest answers a partner's digest: push every local subject the
 // partner's vector shows it is missing (ours descends) or conflicted on
-// (concurrent), including objects absent from its digest entirely; then
+// (concurrent), including subjects absent from its digest entirely; then
 // reply with our own digest (once — replies are not re-answered), unless
-// the partner's digest equals ours: the same objects, every vector
+// the partner's digest equals ours: the same subjects, every vector
 // byte-equal. The reply's entries are the cached vector bytes the
 // comparison read, and a vector is parsed and compared only when its
 // bytes differ from the partner's.
@@ -373,71 +281,47 @@ func (sy *Syncer) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	if !ok {
 		return
 	}
-	seen := make(map[digestKey][]byte, len(dg.Entries))
+	seen := make(map[string][]byte, len(dg.Entries))
 	for _, e := range dg.Entries {
-		seen[digestKey{e.Name, e.GIS}] = e.Vec
+		seen[e.Name] = e.Vec
 	}
-	ep := sy.store.Endpoint()
-	type push struct {
-		name string
-		gis  bool
-		data []byte
-	}
-	var pushes []push
+	var pushes []*GossipPushMsg
 	var reply []DigestEntry
-	equal := 0 // local objects whose vector bytes the partner's digest repeats
-	// lacks reads one local vector's bytes, adds them to the reply when
-	// there is one, and reports whether the partner lacks history v holds.
-	lacks := func(key digestKey, v interface{ Vec() causal.Vec }) bool {
-		mine := sy.vecBytes(key, v)
-		if !dg.Reply {
-			reply = append(reply, DigestEntry{Name: key.name, GIS: key.gis, Vec: mine})
-		}
-		remote, known := seen[key]
-		if !known {
-			return true
-		}
-		if bytes.Equal(mine, remote) {
-			equal++
-			return false
-		}
-		return partnerLacks(v.Vec(), mine, remote)
-	}
+	equal := 0 // local subjects whose vector bytes the partner's digest repeats
 	sy.mu.Lock()
-	objects := len(sy.subjects) + len(sy.gisDocs)
 	if !dg.Reply {
-		reply = make([]DigestEntry, 0, objects)
+		reply = make([]DigestEntry, 0, len(sy.subjects))
 	}
 	for name, v := range sy.subjects {
-		if lacks(digestKey{name, false}, v) {
-			pushes = append(pushes, push{name, false, EncodeVersionedFacts(v)})
+		mine := sy.vecBytes(name, v)
+		if !dg.Reply {
+			reply = append(reply, DigestEntry{Name: name, Vec: mine})
+		}
+		remote, known := seen[name]
+		if known && bytes.Equal(mine, remote) {
+			equal++
+			continue
+		}
+		if !known || partnerLacks(v.Vec(), mine, remote) {
+			pushes = append(pushes, &GossipPushMsg{Name: name, Data: EncodeVersionedFacts(v)})
 		}
 	}
-	for name, v := range sy.gisDocs {
-		if lacks(digestKey{name, true}, v) {
-			pushes = append(pushes, push{name, true, EncodeVersionedGIS(v)})
-		}
-	}
+	objects := len(sy.subjects)
 	sy.mu.Unlock()
+	ep := sy.store.Endpoint()
 	for _, p := range pushes {
 		sy.gossipPushes.Add(1)
-		ep.Send(from, &GossipPushMsg{Name: p.name, GIS: p.gis, Data: p.data})
+		ep.Send(from, p)
 	}
 	if !dg.Reply && (equal != objects || len(seen) != objects) {
 		ep.Send(from, &GossipMsg{Reply: true, Entries: reply})
 	}
 }
 
-// digestKey names one object of a digest: a subject or a GIS region.
-type digestKey struct {
-	name string
-	gis  bool
-}
-
 // partnerLacks reports whether local, whose AppendWire bytes are mine,
 // holds history the partner's digest vector, in its AppendWire bytes,
 // lacks. AppendWire is canonical, so equal bytes are an Equal vector: a
-// converged object costs no parse.
+// converged subject costs no parse.
 func partnerLacks(local causal.Vec, mine, remote []byte) bool {
 	if bytes.Equal(mine, remote) {
 		return false
@@ -449,18 +333,10 @@ func partnerLacks(local causal.Vec, mine, remote []byte) bool {
 	return false
 }
 
-// handlePush absorbs a versioned object pushed by a gossip partner.
+// handlePush absorbs a versioned fact set pushed by a gossip partner.
 func (sy *Syncer) handlePush(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 	p, ok := msg.(*GossipPushMsg)
 	if !ok {
-		return
-	}
-	if p.GIS {
-		remote, err := DecodeVersionedGIS(p.Data)
-		if err != nil {
-			return
-		}
-		sy.absorbGIS(p.Name, remote, nil)
 		return
 	}
 	remote, err := DecodeVersionedFacts(p.Data)

@@ -47,7 +47,7 @@ func TestSyncerSubjectRoundTrip(t *testing.T) {
 	kb0.AddSPO("bob", "likes", "ice cream")
 	kb0.AddSPO("bob", "nationality", "scottish")
 	kb0.Add(Fact{S: "bob", P: "on-holiday", O: "true", From: 20 * 24 * time.Hour, To: 27 * 24 * time.Hour})
-	sy0 := NewSyncer(stores[0], kb0)
+	sy0 := NewSyncer(stores[0], kb0, Options{})
 	var pubErr error
 	sy0.PublishSubject("bob", func(err error) { pubErr = err })
 	w.RunFor(5 * time.Second)
@@ -57,7 +57,7 @@ func TestSyncerSubjectRoundTrip(t *testing.T) {
 
 	// A matcher node elsewhere fetches bob's profile on demand.
 	kb7 := NewKB()
-	sy7 := NewSyncer(stores[7], kb7)
+	sy7 := NewSyncer(stores[7], kb7, Options{})
 	var fetchErr error
 	sy7.FetchSubject("bob", func(err error) { fetchErr = err })
 	w.RunFor(5 * time.Second)
@@ -75,35 +75,10 @@ func TestSyncerSubjectRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSyncerGISRoundTrip(t *testing.T) {
-	w, stores := buildStores(t, 8)
-	g := NewGIS()
-	if err := g.AddPlace(janettas()); err != nil {
-		t.Fatal(err)
-	}
-	sy := NewSyncer(stores[1], NewKB())
-	var pubErr error
-	sy.PublishGIS("st-andrews", g, func(err error) { pubErr = err })
-	w.RunFor(5 * time.Second)
-	if pubErr != nil {
-		t.Fatalf("publish gis: %v", pubErr)
-	}
-	var got *GIS
-	var fetchErr error
-	NewSyncer(stores[5], NewKB()).FetchGIS("st-andrews", func(gg *GIS, err error) { got, fetchErr = gg, err })
-	w.RunFor(5 * time.Second)
-	if fetchErr != nil {
-		t.Fatalf("fetch gis: %v", fetchErr)
-	}
-	if p, ok := got.Place("janettas"); !ok || !p.SellsItem("ice cream") {
-		t.Fatalf("gis content lost")
-	}
-}
-
 func TestSyncerFetchMissingSubject(t *testing.T) {
 	w, stores := buildStores(t, 6)
 	var gotErr error
-	NewSyncer(stores[2], NewKB()).FetchSubject("nobody", func(err error) { gotErr = err })
+	NewSyncer(stores[2], NewKB(), Options{}).FetchSubject("nobody", func(err error) { gotErr = err })
 	w.RunFor(10 * time.Second)
 	if gotErr == nil {
 		t.Fatalf("fetch of missing subject should fail")

@@ -8,18 +8,17 @@ import (
 	"github.com/gloss/active/internal/wire"
 )
 
-// Versioned binary envelopes for knowledge objects stored in the P2P
-// storage plane. A stored fact set or GIS document is a sibling set —
-// one or more (version vector, value) pairs — so replicas can tell
-// causally stale copies from concurrent ones.
+// The versioned binary envelope of a subject's fact set in the P2P
+// storage plane. A stored fact set is a sibling set — one or more
+// (version vector, facts) pairs — so replicas can tell causally stale
+// copies from concurrent ones.
 //
-// Both formats open with a two-byte magic and a format version; the
-// decoders reject any other body, an XML document included.
+// The envelope opens with a two-byte magic and a format version; the
+// decoder rejects any other body, an XML document included.
 
 const (
 	factsMagic0 = 'K'
 	factsMagic1 = 'F'
-	gisMagic1   = 'G'
 	wireVersion = 1
 )
 
@@ -95,91 +94,6 @@ func DecodeVersionedFacts(data []byte) (*causal.Versioned[[]Fact], error) {
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("knowledge: parse versioned facts: %w", err)
-	}
-	return v, nil
-}
-
-// appendPlace serialises one GIS place.
-func appendPlace(b []byte, p Place) []byte {
-	b = wire.AppendString(b, p.Name)
-	b = wire.AppendString(b, p.Region)
-	b = wire.AppendFloat64(b, p.X)
-	b = wire.AppendFloat64(b, p.Y)
-	b = wire.AppendVarint(b, int64(p.Hours.Open))
-	b = wire.AppendVarint(b, int64(p.Hours.Close))
-	b = appendStrings(b, p.Sells)
-	return appendStrings(b, p.Tags)
-}
-
-func parsePlace(r *wire.BinReader) Place {
-	var p Place
-	p.Name = r.String()
-	p.Region = r.String()
-	p.X = r.Float64()
-	p.Y = r.Float64()
-	p.Hours.Open = durationField(r)
-	p.Hours.Close = durationField(r)
-	p.Sells = parseStrings(r)
-	p.Tags = parseStrings(r)
-	return p
-}
-
-func appendStrings(b []byte, ss []string) []byte {
-	b = wire.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = wire.AppendString(b, s)
-	}
-	return b
-}
-
-func parseStrings(r *wire.BinReader) []string {
-	n := r.Count()
-	var out []string
-	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, r.String())
-	}
-	return out
-}
-
-// EncodeVersionedGIS serialises a versioned place list.
-func EncodeVersionedGIS(v *causal.Versioned[[]Place]) []byte {
-	b := []byte{factsMagic0, gisMagic1, wireVersion}
-	b = wire.AppendUvarint(b, uint64(len(v.Sibs)))
-	for _, s := range v.Sibs {
-		b = s.Vec.AppendWire(b)
-		b = wire.AppendUvarint(b, uint64(len(s.Value)))
-		for _, p := range s.Value {
-			b = appendPlace(b, p)
-		}
-	}
-	return b
-}
-
-// DecodeVersionedGIS parses a stored GIS body: the versioned binary
-// envelope EncodeVersionedGIS writes, and nothing else.
-func DecodeVersionedGIS(data []byte) (*causal.Versioned[[]Place], error) {
-	if len(data) < 3 || data[0] != factsMagic0 || data[1] != gisMagic1 {
-		return nil, fmt.Errorf("knowledge: bad versioned gis magic")
-	}
-	if data[2] != wireVersion {
-		return nil, fmt.Errorf("knowledge: versioned gis format %d unsupported", data[2])
-	}
-	r := wire.NewBinReader(data[3:])
-	n := r.Count()
-	v := &causal.Versioned[[]Place]{}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		vec := causal.ParseVec(r)
-		m := r.Count()
-		var places []Place
-		for j := 0; j < m && r.Err() == nil; j++ {
-			places = append(places, parsePlace(r))
-		}
-		if r.Err() == nil {
-			v.Sibs = append(v.Sibs, causal.Sibling[[]Place]{Vec: vec, Value: places})
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("knowledge: parse versioned gis: %w", err)
 	}
 	return v, nil
 }

@@ -258,12 +258,12 @@ func BenchmarkFanout(b *testing.B) {
 }
 
 // BenchmarkFanoutWorld exercises the whole stack — publish, broker
-// matching, simulated delivery with batching — under DisableJitter and
-// DisableMetrics, the configuration for million-message runs.
+// matching, simulated delivery with batching — under DisableJitter, the
+// configuration for million-message runs.
 func BenchmarkFanoutWorld(b *testing.B) {
 	for _, fanout := range []int{8, 64} {
 		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
-			w := simnet.NewWorld(simnet.Config{Seed: 11, DisableJitter: true, DisableMetrics: true})
+			w := simnet.NewWorld(simnet.Config{Seed: 11, DisableJitter: true})
 			bn := w.NewNode(ids.FromString("bench-broker"), "eu", netapi.Coord{})
 			br := NewBroker(bn, Options{})
 			clients := make([]*Client, fanout)

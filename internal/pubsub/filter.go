@@ -8,9 +8,10 @@
 package pubsub
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -157,29 +158,60 @@ func (f Filter) Matches(ev *event.Event) bool {
 }
 
 // Key returns a canonical string form usable as a map key; two filters
-// with the same constraints in any order share a key. Called on every
-// subscribe/unsubscribe and table reconciliation, so it avoids fmt.
+// with the same constraints in any order share a key. Each constraint
+// renders as attr|op|kind|value, and the renderings join with '&' in
+// byte order. Called on every subscribe/unsubscribe and table
+// reconciliation, so the renderings share one buffer and are sorted as
+// spans of it: a key costs that buffer and the string, not a string per
+// constraint.
 func (f Filter) Key() string {
 	if len(f.Constraints) == 0 {
 		return ""
 	}
-	parts := make([]string, len(f.Constraints))
-	var sb strings.Builder
-	for i, c := range f.Constraints {
-		sb.Reset()
-		val := c.Val.String()
-		sb.Grow(len(c.Attr) + len(val) + 16)
-		sb.WriteString(c.Attr)
-		sb.WriteByte('|')
-		sb.WriteString(c.Op.String())
-		sb.WriteByte('|')
-		sb.WriteString(strconv.Itoa(int(c.Val.K)))
-		sb.WriteByte('|')
-		sb.WriteString(val)
-		parts[i] = sb.String()
+	var scratch [128]byte
+	var spanScratch [8]keySpan
+	buf, spans := scratch[:0], spanScratch[:0]
+	for _, c := range f.Constraints {
+		from := len(buf)
+		buf = append(buf, c.Attr...)
+		buf = append(buf, '|')
+		buf = append(buf, c.Op.String()...)
+		buf = append(buf, '|')
+		buf = strconv.AppendInt(buf, int64(c.Val.K), 10)
+		buf = append(buf, '|')
+		buf = appendValueText(buf, c.Val)
+		spans = append(spans, keySpan{from, len(buf)})
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, "&")
+	slices.SortFunc(spans, func(a, b keySpan) int {
+		return bytes.Compare(buf[a.from:a.to], buf[b.from:b.to])
+	})
+	var sb strings.Builder
+	sb.Grow(len(buf) + len(spans) - 1)
+	for i, sp := range spans {
+		if i > 0 {
+			sb.WriteByte('&')
+		}
+		sb.Write(buf[sp.from:sp.to])
+	}
+	return sb.String()
+}
+
+// keySpan is one constraint's rendering in Key's buffer.
+type keySpan struct{ from, to int }
+
+// appendValueText appends v's text form, event.Value.String's.
+func appendValueText(b []byte, v event.Value) []byte {
+	switch v.K {
+	case event.KindString:
+		return append(b, v.S...)
+	case event.KindInt:
+		return strconv.AppendInt(b, v.I, 10)
+	case event.KindFloat:
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
+	case event.KindBool:
+		return strconv.AppendBool(b, v.B)
+	}
+	return b
 }
 
 // Implies reports whether constraint a implies constraint b: every value

@@ -4,6 +4,9 @@ import (
 	"encoding/xml"
 	"math"
 	"math/rand"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,6 +82,73 @@ func TestFilterKeyOrderIndependent(t *testing.T) {
 	f2 := NewFilter(Gt("b", event.F(2)), Eq("a", event.I(1)))
 	if f1.Key() != f2.Key() {
 		t.Fatalf("keys differ: %q vs %q", f1.Key(), f2.Key())
+	}
+}
+
+// keyPerPart is the string-per-constraint Key that Filter.Key replaced,
+// kept as its oracle: each constraint rendered to its own string, the
+// strings sorted, then joined.
+func keyPerPart(f Filter) string {
+	if len(f.Constraints) == 0 {
+		return ""
+	}
+	parts := make([]string, len(f.Constraints))
+	var sb strings.Builder
+	for i, c := range f.Constraints {
+		sb.Reset()
+		val := c.Val.String()
+		sb.Grow(len(c.Attr) + len(val) + 16)
+		sb.WriteString(c.Attr)
+		sb.WriteByte('|')
+		sb.WriteString(c.Op.String())
+		sb.WriteByte('|')
+		sb.WriteString(strconv.Itoa(int(c.Val.K)))
+		sb.WriteByte('|')
+		sb.WriteString(val)
+		parts[i] = sb.String()
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, "&")
+}
+
+// TestFilterKeyMatchesPerPartOracle holds Key byte-equal to keyPerPart
+// over random filters: every value kind (the invalid kind of an exists
+// constraint included), every operator, duplicate constraints, texts
+// holding the separators and bytes past ASCII, long keys that outgrow
+// the stack buffers, and the empty filter.
+func TestFilterKeyMatchesPerPartOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	texts := []string{"", "a", "ab", "a|b", "a&b", "é", "\xff", "\x00", "user-007", strings.Repeat("z", 90)}
+	text := func() string { return texts[rng.Intn(len(texts))] }
+	value := func() event.Value {
+		switch rng.Intn(5) {
+		case 0:
+			return event.S(text())
+		case 1:
+			return event.I(rng.Int63n(2000) - 1000)
+		case 2:
+			return event.F([]float64{0, -0.5, 1e21, math.Inf(1), math.NaN(), rng.NormFloat64()}[rng.Intn(6)])
+		case 3:
+			return event.B(rng.Intn(2) == 0)
+		}
+		return event.Value{}
+	}
+	if got := (Filter{}).Key(); got != "" {
+		t.Fatalf("empty filter key %q", got)
+	}
+	for i := 0; i < 5000; i++ {
+		var cs []Constraint
+		for n := rng.Intn(12); n > 0; n-- {
+			if len(cs) > 0 && rng.Intn(4) == 0 {
+				cs = append(cs, cs[rng.Intn(len(cs))]) // a duplicate
+				continue
+			}
+			cs = append(cs, Constraint{Attr: text(), Op: Op(rng.Intn(int(OpExists) + 1)), Val: value()})
+		}
+		f := Filter{Constraints: cs}
+		if got, want := f.Key(), keyPerPart(f); got != want {
+			t.Fatalf("filter %+v:\nKey        %q\nkeyPerPart %q", cs, got, want)
+		}
 	}
 }
 

@@ -49,13 +49,6 @@ func TestBinaryCodecAccountsFewerBytes(t *testing.T) {
 	}
 }
 
-func TestDisableMetricsZeroesEverything(t *testing.T) {
-	m := pubWorld(t, Config{Seed: 1, Codec: pubsubReg(), DisableMetrics: true})
-	if m.Sent != 0 || m.Delivered != 0 || m.Bytes != 0 || len(m.ByKind) != 0 {
-		t.Fatalf("metrics accounted despite DisableMetrics: %+v", m)
-	}
-}
-
 func TestTypedNilCodecSkipsAccounting(t *testing.T) {
 	var nilReg *wire.Registry
 	m := pubWorld(t, Config{Seed: 1, Codec: nilReg}) // typed nil in the interface

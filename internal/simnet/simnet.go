@@ -59,10 +59,6 @@ type Config struct {
 	// compact fast path. Registries must be fully populated before the
 	// first message is sent.
 	Codec wire.Codec
-	// DisableMetrics turns off all traffic accounting — counters, per-kind
-	// tallies and byte sizing — for hot benchmark runs where even map
-	// increments per message matter. Metrics then stays zero.
-	DisableMetrics bool
 	// OutboxHighWater mirrors transport.Options.OutboxHighWater: a
 	// per-sender, per-destination byte budget on in-flight messages.
 	// Non-control sends toward a destination already holding that many
@@ -70,8 +66,7 @@ type Config struct {
 	// messages (wire.ControlMessage) are exempt. 0 disables budgeting
 	// (the default). Sizing uses Config.Codec when installed; without
 	// one every message counts one byte, making the budget a message
-	// count. Budgeting is semantics, not accounting — it stays active
-	// under DisableMetrics.
+	// count.
 	OutboxHighWater int
 	// OutboxLowWater is the relief threshold mirroring the transport:
 	// when a saturated in-flight queue drains back to it, the
@@ -431,7 +426,7 @@ func (w *World) transmit(from *Node, env *wire.Envelope, shared *wire.SharedBody
 	// One Size pass serves both byte metrics and the outbox budget.
 	budget := w.cfg.OutboxHighWater > 0
 	size, sized := 0, false
-	if w.codec != nil && (budget || (!w.cfg.DisableMetrics && env.Msg != nil)) {
+	if w.codec != nil && (budget || env.Msg != nil) {
 		if sz, err := w.codec.Size(env, shared); err == nil {
 			// Codec.Size is a single pass over the message (the binary
 			// codec counts through a pooled scratch buffer — no throwaway
@@ -444,27 +439,25 @@ func (w *World) transmit(from *Node, env *wire.Envelope, shared *wire.SharedBody
 		// degrades to a message count.
 		size = 1
 	}
-	if !w.cfg.DisableMetrics {
-		w.metrics.Sent++
-		if env.Msg != nil {
-			w.metrics.ByKind[env.Msg.Kind()]++
-			// Byte accounting is skipped entirely without a codec.
-			if sized {
-				w.metrics.Bytes += uint64(size)
-				// Envelope messages (overlay routing) attribute their bytes
-				// to the kind they carry; frame counts stay on the envelope.
-				kind := env.Msg.Kind()
-				if pk, ok := env.Msg.(PayloadKinder); ok {
-					if inner := pk.PayloadKind(); inner != "" {
-						kind = inner
-					}
+	w.metrics.Sent++
+	if env.Msg != nil {
+		w.metrics.ByKind[env.Msg.Kind()]++
+		// Byte accounting is skipped entirely without a codec.
+		if sized {
+			w.metrics.Bytes += uint64(size)
+			// Envelope messages (overlay routing) attribute their bytes
+			// to the kind they carry; frame counts stay on the envelope.
+			kind := env.Msg.Kind()
+			if pk, ok := env.Msg.(PayloadKinder); ok {
+				if inner := pk.PayloadKind(); inner != "" {
+					kind = inner
 				}
-				w.metrics.BytesByKind[kind] += uint64(size)
 			}
+			w.metrics.BytesByKind[kind] += uint64(size)
 		}
 	}
 	if !from.alive {
-		w.drop()
+		w.metrics.Dropped++
 		return
 	}
 	// Outbox-budget mirror: the sender-side gate sits before the wire
@@ -472,23 +465,21 @@ func (w *World) transmit(from *Node, env *wire.Envelope, shared *wire.SharedBody
 	// drops. Control messages are exempt, as on the transport.
 	if budget && !wire.Control(env.Msg) && from.outBytes[env.To] >= w.cfg.OutboxHighWater {
 		from.outOver[env.To] = true
-		if !w.cfg.DisableMetrics {
-			w.metrics.Dropped++
-			w.metrics.DroppedOverflow++
-		}
+		w.metrics.Dropped++
+		w.metrics.DroppedOverflow++
 		return
 	}
 	if w.filter != nil && !w.filter(env.From, env.To) {
-		w.drop()
+		w.metrics.Dropped++
 		return
 	}
 	if w.cfg.LossRate > 0 && w.rng.Float64() < w.cfg.LossRate {
-		w.drop()
+		w.metrics.Dropped++
 		return
 	}
 	dest, ok := w.nodes[env.To]
 	if !ok {
-		w.drop()
+		w.metrics.Dropped++
 		return
 	}
 	if budget {
@@ -549,9 +540,7 @@ func (w *World) enqueue(dest *Node, env *wire.Envelope, size int, at time.Durati
 		if budget {
 			b.sizes = append(b.sizes, size)
 		}
-		if !w.cfg.DisableMetrics {
-			w.metrics.BatchedMsgs++
-		}
+		w.metrics.BatchedMsgs++
 		return
 	}
 	var b *delivBatch
@@ -574,9 +563,7 @@ func (b *delivBatch) Run() {
 	w := b.dest.world
 	budget := w.cfg.OutboxHighWater > 0
 	delete(b.dest.batches, b.at)
-	if !w.cfg.DisableMetrics {
-		w.metrics.FlushEvents++
-	}
+	w.metrics.FlushEvents++
 	for i, e := range b.envs {
 		// The budget releases on landing whether or not the destination
 		// is still alive — the sender-side queue emptied either way.
@@ -611,23 +598,14 @@ func (w *World) Latency(a, b ids.ID) time.Duration {
 	return baseLatency + time.Duration(na.info.Coord.DistanceKm(nb.info.Coord)*float64(latencyPerKm))
 }
 
-// drop counts a dropped message unless metrics are disabled.
-func (w *World) drop() {
-	if !w.cfg.DisableMetrics {
-		w.metrics.Dropped++
-	}
-}
-
 // deliver hands env to its live destination's loop.
 func (w *World) deliver(dest *Node, env *wire.Envelope) {
 	if !dest.alive {
-		w.drop()
+		w.metrics.Dropped++
 		return
 	}
-	if !w.cfg.DisableMetrics {
-		w.metrics.Delivered++
-	}
-	if !dest.loop.Deliver(env) && !w.cfg.DisableMetrics {
+	w.metrics.Delivered++
+	if !dest.loop.Deliver(env) {
 		w.metrics.Unhandled++
 	}
 }
