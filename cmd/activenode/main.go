@@ -51,7 +51,7 @@ func run(args []string) error {
 		codec     = fs.String("codec", wire.CodecXML, "preferred wire codec: xml (open interop format) or binary (compact fast path, used only between nodes that both opt in)")
 		outboxHi  = fs.Int("outbox-high", 0, "per-peer send-queue byte budget; sends above it are dropped (0 = 1 MiB default)")
 		outboxLo  = fs.Int("outbox-low", 0, "backpressure-relief watermark in bytes (0 = half of -outbox-high)")
-		chunkB    = fs.Int("chunk-bytes", 0, "storage transfer chunk size; bodies above it stream as offset-addressed chunk frames (0 = 64 KiB default, negative disables chunking)")
+		chunkB    = fs.Int("chunk-bytes", 0, "storage transfer chunk size; a body up to it travels in one frame, a larger one as offset-addressed chunk frames (0 = 64 KiB default)")
 		writerID  = fs.String("writer-id", "", "knowledge-plane writer identity for version vectors (empty = this node's ID; must be unique per writer)")
 		kbGossip  = fs.Duration("kb-gossip", 0, "knowledge anti-entropy gossip period (0 disables; objects still converge via fetch read-repair)")
 		verbose   = fs.Bool("v", false, "verbose logging")
@@ -59,6 +59,9 @@ func run(args []string) error {
 	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
 	if *kbGossip < 0 {
 		return fmt.Errorf("-kb-gossip %v: a gossip period must not be negative (0 disables gossip)", *kbGossip)
+	}
+	if *chunkB < 0 {
+		return fmt.Errorf("-chunk-bytes %d: a chunk size must not be negative (0 is the 64 KiB default)", *chunkB)
 	}
 
 	logger := slog.New(slog.DiscardHandler)

@@ -8,7 +8,8 @@ import (
 // TestRunRejectsBadValues: every out-of-range value a flag can carry is
 // refused before the node serves — the codec and the watermarks by
 // transport.Listen, on the values it will run with, and the gossip period
-// by run itself, since the knowledge plane reads any value ≤ 0 as "off".
+// and chunk size by run itself, since the knowledge plane reads any
+// period ≤ 0 as "off" and the store any chunk size ≤ 0 as its default.
 func TestRunRejectsBadValues(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -19,6 +20,7 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{[]string{"-outbox-low", "-1"}, "OutboxLowWater"},
 		{[]string{"-outbox-low", "2", "-outbox-high", "1"}, "OutboxLowWater"},
 		{[]string{"-kb-gossip", "-1s"}, "kb-gossip"},
+		{[]string{"-chunk-bytes", "-1"}, "chunk-bytes"},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -55,7 +55,7 @@ func TestModuleAnalyzers(t *testing.T) {
 // and simnet's switch that turned traffic accounting off. The old paths
 // are _test.go oracles or seams, not options, and the three before the
 // send-to-self names carried no traffic.
-var retired = regexp.MustCompile(`\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks|LocalDeliverer|DeliverLocal|peersMu|PublishGIS|FetchGIS|GISKey|EncodeVersionedGIS|DecodeVersionedGIS|NewSyncerOpts|DisableMetrics)\b`)
+var retired = regexp.MustCompile(`\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks|LocalDeliverer|DeliverLocal|peersMu|PublishGIS|FetchGIS|GISKey|EncodeVersionedGIS|DecodeVersionedGIS|NewSyncerOpts|DisableMetrics|sendObjectPinned|pushReplicaPinned|handleReplicate|handleCacheFill)\b`)
 
 // TestRetiredNamesStayRetired fails when a retired name returns to a
 // shipped file: any non-test .go file under cmd, internal and examples,

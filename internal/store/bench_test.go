@@ -9,15 +9,16 @@ import (
 	"github.com/gloss/active/internal/ids"
 )
 
-// BenchmarkStoreReplicate measures one put of a multi-chunk object
-// through the replication plane of a joined 8-node cluster: manifest +
-// chunk framing, receiver reassembly and the k-1 replica pushes — with
-// whole-object frames (ChunkBytes -1) as the reference series.
+// BenchmarkStoreReplicate measures one put of a 64 KiB object through
+// the replication plane of a joined 8-node cluster: the pull, the k-1
+// replica pushes and their landing — in 4 KiB chunk frames, and with
+// every body inside its manifest (a threshold equal to the body) as the
+// reference series.
 func BenchmarkStoreReplicate(b *testing.B) {
 	for _, mode := range []struct {
 		name       string
 		chunkBytes int
-	}{{"chunked", 4 << 10}, {"legacy", -1}} {
+	}{{"chunked", 4 << 10}, {"inline", 64 << 10}} {
 		b.Run(mode.name, func(b *testing.B) {
 			c := buildCluster(b, 42, 8, Options{
 				Replicas: 3, RepairInterval: -1, RequestTimeout: 5 * time.Second,

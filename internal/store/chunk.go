@@ -11,17 +11,21 @@ import (
 	"github.com/gloss/active/internal/wire"
 )
 
-// Chunked node-to-node transfer: bodies larger than Options.ChunkBytes
-// stream as offset-addressed ChunkMsg frames behind a ManifestMsg, so a
-// 10 MiB object never serialises as a single frame through the
-// byte-budgeted outbox. Chunks are data, not control — a saturated link
-// sheds them and the transfer times out; repair retries next round.
+// Node-to-node transfer: every body a node sends a peer — a replica, a
+// cache fill, a found get's answer, a pulled put — is one ManifestMsg. A
+// body of at most Options.ChunkBytes rides inside it; a larger one
+// streams as offset-addressed ChunkMsg frames behind it, so a 10 MiB
+// object never serialises as a single frame through the byte-budgeted
+// outbox. Chunks are data, not control — a saturated link sheds them and
+// the transfer times out; repair retries next round. Either way the
+// receiver checks the body against the manifest's hash before land hands
+// it to the transfer's purpose.
 
-// Transfer purposes: what the receiver does with the reassembled body.
+// Transfer purposes: what the receiver does with the body.
 const (
-	xferReplicate = 1 + iota // store a replica (ReplicateMsg equivalent)
-	xferCacheFill            // seed the promiscuous cache (CacheFillMsg)
-	xferGetReply             // complete a pending get (GetReplyMsg)
+	xferReplicate = 1 + iota // store a replica
+	xferCacheFill            // seed the promiscuous cache
+	xferGetReply             // complete a pending get
 	xferPut                  // root pulled a large put from its origin
 )
 
@@ -37,7 +41,7 @@ const (
 func round(acc, in uint64) uint64 { return bits.RotateLeft64(acc+in*p2, 31) * p1 }
 
 // hash64 is XXH64 (seed 0) over the object body: the shared 64-bit
-// integrity/staleness check of chunk transfers (ManifestMsg.Hash) and
+// integrity/staleness check of transfers (ManifestMsg.Hash) and
 // digests (DigestEntry.Hash).
 func hash64(b []byte) uint64 {
 	h := newHasher()
@@ -190,49 +194,43 @@ type xferKey struct {
 	id   uint64
 }
 
-// xfer is one inbound transfer's reassembly state plus completion context.
+// xfer is one inbound chunked transfer's reassembly state and the
+// manifest that opened it, which says what the body is for.
 type xfer struct {
-	ra        *reassembly
-	guid      ids.ID
-	purpose   int
-	reqID     uint64
-	hops      int
-	fromCache bool
-	pin       bool
+	ra   *reassembly
+	guid ids.ID
+	mm   *ManifestMsg
 	// progress vs sweptAt implement the timeout GC: a sweep that finds no
 	// progress since the last one drops the state.
 	progress uint64
 	sweptAt  uint64
 }
 
-// chunkBytes returns the effective chunk threshold: 0 means chunking is
-// off (ChunkBytes < 0).
-func (s *Store) chunkBytes() int {
-	return max(s.opts.ChunkBytes, 0)
-}
+// fits reports whether an n-byte body travels inside one frame — its
+// routed put or its transfer's manifest — rather than pulled or chunked.
+func (s *Store) fits(n int) bool { return n <= s.opts.ChunkBytes }
 
-// sendChunked streams a body to a peer as manifest + chunk frames: the
-// pieces it arrived in if they are this node's chunks, else cuts of one slice.
-func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, b *blob, reqID uint64, hops int, fromCache, pin bool) {
+// send moves b to a peer as one transfer. mm names the object and what
+// the receiver does with it; send fills in the body's length and hash,
+// and carries the body inside mm when it fits, else streams it behind mm
+// as chunk frames: the pieces it arrived in if they are this node's
+// chunks, else cuts of one slice.
+func (s *Store) send(to ids.ID, mm *ManifestMsg, b *blob) {
 	size := b.size()
-	chunk := max(s.chunkBytes(), (size+maxChunks-1)/maxChunks)
+	mm.TotalLen, mm.Hash = size, b.hash()
+	if s.fits(size) {
+		mm.Data = b.bytes()
+		s.ep.Send(to, mm)
+		return
+	}
+	chunk := max(s.opts.ChunkBytes, (size+maxChunks-1)/maxChunks)
 	var data []byte
 	if len(b.pieces) < 2 || len(b.pieces[0]) != chunk {
 		data = b.bytes()
 	}
 	s.nextXfer++
-	s.ep.Send(to, &ManifestMsg{
-		Xfer:      s.nextXfer,
-		GUID:      guid.String(),
-		Purpose:   purpose,
-		TotalLen:  size,
-		Chunk:     chunk,
-		Hash:      b.hash(),
-		ReqID:     reqID,
-		Hops:      hops,
-		FromCache: fromCache,
-		Pin:       pin,
-	})
+	mm.Xfer, mm.Chunk = s.nextXfer, chunk
+	s.ep.Send(to, mm)
 	for off := 0; off < size; off += chunk {
 		var piece []byte
 		if data != nil {
@@ -242,47 +240,12 @@ func (s *Store) sendChunked(to ids.ID, purpose int, guid ids.ID, b *blob, reqID 
 			piece = b.pieces[off/chunk]
 		}
 		s.stats.ChunkFramesSent++
-		s.ep.Send(to, &ChunkMsg{Xfer: s.nextXfer, Off: off, Data: piece})
+		s.ep.Send(to, &ChunkMsg{Xfer: mm.Xfer, Off: off, Data: piece})
 	}
 }
 
-// sendObject delivers a replica or cache fill, chunked when the body
-// exceeds the threshold.
-func (s *Store) sendObject(to ids.ID, purpose int, guid ids.ID, b *blob) {
-	s.sendObjectPinned(to, purpose, guid, b, false)
-}
-
-func (s *Store) sendObjectPinned(to ids.ID, purpose int, guid ids.ID, b *blob, pin bool) {
-	if cb := s.chunkBytes(); cb > 0 && b.size() > cb {
-		s.sendChunked(to, purpose, guid, b, 0, 0, false, pin)
-		return
-	}
-	switch purpose {
-	case xferReplicate:
-		s.ep.Send(to, &ReplicateMsg{GUID: guid.String(), Pin: pin, Data: b.bytes()})
-	case xferCacheFill:
-		s.ep.Send(to, &CacheFillMsg{GUID: guid.String(), Data: b.bytes()})
-	}
-}
-
-// sendGetReply answers a remote get with b (nil: not found), chunking
-// large bodies.
-func (s *Store) sendGetReply(to ids.ID, reply *GetReplyMsg, b *blob) {
-	if b != nil {
-		reply.Found = true
-		if cb := s.chunkBytes(); cb > 0 && b.size() > cb {
-			guid, err := ids.Parse(reply.GUID)
-			if err != nil {
-				return
-			}
-			s.sendChunked(to, xferGetReply, guid, b, reply.ReqID, reply.Hops, reply.FromCache, false)
-			return
-		}
-		reply.Data = b.bytes()
-	}
-	s.ep.Send(to, reply)
-}
-
+// handleManifest takes a transfer in: a body that rode inside is checked
+// and landed now, a chunked one opens reassembly state.
 func (s *Store) handleManifest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	mm := msg.(*ManifestMsg)
 	guid, err := ids.Parse(mm.GUID)
@@ -294,6 +257,16 @@ func (s *Store) handleManifest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	default:
 		return
 	}
+	if len(mm.Data) == mm.TotalLen {
+		// The whole body rode inside: it passes the check a reassembled
+		// one does.
+		if hash64(mm.Data) != mm.Hash {
+			s.stats.ChunkCorrupt++
+			return
+		}
+		s.land(from, guid, mm, &blob{data: mm.Data, sum: mm.Hash, summed: true})
+		return
+	}
 	ra, err := newReassembly(mm.TotalLen, mm.Chunk, s.opts.maxObjectBytes, mm.Hash)
 	if err != nil {
 		return
@@ -301,15 +274,7 @@ func (s *Store) handleManifest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	key := xferKey{from: from, id: mm.Xfer}
 	// A repeated manifest (sender restarted the transfer) replaces any
 	// half-built state under the same key.
-	s.xfers[key] = &xfer{
-		ra:        ra,
-		guid:      guid,
-		purpose:   mm.Purpose,
-		reqID:     mm.ReqID,
-		hops:      mm.Hops,
-		fromCache: mm.FromCache,
-		pin:       mm.Pin,
-	}
+	s.xfers[key] = &xfer{ra: ra, guid: guid, mm: mm}
 	s.sweepXfer(key)
 }
 
@@ -361,29 +326,28 @@ func (s *Store) handleChunk(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 		return
 	}
 	delete(s.xfers, key)
-	s.completeXfer(from, x)
+	s.land(from, x.guid, x.mm, &blob{pieces: x.ra.pieces, sum: x.ra.hash, summed: true})
 }
 
-// completeXfer dispatches a fully reassembled body to its purpose.
-func (s *Store) completeXfer(from ids.ID, x *xfer) {
-	// The reassembly has just checked the body against the manifest hash:
-	// the blob carries that sum, nobody derives it again.
-	b := &blob{pieces: x.ra.pieces, sum: x.ra.hash, summed: true}
-	switch x.purpose {
+// land hands a transfer's body, checked against its manifest's hash, to
+// the manifest's purpose. The blob carries the verified sum: nobody
+// derives it again.
+func (s *Store) land(from, guid ids.ID, mm *ManifestMsg, b *blob) {
+	switch mm.Purpose {
 	case xferReplicate:
-		s.setObject(x.guid, b)
-		if x.pin {
-			s.pinned[x.guid] = true
+		s.setObject(guid, b)
+		if mm.Pin {
+			s.pinned[guid] = true
 		}
 	case xferCacheFill:
 		if !s.opts.DisableCache {
-			s.cache.put(x.guid, b)
+			s.cache.put(guid, b)
 		}
 	case xferGetReply:
-		s.completeGet(x.reqID, x.guid.String(), b)
+		s.completeGet(mm.ReqID, guid, b)
 	case xferPut:
-		s.storeAndReplicate(x.guid, b)
-		s.ep.Send(from, &AckMsg{ReqID: x.reqID, OK: true})
+		s.storeAndReplicate(guid, b)
+		s.ep.Send(from, &AckMsg{ReqID: mm.ReqID, OK: true})
 	}
 }
 
@@ -394,9 +358,5 @@ func (s *Store) handlePull(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	if !ok || p.content == nil {
 		return // put already timed out (or bogus pull): nothing to stream
 	}
-	guid, err := ids.Parse(pm.GUID)
-	if err != nil {
-		return
-	}
-	s.sendChunked(from, xferPut, guid, p.content, pm.ReqID, 0, false, false)
+	s.send(from, &ManifestMsg{GUID: pm.GUID, Purpose: xferPut, ReqID: pm.ReqID}, p.content)
 }

@@ -132,19 +132,16 @@ func (s *Store) handleDigest(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 			s.stats.RepairSkipped++
 			continue
 		}
-		s.pushReplica(from, guid, b)
+		s.pushReplica(from, guid, b, false)
 	}
 }
 
-// pushReplica sends one replica copy (chunked when large) and accounts it.
-func (s *Store) pushReplica(to ids.ID, guid ids.ID, b *blob) {
-	s.pushReplicaPinned(to, guid, b, false)
-}
-
-func (s *Store) pushReplicaPinned(to ids.ID, guid ids.ID, b *blob, pin bool) {
+// pushReplica sends one replica copy and accounts it. pin marks a copy a
+// placement policy chose, which replica GC must leave alone.
+func (s *Store) pushReplica(to, guid ids.ID, b *blob, pin bool) {
 	s.stats.RepairPushes++
 	s.stats.RepairBytes += uint64(b.size())
-	s.sendObjectPinned(to, xferReplicate, guid, b, pin)
+	s.send(to, &ManifestMsg{GUID: guid.String(), Purpose: xferReplicate, Pin: pin}, b)
 }
 
 // --- erasure-coded reconstruction ------------------------------------------
@@ -345,7 +342,7 @@ func (s *Store) rebuildFragment(p *statProbe, frags []erasure.Fragment) {
 		// fragment straight to it (one hop, O(fragment) traffic) instead
 		// of routing a put through the overlay. Loss is safe — the next
 		// repair round re-probes and re-pushes.
-		s.pushReplica(p.root, p.missing, &blob{data: packed})
+		s.pushReplica(p.root, p.missing, &blob{data: packed}, false)
 		delete(s.fragBusy, p.missing)
 		return
 	}

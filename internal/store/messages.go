@@ -40,36 +40,35 @@ type GetMsg struct {
 // Kind implements wire.Message.
 func (GetMsg) Kind() string { return "store.get" }
 
-// GetReplyMsg answers a get, sent directly to the origin.
+// GetReplyMsg answers a get that found nothing, sent directly to the
+// origin. A found object comes back as a transfer (ManifestMsg with the
+// get-reply purpose), as every body a node sends does.
 type GetReplyMsg struct {
-	ReqID     uint64     `xml:"req,attr"`
-	GUID      string     `xml:"guid,attr"`
-	Found     bool       `xml:"found,attr"`
-	FromCache bool       `xml:"cache,attr,omitempty"`
-	Hops      int        `xml:"hops,attr"`
-	Data      wire.Bytes `xml:"data,omitempty"`
+	ReqID uint64 `xml:"req,attr"`
+	GUID  string `xml:"guid,attr"`
 }
 
 // Kind implements wire.Message.
 func (GetReplyMsg) Kind() string { return "store.getReply" }
 
-// ReplicateMsg pushes a replica to a leaf-set neighbour. Pin marks a
-// policy-placed copy (deliverPush targets chosen by the §4.6 placement
-// policies, deliberately outside the k-closest range) that replica GC
-// must not reclaim.
+// ReplicateMsg and CacheFillMsg are the names the frozen benchmark's span
+// sampler switches on (bench/internal/workloads/storemixed.go:59,65), kept
+// with the Kind a case of that switch needs; the next PR allowed to edit
+// bench/ removes both. Neither is registered, sent or handled: replicas
+// and cache fills travel as transfers (ManifestMsg).
 type ReplicateMsg struct {
-	GUID string     `xml:"guid,attr"`
-	Pin  bool       `xml:"pin,attr,omitempty"`
-	Data wire.Bytes `xml:"data"`
+	GUID string
+	Pin  bool
+	Data wire.Bytes
 }
 
 // Kind implements wire.Message.
 func (ReplicateMsg) Kind() string { return "store.replicate" }
 
-// CacheFillMsg seeds a path node's promiscuous cache.
+// CacheFillMsg: see ReplicateMsg.
 type CacheFillMsg struct {
-	GUID string     `xml:"guid,attr"`
-	Data wire.Bytes `xml:"data"`
+	GUID string
+	Data wire.Bytes
 }
 
 // Kind implements wire.Message.
@@ -97,22 +96,23 @@ type PullMsg struct {
 // Kind implements wire.Message.
 func (PullMsg) Kind() string { return "store.pull" }
 
-// ManifestMsg opens a chunked transfer: the receiver allocates reassembly
-// state for TotalLen bytes arriving as Chunk-sized ChunkMsg frames.
-// Purpose selects what happens on completion (replicate, cache fill, get
-// reply, put), with ReqID/Hops/FromCache carrying the purpose-specific
-// context a whole-object message would have carried inline.
+// ManifestMsg is one transfer: every body a node sends a peer — a
+// replica, a cache fill, a found get's answer, a pulled put — is one
+// manifest. A body of at most the sender's ChunkBytes rides in Data; a
+// larger one follows as Chunk-sized ChunkMsg frames (Data empty). Either
+// way the receiver checks it against Hash before Purpose decides what
+// becomes of it (replicate, cache fill, get reply, put), with ReqID and
+// Pin the context that purpose needs.
 type ManifestMsg struct {
-	Xfer      uint64 `xml:"xfer,attr"`
-	GUID      string `xml:"guid,attr"`
-	Purpose   int    `xml:"purpose,attr"`
-	TotalLen  int    `xml:"len,attr"`
-	Chunk     int    `xml:"chunk,attr"`
-	Hash      uint64 `xml:"hash,attr"`
-	ReqID     uint64 `xml:"req,attr,omitempty"`
-	Hops      int    `xml:"hops,attr,omitempty"`
-	FromCache bool   `xml:"cache,attr,omitempty"`
-	Pin       bool   `xml:"pin,attr,omitempty"`
+	Xfer     uint64     `xml:"xfer,attr"`
+	GUID     string     `xml:"guid,attr"`
+	Purpose  int        `xml:"purpose,attr"`
+	TotalLen int        `xml:"len,attr"`
+	Chunk    int        `xml:"chunk,attr"`
+	Hash     uint64     `xml:"hash,attr"`
+	ReqID    uint64     `xml:"req,attr,omitempty"`
+	Pin      bool       `xml:"pin,attr,omitempty"`
+	Data     wire.Bytes `xml:"data,omitempty"`
 }
 
 // Kind implements wire.Message.
@@ -184,8 +184,6 @@ func RegisterMessages(r *wire.Registry) {
 	r.Register(&AckMsg{})
 	r.Register(&GetMsg{})
 	r.Register(&GetReplyMsg{})
-	r.Register(&ReplicateMsg{})
-	r.Register(&CacheFillMsg{})
 	r.Register(&PushMsg{})
 	r.Register(&PullMsg{})
 	r.Register(&ManifestMsg{})

@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,12 +59,13 @@ func blindRepair(s *Store) {
 	}
 }
 
-// buildBlindCluster is buildCluster on the seed storage plane: whole-object
-// frames (ChunkBytes -1), the store's own maintenance off, and — with a
-// positive interval — blindRepair on the triggers the store would have
-// used, every interval and on every leaf-set change.
+// buildBlindCluster is buildCluster on the seed storage plane: every body
+// in one frame (a ChunkBytes above every body the tests put through it),
+// the store's own maintenance off, and — with a positive interval —
+// blindRepair on the triggers the store would have used, every interval
+// and on every leaf-set change.
 func buildBlindCluster(t testing.TB, seed int64, n int, interval time.Duration) *cluster {
-	c := buildCluster(t, seed, n, Options{Replicas: 3, RepairInterval: -1, ChunkBytes: -1})
+	c := buildCluster(t, seed, n, Options{Replicas: 3, RepairInterval: -1, ChunkBytes: 64 << 10})
 	if interval <= 0 {
 		return c
 	}
@@ -97,42 +100,112 @@ func putBodies(t *testing.T, c *cluster, bodies [][]byte, settle time.Duration) 
 	}
 }
 
-// TestDifferentialLegacyVsChunkedStoredState proves the chunked binary
-// plane is a pure transport change: the same workload through whole-object
-// frames and through chunked transfer leaves byte-identical stored state
-// and identical shared Stats on every node — only the chunk counters may
-// differ.
-func TestDifferentialLegacyVsChunkedStoredState(t *testing.T) {
-	legacy := buildBlindCluster(t, 77, 16, -1)
-	chunked := buildCluster(t, 77, 16, Options{Replicas: 3, RepairInterval: -1, ChunkBytes: 1 << 10})
-	for _, c := range []*cluster{legacy, chunked} {
-		putBodies(t, c, planeBodies(770), 20*time.Second)
+// cachedState summarises a node's promiscuous cache (GUID + body hash)
+// in key order, as storedState does its stored objects.
+func cachedState(s *Store) string {
+	var sb strings.Builder
+	for _, g := range slices.SortedFunc(maps.Keys(s.cache.items), ids.Cmp) {
+		b := s.cache.items[g].Value.(*lruItem).b // not get: reading must not reorder the LRU
+		fmt.Fprintf(&sb, "%s:%016x;", g.String(), hash64(b.bytes()))
 	}
-	for i := range legacy.stores {
-		if legacy.stores[i].ep.ID() != chunked.stores[i].ep.ID() {
+	return sb.String()
+}
+
+// TestDifferentialInlineVsChunkedTransfers proves that how a transfer
+// carries its body is a pure transport choice. One workload — puts and
+// their replication, cold and warm gets with their answers and cache
+// fills, placement pushes, then digest repair after a holder dies — runs
+// once with every body inside its manifest and once with every body above
+// 1 KiB in chunk frames. Both must end with the same holders, pins, cache
+// contents, get results and RepairBytes on every live node; only the
+// chunk counters may differ.
+func TestDifferentialInlineVsChunkedTransfers(t *testing.T) {
+	bodies := planeBodies(770)
+	inline := buildCluster(t, 77, 16, Options{Replicas: 3, RepairInterval: -1, ChunkBytes: 64 << 10}) // above every body
+	chunked := buildCluster(t, 77, 16, Options{Replicas: 3, RepairInterval: -1, ChunkBytes: 1 << 10})
+	var gets [2][]string
+	var healed [2]uint64 // RepairBytes the digest rounds after the death moved
+	repairBytes := func(c *cluster) (n uint64) {
+		for _, s := range c.stores {
+			n += s.Stats().RepairBytes
+		}
+		return n
+	}
+	for k, c := range []*cluster{inline, chunked} {
+		putBodies(t, c, bodies, 20*time.Second)
+		gets[k] = make([]string, 2*len(bodies))
+		for round := range 2 { // cold reads, then warm ones that caches answer
+			for i, body := range bodies {
+				at := round*len(bodies) + i
+				c.stores[(i*7+3+round)%len(c.stores)].Get(GUIDFor(body), func(d []byte, err error) {
+					gets[k][at] = fmt.Sprintf("%016x %v", hash64(d), err)
+				})
+				c.world.RunFor(time.Second)
+			}
+		}
+		for i, body := range bodies {
+			guid := GUIDFor(body)
+			for j := range c.stores {
+				if target := c.stores[(i+j)%len(c.stores)]; !target.Holds(guid) {
+					c.stores[i%len(c.stores)].RequestPush(guid, target.ep.ID())
+					break
+				}
+			}
+		}
+		c.world.RunFor(10 * time.Second)
+		healed[k] = repairBytes(c)
+		c.world.Node(c.stores[5].ep.ID()).Kill()
+		c.world.RunFor(20 * time.Second) // the dead holder leaves every leaf set
+		for _, s := range c.stores {
+			if c.world.Node(s.ep.ID()).Alive() {
+				s.repair()
+			}
+		}
+		c.world.RunFor(20 * time.Second)
+		healed[k] = repairBytes(c) - healed[k]
+	}
+	if healed[0] != healed[1] || healed[0] == 0 {
+		t.Errorf("digest repair after the death moved %d bytes inline, %d chunked; want the same, above 0", healed[0], healed[1])
+	}
+	for i, g := range gets[0] {
+		if g != gets[1][i] {
+			t.Errorf("get %d: inline read %s, chunked %s", i, g, gets[1][i])
+		}
+		if strings.Contains(g, "error") || g == "" {
+			t.Errorf("get %d did not read its object: %q", i, g)
+		}
+	}
+	var pins, repaired, framesRecv uint64
+	for i := range inline.stores {
+		a, b := inline.stores[i], chunked.stores[i]
+		if a.ep.ID() != b.ep.ID() {
 			t.Fatalf("topologies diverged at node %d", i)
 		}
-		a, b := storedState(legacy.stores[i]), storedState(chunked.stores[i])
-		if a != b {
-			t.Errorf("node %d stored state differs:\nlegacy:  %s\nchunked: %s", i, a, b)
+		if !inline.world.Node(a.ep.ID()).Alive() {
+			continue
 		}
-		sa, sb := legacy.stores[i].Stats(), chunked.stores[i].Stats()
-		if sa.Puts != sb.Puts || sa.StoredObjects != sb.StoredObjects ||
-			sa.StoredBytes != sb.StoredBytes ||
-			sa.RepairPushes != sb.RepairPushes || sa.RepairBytes != sb.RepairBytes {
-			t.Errorf("node %d stats diverged: legacy=%+v chunked=%+v", i, sa, sb)
+		if sa, sb := storedState(a), storedState(b); sa != sb {
+			t.Errorf("node %d stored state differs:\ninline:  %s\nchunked: %s", i, sa, sb)
+		}
+		if !maps.Equal(a.pinned, b.pinned) {
+			t.Errorf("node %d pins differ: inline %v, chunked %v", i, a.pinned, b.pinned)
+		}
+		if ca, cb := cachedState(a), cachedState(b); ca != cb {
+			t.Errorf("node %d cache differs:\ninline:  %s\nchunked: %s", i, ca, cb)
+		}
+		sa, sb := a.Stats(), b.Stats()
+		if sa.RepairPushes != sb.RepairPushes || sa.RepairBytes != sb.RepairBytes || sa.CacheFills != sb.CacheFills {
+			t.Errorf("node %d stats diverged: inline=%+v chunked=%+v", i, sa, sb)
 		}
 		if n := sa.ChunkFramesSent + sa.ChunkFramesRecv; n != 0 {
-			t.Errorf("node %d of the whole-frame reference moved %d chunk frames", i, n)
+			t.Errorf("node %d of the inline cluster moved %d chunk frames", i, n)
 		}
+		pins += uint64(len(a.pinned))
+		repaired += sa.RepairPushes
+		framesRecv += sb.ChunkFramesRecv
 	}
-	var framesSent, framesRecv uint64
-	for _, s := range chunked.stores {
-		framesSent += s.Stats().ChunkFramesSent
-		framesRecv += s.Stats().ChunkFramesRecv
-	}
-	if framesSent == 0 || framesRecv == 0 {
-		t.Fatalf("chunked cluster moved no chunk frames (sent=%d recv=%d) — differential is vacuous", framesSent, framesRecv)
+	if pins == 0 || repaired == 0 || framesRecv == 0 {
+		t.Fatalf("vacuous: %d pins, %d replica pushes, %d chunk frames received", pins, repaired, framesRecv)
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
@@ -64,7 +65,7 @@ func TestChunkedReceiveKeepsFrames(t *testing.T) {
 		t.Fatalf("receiving a 512 KiB replica allocated %d B, want < 16 KiB", rise)
 	}
 
-	recv.pushReplica(next.ep.ID(), guid, b)
+	recv.pushReplica(next.ep.ID(), guid, b, false)
 	c.world.RunFor(5 * time.Second)
 	nb, ok := next.objects[guid]
 	if !ok || len(nb.pieces) != len(cms) {
@@ -209,7 +210,7 @@ func TestPiecedBodyReadsAndResends(t *testing.T) {
 		t.Fatal("a repair round flattened a held body")
 	}
 
-	recv.pushReplica(next.ep.ID(), guid, b)
+	recv.pushReplica(next.ep.ID(), guid, b, false)
 	c.world.RunFor(5 * time.Second)
 	nb, ok := next.objects[guid]
 	if !ok || len(nb.pieces) != (len(body)+48<<10-1)/(48<<10) {
@@ -253,7 +254,7 @@ func TestManifestBoundsPieces(t *testing.T) {
 	body := make([]byte, 64<<10)
 	rand.New(rand.NewSource(94)).Read(body)
 	guid := ids.FromString("widened")
-	sender.pushReplica(recv.ep.ID(), guid, &blob{data: body})
+	sender.pushReplica(recv.ep.ID(), guid, &blob{data: body}, false)
 	for _, msg := range sent.msgs {
 		switch m := msg.(type) {
 		case *ManifestMsg:
@@ -326,4 +327,78 @@ func (c armClock) Now() time.Duration { return c.l.Endpoint.Clock().Now() }
 func (c armClock) After(d time.Duration, fn func()) vclock.Timer {
 	c.l.armed++
 	return c.l.Endpoint.Clock().After(d, fn)
+}
+
+// TestGetAnswerForAnotherObjectIsRefused: a transfer answering a live get
+// lands only if it names the object that get asked for. An answer with
+// the get's ReqID that names another object, carrying that object's
+// bytes, neither answers the get nor enters the cache; the right answer
+// then does both.
+func TestGetAnswerForAnotherObjectIsRefused(t *testing.T) {
+	c := buildCluster(t, 98, 2, Options{RepairInterval: -1})
+	s, peer := c.stores[0], c.stores[1]
+	asked, body := ids.FromString("asked-for"), []byte("the asked-for object's bytes")
+	other, otherBody := ids.FromString("another"), []byte("another object's bytes")
+	if s.isRoot(asked) {
+		s, peer = peer, s // the get must leave the node, not be answered by it
+	}
+	c.world.SetLinkFilter(func(from, to ids.ID) bool { return false })
+	var got []byte
+	calls := 0
+	s.Get(asked, func(d []byte, err error) { got, calls = d, calls+1 })
+	if calls != 0 {
+		t.Fatal("setup: the get was answered before it left")
+	}
+	answer := func(guid ids.ID, data []byte) *ManifestMsg {
+		return &ManifestMsg{GUID: guid.String(), Purpose: xferGetReply, ReqID: s.nextReq, TotalLen: len(data), Hash: hash64(data), Data: data}
+	}
+	s.handleManifest(nil, peer.ep.ID(), answer(other, otherBody))
+	if calls != 0 || s.Cached(asked) || s.Cached(other) {
+		t.Fatalf("an answer naming another object answered the get (%d calls, %q) or was cached", calls, got)
+	}
+	s.handleManifest(nil, peer.ep.ID(), answer(asked, body))
+	if calls != 1 || !bytes.Equal(got, body) || !s.Cached(asked) {
+		t.Fatal("the right answer did not land")
+	}
+}
+
+// TestCorruptTransfersAreDropped: a body that fails its manifest's hash
+// is dropped and counted in ChunkCorrupt, whether it rode inside the
+// manifest or arrived in chunks; a sound transfer of the same object
+// then lands.
+func TestCorruptTransfersAreDropped(t *testing.T) {
+	c := buildCluster(t, 99, 2, Options{RepairInterval: -1})
+	recv, from := c.stores[0], c.stores[1].ep.ID()
+	body := []byte("sixteen bytes!!!")
+	for _, chunked := range []bool{false, true} {
+		guid := ids.FromString(fmt.Sprint("corrupt, chunked ", chunked))
+		mm, cms := chunkStream(guid, body, 4)
+		bad := bytes.Clone(body)
+		bad[5] ^= 1
+		if chunked {
+			cms[1].Data = bad[4:8]
+		} else {
+			mm.Data = bad
+		}
+		before := recv.Stats().ChunkCorrupt
+		recv.handleManifest(nil, from, mm)
+		for _, cm := range cms {
+			recv.handleChunk(nil, from, cm)
+		}
+		if recv.Holds(guid) || len(recv.xfers) != 0 || recv.Stats().ChunkCorrupt != before+1 {
+			t.Fatalf("chunked=%v: a corrupt body was stored (%v), left %d transfers open, or counted %d times",
+				chunked, recv.Holds(guid), len(recv.xfers), recv.Stats().ChunkCorrupt-before)
+		}
+		mm, cms = chunkStream(guid, body, 4)
+		if !chunked {
+			mm.Data = body
+		}
+		recv.handleManifest(nil, from, mm)
+		for _, cm := range cms {
+			recv.handleChunk(nil, from, cm)
+		}
+		if b, ok := recv.objects[guid]; !ok || !bytes.Equal(b.bytes(), body) {
+			t.Fatalf("chunked=%v: a sound transfer after a corrupt one did not land", chunked)
+		}
+	}
 }

@@ -42,10 +42,11 @@ type Options struct {
 	// PutCoded/GetCoded. Defaults 4 and 2.
 	ErasureData   int
 	ErasureParity int
-	// ChunkBytes caps the payload of one data-carrying frame: bodies
-	// larger than this stream as offset-addressed store.chunk frames
-	// behind a store.manifest instead of one giant frame through the
-	// byte-budgeted outbox. Default 64 KiB; negative disables chunking.
+	// ChunkBytes caps the body one frame carries: a body up to this size
+	// rides inside its routed put or its transfer's store.manifest; a
+	// larger one is pulled by its root and streams as offset-addressed
+	// store.chunk frames behind its manifest, not as one giant frame
+	// through the byte-budgeted outbox. Zero or less means 64 KiB.
 	ChunkBytes int
 	// DisableFragRepair turns off erasure-coded fragment reconstruction
 	// (the E-T16 whole-object re-copy ablation).
@@ -87,7 +88,7 @@ func (o *Options) applyDefaults() {
 	if o.ErasureParity == 0 {
 		o.ErasureParity = 2
 	}
-	if o.ChunkBytes == 0 {
+	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = 64 << 10
 	}
 	if o.chunkTimeout == 0 {
@@ -121,7 +122,8 @@ type Stats struct {
 	// FragRepairs counts erasure-coded fragments reconstructed from
 	// surviving siblings.
 	FragRepairs uint64
-	// Chunked-transfer accounting.
+	// Transfer accounting. ChunkCorrupt counts transfers dropped for a
+	// body that fails its manifest's hash or a chunk that does not fit.
 	ChunkFramesSent uint64
 	ChunkFramesRecv uint64
 	ChunkTimeouts   uint64
@@ -271,8 +273,6 @@ func New(ep netapi.Endpoint, overlay *plaxton.Overlay, opts Options) *Store {
 	overlay.SetForwardHook("store.get", s.forwardHook)
 	ep.Handle("store.ack", s.handleAck)
 	ep.Handle("store.getReply", s.handleGetReply)
-	ep.Handle("store.replicate", s.handleReplicate)
-	ep.Handle("store.cacheFill", s.handleCacheFill)
 	ep.Handle("store.pull", s.handlePull)
 	ep.Handle("store.manifest", s.handleManifest)
 	ep.Handle("store.chunk", s.handleChunk)
@@ -376,9 +376,8 @@ func (s *Store) PutAs(guid ids.ID, content []byte, cb func(error)) {
 	s.nextReq++
 	req := s.nextReq
 	p := &pendingPut{cb: cb}
-	big := false
-	if cbytes := s.chunkBytes(); cbytes > 0 && len(content) > cbytes {
-		big = true
+	big := !s.fits(len(content))
+	if big {
 		p.content = &blob{data: content}
 	}
 	p.timer = s.ep.Clock().After(s.opts.RequestTimeout, func() {
@@ -642,7 +641,7 @@ func (s *Store) storeAndReplicate(guid ids.ID, b *blob) {
 // replicate pushes copies to the k-1 leaf-set nodes closest to guid.
 func (s *Store) replicate(leaves []ids.ID, guid ids.ID, b *blob) {
 	for _, n := range s.replicaTargets(leaves, guid) {
-		s.pushReplica(n, guid, b)
+		s.pushReplica(n, guid, b, false)
 	}
 }
 
@@ -693,7 +692,7 @@ func (s *Store) deliverPush(_ plaxton.RouteInfo, msg wire.Message) {
 	}
 	// Pinned: the policy chose this target deliberately; replica GC must
 	// not reclaim the copy for being outside the k-closest range.
-	s.pushReplicaPinned(target, guid, b, true)
+	s.pushReplica(target, guid, b, true)
 }
 
 // deliverGet runs at the object's root (if no path copy answered first).
@@ -715,11 +714,14 @@ func (s *Store) deliverGet(info plaxton.RouteInfo, msg wire.Message) {
 	} else {
 		s.stats.NotFound++
 	}
-	if info.Origin == s.ep.ID() {
-		s.completeGet(gm.ReqID, gm.GUID, b)
-		return
+	switch {
+	case info.Origin == s.ep.ID():
+		s.completeGet(gm.ReqID, guid, b)
+	case ok:
+		s.send(info.Origin, &ManifestMsg{GUID: gm.GUID, Purpose: xferGetReply, ReqID: gm.ReqID}, b)
+	default:
+		s.ep.Send(info.Origin, &GetReplyMsg{ReqID: gm.ReqID, GUID: gm.GUID})
 	}
-	s.sendGetReply(info.Origin, &GetReplyMsg{ReqID: gm.ReqID, GUID: gm.GUID, Hops: info.Hops}, b)
 }
 
 // cacheFillPath seeds the last traversed node's cache.
@@ -735,7 +737,7 @@ func (s *Store) cacheFillPath(path []ids.ID, guid ids.ID, b *blob) {
 		last = path[len(path)-2]
 	}
 	s.stats.CacheFills++
-	s.sendObject(last, xferCacheFill, guid, b)
+	s.send(last, &ManifestMsg{GUID: guid.String(), Purpose: xferCacheFill}, b)
 }
 
 // forwardHook answers gets mid-path from replicas or the promiscuous cache.
@@ -751,21 +753,19 @@ func (s *Store) forwardHook(info plaxton.RouteInfo, msg wire.Message) bool {
 	if s.isRoot(guid) {
 		return false // let normal delivery answer (counted as RootAnswers)
 	}
-	reply := &GetReplyMsg{ReqID: gm.ReqID, GUID: gm.GUID, Hops: info.Hops}
-	if b, have := s.objects[guid]; have {
+	b, have := s.objects[guid]
+	if have {
 		s.stats.ReplicaHits++
-		s.sendGetReply(info.Origin, reply, b)
-		return true
-	}
-	if !s.opts.DisableCache {
-		if b, have := s.cache.get(guid); have {
+	} else if !s.opts.DisableCache {
+		if b, have = s.cache.get(guid); have {
 			s.stats.CacheHits++
-			reply.FromCache = true
-			s.sendGetReply(info.Origin, reply, b)
-			return true
 		}
 	}
-	return false
+	if !have {
+		return false
+	}
+	s.send(info.Origin, &ManifestMsg{GUID: gm.GUID, Purpose: xferGetReply, ReqID: gm.ReqID}, b)
+	return true
 }
 
 func (s *Store) handleAck(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
@@ -785,55 +785,31 @@ func (s *Store) handleAck(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 
 func (s *Store) handleGetReply(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
 	rm := msg.(*GetReplyMsg)
-	var b *blob
-	if rm.Found {
-		b = &blob{data: rm.Data}
+	if guid, err := ids.Parse(rm.GUID); err == nil {
+		s.completeGet(rm.ReqID, guid, nil)
 	}
-	s.completeGet(rm.ReqID, rm.GUID, b)
 }
 
-// completeGet resolves a pending get — from a whole-frame reply, a
-// reassembled chunked transfer or this node's own copy; nil is "not found".
-func (s *Store) completeGet(reqID uint64, guidStr string, b *blob) {
+// completeGet resolves a pending get with the object it asked for — a
+// landed transfer, this node's own copy, or nil for "not found". An
+// answer that names another object is not this get's answer.
+func (s *Store) completeGet(reqID uint64, guid ids.ID, b *blob) {
 	g, ok := s.pendingGets[reqID]
-	if !ok {
+	if !ok || g.guid != guid {
 		return
 	}
 	delete(s.pendingGets, reqID)
 	g.timer.Stop()
 	if b == nil {
-		g.cb(nil, fmt.Errorf("%w: %s", ErrNotFound, guidStr))
+		g.cb(nil, fmt.Errorf("%w: %s", ErrNotFound, guid))
 		return
 	}
 	// Promiscuous caching at the reader, flat, as the callback gets it.
 	data := b.bytes()
 	if !s.opts.DisableCache {
-		s.cache.put(g.guid, b)
+		s.cache.put(guid, b)
 	}
 	g.cb(data, nil)
-}
-
-func (s *Store) handleReplicate(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
-	rm := msg.(*ReplicateMsg)
-	guid, err := ids.Parse(rm.GUID)
-	if err != nil {
-		return
-	}
-	s.setObject(guid, &blob{data: rm.Data})
-	if rm.Pin {
-		s.pinned[guid] = true
-	}
-}
-
-func (s *Store) handleCacheFill(_ netapi.Ctx, _ ids.ID, msg wire.Message) {
-	cm := msg.(*CacheFillMsg)
-	guid, err := ids.Parse(cm.GUID)
-	if err != nil {
-		return
-	}
-	if !s.opts.DisableCache {
-		s.cache.put(guid, &blob{data: cm.Data})
-	}
 }
 
 // --- maintenance ---------------------------------------------------------------

@@ -5,11 +5,11 @@ import (
 )
 
 // Compact binary wire forms for the storage plane. These are the hottest
-// body-carrying messages in the system — puts, replicas, cache fills and
-// chunk frames all move whole object payloads — so escaping the XML
+// body-carrying messages in the system — routed puts, transfer manifests
+// and chunk frames move whole object payloads — so escaping the XML
 // fallback's base64 inflation matters more here than anywhere else.
 // Bodies are read with OwnedBytes: they outlive the decode call (stored,
-// cached, or held until their manifest arrives). They are written as
+// cached, or held by an open transfer). They are written as
 // wire.TailMessage tails, so a frame borrows a stored blob rather than
 // copying it — which is safe because a stored blob is replaced, never
 // modified.
@@ -18,12 +18,10 @@ var (
 	_ wire.TailMessage   = (*PutMsg)(nil)
 	_ wire.BinaryMessage = (*AckMsg)(nil)
 	_ wire.BinaryMessage = (*GetMsg)(nil)
-	_ wire.TailMessage   = (*GetReplyMsg)(nil)
-	_ wire.TailMessage   = (*ReplicateMsg)(nil)
-	_ wire.TailMessage   = (*CacheFillMsg)(nil)
+	_ wire.BinaryMessage = (*GetReplyMsg)(nil)
 	_ wire.BinaryMessage = (*PushMsg)(nil)
 	_ wire.BinaryMessage = (*PullMsg)(nil)
-	_ wire.BinaryMessage = (*ManifestMsg)(nil)
+	_ wire.TailMessage   = (*ManifestMsg)(nil)
 	_ wire.TailMessage   = (*ChunkMsg)(nil)
 	_ wire.BinaryMessage = (*DigestReqMsg)(nil)
 	_ wire.BinaryMessage = (*DigestMsg)(nil)
@@ -84,64 +82,15 @@ func (m *GetMsg) ParseWire(r *wire.BinReader) error {
 }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *GetReplyMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
-
-// AppendWireHead implements wire.TailMessage.
-func (m *GetReplyMsg) AppendWireHead(b []byte) []byte {
+func (m *GetReplyMsg) AppendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.ReqID)
-	b = wire.AppendString(b, m.GUID)
-	b = wire.AppendBool(b, m.Found)
-	b = wire.AppendBool(b, m.FromCache)
-	return wire.AppendVarint(b, int64(m.Hops))
+	return wire.AppendString(b, m.GUID)
 }
-
-// WireTail implements wire.TailMessage.
-func (m *GetReplyMsg) WireTail() []byte { return m.Data }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *GetReplyMsg) ParseWire(r *wire.BinReader) error {
 	m.ReqID = r.Uvarint()
 	m.GUID = r.String()
-	m.Found = r.Bool()
-	m.FromCache = r.Bool()
-	m.Hops = int(r.Varint())
-	m.Data = r.OwnedBytes()
-	return r.Err()
-}
-
-// AppendWire implements wire.BinaryMessage.
-func (m *ReplicateMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
-
-// AppendWireHead implements wire.TailMessage.
-func (m *ReplicateMsg) AppendWireHead(b []byte) []byte {
-	b = wire.AppendString(b, m.GUID)
-	return wire.AppendBool(b, m.Pin)
-}
-
-// WireTail implements wire.TailMessage.
-func (m *ReplicateMsg) WireTail() []byte { return m.Data }
-
-// ParseWire implements wire.BinaryMessage.
-func (m *ReplicateMsg) ParseWire(r *wire.BinReader) error {
-	m.GUID = r.String()
-	m.Pin = r.Bool()
-	m.Data = r.OwnedBytes()
-	return r.Err()
-}
-
-// AppendWire implements wire.BinaryMessage.
-func (m *CacheFillMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
-
-// AppendWireHead implements wire.TailMessage.
-func (m *CacheFillMsg) AppendWireHead(b []byte) []byte { return wire.AppendString(b, m.GUID) }
-
-// WireTail implements wire.TailMessage.
-func (m *CacheFillMsg) WireTail() []byte { return m.Data }
-
-// ParseWire implements wire.BinaryMessage.
-func (m *CacheFillMsg) ParseWire(r *wire.BinReader) error {
-	m.GUID = r.String()
-	m.Data = r.OwnedBytes()
 	return r.Err()
 }
 
@@ -172,7 +121,10 @@ func (m *PullMsg) ParseWire(r *wire.BinReader) error {
 }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *ManifestMsg) AppendWire(b []byte) []byte {
+func (m *ManifestMsg) AppendWire(b []byte) []byte { return wire.AppendTailed(b, m) }
+
+// AppendWireHead implements wire.TailMessage.
+func (m *ManifestMsg) AppendWireHead(b []byte) []byte {
 	b = wire.AppendUvarint(b, m.Xfer)
 	b = wire.AppendString(b, m.GUID)
 	b = wire.AppendVarint(b, int64(m.Purpose))
@@ -180,10 +132,11 @@ func (m *ManifestMsg) AppendWire(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(m.Chunk))
 	b = wire.AppendUvarint(b, m.Hash)
 	b = wire.AppendUvarint(b, m.ReqID)
-	b = wire.AppendVarint(b, int64(m.Hops))
-	b = wire.AppendBool(b, m.FromCache)
 	return wire.AppendBool(b, m.Pin)
 }
+
+// WireTail implements wire.TailMessage.
+func (m *ManifestMsg) WireTail() []byte { return m.Data }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *ManifestMsg) ParseWire(r *wire.BinReader) error {
@@ -194,9 +147,8 @@ func (m *ManifestMsg) ParseWire(r *wire.BinReader) error {
 	m.Chunk = int(r.Varint())
 	m.Hash = r.Uvarint()
 	m.ReqID = r.Uvarint()
-	m.Hops = int(r.Varint())
-	m.FromCache = r.Bool()
 	m.Pin = r.Bool()
+	m.Data = r.OwnedBytes()
 	return r.Err()
 }
 

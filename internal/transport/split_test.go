@@ -264,8 +264,8 @@ func BenchmarkSendChunk(b *testing.B) {
 }
 
 // TestSharedBodiesUnderConcurrentWriters: frames to eight binary peers
-// borrow one SendMany body and, sent one by one as replica pushes are, one
-// stored object. The eight peers' writer goroutines then read the same
+// borrow one SendMany body (a manifest carrying its body) and, sent one by
+// one as a transfer's chunks are, one stored object. The eight peers' writer goroutines then read the same
 // bytes at once; run under -race, nothing may write them, and every peer
 // receives every copy intact. Each round is one actor turn, so writers
 // take frames while later rounds are queued.
@@ -287,17 +287,17 @@ func TestSharedBodiesUnderConcurrentWriters(t *testing.T) {
 			}
 			received.Add(1)
 		}
-		p.Handle("store.replicate", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { check(msg.(*store.ReplicateMsg).Data) })
-		p.Handle("store.cacheFill", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { check(msg.(*store.CacheFillMsg).Data) })
+		p.Handle("store.manifest", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { check(msg.(*store.ManifestMsg).Data) })
+		p.Handle("store.chunk", func(_ netapi.Ctx, _ ids.ID, msg wire.Message) { check(msg.(*store.ChunkMsg).Data) })
 		hello := &HelloMsg{ID: p.ID().String(), Addr: p.Addr(), Codecs: []string{wire.CodecXML, wire.CodecBinary}, KindsHash: reg.KindsHash()}
 		a.Do(func() { a.mergeHello(hello) })
 	}
 	a.Stats() // one trip through the actor loop: the hellos are merged
 	for r := 0; r < rounds; r++ {
 		a.Do(func() {
-			a.SendMany(tos, &store.ReplicateMsg{GUID: "fan-out", Data: stored})
+			a.SendMany(tos, &store.ManifestMsg{GUID: "fan-out", TotalLen: len(stored), Data: stored})
 			for _, to := range tos {
-				a.Send(to, &store.CacheFillMsg{GUID: "stored", Data: stored})
+				a.Send(to, &store.ChunkMsg{Xfer: 1, Data: stored})
 			}
 		})
 	}

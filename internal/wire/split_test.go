@@ -140,12 +140,14 @@ func TestSizeSharedMeasuresBodyOnce(t *testing.T) {
 // FuzzTailSplit: for every tail kind, head ‖ tail is AppendWire, whatever
 // the tail; and for every binary kind, under any header, every binary
 // encode is the contiguous encoder's frame and Size is len(Encode) on both
-// codecs. The seed picks the kind and its field values.
+// codecs. The seed picks the kind and its field values. The corpus is a
+// fixed 64 seeds — about two per binary kind — so that registering or
+// retiring a kind does not add or drop seed entries.
 func FuzzTailSplit(f *testing.F) {
 	reg := fullRegistry()
 	bin := wire.NewBinaryCodec(reg)
 	kinds := binaryKinds(reg)
-	for seed := range int64(2 * len(kinds)) {
+	for seed := range int64(64) {
 		f.Add(seed, bytes.Repeat([]byte{wire.BinaryMagic}, int(seed)*37), uint64(seed)<<(seed%64), strings.Repeat("e<r>", int(seed%3)))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, tail []byte, corr uint64, errText string) {
