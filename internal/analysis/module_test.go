@@ -52,10 +52,11 @@ func TestModuleAnalyzers(t *testing.T) {
 // peer table's lock (its actor loop owns the table, so senders are on
 // the loop), GIS replication in the knowledge syncer with its second
 // constructor (each node's GIS is installed where the node is built),
-// and simnet's switch that turned traffic accounting off. The old paths
+// simnet's switch that turned traffic accounting off, and the overlay's
+// hex-string ID lists (its messages carry ids.ID). The old paths
 // are _test.go oracles or seams, not options, and the three before the
 // send-to-self names carried no traffic.
-var retired = regexp.MustCompile(`\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks|LocalDeliverer|DeliverLocal|peersMu|PublishGIS|FetchGIS|GISKey|EncodeVersionedGIS|DecodeVersionedGIS|NewSyncerOpts|DisableMetrics|sendObjectPinned|pushReplicaPinned|handleReplicate|handleCacheFill)\b`)
+var retired = regexp.MustCompile(`\b(Legacy[A-Z][A-Za-z]*|CloneFanout|DisableIndex|DisableBatching|DisableShedding|MatchShards|nodecfg|Shards|ExecPartitions|Partitioned|FanoutWorkers|fanout-workers|fanoutPool|DrainFanout|ConcurrentSender|ConcurrentSends|UseAdvertisements|AdvMsg|UnadvMsg|RefreshRegistry|maxEarlyChunks|LocalDeliverer|DeliverLocal|peersMu|PublishGIS|FetchGIS|GISKey|EncodeVersionedGIS|DecodeVersionedGIS|NewSyncerOpts|DisableMetrics|sendObjectPinned|pushReplicaPinned|handleReplicate|handleCacheFill|idsToStrings)\b`)
 
 // TestRetiredNamesStayRetired fails when a retired name returns to a
 // shipped file: any non-test .go file under cmd, internal and examples,

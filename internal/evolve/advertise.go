@@ -37,9 +37,12 @@ func AdvertFilter() pubsub.Filter { return pubsub.NewFilter(pubsub.TypeIs(TypeAd
 // network either gracefully, in which case they will publish events
 // warning of their imminent withdrawal…", §4.4).
 type Advertiser struct {
-	client   *pubsub.Client
-	info     netapi.NodeInfo
-	interval time.Duration
+	client *pubsub.Client
+	info   netapi.NodeInfo
+	// source and node are the node's ID as every advert carries it,
+	// formatted once.
+	source, node string
+	interval     time.Duration
 	// Programs reports the installed component programs.
 	Programs func() []string
 	// Resources reports spare capacity.
@@ -59,6 +62,8 @@ func NewAdvertiser(ep netapi.Endpoint, client *pubsub.Client, interval time.Dura
 	a := &Advertiser{
 		client:   client,
 		info:     ep.Info(),
+		source:   "advert/" + ep.ID().Short(),
+		node:     ep.ID().String(),
 		interval: interval,
 		Programs: func() []string { return nil },
 		Resources: func() (float64, int64) {
@@ -91,8 +96,8 @@ func (a *Advertiser) Stop() { a.stopped = true }
 func (a *Advertiser) Leave() {
 	a.stopped = true
 	a.seq++
-	ev := event.New(TypeLeaving, "advert/"+a.info.ID.Short(), a.clock.Now()).
-		Set("node", event.S(a.info.ID.String())).
+	ev := event.New(TypeLeaving, a.source, a.clock.Now()).
+		Set("node", event.S(a.node)).
 		Stamp(a.seq + 1_000_000)
 	a.client.Publish(ev)
 }
@@ -101,8 +106,8 @@ func (a *Advertiser) publish() {
 	a.seq++
 	a.Published++
 	cpu, stor := a.Resources()
-	ev := event.New(TypeAdvert, "advert/"+a.info.ID.Short(), a.clock.Now()).
-		Set("node", event.S(a.info.ID.String())).
+	ev := event.New(TypeAdvert, a.source, a.clock.Now()).
+		Set("node", event.S(a.node)).
 		Set("region", event.S(a.info.Region)).
 		Set("x", event.F(a.info.Coord.X)).
 		Set("y", event.F(a.info.Coord.Y)).
@@ -142,6 +147,7 @@ type Monitor struct {
 	clock      interface{ Now() time.Duration }
 	after      func(time.Duration, func())
 	selfID     ids.ID
+	self       string // selfID.String(), formatted once
 	interval   time.Duration
 	missFactor int
 	lastSeen   map[string]time.Duration
@@ -165,6 +171,7 @@ func NewMonitor(ep netapi.Endpoint, client *pubsub.Client, interval time.Duratio
 		clock:      ep.Clock(),
 		after:      func(d time.Duration, fn func()) { ep.Clock().After(d, fn) },
 		selfID:     ep.ID(),
+		self:       ep.ID().String(),
 		interval:   interval,
 		missFactor: missFactor,
 		lastSeen:   make(map[string]time.Duration),
@@ -175,7 +182,7 @@ func NewMonitor(ep netapi.Endpoint, client *pubsub.Client, interval time.Duratio
 func (m *Monitor) Start() {
 	m.client.Subscribe(AdvertFilter(), func(ev *event.Event) {
 		node := ev.GetString("node")
-		if node == "" || node == m.selfID.String() {
+		if node == "" || node == m.self {
 			return
 		}
 		if _, known := m.lastSeen[node]; !known {
@@ -231,7 +238,7 @@ func (m *Monitor) sweep() {
 		m.Reported++
 		ev := event.New(TypeDown, "monitor/"+m.selfID.Short(), m.clock.Now()).
 			Set("node", event.S(node)).
-			Set("reporter", event.S(m.selfID.String())).
+			Set("reporter", event.S(m.self)).
 			Stamp(m.seq)
 		m.client.Publish(ev)
 	}

@@ -52,13 +52,8 @@ func Random(rng *rand.Rand) ID {
 // Parse decodes a 32-hex-digit string into an ID.
 func Parse(s string) (ID, error) {
 	var id ID
-	if len(s) != Digits {
-		return id, fmt.Errorf("ids: parse %q: want %d hex digits, got %d", s, Digits, len(s))
-	}
-	if _, err := hex.Decode(id[:], []byte(s)); err != nil {
-		return ID{}, fmt.Errorf("ids: parse %q: %w", s, err)
-	}
-	return id, nil
+	err := id.UnmarshalText([]byte(s))
+	return id, err
 }
 
 // MustParse is Parse that panics on malformed input; for tests and constants.
@@ -72,6 +67,27 @@ func MustParse(s string) ID {
 
 // String returns the 32-digit lowercase hex form.
 func (id ID) String() string { return hex.EncodeToString(id[:]) }
+
+// MarshalText returns the String form, so an ID field reads in XML (and
+// JSON) as its 32 hex digits.
+func (id ID) MarshalText() ([]byte, error) {
+	return hex.AppendEncode(make([]byte, 0, Digits), id[:]), nil
+}
+
+// UnmarshalText decodes the 32-hex-digit form; on error id is unchanged.
+func (id *ID) UnmarshalText(text []byte) error {
+	// The errors quote a copy, so text does not escape: Parse's []byte(s)
+	// stays on the stack.
+	if len(text) != Digits {
+		return fmt.Errorf("ids: parse %q: want %d hex digits, got %d", string(text), Digits, len(text))
+	}
+	var out ID
+	if _, err := hex.Decode(out[:], text); err != nil {
+		return fmt.Errorf("ids: parse %q: %w", string(text), err)
+	}
+	*id = out
+	return nil
+}
 
 // Short returns the first 8 hex digits, for logs.
 func (id ID) Short() string { return hex.EncodeToString(id[:4]) }

@@ -41,6 +41,27 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestTextForm: an ID's text form is its String, UnmarshalText reads it
+// back, and a malformed text leaves the ID as it was.
+func TestTextForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 100; i++ {
+		id := Random(rng)
+		text, err := id.MarshalText()
+		if err != nil || string(text) != id.String() {
+			t.Fatalf("MarshalText(%v) = %q, %v; want the String form", id, text, err)
+		}
+		var back ID
+		if err := back.UnmarshalText(text); err != nil || back != id {
+			t.Fatalf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, id)
+		}
+		keep := back
+		if err := back.UnmarshalText(append(text[:Digits-1:Digits-1], 'g')); err == nil || back != keep {
+			t.Fatalf("malformed text: err %v, id %v; want an error and %v", err, back, keep)
+		}
+	}
+}
+
 func TestDigitWithDigit(t *testing.T) {
 	id := MustParse("0123456789abcdef0123456789abcdef")
 	for i := 0; i < Digits; i++ {

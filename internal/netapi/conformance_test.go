@@ -1,6 +1,7 @@
 package netapi_test
 
 import (
+	"encoding/xml"
 	"fmt"
 	"reflect"
 	"slices"
@@ -24,15 +25,30 @@ import (
 // (simnet's Metrics().Sent, transport's Stats().Sent).
 //
 // The loop-only cases hold them to the rule for a send to another node:
-// a Send or a Request made on the loop is queued toward its peer
-// (QueuedBytes > 0) before the callback that made it returns, with no hop
-// through anything the loop must first run.
+// a Send or a Request made on the loop has left the loop toward its peer
+// before it returns, inside the callback that made it, with no hop
+// through anything the loop must first run. The rows read a count the
+// send path bumps on the loop itself (rig.onLoop): a TCP writer that
+// drains the frame at once cannot take that back, as it can take back
+// QueuedBytes.
 
 type probeMsg struct {
 	Text string `xml:"text,attr"`
 }
 
 func (probeMsg) Kind() string { return "conf.probe" }
+
+// probesEncoded counts probe encodes. The TCP transport encodes a frame
+// on the loop, in the send that queues it.
+var probesEncoded atomic.Uint64
+
+// MarshalXML counts the encode, then writes the probe as encoding/xml
+// would.
+func (m *probeMsg) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
+	probesEncoded.Add(1)
+	type plain probeMsg
+	return e.EncodeElement((*plain)(m), start)
+}
 
 type goMsg struct{}
 
@@ -71,13 +87,15 @@ type rig struct {
 	callback func(fromTimer bool, issue, next func()) uint64
 	// sent is the substrate's count of network sends.
 	sent func() uint64
+	// onLoop is a count of network sends that the send path bumps on the
+	// loop, so a callback may read it.
+	onLoop func() uint64
 	// until runs the substrate until done holds, or fails t.
 	until func(t *testing.T, done func() bool)
 }
 
 func simRig(t *testing.T) *rig {
-	// A budget makes QueuedBytes count in-flight messages, one byte each.
-	w := simnet.NewWorld(simnet.Config{Seed: 1, DisableJitter: true, OutboxHighWater: 1 << 20})
+	w := simnet.NewWorld(simnet.Config{Seed: 1, DisableJitter: true})
 	self := w.NewNode(ids.FromString("conf-self"), "eu", netapi.Coord{})
 	p0 := w.NewNode(ids.FromString("conf-p0"), "eu", netapi.Coord{X: 100})
 	p1 := w.NewNode(ids.FromString("conf-p1"), "eu", netapi.Coord{X: 200})
@@ -97,7 +115,8 @@ func simRig(t *testing.T) *rig {
 			p0.Send(self.ID(), &nextMsg{})
 			return 2
 		},
-		sent: func() uint64 { return w.Metrics().Sent },
+		sent:   func() uint64 { return w.Metrics().Sent },
+		onLoop: func() uint64 { return w.Metrics().Sent },
 		until: func(t *testing.T, done func() bool) {
 			for i := 0; !done(); i++ {
 				if i == 1000 {
@@ -151,7 +170,9 @@ func tcpRig(t *testing.T) *rig {
 			close(release)
 			return 0
 		},
-		sent: func() uint64 { return self.Stats().Sent },
+		// Stats rides the loop, so a callback counts encodes instead.
+		sent:   func() uint64 { return self.Stats().Sent },
+		onLoop: probesEncoded.Load,
 		until: func(t *testing.T, done func() bool) {
 			deadline := time.Now().Add(10 * time.Second)
 			for !done() {
@@ -174,13 +195,15 @@ type selfCase struct {
 	want   []string // what runs between the callback and the next arrival
 }
 
-// queuedToPeer logs whether the node under test has bytes queued toward
-// its second peer.
-func queuedToPeer(r *rig, j *journal) {
-	if r.self.QueuedBytes(r.peers[1].ID()) > 0 {
-		j.add("queued toward p1")
+// sentOnLoop runs send, which addresses the second peer, and logs
+// whether the substrate counted it as a network send before it returned.
+func sentOnLoop(r *rig, j *journal, send func()) {
+	before := r.onLoop()
+	send()
+	if r.onLoop() > before {
+		j.add("sent toward p1")
 	} else {
-		j.add("nothing queued toward p1")
+		j.add("nothing sent toward p1")
 	}
 }
 
@@ -201,14 +224,14 @@ var selfCases = []selfCase{
 		})
 	}, 0, nil, []string{"probe ask", "reply re ask"}},
 	{"RemoteSend", func(r *rig, j *journal) {
-		r.self.Send(r.peers[1].ID(), &probeMsg{Text: "out"})
-		queuedToPeer(r, j)
-	}, 1, []string{"queued toward p1"}, nil},
+		sentOnLoop(r, j, func() { r.self.Send(r.peers[1].ID(), &probeMsg{Text: "out"}) })
+	}, 1, []string{"sent toward p1"}, nil},
 	{"RemoteRequest", func(r *rig, j *journal) {
 		// The peers answer nothing; the request outlives the test.
-		r.self.Request(r.peers[1].ID(), &probeMsg{Text: "ask out"}, time.Minute, func(wire.Message, error) {})
-		queuedToPeer(r, j)
-	}, 1, []string{"queued toward p1"}, nil},
+		sentOnLoop(r, j, func() {
+			r.self.Request(r.peers[1].ID(), &probeMsg{Text: "ask out"}, time.Minute, func(wire.Message, error) {})
+		})
+	}, 1, []string{"sent toward p1"}, nil},
 }
 
 func TestSelfDeliveryConformance(t *testing.T) {

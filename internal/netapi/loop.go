@@ -22,13 +22,18 @@ type Loop struct {
 	pending  map[Pending]pendingReply
 	nextCorr uint64
 	local    []entry
+	// out is the envelope every send toward another node is built in:
+	// Transmit borrows it for the call, and send zeroes it after.
+	out wire.Envelope
 }
 
 // Substrate is what a Loop needs from the network under it.
 type Substrate interface {
 	// Transmit sends one envelope the loop built to another node. The
 	// envelopes of one SendMany carry the same message and share
-	// shared, which is nil for every other send.
+	// shared, which is nil for every other send. env is borrowed for the
+	// call: the loop builds the next send in it, so a substrate that
+	// keeps the envelope past Transmit keeps a copy of the value.
 	Transmit(env *wire.Envelope, shared *wire.SharedBody)
 	// Arm arranges for Loop.Expire(p) to run on the callback goroutine d
 	// from now, and returns the timer a reply to p stops.
@@ -105,9 +110,9 @@ func (l *Loop) send(to ids.ID, e entry, shared *wire.SharedBody) {
 		l.local = append(l.local, e)
 		return
 	}
-	l.sub.Transmit(&wire.Envelope{
-		From: l.id, To: to, CorrID: e.corr, IsReply: e.reply, Msg: e.msg, Err: e.err,
-	}, shared)
+	l.out = wire.Envelope{From: l.id, To: to, CorrID: e.corr, IsReply: e.reply, Msg: e.msg, Err: e.err}
+	l.sub.Transmit(&l.out, shared)
+	l.out = wire.Envelope{}
 }
 
 // Expire times request p out, unless its reply came first.

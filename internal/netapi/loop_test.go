@@ -253,8 +253,13 @@ type simPending struct {
 
 func (r *simPending) Run() { r.loop.Expire(r.p) }
 
-func (c *coreEP) Transmit(env *wire.Envelope, _ *wire.SharedBody) { c.transmit(env) }
-func (c *coreEP) Wake()                                           {}
+// Transmit records a copy: the loop lends env for the call only.
+func (c *coreEP) Transmit(env *wire.Envelope, _ *wire.SharedBody) {
+	cp := *env
+	c.transmit(&cp)
+}
+
+func (c *coreEP) Wake() {}
 
 func (c *coreEP) Arm(d time.Duration, p Pending) vclock.Timer {
 	if c.simArm {

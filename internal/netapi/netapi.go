@@ -7,6 +7,14 @@
 // replies through and the local run queue are written once, here, and a
 // substrate only moves envelopes and arms timeouts for it.
 //
+// Envelope ownership: a Loop builds every envelope it sends to another
+// node in one envelope of its own, passes it to Substrate.Transmit, and
+// zeroes it after the call. The substrate borrows it for that call only:
+// one that keeps it past Transmit (simnet's delivery batches) keeps a
+// copy of the value, and one that encodes it (transport) keeps nothing.
+// A received envelope is Deliver's for that call, too: handlers see
+// (ctx, from, msg), never the envelope.
+//
 // Callback discipline: an endpoint delivers messages and timer callbacks
 // serially — protocol code never runs concurrently with itself on the same
 // node and therefore needs no locks. Under simnet the whole world shares

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/wire"
 )
 
@@ -43,8 +44,9 @@ func FuzzRouteMsgParseWire(f *testing.F) {
 // numbers included, with arbitrary frames: each must never panic, and a
 // message either accepts must round-trip byte-stably.
 func FuzzJoinStateParseWire(f *testing.F) {
-	f.Add((&JoinMsg{Joiner: "0123abcd", Hop: 2}).AppendWire(nil))
-	f.Add((&StateMsg{From: "n1", Hop: 3, Done: true, Leaves: []string{"n2"}, Table: []string{"n3", "n4"}}).AppendWire(nil))
+	n := func(name string) ids.ID { return ids.FromString(name) }
+	f.Add((&JoinMsg{Joiner: n("n0"), Hop: 2}).AppendWire(nil))
+	f.Add((&StateMsg{From: n("n1"), Hop: 3, Done: true, Leaves: []ids.ID{n("n2")}, Table: []ids.ID{n("n3"), n("n4")}}).AppendWire(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x6B, 0x7F})
 	f.Fuzz(func(t *testing.T, data []byte) {

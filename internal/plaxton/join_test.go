@@ -34,7 +34,7 @@ func (h *holdStates) Handle(kind string, fn netapi.Handler) {
 		fn = func(ctx netapi.Ctx, from ids.ID, msg wire.Message) {
 			joiner := from
 			if jm, ok := msg.(*JoinMsg); ok {
-				joiner, _ = ids.Parse(jm.Joiner)
+				joiner = jm.Joiner
 			}
 			h.told[joiner] = true
 			next(ctx, from, msg)

@@ -34,7 +34,7 @@ func (m RouteMsg) PayloadKind() string { return m.InnerKind }
 // state to the newcomer, and the root completes the join. Hop counts the
 // nodes the message has passed: 0 at the bootstrap.
 type JoinMsg struct {
-	Joiner string `xml:"joiner,attr"`
+	Joiner ids.ID `xml:"joiner,attr"`
 	Hop    int    `xml:"hop,attr"`
 }
 
@@ -45,11 +45,11 @@ func (JoinMsg) Kind() string { return "plaxton.join" }
 // sender's place on the join route; the root's (Done) is the last, so the
 // joiner knows how many states to wait for whatever order they land in.
 type StateMsg struct {
-	From   string   `xml:"from,attr"`
+	From   ids.ID   `xml:"from,attr"`
 	Hop    int      `xml:"hop,attr"`
 	Done   bool     `xml:"done,attr"` // true when sent by the join root
-	Leaves []string `xml:"leaf"`
-	Table  []string `xml:"entry"`
+	Leaves []ids.ID `xml:"leaf"`
+	Table  []ids.ID `xml:"entry"`
 }
 
 // Kind implements wire.Message.
@@ -58,7 +58,7 @@ func (StateMsg) Kind() string { return "plaxton.state" }
 // AnnounceMsg tells existing nodes about a newly joined node (request,
 // answered with PongMsg once the receiver has learned the node).
 type AnnounceMsg struct {
-	Node string `xml:"node,attr"`
+	Node ids.ID `xml:"node,attr"`
 }
 
 // Kind implements wire.Message.
@@ -84,7 +84,7 @@ func (LeafReqMsg) Kind() string { return "plaxton.leafreq" }
 
 // LeafReplyMsg returns a node's leaf set members.
 type LeafReplyMsg struct {
-	Leaves []string `xml:"leaf"`
+	Leaves []ids.ID `xml:"leaf"`
 }
 
 // Kind implements wire.Message.
@@ -100,15 +100,6 @@ func RegisterMessages(r *wire.Registry) {
 	r.Register(&PongMsg{})
 	r.Register(&LeafReqMsg{})
 	r.Register(&LeafReplyMsg{})
-}
-
-// idsToStrings converts identifiers for XML transport.
-func idsToStrings(in []ids.ID) []string {
-	out := make([]string, len(in))
-	for i, id := range in {
-		out[i] = id.String()
-	}
-	return out
 }
 
 // stringsToIDs parses identifiers, failing on the first malformed entry.

@@ -164,7 +164,7 @@ func New(ep netapi.Endpoint, reg *wire.Registry, codec string, opts Options) *Ov
 	ep.Handle("plaxton.ping", o.handlePing)
 	ep.Handle("plaxton.leafreq", func(ctx netapi.Ctx, from ids.ID, _ wire.Message) {
 		o.learn(from)
-		ctx.Reply(&LeafReplyMsg{Leaves: idsToStrings(o.leaves.members())})
+		ctx.Reply(&LeafReplyMsg{Leaves: o.leaves.members()})
 	})
 	return o
 }
@@ -225,7 +225,7 @@ func (o *Overlay) Join(bootstrap ids.ID, done func(error)) {
 			o.finishJoin(fmt.Errorf("plaxton: join via %s timed out", bootstrap.Short()))
 		}
 	})
-	o.ep.Send(bootstrap, &JoinMsg{Joiner: o.self.String()})
+	o.ep.Send(bootstrap, &JoinMsg{Joiner: o.self})
 }
 
 func (o *Overlay) finishJoin(err error) {
@@ -489,11 +489,7 @@ func (o *Overlay) notifyLeaves() {
 
 func (o *Overlay) handleJoin(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	jm := msg.(*JoinMsg)
-	joiner, err := ids.Parse(jm.Joiner)
-	if err != nil {
-		o.log.Warn("bad joiner id", "err", err)
-		return
-	}
+	joiner := jm.Joiner
 	// Learn the previous hop, but never the joiner itself before routing:
 	// the join must reach the node that is currently numerically closest,
 	// not shortcut to the newcomer.
@@ -504,14 +500,14 @@ func (o *Overlay) handleJoin(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	next := o.nextHopEx(joiner, joiner)
 	done := next == o.self
 	o.ep.Send(joiner, &StateMsg{
-		From:   o.self.String(),
+		From:   o.self,
 		Hop:    jm.Hop,
 		Done:   done,
-		Leaves: idsToStrings(o.leaves.members()),
-		Table:  idsToStrings(o.tableEntries()),
+		Leaves: o.leaves.members(),
+		Table:  o.tableEntries(),
 	})
 	if !done {
-		o.ep.Send(next, &JoinMsg{Joiner: jm.Joiner, Hop: jm.Hop + 1})
+		o.ep.Send(next, &JoinMsg{Joiner: joiner, Hop: jm.Hop + 1})
 	}
 	o.learn(joiner)
 }
@@ -531,20 +527,10 @@ func (o *Overlay) tableEntries() []ids.ID {
 func (o *Overlay) handleState(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	sm := msg.(*StateMsg)
 	o.learn(from)
-	leaves, err := stringsToIDs(sm.Leaves)
-	if err != nil {
-		o.log.Warn("bad state leaves", "err", err)
-		return
-	}
-	table, err := stringsToIDs(sm.Table)
-	if err != nil {
-		o.log.Warn("bad state table", "err", err)
-		return
-	}
-	for _, id := range leaves {
+	for _, id := range sm.Leaves {
 		o.learn(id)
 	}
-	for _, id := range table {
+	for _, id := range sm.Table {
 		o.learn(id)
 	}
 	j := o.join
@@ -562,7 +548,7 @@ func (o *Overlay) handleState(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 	known := o.allKnown()
 	j.unanswered = len(known)
 	for _, id := range known {
-		o.ep.Request(id, &AnnounceMsg{Node: o.self.String()}, o.opts.ProbeTimeout, func(wire.Message, error) {
+		o.ep.Request(id, &AnnounceMsg{Node: o.self}, o.opts.ProbeTimeout, func(wire.Message, error) {
 			if j.unanswered--; j.unanswered == 0 && o.join == j {
 				o.finishJoin(nil)
 			}
@@ -571,14 +557,8 @@ func (o *Overlay) handleState(_ netapi.Ctx, from ids.ID, msg wire.Message) {
 }
 
 func (o *Overlay) handleAnnounce(ctx netapi.Ctx, from ids.ID, msg wire.Message) {
-	am := msg.(*AnnounceMsg)
-	node, err := ids.Parse(am.Node)
-	if err != nil {
-		o.log.Warn("bad announce", "err", err)
-		return
-	}
 	o.learn(from)
-	o.learn(node)
+	o.learn(msg.(*AnnounceMsg).Node)
 	ctx.Reply(&PongMsg{})
 }
 
@@ -681,11 +661,7 @@ func (o *Overlay) repairLeaves() {
 			if !ok {
 				return
 			}
-			members, err := stringsToIDs(lr.Leaves)
-			if err != nil {
-				return
-			}
-			for _, m := range members {
+			for _, m := range lr.Leaves {
 				o.learn(m)
 			}
 		})

@@ -1,13 +1,15 @@
 package plaxton
 
 import (
+	"github.com/gloss/active/internal/ids"
 	"github.com/gloss/active/internal/wire"
 )
 
 // Compact binary wire forms for the overlay protocol. RouteMsg is the
 // hot one — every routed application message (store puts/gets, pushed
 // replicas) rides inside it — so its already-encoded Inner payload is
-// carried as raw length-prefixed bytes instead of base64 text.
+// carried as raw length-prefixed bytes instead of base64 text. Node IDs
+// travel as their 16 raw bytes.
 
 var (
 	_ wire.TailMessage   = (*RouteMsg)(nil)
@@ -33,6 +35,28 @@ func readStrings(r *wire.BinReader) []string {
 	var out []string
 	for i := 0; i < n && r.Err() == nil; i++ {
 		out = append(out, r.String())
+	}
+	return out
+}
+
+func appendIDs(b []byte, list []ids.ID) []byte {
+	b = wire.AppendUvarint(b, uint64(len(list)))
+	for _, id := range list {
+		b = wire.AppendID(b, id)
+	}
+	return b
+}
+
+// readIDs reads what appendIDs wrote, allocating no more than the rest
+// of the frame can hold whatever count it claims.
+func readIDs(r *wire.BinReader) []ids.ID {
+	n := r.Count()
+	if n == 0 {
+		return nil // as encoding/xml leaves an empty list
+	}
+	out := make([]ids.ID, 0, min(n, r.Remaining()/ids.Size))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, r.ID())
 	}
 	return out
 }
@@ -67,42 +91,42 @@ func (m *RouteMsg) ParseWire(r *wire.BinReader) error {
 
 // AppendWire implements wire.BinaryMessage.
 func (m *JoinMsg) AppendWire(b []byte) []byte {
-	b = wire.AppendString(b, m.Joiner)
+	b = wire.AppendID(b, m.Joiner)
 	return wire.AppendVarint(b, int64(m.Hop))
 }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *JoinMsg) ParseWire(r *wire.BinReader) error {
-	m.Joiner = r.String()
+	m.Joiner = r.ID()
 	m.Hop = int(r.Varint())
 	return r.Err()
 }
 
 // AppendWire implements wire.BinaryMessage.
 func (m *StateMsg) AppendWire(b []byte) []byte {
-	b = wire.AppendString(b, m.From)
+	b = wire.AppendID(b, m.From)
 	b = wire.AppendVarint(b, int64(m.Hop))
 	b = wire.AppendBool(b, m.Done)
-	b = appendStrings(b, m.Leaves)
-	return appendStrings(b, m.Table)
+	b = appendIDs(b, m.Leaves)
+	return appendIDs(b, m.Table)
 }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *StateMsg) ParseWire(r *wire.BinReader) error {
-	m.From = r.String()
+	m.From = r.ID()
 	m.Hop = int(r.Varint())
 	m.Done = r.Bool()
-	m.Leaves = readStrings(r)
-	m.Table = readStrings(r)
+	m.Leaves = readIDs(r)
+	m.Table = readIDs(r)
 	return r.Err()
 }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *AnnounceMsg) AppendWire(b []byte) []byte { return wire.AppendString(b, m.Node) }
+func (m *AnnounceMsg) AppendWire(b []byte) []byte { return wire.AppendID(b, m.Node) }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *AnnounceMsg) ParseWire(r *wire.BinReader) error {
-	m.Node = r.String()
+	m.Node = r.ID()
 	return r.Err()
 }
 
@@ -131,10 +155,10 @@ func (m *LeafReqMsg) AppendWire(b []byte) []byte { return b }
 func (m *LeafReqMsg) ParseWire(r *wire.BinReader) error { return r.Err() }
 
 // AppendWire implements wire.BinaryMessage.
-func (m *LeafReplyMsg) AppendWire(b []byte) []byte { return appendStrings(b, m.Leaves) }
+func (m *LeafReplyMsg) AppendWire(b []byte) []byte { return appendIDs(b, m.Leaves) }
 
 // ParseWire implements wire.BinaryMessage.
 func (m *LeafReplyMsg) ParseWire(r *wire.BinReader) error {
-	m.Leaves = readStrings(r)
+	m.Leaves = readIDs(r)
 	return r.Err()
 }

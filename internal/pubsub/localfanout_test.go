@@ -42,7 +42,9 @@ func newLocalBPEndpoint(e *bpEndpoint) *localBPEndpoint {
 func (e *localBPEndpoint) Send(to ids.ID, msg wire.Message)        { e.loop.Send(to, msg) }
 func (e *localBPEndpoint) SendMany(tos []ids.ID, msg wire.Message) { e.loop.SendMany(tos, msg, nil) }
 
-// loopSeam hands the loop's envelopes to the recorder.
+// loopSeam hands the loop's envelopes to the recorder. It records the
+// destination and message by value: the loop lends the envelope for the
+// call only.
 type loopSeam localBPEndpoint
 
 func (s *loopSeam) Transmit(env *wire.Envelope, _ *wire.SharedBody) {

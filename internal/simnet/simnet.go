@@ -149,13 +149,14 @@ type World struct {
 }
 
 // delivBatch accumulates the envelopes of one coalesced delivery, in
-// send order, and is the scheduler task that delivers them. sizes
-// carries each envelope's accounted bytes, populated only when the
-// outbox budget is enabled (release needs them back).
+// send order, and is the scheduler task that delivers them. It holds
+// each envelope by value: the one a loop transmits is borrowed for the
+// call. sizes carries each envelope's accounted bytes, populated only
+// when the outbox budget is enabled (release needs them back).
 type delivBatch struct {
 	dest  *Node
 	at    time.Duration
-	envs  []*wire.Envelope
+	envs  []wire.Envelope
 	sizes []int
 }
 
@@ -536,7 +537,7 @@ func (w *World) releaseOut(env *wire.Envelope, size int) {
 func (w *World) enqueue(dest *Node, env *wire.Envelope, size int, at time.Duration) {
 	budget := w.cfg.OutboxHighWater > 0
 	if b, ok := dest.batches[at]; ok {
-		b.envs = append(b.envs, env)
+		b.envs = append(b.envs, *env)
 		if budget {
 			b.sizes = append(b.sizes, size)
 		}
@@ -550,7 +551,7 @@ func (w *World) enqueue(dest *Node, env *wire.Envelope, size int, at time.Durati
 		b = &delivBatch{}
 	}
 	b.dest, b.at = dest, at
-	b.envs = append(b.envs, env)
+	b.envs = append(b.envs, *env)
 	if budget {
 		b.sizes = append(b.sizes, size)
 	}
@@ -564,7 +565,11 @@ func (b *delivBatch) Run() {
 	budget := w.cfg.OutboxHighWater > 0
 	delete(b.dest.batches, b.at)
 	w.metrics.FlushEvents++
-	for i, e := range b.envs {
+	// b.envs never grows while it runs, so &b.envs[i] stays put: the
+	// batch has left dest.batches, and whatever its handlers send lands
+	// at least baseLatency after b.at, in another batch.
+	for i := range b.envs {
+		e := &b.envs[i]
 		// The budget releases on landing whether or not the destination
 		// is still alive — the sender-side queue emptied either way.
 		if budget {

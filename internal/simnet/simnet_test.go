@@ -250,6 +250,43 @@ func TestDeliveryBatchingCoalesces(t *testing.T) {
 	}
 }
 
+// TestBatchedEnvelopesKeepTheirOwnFields: the loop lends every send the
+// same envelope, so a batch must hold what it was lent by value. Two
+// requests one callback sends to one destination ride one batch, and
+// each arrives with its own message and is answered under its own
+// correlation ID.
+func TestBatchedEnvelopesKeepTheirOwnFields(t *testing.T) {
+	w, a, b := twoNodeWorld(t, Config{Seed: 1, DisableJitter: true})
+	var asked []int
+	b.Handle("test.ping", func(ctx netapi.Ctx, _ ids.ID, msg wire.Message) {
+		n := msg.(*ping).N
+		asked = append(asked, n)
+		ctx.Reply(&pong{N: 10 * n})
+	})
+	got := map[int]int{}
+	a.Clock().After(time.Millisecond, func() {
+		for _, n := range []int{1, 2} {
+			a.Request(b.ID(), &ping{N: n}, time.Second, func(reply wire.Message, err error) {
+				if err != nil {
+					t.Errorf("request %d: %v", n, err)
+					return
+				}
+				got[n] = reply.(*pong).N
+			})
+		}
+	})
+	w.RunFor(2 * time.Second)
+	if !reflect.DeepEqual(asked, []int{1, 2}) {
+		t.Fatalf("handler saw %v, want [1 2]", asked)
+	}
+	if !reflect.DeepEqual(got, map[int]int{1: 10, 2: 20}) {
+		t.Fatalf("replies %v, want map[1:10 2:20]", got)
+	}
+	if m := w.Metrics(); m.BatchedMsgs != 2 {
+		t.Fatalf("BatchedMsgs = %d, want 2: the requests and their replies each share a batch", m.BatchedMsgs)
+	}
+}
+
 // TestLinkKeepsSendOrder: two messages sent back to back on one jittered
 // link are handled in the order they were sent, as on a TCP connection,
 // though jitter draws each its own delay.
